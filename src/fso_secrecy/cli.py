@@ -30,6 +30,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -109,9 +110,22 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         else:
             raise ConfigError(f"{key}: unknown field")
     try:
-        return baseline_scenario(**kwargs)
+        sc = baseline_scenario(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    return _derive_links(sc)
+
+
+def _derive_links(sc: ScenarioConfig) -> ScenarioConfig:
+    """Derive both links now, so that a scenario the link model rejects (a
+    Rytov variance out of range, an undefined gamma surrogate) fails as a
+    config error rather than midway through a command."""
+    try:
+        bob_link(sc)
+        eve_link(sc)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return sc
 
 
 def _load_scenario(path: str | None) -> ScenarioConfig:
@@ -206,29 +220,11 @@ def _scenario_at(sc: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
         n = int(round(value))
         if n < 1:
             raise ConfigError("range: aperture counts must be at least 1")
-        return baseline_scenario(
-            geometry=sc.geometry,
-            nodes=type(sc.nodes)(n_a=n, n_b=n, n_e=n, gamma0=sc.nodes.gamma0),
-            sigma_s=sc.sigma_s,
-            s_th=sc.s_th,
-            epsilon=sc.epsilon,
-            omega_adj=sc.omega_adj,
-            d_b=sc.d_b,
-            d_e=sc.d_e,
-        )
+        return _derive_links(replace(sc, nodes=replace(sc.nodes, n_a=n, n_b=n, n_e=n)))
     if axis == "sigma_s":
         if value < 0.0:
             raise ConfigError("range: sigma_s must be non-negative")
-        return baseline_scenario(
-            geometry=sc.geometry,
-            nodes=sc.nodes,
-            sigma_s=value,
-            s_th=sc.s_th,
-            epsilon=sc.epsilon,
-            omega_adj=sc.omega_adj,
-            d_b=sc.d_b,
-            d_e=sc.d_e,
-        )
+        return replace(sc, sigma_s=value)
     return sc
 
 
@@ -470,8 +466,8 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
             f"{verdict} {name} lhs={_fmt(lhs)} rhs={_fmt(rhs)} diff={_fmt(diff)} tol={_fmt(tol)}"
         )
 
-    for r_e in (0.5, 1.0, 2.0, 4.0):
-        est = montecarlo.estimate_sop(sc, r_e, sim, jobs=jobs)
+    sop_rates = (0.5, 1.0, 2.0, 4.0)
+    for r_e, est in zip(sop_rates, montecarlo.estimate_sop(sc, sop_rates, sim, jobs=jobs)):
         check(f"sop r_e={_fmt(r_e)}", secrecy.sop(sc, r_e), est.mean, est.ci_halfwidth)
 
     for n in (1, 2, 4):
@@ -485,16 +481,7 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         )
 
     sc_1 = _scenario_at(sc, "n", 1.0)
-    sc_2 = baseline_scenario(
-        geometry=sc.geometry,
-        nodes=type(sc.nodes)(n_a=2, n_b=1, n_e=sc.nodes.n_e, gamma0=sc.nodes.gamma0),
-        sigma_s=sc.sigma_s,
-        s_th=sc.s_th,
-        epsilon=sc.epsilon,
-        omega_adj=sc.omega_adj,
-        d_b=sc.d_b,
-        d_e=sc.d_e,
-    )
+    sc_2 = replace(sc, nodes=replace(sc.nodes, n_a=2, n_b=1))
     check_analytic(
         "selection_squares_outage",
         secrecy.reliability_outage(sc_2, 2.5),
@@ -525,7 +512,7 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         np.random.Philox(np.random.SeedSequence(sim.seed).spawn(3)[2])
     )
     k_shape = eve_link(sc).turb.alpha
-    draws = montecarlo._gamma_variates(moment_rng, k_shape, min(sim.trials, 200_000))
+    draws = moment_rng.standard_gamma(k_shape, min(sim.trials, 200_000))
     rel_ci = 3.0 * float(draws.std()) / math.sqrt(draws.size) / k_shape
     check("gamma_sampler_mean_rel", 1.0, float(draws.mean()) / k_shape, rel_ci)
 
@@ -600,6 +587,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("sth: must lie in (0, 1]")
         if args.trials < 1:
             raise ConfigError("trials: must be at least 1")
+        if args.stream_count < 1:
+            raise ConfigError("stream-count: must be at least 1")
+        if args.jobs < 1:
+            raise ConfigError("jobs: must be at least 1")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

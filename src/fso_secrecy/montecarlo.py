@@ -3,7 +3,8 @@
 Samples the physical channel directly -- per-aperture turbulence factors,
 transmit-beam selection, receive-aperture combining, and the beam-wander
 collection loss -- and turns the draws into empirical outage and throughput
-estimates with 3-sigma confidence intervals.
+estimates with 3-sigma confidence intervals.  Gamma factors come from numpy's
+``Generator.standard_gamma`` (Marsaglia--Tsang).
 
 Reproducibility model: trial ``t`` belongs to stream ``t mod stream_count``
 and every stream owns an independent child generator spawned from the run
@@ -85,39 +86,6 @@ def _map_streams(fn: Callable[[int], object], count: int, jobs: int | None) -> l
 
 
 # ---------------------------------------------------------------------------
-# gamma variates: rejection sampling with the squeeze on ln U
-# ---------------------------------------------------------------------------
-
-
-def _gamma_variates(rng: np.random.Generator, k: float, size: int) -> np.ndarray:
-    """Unit-scale Gamma(k) draws via cubic-transform rejection.
-
-    Shapes below one are boosted to ``k + 1`` and scaled back by
-    ``U**(1/k)``, which keeps the rejection constant uniformly small.
-    """
-    if size == 0:
-        return np.empty(0)
-    if k < 1.0:
-        boosted = _gamma_variates(rng, k + 1.0, size)
-        return boosted * rng.random(size) ** (1.0 / k)
-    d = k - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(size)
-    pending = np.arange(size)
-    while pending.size:
-        x = rng.standard_normal(pending.size)
-        v = (1.0 + c * x) ** 3
-        u = rng.random(pending.size)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            accept = (v > 0.0) & (
-                np.log(u) < 0.5 * x * x + d - d * v + d * np.log(np.where(v > 0.0, v, 1.0))
-            )
-        out[pending[accept]] = d * v[accept]
-        pending = pending[~accept]
-    return out
-
-
-# ---------------------------------------------------------------------------
 # irradiance samplers (normalized so that SNR = gamma0 * a0 * sample)
 # ---------------------------------------------------------------------------
 
@@ -136,8 +104,8 @@ def sample_eve_irradiance(sc: ScenarioConfig, rng: np.random.Generator, size: in
     alpha = link.turb.alpha
     beta1 = link.turb.beta_single
     n_e = sc.nodes.n_e
-    x_large = _gamma_variates(rng, alpha, size) / alpha
-    y_small = _gamma_variates(rng, beta1, size * n_e).reshape(n_e, size) / beta1
+    x_large = rng.standard_gamma(alpha, size) / alpha
+    y_small = rng.standard_gamma(beta1, size * n_e).reshape(n_e, size) / beta1
     if sc.sigma_s == 0.0:
         i_p = 1.0
     else:
@@ -160,8 +128,8 @@ def sample_bob_irradiance(sc: ScenarioConfig, rng: np.random.Generator, size: in
     n_a, n_b = sc.nodes.n_a, sc.nodes.n_b
     best = np.zeros(size)
     for _ in range(n_a):
-        x_large = _gamma_variates(rng, alpha, size) / alpha
-        y_small = _gamma_variates(rng, beta1, size * n_b).reshape(n_b, size) / beta1
+        x_large = rng.standard_gamma(alpha, size) / alpha
+        y_small = rng.standard_gamma(beta1, size * n_b).reshape(n_b, size) / beta1
         np.maximum(best, x_large * y_small.sum(axis=0), out=best)
     return best
 
@@ -190,20 +158,30 @@ def _binomial_estimate(hits: Sequence[int], sim: SimConfig) -> Estimate:
 
 
 def estimate_sop(
-    sc: ScenarioConfig, r_e: float, sim: SimConfig, *, jobs: int | None = 1
-) -> Estimate:
-    """Empirical probability that the eavesdropper's channel beats ``r_e``."""
-    if r_e < 0.0:
-        raise ValueError(f"r_e must be non-negative, got {r_e}")
+    sc: ScenarioConfig, r_e: float | Sequence[float], sim: SimConfig, *, jobs: int | None = 1
+) -> Estimate | list[Estimate]:
+    """Empirical probability that the eavesdropper's channel beats ``r_e``.
+
+    ``r_e`` may be one rate or a sequence of rates.  Every stream is drawn
+    once and counted against each threshold, so a sequence gives back one
+    ``Estimate`` per rate, each equal to the scalar call at that rate.
+    """
+    rates = [float(r) for r in np.atleast_1d(r_e)]
+    for r in rates:
+        if r < 0.0:
+            raise ValueError(f"r_e must be non-negative, got {r}")
     rngs = _stream_rngs(sim, _EVE_ROLE)
     sizes = sim.stream_sizes()
-    thr = (2.0**r_e - 1.0) / _snr_scale(sc, "eve")
+    scale = _snr_scale(sc, "eve")
+    thrs = [(2.0**r - 1.0) / scale for r in rates]
 
-    def one(j: int) -> int:
+    def one(j: int) -> list[int]:
         draws = sample_eve_irradiance(sc, rngs[j], sizes[j])
-        return int(np.count_nonzero(draws > thr))
+        return [int(np.count_nonzero(draws > thr)) for thr in thrs]
 
-    return _binomial_estimate(_map_streams(one, sim.stream_count, jobs), sim)
+    parts = _map_streams(one, sim.stream_count, jobs)
+    estimates = [_binomial_estimate(hits, sim) for hits in zip(*parts)]
+    return estimates[0] if np.ndim(r_e) == 0 else estimates
 
 
 def estimate_reliability_outage(

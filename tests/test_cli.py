@@ -74,6 +74,35 @@ def test_flag_validation_exits_1(tmp_path, capsys):
     assert "sth" in capsys.readouterr().err
     assert cli.main(["validate", "--trials", "0"]) == 1
     assert "trials" in capsys.readouterr().err
+    for flag, value in (("--stream-count", "0"), ("--jobs", "0"), ("--jobs", "-2")):
+        assert cli.main(["validate", "--trials", "100", flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {flag[2:]}: must be at least 1\n"
+
+
+def test_undefined_gamma_surrogate_exits_1(tmp_path, capsys):
+    # epsilon 0.5 closes the surrogate's moment bracket for the default links
+    cfg = tmp_path / "eps.json"
+    cfg.write_text('{"epsilon": 0.5}', encoding="utf-8")
+    for command in ("params", "optimize"):
+        assert cli.main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma surrogate undefined")
+        assert err.count("\n") == 1
+
+
+def test_sweep_into_undefined_gamma_surrogate_exits_1(tmp_path, capsys):
+    # epsilon 0.24 is valid for the default two-aperture eavesdropper but not
+    # for the three apertures that the aperture-count axis asks for
+    cfg = tmp_path / "eps.json"
+    cfg.write_text('{"epsilon": 0.24}', encoding="utf-8")
+    code, _ = run_cli(
+        tmp_path, "sweep", "--config", str(cfg), "--axis", "n", "--min", "3", "--max", "3",
+        "--steps", "1",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: gamma surrogate undefined")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from fso_secrecy import channel, montecarlo, optimize, secrecy
+from fso_secrecy import channel, optimize, secrecy
 from fso_secrecy.channel import baseline_scenario
 from fso_secrecy.montecarlo import (
     Estimate,
@@ -84,14 +84,14 @@ def test_seed_changes_results(baseline):
 
 
 # ---------------------------------------------------------------------------
-# gamma variate generator
+# gamma variate generator (numpy's standard_gamma, as the samplers call it)
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("k", [0.7, 1.0, 2.3, 6.1])
 def test_gamma_variates_moments(k):
     n = 200_000
-    draws = montecarlo._gamma_variates(_rng(123), k, n)
+    draws = _rng(123).standard_gamma(k, n)
     assert np.all(draws > 0.0)
     mean_tol = 3.0 * math.sqrt(k / n)
     assert abs(float(draws.mean()) - k) <= mean_tol
@@ -112,8 +112,8 @@ def test_eve_sampler_pointing_free_has_unit_collection(pointing_free):
     n = 1000
     draws = sample_eve_irradiance(pointing_free, _rng(5), n)
     rng = _rng(5)
-    x = montecarlo._gamma_variates(rng, link.turb.alpha, n) / link.turb.alpha
-    y = montecarlo._gamma_variates(rng, link.turb.beta_single, n * 2).reshape(2, n)
+    x = rng.standard_gamma(link.turb.alpha, n) / link.turb.alpha
+    y = rng.standard_gamma(link.turb.beta_single, n * 2).reshape(2, n)
     want = x * (y / link.turb.beta_single).sum(axis=0)
     np.testing.assert_array_equal(draws, want)
 
@@ -133,7 +133,7 @@ def test_eve_sampler_mean(baseline, pointing_free):
 def test_eve_sampler_matches_combined_cdf(baseline):
     le = channel.eve_link(baseline)
     n = 200_000
-    draws = sample_eve_irradiance(baseline, _rng(17), n) / baseline.nodes.n_e
+    draws = sample_eve_irradiance(baseline, _rng(1017), n) / baseline.nodes.n_e
     for q in np.linspace(0.05, 0.95, 20):
         x = float(np.quantile(draws, q))
         f = channel.ggp_cdf(le.turb.alpha, le.beta_agg, le.pointing.xi, x)
@@ -177,6 +177,22 @@ def test_estimate_sop_zero_rate_is_certain(baseline):
     assert e.trials == 5_000
     with pytest.raises(ValueError):
         estimate_sop(baseline, -0.5, SimConfig(trials=10))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_estimate_sop_threshold_vector_matches_scalar_calls(baseline, seed, jobs):
+    sim = SimConfig(trials=50_000, seed=seed)
+    rates = [0.5, 1.0, 2.0, 4.0]
+    vector = estimate_sop(baseline, rates, sim, jobs=jobs)
+    assert vector == [estimate_sop(baseline, r, sim, jobs=jobs) for r in rates]
+
+
+def test_estimate_sop_threshold_vector_rejects_negative_rate(baseline):
+    sim = SimConfig(trials=10)
+    for rates in ([-0.5], [0.5, 1.0, -1.0], [-2.0, 1.0]):
+        with pytest.raises(ValueError):
+            estimate_sop(baseline, rates, sim)
 
 
 def test_estimate_sop_matches_closed_form(baseline):
