@@ -93,7 +93,11 @@ def _clamp_prob(p: float) -> float:
 
 
 def clamp_event_count() -> int:
-    """Number of probability evaluations clamped by more than 1e-9."""
+    """Number of probability evaluations clamped by more than 1e-9.
+
+    It counts kernel evaluations: a cache hit in the memoized outage
+    functions of :mod:`fso_secrecy.secrecy` evaluates no kernel and adds none.
+    """
     return _CLAMP_EVENTS
 
 

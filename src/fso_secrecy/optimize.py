@@ -271,14 +271,20 @@ def _nudge_to_feasible(sc: ScenarioConfig, r: float, s_th: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _adaptive_rhs(r: float, c_b: float, sc: ScenarioConfig, eve: _LinkCtx) -> float:
-    """Fixed-point form of the stationarity condition of the adaptive scheme."""
+def _adaptive_rhs(r: float, c_b: float, sc: ScenarioConfig, eve: _LinkCtx) -> float | None:
+    """Fixed-point form of the stationarity condition of the adaptive scheme.
+
+    ``None`` where the surrogate tail ``d`` underflows to zero (a very weak
+    eavesdropper link): the map is undefined there.
+    """
     pt = eve_link(sc).pointing
     we2 = pt.omega_e * pt.omega_e
     sig2 = sc.sigma_s * sc.sigma_s
     p = 2.0**r
     t = _t_of(r, eve)
     d = specfun.exp_integral(eve.xi2 - eve.k, t)
+    if d == 0.0:
+        return None
     g_low = math.gamma(eve.k) * float(_sp.gammainc(eve.k, t))
     pref = eve.scale / (_LN2 * we2 * p * d)
     inner = (p * (_LN2 * we2 * (c_b - r) - 4.0 * sig2) + 4.0 * sig2) * math.exp(-t) - t ** (
@@ -294,8 +300,9 @@ def adaptive_unconstrained_re(
 
     Damped fixed-point iteration on the closed-form stationarity map; if the
     iteration does not settle (the map is repelling at desk-scale operating
-    points), bisection on the central-difference derivative of the
-    surrogate throughput takes over.
+    points, and undefined where the surrogate tail underflows), bisection
+    on the central-difference derivative of the surrogate throughput takes
+    over.
     """
     if not c_b > 0.0:
         raise ValueError(f"c_b must be positive, got {c_b}")
@@ -318,6 +325,8 @@ def adaptive_unconstrained_re(
         r = 0.5 * c_b
         for _ in range(opts.max_iter):
             r_new = _adaptive_rhs(r, c_b, sc, eve)
+            if r_new is None:
+                break
             r_new = min(max(r_new, lo), hi)
             if abs(r_new - r) < opts.rate_tol:
                 r = r_new

@@ -10,11 +10,18 @@ probability exceeds the configured ceiling.
 Every metric exists in two flavors: the exact CDF kernels, and the
 gamma-surrogate approximation (``use_approx=True``) that the rate optimizers
 are derived on.
+
+The four per-rate outage functions (``sop``, ``sop_approx``,
+``reliability_outage``, ``reliability_outage_approx``) are memoized on
+(scenario, rate) in LRU caches of ``OUTAGE_CACHE_SIZE`` = 1024 entries
+each, so a repeated outage is computed once while it stays cached.  Errors
+are not cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from fso_secrecy import channel, specfun
 from fso_secrecy.channel import ScenarioConfig, bob_link, eve_link, snr_threshold
@@ -30,6 +37,9 @@ __all__ = [
     "est_adaptive",
     "est_fixed",
 ]
+
+#: LRU bound of each memoized outage function.
+OUTAGE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -70,6 +80,7 @@ class EstReport:
     constraint_met: bool
 
 
+@lru_cache(maxsize=OUTAGE_CACHE_SIZE)
 def sop(scenario: ScenarioConfig, r_e: float) -> float:
     """Secrecy outage probability: chance the eavesdropper's capacity tops ``r_e``."""
     link = eve_link(scenario)
@@ -81,6 +92,7 @@ def sop(scenario: ScenarioConfig, r_e: float) -> float:
     return 1.0 - f
 
 
+@lru_cache(maxsize=OUTAGE_CACHE_SIZE)
 def sop_approx(scenario: ScenarioConfig, r_e: float) -> float:
     """Gamma-surrogate secrecy outage probability (optimizer surface)."""
     link = eve_link(scenario)
@@ -88,6 +100,7 @@ def sop_approx(scenario: ScenarioConfig, r_e: float) -> float:
     return 1.0 - channel.ggp_cdf_approx(link.ga, link.pointing.xi, thr)
 
 
+@lru_cache(maxsize=OUTAGE_CACHE_SIZE)
 def reliability_outage(scenario: ScenarioConfig, r_b: float) -> float:
     """Probability the selected-beam combined link cannot carry ``r_b``.
 
@@ -99,6 +112,7 @@ def reliability_outage(scenario: ScenarioConfig, r_b: float) -> float:
     return channel.gg_cdf(link.turb.alpha, link.beta_agg, thr) ** scenario.nodes.n_a
 
 
+@lru_cache(maxsize=OUTAGE_CACHE_SIZE)
 def reliability_outage_approx(scenario: ScenarioConfig, r_b: float) -> float:
     """Gamma-surrogate reliability outage (optimizer surface)."""
     link = bob_link(scenario)

@@ -244,6 +244,26 @@ def test_sweep_two_dimensional_interior_maximum(tmp_path):
             assert row["constraint_met"] == "false"
 
 
+def test_sweep_grid_computes_each_outage_once(tmp_path):
+    # the grid's secrecy outage depends only on r_e and its reliability
+    # outage only on r_b: 4 distinct values each, whatever the row count
+    secrecy.sop.cache_clear()
+    secrecy.reliability_outage.cache_clear()
+    argv = [
+        "sweep", "--axis", "r_e_x_r_b", "--min", "0.5", "--max", "3", "--steps", "4",
+        "--scheme", "fixed", "--sth", "1.0",
+    ]
+    code, _ = run_cli(tmp_path, *argv, name="first.csv")
+    assert code == 0
+    assert secrecy.sop.cache_info().misses == 4
+    assert secrecy.reliability_outage.cache_info().misses == 4
+    code, _ = run_cli(tmp_path, *argv, name="second.csv")
+    assert code == 0
+    assert secrecy.sop.cache_info().misses == 4
+    assert secrecy.reliability_outage.cache_info().misses == 4
+    assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
+
+
 def test_sweep_ceiling_axis_monotone(tmp_path):
     code, text = run_cli(
         tmp_path,
@@ -345,6 +365,23 @@ def test_optimize_adaptive_pinned_capacity(tmp_path, baseline):
     assert doc["rates"]["r_e"] == pytest.approx(optimize.re_threshold(baseline, 0.4), rel=1e-12)
     assert doc["oracle"]["gap"] <= 0.02
     assert doc["sop_at_re"] <= 0.4 + 1e-6
+
+
+def test_optimize_adaptive_weak_eavesdropper_link(tmp_path, capsys):
+    # gamma0 1e-3 underflows the surrogate tail in the adaptive stationarity
+    # map; the solver falls back to its sign-scan and still returns an optimum
+    cfg = tmp_path / "weak.json"
+    cfg.write_text('{"gamma0": 1e-3}', encoding="utf-8")
+    code, text = run_cli(
+        tmp_path, "optimize", "--config", str(cfg), "--scheme", "adaptive", "--cb", "4"
+    )
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads(text)
+    assert 0.0 <= doc["rates"]["r_e"] <= 4.0
+    assert 0.0 <= doc["sop_at_re"] <= 1.0
+    assert 0.0 < doc["est"] <= 4.0
+    assert doc["oracle"]["gap"] <= 0.02
 
 
 def test_optimize_adaptive_averaged_mode(tmp_path):

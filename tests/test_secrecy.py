@@ -147,6 +147,56 @@ def test_reliability_outage_approx_tracks_exact(baseline):
 
 
 # ---------------------------------------------------------------------------
+# memoization of the per-rate outage functions
+# ---------------------------------------------------------------------------
+
+OUTAGE_FNS = [sop, sop_approx, reliability_outage, reliability_outage_approx]
+memoized = pytest.mark.parametrize("fn", OUTAGE_FNS, ids=lambda fn: fn.__name__)
+
+
+@memoized
+@pytest.mark.parametrize("scenario", ["baseline", "pointing_free"])
+def test_outage_memo_equals_uncached(fn, scenario, request):
+    sc = request.getfixturevalue(scenario)
+    fn.cache_clear()
+    for rate in (0.0, 0.5, 1.5, 3.0, 5.5):
+        want = fn.__wrapped__(sc, rate)
+        assert fn(sc, rate).hex() == want.hex()  # miss
+        assert fn(sc, rate).hex() == want.hex()  # hit
+    assert fn.cache_info().misses == 5
+    assert fn.cache_info().hits == 5
+
+
+@memoized
+def test_outage_memo_equal_scenario_is_a_hit(fn):
+    fn.cache_clear()
+    first = fn(baseline_scenario(), 1.5)
+    before = fn.cache_info()
+    assert fn(baseline_scenario(), 1.5) == first
+    after = fn.cache_info()
+    assert after.hits == before.hits + 1
+    assert after.misses == before.misses
+
+
+@memoized
+def test_outage_memo_does_not_cache_errors(fn, baseline):
+    fn.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            fn(baseline, -0.5)
+    assert fn.cache_info().currsize == 0
+
+
+@memoized
+def test_outage_memo_is_bounded(fn, baseline):
+    fn.cache_clear()
+    assert fn.cache_info().maxsize == secrecy.OUTAGE_CACHE_SIZE
+    for i in range(secrecy.OUTAGE_CACHE_SIZE + 50):
+        fn(baseline, 0.5 + 1e-3 * i)
+    assert fn.cache_info().currsize <= secrecy.OUTAGE_CACHE_SIZE
+
+
+# ---------------------------------------------------------------------------
 # adaptive-scheme throughput
 # ---------------------------------------------------------------------------
 
