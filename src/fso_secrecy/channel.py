@@ -13,10 +13,14 @@ is built on:
 * ``ggp_cdf_approx`` -- the gamma-surrogate approximation of ``ggp_cdf``
   used by the rate optimizers.
 
-Series expansions are used at moderate argument and swapped for quadrature
-of the underlying density when the series argument grows past
-``specfun.SERIES_SAFE_Z``.  All records are frozen dataclasses, all
-functions pure.
+The exact kernels sum the paper's 1F2 series at moderate argument.  Past
+``specfun.SERIES_SAFE_Z``, where the series' rounding noise passes its
+bound, or where its gamma values, powers or their products would overflow
+a double, they condition on the gamma factor of larger shape instead:
+given that factor, the other gamma factor and the collected-power fraction
+integrate in closed form, and the expectation over the factor is a
+trapezoid rule in its logarithm on one numpy array of nodes.  All records
+are frozen dataclasses, all functions pure.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy import integrate as _integrate
+import numpy as np
 from scipy import special as _sp
 
 from fso_secrecy import specfun
@@ -77,9 +81,27 @@ _POLE_TOL = 1e-6
 # The CDF expansions subtract series of comparable magnitude, so their
 # rounding noise scales with the *largest* series, not the result.  When the
 # estimated noise (machine epsilon times the accumulated absolute terms)
-# exceeds this bound, the kernel re-evaluates itself by quadrature.
+# exceeds this bound, the kernel is evaluated by conditioning instead.
 _SERIES_ABS_ERR_LIMIT = 1e-10
 _EPS = 2.3e-16
+
+# The expansions form gamma values of their parameters, powers of their
+# argument and products of the two.  Past e**700 (a double ends at
+# e**709.78) those overflow, for shapes near 100 or a pointing exponent
+# xi**2 past about 170; such inputs take the conditioning kernel without
+# trying the series.
+_SERIES_LOG_LIMIT = 700.0
+
+# Trapezoid rule of the conditioning kernel in u = ln X: the step, in units
+# of the width 1/sqrt(m) of the log of a Gamma(m, 1/m) factor, and the fall
+# of its log density from the peak at which the range ends.
+_TRAPEZOID_STEP = 0.25
+_TRAPEZOID_DROP = 80.0
+
+# Terms of the continued fraction of the upper incomplete gamma; where the
+# kernel uses it (argument >= 1 or first argument <= -10) it converges in
+# fewer than 100.
+_CF_MAX_TERMS = 300
 
 _CLAMP_EVENTS = 0
 
@@ -386,6 +408,49 @@ def _nudge_shapes(alpha: float, beta: float, xi2: float | None) -> tuple[float, 
     )
 
 
+def _series_fits(alpha: float, beta: float, xi2: float | None, x: float) -> bool:
+    """Whether the factors the expansion forms stay below e**``_SERIES_LOG_LIMIT``.
+
+    Those are gamma values of the parameters, powers of z, and the products
+    of two reciprocal gammas 1 / (Gamma(d) Gamma(e)) that lead the 1F2 sums
+    and the power term; at negative p, 1 / Gamma(p) grows like Gamma(1 - p).
+    An overflow there would stall a sum or divide by zero.  A product of two
+    fitting factors that overflows shows up later as an inf or NaN noise
+    estimate.  ``xi2`` None selects the expansion of ``gg_cdf``, a float
+    that of ``ggp_cdf``.  Decided from the inputs, before the series runs;
+    shapes at ``_SHAPE_CAP``, which ``_nudge_shapes`` cannot separate, never
+    fit.
+    """
+
+    def lg(g: float) -> float:  # ln|Gamma(g)| where it can be large
+        return math.lgamma(g) if g > 2.0 else 0.0
+
+    log_z = math.log(alpha * beta * x)
+    if xi2 is None:
+        logs = [
+            lg(alpha) + lg(beta),
+            lg(beta) + beta * log_z,
+            lg(alpha) + alpha * log_z,
+            lg(alpha - beta),
+            lg(beta - alpha),
+        ]
+    else:
+        terms = ggp_cdf_terms(alpha, beta, math.sqrt(xi2))
+        # the power term divides z**xi2 by Gamma(xi2 - alpha + 1) Gamma(xi2 - beta + 1)
+        logs = [
+            xi2 * log_z,
+            lg(xi2 - alpha + 1.0),
+            lg(xi2 - beta + 1.0),
+            lg(alpha - xi2) + lg(beta - xi2),
+        ]
+        for u in range(2):
+            logs.append(terms.b_vec[u] * log_z)
+            for v in range(2):
+                logs.append(lg(terms.a_vec[u][v]))
+                logs.append(lg(1.0 - terms.d_vec[u][v]) + lg(1.0 - terms.e_vec[u][v]))
+    return max(logs) <= _SERIES_LOG_LIMIT
+
+
 # ---------------------------------------------------------------------------
 # distribution kernels
 # ---------------------------------------------------------------------------
@@ -403,18 +468,165 @@ def gg_pdf(alpha: float, beta_agg: float, i: float) -> float:
     )
 
 
-def _gg_cdf_quadrature(alpha: float, beta_agg: float, x: float) -> float:
-    # Conditioning on the large-scale factor leaves a regularized-gamma CDF
-    # under a gamma weight: smooth, fast, and immune to series blowup.
-    log_norm = alpha * math.log(alpha) - math.lgamma(alpha)
+def _trapezoid_nodes(m: float) -> np.ndarray:
+    """Nodes u = ln X of the trapezoid rule over a Gamma(m, 1/m) factor X.
 
-    def integrand(s: float) -> float:
-        return math.exp(log_norm + (alpha - 1.0) * math.log(s) - alpha * s) * float(
-            _sp.gammainc(beta_agg, beta_agg * x / s)
-        )
+    The log density of u is m * (u - e**u) up to a constant, with its peak
+    at u = 0.  The range ends where it has fallen by ``_TRAPEZOID_DROP``: with
+    q = drop / m and r = sqrt(2 q), m * (e**u - 1 - u) >= drop holds at
+    u = -(q + r) and at u = ln(1 + q + r).  Step and range both scale with
+    1/sqrt(m) for large m, so the node count stays bounded however large m
+    grows: about 240 nodes at m = 4, 150 at m = 33 and 103 at the shape cap.
+    Below m = 1 the left tail e**(m u) is long and the count grows as 1/m.
+    """
+    q = _TRAPEZOID_DROP / m
+    r = math.sqrt(2.0 * q)
+    h = _TRAPEZOID_STEP / math.sqrt(max(m, 1.0))
+    return np.arange(math.floor(-(q + r) / h), math.ceil(math.log1p(q + r) / h) + 1) * h
 
-    val, _ = _integrate.quad(integrand, 0.0, math.inf, limit=300)
-    return val
+
+def _stirling_remainder(z: float) -> float:
+    """mu(z) = ln Gamma(z) - ((z - 1/2) ln z - z + ln(2 pi) / 2), for z > 0.
+
+    From 15 on, five terms of Stirling's series leave an error below 3e-16.
+    """
+    if z < 15.0:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - 0.5 * math.log(2.0 * math.pi)
+    y = 1.0 / (z * z)
+    return (1.0 / 12.0 - y * (1.0 / 360.0 - y * (1.0 / 1260.0 - y * (1.0 / 1680.0 - y / 1188.0)))) / z
+
+
+def _log_scaled_gamma_ratio(a: float, m: float) -> float:
+    """ln((a + m)**m Gamma(a) / Gamma(a + m)) for a, m > 0.
+
+    It tends to 0 as a grows.  Two ``lgamma`` values would each carry about
+    a ln a ulps, 3e-3 at a = 1e12; Stirling's form has only terms of the
+    size of the result.
+    """
+    return (
+        m
+        - (a - 0.5) * math.log1p(m / a)
+        - _stirling_remainder(a + m)
+        + _stirling_remainder(a)
+    )
+
+
+def _log_pointing_term(
+    k: float, xi2: float, t: np.ndarray, log_c: np.ndarray
+) -> np.ndarray:
+    """ln(t**xi2 Gamma(k - xi2, t) / Gamma(k)) with t = k c, elementwise.
+
+    With a = k - xi2 > 0 it is written as
+    c**xi2 Q(a, t) k**xi2 Gamma(a) / Gamma(k): scipy's regularized upper
+    gamma Q, and a ratio near 1 for large k in which xi2 and a enter
+    consistently even where a = k - xi2 rounds at the ulp of k.  With
+    a <= 0, Gamma(a, t) comes from Legendre's continued fraction where
+    t >= 1 or a <= -10, and elsewhere (t < 1, at most ten steps) from the
+    downward recurrence
+    Gamma(s - 1, t) = (t**(s-1) e**-t - Gamma(s, t)) / (1 - s), started at
+    s = a + ceil(-a) in [0, 1).  Each step down multiplies the rounding
+    error by t / |s - 1|, which the split keeps below one after the first.
+    """
+    a = k - xi2
+    if a > 0.0:
+        with np.errstate(divide="ignore"):  # Q(a, t) underflows far in the tail
+            log_q = np.log(_sp.gammaincc(a, t))
+        return xi2 * log_c + log_q + _log_scaled_gamma_ratio(a, xi2)
+    log_t = math.log(k) + log_c
+    out = np.empty_like(t)
+    cf = (t >= 1.0) | (a <= -10.0)
+    # t**xi2 Gamma(a, t) = t**k e**-t times the continued fraction
+    out[cf] = k * log_t[cf] - t[cf] + _log_upper_gamma_cf(a, t[cf]) - math.lgamma(k)
+    rec = ~cf
+    if rec.any():
+        t, log_t = t[rec], log_t[rec]
+        steps = math.ceil(-a)
+        s = a + steps
+        lg = np.log(_sp.exp1(t)) if s == 0.0 else np.log(_sp.gammaincc(s, t)) + math.lgamma(s)
+        for _ in range(steps):
+            lead = (s - 1.0) * log_t - t  # ln(t**(s-1) e**-t), which tops Gamma(s, t)
+            lg = lead + np.log1p(-np.exp(np.minimum(lg - lead, -_EPS))) - math.log(1.0 - s)
+            s -= 1.0
+        out[rec] = xi2 * log_t + lg - math.lgamma(k)
+    return out
+
+
+def _log_upper_gamma_cf(a: float, t: np.ndarray) -> np.ndarray:
+    """ln(Gamma(a, t) t**-a e**t) from Legendre's continued fraction, a <= 0.
+
+    Gamma(a, t) = t**a e**-t / (t + 1 - a - 1 (1 - a) / (t + 3 - a - ...)),
+    evaluated by the modified Lentz method.  With a <= 0 every partial
+    denominator is positive, so no guard against a zero divisor is needed.
+    """
+    b = t + (1.0 - a)
+    d = 1.0 / b
+    c = np.full_like(t, math.inf)
+    f = d
+    for i in range(1, _CF_MAX_TERMS):
+        an = -i * (i - a)
+        b = b + 2.0
+        d = 1.0 / (b + an * d)
+        c = b + an / c
+        delta = c * d
+        f = f * delta
+        if np.all(np.abs(delta - 1.0) <= 1e-15):
+            return np.log(f)
+    raise specfun.ConvergenceError(
+        f"upper incomplete gamma continued fraction for a={a} did not converge "
+        f"in {_CF_MAX_TERMS} terms"
+    )
+
+
+def _conditioned_cdf(alpha: float, beta_agg: float, xi2: float | None, x: float) -> float:
+    """P(X Y V <= x) by conditioning on the gamma factor of larger shape.
+
+    X ~ Gamma(m, 1/m) is the factor of larger shape and Y ~ Gamma(k, 1/k) the
+    other one; the product is symmetric in the two.  V is the collected-power
+    fraction, with density xi2 v**(xi2 - 1) on (0, 1], or 1 when ``xi2`` is
+    None.  Given X, with t = k x / X, the rest integrates in closed form
+    (gamma-gamma as a gamma mixture, Al-Habash, Andrews & Phillips 2001;
+    pointing loss, Farid & Hranilovic 2007):
+
+        P(Y V <= x / X) = P(k, t) + t**xi2 Gamma(k - xi2, t) / Gamma(k),
+
+    without the second term when there is no pointing loss.  The expectation
+    over u = ln X is a trapezoid rule on :func:`_trapezoid_nodes`; the
+    integrand is smooth and falls off on both sides, so the rule converges
+    geometrically in the step.  Dividing by the sum of the weights removes
+    the gamma normalization of X.  The weights and the pointing term are
+    formed from their logarithms, so no factor overflows for any shape up to
+    ``_SHAPE_CAP``.
+    """
+    m, k = (alpha, beta_agg) if alpha >= beta_agg else (beta_agg, alpha)
+    u = _trapezoid_nodes(m)
+    log_w = -m * (np.expm1(u) - u)
+    w = np.exp(log_w)
+    log_c = math.log(x) - u
+    # Past t = e**700, P(k, t) is 1 and the second term 0 in double precision.
+    t = np.exp(np.minimum(math.log(k) + log_c, 700.0))
+    mass = w * _sp.gammainc(k, t)
+    if xi2 is not None:
+        mass += np.exp(log_w + _log_pointing_term(k, xi2, t, log_c))
+    return float(mass.sum() / w.sum())
+
+
+def _gg_cdf_series(a: float, b: float, x: float, opts: EvalOptions | None) -> float | None:
+    """The 1F2 expansion of ``gg_cdf``; None where it is not to be trusted."""
+    a, b, _ = _nudge_shapes(a, b, None)
+    z = a * b * x
+    if z > specfun.SERIES_SAFE_Z:
+        return None
+    pref = math.pi / (
+        math.sin(math.pi * (a - b)) * math.exp(math.lgamma(a) + math.lgamma(b))
+    )
+    s_b, c_b = specfun.hyp1f2_reg_cond(b, b + 1.0, b - a + 1.0, z, opts)
+    s_a, c_a = specfun.hyp1f2_reg_cond(a, a + 1.0, a - b + 1.0, z, opts)
+    w_b = math.exp(math.lgamma(b) + b * math.log(z))
+    w_a = math.exp(math.lgamma(a) + a * math.log(z))
+    noise = _EPS * abs(pref) * (w_b * c_b + w_a * c_a)
+    if not noise <= _SERIES_ABS_ERR_LIMIT:  # NaN noise: an overflowed product
+        return None
+    return pref * (w_b * s_b - w_a * s_a)
 
 
 def gg_cdf(alpha: float, beta_agg: float, x: float, opts: EvalOptions | None = None) -> float:
@@ -425,21 +637,12 @@ def gg_cdf(alpha: float, beta_agg: float, x: float, opts: EvalOptions | None = N
         raise ValueError(f"gg_cdf requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
-    a, b, _ = _nudge_shapes(alpha, beta_agg, None)
-    z = a * b * x
-    if z > specfun.SERIES_SAFE_Z:
-        return _clamp_prob(_gg_cdf_quadrature(a, b, x))
-    pref = math.pi / (
-        math.sin(math.pi * (a - b)) * math.exp(math.lgamma(a) + math.lgamma(b))
-    )
-    s_b, c_b = specfun.hyp1f2_reg_cond(b, b + 1.0, b - a + 1.0, z, opts)
-    s_a, c_a = specfun.hyp1f2_reg_cond(a, a + 1.0, a - b + 1.0, z, opts)
-    w_b = math.exp(math.lgamma(b) + b * math.log(z))
-    w_a = math.exp(math.lgamma(a) + a * math.log(z))
-    noise = _EPS * abs(pref) * (w_b * c_b + w_a * c_a)
-    if noise > _SERIES_ABS_ERR_LIMIT:
-        return _clamp_prob(_gg_cdf_quadrature(a, b, x))
-    return _clamp_prob(pref * (w_b * s_b - w_a * s_a))
+    p = None
+    if _series_fits(alpha, beta_agg, None, x):
+        p = _gg_cdf_series(alpha, beta_agg, x, opts)
+    if p is None:
+        p = _conditioned_cdf(alpha, beta_agg, None, x)
+    return _clamp_prob(p)
 
 
 def ggp_cdf_terms(alpha: float, beta_agg: float, xi: float) -> GgpCdfTerms:
@@ -464,36 +667,14 @@ def ggp_cdf_terms(alpha: float, beta_agg: float, xi: float) -> GgpCdfTerms:
     )
 
 
-def _ggp_cdf_quadrature(alpha: float, beta_agg: float, xi2: float, x: float) -> float:
-    # Mixing over the collected-power fraction, substituted so the weight is
-    # flat: with v = fraction**xi2 the integrand is bounded on (0, 1].
-    inv = 1.0 / xi2
-
-    def integrand(v: float) -> float:
-        return gg_cdf(alpha, beta_agg, x / v**inv)
-
-    val, _ = _integrate.quad(integrand, 0.0, 1.0, limit=200)
-    return val
-
-
-def ggp_cdf(
-    alpha: float, beta_agg: float, xi: float, x: float, opts: EvalOptions | None = None
-) -> float:
-    """CDF of turbulence fading scaled by the random collected-power fraction."""
-    if not (alpha > 0.0 and beta_agg > 0.0):
-        raise ValueError("ggp_cdf shape parameters must be strictly positive")
-    if not xi > 0.0:
-        raise ValueError(f"ggp_cdf requires xi > 0, got {xi}")
-    if x < 0.0:
-        raise ValueError(f"ggp_cdf requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if math.isinf(xi):
-        return gg_cdf(alpha, beta_agg, x, opts)
-    a, b, xi2 = _nudge_shapes(alpha, beta_agg, xi * xi)
+def _ggp_cdf_series(
+    a: float, b: float, xi2: float, x: float, opts: EvalOptions | None
+) -> float | None:
+    """The double-sum 1F2 expansion of ``ggp_cdf``; None where it is not to be trusted."""
+    a, b, xi2 = _nudge_shapes(a, b, xi2)
     z = a * b * x
     if z > specfun.SERIES_SAFE_Z:
-        return _clamp_prob(_ggp_cdf_quadrature(a, b, xi2, x))
+        return None
     terms = ggp_cdf_terms(a, b, math.sqrt(xi2))
     log_z = math.log(z)
     double_sum = 0.0
@@ -522,9 +703,32 @@ def ggp_cdf(
     )
     outer = math.pi * math.exp(-math.lgamma(a) - math.lgamma(b))
     noise = _EPS * outer * (abs(csc) * abs_sum + abs(power_term))
-    if noise > _SERIES_ABS_ERR_LIMIT:
-        return _clamp_prob(_ggp_cdf_quadrature(a, b, xi2, x))
-    return _clamp_prob(outer * (-csc * double_sum + power_term))
+    if not noise <= _SERIES_ABS_ERR_LIMIT:  # NaN noise: an overflowed product
+        return None
+    return outer * (-csc * double_sum + power_term)
+
+
+def ggp_cdf(
+    alpha: float, beta_agg: float, xi: float, x: float, opts: EvalOptions | None = None
+) -> float:
+    """CDF of turbulence fading scaled by the random collected-power fraction."""
+    if not (alpha > 0.0 and beta_agg > 0.0):
+        raise ValueError("ggp_cdf shape parameters must be strictly positive")
+    if not xi > 0.0:
+        raise ValueError(f"ggp_cdf requires xi > 0, got {xi}")
+    if x < 0.0:
+        raise ValueError(f"ggp_cdf requires x >= 0, got {x}")
+    if x == 0.0:
+        return 0.0
+    if math.isinf(xi):
+        return gg_cdf(alpha, beta_agg, x, opts)
+    xi2 = xi * xi
+    p = None
+    if _series_fits(alpha, beta_agg, xi2, x):
+        p = _ggp_cdf_series(alpha, beta_agg, xi2, x, opts)
+    if p is None:
+        p = _conditioned_cdf(alpha, beta_agg, xi2, x)
+    return _clamp_prob(p)
 
 
 def ggp_cdf_approx(ga: GammaApprox, xi: float, x: float) -> float:

@@ -135,6 +135,33 @@ def gg_cdf_conditioning(alpha: float, beta: float, x: float) -> float:
     return val
 
 
+def mp_ggp_cdf_conditioning(alpha: float, beta: float, xi: float, x: float) -> float:
+    """P(X*Y*V <= x) at 20 digits: conditioning on X, with mpmath throughout.
+
+    Given X = s, the small-scale factor and the collected-power fraction
+    integrate in closed form, P(beta, beta*c) + (beta*c)**xi2 *
+    Gamma(beta - xi2, beta*c) / Gamma(beta) with c = x/s, where mpmath's
+    incomplete gamma takes any real first argument.  The outer integral is
+    tanh-sinh quadrature over s itself, split at the peak of the weight.
+    ``xi = math.inf`` drops the pointing term (the ``gg_cdf`` case).
+    """
+    with mp.workdps(20):
+        a, b, xm = mp.mpf(alpha), mp.mpf(beta), mp.mpf(x)
+        xi2 = None if math.isinf(xi) else mp.mpf(xi) ** 2
+        log_norm = a * mp.log(a) - mp.loggamma(a)
+
+        def integrand(s):
+            t = b * xm / s
+            f = mp.gammainc(b, 0, t, regularized=True)
+            if xi2 is not None:
+                f += t**xi2 * mp.gammainc(b - xi2, t) / mp.gamma(b)
+            return mp.exp(log_norm + (a - 1) * mp.log(s) - a * s) * f
+
+        w = 3 / mp.sqrt(a)  # three standard deviations of X
+        points = {mp.mpf(0), mp.mpf(1), mp.mpf(2), 1 + w} | ({1 - w} if w < 1 else set())
+        return float(mp.quad(integrand, sorted(points) + [mp.inf]))
+
+
 def ggp_cdf_mixture(alpha: float, beta: float, xi: float, x: float, gg_cdf_fn) -> float:
     """Mixture over the collection-loss law; integrates the verified layer below.
 

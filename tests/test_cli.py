@@ -6,6 +6,10 @@ pointed at a temp file, and parses the emitted JSON/CSV back.
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from fso_secrecy import cli, optimize, secrecy
 from fso_secrecy.cli import ConfigError, scenario_from_dict
 from fso_secrecy.secrecy import RatePair, SecrecyConstraint
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 HEADER = "axis,value,value2,est_closed,est_mc,ci,sop,reliability_outage,constraint_met"
 
 
@@ -424,6 +429,51 @@ def test_validate_passes_and_is_deterministic(tmp_path):
     # one verdict line per check in the matrix
     verdicts = [l for l in text1.splitlines() if l.startswith(("PASS", "INCONCLUSIVE"))]
     assert len(verdicts) == 11
+
+
+@pytest.mark.parametrize("cn2", [1e-15, 1e-30])
+def test_validate_weak_turbulence_ends_with_a_verdict(tmp_path, capsys, cn2):
+    # shapes near 100 (1e-15) overflowed the series' gamma values, and shapes
+    # at the 1e12 cap (1e-30) defeated its pole nudging; the conditioning
+    # kernel takes both, so the report ends in PASS or FAIL
+    cfg = tmp_path / "weak.json"
+    cfg.write_text(json.dumps({"cn2": cn2}), encoding="utf-8")
+    code, text = run_cli(tmp_path, "validate", "--config", str(cfg), "--trials", "2000")
+    assert code in (0, 3)
+    assert capsys.readouterr().err == ""
+    assert "result: " in text
+
+
+def test_sweep_at_the_shape_cap_exits_0(tmp_path, capsys):
+    cfg = tmp_path / "cap.json"
+    cfg.write_text('{"cn2": 1e-30}', encoding="utf-8")
+    code, text = run_cli(
+        tmp_path, "sweep", "--config", str(cfg), "--axis", "r_e", "--min", "0.5", "--max", "4",
+        "--steps", "4", "--rb", "3.4",
+    )
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    rows = read_rows(text)
+    assert len(rows) == 4
+    for row in rows:
+        assert 0.0 <= float(row["sop"]) <= 1.0
+        assert 0.0 <= float(row["reliability_outage"]) <= 1.0
+
+
+def test_cli_does_not_import_scipy_integrate():
+    # scipy.integrate was the largest share of the CLI's import time; no
+    # module of the package needs it any more
+    code = (
+        "import sys\n"
+        "from fso_secrecy import cli\n"
+        "assert cli.main(['params']) == 0\n"
+        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_validate_low_power_is_inconclusive_not_failed(tmp_path):

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fso_secrecy import channel, montecarlo, secrecy
 from fso_secrecy.channel import baseline_scenario
@@ -136,6 +138,26 @@ def test_reliability_outage_strictly_increasing(baseline):
     vals = [reliability_outage(baseline, float(r)) for r in grid]
     assert all(hi > lo - 1e-12 for lo, hi in zip(vals, vals[1:]))
     assert vals[-1] > vals[1] > 0.0 or vals[1] == 0.0
+
+
+@given(
+    log_cn2=st.floats(-18.0, -12.3),
+    sigma_s=st.one_of(st.just(0.0), st.floats(0.03, 5.0)),
+    n_e=st.integers(1, 8),
+    n_b=st.integers(1, 8),
+    d_e=st.floats(100.0, 5000.0),
+    d_b=st.floats(100.0, 5000.0),
+    rate=st.floats(0.0, 8.0),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_exact_outages_are_probabilities(log_cn2, sigma_s, n_e, n_b, d_e, d_b, rate):
+    # weak turbulence, narrow jitter and short links push the 1F2 series
+    # past the double range; the exact outages must still be probabilities
+    sc = baseline_scenario(
+        cn2=10.0**log_cn2, sigma_s=sigma_s, n_e=n_e, n_b=n_b, d_e=d_e, d_b=d_b
+    )
+    assert 0.0 <= sop.__wrapped__(sc, rate) <= 1.0
+    assert 0.0 <= reliability_outage.__wrapped__(sc, rate) <= 1.0
 
 
 def test_reliability_outage_approx_tracks_exact(baseline):
