@@ -13,14 +13,12 @@ is built on:
 * ``ggp_cdf_approx`` -- the gamma-surrogate approximation of ``ggp_cdf``
   used by the rate optimizers.
 
-The exact kernels sum the paper's 1F2 series at moderate argument.  Past
-``specfun.SERIES_SAFE_Z``, where the series' rounding noise passes its
-bound, or where its gamma values, powers or their products would overflow
-a double, they condition on the gamma factor of larger shape instead:
-given that factor, the other gamma factor and the collected-power fraction
+The exact kernels condition on the gamma factor of larger shape: given
+that factor, the other gamma factor and the collected-power fraction
 integrate in closed form, and the expectation over the factor is a
-trapezoid rule in its logarithm on one numpy array of nodes.  All records
-are frozen dataclasses, all functions pure.
+trapezoid rule in its logarithm on one numpy array of nodes.  The paper's
+1F2 expansions of the same CDFs are kept as a test reference only.  All
+records are frozen dataclasses, all functions pure.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ import numpy as np
 from scipy import special as _sp
 
 from fso_secrecy import specfun
-from fso_secrecy.specfun import EvalOptions
 
 __all__ = [
     "CALIBRATED_GAMMA0",
@@ -43,7 +40,6 @@ __all__ = [
     "PointingParams",
     "NodeConfig",
     "GammaApprox",
-    "GgpCdfTerms",
     "SnrThreshold",
     "ScenarioConfig",
     "LinkParams",
@@ -51,7 +47,6 @@ __all__ = [
     "turbulence_params",
     "pointing_params",
     "gamma_approx",
-    "ggp_cdf_terms",
     "gg_pdf",
     "gg_cdf",
     "ggp_cdf",
@@ -75,22 +70,9 @@ POINTING_FREE_XI = math.inf
 # to infinity, keeping downstream arithmetic finite.
 _SHAPE_CAP = 1e12
 
-_NUDGE = 1e-5
-_POLE_TOL = 1e-6
-
-# The CDF expansions subtract series of comparable magnitude, so their
-# rounding noise scales with the *largest* series, not the result.  When the
-# estimated noise (machine epsilon times the accumulated absolute terms)
-# exceeds this bound, the kernel is evaluated by conditioning instead.
-_SERIES_ABS_ERR_LIMIT = 1e-10
+# About one ulp of 1.0; the pointing term's recurrence caps a log ratio
+# at -_EPS so that log1p(-exp(.)) stays finite.
 _EPS = 2.3e-16
-
-# The expansions form gamma values of their parameters, powers of their
-# argument and products of the two.  Past e**700 (a double ends at
-# e**709.78) those overflow, for shapes near 100 or a pointing exponent
-# xi**2 past about 170; such inputs take the conditioning kernel without
-# trying the series.
-_SERIES_LOG_LIMIT = 700.0
 
 # Trapezoid rule of the conditioning kernel in u = ln X: the step, in units
 # of the width 1/sqrt(m) of the log of a Gamma(m, 1/m) factor, and the fall
@@ -217,22 +199,6 @@ class GammaApprox:
     def __post_init__(self) -> None:
         if not (self.k_ap > 0.0 and self.theta_ap > 0.0):
             raise ValueError("GammaApprox shape and scale must be strictly positive")
-
-
-@dataclass(frozen=True)
-class GgpCdfTerms:
-    """Coefficient vectors of the combined fading-plus-misalignment CDF.
-
-    ``b_vec`` and ``c_vec`` are indexed by the outer sum index ``u``;
-    ``a_vec``, ``d_vec`` and ``e_vec`` hold, for each ``u``, the length-2
-    inner vectors indexed by ``v``.
-    """
-
-    a_vec: tuple[tuple[float, float], tuple[float, float]]
-    b_vec: tuple[float, float]
-    c_vec: tuple[float, float]
-    d_vec: tuple[tuple[float, float], tuple[float, float]]
-    e_vec: tuple[tuple[float, float], tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -377,78 +343,6 @@ def snr_threshold(node: NodeConfig, pointing: PointingParams, rate: float, which
     else:
         raise ValueError(f"which must be 'bob' or 'eve', got {which!r}")
     return SnrThreshold((2.0**rate - 1.0) / (node.gamma0 * n_rx * pointing.a0))
-
-
-# ---------------------------------------------------------------------------
-# pole handling for the series expansions
-# ---------------------------------------------------------------------------
-
-
-def _near_integer(x: float) -> bool:
-    return abs(x - round(x)) < _POLE_TOL
-
-
-def _nudge_shapes(alpha: float, beta: float, xi2: float | None) -> tuple[float, float, float | None]:
-    """Move shape parameters off the removable poles of the csc expansions.
-
-    The closed forms divide by sines of parameter differences, so integer
-    differences are limits rather than values; a +1e-5 nudge reproduces the
-    limit to about that accuracy while keeping a single code path.
-    """
-    for _ in range(10):
-        if _near_integer(alpha - beta):
-            beta += _NUDGE
-            continue
-        if xi2 is not None and (_near_integer(alpha - xi2) or _near_integer(beta - xi2)):
-            xi2 += _NUDGE
-            continue
-        return alpha, beta, xi2
-    raise ValueError(
-        f"could not separate shape parameters ({alpha}, {beta}, {xi2}) from expansion poles"
-    )
-
-
-def _series_fits(alpha: float, beta: float, xi2: float | None, x: float) -> bool:
-    """Whether the factors the expansion forms stay below e**``_SERIES_LOG_LIMIT``.
-
-    Those are gamma values of the parameters, powers of z, and the products
-    of two reciprocal gammas 1 / (Gamma(d) Gamma(e)) that lead the 1F2 sums
-    and the power term; at negative p, 1 / Gamma(p) grows like Gamma(1 - p).
-    An overflow there would stall a sum or divide by zero.  A product of two
-    fitting factors that overflows shows up later as an inf or NaN noise
-    estimate.  ``xi2`` None selects the expansion of ``gg_cdf``, a float
-    that of ``ggp_cdf``.  Decided from the inputs, before the series runs;
-    shapes at ``_SHAPE_CAP``, which ``_nudge_shapes`` cannot separate, never
-    fit.
-    """
-
-    def lg(g: float) -> float:  # ln|Gamma(g)| where it can be large
-        return math.lgamma(g) if g > 2.0 else 0.0
-
-    log_z = math.log(alpha * beta * x)
-    if xi2 is None:
-        logs = [
-            lg(alpha) + lg(beta),
-            lg(beta) + beta * log_z,
-            lg(alpha) + alpha * log_z,
-            lg(alpha - beta),
-            lg(beta - alpha),
-        ]
-    else:
-        terms = ggp_cdf_terms(alpha, beta, math.sqrt(xi2))
-        # the power term divides z**xi2 by Gamma(xi2 - alpha + 1) Gamma(xi2 - beta + 1)
-        logs = [
-            xi2 * log_z,
-            lg(xi2 - alpha + 1.0),
-            lg(xi2 - beta + 1.0),
-            lg(alpha - xi2) + lg(beta - xi2),
-        ]
-        for u in range(2):
-            logs.append(terms.b_vec[u] * log_z)
-            for v in range(2):
-                logs.append(lg(terms.a_vec[u][v]))
-                logs.append(lg(1.0 - terms.d_vec[u][v]) + lg(1.0 - terms.e_vec[u][v]))
-    return max(logs) <= _SERIES_LOG_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -610,26 +504,7 @@ def _conditioned_cdf(alpha: float, beta_agg: float, xi2: float | None, x: float)
     return float(mass.sum() / w.sum())
 
 
-def _gg_cdf_series(a: float, b: float, x: float, opts: EvalOptions | None) -> float | None:
-    """The 1F2 expansion of ``gg_cdf``; None where it is not to be trusted."""
-    a, b, _ = _nudge_shapes(a, b, None)
-    z = a * b * x
-    if z > specfun.SERIES_SAFE_Z:
-        return None
-    pref = math.pi / (
-        math.sin(math.pi * (a - b)) * math.exp(math.lgamma(a) + math.lgamma(b))
-    )
-    s_b, c_b = specfun.hyp1f2_reg_cond(b, b + 1.0, b - a + 1.0, z, opts)
-    s_a, c_a = specfun.hyp1f2_reg_cond(a, a + 1.0, a - b + 1.0, z, opts)
-    w_b = math.exp(math.lgamma(b) + b * math.log(z))
-    w_a = math.exp(math.lgamma(a) + a * math.log(z))
-    noise = _EPS * abs(pref) * (w_b * c_b + w_a * c_a)
-    if not noise <= _SERIES_ABS_ERR_LIMIT:  # NaN noise: an overflowed product
-        return None
-    return pref * (w_b * s_b - w_a * s_a)
-
-
-def gg_cdf(alpha: float, beta_agg: float, x: float, opts: EvalOptions | None = None) -> float:
+def gg_cdf(alpha: float, beta_agg: float, x: float) -> float:
     """CDF of the unit-mean aggregated turbulence fading."""
     if not (alpha > 0.0 and beta_agg > 0.0):
         raise ValueError("gg_cdf shape parameters must be strictly positive")
@@ -637,80 +512,10 @@ def gg_cdf(alpha: float, beta_agg: float, x: float, opts: EvalOptions | None = N
         raise ValueError(f"gg_cdf requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
-    p = None
-    if _series_fits(alpha, beta_agg, None, x):
-        p = _gg_cdf_series(alpha, beta_agg, x, opts)
-    if p is None:
-        p = _conditioned_cdf(alpha, beta_agg, None, x)
-    return _clamp_prob(p)
+    return _clamp_prob(_conditioned_cdf(alpha, beta_agg, None, x))
 
 
-def ggp_cdf_terms(alpha: float, beta_agg: float, xi: float) -> GgpCdfTerms:
-    """Coefficient vectors of the double-sum expansion of ``ggp_cdf``."""
-    xi2 = xi * xi
-    b_vec = (alpha, beta_agg)
-    c_vec = (-1.0, 1.0)
-    a_rows = []
-    d_rows = []
-    e_rows = []
-    for u in range(2):
-        bu, cu = b_vec[u], c_vec[u]
-        a_rows.append((bu, bu - xi2))
-        d_rows.append((bu + 1.0, (beta_agg - alpha) * cu + 1.0))
-        e_rows.append(((beta_agg - alpha) * cu + 1.0, bu - xi2 + 1.0))
-    return GgpCdfTerms(
-        a_vec=(a_rows[0], a_rows[1]),
-        b_vec=b_vec,
-        c_vec=c_vec,
-        d_vec=(d_rows[0], d_rows[1]),
-        e_vec=(e_rows[0], e_rows[1]),
-    )
-
-
-def _ggp_cdf_series(
-    a: float, b: float, xi2: float, x: float, opts: EvalOptions | None
-) -> float | None:
-    """The double-sum 1F2 expansion of ``ggp_cdf``; None where it is not to be trusted."""
-    a, b, xi2 = _nudge_shapes(a, b, xi2)
-    z = a * b * x
-    if z > specfun.SERIES_SAFE_Z:
-        return None
-    terms = ggp_cdf_terms(a, b, math.sqrt(xi2))
-    log_z = math.log(z)
-    double_sum = 0.0
-    abs_sum = 0.0
-    for u in range(2):
-        bu = terms.b_vec[u]
-        zu = math.exp(bu * log_z)
-        for v in range(2):
-            av = terms.a_vec[u][v]
-            val, cond = specfun.hyp1f2_reg_cond(
-                av, terms.d_vec[u][v], terms.e_vec[u][v], z, opts
-            )
-            scale = zu * math.gamma(av)
-            double_sum += terms.c_vec[u] * terms.c_vec[v] * scale * val
-            abs_sum += abs(scale) * cond
-    csc = 1.0 / math.sin(math.pi * (a - b))
-    power_term = (
-        math.pi
-        * math.exp(xi2 * log_z)
-        / (
-            math.sin(math.pi * (a - xi2))
-            * math.sin(math.pi * (b - xi2))
-            * math.gamma(xi2 - a + 1.0)
-            * math.gamma(xi2 - b + 1.0)
-        )
-    )
-    outer = math.pi * math.exp(-math.lgamma(a) - math.lgamma(b))
-    noise = _EPS * outer * (abs(csc) * abs_sum + abs(power_term))
-    if not noise <= _SERIES_ABS_ERR_LIMIT:  # NaN noise: an overflowed product
-        return None
-    return outer * (-csc * double_sum + power_term)
-
-
-def ggp_cdf(
-    alpha: float, beta_agg: float, xi: float, x: float, opts: EvalOptions | None = None
-) -> float:
+def ggp_cdf(alpha: float, beta_agg: float, xi: float, x: float) -> float:
     """CDF of turbulence fading scaled by the random collected-power fraction."""
     if not (alpha > 0.0 and beta_agg > 0.0):
         raise ValueError("ggp_cdf shape parameters must be strictly positive")
@@ -721,14 +526,8 @@ def ggp_cdf(
     if x == 0.0:
         return 0.0
     if math.isinf(xi):
-        return gg_cdf(alpha, beta_agg, x, opts)
-    xi2 = xi * xi
-    p = None
-    if _series_fits(alpha, beta_agg, xi2, x):
-        p = _ggp_cdf_series(alpha, beta_agg, xi2, x, opts)
-    if p is None:
-        p = _conditioned_cdf(alpha, beta_agg, xi2, x)
-    return _clamp_prob(p)
+        return gg_cdf(alpha, beta_agg, x)
+    return _clamp_prob(_conditioned_cdf(alpha, beta_agg, xi * xi, x))
 
 
 def ggp_cdf_approx(ga: GammaApprox, xi: float, x: float) -> float:

@@ -12,7 +12,10 @@ pieces the stack does *not* ship in usable form are built here:
   to reach negative first arguments;
 * ``hyp1f2_reg`` -- the regularized hypergeometric series 1F2, summed
   forward with compensated (Kahan) accumulation and reciprocal-gamma pole
-  handling;
+  handling.  The paper writes its fading CDFs as sums of these series; the
+  package evaluates those CDFs by conditioning instead (see
+  :mod:`fso_secrecy.channel`), and the series serves the tests that check
+  the paper's expansions against that kernel;
 * ``lambert_w`` -- both real branches of the Lambert W function via Halley
   iteration with branch-point seeding.
 """
@@ -27,23 +30,15 @@ from scipy import special as _sp
 __all__ = [
     "EvalOptions",
     "ConvergenceError",
-    "SERIES_SAFE_Z",
-    "ln_gamma",
     "erf",
     "gamma_upper",
     "reg_gamma_q",
     "exp_integral",
     "hyp1f2_reg",
     "hyp1f2_reg_cond",
-    "hyp1f2",
     "lambert_w",
     "bessel_k",
 ]
-
-#: Largest series argument for which the forward 1F2 summation is trusted.
-#: Callers evaluating CDF expansions beyond this should switch to quadrature
-#: of the underlying density instead of pushing the series harder.
-SERIES_SAFE_Z = 100.0
 
 _BRANCH_POINT = -1.0 / math.e
 
@@ -72,13 +67,6 @@ class EvalOptions:
 
 
 _DEFAULT_OPTS = EvalOptions()
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for strictly positive argument."""
-    if not x > 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def erf(x: float) -> float:
@@ -171,9 +159,8 @@ def hyp1f2_reg_cond(
     """As :func:`hyp1f2_reg`, but also return the sum of absolute terms.
 
     The second value bounds the rounding noise of the summation: the
-    absolute error of the result is roughly machine epsilon times it.
-    Callers combining several series with cancellation between them use it
-    to decide when to abandon the expansions for quadrature.
+    absolute error of the result is roughly machine epsilon times it.  It
+    does not include the truncation error, which ``opts.rel_tol`` sets.
     """
     opts = opts or _DEFAULT_OPTS
     pole_path = _is_pole(b) or _is_pole(c)
@@ -239,18 +226,11 @@ def hyp1f2_reg(a: float, b: float, c: float, z: float, opts: EvalOptions | None 
     reciprocal gamma factors evaluate to exactly zero there, so leading terms
     drop out and the series resumes once the shifted argument leaves the
     poles.  Raises :class:`ConvergenceError` if ``opts.max_terms`` is reached
-    before the stopping rule fires; arguments with ``abs(z)`` beyond
-    :data:`SERIES_SAFE_Z` converge slowly and callers are expected to prefer
-    a quadrature route instead.
+    before the stopping rule fires.  The terms grow until n is about
+    ``sqrt(abs(z))``, and the rounding noise of the sum grows with the
+    largest of them.
     """
     return hyp1f2_reg_cond(a, b, c, z, opts)[0]
-
-
-def hyp1f2(a: float, b: float, c: float, z: float, opts: EvalOptions | None = None) -> float:
-    """Unregularized 1F2, defined whenever ``b`` and ``c`` avoid the poles."""
-    if _is_pole(b) or _is_pole(c):
-        raise ValueError(f"hyp1f2 undefined at non-positive-integer b or c: ({b}, {c})")
-    return hyp1f2_reg(a, b, c, z, opts) * math.gamma(b) * math.gamma(c)
 
 
 def lambert_w(branch: str, x: float) -> float:

@@ -6,49 +6,24 @@ forms -- so agreement is evidence, not tautology.  The CDF oracles form a
 verification chain: the plain turbulence CDF is checked against a
 conditioning quadrature, and the pointing-loss CDFs against mixture
 quadratures over the already-verified layer below.
+
+The one exception is the paper's 1F2 expansions of the two exact CDFs at the
+end of this file.  They are a reference for the paper's formulas, not an
+independent oracle: they sum the package's ``specfun.hyp1f2_reg``, which is
+itself checked against direct summation and mpmath.
 """
 
 from __future__ import annotations
 
 import math
 
+from dataclasses import dataclass
+
 import mpmath as mp
 import numpy as np
 from scipy import integrate, special, stats
 
-
-def mp_ln_gamma(x: float) -> float:
-    with mp.workdps(40):
-        return float(mp.loggamma(x))
-
-
-def ln_gamma_stirling(x: float) -> float:
-    """Stirling series with argument shifting; independent of math.lgamma."""
-    shift = 0
-    xs = x
-    while xs < 24.0:
-        xs += 1.0
-        shift += 1
-    # ln Gamma(xs) by the asymptotic series, then undo the shift via
-    # Gamma(x) = Gamma(x + n) / (x (x+1) ... (x+n-1)).
-    coefs = [
-        1.0 / 12.0,
-        -1.0 / 360.0,
-        1.0 / 1260.0,
-        -1.0 / 1680.0,
-        1.0 / 1188.0,
-        -691.0 / 360360.0,
-        7.0 / 1092.0,
-    ]
-    s = (xs - 0.5) * math.log(xs) - xs + 0.5 * math.log(2.0 * math.pi)
-    term = 1.0 / xs
-    inv2 = 1.0 / (xs * xs)
-    for c in coefs:
-        s += c * term
-        term *= inv2
-    for i in range(shift):
-        s -= math.log(x + i)
-    return s
+from fso_secrecy import specfun
 
 
 def erf_maclaurin(x: float, terms: int = 40) -> float:
@@ -192,3 +167,90 @@ def gg_pdf_norm_and_mean(alpha: float, beta: float, pdf_fn) -> tuple[float, floa
     norm, _ = integrate.quad(lambda i: pdf_fn(alpha, beta, i), 0.0, np.inf, limit=300)
     mean, _ = integrate.quad(lambda i: i * pdf_fn(alpha, beta, i), 0.0, np.inf, limit=300)
     return norm, mean
+
+
+# ---------------------------------------------------------------------------
+# the paper's 1F2 expansions of the exact CDFs (reference, not oracle)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GgpCdfTerms:
+    """Coefficient vectors of the paper's double-sum expansion of ``ggp_cdf``.
+
+    ``b_vec`` and ``c_vec`` are indexed by the outer sum index ``u``;
+    ``a_vec``, ``d_vec`` and ``e_vec`` hold, for each ``u``, the length-2
+    inner vectors indexed by ``v``.
+    """
+
+    a_vec: tuple[tuple[float, float], tuple[float, float]]
+    b_vec: tuple[float, float]
+    c_vec: tuple[float, float]
+    d_vec: tuple[tuple[float, float], tuple[float, float]]
+    e_vec: tuple[tuple[float, float], tuple[float, float]]
+
+
+def ggp_cdf_terms(alpha: float, beta_agg: float, xi: float) -> GgpCdfTerms:
+    """Coefficient vectors of the double-sum expansion of ``ggp_cdf``."""
+    xi2 = xi * xi
+    b_vec = (alpha, beta_agg)
+    c_vec = (-1.0, 1.0)
+    a_rows = []
+    d_rows = []
+    e_rows = []
+    for u in range(2):
+        bu, cu = b_vec[u], c_vec[u]
+        a_rows.append((bu, bu - xi2))
+        d_rows.append((bu + 1.0, (beta_agg - alpha) * cu + 1.0))
+        e_rows.append(((beta_agg - alpha) * cu + 1.0, bu - xi2 + 1.0))
+    return GgpCdfTerms(
+        a_vec=(a_rows[0], a_rows[1]),
+        b_vec=b_vec,
+        c_vec=c_vec,
+        d_vec=(d_rows[0], d_rows[1]),
+        e_vec=(e_rows[0], e_rows[1]),
+    )
+
+
+def gg_cdf_series(a: float, b: float, x: float) -> float:
+    """The paper's 1F2 expansion of the turbulence CDF, with z = a b x.
+
+    Defined for a non-integer shape gap ``a - b`` (a csc factor divides by
+    its sine), and trustworthy at moderate z, where the two series it
+    subtracts stay within double precision of each other.
+    """
+    z = a * b * x
+    pref = math.pi / (math.sin(math.pi * (a - b)) * math.gamma(a) * math.gamma(b))
+    s_b = math.gamma(b) * z**b * specfun.hyp1f2_reg(b, b + 1.0, b - a + 1.0, z)
+    s_a = math.gamma(a) * z**a * specfun.hyp1f2_reg(a, a + 1.0, a - b + 1.0, z)
+    return pref * (s_b - s_a)
+
+
+def ggp_cdf_series(a: float, b: float, xi: float, x: float) -> float:
+    """The paper's double-sum 1F2 expansion of the pointing-loss CDF.
+
+    Defined where none of ``a - b``, ``a - xi**2`` and ``b - xi**2`` is an
+    integer; trustworthy at moderate z = a b x, as :func:`gg_cdf_series`.
+    """
+    xi2 = xi * xi
+    z = a * b * x
+    terms = ggp_cdf_terms(a, b, xi)
+    double_sum = 0.0
+    for u in range(2):
+        for v in range(2):
+            av = terms.a_vec[u][v]
+            double_sum += (
+                terms.c_vec[u]
+                * terms.c_vec[v]
+                * z ** terms.b_vec[u]
+                * math.gamma(av)
+                * specfun.hyp1f2_reg(av, terms.d_vec[u][v], terms.e_vec[u][v], z)
+            )
+    power_term = math.pi * z**xi2 / (
+        math.sin(math.pi * (a - xi2))
+        * math.sin(math.pi * (b - xi2))
+        * math.gamma(xi2 - a + 1.0)
+        * math.gamma(xi2 - b + 1.0)
+    )
+    outer = math.pi / (math.gamma(a) * math.gamma(b))
+    return outer * (-double_sum / math.sin(math.pi * (a - b)) + power_term)

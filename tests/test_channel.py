@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fso_secrecy import channel, specfun
+from fso_secrecy import channel
 from fso_secrecy.channel import (
     GammaApprox,
     GeometryConfig,
@@ -28,7 +28,6 @@ from fso_secrecy.channel import (
     gg_pdf,
     ggp_cdf,
     ggp_cdf_approx,
-    ggp_cdf_terms,
     pointing_params,
     snr_threshold,
     turbulence_params,
@@ -220,14 +219,14 @@ def test_gamma_approx_bracket_error():
 
 
 # ---------------------------------------------------------------------------
-# expansion coefficient vectors
+# the paper's 1F2 expansions (test reference in oracles.py)
 # ---------------------------------------------------------------------------
 
 
 def test_ggp_cdf_terms_construction():
     alpha, beta, xi = 6.0, 11.0, 0.7
     xi2 = xi * xi
-    terms = ggp_cdf_terms(alpha, beta, xi)
+    terms = oracles.ggp_cdf_terms(alpha, beta, xi)
     assert terms.b_vec == (alpha, beta)
     assert terms.c_vec == (-1.0, 1.0)
     for u in range(2):
@@ -235,6 +234,23 @@ def test_ggp_cdf_terms_construction():
         assert terms.a_vec[u] == (bu, bu - xi2)
         assert terms.d_vec[u] == (bu + 1.0, (beta - alpha) * cu + 1.0)
         assert terms.e_vec[u] == ((beta - alpha) * cu + 1.0, bu - xi2 + 1.0)
+
+
+def test_paper_expansions_match_the_kernel(baseline):
+    # The expansions subtract two series far larger than their difference
+    # (3e5 at z = 17, 4e8 at z = 34, for a CDF below 1), so they keep
+    # double precision only at small z = a b x.  The points are those of the
+    # baseline frozen grids with z < 20, and the bob link of the n = 2
+    # reliability outage (z = 18.8), where truncating the sums costs 7e-8.
+    # 1e-6 sits above both errors; a mis-transcribed term misses it.
+    le = eve_link(baseline)
+    a, b_single, b, xi = le.turb.alpha, le.turb.beta_single, le.beta_agg, le.pointing.xi
+    for bx, x in ((b_single, 0.2), (b_single, 0.5), (b, 0.27613255287933103)):
+        assert a * bx * x < 20.0
+        assert oracles.gg_cdf_series(a, bx, x) == pytest.approx(gg_cdf(a, bx, x), rel=1e-6), x
+    for x in (0.05, 0.1, 0.2):
+        assert a * b * x < 20.0
+        assert oracles.ggp_cdf_series(a, b, xi, x) == pytest.approx(ggp_cdf(a, b, xi, x), rel=1e-6), x
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +345,8 @@ def test_gg_cdf_matches_conditioning_quadrature(baseline):
 
 
 def test_gg_cdf_quadrature_switch_consistency(baseline):
-    # beyond the safe series argument the kernel integrates instead; the two
-    # paths must agree with the independent oracle on both sides of the cut
+    # z = a b x is 48 and 170: the kernel agrees with the independent oracle
+    # at moderate and at large argument
     t = eve_link(baseline).turb
     for x in (1.4, 5.0):
         z = t.alpha * t.beta_single * x
@@ -339,8 +355,8 @@ def test_gg_cdf_quadrature_switch_consistency(baseline):
 
 
 def test_gg_cdf_integer_difference_nudge():
-    # alpha - beta exactly integer sits on a csc pole; the nudged evaluation
-    # must reproduce the limit to roughly the nudge size
+    # alpha - beta exactly integer is a pole of the paper's csc expansion;
+    # the conditioning kernel has no pole there
     got = gg_cdf(6.0, 4.0, 1.0)
     want = oracles.gg_cdf_conditioning(6.0, 4.0, 1.0)
     assert got == pytest.approx(want, abs=5e-5)
@@ -438,7 +454,7 @@ def test_ggp_cdf_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# conditioning kernel: the path past the series' reach
+# conditioning kernel against mpmath, over the whole input range
 # ---------------------------------------------------------------------------
 
 
@@ -451,11 +467,11 @@ def _eve_shapes(cn2, sigma_s, n):
 @pytest.mark.parametrize("sigma_s", [0.0, 0.5, 1.0, 2.0, 3.0])
 @pytest.mark.parametrize("cn2", [1.7e-14, 1e-13])
 def test_conditioning_kernel_matches_mpmath_oracle(cn2, sigma_s, n):
-    # just past the series' safe argument, so the kernel evaluates the point;
+    # z = a b x = 101, where the paper's 1F2 series converges slowly;
     # sigma_s 0.5 with n 1 puts xi**2 (6.26) above both shapes, which takes
     # the continued fraction and the downward recurrence
     a, b, xi = _eve_shapes(cn2, sigma_s, n)
-    x = 1.01 * specfun.SERIES_SAFE_Z / (a * b)
+    x = 1.01 * 100.0 / (a * b)
     want = oracles.mp_ggp_cdf_conditioning(a, b, xi, x)
     got = gg_cdf(a, b, x) if math.isinf(xi) else ggp_cdf(a, b, xi, x)
     assert got == pytest.approx(want, rel=1e-12)
@@ -472,11 +488,9 @@ def test_conditioning_kernel_narrow_jitter(sigma_s):
 
 
 def test_conditioning_kernel_takes_inputs_the_series_cannot_evaluate():
-    # cn2 1e-15: shapes near 100 overflow the expansions' gamma values and
-    # powers, so both kernels route to conditioning from the start
+    # cn2 1e-15: shapes near 100 overflow the paper's expansions' gamma
+    # values and powers
     a, b, xi = _eve_shapes(1e-15, 2.0, 2)
-    assert not channel._series_fits(a, b, xi * xi, 0.8)
-    assert not channel._series_fits(a, b / 2, None, 0.5)
     for x in (0.5, 1.0):
         want = oracles.mp_ggp_cdf_conditioning(a, b, xi, x)
         assert 0.0 <= ggp_cdf(a, b, xi, x) <= 1.0
@@ -486,16 +500,16 @@ def test_conditioning_kernel_takes_inputs_the_series_cannot_evaluate():
 
 
 def test_series_products_past_the_double_range_take_the_kernel():
-    # Both factors fit a double but their product does not: z**beta times
-    # Gamma(beta) overflowed to inf, times a zero 1F2 sum gave a NaN that the
-    # noise check let through; a reciprocal-gamma product of inf stalled the
-    # 1F2 sum until ConvergenceError.  Both scenarios are plain configs.
+    # At z < 100 the paper's expansion forms factors that fit a double but
+    # whose product does not: z**beta times Gamma(beta) overflows to inf
+    # against a zero 1F2 sum, and a reciprocal-gamma product of inf stalls a
+    # 1F2 sum.  Both scenarios are plain configs.
     sc = baseline_scenario(cn2=8.782080823506426e-15, sigma_s=0.8980956430628689, n_e=4,
                            d_e=581.8852747561125)
     le = eve_link(sc)
     a, b, xi = le.turb.alpha, le.beta_agg, le.pointing.xi
     x = snr_threshold(sc.nodes, le.pointing, 1.0011347829612158, "eve").value
-    assert a * b * x < specfun.SERIES_SAFE_Z
+    assert a * b * x < 100.0
     want = oracles.mp_ggp_cdf_conditioning(a, b, xi, x)
     assert ggp_cdf(a, b, xi, x) == pytest.approx(want, rel=1e-12)
 
@@ -504,7 +518,7 @@ def test_series_products_past_the_double_range_take_the_kernel():
     le = eve_link(sc)
     a, b, xi = le.turb.alpha, le.beta_agg, le.pointing.xi
     x = snr_threshold(sc.nodes, le.pointing, 0.7908362607525738, "eve").value
-    assert a * b * x < specfun.SERIES_SAFE_Z
+    assert a * b * x < 100.0
     assert 0.0 < ggp_cdf(a, b, xi, x) < 1e-40
 
 
@@ -531,12 +545,9 @@ def test_conditioning_grid_stays_bounded():
     assert channel._trapezoid_nodes(6 * channel._SHAPE_CAP).size <= 150
 
 
-@pytest.mark.xfail(strict=True, reason="series truncation is not part of its noise check")
-def test_gg_cdf_series_truncation_fault():
-    # The 1F2 series path (z = 18.8) passes its cancellation check, which
-    # scales machine epsilon only and ignores the rel_tol truncation of the
-    # sums; the result is off by 8.6e-8 relative, and its square, the frozen
-    # reliability_outage literal for n = 2 in test_secrecy.py, by 1.7e-7.
+def test_gg_cdf_matches_oracle_at_z_18_8():
+    # The bob link of the n = 2 reliability outage (z = 18.8), where the
+    # paper's 1F2 series is off by 8.6e-8 relative from truncating its sums.
     a, b, x = 6.126110647376661, 11.10675349686988, 0.27613255287933103
     want = oracles.mp_ggp_cdf_conditioning(a, b, math.inf, x)
     assert gg_cdf(a, b, x) == pytest.approx(want, rel=1e-12)
@@ -644,4 +655,3 @@ def test_kernels_are_pure(baseline):
     assert gg_cdf(a, b, 0.77) == gg_cdf(a, b, 0.77)
     assert ggp_cdf(a, b, xi, 0.77) == ggp_cdf(a, b, xi, 0.77)
     assert ggp_cdf_approx(le.ga, xi, 0.77) == ggp_cdf_approx(le.ga, xi, 0.77)
-    assert specfun.SERIES_SAFE_Z == 100.0

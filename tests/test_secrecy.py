@@ -111,7 +111,7 @@ def test_sop_approx_within_two_percent(baseline):
 
 
 def test_reliability_outage_frozen_values():
-    table = {1: 0.23803262174987164, 2: 0.00037513629310391476, 4: 3.2195968712111515e-14}
+    table = {1: 0.23803262174987164, 2: 0.00037513622873844565, 4: 3.2195968712111515e-14}
     for n, want in table.items():
         scn = baseline_scenario(n_a=n, n_b=n)
         assert reliability_outage(scn, 3.0) == pytest.approx(want, rel=1e-10)
@@ -148,16 +148,22 @@ def test_reliability_outage_strictly_increasing(baseline):
     d_e=st.floats(100.0, 5000.0),
     d_b=st.floats(100.0, 5000.0),
     rate=st.floats(0.0, 8.0),
+    dr=st.floats(1e-6, 0.5),
 )
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_exact_outages_are_probabilities(log_cn2, sigma_s, n_e, n_b, d_e, d_b, rate):
-    # weak turbulence, narrow jitter and short links push the 1F2 series
-    # past the double range; the exact outages must still be probabilities
+def test_exact_outages_are_probabilities(log_cn2, sigma_s, n_e, n_b, d_e, d_b, rate, dr):
+    # weak turbulence, narrow jitter and short links push the paper's 1F2
+    # expansions past the double range; the exact outages must still be
+    # probabilities, and monotone in the rate
     sc = baseline_scenario(
         cn2=10.0**log_cn2, sigma_s=sigma_s, n_e=n_e, n_b=n_b, d_e=d_e, d_b=d_b
     )
-    assert 0.0 <= sop.__wrapped__(sc, rate) <= 1.0
-    assert 0.0 <= reliability_outage.__wrapped__(sc, rate) <= 1.0
+    s, s_up = sop.__wrapped__(sc, rate), sop.__wrapped__(sc, rate + dr)
+    q, q_up = reliability_outage.__wrapped__(sc, rate), reliability_outage.__wrapped__(sc, rate + dr)
+    assert 0.0 <= s <= 1.0
+    assert 0.0 <= q <= 1.0
+    assert s_up <= s + 1e-15
+    assert q_up >= q - 1e-15
 
 
 def test_reliability_outage_approx_tracks_exact(baseline):

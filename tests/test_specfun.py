@@ -9,29 +9,6 @@ from fso_secrecy import specfun
 from fso_secrecy.specfun import ConvergenceError, EvalOptions
 
 
-def test_ln_gamma_trivial_points():
-    assert specfun.ln_gamma(1.0) == 0.0
-    assert specfun.ln_gamma(2.0) == pytest.approx(0.0, abs=1e-15)
-    assert specfun.ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-
-
-def test_ln_gamma_against_stirling_shift():
-    for x in (7.3, 0.013, 1.5, 24.0, 311.7):
-        assert specfun.ln_gamma(x) == pytest.approx(oracles.ln_gamma_stirling(x), rel=1e-12)
-
-
-def test_ln_gamma_against_mpmath():
-    for x in (1e-3, 0.42, 7.3, 99.5, 1e3):
-        assert specfun.ln_gamma(x) == pytest.approx(oracles.mp_ln_gamma(x), rel=1e-13)
-
-
-def test_ln_gamma_domain():
-    with pytest.raises(ValueError):
-        specfun.ln_gamma(0.0)
-    with pytest.raises(ValueError):
-        specfun.ln_gamma(-3.2)
-
-
 def test_erf_basics():
     assert specfun.erf(0.0) == 0.0
     for x in (0.3, 1.7):
@@ -142,8 +119,9 @@ def test_hyp1f2_reg_at_zero():
 
 
 def test_hyp1f2_direct_summation_match():
-    got = specfun.hyp1f2(1.0, 2.0, 2.0, 0.3)
-    assert got == pytest.approx(oracles.hyp1f2_direct(1.0, 2.0, 2.0, 0.3), rel=1e-13)
+    got = specfun.hyp1f2_reg(1.0, 2.0, 2.0, 0.3)
+    want = oracles.hyp1f2_direct(1.0, 2.0, 2.0, 0.3) / (math.gamma(2.0) * math.gamma(2.0))
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_hyp1f2_reg_against_high_precision():
@@ -164,18 +142,11 @@ def test_hyp1f2_reg_pole_is_finite():
     val = specfun.hyp1f2_reg(1.7, 2.3, -2.0, 0.8)
     assert math.isfinite(val)
     assert val == pytest.approx(oracles.mp_hyp1f2_reg(1.7, 2.3, -2.0, 0.8), rel=1e-9)
-    with pytest.raises(ValueError):
-        specfun.hyp1f2(1.7, 2.3, -2.0, 0.8)
 
 
 def test_hyp1f2_max_terms_error():
     with pytest.raises(ConvergenceError):
         specfun.hyp1f2_reg(2.0, 3.0, 1.5, 80.0, EvalOptions(rel_tol=1e-12, max_terms=5))
-
-
-def test_series_quality_constant():
-    # callers switch to quadrature beyond this; keep the contract visible
-    assert specfun.SERIES_SAFE_Z == 100.0
 
 
 def test_eval_options_validation():
@@ -247,7 +218,6 @@ def test_bessel_k_integral_representation():
 
 def test_purity_bit_identical():
     pairs = [
-        specfun.ln_gamma(7.3),
         specfun.gamma_upper(2.5, 1.3),
         specfun.exp_integral(-3.34, 0.17),
         specfun.hyp1f2_reg(2.1, 3.4, 1.2, 5.0),
@@ -255,7 +225,6 @@ def test_purity_bit_identical():
         specfun.bessel_k(2.4, 1.1),
     ]
     again = [
-        specfun.ln_gamma(7.3),
         specfun.gamma_upper(2.5, 1.3),
         specfun.exp_integral(-3.34, 0.17),
         specfun.hyp1f2_reg(2.1, 3.4, 1.2, 5.0),
