@@ -354,7 +354,13 @@ def cmd_sweep(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
 
 
 def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
-    """Run the scheme's solver and report the optimum plus oracle diagnostics."""
+    """Run the scheme's solver and report the optimum plus oracle diagnostics.
+
+    The ``oracle`` block comes from a grid search with golden refinement on
+    the surrogate throughput: :func:`optimize.fixed_grid_oracle` (a 160 x 160
+    grid up to 3 above the solver's codeword rate) for the fixed scheme,
+    :func:`optimize.grid_refine_maximize` over (0, c_b) for the adaptive one.
+    """
     s_th = args.sth if args.sth is not None else sc.s_th
     scheme = args.scheme
     opts = optimize.SolverOptions()
@@ -388,17 +394,8 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         est_exact = secrecy.est_adaptive(sc, args.cb, opt.rates.r_e, unconstrained).est
     else:
         opt = optimize.fixed_optimal(sc, s_th, opts)
-
-        def objective(r_e: float, r_b: float) -> float:
-            if not 0.0 <= r_e < r_b:
-                return 0.0
-            return secrecy.est_fixed(sc, RatePair(r_b=r_b, r_e=r_e), constraint, use_approx=True).est
-
-        hi = opt.rates.r_b + 3.0
-        oracle = optimize.grid_refine_maximize(
-            objective,
-            ((0.0, hi), (1e-3, hi)),
-            optimize.SolverOptions(grid_points=160),
+        oracle = optimize.fixed_grid_oracle(
+            sc, s_th, opt.rates.r_b + 3.0, optimize.SolverOptions(grid_points=160)
         )
         est_exact = secrecy.est_fixed(sc, opt.rates, unconstrained).est
 
@@ -466,8 +463,13 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
             f"{verdict} {name} lhs={_fmt(lhs)} rhs={_fmt(rhs)} diff={_fmt(diff)} tol={_fmt(tol)}"
         )
 
+    # One eavesdropper draw serves the four SOP checks and the est_fixed check.
+    est_rates = RatePair(r_b=3.4, r_e=1.2558717)
     sop_rates = (0.5, 1.0, 2.0, 4.0)
-    for r_e, est in zip(sop_rates, montecarlo.estimate_sop(sc, sop_rates, sim, jobs=jobs)):
+    *sop_ests, sop_at_est_re = montecarlo.estimate_sop(
+        sc, sop_rates + (est_rates.r_e,), sim, jobs=jobs
+    )
+    for r_e, est in zip(sop_rates, sop_ests):
         check(f"sop r_e={_fmt(r_e)}", secrecy.sop(sc, r_e), est.mean, est.ci_halfwidth)
 
     for n in (1, 2, 4):
@@ -499,11 +501,15 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
             )
     check_analytic("surrogate_outage_gap_max", gap_worst, 0.0, 0.02)
 
-    rates = RatePair(r_b=3.4, r_e=1.2558717)
-    est = montecarlo.estimate_est(sc, rates, "fixed", 1.0, sim, jobs=jobs)
+    est = montecarlo.est_fixed_from_outages(
+        est_rates,
+        sop_at_est_re,
+        montecarlo.estimate_reliability_outage(sc, est_rates.r_b, sim, jobs=jobs),
+        1.0,
+    )
     check(
         "est_fixed r_b=3.4 r_e=1.2558717",
-        secrecy.est_fixed(sc, rates, SecrecyConstraint(1.0)).est,
+        secrecy.est_fixed(sc, est_rates, SecrecyConstraint(1.0)).est,
         est.mean,
         est.ci_halfwidth,
     )

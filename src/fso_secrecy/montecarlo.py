@@ -35,6 +35,7 @@ __all__ = [
     "estimate_sop",
     "estimate_reliability_outage",
     "estimate_est",
+    "est_fixed_from_outages",
 ]
 
 # Child-seed indices for the two physically independent fading processes.
@@ -64,11 +65,16 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Estimate:
-    """An empirical mean with a 99.7% (3-sigma) normal-theory halfwidth."""
+    """An empirical mean with a 99.7% (3-sigma) normal-theory halfwidth.
+
+    ``count`` is the number of trials in which the event occurred when the
+    mean is a probability, and ``None`` when it is a throughput average.
+    """
 
     mean: float
     ci_halfwidth: float
     trials: int
+    count: int | None = None
 
 
 def _stream_rngs(sim: SimConfig, role: int) -> list[np.random.Generator]:
@@ -154,7 +160,7 @@ def _binomial_estimate(hits: Sequence[int], sim: SimConfig) -> Estimate:
         # The plug-in halfwidth degenerates to zero at the extremes, which is
         # absence of power, not certainty; the rule-of-three bound stands in.
         ci = max(ci, 3.0 / sim.trials)
-    return Estimate(mean=p, ci_halfwidth=ci, trials=sim.trials)
+    return Estimate(mean=p, ci_halfwidth=ci, trials=sim.trials, count=total)
 
 
 def estimate_sop(
@@ -217,10 +223,8 @@ def estimate_est(
 ) -> Estimate:
     """Empirical effective secrecy throughput under either rate scheme.
 
-    Fixed scheme: the product of the two independent marginal outage
-    estimators scaled by the secrecy rate, with a delta-method halfwidth; the
-    result gates to zero when the estimated secrecy outage breaches ``s_th``
-    (mirroring the closed-form definition).
+    Fixed scheme: :func:`est_fixed_from_outages` of :func:`estimate_sop` at
+    ``r_e`` and :func:`estimate_reliability_outage` at ``r_b``.
 
     Adaptive scheme: per trial the realized capacity is mapped to its
     optimal redundancy rate -- the ceiling-aware optimum, resolved through
@@ -236,30 +240,33 @@ def estimate_est(
     if scheme == "fixed":
         if rates is None:
             raise ValueError("fixed scheme requires a rate pair")
-        return _estimate_est_fixed(sc, rates, s_th, sim, jobs)
+        return est_fixed_from_outages(
+            rates,
+            estimate_sop(sc, rates.r_e, sim, jobs=jobs),
+            estimate_reliability_outage(sc, rates.r_b, sim, jobs=jobs),
+            s_th,
+        )
     return _estimate_est_adaptive(sc, rates, s_th, sim, jobs)
 
 
-def _estimate_est_fixed(
-    sc: ScenarioConfig, rates: RatePair, s_th: float, sim: SimConfig, jobs: int | None
+def est_fixed_from_outages(
+    rates: RatePair, sop: Estimate, reliability_outage: Estimate, s_th: float
 ) -> Estimate:
-    thr_e = (2.0**rates.r_e - 1.0) / _snr_scale(sc, "eve")
-    thr_b = (2.0**rates.r_b - 1.0) / _snr_scale(sc, "bob")
-    eve_rngs = _stream_rngs(sim, _EVE_ROLE)
-    bob_rngs = _stream_rngs(sim, _BOB_ROLE)
-    sizes = sim.stream_sizes()
+    """Fixed-scheme throughput from the two marginal outage estimates.
 
-    def one(j: int) -> tuple[int, int]:
-        secure = int(np.count_nonzero(sample_eve_irradiance(sc, eve_rngs[j], sizes[j]) <= thr_e))
-        decodable = int(np.count_nonzero(sample_bob_irradiance(sc, bob_rngs[j], sizes[j]) > thr_b))
-        return secure, decodable
-
-    parts = _map_streams(one, sim.stream_count, jobs)
-    n = sim.trials
-    secure = sum(p[0] for p in parts)
-    decodable = sum(p[1] for p in parts)
-    p_sec = secure / n
-    p_rel = decodable / n
+    ``sop`` is an :func:`estimate_sop` result at ``rates.r_e`` and
+    ``reliability_outage`` an :func:`estimate_reliability_outage` result at
+    ``rates.r_b``, both over the same number of trials; a caller that already
+    drew the eavesdropper for other thresholds passes that estimate in.  The
+    product of the two success rates scaled by the secrecy rate, with a
+    delta-method halfwidth; it gates to zero when the estimated secrecy
+    outage breaches ``s_th`` (mirroring the closed-form definition).
+    """
+    n = sop.trials
+    if reliability_outage.trials != n or sop.count is None or reliability_outage.count is None:
+        raise ValueError("est_fixed_from_outages needs two outage counts over the same trials")
+    p_sec = (n - sop.count) / n
+    p_rel = (n - reliability_outage.count) / n
     if 1.0 - p_sec > s_th:
         return Estimate(mean=0.0, ci_halfwidth=0.0, trials=n)
     rate = rates.secrecy_rate

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import special as _sp
 
 from fso_secrecy import specfun
@@ -32,6 +33,7 @@ from fso_secrecy.secrecy import (
     SecrecyConstraint,
     est_adaptive,
     est_fixed,
+    reliability_outage_approx,
     sop_approx,
 )
 from fso_secrecy.specfun import ConvergenceError
@@ -46,6 +48,7 @@ __all__ = [
     "fixed_constrained_rb",
     "fixed_optimal",
     "grid_refine_maximize",
+    "fixed_grid_oracle",
 ]
 
 _LN2 = math.log(2.0)
@@ -178,7 +181,10 @@ def _d1(f, x: float, h: float = 1e-5) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-def _d2(f, x: float, h: float = 1e-4) -> float:
+_D2_STEP = 1e-4
+
+
+def _d2(f, x: float, h: float = _D2_STEP) -> float:
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
 
 
@@ -383,8 +389,11 @@ def adaptive_optimal(
     def psi(r: float) -> float:
         return est_adaptive(sc, c_b, r, constraint, use_approx=True).est
 
+    # The second-difference stencil must lie strictly inside (0, c_b): at an
+    # end point psi's edge, not its curvature, decides the sign.
     hessian_ok = False
-    if feasible and 0.0 < r_e < c_b and report.est > 0.0 and not constraint_active:
+    inside = 0.0 < r_e - _D2_STEP and r_e + _D2_STEP < c_b
+    if feasible and inside and report.est > 0.0 and not constraint_active:
         hessian_ok = _d2(psi, r_e) < 0.0
     return Optimum(
         rates=RatePair(r_b=c_b, r_e=r_e),
@@ -696,6 +705,11 @@ def grid_refine_maximize(objective, bounds, opts: SolverOptions | None = None) -
     two-argument ``objective(r_e, r_b)``.  Ties break toward the first
     (lowest) grid index.  For one-dimensional searches both rate slots of
     the result carry the argmax.
+
+    This generic form serves the acceptance gate and the CLI's adaptive
+    oracle.  The CLI's fixed-scheme oracle is :func:`fixed_grid_oracle`,
+    which returns the same result on the ``est_fixed`` objective and is
+    tested against this function.
     """
     opts = opts or _DEFAULT
     two_dim = hasattr(bounds[0], "__len__")
@@ -730,6 +744,76 @@ def grid_refine_maximize(objective, bounds, opts: SolverOptions | None = None) -
     if v <= best[0]:
         # Ties go to the grid incumbent (first index), not the refined point.
         x, y, v = x_lo + i * sx, y_lo + j * sy, best[0]
+    return Optimum(
+        rates=RatePair(r_b=y, r_e=x),
+        est=v,
+        method="grid_oracle",
+        hessian_ok=False,
+        constraint_active=False,
+    )
+
+
+def fixed_grid_oracle(
+    sc: ScenarioConfig, s_th: float, hi: float, opts: SolverOptions | None = None
+) -> Optimum:
+    """:func:`grid_refine_maximize` on the fixed-scheme surrogate throughput.
+
+    The objective is ``est_fixed(sc, RatePair(r_b, r_e), SecrecyConstraint(s_th),
+    use_approx=True).est`` where ``0 <= r_e < r_b`` and zero elsewhere, over
+    r_e in (0, hi) and r_b in (1e-3, hi); the result equals the generic
+    oracle's bit for bit.  That throughput is (r_b - r_e)(1 - T(r_b))(1 - S(r_e)),
+    gated to zero where S(r_e) > s_th, so the grid takes ``grid_points``
+    outages of each kind and forms the cells by broadcasting, and each
+    refinement line evaluates the fixed coordinate's factor once.
+    """
+    opts = opts or _DEFAULT
+    n = opts.grid_points
+    x_lo, y_lo = 0.0, 1e-3
+    sx = (hi - x_lo) / (n - 1)
+    sy = (hi - y_lo) / (n - 1)
+    # Python arithmetic, not np.linspace, so the nodes match the generic grid.
+    xs = [x_lo + i * sx for i in range(n)]
+    ys = [y_lo + j * sy for j in range(n)]
+
+    def secrecy_factor(r_e: float) -> float | None:
+        """1 - S(r_e), or None where the ceiling gates the throughput to zero."""
+        s = sop_approx(sc, r_e)
+        return 1.0 - s if s <= s_th else None
+
+    def est(r_e: float, r_b: float, sec: float | None, rel: float) -> float:
+        # est_fixed's value, in its product order.
+        if sec is None or not 0.0 <= r_e < r_b:
+            return 0.0
+        return (r_b - r_e) * rel * sec
+
+    s = np.array([sop_approx(sc, x) for x in xs])
+    t = np.array([reliability_outage_approx(sc, y) for y in ys])
+    r_e, r_b = np.array(xs)[:, None], np.array(ys)[None, :]
+    live = (0.0 <= r_e) & (r_e < r_b) & (s <= s_th)[:, None]
+    with np.errstate(invalid="ignore"):
+        grid = np.where(live, (r_b - r_e) * (1.0 - t) * (1.0 - s)[:, None], 0.0)
+    # The scalar scan never takes a NaN cell as a new maximum.
+    grid[np.isnan(grid)] = -math.inf
+    i, j = np.unravel_index(np.argmax(grid), grid.shape)
+    best = float(grid[i, j])
+    x, y = xs[i], ys[j]
+    for _ in range(25):
+        sec = secrecy_factor(x)
+        y = _golden_in(
+            (lambda yy: 0.0)
+            if sec is None
+            else (lambda yy: est(x, yy, sec, 1.0 - reliability_outage_approx(sc, yy))),
+            max(y - sy, y_lo),
+            min(y + sy, hi),
+        )
+        rel = 1.0 - reliability_outage_approx(sc, y)
+        x = _golden_in(
+            lambda xx: est(xx, y, secrecy_factor(xx), rel), max(x - sx, x_lo), min(x + sx, hi)
+        )
+    v = est(x, y, secrecy_factor(x), 1.0 - reliability_outage_approx(sc, y))
+    if v <= best:
+        # Ties go to the grid incumbent (first index), not the refined point.
+        x, y, v = xs[i], ys[j], best
     return Optimum(
         rates=RatePair(r_b=y, r_e=x),
         est=v,

@@ -387,6 +387,10 @@ def test_optimize_adaptive_weak_eavesdropper_link(tmp_path, capsys):
     assert 0.0 <= doc["sop_at_re"] <= 1.0
     assert 0.0 < doc["est"] <= 4.0
     assert doc["oracle"]["gap"] <= 0.02
+    # The optimum sits at the scan's lower end, r_e = 1e-4, so the curvature
+    # stencil reaches r = 0: no second-order check was made.
+    assert doc["rates"]["r_e"] <= 1e-4
+    assert doc["hessian_ok"] is False
 
 
 def test_optimize_adaptive_averaged_mode(tmp_path):
@@ -414,6 +418,22 @@ def test_optimize_adaptive_averaged_mode(tmp_path):
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
+
+
+def test_validate_draws_the_eavesdropper_once(tmp_path, monkeypatch):
+    # The SOP checks and the est_fixed check share one eavesdropper draw.
+    calls = []
+    draw = cli.montecarlo.sample_eve_irradiance
+
+    def counted(*args):
+        calls.append(args[2])
+        return draw(*args)
+
+    monkeypatch.setattr(cli.montecarlo, "sample_eve_irradiance", counted)
+    code, text = run_cli(tmp_path, "validate", "--trials", "20000", "--stream-count", "4")
+    assert code in (0, 3)
+    assert "est_fixed r_b=3.4 r_e=1.2558717" in text
+    assert calls == [5000] * 4
 
 
 def test_validate_passes_and_is_deterministic(tmp_path):

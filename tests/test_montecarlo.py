@@ -15,6 +15,7 @@ from fso_secrecy.channel import baseline_scenario
 from fso_secrecy.montecarlo import (
     Estimate,
     SimConfig,
+    est_fixed_from_outages,
     estimate_est,
     estimate_reliability_outage,
     estimate_sop,
@@ -261,6 +262,40 @@ def test_estimate_est_argument_validation(baseline):
 def test_estimate_est_fixed_zero_secrecy_rate(baseline):
     e = estimate_est(baseline, RatePair(2.0, 2.0), "fixed", 1.0, SimConfig(trials=5_000))
     assert e.mean == 0.0
+
+
+def test_estimate_est_fixed_frozen_values(baseline):
+    # Bit-level regression values of the fixed-scheme estimator.
+    sim = SimConfig(trials=50_000, seed=5, stream_count=4)
+    e = estimate_est(baseline, RatePair(3.4, 1.2558717), "fixed", 1.0, sim)
+    assert (e.mean, e.ci_halfwidth, e.trials) == (0.6172793185473266, 0.01197703024793761, 50_000)
+    e = estimate_est(baseline, RatePair(2.5, 2.0), "fixed", 1.0, sim)
+    assert (e.mean, e.ci_halfwidth) == (0.23115772939999998, 0.0033293639621127837)
+    e = estimate_est(baseline, RatePair(3.4, 1.2558717), "fixed", 0.3, sim)
+    assert (e.mean, e.ci_halfwidth) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_est_fixed_from_a_shared_eavesdropper_draw(baseline, jobs):
+    # An SOP threshold vector's draw serves the fixed-scheme estimate too.
+    sim = SimConfig(trials=50_000, seed=8)
+    rates = RatePair(3.4, 1.2558717)
+    sop_low, sop_at_re = estimate_sop(baseline, [0.5, rates.r_e], sim, jobs=jobs)
+    assert sop_at_re.count == round(sop_at_re.mean * sim.trials)
+    rel = estimate_reliability_outage(baseline, rates.r_b, sim, jobs=jobs)
+    shared = est_fixed_from_outages(rates, sop_at_re, rel, 1.0)
+    assert shared == estimate_est(baseline, rates, "fixed", 1.0, sim, jobs=jobs)
+
+
+def test_est_fixed_from_outages_needs_counts_over_equal_trials(baseline):
+    rates = RatePair(3.4, 1.2558717)
+    small = estimate_sop(baseline, rates.r_e, SimConfig(trials=1_000))
+    large = estimate_reliability_outage(baseline, rates.r_b, SimConfig(trials=2_000))
+    with pytest.raises(ValueError):
+        est_fixed_from_outages(rates, small, large, 1.0)
+    average = Estimate(mean=0.5, ci_halfwidth=0.01, trials=1_000)
+    with pytest.raises(ValueError):
+        est_fixed_from_outages(rates, small, average, 1.0)
 
 
 def test_estimate_est_fixed_matches_closed_form(baseline):

@@ -18,6 +18,7 @@ from fso_secrecy.optimize import (
     adaptive_optimal,
     adaptive_unconstrained_re,
     fixed_constrained_rb,
+    fixed_grid_oracle,
     fixed_optimal,
     fixed_unconstrained_pair,
     grid_refine_maximize,
@@ -354,6 +355,45 @@ def test_fixed_optimal_matches_grid_oracle(baseline):
 # ---------------------------------------------------------------------------
 # grid oracle
 # ---------------------------------------------------------------------------
+
+
+def _oracles_agree(sc, s_th, hi):
+    """fixed_grid_oracle against grid_refine_maximize on the est_fixed
+    objective, as the CLI's fixed-scheme oracle ran it; equal to the bit."""
+    constraint = SecrecyConstraint(s_th)
+
+    def objective(re_, rb_):
+        if not 0.0 <= re_ < rb_:
+            return 0.0
+        return est_fixed(sc, RatePair(r_b=rb_, r_e=re_), constraint, use_approx=True).est
+
+    opts = SolverOptions(grid_points=160)
+    want = grid_refine_maximize(objective, ((0.0, hi), (1e-3, hi)), opts)
+    got = fixed_grid_oracle(sc, s_th, hi, opts)
+    assert got.rates == want.rates
+    assert got.est == want.est
+    return got
+
+
+@pytest.mark.parametrize("s_th", [0.2, 0.4, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_fixed_grid_oracle_matches_generic_oracle(n, s_th):
+    sc = baseline_scenario(n_a=n, n_b=n, n_e=n)
+    _oracles_agree(sc, s_th, fixed_optimal(sc, s_th).rates.r_b + 3.0)
+
+
+@pytest.mark.parametrize("s_th", [0.4, 1.0])
+def test_fixed_grid_oracle_matches_generic_oracle_pointing_free(pointing_free, s_th):
+    _oracles_agree(pointing_free, s_th, fixed_optimal(pointing_free, s_th).rates.r_b + 3.0)
+
+
+def test_fixed_grid_oracle_all_gated_surface_returns_first_cell(baseline):
+    # A ceiling below the outage at every grid r_e gates every cell to zero;
+    # the tie goes to the first grid index, (r_e, r_b) = (0, 1e-3).
+    hi = 6.0
+    s_th = 0.5 * sop_approx(baseline, hi)
+    o = _oracles_agree(baseline, s_th, hi)
+    assert (o.rates.r_e, o.rates.r_b, o.est) == (0.0, 1e-3, 0.0)
 
 
 def test_grid_oracle_recovers_quadratic_maximum():
