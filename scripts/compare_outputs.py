@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
 """Compare the outputs of two source trees of fso-secrecy field by field.
 
-Usage: python scripts/compare_outputs.py PARENT_SRC CHANGE_SRC [--seed N]
+Usage: python scripts/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are ``src/`` directories (each holding the
 ``fso_secrecy`` package).  Against each tree, in a fresh interpreter, the
 script runs:
 
 - the 37 ``optimize`` commands of the benchmark's ``optimize_batch``
-  workload, as listed by ``bench/workloads.py`` (``--seed`` is the program
-  seed of the MC-averaged run, 7007 by default);
+  workload, as listed by ``bench/workloads.py``, with the program seed of
+  the benchmark's pass 7 at seed 7 (7007) for the MC-averaged run;
 - ``scripts/figure_sweeps.py`` without Monte-Carlo (11 CSV files);
 - ``validate --trials 1000000 --seed 7`` at ``--jobs 1`` and ``--jobs 4``.
 
-It prints every file and field that differs between the trees, or
-``identical``, and exits 1 if anything differs.  Standard library only.
+The exit code of every CLI run is compared too (``exit_codes.json``), so a
+``validate`` check that fails (exit 3) on one side shows as a differing
+field instead of stopping the comparison.  It prints every file and field
+that differs between the trees, or ``identical``, and exits 1 if anything
+differs.  Standard library only.
 """
 
 from __future__ import annotations
@@ -33,14 +36,21 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import workloads  # noqa: E402
 
-# Runs a list of CLI argument vectors in one interpreter, as the benchmark does.
+PROGRAM_SEED = workloads.pass_seed(7, 7)
+
+# Runs (output name, CLI argv) pairs in one interpreter, as the benchmark
+# does, and writes each exit code to the file sys.argv[2].  Exit 3 (a failed
+# validate check) is an output to compare; 1 and 2 mean the run produced none.
 _RUN_CLI = """
 import json, sys
 from fso_secrecy import cli
-for argv in json.loads(sys.argv[1]):
-    code = cli.main(argv)
-    if code != 0:
-        raise SystemExit(f"exit code {code}: {argv}")
+codes = {}
+for name, argv in json.loads(sys.argv[1]):
+    codes[name] = cli.main(argv)
+    if codes[name] in (1, 2):
+        raise SystemExit(f"exit code {codes[name]}: {argv}")
+with open(sys.argv[2], "w", encoding="utf-8") as fh:
+    json.dump(codes, fh, indent=2)
 """
 
 
@@ -49,17 +59,17 @@ def _run(src: Path, args: list[str]) -> None:
     subprocess.run([sys.executable, *args], env=env, check=True, stdout=subprocess.DEVNULL)
 
 
-def produce(src: Path, outdir: Path, seed: int) -> None:
+def produce(src: Path, outdir: Path) -> None:
     """Write every compared output of the tree ``src`` into ``outdir``."""
     workloads.write_configs(outdir)
-    argvs = [argv for _, argv in workloads.optimize_ops(outdir, seed)]
+    ops = workloads.optimize_ops(outdir, PROGRAM_SEED)
     for jobs in ("1", "4"):
         name = f"validate_jobs{jobs}.txt"
-        argvs.append(
-            ["validate", "--trials", "1000000", "--seed", "7", "--jobs", jobs,
-             "--out", str(outdir / name)]
+        ops.append(
+            (name, ["validate", "--trials", "1000000", "--seed", "7", "--jobs", jobs,
+                    "--out", str(outdir / name)])
         )
-    _run(src, ["-c", _RUN_CLI, json.dumps(argvs)])
+    _run(src, ["-c", _RUN_CLI, json.dumps(ops), str(outdir / "exit_codes.json")])
     _run(src, [str(ROOT / "scripts" / "figure_sweeps.py"), "--outdir", str(outdir)])
     for n in workloads.OPT_NS:
         workloads.config_path(outdir, n).unlink()
@@ -117,7 +127,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("change_src", type=Path)
-    parser.add_argument("--seed", type=int, default=7007)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         dirs = []
@@ -126,7 +135,7 @@ def main() -> int:
                 parser.error(f"{src} holds no fso_secrecy package")
             outdir = Path(tmp) / label
             outdir.mkdir()
-            produce(src.resolve(), outdir, args.seed)
+            produce(src.resolve(), outdir)
             dirs.append(outdir)
         count = len(list(dirs[0].iterdir()))
         diffs = compare(*dirs)

@@ -263,8 +263,6 @@ def est_fixed_from_outages(
     outage breaches ``s_th`` (mirroring the closed-form definition).
     """
     n = sop.trials
-    if reliability_outage.trials != n or sop.count is None or reliability_outage.count is None:
-        raise ValueError("est_fixed_from_outages needs two outage counts over the same trials")
     p_sec = (n - sop.count) / n
     p_rel = (n - reliability_outage.count) / n
     if 1.0 - p_sec > s_th:

@@ -735,15 +735,26 @@ def grid_refine_maximize(objective, bounds, opts: SolverOptions | None = None) -
             v = objective(x, y_lo + j * sy)
             if v > best[0]:
                 best = (v, i, j)
-    _, i, j = best
+    v, i, j = best
+    return _refine_2d(objective, i, j, v, bounds, (sx, sy))
+
+
+def _refine_2d(objective, i: int, j: int, best: float, bounds, steps) -> Optimum:
+    """Polish grid cell ``(i, j)`` of value ``best`` by 25 alternating golden rounds.
+
+    Each line search stays within one grid step of the current point.  If
+    the polished value does not beat ``best``, the grid cell stands.
+    """
+    (x_lo, x_hi), (y_lo, y_hi) = bounds
+    sx, sy = steps
     x, y = x_lo + i * sx, y_lo + j * sy
     for _ in range(25):
         y = _golden_in(lambda yy: objective(x, yy), max(y - sy, y_lo), min(y + sy, y_hi))
         x = _golden_in(lambda xx: objective(xx, y), max(x - sx, x_lo), min(x + sx, x_hi))
     v = objective(x, y)
-    if v <= best[0]:
+    if v <= best:
         # Ties go to the grid incumbent (first index), not the refined point.
-        x, y, v = x_lo + i * sx, y_lo + j * sy, best[0]
+        x, y, v = x_lo + i * sx, y_lo + j * sy, best
     return Optimum(
         rates=RatePair(r_b=y, r_e=x),
         est=v,
@@ -763,8 +774,8 @@ def fixed_grid_oracle(
     r_e in (0, hi) and r_b in (1e-3, hi); the result equals the generic
     oracle's bit for bit.  That throughput is (r_b - r_e)(1 - T(r_b))(1 - S(r_e)),
     gated to zero where S(r_e) > s_th, so the grid takes ``grid_points``
-    outages of each kind and forms the cells by broadcasting, and each
-    refinement line evaluates the fixed coordinate's factor once.
+    outages of each kind and forms the cells by broadcasting; the golden
+    polish is the generic oracle's, on a closure with est_fixed's arithmetic.
     """
     opts = opts or _DEFAULT
     n = opts.grid_points
@@ -775,16 +786,14 @@ def fixed_grid_oracle(
     xs = [x_lo + i * sx for i in range(n)]
     ys = [y_lo + j * sy for j in range(n)]
 
-    def secrecy_factor(r_e: float) -> float | None:
-        """1 - S(r_e), or None where the ceiling gates the throughput to zero."""
-        s = sop_approx(sc, r_e)
-        return 1.0 - s if s <= s_th else None
-
-    def est(r_e: float, r_b: float, sec: float | None, rel: float) -> float:
+    def objective(r_e: float, r_b: float) -> float:
         # est_fixed's value, in its product order.
-        if sec is None or not 0.0 <= r_e < r_b:
+        if not 0.0 <= r_e < r_b:
             return 0.0
-        return (r_b - r_e) * rel * sec
+        s = sop_approx(sc, r_e)
+        if not s <= s_th:
+            return 0.0
+        return (r_b - r_e) * (1.0 - reliability_outage_approx(sc, r_b)) * (1.0 - s)
 
     s = np.array([sop_approx(sc, x) for x in xs])
     t = np.array([reliability_outage_approx(sc, y) for y in ys])
@@ -794,30 +803,5 @@ def fixed_grid_oracle(
         grid = np.where(live, (r_b - r_e) * (1.0 - t) * (1.0 - s)[:, None], 0.0)
     # The scalar scan never takes a NaN cell as a new maximum.
     grid[np.isnan(grid)] = -math.inf
-    i, j = np.unravel_index(np.argmax(grid), grid.shape)
-    best = float(grid[i, j])
-    x, y = xs[i], ys[j]
-    for _ in range(25):
-        sec = secrecy_factor(x)
-        y = _golden_in(
-            (lambda yy: 0.0)
-            if sec is None
-            else (lambda yy: est(x, yy, sec, 1.0 - reliability_outage_approx(sc, yy))),
-            max(y - sy, y_lo),
-            min(y + sy, hi),
-        )
-        rel = 1.0 - reliability_outage_approx(sc, y)
-        x = _golden_in(
-            lambda xx: est(xx, y, secrecy_factor(xx), rel), max(x - sx, x_lo), min(x + sx, hi)
-        )
-    v = est(x, y, secrecy_factor(x), 1.0 - reliability_outage_approx(sc, y))
-    if v <= best:
-        # Ties go to the grid incumbent (first index), not the refined point.
-        x, y, v = xs[i], ys[j], best
-    return Optimum(
-        rates=RatePair(r_b=y, r_e=x),
-        est=v,
-        method="grid_oracle",
-        hessian_ok=False,
-        constraint_active=False,
-    )
+    i, j = (int(k) for k in np.unravel_index(np.argmax(grid), grid.shape))
+    return _refine_2d(objective, i, j, float(grid[i, j]), ((x_lo, hi), (y_lo, hi)), (sx, sy))

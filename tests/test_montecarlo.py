@@ -287,17 +287,6 @@ def test_est_fixed_from_a_shared_eavesdropper_draw(baseline, jobs):
     assert shared == estimate_est(baseline, rates, "fixed", 1.0, sim, jobs=jobs)
 
 
-def test_est_fixed_from_outages_needs_counts_over_equal_trials(baseline):
-    rates = RatePair(3.4, 1.2558717)
-    small = estimate_sop(baseline, rates.r_e, SimConfig(trials=1_000))
-    large = estimate_reliability_outage(baseline, rates.r_b, SimConfig(trials=2_000))
-    with pytest.raises(ValueError):
-        est_fixed_from_outages(rates, small, large, 1.0)
-    average = Estimate(mean=0.5, ci_halfwidth=0.01, trials=1_000)
-    with pytest.raises(ValueError):
-        est_fixed_from_outages(rates, small, average, 1.0)
-
-
 def test_estimate_est_fixed_matches_closed_form(baseline):
     sim = SimConfig(trials=200_000, seed=31)
     pairs = [
