@@ -1,16 +1,20 @@
 """Wiretap-code rate optimizers on the gamma-surrogate throughput surface.
 
-The closed-form stationarity conditions for both schemes are implemented as
-fixed-point maps, exactly as they are stated: a damped iteration is always
-attempted first.  These maps are not contractive everywhere -- near the
-interesting operating points their local multiplier can exceed one, in which
-case damped iteration walks away from the root it is supposed to find.  Each
-solver therefore carries a deterministic fallback chain:
+The paper states each optimum as a stationarity condition: a fixed-point map
+for the adaptive redundancy rate, a pair of coupled updates for the fixed
+scheme's rate pair, and a Lambert-W form for the codeword rate under the
+outage ceiling.  Iterated as maps, these do not settle: near the operating
+points of interest their local multiplier exceeds one.  Each solver
+therefore finds the root of its condition directly:
 
-1. damped fixed-point iteration on the closed-form map;
-2. sign-scan plus bisection on the residual of the *same* equation (the root
-   is identical, bisection just does not care about the multiplier);
-3. grid search with golden-section refinement of the throughput objective.
+1. sign-scan plus bisection on the stationarity residual;
+2. grid search with golden-section refinement of the throughput objective,
+   where the scan finds no sign change.
+
+The paper's map and Lambert-W forms live on as test references and hold at
+the returned points.  The outage-ceiling inversion :func:`re_threshold` keeps
+its damped iteration, which settles on many inputs, with bisection on the
+monotone outage behind it.
 
 All solvers evaluate and report on the gamma-surrogate (``use_approx=True``)
 surface they are derived on; the exact-kernel value of a returned optimum is
@@ -58,23 +62,23 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # carries no information this far out anyway.
 _RATE_CEIL = 60.0
 
+# Bisection width on a rate, and re_threshold's iteration budget and damping.
+_RATE_TOL = 1e-9
+_MAX_ITER = 200
+_DAMPING = 0.5
+
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration and oracle controls shared by all solvers."""
+    """Scan and oracle resolution shared by all solvers.
 
-    rate_tol: float = 1e-9
-    max_iter: int = 200
-    damping: float = 0.5
+    ``grid_points`` sets the resolution of the residual scans and the grid
+    oracles' nodes per axis.
+    """
+
     grid_points: int = 400
 
     def __post_init__(self) -> None:
-        if not self.rate_tol > 0.0:
-            raise ValueError("rate_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         if self.grid_points < 2:
             raise ValueError("grid_points must be at least 2")
 
@@ -86,10 +90,15 @@ _DEFAULT = SolverOptions()
 class Optimum:
     """A solver result: rates, the throughput there, and diagnostics.
 
-    ``method`` records which closed form produced the point
-    (``fixed_point``, ``lambert_w``, ``threshold``) or ``grid_oracle`` when
-    a search fallback was the final word.  ``hessian_ok`` reports the local
-    second-order check where one is performed; it is not an error flag.
+    ``method`` names the condition the point satisfies: ``fixed_point``
+    (stationarity, a fixed-point map in the paper), ``lambert_w``
+    (stationarity in r_b under the ceiling, a Lambert-W form in the paper),
+    ``threshold`` (the outage pinned to the ceiling) or ``grid_oracle`` (a
+    grid search).  Where a grid fallback gave the point -- the single-beam
+    (``n_a = 1``) constrained codeword rate, and the fallbacks of the
+    adaptive scan and of :func:`fixed_constrained_rb` -- the closed-form
+    label still stands.  ``hessian_ok`` reports the local second-order check
+    where one is performed; it is not an error flag.
     """
 
     rates: RatePair
@@ -107,7 +116,6 @@ class Optimum:
 @dataclass(frozen=True)
 class _LinkCtx:
     k: float
-    theta: float
     scale: float  # gamma0 * a0 * n_rx * theta: maps rate to the gamma argument
     xi2: float
 
@@ -117,14 +125,14 @@ def _eve_ctx(sc: ScenarioConfig) -> _LinkCtx:
     ga = link.ga
     scale = sc.nodes.gamma0 * link.pointing.a0 * sc.nodes.n_e * ga.theta_ap
     xi = link.pointing.xi
-    return _LinkCtx(k=ga.k_ap, theta=ga.theta_ap, scale=scale, xi2=xi * xi)
+    return _LinkCtx(k=ga.k_ap, scale=scale, xi2=xi * xi)
 
 
 def _bob_ctx(sc: ScenarioConfig) -> _LinkCtx:
     link = bob_link(sc)
     ga = link.ga
     scale = sc.nodes.gamma0 * link.pointing.a0 * sc.nodes.n_b * ga.theta_ap
-    return _LinkCtx(k=ga.k_ap, theta=ga.theta_ap, scale=scale, xi2=math.inf)
+    return _LinkCtx(k=ga.k_ap, scale=scale, xi2=math.inf)
 
 
 def _t_of(rate: float, ctx: _LinkCtx) -> float:
@@ -202,12 +210,29 @@ def _bisect_root(g, lo: float, hi: float, tol: float, iters: int = 200) -> float
     return 0.5 * (lo + hi)
 
 
+def _scan_roots(g, lo: float, hi: float, n: int, falling_only: bool = False) -> list[float]:
+    """Bisected roots of ``g`` in the cells of an ``n``-point scan of [lo, hi]
+    where its sign changes; with ``falling_only``, only where it turns from
+    positive to non-positive."""
+    step = (hi - lo) / (n - 1)
+    roots = []
+    prev_x, prev_g = lo, g(lo)
+    for i in range(1, n):
+        x = lo + i * step
+        gx = g(x)
+        crossed = (prev_g > 0.0 >= gx) if falling_only else ((prev_g > 0.0) != (gx > 0.0))
+        if crossed:
+            roots.append(_bisect_root(g, prev_x, x, _RATE_TOL))
+        prev_x, prev_g = x, gx
+    return roots
+
+
 # ---------------------------------------------------------------------------
 # threshold redundancy rate (constrained-secrecy inversion)
 # ---------------------------------------------------------------------------
 
 
-def re_threshold(sc: ScenarioConfig, s_th: float, opts: SolverOptions | None = None) -> float:
+def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
     """Redundancy rate at which the surrogate secrecy outage equals ``s_th``.
 
     The inversion of the surrogate outage is itself a fixed point (the rate
@@ -219,7 +244,6 @@ def re_threshold(sc: ScenarioConfig, s_th: float, opts: SolverOptions | None = N
         raise ValueError(f"s_th must lie in (0, 1], got {s_th}")
     if s_th == 1.0:
         return 0.0
-    opts = opts or _DEFAULT
     eve = _eve_ctx(sc)
     t0 = float(_sp.gammaincinv(eve.k, 1.0 - s_th))
     r = math.log2(1.0 + t0 * eve.scale)
@@ -229,7 +253,7 @@ def re_threshold(sc: ScenarioConfig, s_th: float, opts: SolverOptions | None = N
 
     lg_k = math.lgamma(eve.k)
     converged = False
-    for _ in range(4 * opts.max_iter):
+    for _ in range(4 * _MAX_ITER):
         t = _t_of(r, eve)
         num = math.exp(lg_k) * (float(_sp.gammaincc(eve.k, t)) - s_th)
         if num <= 0.0:
@@ -237,11 +261,11 @@ def re_threshold(sc: ScenarioConfig, s_th: float, opts: SolverOptions | None = N
             continue
         ev = specfun.exp_integral(eve.xi2 - eve.k + 1.0, t)
         r_new = math.log2(1.0 + eve.scale * (num / ev) ** (1.0 / eve.k))
-        if abs(r_new - r) < opts.rate_tol:
+        if abs(r_new - r) < _RATE_TOL:
             r = r_new
             converged = True
             break
-        r = (1.0 - opts.damping) * r + opts.damping * r_new
+        r = (1.0 - _DAMPING) * r + _DAMPING * r_new
         if r > _RATE_CEIL:
             raise ConvergenceError(
                 f"secrecy ceiling {s_th} is below the achievable outage floor"
@@ -255,7 +279,7 @@ def re_threshold(sc: ScenarioConfig, s_th: float, opts: SolverOptions | None = N
                 raise ConvergenceError(
                     f"secrecy ceiling {s_th} is below the achievable outage floor"
                 )
-        r = _bisect_root(lambda x: sop_approx(sc, x) - s_th, 0.0, hi, opts.rate_tol * 1e-3)
+        r = _bisect_root(lambda x: sop_approx(sc, x) - s_th, 0.0, hi, _RATE_TOL * 1e-3)
     return _nudge_to_feasible(sc, r, s_th)
 
 
@@ -277,38 +301,16 @@ def _nudge_to_feasible(sc: ScenarioConfig, r: float, s_th: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _adaptive_rhs(r: float, c_b: float, sc: ScenarioConfig, eve: _LinkCtx) -> float | None:
-    """Fixed-point form of the stationarity condition of the adaptive scheme.
-
-    ``None`` where the surrogate tail ``d`` underflows to zero (a very weak
-    eavesdropper link): the map is undefined there.
-    """
-    pt = eve_link(sc).pointing
-    we2 = pt.omega_e * pt.omega_e
-    sig2 = sc.sigma_s * sc.sigma_s
-    p = 2.0**r
-    t = _t_of(r, eve)
-    d = specfun.exp_integral(eve.xi2 - eve.k, t)
-    if d == 0.0:
-        return None
-    g_low = math.gamma(eve.k) * float(_sp.gammainc(eve.k, t))
-    pref = eve.scale / (_LN2 * we2 * p * d)
-    inner = (p * (_LN2 * we2 * (c_b - r) - 4.0 * sig2) + 4.0 * sig2) * math.exp(-t) - t ** (
-        -eve.k
-    ) * (we2 - 4.0 * eve.k * sig2) * g_low * (p - 1.0)
-    return (c_b - c_b * p + p * r) + 4.0 * sig2 * (p - 1.0) ** 2 / (_LN2 * we2 * p) + pref * inner
-
-
 def adaptive_unconstrained_re(
     sc: ScenarioConfig, c_b: float, opts: SolverOptions | None = None
 ) -> float:
     """Throughput-maximizing redundancy rate of the adaptive scheme, no ceiling.
 
-    Damped fixed-point iteration on the closed-form stationarity map; if the
-    iteration does not settle (the map is repelling at desk-scale operating
-    points, and undefined where the surrogate tail underflows), bisection
-    on the central-difference derivative of the surrogate throughput takes
-    over.
+    The paper's stationarity condition, solved as a root of the surrogate
+    throughput's slope: a sign-scan of the central-difference derivative
+    over (0, c_b), then bisection in each cell where it turns from rising to
+    falling; the root with the largest throughput wins.  If the slope never
+    flips, golden refinement of the best scan point stands in.
     """
     if not c_b > 0.0:
         raise ValueError(f"c_b must be positive, got {c_b}")
@@ -326,39 +328,12 @@ def adaptive_unconstrained_re(
     if hi <= lo:
         return 0.5 * c_b
 
-    if sc.sigma_s > 0.0:
-        eve = _eve_ctx(sc)
-        r = 0.5 * c_b
-        for _ in range(opts.max_iter):
-            r_new = _adaptive_rhs(r, c_b, sc, eve)
-            if r_new is None:
-                break
-            r_new = min(max(r_new, lo), hi)
-            if abs(r_new - r) < opts.rate_tol:
-                r = r_new
-                if lo < r < hi and abs(_d1(psi, r)) <= 1e-6 * max(1.0, psi(r)):
-                    return r
-                break
-            r = (1.0 - opts.damping) * r + opts.damping * r_new
-
     # Derivative sign-scan: the throughput vanishes at both ends of (0, c_b),
     # so an interior maximum exists and the slope changes sign across it.
     n = max(opts.grid_points, 64)
-    step = (hi - lo) / (n - 1)
-    best = None
-    prev_x = lo
-    prev_d = _d1(psi, prev_x)
-    for i in range(1, n):
-        x = lo + i * step
-        dx = _d1(psi, x)
-        if prev_d > 0.0 >= dx:
-            root = _bisect_root(lambda y: _d1(psi, y), prev_x, x, opts.rate_tol)
-            v = psi(root)
-            if best is None or v > best[1]:
-                best = (root, v)
-        prev_x, prev_d = x, dx
-    if best is not None:
-        return best[0]
+    roots = _scan_roots(lambda y: _d1(psi, y), lo, hi, n, falling_only=True)
+    if roots:
+        return max(roots, key=psi)
     # Slope never flips: the maximum sits on the scan, refine around it.
     x, _ = _grid_then_golden(psi, lo, hi, n)
     return x
@@ -378,7 +353,7 @@ def adaptive_optimal(
     opts = opts or _DEFAULT
     constraint = SecrecyConstraint(s_th)
     re_u = adaptive_unconstrained_re(sc, c_b, opts)
-    re_t = re_threshold(sc, s_th, opts)
+    re_t = re_threshold(sc, s_th)
     constraint_active = re_t > re_u
     r_e = max(re_u, re_t)
     feasible = r_e <= c_b
@@ -453,12 +428,12 @@ def _rb_update(re: float, sc: ScenarioConfig, eve: _LinkCtx) -> float:
 def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = None) -> Optimum:
     """Jointly optimal (codeword, redundancy) rates with no outage ceiling.
 
-    Alternating damped fixed-point on the two stationarity updates; when the
-    composite map repels, the same pair of equations is solved by a
-    sign-scan and bisection on the composite residual.  A coordinate search
-    on the throughput surface is the final fallback (and the primary path
-    for misalignment-free scenarios, where the closed-form updates are not
-    defined).
+    The paper's two stationarity updates, r_e from r_b and r_b from r_e, are
+    chained into one residual in r_b, which is sign-scanned and bisected;
+    each root whose pair is an interior stationary point is a candidate.
+    A coordinate search on the throughput surface is the fallback, and the
+    only path for misalignment-free scenarios, where the updates are not
+    defined.
     """
     opts = opts or _DEFAULT
     unconstrained = SecrecyConstraint(1.0)
@@ -482,44 +457,13 @@ def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = No
         def g_b(re: float) -> float:
             return min(max(_rb_update(re, sc, eve), re + 1e-12), _RATE_CEIL)
 
-        # 1) damped alternation
-        rb = max(cap_seed, 0.5)
-        re = 0.4 * rb
-        settled = False
-        for _ in range(opts.max_iter):
-            rb_new = (1.0 - opts.damping) * rb + opts.damping * g_b(re)
-            rb_new = min(max(rb_new, re + 1e-9), hi)
-            re_new = (1.0 - opts.damping) * re + opts.damping * g_e(rb_new)
-            re_new = min(max(re_new, 1e-9), rb_new - 1e-9)
-            if abs(rb_new - rb) < opts.rate_tol and abs(re_new - re) < opts.rate_tol:
-                rb, re = rb_new, re_new
-                settled = True
-                break
-            rb, re = rb_new, re_new
-        if settled and _is_interior_stationary(f, re, rb):
-            candidates.append((f(re, rb), re, rb, "fixed_point"))
+        def resid(rb_: float) -> float:
+            return g_b(g_e(rb_)) - rb_
 
-        # 2) composite-residual bisection: scan rb, each residual evaluation
-        #    chains the two updates.
-        if not candidates:
-
-            def resid(rb_: float) -> float:
-                return g_b(g_e(rb_)) - rb_
-
-            n = max(opts.grid_points, 100)
-            lo_rb = 0.05
-            step = (hi - lo_rb) / (n - 1)
-            prev_x = lo_rb
-            prev_r = resid(prev_x)
-            for i in range(1, n):
-                x = lo_rb + i * step
-                rv = resid(x)
-                if (prev_r > 0.0) != (rv > 0.0):
-                    root = _bisect_root(resid, prev_x, x, opts.rate_tol)
-                    re_c = g_e(root)
-                    if _is_interior_stationary(f, re_c, root):
-                        candidates.append((f(re_c, root), re_c, root, "fixed_point"))
-                prev_x, prev_r = x, rv
+        for root in _scan_roots(resid, 0.05, hi, max(opts.grid_points, 100)):
+            re_c = g_e(root)
+            if _is_interior_stationary(f, re_c, root):
+                candidates.append((f(re_c, root), re_c, root, "fixed_point"))
 
     if not candidates:
         re_c, rb_c = _coordinate_search(f, hi, opts)
@@ -574,14 +518,13 @@ def fixed_constrained_rb(
 ) -> float:
     """Optimal codeword rate when the redundancy rate is pinned.
 
-    Solves the Lambert-W closed form of the stationarity condition.  The W
-    expression still contains the codeword rate on both sides, so it is
-    iterated with damping, trying the principal branch and checking the
-    lower one; a candidate is only accepted if every iterate stayed inside
-    the branch domain (clamping the W argument manufactures spurious fixed
-    points at the branch point).  If neither branch settles, bisection on
-    the equivalent stationarity residual recovers the root; single-beam
-    transmitters (no selection exponent) go straight to 1-D refinement.
+    The paper writes the stationarity condition in r_b as a Lambert-W
+    expression that still holds r_b on both sides.  Its unwrapped residual
+    is sign-scanned and bisected where it turns from positive to negative;
+    the root with the highest throughput factor wins, and golden refinement
+    of the throughput factor stands in where the scan finds none.
+    Single-beam transmitters (no selection exponent) go straight to that
+    refinement.
     """
     if r_e_fixed < 0.0:
         raise ValueError(f"r_e_fixed must be non-negative, got {r_e_fixed}")
@@ -598,66 +541,20 @@ def fixed_constrained_rb(
         return _grid_then_golden(bob_factor, lo, hi, opts.grid_points)[0]
 
     mu = bob.scale
-    kap = 1.0 / mu
     lg_k = math.lgamma(bob.k)
 
-    def w_argument(rb: float) -> float:
+    def resid(rb: float) -> float:
         t_b = _t_of(rb, bob)
         c1 = float(_sp.gammainc(bob.k, t_b))
-        return (
-            (c1 - c1 ** (1 - n_a))
-            * math.exp(lg_k + (1.0 - bob.k) * math.log(t_b))
-            / (math.exp(kap) * (rb - r_e_fixed) * _LN2 * n_a)
-        )
+        dens = math.exp((bob.k - 1.0) * math.log(t_b) - t_b - lg_k)
+        return (1.0 - c1**n_a) - _LN2 * n_a * (rb - r_e_fixed) * 2.0**rb * c1 ** (
+            n_a - 1
+        ) * dens / mu
 
-    candidates: list[tuple[float, float]] = []  # (objective, rb)
-    for branch in ("principal", "lower"):
-        rb = max(r_e_fixed + 1.0, math.log2(1.0 + mu * bob.k))
-        in_domain = True
-        settled = False
-        for _ in range(opts.max_iter):
-            arg = w_argument(rb)
-            if not -1.0 / math.e <= arg < 0.0:
-                in_domain = False
-                break
-            w = specfun.lambert_w(branch, arg)
-            val = -mu * w
-            if val <= max(1.0, 2.0**r_e_fixed):
-                in_domain = False
-                break
-            rb_new = math.log2(val)
-            if abs(rb_new - rb) < opts.rate_tol:
-                rb = rb_new
-                settled = True
-                break
-            rb = (1.0 - opts.damping) * rb + opts.damping * rb_new
-        if settled and in_domain and lo < rb < hi:
-            candidates.append((bob_factor(rb), rb))
-
-    if not candidates:
-        # Bisection on the stationarity residual (same equation, W unwrapped).
-        def resid(rb: float) -> float:
-            t_b = _t_of(rb, bob)
-            c1 = float(_sp.gammainc(bob.k, t_b))
-            dens = math.exp((bob.k - 1.0) * math.log(t_b) - t_b - lg_k)
-            return (1.0 - c1**n_a) - _LN2 * n_a * (rb - r_e_fixed) * 2.0**rb * c1 ** (
-                n_a - 1
-            ) * dens / mu
-
-        n = max(opts.grid_points, 100)
-        step = (hi - lo) / (n - 1)
-        prev_x, prev_r = lo, resid(lo)
-        for i in range(1, n):
-            x = lo + i * step
-            rv = resid(x)
-            if prev_r > 0.0 >= rv:
-                root = _bisect_root(resid, prev_x, x, opts.rate_tol)
-                candidates.append((bob_factor(root), root))
-            prev_x, prev_r = x, rv
-
-    if not candidates:
+    roots = _scan_roots(resid, lo, hi, max(opts.grid_points, 100), falling_only=True)
+    if not roots:
         return _grid_then_golden(bob_factor, lo, hi, opts.grid_points)[0]
-    return max(candidates, key=lambda c: c[0])[1]
+    return max(roots, key=bob_factor)
 
 
 def fixed_optimal(sc: ScenarioConfig, s_th: float, opts: SolverOptions | None = None) -> Optimum:
@@ -671,7 +568,7 @@ def fixed_optimal(sc: ScenarioConfig, s_th: float, opts: SolverOptions | None = 
     pair = fixed_unconstrained_pair(sc, opts)
     if s_th >= 1.0:
         return pair
-    re_t = re_threshold(sc, s_th, opts)
+    re_t = re_threshold(sc, s_th)
     if pair.rates.r_e >= re_t:
         return pair
     constraint = SecrecyConstraint(s_th)

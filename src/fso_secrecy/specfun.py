@@ -17,7 +17,10 @@ pieces the stack does *not* ship in usable form are built here:
   :mod:`fso_secrecy.channel`), and the series serves the tests that check
   the paper's expansions against that kernel;
 * ``lambert_w`` -- both real branches of the Lambert W function via Halley
-  iteration with branch-point seeding.
+  iteration with branch-point seeding.  The package's solvers do not call
+  it: they bisect the residual behind the paper's Lambert-W form of the
+  constrained codeword rate.  It serves acceptance criterion 7 and the test
+  that checks that form at the solver's points.
 """
 
 from __future__ import annotations

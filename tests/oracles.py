@@ -7,10 +7,13 @@ verification chain: the plain turbulence CDF is checked against a
 conditioning quadrature, and the pointing-loss CDFs against mixture
 quadratures over the already-verified layer below.
 
-The one exception is the paper's 1F2 expansions of the two exact CDFs at the
-end of this file.  They are a reference for the paper's formulas, not an
-independent oracle: they sum the package's ``specfun.hyp1f2_reg``, which is
-itself checked against direct summation and mpmath.
+Two groups are exceptions: references for the paper's formulas, not
+independent oracles.  The paper's 1F2 expansions of the two exact CDFs, at
+the end of this file, sum the package's ``specfun.hyp1f2_reg``, which is
+itself checked against direct summation and mpmath.  The paper's
+stationarity forms for the rate solvers (the adaptive fixed-point map and
+the Lambert-W argument) take their link parameters from the package's
+``channel`` module.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import mpmath as mp
 import numpy as np
 from scipy import integrate, special, stats
 
-from fso_secrecy import specfun
+from fso_secrecy import channel, specfun
 
 
 def erf_maclaurin(x: float, terms: int = 40) -> float:
@@ -84,6 +87,65 @@ def mp_hyp1f2_reg(a: float, b: float, c: float, z: float) -> float:
 def mp_lambert_w(x: float, branch: int = 0) -> float:
     with mp.workdps(40):
         return float(mp.lambertw(x, k=branch).real)
+
+
+def _eve_rate_scale(sc) -> float:
+    link = channel.eve_link(sc)
+    return sc.nodes.gamma0 * link.pointing.a0 * sc.nodes.n_e * link.ga.theta_ap
+
+
+def bob_rate_scale(sc) -> float:
+    """mu: Bob's gamma-surrogate argument is (2**rate - 1) / mu."""
+    link = channel.bob_link(sc)
+    return sc.nodes.gamma0 * link.pointing.a0 * sc.nodes.n_b * link.ga.theta_ap
+
+
+def adaptive_stationarity_map(sc, c_b: float, r: float) -> float:
+    """The paper's fixed-point form of the adaptive scheme's stationarity
+    condition on the gamma surrogate: the throughput-maximizing redundancy
+    rate r_e satisfies ``adaptive_stationarity_map(sc, c_b, r_e) == r_e``.
+
+    Needs pointing loss (sigma_s > 0).  The incomplete gammas are mpmath's.
+    """
+    link = channel.eve_link(sc)
+    k = link.ga.k_ap
+    scale = _eve_rate_scale(sc)
+    we2 = link.pointing.omega_e**2
+    sig2 = sc.sigma_s**2
+    with mp.workdps(40):
+        p = mp.mpf(2) ** r
+        t = (p - 1) / scale
+        d = mp.expint(link.pointing.xi**2 - k, t)
+        g_low = mp.gammainc(k, 0, t)
+        ln2 = mp.log(2)
+        inner = (p * (ln2 * we2 * (c_b - r) - 4 * sig2) + 4 * sig2) * mp.exp(-t) - t ** (
+            -k
+        ) * (we2 - 4 * k * sig2) * g_low * (p - 1)
+        return float(
+            (c_b - c_b * p + p * r)
+            + 4 * sig2 * (p - 1) ** 2 / (ln2 * we2 * p)
+            + scale / (ln2 * we2 * p * d) * inner
+        )
+
+
+def lambert_w_argument(sc, r_e: float, r_b: float) -> float:
+    """Argument of the paper's Lambert-W form of the ceiling-constrained
+    codeword rate: with r_e pinned, the optimal r_b satisfies
+    ``r_b == log2(-mu * W_{-1}(lambert_w_argument(sc, r_e, r_b)))``, where
+    mu is :func:`bob_rate_scale`.  The incomplete gamma is mpmath's.
+    """
+    k = channel.bob_link(sc).ga.k_ap
+    mu = bob_rate_scale(sc)
+    n_a = sc.nodes.n_a
+    with mp.workdps(40):
+        t = (mp.mpf(2) ** r_b - 1) / mu
+        c1 = mp.gammainc(k, 0, t, regularized=True)
+        return float(
+            (c1 - c1 ** (1 - n_a))
+            * mp.gamma(k)
+            * t ** (1 - k)
+            / (mp.exp(1 / mu) * (r_b - r_e) * mp.log(2) * n_a)
+        )
 
 
 def bessel_k_quad(nu: float, x: float) -> float:

@@ -373,8 +373,9 @@ def test_optimize_adaptive_pinned_capacity(tmp_path, baseline):
 
 
 def test_optimize_adaptive_weak_eavesdropper_link(tmp_path, capsys):
-    # gamma0 1e-3 underflows the surrogate tail in the adaptive stationarity
-    # map; the solver falls back to its sign-scan and still returns an optimum
+    # At gamma0 1e-3 the surrogate throughput's slope never turns from rising
+    # to falling on the sign-scan; the scan's grid fallback still returns an
+    # optimum
     cfg = tmp_path / "weak.json"
     cfg.write_text('{"gamma0": 1e-3}', encoding="utf-8")
     code, text = run_cli(
@@ -391,6 +392,22 @@ def test_optimize_adaptive_weak_eavesdropper_link(tmp_path, capsys):
     # stencil reaches r = 0: no second-order check was made.
     assert doc["rates"]["r_e"] <= 1e-4
     assert doc["hessian_ok"] is False
+
+
+def test_optimize_fixed_weak_link_under_ceiling(tmp_path, capsys):
+    # At gamma0 1e-3 Bob's rate scale mu is tiny, so exp(1/mu), a factor of
+    # the paper's Lambert-W form for r_b, overflows; the solver's residual
+    # carries no such factor
+    cfg = tmp_path / "weak.json"
+    cfg.write_text('{"gamma0": 1e-3}', encoding="utf-8")
+    code, text = run_cli(
+        tmp_path, "optimize", "--config", str(cfg), "--scheme", "fixed", "--sth", "0.4"
+    )
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads(text)
+    assert doc["sop_at_re"] <= 0.4 + 1e-6
+    assert 0.0 <= doc["rates"]["r_e"] < doc["rates"]["r_b"]
 
 
 def test_optimize_adaptive_averaged_mode(tmp_path):

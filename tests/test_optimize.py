@@ -9,8 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fso_secrecy import channel, optimize, secrecy
+import oracles
+from fso_secrecy import channel, optimize, secrecy, specfun
 from fso_secrecy.channel import baseline_scenario
 from fso_secrecy.optimize import (
     Optimum,
@@ -32,6 +35,7 @@ from fso_secrecy.secrecy import (
     reliability_outage_approx,
     sop_approx,
 )
+from fso_secrecy.specfun import ConvergenceError
 
 RE_THRESHOLD_TABLE = {
     0.6: 1.5517493659129462,
@@ -63,14 +67,7 @@ def _psi_fixed(sc, r_e, r_b):
 
 
 def test_solver_options_validation():
-    opts = SolverOptions()
-    assert opts.rate_tol == 1e-9 and opts.max_iter == 200
-    with pytest.raises(ValueError):
-        SolverOptions(rate_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverOptions(damping=1.5)
+    assert SolverOptions().grid_points == 400
     with pytest.raises(ValueError):
         SolverOptions(grid_points=1)
 
@@ -350,6 +347,87 @@ def test_fixed_optimal_matches_grid_oracle(baseline):
     )
     assert o.est >= 0.98 * oracle.est
     assert o.est >= oracle.est - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the paper's stationarity forms at the solvers' points
+# ---------------------------------------------------------------------------
+
+PAPER_FORM_SCENARIOS = {
+    "baseline": {},
+    "n4": {"n_a": 4, "n_b": 4, "n_e": 4},
+    "sigma1": {"sigma_s": 1.0},
+}
+
+
+@pytest.mark.parametrize("overrides", PAPER_FORM_SCENARIOS.values(), ids=PAPER_FORM_SCENARIOS)
+def test_adaptive_optimum_is_a_fixed_point_of_the_paper_map(overrides):
+    # The solver bisects the throughput slope; the paper's fixed-point map
+    # must hold at the root it returns.
+    sc = baseline_scenario(**overrides)
+    for c_b in (2.0, 4.0, 6.0):
+        r_e = adaptive_unconstrained_re(sc, c_b)
+        assert abs(oracles.adaptive_stationarity_map(sc, c_b, r_e) - r_e) <= 1e-7
+
+
+@pytest.mark.parametrize("overrides", PAPER_FORM_SCENARIOS.values(), ids=PAPER_FORM_SCENARIOS)
+def test_constrained_rb_satisfies_the_paper_lambert_w_form(overrides):
+    # The solver bisects the unwrapped residual; the paper's lower-branch
+    # Lambert-W expression must reproduce the codeword rate it returns.
+    sc = baseline_scenario(**overrides)
+    mu = oracles.bob_rate_scale(sc)
+    for s_th in (0.5, 0.3, 0.1):
+        o = fixed_optimal(sc, s_th)
+        assert o.constraint_active
+        r_e, r_b = o.rates.r_e, o.rates.r_b
+        w = specfun.lambert_w("lower", oracles.lambert_w_argument(sc, r_e, r_b))
+        assert abs(math.log2(-mu * w) - r_b) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# solver properties over the config schema
+# ---------------------------------------------------------------------------
+
+
+@given(
+    sigma_s=st.one_of(st.just(0.0), st.floats(0.3, 5.0)),
+    n_a=st.integers(1, 6),
+    n_b=st.integers(1, 6),
+    n_e=st.integers(1, 6),
+    log_cn2=st.floats(-16.0, math.log10(3e-13)),
+    d_b=st.floats(300.0, 3000.0),
+    d_e=st.floats(300.0, 3000.0),
+    log_gamma0=st.floats(math.log10(30.0), 5.0),
+    s_th=st.floats(0.05, 1.0),
+    c_b=st.floats(0.5, 8.0),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_solvers_return_feasible_optima_or_raise(
+    sigma_s, n_a, n_b, n_e, log_cn2, d_b, d_e, log_gamma0, s_th, c_b
+):
+    sc = baseline_scenario(
+        sigma_s=sigma_s,
+        n_a=n_a,
+        n_b=n_b,
+        n_e=n_e,
+        cn2=10.0**log_cn2,
+        d_b=d_b,
+        d_e=d_e,
+        gamma0=10.0**log_gamma0,
+    )
+    for solve in (lambda: fixed_optimal(sc, s_th), lambda: adaptive_optimal(sc, c_b, s_th)):
+        try:
+            o = solve()
+        except (ConvergenceError, ArithmeticError):
+            # The gamma surrogate's scalar forms still overflow on part of
+            # this space (ROADMAP item 2): about 40 % of fixed-scheme and 20 %
+            # of adaptive runs in a 200-scenario random sample of it.  Every
+            # optimum returned there was feasible.
+            continue
+        assert 0.0 <= o.rates.r_e <= o.rates.r_b
+        assert o.est >= 0.0
+        if o.est > 0.0:
+            assert sop_approx(sc, o.rates.r_e) <= s_th + 1e-6
 
 
 # ---------------------------------------------------------------------------
