@@ -16,8 +16,12 @@ script runs:
 The exit code of every CLI run is compared too (``exit_codes.json``), so a
 ``validate`` check that fails (exit 3) on one side shows as a differing
 field instead of stopping the comparison.  It prints every file and field
-that differs between the trees, or ``identical``, and exits 1 if anything
-differs.  Standard library only.
+that differs between the trees, with the relative difference
+|new - old| / max(|old|, |new|) of each numeric one, then a summary line:
+how many files differ, and the largest relative difference among the
+solver fields (``rates``, ``est`` and ``sop_at_re`` of the ``optimize``
+outputs).  If nothing differs it prints ``identical``.  It exits 1 if
+anything differs.  Standard library only.
 """
 
 from __future__ import annotations
@@ -101,26 +105,72 @@ def _records(path: Path) -> dict[str, object]:
     return {f"line {i}": line for i, line in enumerate(lines, start=1)}
 
 
-def compare(parent_dir: Path, change_dir: Path) -> list[str]:
-    """One line per differing file or field."""
+def _number(value) -> float | None:
+    """A JSON number, a numeric CSV cell or a ``name=value`` token as a float."""
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, (int, float)):
+        return float(value)
+    if isinstance(value, str):
+        try:
+            return float(value.rpartition("=")[2])
+        except ValueError:
+            return None
+    return None
+
+
+def relative_diff(old, new) -> float | None:
+    """|new - old| / max(|old|, |new|) of two numeric values; of two text
+    lines with as many tokens, the largest over their differing tokens."""
+    a, b = _number(old), _number(new)
+    if a is not None and b is not None:
+        scale = max(abs(a), abs(b))
+        return abs(b - a) / scale if scale else 0.0
+    if not (isinstance(old, str) and isinstance(new, str)):
+        return None
+    tokens_a, tokens_b = old.split(), new.split()
+    pairs = [(_number(x), _number(y)) for x, y in zip(tokens_a, tokens_b) if x != y]
+    if len(tokens_a) != len(tokens_b) or not pairs:
+        return None
+    if any(x is None or y is None for x, y in pairs):
+        return None
+    return max(relative_diff(x, y) for x, y in pairs)
+
+
+def _is_solver_field(key: str) -> bool:
+    return key in ("est", "sop_at_re") or key.startswith("rates.")
+
+
+def compare(parent_dir: Path, change_dir: Path) -> tuple[list[str], set[str], float | None]:
+    """One line per differing file or field, the names of the files that
+    differ, and the largest relative difference among solver fields."""
     diffs: list[str] = []
+    files: set[str] = set()
+    solver_max: float | None = None
     names = sorted({p.name for p in parent_dir.iterdir()} | {p.name for p in change_dir.iterdir()})
     for name in names:
         a, b = parent_dir / name, change_dir / name
         if not (a.exists() and b.exists()):
             diffs.append(f"{name}: only in {'parent' if a.exists() else 'change'}")
+            files.add(name)
             continue
         if a.read_bytes() == b.read_bytes():
             continue
+        files.add(name)
         ra, rb = _records(a), _records(b)
         fields = [k for k in ra if ra[k] != rb.get(k, "<missing>")]
         fields += [k for k in rb if k not in ra]
         for key in fields:
             old, new = ra.get(key, "<missing>"), rb.get(key, "<missing>")
-            diffs.append(f"{name}: {key}: {old!r} -> {new!r}")
+            rel = relative_diff(old, new)
+            diffs.append(
+                f"{name}: {key}: {old!r} -> {new!r}" + ("" if rel is None else f" (rel {rel:.2g})")
+            )
+            if rel is not None and a.suffix == ".json" and _is_solver_field(key):
+                solver_max = rel if solver_max is None else max(solver_max, rel)
         if not fields:
             diffs.append(f"{name}: bytes differ, fields equal")
-    return diffs
+    return diffs, files, solver_max
 
 
 def main() -> int:
@@ -138,13 +188,18 @@ def main() -> int:
             produce(src.resolve(), outdir)
             dirs.append(outdir)
         count = len(list(dirs[0].iterdir()))
-        diffs = compare(*dirs)
+        diffs, files, solver_max = compare(*dirs)
     for line in diffs:
         print(line)
-    if diffs:
-        return 1
-    print(f"identical ({count} files)")
-    return 0
+    if not diffs:
+        print(f"identical ({count} files)")
+        return 0
+    largest = "none differ" if solver_max is None else f"{solver_max:.2g}"
+    print(
+        f"{len(files)} of {count} files differ; largest relative diff in solver fields "
+        f"(rates, est, sop_at_re): {largest}"
+    )
+    return 1
 
 
 if __name__ == "__main__":

@@ -10,15 +10,18 @@ is built on:
   aggregated over receive apertures;
 * ``ggp_cdf`` -- the same fading multiplied by the random collected-power
   fraction of a misaligned receiver;
-* ``ggp_cdf_approx`` -- the gamma-surrogate approximation of ``ggp_cdf``
-  used by the rate optimizers.
+* ``ggp_cdf_approx`` / ``ggp_cdf_pdf_approx`` -- the gamma-surrogate
+  approximation of ``ggp_cdf`` used by the rate optimizers, at one
+  threshold or, with its density, on an array of thresholds.
 
 The exact kernels condition on the gamma factor of larger shape: given
 that factor, the other gamma factor and the collected-power fraction
 integrate in closed form, and the expectation over the factor is a
-trapezoid rule in its logarithm on one numpy array of nodes.  The paper's
-1F2 expansions of the same CDFs are kept as a test reference only.  All
-records are frozen dataclasses, all functions pure.
+trapezoid rule in its logarithm on one numpy array of nodes.  The surrogate
+is that closed form with the factor fixed at one, on the same log-domain
+pointing term.  The paper's 1F2 expansions of the same CDFs are kept as a
+test reference only.  All records are frozen dataclasses, all functions
+pure.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ __all__ = [
     "gg_cdf",
     "ggp_cdf",
     "ggp_cdf_approx",
+    "ggp_cdf_pdf_approx",
     "snr_threshold",
     "bob_link",
     "eve_link",
@@ -88,19 +92,20 @@ _CF_MAX_TERMS = 300
 _CLAMP_EVENTS = 0
 
 
-def _clamp_prob(p: float) -> float:
-    """Clamp a computed probability to [0, 1], counting real overshoots."""
+def _clamp_prob(p):
+    """Clamp computed probabilities (a float or an array) to [0, 1], counting
+    each element that overshoots by more than 1e-9."""
     global _CLAMP_EVENTS
-    if p < -1e-9 or p > 1.0 + 1e-9:
-        _CLAMP_EVENTS += 1
-    return min(max(p, 0.0), 1.0)
+    _CLAMP_EVENTS += int(np.count_nonzero((p < -1e-9) | (p > 1.0 + 1e-9)))
+    return np.minimum(np.maximum(p, 0.0), 1.0)
 
 
 def clamp_event_count() -> int:
-    """Number of probability evaluations clamped by more than 1e-9.
+    """Number of probabilities clamped by more than 1e-9.
 
-    It counts kernel evaluations: a cache hit in the memoized outage
-    functions of :mod:`fso_secrecy.secrecy` evaluates no kernel and adds none.
+    It counts kernel evaluations, one per array element: a cache hit in the
+    memoized outage functions of :mod:`fso_secrecy.secrecy` evaluates no
+    kernel and adds none.
     """
     return _CLAMP_EVENTS
 
@@ -405,10 +410,9 @@ def _log_scaled_gamma_ratio(a: float, m: float) -> float:
     )
 
 
-def _log_pointing_term(
-    k: float, xi2: float, t: np.ndarray, log_c: np.ndarray
-) -> np.ndarray:
-    """ln(t**xi2 Gamma(k - xi2, t) / Gamma(k)) with t = k c, elementwise.
+def _log_pointing_term(k: float, xi2: float, t, log_c):
+    """ln(t**xi2 Gamma(k - xi2, t) / Gamma(k)) with t = k c, elementwise on
+    floats or arrays.
 
     With a = k - xi2 > 0 it is written as
     c**xi2 Q(a, t) k**xi2 Gamma(a) / Gamma(k): scipy's regularized upper
@@ -426,6 +430,7 @@ def _log_pointing_term(
         with np.errstate(divide="ignore"):  # Q(a, t) underflows far in the tail
             log_q = np.log(_sp.gammaincc(a, t))
         return xi2 * log_c + log_q + _log_scaled_gamma_ratio(a, xi2)
+    t, log_c = np.asarray(t), np.asarray(log_c)  # masks need arrays
     log_t = math.log(k) + log_c
     out = np.empty_like(t)
     cf = (t >= 1.0) | (a <= -10.0)
@@ -456,14 +461,18 @@ def _log_upper_gamma_cf(a: float, t: np.ndarray) -> np.ndarray:
     d = 1.0 / b
     c = np.full_like(t, math.inf)
     f = d
+    live = np.ones(t.shape, dtype=bool)
     for i in range(1, _CF_MAX_TERMS):
         an = -i * (i - a)
         b = b + 2.0
         d = 1.0 / (b + an * d)
         c = b + an / c
         delta = c * d
-        f = f * delta
-        if np.all(np.abs(delta - 1.0) <= 1e-15):
+        # An element stops at its own convergence, as it would alone, so an
+        # array call returns each element's scalar value to the bit.
+        f = np.where(live, f * delta, f)
+        live &= np.abs(delta - 1.0) > 1e-15
+        if not live.any():
             return np.log(f)
     raise specfun.ConvergenceError(
         f"upper incomplete gamma continued fraction for a={a} did not converge "
@@ -512,7 +521,7 @@ def gg_cdf(alpha: float, beta_agg: float, x: float) -> float:
         raise ValueError(f"gg_cdf requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
-    return _clamp_prob(_conditioned_cdf(alpha, beta_agg, None, x))
+    return float(_clamp_prob(_conditioned_cdf(alpha, beta_agg, None, x)))
 
 
 def ggp_cdf(alpha: float, beta_agg: float, xi: float, x: float) -> float:
@@ -527,15 +536,57 @@ def ggp_cdf(alpha: float, beta_agg: float, xi: float, x: float) -> float:
         return 0.0
     if math.isinf(xi):
         return gg_cdf(alpha, beta_agg, x)
-    return _clamp_prob(_conditioned_cdf(alpha, beta_agg, xi * xi, x))
+    return float(_clamp_prob(_conditioned_cdf(alpha, beta_agg, xi * xi, x)))
+
+
+def _surrogate_cdf(k: float, xi2: float | None, t):
+    """Gamma-surrogate CDF F(t) at t > 0, a float or an array, and its
+    pointing term.
+
+    F(t) = P(k, t) + t**xi2 Gamma(k - xi2, t) / Gamma(k) is the conditional
+    term of :func:`_conditioned_cdf` with the fading factor fixed at one.
+    The second term comes from :func:`_log_pointing_term` in the log
+    domain, so no factor overflows for any shape up to ``_SHAPE_CAP``; it is
+    returned as well, or None when ``xi2`` is None (no pointing loss).
+    Every step is a numpy ufunc or IEEE arithmetic, which give a float the
+    bits of the matching array element.
+    """
+    p = _sp.gammainc(k, t)
+    if xi2 is None:
+        return _clamp_prob(p), None
+    second = np.exp(_log_pointing_term(k, xi2, t, np.log(t / k)))
+    return _clamp_prob(p + second), second
+
+
+def ggp_cdf_pdf_approx(ga: GammaApprox, xi: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma-surrogate CDF and density of the fading-plus-misalignment product.
+
+    Takes an array of x >= 0 and returns two arrays of its shape.  With
+    t = x / theta_ap the density in t is (xi2 / t) times the pointing term
+    of :func:`_surrogate_cdf`: the gamma densities of the two terms'
+    derivatives cancel.  Without pointing loss (``xi`` the sentinel) these
+    are the plain gamma CDF and density.  The density is per unit x, and
+    0 at x = 0.
+    """
+    k, theta = ga.k_ap, ga.theta_ap
+    xi2 = None if math.isinf(xi) else xi * xi
+    t = np.asarray(x, dtype=float) / theta
+    cdf, pdf = np.zeros(t.shape), np.zeros(t.shape)
+    pos = t > 0.0
+    t = t[pos]
+    cdf[pos], second = _surrogate_cdf(k, xi2, t)
+    if second is None:
+        pdf[pos] = np.exp((k - 1.0) * np.log(t) - t - math.lgamma(k)) / theta
+    else:
+        pdf[pos] = xi2 * second / t / theta
+    return cdf, pdf
 
 
 def ggp_cdf_approx(ga: GammaApprox, xi: float, x: float) -> float:
-    """Gamma-surrogate CDF of the fading-plus-misalignment product.
+    """Gamma-surrogate CDF of the fading-plus-misalignment product at one x.
 
-    Closed form in the surrogate shape ``k_ap``/scale ``theta_ap`` and the
-    misalignment exponent ``xi**2``; degenerates to the plain regularized
-    gamma CDF when ``xi`` is the pointing-free sentinel.
+    The same numpy code as the matching element of
+    :func:`ggp_cdf_pdf_approx`, so the two agree to the bit.
     """
     if x < 0.0:
         raise ValueError(f"ggp_cdf_approx requires x >= 0, got {x}")
@@ -543,16 +594,8 @@ def ggp_cdf_approx(ga: GammaApprox, xi: float, x: float) -> float:
         raise ValueError(f"ggp_cdf_approx requires xi > 0, got {xi}")
     if x == 0.0:
         return 0.0
-    t = x / ga.theta_ap
-    if math.isinf(xi):
-        return float(_sp.gammainc(ga.k_ap, t))
-    if t > 600.0:
-        # The upper tail has fully decayed; the closed form would underflow.
-        return 1.0
-    k = ga.k_ap
-    theta_order = xi * xi - k + 1.0
-    tail = math.exp(k * math.log(t) - math.lgamma(k)) * specfun.exp_integral(theta_order, t)
-    return _clamp_prob(tail + float(_sp.gammainc(k, t)))
+    xi2 = None if math.isinf(xi) else xi * xi
+    return float(_surrogate_cdf(ga.k_ap, xi2, x / ga.theta_ap)[0])
 
 
 # ---------------------------------------------------------------------------

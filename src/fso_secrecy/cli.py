@@ -359,12 +359,13 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     The ``oracle`` block comes from a grid search with golden refinement on
     the surrogate throughput: :func:`optimize.fixed_grid_oracle` (a 160 x 160
     grid up to 3 above the solver's codeword rate) for the fixed scheme,
-    :func:`optimize.grid_refine_maximize` over (0, c_b) for the adaptive one.
+    :func:`optimize.adaptive_grid_oracle` (400 nodes over (0, c_b)) for the
+    adaptive one.  Each returns what :func:`optimize.grid_refine_maximize`
+    returns on the same objective, bit for bit.
     """
     s_th = args.sth if args.sth is not None else sc.s_th
     scheme = args.scheme
     opts = optimize.SolverOptions()
-    constraint = SecrecyConstraint(s_th)
 
     if scheme == "adaptive" and args.cb is None:
         # Capacity not pinned: average the per-realization optimum by simulation.
@@ -386,11 +387,7 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     unconstrained = SecrecyConstraint(1.0)
     if scheme == "adaptive":
         opt = optimize.adaptive_optimal(sc, args.cb, s_th, opts)
-        oracle = optimize.grid_refine_maximize(
-            lambda r: secrecy.est_adaptive(sc, args.cb, r, constraint, use_approx=True).est,
-            (0.0, args.cb),
-            opts,
-        )
+        oracle = optimize.adaptive_grid_oracle(sc, args.cb, s_th, opts)
         est_exact = secrecy.est_adaptive(sc, args.cb, opt.rates.r_e, unconstrained).est
     else:
         opt = optimize.fixed_optimal(sc, s_th, opts)

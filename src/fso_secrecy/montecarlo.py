@@ -287,23 +287,20 @@ def _adaptive_redundancy_table(
     Interpolation error in the rate costs only second order in throughput
     because the point is stationary.
     """
-    from fso_secrecy.secrecy import sop_approx
+    from fso_secrecy.secrecy import sop_approx_curve
 
     r_lo = 1e-4
     r_hi = max(r_hi, r_lo + 1.0)
     rs = np.linspace(r_lo, r_hi, n_grid)
-    h = 1e-5
-    caps = np.empty(n_grid)
-    for i, r in enumerate(rs):
-        s = sop_approx(sc, float(r))
-        ds = (sop_approx(sc, float(r) + h) - sop_approx(sc, float(r) - h)) / (2.0 * h)
-        if ds >= -1e-290:
-            caps[i:] = np.inf
-            break
-        caps[i] = r + (1.0 - s) / (-ds)
-    # Guard against finite-difference jitter: the curve is increasing.
-    caps = np.maximum.accumulate(caps)
-    return caps, rs
+    s, ds = sop_approx_curve(sc, rs)
+    # Past the first rate where the outage stops falling, no capacity makes
+    # the rate stationary.
+    flat = np.flatnonzero(ds >= -1e-290)
+    stop = int(flat[0]) if flat.size else n_grid
+    caps = np.full(n_grid, np.inf)
+    caps[:stop] = rs[:stop] + (1.0 - s[:stop]) / -ds[:stop]
+    # np.interp reads the table as increasing in the capacity.
+    return np.maximum.accumulate(caps), rs
 
 
 def _estimate_est_adaptive(

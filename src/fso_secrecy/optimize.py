@@ -38,7 +38,9 @@ from fso_secrecy.secrecy import (
     est_adaptive,
     est_fixed,
     reliability_outage_approx,
+    reliability_outage_approx_curve,
     sop_approx,
+    sop_approx_curve,
 )
 from fso_secrecy.specfun import ConvergenceError
 
@@ -53,6 +55,7 @@ __all__ = [
     "fixed_optimal",
     "grid_refine_maximize",
     "fixed_grid_oracle",
+    "adaptive_grid_oracle",
 ]
 
 _LN2 = math.log(2.0)
@@ -94,11 +97,13 @@ class Optimum:
     (stationarity, a fixed-point map in the paper), ``lambert_w``
     (stationarity in r_b under the ceiling, a Lambert-W form in the paper),
     ``threshold`` (the outage pinned to the ceiling) or ``grid_oracle`` (a
-    grid search).  Where a grid fallback gave the point -- the single-beam
-    (``n_a = 1``) constrained codeword rate, and the fallbacks of the
-    adaptive scan and of :func:`fixed_constrained_rb` -- the closed-form
-    label still stands.  ``hessian_ok`` reports the local second-order check
-    where one is performed; it is not an error flag.
+    grid search).  The adaptive scheme reports ``grid_oracle`` when its slope
+    scan found no root and the grid fallback gave r_e.  In the fixed scheme
+    a grid search can still stand behind the closed-form label: the
+    single-beam (``n_a = 1``) constrained codeword rate and the fallback of
+    :func:`fixed_constrained_rb` are labelled ``lambert_w``.  ``hessian_ok``
+    reports the local second-order check where one is performed; it is not
+    an error flag.
     """
 
     rates: RatePair
@@ -176,6 +181,14 @@ def _grid_then_golden(f, lo: float, hi: float, n: int) -> tuple[float, float]:
         v = f(lo + i * step)
         if v > best_v:
             best_i, best_v = i, v
+    return _golden_polish(f, lo, step, n, best_i, best_v)
+
+
+def _golden_polish(
+    f, lo: float, step: float, n: int, best_i: int, best_v: float
+) -> tuple[float, float]:
+    """Golden refinement of scan node ``best_i`` of value ``best_v`` within
+    one step either side; the node stands unless the refined point beats it."""
     a = lo + max(best_i - 1, 0) * step
     b = lo + min(best_i + 1, n - 1) * step
     x = _golden_in(f, a, b)
@@ -183,10 +196,6 @@ def _grid_then_golden(f, lo: float, hi: float, n: int) -> tuple[float, float]:
     if fx > best_v:
         return x, fx
     return lo + best_i * step, best_v
-
-
-def _d1(f, x: float, h: float = 1e-5) -> float:
-    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 _D2_STEP = 1e-4
@@ -210,20 +219,22 @@ def _bisect_root(g, lo: float, hi: float, tol: float, iters: int = 200) -> float
     return 0.5 * (lo + hi)
 
 
-def _scan_roots(g, lo: float, hi: float, n: int, falling_only: bool = False) -> list[float]:
-    """Bisected roots of ``g`` in the cells of an ``n``-point scan of [lo, hi]
+def _scan_nodes(lo: float, hi: float, n: int) -> list[float]:
+    # Python arithmetic, not np.linspace: every scan and grid uses these nodes.
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n)]
+
+
+def _scan_roots(g, xs: list[float], gs, falling_only: bool = False) -> list[float]:
+    """Bisected roots of ``g`` in the cells of the scan ``xs`` (values ``gs``)
     where its sign changes; with ``falling_only``, only where it turns from
     positive to non-positive."""
-    step = (hi - lo) / (n - 1)
     roots = []
-    prev_x, prev_g = lo, g(lo)
-    for i in range(1, n):
-        x = lo + i * step
-        gx = g(x)
+    for i in range(1, len(xs)):
+        prev_g, gx = gs[i - 1], gs[i]
         crossed = (prev_g > 0.0 >= gx) if falling_only else ((prev_g > 0.0) != (gx > 0.0))
         if crossed:
-            roots.append(_bisect_root(g, prev_x, x, _RATE_TOL))
-        prev_x, prev_g = x, gx
+            roots.append(_bisect_root(g, xs[i - 1], xs[i], _RATE_TOL))
     return roots
 
 
@@ -307,36 +318,44 @@ def adaptive_unconstrained_re(
     """Throughput-maximizing redundancy rate of the adaptive scheme, no ceiling.
 
     The paper's stationarity condition, solved as a root of the surrogate
-    throughput's slope: a sign-scan of the central-difference derivative
-    over (0, c_b), then bisection in each cell where it turns from rising to
-    falling; the root with the largest throughput wins.  If the slope never
-    flips, golden refinement of the best scan point stands in.
+    throughput's slope -(1 - s) - (c_b - r) s', with the analytic outage
+    slope s': a sign-scan over (0, c_b) in one array call, then bisection in
+    each cell where it turns from rising to falling; the root with the
+    largest throughput wins.  If the slope never flips, golden refinement of
+    the best scan point stands in.
     """
+    return _adaptive_unconstrained(sc, c_b, opts)[0]
+
+
+def _adaptive_unconstrained(
+    sc: ScenarioConfig, c_b: float, opts: SolverOptions | None
+) -> tuple[float, str]:
+    """:func:`adaptive_unconstrained_re` and the ``Optimum.method`` of its path."""
     if not c_b > 0.0:
         raise ValueError(f"c_b must be positive, got {c_b}")
     opts = opts or _DEFAULT
     unconstrained = SecrecyConstraint(1.0)
 
     def psi(r: float) -> float:
-        # Extended by zero so finite differences at the domain edges are safe.
-        if not 0.0 <= r <= c_b:
-            return 0.0
         return est_adaptive(sc, c_b, r, unconstrained, use_approx=True).est
+
+    def slope(r):
+        # psi's derivative, on a float or an array of rates.
+        s, ds = sop_approx_curve(sc, r)
+        return -(1.0 - s) - (c_b - r) * ds
 
     lo = 1e-4 * min(c_b, 1.0)
     hi = c_b - lo
-    if hi <= lo:
-        return 0.5 * c_b
 
-    # Derivative sign-scan: the throughput vanishes at both ends of (0, c_b),
-    # so an interior maximum exists and the slope changes sign across it.
+    # Slope sign-scan: the throughput vanishes at both ends of (0, c_b), so
+    # an interior maximum exists and the slope changes sign across it.
     n = max(opts.grid_points, 64)
-    roots = _scan_roots(lambda y: _d1(psi, y), lo, hi, n, falling_only=True)
+    xs = _scan_nodes(lo, hi, n)
+    roots = _scan_roots(lambda r: float(slope(r)), xs, slope(np.array(xs)), falling_only=True)
     if roots:
-        return max(roots, key=psi)
+        return max(roots, key=psi), "fixed_point"
     # Slope never flips: the maximum sits on the scan, refine around it.
-    x, _ = _grid_then_golden(psi, lo, hi, n)
-    return x
+    return _grid_then_golden(psi, lo, hi, n)[0], "grid_oracle"
 
 
 def adaptive_optimal(
@@ -352,7 +371,7 @@ def adaptive_optimal(
     """
     opts = opts or _DEFAULT
     constraint = SecrecyConstraint(s_th)
-    re_u = adaptive_unconstrained_re(sc, c_b, opts)
+    re_u, method_u = _adaptive_unconstrained(sc, c_b, opts)
     re_t = re_threshold(sc, s_th)
     constraint_active = re_t > re_u
     r_e = max(re_u, re_t)
@@ -373,7 +392,7 @@ def adaptive_optimal(
     return Optimum(
         rates=RatePair(r_b=c_b, r_e=r_e),
         est=report.est,
-        method="threshold" if constraint_active else "fixed_point",
+        method="threshold" if constraint_active else method_u,
         hessian_ok=hessian_ok,
         constraint_active=constraint_active,
     )
@@ -460,7 +479,8 @@ def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = No
         def resid(rb_: float) -> float:
             return g_b(g_e(rb_)) - rb_
 
-        for root in _scan_roots(resid, 0.05, hi, max(opts.grid_points, 100)):
+        xs = _scan_nodes(0.05, hi, max(opts.grid_points, 100))
+        for root in _scan_roots(resid, xs, [resid(x) for x in xs]):
             re_c = g_e(root)
             if _is_interior_stationary(f, re_c, root):
                 candidates.append((f(re_c, root), re_c, root, "fixed_point"))
@@ -551,7 +571,8 @@ def fixed_constrained_rb(
             n_a - 1
         ) * dens / mu
 
-    roots = _scan_roots(resid, lo, hi, max(opts.grid_points, 100), falling_only=True)
+    xs = _scan_nodes(lo, hi, max(opts.grid_points, 100))
+    roots = _scan_roots(resid, xs, [resid(x) for x in xs], falling_only=True)
     if not roots:
         return _grid_then_golden(bob_factor, lo, hi, opts.grid_points)[0]
     return max(roots, key=bob_factor)
@@ -603,10 +624,10 @@ def grid_refine_maximize(objective, bounds, opts: SolverOptions | None = None) -
     (lowest) grid index.  For one-dimensional searches both rate slots of
     the result carry the argmax.
 
-    This generic form serves the acceptance gate and the CLI's adaptive
-    oracle.  The CLI's fixed-scheme oracle is :func:`fixed_grid_oracle`,
-    which returns the same result on the ``est_fixed`` objective and is
-    tested against this function.
+    This generic form serves the acceptance gate.  The CLI's oracles are
+    :func:`fixed_grid_oracle` and :func:`adaptive_grid_oracle`, which return
+    the same result on the ``est_fixed`` and ``est_adaptive`` objectives and
+    are tested against this function.
     """
     opts = opts or _DEFAULT
     two_dim = hasattr(bounds[0], "__len__")
@@ -679,9 +700,7 @@ def fixed_grid_oracle(
     x_lo, y_lo = 0.0, 1e-3
     sx = (hi - x_lo) / (n - 1)
     sy = (hi - y_lo) / (n - 1)
-    # Python arithmetic, not np.linspace, so the nodes match the generic grid.
-    xs = [x_lo + i * sx for i in range(n)]
-    ys = [y_lo + j * sy for j in range(n)]
+    xs, ys = _scan_nodes(x_lo, hi, n), _scan_nodes(y_lo, hi, n)
 
     def objective(r_e: float, r_b: float) -> float:
         # est_fixed's value, in its product order.
@@ -692,8 +711,8 @@ def fixed_grid_oracle(
             return 0.0
         return (r_b - r_e) * (1.0 - reliability_outage_approx(sc, r_b)) * (1.0 - s)
 
-    s = np.array([sop_approx(sc, x) for x in xs])
-    t = np.array([reliability_outage_approx(sc, y) for y in ys])
+    s = sop_approx_curve(sc, np.array(xs))[0]
+    t = reliability_outage_approx_curve(sc, np.array(ys))
     r_e, r_b = np.array(xs)[:, None], np.array(ys)[None, :]
     live = (0.0 <= r_e) & (r_e < r_b) & (s <= s_th)[:, None]
     with np.errstate(invalid="ignore"):
@@ -702,3 +721,37 @@ def fixed_grid_oracle(
     grid[np.isnan(grid)] = -math.inf
     i, j = (int(k) for k in np.unravel_index(np.argmax(grid), grid.shape))
     return _refine_2d(objective, i, j, float(grid[i, j]), ((x_lo, hi), (y_lo, hi)), (sx, sy))
+
+
+def adaptive_grid_oracle(
+    sc: ScenarioConfig, c_b: float, s_th: float, opts: SolverOptions | None = None
+) -> Optimum:
+    """:func:`grid_refine_maximize` on the adaptive-scheme surrogate throughput.
+
+    The objective is ``est_adaptive(sc, c_b, r_e, SecrecyConstraint(s_th),
+    use_approx=True).est`` over r_e in (0, c_b); the result equals the
+    generic oracle's bit for bit.  The ``grid_points`` outages of the scan
+    come from one array call, and the golden polish is the generic one.
+    """
+    opts = opts or _DEFAULT
+    n = opts.grid_points
+    constraint = SecrecyConstraint(s_th)
+
+    def psi(r: float) -> float:
+        return est_adaptive(sc, c_b, r, constraint, use_approx=True).est
+
+    xs = _scan_nodes(0.0, c_b, n)
+    r = np.array(xs)
+    s = sop_approx_curve(sc, r)[0]
+    # est_adaptive's value, in its product order; an outage above the
+    # ceiling, NaN included, gates the node to zero.
+    v = np.where(s <= s_th, (c_b - r) * (1.0 - s), 0.0)
+    best_i = int(np.argmax(v))
+    x, est = _golden_polish(psi, 0.0, c_b / (n - 1), n, best_i, float(v[best_i]))
+    return Optimum(
+        rates=RatePair(r_b=x, r_e=x),
+        est=est,
+        method="grid_oracle",
+        hessian_ok=False,
+        constraint_active=False,
+    )

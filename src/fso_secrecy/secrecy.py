@@ -15,15 +15,21 @@ The four per-rate outage functions (``sop``, ``sop_approx``,
 ``reliability_outage``, ``reliability_outage_approx``) are memoized on
 (scenario, rate) in LRU caches of ``OUTAGE_CACHE_SIZE`` = 1024 entries
 each, so a repeated outage is computed once while it stays cached.  Errors
-are not cached.
+are not cached.  The memo applies to these scalar calls only: the
+surrogate's rate-array forms ``sop_approx_curve`` (which also returns the
+analytic slope in the rate) and ``reliability_outage_approx_curve``
+evaluate the kernel on every call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from fso_secrecy import channel, specfun
+import numpy as np
+
+from fso_secrecy import channel
 from fso_secrecy.channel import ScenarioConfig, bob_link, eve_link, snr_threshold
 
 __all__ = [
@@ -32,14 +38,18 @@ __all__ = [
     "EstReport",
     "sop",
     "sop_approx",
+    "sop_approx_curve",
     "reliability_outage",
     "reliability_outage_approx",
+    "reliability_outage_approx_curve",
     "est_adaptive",
     "est_fixed",
 ]
 
 #: LRU bound of each memoized outage function.
 OUTAGE_CACHE_SIZE = 1024
+
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -94,10 +104,29 @@ def sop(scenario: ScenarioConfig, r_e: float) -> float:
 
 @lru_cache(maxsize=OUTAGE_CACHE_SIZE)
 def sop_approx(scenario: ScenarioConfig, r_e: float) -> float:
-    """Gamma-surrogate secrecy outage probability (optimizer surface)."""
+    """Gamma-surrogate secrecy outage probability (optimizer surface).
+
+    Equal to the matching element of :func:`sop_approx_curve` to the bit.
+    """
+    if r_e < 0.0:
+        raise ValueError(f"rate must be non-negative, got {r_e}")
     link = eve_link(scenario)
-    thr = snr_threshold(scenario.nodes, link.pointing, r_e, "eve").value
-    return 1.0 - channel.ggp_cdf_approx(link.ga, link.pointing.xi, thr)
+    x, _ = _surrogate_threshold(scenario, link, r_e)
+    return 1.0 - channel.ggp_cdf_approx(link.ga, link.pointing.xi, float(x))
+
+
+def sop_approx_curve(scenario: ScenarioConfig, r_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Surrogate secrecy outage and its slope in ``r_e`` on an array of rates.
+
+    Not memoized: a whole rate grid is one call into the surrogate kernel.
+    """
+    r_e = np.asarray(r_e, dtype=float)
+    if (r_e < 0.0).any():
+        raise ValueError("rates must be non-negative")
+    link = eve_link(scenario)
+    x, dx = _surrogate_threshold(scenario, link, r_e)
+    cdf, pdf = channel.ggp_cdf_pdf_approx(link.ga, link.pointing.xi, x)
+    return 1.0 - cdf, -pdf * dx
 
 
 @lru_cache(maxsize=OUTAGE_CACHE_SIZE)
@@ -114,11 +143,36 @@ def reliability_outage(scenario: ScenarioConfig, r_b: float) -> float:
 
 @lru_cache(maxsize=OUTAGE_CACHE_SIZE)
 def reliability_outage_approx(scenario: ScenarioConfig, r_b: float) -> float:
-    """Gamma-surrogate reliability outage (optimizer surface)."""
+    """Gamma-surrogate reliability outage (optimizer surface).
+
+    Equal to the matching element of :func:`reliability_outage_approx_curve`
+    to the bit.
+    """
+    if r_b < 0.0:
+        raise ValueError(f"rate must be non-negative, got {r_b}")
     link = bob_link(scenario)
-    thr = snr_threshold(scenario.nodes, link.pointing, r_b, "bob").value
-    c1 = specfun.reg_gamma_q(link.ga.k_ap, 0.0, thr / link.ga.theta_ap)
-    return c1 ** scenario.nodes.n_a
+    x, _ = _surrogate_threshold(scenario, link, r_b)
+    c1 = channel.ggp_cdf_approx(link.ga, link.pointing.xi, float(x))
+    return float(np.power(c1, scenario.nodes.n_a))
+
+
+def reliability_outage_approx_curve(scenario: ScenarioConfig, r_b: np.ndarray) -> np.ndarray:
+    """Surrogate reliability outage on an array of rates; not memoized."""
+    r_b = np.asarray(r_b, dtype=float)
+    if (r_b < 0.0).any():
+        raise ValueError("rates must be non-negative")
+    link = bob_link(scenario)
+    x, _ = _surrogate_threshold(scenario, link, r_b)
+    c1, _ = channel.ggp_cdf_pdf_approx(link.ga, link.pointing.xi, x)
+    return np.power(c1, scenario.nodes.n_a)
+
+
+def _surrogate_threshold(scenario: ScenarioConfig, link: channel.LinkParams, rate):
+    """SNR threshold of ``rate`` (a float or an array) and its derivative in
+    the rate, by the same numpy arithmetic for both; ``rate`` >= 0."""
+    gain = scenario.nodes.gamma0 * link.n_rx * link.pointing.a0
+    p = np.exp2(rate)
+    return (p - 1.0) / gain, p * (_LN2 / gain)
 
 
 def est_adaptive(

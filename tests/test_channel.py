@@ -573,7 +573,8 @@ def test_ggp_cdf_approx_frozen_values(baseline):
 def test_ggp_cdf_approx_boundaries(baseline):
     le = eve_link(baseline)
     assert ggp_cdf_approx(le.ga, le.pointing.xi, 0.0) == 0.0
-    # far past the saturation switch the closed form returns exactly one
+    # far in the upper tail P(k, t) rounds to one and the pointing term
+    # underflows to zero, so the CDF is exactly one
     assert ggp_cdf_approx(le.ga, le.pointing.xi, 200.0) == 1.0
 
 

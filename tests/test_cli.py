@@ -392,6 +392,8 @@ def test_optimize_adaptive_weak_eavesdropper_link(tmp_path, capsys):
     # stencil reaches r = 0: no second-order check was made.
     assert doc["rates"]["r_e"] <= 1e-4
     assert doc["hessian_ok"] is False
+    # and the grid fallback, not a stationary point, gave r_e
+    assert doc["method"] == "grid_oracle"
 
 
 def test_optimize_fixed_weak_link_under_ceiling(tmp_path, capsys):
@@ -478,6 +480,26 @@ def test_validate_weak_turbulence_ends_with_a_verdict(tmp_path, capsys, cn2):
     code, text = run_cli(tmp_path, "validate", "--config", str(cfg), "--trials", "2000")
     assert code in (0, 3)
     assert capsys.readouterr().err == ""
+    assert "result: " in text
+    # the surrogate gap is 0.031 (1e-15) and 0.039 (1e-30); at 1e-30 the
+    # surrogate outage read 0.0 at r_e 1 to 3, a gap of 0.9999
+    gap = next(line for line in text.splitlines() if "surrogate_outage_gap_max" in line)
+    assert 0.0 < float(gap.split("lhs=")[1].split()[0]) < 0.05
+
+
+def test_validate_surrogate_gap_at_cn2_1e_10_fails_the_check(tmp_path, capsys):
+    # Gamma(k_ap) at k_ap = 5,714 overflowed in the surrogate's closed form,
+    # which ended the run with exit 2 ("math range error"); the log-domain
+    # kernel evaluates it, and the surrogate's real gap there (0.039) fails
+    # the 0.02 check
+    cfg = tmp_path / "weak.json"
+    cfg.write_text('{"cn2": 1e-10}', encoding="utf-8")
+    code, text = run_cli(tmp_path, "validate", "--config", str(cfg), "--trials", "2000")
+    assert code == 3
+    assert capsys.readouterr().err == ""
+    gap = next(line for line in text.splitlines() if "surrogate_outage_gap_max" in line)
+    assert gap.startswith("FAIL")
+    assert "lhs=0.039" in gap
     assert "result: " in text
 
 

@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fso_secrecy import channel, optimize, secrecy, specfun
+from fso_secrecy import channel, montecarlo, optimize, secrecy, specfun
 from fso_secrecy.channel import baseline_scenario
 from fso_secrecy.optimize import (
     Optimum,
     SolverOptions,
+    adaptive_grid_oracle,
     adaptive_optimal,
     adaptive_unconstrained_re,
     fixed_constrained_rb,
@@ -472,6 +473,34 @@ def test_fixed_grid_oracle_all_gated_surface_returns_first_cell(baseline):
     s_th = 0.5 * sop_approx(baseline, hi)
     o = _oracles_agree(baseline, s_th, hi)
     assert (o.rates.r_e, o.rates.r_b, o.est) == (0.0, 1e-3, 0.0)
+
+
+@pytest.mark.parametrize("c_b", [2.0, 4.0, 6.0])
+@pytest.mark.parametrize("s_th", [0.2, 0.4, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_adaptive_grid_oracle_matches_generic_oracle(n, s_th, c_b):
+    # the 27 pinned-capacity runs of the optimize benchmark, as the CLI's
+    # adaptive oracle ran them before it took the scan in one array call
+    sc = baseline_scenario(n_a=n, n_b=n, n_e=n)
+    constraint = SecrecyConstraint(s_th)
+    want = grid_refine_maximize(
+        lambda r: est_adaptive(sc, c_b, r, constraint, use_approx=True).est, (0.0, c_b)
+    )
+    got = adaptive_grid_oracle(sc, c_b, s_th)
+    assert got == want
+
+
+@pytest.mark.parametrize("scenario", ["baseline", "pointing_free"])
+def test_redundancy_table_rows_are_stationary(scenario, request):
+    # each row (capacity, rate) of the Monte-Carlo engine's table is the
+    # solver's unconstrained optimum at that capacity; the first row, at the
+    # table's floor r = 1e-4, lies below the solver's scan
+    sc = request.getfixturevalue(scenario)
+    caps, rs = montecarlo._adaptive_redundancy_table(sc, 8.0)
+    rows = [i for i in range(128, len(rs), 128) if caps[i] < 100.0]
+    assert len(rows) >= 10
+    for i in rows:
+        assert adaptive_unconstrained_re(sc, float(caps[i])) == pytest.approx(rs[i], abs=1e-8)
 
 
 def test_grid_oracle_recovers_quadratic_maximum():

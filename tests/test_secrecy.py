@@ -5,6 +5,7 @@ here at 1e-10 relative; their correctness is established independently by
 the Monte-Carlo agreement tests and the acceptance gate.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fso_secrecy import channel, montecarlo, secrecy
 from fso_secrecy.channel import baseline_scenario
 from fso_secrecy.secrecy import (
@@ -22,8 +24,10 @@ from fso_secrecy.secrecy import (
     est_fixed,
     reliability_outage,
     reliability_outage_approx,
+    reliability_outage_approx_curve,
     sop,
     sop_approx,
+    sop_approx_curve,
 )
 
 UNCONSTRAINED = SecrecyConstraint(1.0)
@@ -172,6 +176,103 @@ def test_reliability_outage_approx_tracks_exact(baseline):
     for r_b in (2.0, 3.0, 4.0):
         gap = abs(reliability_outage_approx(baseline, r_b) - reliability_outage(baseline, r_b))
         assert gap <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# surrogate outages on rate arrays
+# ---------------------------------------------------------------------------
+
+# sigma_s 0 has no pointing loss; at 0.5 k_ap - xi**2 < 0, which takes the
+# pointing term's continued fraction and recurrence; at 2 it is positive.
+SURROGATE_SIGMAS = [0.0, 0.5, 2.0]
+
+
+@pytest.mark.parametrize("sigma_s", SURROGATE_SIGMAS)
+def test_surrogate_outage_arrays_equal_scalar_calls_to_the_bit(sigma_s):
+    sc = baseline_scenario(sigma_s=sigma_s)
+    rates = np.concatenate([[0.0], np.linspace(1e-4, 8.0, 240)])
+    s, _ = sop_approx_curve(sc, rates)
+    t = reliability_outage_approx_curve(sc, rates)
+    for i, r in enumerate(rates):
+        assert sop_approx.__wrapped__(sc, float(r)).hex() == float(s[i]).hex()
+        assert reliability_outage_approx.__wrapped__(sc, float(r)).hex() == float(t[i]).hex()
+
+
+@pytest.mark.parametrize("sigma_s", SURROGATE_SIGMAS)
+def test_sop_approx_slope_matches_central_differences(sigma_s):
+    sc = baseline_scenario(sigma_s=sigma_s, n_e=2)
+    rates = np.linspace(0.2, 6.0, 30)
+    h = 1e-5
+    _, slope = sop_approx_curve(sc, rates)
+    diff = (sop_approx_curve(sc, rates + h)[0] - sop_approx_curve(sc, rates - h)[0]) / (2.0 * h)
+    assert np.allclose(slope, diff, rtol=1e-6, atol=1e-9)
+    assert np.all(slope < 0.0)
+
+
+@pytest.mark.parametrize(
+    ("cn2", "table"),
+    [
+        # k_ap = 6.7e11: the old closed form returned a CDF of exactly one
+        # past x / theta_ap = 600, an outage of 0.0 at every rate here
+        (1e-30, {1.0: 0.714355, 2.0: 0.560950, 3.0: 0.388359}),
+        # k_ap = 5,714: Gamma(k_ap) overflowed, a raw OverflowError
+        (1e-10, {0.5: 0.797663, 1.0: 0.714342, 2.0: 0.560929}),
+    ],
+)
+def test_sop_approx_at_vanishing_turbulence(cn2, table):
+    sc = baseline_scenario(cn2=cn2)
+    le = channel.eve_link(sc)
+    for r_e, want in table.items():
+        got = sop_approx(sc, r_e)
+        x = channel.snr_threshold(sc.nodes, le.pointing, r_e, "eve").value
+        mixture = 1.0 - oracles.surrogate_cdf_mixture(le.ga.k_ap, le.ga.theta_ap, le.pointing.xi, x)
+        assert got == pytest.approx(want, abs=1e-6)
+        assert got == pytest.approx(mixture, abs=1e-6)
+        # the surrogate gap to the exact outage is about 0.004 to 0.008
+        assert abs(got - sop(sc, r_e)) <= 0.01
+
+
+@given(
+    log_cn2=st.floats(-30.0, -10.0),
+    sigma_s=st.one_of(st.just(0.0), st.floats(0.03, 5.0)),
+    n_a=st.integers(1, 8),
+    n_b=st.integers(1, 8),
+    n_e=st.integers(1, 8),
+    d_e=st.floats(100.0, 5000.0),
+    d_b=st.floats(100.0, 5000.0),
+    eps_share=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+    rates=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=20),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_surrogate_outages_are_monotone_probabilities(
+    log_cn2, sigma_s, n_a, n_b, n_e, d_e, d_b, eps_share, rates
+):
+    # epsilon is drawn as a share of the largest value the moment bracket of
+    # both links allows
+    sc = baseline_scenario(
+        cn2=10.0**log_cn2, sigma_s=sigma_s, n_a=n_a, n_b=n_b, n_e=n_e, d_e=d_e, d_b=d_b
+    )
+    limit = math.inf
+    for d, n in ((d_b, n_b), (d_e, n_e)):
+        tp = channel.turbulence_params(sc.geometry, d)
+        a, b = tp.alpha, tp.beta_single * n
+        limit = min(limit, (b + 1.0) * (a + 1.0) / (b * a) - 1.0)
+    sc = dataclasses.replace(sc, epsilon=eps_share * limit)
+    r = np.sort(np.array(rates))
+    s, _ = sop_approx_curve(sc, r)
+    t = reliability_outage_approx_curve(sc, r)
+    assert np.all((0.0 <= s) & (s <= 1.0))
+    assert np.all((0.0 <= t) & (t <= 1.0))
+    assert np.all(np.diff(s) <= 1e-15)
+    assert np.all(np.diff(t) >= 0.0)
+
+
+def test_clamp_counter_counts_array_elements():
+    channel.reset_clamp_events()
+    got = channel._clamp_prob(np.array([1.5, -0.5, 0.5, 1.0 + 1e-12, 1.0 + 2e-9]))
+    assert got.tolist() == [1.0, 0.0, 0.5, 1.0, 1.0]
+    assert channel.clamp_event_count() == 3
+    channel.reset_clamp_events()
 
 
 # ---------------------------------------------------------------------------
