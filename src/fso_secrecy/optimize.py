@@ -11,9 +11,13 @@ therefore finds the root of its condition directly:
 2. grid search with golden-section refinement of the throughput objective,
    where the scan finds no sign change.
 
-The paper's map and Lambert-W forms live on as test references and hold at
-the returned points.  The outage-ceiling inversion :func:`re_threshold` keeps
-its damped iteration, which settles on many inputs, with bisection on the
+Each residual takes the surrogate outages and their slopes in the rate from
+the curve kernels ``sop_approx_curve`` and ``reliability_outage_approx_curve``
+of :mod:`fso_secrecy.secrecy`, one array call per scan, so the solvers form
+no incomplete gamma or density of their own.  The paper's map and Lambert-W
+forms live on as test references and hold at the returned points.  The
+outage-ceiling inversion :func:`re_threshold` keeps its damped iteration on
+hand-formed gamma terms, which settles on many inputs, with bisection on the
 monotone outage behind it.
 
 All solvers evaluate and report on the gamma-surrogate (``use_approx=True``)
@@ -58,7 +62,6 @@ __all__ = [
     "adaptive_grid_oracle",
 ]
 
-_LN2 = math.log(2.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Hard ceiling on any rate iterate; 2**rate must stay finite and the model
@@ -98,10 +101,9 @@ class Optimum:
     (stationarity in r_b under the ceiling, a Lambert-W form in the paper),
     ``threshold`` (the outage pinned to the ceiling) or ``grid_oracle`` (a
     grid search).  The adaptive scheme reports ``grid_oracle`` when its slope
-    scan found no root and the grid fallback gave r_e.  In the fixed scheme
-    a grid search can still stand behind the closed-form label: the
-    single-beam (``n_a = 1``) constrained codeword rate and the fallback of
-    :func:`fixed_constrained_rb` are labelled ``lambert_w``.  ``hessian_ok``
+    scan found no root and the grid fallback gave r_e.  One grid search still
+    stands behind a closed-form label: the no-root fallback of
+    :func:`fixed_constrained_rb` is labelled ``lambert_w``.  ``hessian_ok``
     reports the local second-order check where one is performed; it is not
     an error flag.
     """
@@ -403,56 +405,17 @@ def adaptive_optimal(
 # ---------------------------------------------------------------------------
 
 
-def _re_update(rb: float, sc: ScenarioConfig, bob: _LinkCtx) -> float:
-    """Redundancy-rate update given the codeword rate (log-safe form)."""
-    n_a = sc.nodes.n_a
-    t_b = _t_of(rb, bob)
-    if t_b <= 0.0:
-        return 1e-12
-    c1 = float(_sp.gammainc(bob.k, t_b))
-    q = float(_sp.gammaincc(bob.k, t_b))
-    if c1 <= 0.0:
-        return 1e-12
-    if q < 1e-9:
-        # c1**(1-n_a) - c1 ~ n_a * q up to O(q^2); the direct difference has
-        # fully cancelled by here.
-        ln_s = math.log(n_a) + math.log(max(q, 1e-300))
-    else:
-        diff = c1 ** (1 - n_a) - c1
-        if diff <= 0.0:
-            return 1e-12
-        ln_s = math.log(diff)
-    mag = math.exp(min(ln_s + t_b + math.lgamma(bob.k) - bob.k * math.log(t_b), 700.0))
-    return rb - (1.0 - 2.0 ** (-rb)) * mag / (_LN2 * n_a)
-
-
-def _rb_update(re: float, sc: ScenarioConfig, eve: _LinkCtx) -> float:
-    """Codeword-rate update given the redundancy rate."""
-    pt = eve_link(sc).pointing
-    we2 = pt.omega_e * pt.omega_e
-    sig2 = sc.sigma_s * sc.sigma_s
-    p = 2.0 ** min(re, _RATE_CEIL)
-    t = _t_of(re, eve)
-    if t <= 0.0:
-        return re
-    g_low = math.gamma(eve.k) * float(_sp.gammainc(eve.k, t))
-    d = specfun.exp_integral(eve.xi2 - eve.k, t)
-    den = math.exp(-t) - t * d
-    if den == 0.0:
-        return _RATE_CEIL
-    bracket = 4.0 * sig2 + (we2 - 4.0 * eve.k * sig2) * t ** (-eve.k) * g_low / den
-    return re + (p - 1.0) / (p * we2 * _LN2) * bracket
-
-
 def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = None) -> Optimum:
     """Jointly optimal (codeword, redundancy) rates with no outage ceiling.
 
-    The paper's two stationarity updates, r_e from r_b and r_b from r_e, are
-    chained into one residual in r_b, which is sign-scanned and bisected;
-    each root whose pair is an interior stationary point is a candidate.
-    A coordinate search on the throughput surface is the fallback, and the
-    only path for misalignment-free scenarios, where the updates are not
-    defined.
+    The throughput (r_b - r_e)(1 - T(r_b))(1 - S(r_e)) is stationary where
+    r_e = g_e(r_b) = r_b - (1 - T)/T' and r_b = g_b(r_e) = r_e + (1 - S)/(-S'),
+    the paper's two updates, with the outages and their slopes from the
+    surrogate curve kernels.  The chained residual g_b(g_e(r_b)) - r_b is
+    sign-scanned in one array call per kernel and bisected on the same
+    functions; each root whose pair is an interior stationary point is a
+    candidate.  A coordinate search on the throughput surface is the
+    fallback when no root is.
     """
     opts = opts or _DEFAULT
     unconstrained = SecrecyConstraint(1.0)
@@ -467,23 +430,29 @@ def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = No
     hi = min(cap_seed + 15.0, _RATE_CEIL)
     candidates: list[tuple[float, float, float, str]] = []  # (est, re, rb, method)
 
-    if sc.sigma_s > 0.0:
-        eve = _eve_ctx(sc)
+    # A quotient overflows where a slope is subnormal or zero, and is 0/0
+    # where an outage and its slope both round to their limits; fmax sends
+    # that NaN to the lower clamp, as it does -inf.
+    def g_e(rb):
+        t, dt = reliability_outage_approx_curve(sc, rb)
+        with np.errstate(all="ignore"):
+            re = rb - (1.0 - t) / dt
+        return np.minimum(np.fmax(re, 1e-12), rb - 1e-12)
 
-        def g_e(rb: float) -> float:
-            return min(max(_re_update(rb, sc, bob), 1e-12), rb - 1e-12)
+    def g_b(re):
+        s, ds = sop_approx_curve(sc, re)
+        with np.errstate(all="ignore"):
+            rb = re + (1.0 - s) / -ds
+        return np.minimum(np.fmax(rb, re + 1e-12), _RATE_CEIL)
 
-        def g_b(re: float) -> float:
-            return min(max(_rb_update(re, sc, eve), re + 1e-12), _RATE_CEIL)
+    def resid(rb):
+        return g_b(g_e(rb)) - rb
 
-        def resid(rb_: float) -> float:
-            return g_b(g_e(rb_)) - rb_
-
-        xs = _scan_nodes(0.05, hi, max(opts.grid_points, 100))
-        for root in _scan_roots(resid, xs, [resid(x) for x in xs]):
-            re_c = g_e(root)
-            if _is_interior_stationary(f, re_c, root):
-                candidates.append((f(re_c, root), re_c, root, "fixed_point"))
+    xs = _scan_nodes(0.05, hi, max(opts.grid_points, 100))
+    for root in _scan_roots(lambda r: float(resid(r)), xs, resid(np.array(xs))):
+        re_c = float(g_e(root))
+        if _is_interior_stationary(f, re_c, root):
+            candidates.append((f(re_c, root), re_c, root, "fixed_point"))
 
     if not candidates:
         re_c, rb_c = _coordinate_search(f, hi, opts)
@@ -540,39 +509,29 @@ def fixed_constrained_rb(
 
     The paper writes the stationarity condition in r_b as a Lambert-W
     expression that still holds r_b on both sides.  Its unwrapped residual
-    is sign-scanned and bisected where it turns from positive to negative;
-    the root with the highest throughput factor wins, and golden refinement
-    of the throughput factor stands in where the scan finds none.
-    Single-beam transmitters (no selection exponent) go straight to that
-    refinement.
+    (1 - T) - (r_b - r_e) T', with the reliability outage T and its slope
+    from the surrogate curve kernel, holds for any number of beams n_a.  It
+    is sign-scanned in one array call and bisected where it turns from
+    positive to negative; the root with the highest throughput factor wins,
+    and golden refinement of the throughput factor stands in where the scan
+    finds none.
     """
     if r_e_fixed < 0.0:
         raise ValueError(f"r_e_fixed must be non-negative, got {r_e_fixed}")
     opts = opts or _DEFAULT
     bob = _bob_ctx(sc)
-    n_a = sc.nodes.n_a
     lo = r_e_fixed + 1e-6
     hi = min(max(r_e_fixed + 25.0, math.log2(1.0 + bob.scale * bob.k) + 10.0), _RATE_CEIL)
 
     def bob_factor(rb: float) -> float:
-        return (rb - r_e_fixed) * (1.0 - float(_sp.gammainc(bob.k, _t_of(rb, bob))) ** n_a)
+        return (rb - r_e_fixed) * (1.0 - reliability_outage_approx(sc, rb))
 
-    if n_a == 1:
-        return _grid_then_golden(bob_factor, lo, hi, opts.grid_points)[0]
-
-    mu = bob.scale
-    lg_k = math.lgamma(bob.k)
-
-    def resid(rb: float) -> float:
-        t_b = _t_of(rb, bob)
-        c1 = float(_sp.gammainc(bob.k, t_b))
-        dens = math.exp((bob.k - 1.0) * math.log(t_b) - t_b - lg_k)
-        return (1.0 - c1**n_a) - _LN2 * n_a * (rb - r_e_fixed) * 2.0**rb * c1 ** (
-            n_a - 1
-        ) * dens / mu
+    def resid(rb):
+        t, dt = reliability_outage_approx_curve(sc, rb)
+        return (1.0 - t) - (rb - r_e_fixed) * dt
 
     xs = _scan_nodes(lo, hi, max(opts.grid_points, 100))
-    roots = _scan_roots(resid, xs, [resid(x) for x in xs], falling_only=True)
+    roots = _scan_roots(lambda r: float(resid(r)), xs, resid(np.array(xs)), falling_only=True)
     if not roots:
         return _grid_then_golden(bob_factor, lo, hi, opts.grid_points)[0]
     return max(roots, key=bob_factor)
@@ -712,7 +671,7 @@ def fixed_grid_oracle(
         return (r_b - r_e) * (1.0 - reliability_outage_approx(sc, r_b)) * (1.0 - s)
 
     s = sop_approx_curve(sc, np.array(xs))[0]
-    t = reliability_outage_approx_curve(sc, np.array(ys))
+    t = reliability_outage_approx_curve(sc, np.array(ys))[0]
     r_e, r_b = np.array(xs)[:, None], np.array(ys)[None, :]
     live = (0.0 <= r_e) & (r_e < r_b) & (s <= s_th)[:, None]
     with np.errstate(invalid="ignore"):

@@ -16,9 +16,10 @@ The four per-rate outage functions (``sop``, ``sop_approx``,
 (scenario, rate) in LRU caches of ``OUTAGE_CACHE_SIZE`` = 1024 entries
 each, so a repeated outage is computed once while it stays cached.  Errors
 are not cached.  The memo applies to these scalar calls only: the
-surrogate's rate-array forms ``sop_approx_curve`` (which also returns the
-analytic slope in the rate) and ``reliability_outage_approx_curve``
-evaluate the kernel on every call.
+surrogate's rate-array forms ``sop_approx_curve`` and
+``reliability_outage_approx_curve`` evaluate the kernel on every call, and
+each returns the analytic slope in the rate with the outage.  They are the
+one place the solvers take the surrogate's rate derivatives from.
 """
 
 from __future__ import annotations
@@ -156,15 +157,23 @@ def reliability_outage_approx(scenario: ScenarioConfig, r_b: float) -> float:
     return float(np.power(c1, scenario.nodes.n_a))
 
 
-def reliability_outage_approx_curve(scenario: ScenarioConfig, r_b: np.ndarray) -> np.ndarray:
-    """Surrogate reliability outage on an array of rates; not memoized."""
+def reliability_outage_approx_curve(
+    scenario: ScenarioConfig, r_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Surrogate reliability outage and its slope in ``r_b`` on an array of rates.
+
+    The outage is c1**n_a for the single-beam surrogate CDF c1, so the slope
+    is n_a c1**(n_a - 1) times c1's.  Not memoized: a whole rate grid is one
+    call into the surrogate kernel.
+    """
     r_b = np.asarray(r_b, dtype=float)
     if (r_b < 0.0).any():
         raise ValueError("rates must be non-negative")
     link = bob_link(scenario)
-    x, _ = _surrogate_threshold(scenario, link, r_b)
-    c1, _ = channel.ggp_cdf_pdf_approx(link.ga, link.pointing.xi, x)
-    return np.power(c1, scenario.nodes.n_a)
+    x, dx = _surrogate_threshold(scenario, link, r_b)
+    c1, pdf = channel.ggp_cdf_pdf_approx(link.ga, link.pointing.xi, x)
+    n_a = scenario.nodes.n_a
+    return np.power(c1, n_a), n_a * np.power(c1, n_a - 1) * pdf * dx
 
 
 def _surrogate_threshold(scenario: ScenarioConfig, link: channel.LinkParams, rate):

@@ -412,6 +412,39 @@ def test_optimize_fixed_weak_link_under_ceiling(tmp_path, capsys):
     assert 0.0 <= doc["rates"]["r_e"] < doc["rates"]["r_b"]
 
 
+@pytest.mark.parametrize(
+    ("config", "sth"),
+    [
+        ('{"cn2": 1e-10}', None),
+        ('{"epsilon": 0.24}', None),
+        ('{"epsilon": 0.24}', "0.4"),
+        ('{"cn2": 1e-30}', None),
+        (
+            '{"sigma_s": 3.79, "n_a": 6, "n_b": 6, "n_e": 5, "cn2": 1.8e-13,'
+            ' "d_b": 1440, "d_e": 2541, "gamma0": 6895}',
+            "0.34",
+        ),
+    ],
+)
+def test_optimize_fixed_at_extreme_surrogate_shapes(tmp_path, capsys, config, sth):
+    # Each of these once exited 2 with a raw OverflowError from the rate
+    # updates, which formed Gamma(k_ap) and exponential integrals by hand;
+    # the solver now takes outages and slopes from the surrogate curves.
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(config, encoding="utf-8")
+    ceiling = ["--sth", sth] if sth else []
+    code, text = run_cli(
+        tmp_path, "optimize", "--config", str(cfg), "--scheme", "fixed", *ceiling
+    )
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads(text)
+    assert 0.0 <= doc["rates"]["r_e"] < doc["rates"]["r_b"]
+    assert doc["est"] > 0.0
+    assert doc["sop_at_re"] <= float(sth or 1.0) + 1e-6
+    assert doc["oracle"]["gap"] <= 0.02
+
+
 def test_optimize_adaptive_averaged_mode(tmp_path):
     code, text = run_cli(
         tmp_path,

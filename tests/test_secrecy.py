@@ -192,7 +192,7 @@ def test_surrogate_outage_arrays_equal_scalar_calls_to_the_bit(sigma_s):
     sc = baseline_scenario(sigma_s=sigma_s)
     rates = np.concatenate([[0.0], np.linspace(1e-4, 8.0, 240)])
     s, _ = sop_approx_curve(sc, rates)
-    t = reliability_outage_approx_curve(sc, rates)
+    t = reliability_outage_approx_curve(sc, rates)[0]
     for i, r in enumerate(rates):
         assert sop_approx.__wrapped__(sc, float(r)).hex() == float(s[i]).hex()
         assert reliability_outage_approx.__wrapped__(sc, float(r)).hex() == float(t[i]).hex()
@@ -207,6 +207,21 @@ def test_sop_approx_slope_matches_central_differences(sigma_s):
     diff = (sop_approx_curve(sc, rates + h)[0] - sop_approx_curve(sc, rates - h)[0]) / (2.0 * h)
     assert np.allclose(slope, diff, rtol=1e-6, atol=1e-9)
     assert np.all(slope < 0.0)
+
+
+@pytest.mark.parametrize("n_a", [1, 2, 4])
+@pytest.mark.parametrize("sigma_s", SURROGATE_SIGMAS)
+def test_reliability_outage_approx_slope_matches_central_differences(sigma_s, n_a):
+    sc = baseline_scenario(sigma_s=sigma_s, n_a=n_a)
+    rates = np.linspace(0.2, 6.0, 30)
+    h = 1e-5
+    _, slope = reliability_outage_approx_curve(sc, rates)
+    diff = (
+        reliability_outage_approx_curve(sc, rates + h)[0]
+        - reliability_outage_approx_curve(sc, rates - h)[0]
+    ) / (2.0 * h)
+    assert np.allclose(slope, diff, rtol=1e-6, atol=1e-9)
+    assert np.all(slope > 0.0)
 
 
 @pytest.mark.parametrize(
@@ -260,7 +275,7 @@ def test_surrogate_outages_are_monotone_probabilities(
     sc = dataclasses.replace(sc, epsilon=eps_share * limit)
     r = np.sort(np.array(rates))
     s, _ = sop_approx_curve(sc, r)
-    t = reliability_outage_approx_curve(sc, r)
+    t = reliability_outage_approx_curve(sc, r)[0]
     assert np.all((0.0 <= s) & (s <= 1.0))
     assert np.all((0.0 <= t) & (t <= 1.0))
     assert np.all(np.diff(s) <= 1e-15)
