@@ -361,7 +361,8 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     grid up to 3 above the solver's codeword rate) for the fixed scheme,
     :func:`optimize.adaptive_grid_oracle` (400 nodes over (0, c_b)) for the
     adaptive one.  Each returns what :func:`optimize.grid_refine_maximize`
-    returns on the same objective, bit for bit.
+    returns on the same objective, bit for bit.  ``covers`` is false when the
+    solver's rates lie outside the grid's domain, where the gap means nothing.
     """
     s_th = args.sth if args.sth is not None else sc.s_th
     scheme = args.scheme
@@ -389,12 +390,15 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         opt = optimize.adaptive_optimal(sc, args.cb, s_th, opts)
         oracle = optimize.adaptive_grid_oracle(sc, args.cb, s_th, opts)
         est_exact = secrecy.est_adaptive(sc, args.cb, opt.rates.r_e, unconstrained).est
+        covers = True  # the grid spans [0, c_b], where every adaptive r_e lies
     else:
         opt = optimize.fixed_optimal(sc, s_th, opts)
         oracle = optimize.fixed_grid_oracle(
             sc, s_th, opt.rates.r_b + 3.0, optimize.SolverOptions(grid_points=160)
         )
         est_exact = secrecy.est_fixed(sc, opt.rates, unconstrained).est
+        # r_e <= r_b lies inside the grid; r_b can fall below its first row.
+        covers = opt.rates.r_b >= optimize.FIXED_ORACLE_RB_MIN
 
     gap = 0.0 if oracle.est <= 0.0 else max(0.0, (oracle.est - opt.est) / oracle.est)
     doc = {
@@ -411,7 +415,7 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         "constraint_active": opt.constraint_active,
         "sop_at_re": secrecy.sop_approx(sc, opt.rates.r_e),
         "sop_exact_at_re": secrecy.sop(sc, opt.rates.r_e),
-        "oracle": {"est": oracle.est, "gap": gap},
+        "oracle": {"est": oracle.est, "gap": gap, "covers": covers},
     }
     if scheme == "adaptive":
         doc["c_b"] = args.cb
@@ -488,14 +492,13 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         1e-10,
     )
 
+    gap_rates = [0.1 + i * (6.0 - 0.1) / 24 for i in range(25)]
     gap_worst = 0.0
     for sig in (1.0, 2.0, 3.0):
         sc_s = _scenario_at(sc, "sigma_s", sig)
-        for i in range(25):
-            r_e = 0.1 + i * (6.0 - 0.1) / 24
-            gap_worst = max(
-                gap_worst, abs(secrecy.sop_approx(sc_s, r_e) - secrecy.sop(sc_s, r_e))
-            )
+        approx = secrecy.sop_approx_curve(sc_s, np.array(gap_rates))[0]
+        for r_e, s_approx in zip(gap_rates, approx.tolist()):
+            gap_worst = max(gap_worst, abs(s_approx - secrecy.sop(sc_s, r_e)))
     check_analytic("surrogate_outage_gap_max", gap_worst, 0.0, 0.02)
 
     est = montecarlo.est_fixed_from_outages(

@@ -1,10 +1,12 @@
 """Seeded Monte-Carlo oracle for the optical wiretap link.
 
-Samples the physical channel directly -- per-aperture turbulence factors,
+Samples the physical channel directly -- per-beam turbulence factors,
 transmit-beam selection, receive-aperture combining, and the beam-wander
 collection loss -- and turns the draws into empirical outage and throughput
 estimates with 3-sigma confidence intervals.  Gamma factors come from numpy's
-``Generator.standard_gamma`` (Marsaglia--Tsang).
+``Generator.standard_gamma`` (Marsaglia--Tsang).  The n small-scale factors
+Gamma(beta, 1/beta) of a beam's apertures are drawn as their exact sum,
+one Gamma(n * beta)/beta.
 
 Reproducibility model: trial ``t`` belongs to stream ``t mod stream_count``
 and every stream owns an independent child generator spawned from the run
@@ -98,51 +100,43 @@ def _map_streams(fn: Callable[[int], object], count: int, jobs: int | None) -> l
 
 def sample_eve_irradiance(sc: ScenarioConfig, rng: np.random.Generator, size: int) -> np.ndarray:
     """Eavesdropper irradiance draws: collection loss x shared large-scale
-    turbulence x per-aperture small-scale sums.
+    turbulence x aggregated small-scale turbulence.
 
-    The large-scale factor is drawn once per trial (the eavesdropper's
-    apertures sit inside one coherence cell), the small-scale factors
-    independently per aperture.  The collection factor is the quantile
-    transform of the beam-wander loss on (0, 1]; without beam wander it is
-    identically one.
+    Per trial: one Gamma(alpha) large-scale draw (the eavesdropper's
+    apertures sit inside one coherence cell), one Gamma(n_e * beta) draw for
+    the sum of the n_e small-scale factors and, with beam wander only, one
+    uniform for the quantile transform of the collection loss on (0, 1].
     """
     link = eve_link(sc)
     alpha = link.turb.alpha
     beta1 = link.turb.beta_single
-    n_e = sc.nodes.n_e
-    x_large = rng.standard_gamma(alpha, size) / alpha
-    y_small = rng.standard_gamma(beta1, size * n_e).reshape(n_e, size) / beta1
-    if sc.sigma_s == 0.0:
-        i_p = 1.0
-    else:
+    x = rng.standard_gamma(alpha, size)
+    x *= rng.standard_gamma(sc.nodes.n_e * beta1, size)
+    if sc.sigma_s != 0.0:
         xi = link.pointing.xi
-        i_p = rng.random(size) ** (1.0 / (xi * xi))
-    return i_p * x_large * y_small.sum(axis=0)
+        x *= rng.random(size) ** (1.0 / (xi * xi))
+    x /= alpha * beta1
+    return x
 
 
 def sample_bob_irradiance(sc: ScenarioConfig, rng: np.random.Generator, size: int) -> np.ndarray:
     """Legitimate-receiver irradiance draws under transmit selection.
 
-    Each transmit beam carries its own large-scale factor, shared by all of
-    the receiver's apertures; the small-scale factors are independent per
-    (beam, aperture) pair.  Selection keeps the strongest beam.  No
+    Per trial and transmit beam: one Gamma(alpha) large-scale draw, shared by
+    the receiver's apertures, and one Gamma(n_b * beta) draw for the sum of
+    their small-scale factors.  Selection keeps the strongest beam.  No
     beam-wander loss on the aligned link.
     """
     link = bob_link(sc)
     alpha = link.turb.alpha
     beta1 = link.turb.beta_single
-    n_a, n_b = sc.nodes.n_a, sc.nodes.n_b
     best = np.zeros(size)
-    for _ in range(n_a):
-        x_large = rng.standard_gamma(alpha, size) / alpha
-        y_small = rng.standard_gamma(beta1, size * n_b).reshape(n_b, size) / beta1
-        np.maximum(best, x_large * y_small.sum(axis=0), out=best)
+    for _ in range(sc.nodes.n_a):
+        x = rng.standard_gamma(alpha, size)
+        x *= rng.standard_gamma(sc.nodes.n_b * beta1, size)
+        np.maximum(best, x, out=best)
+    best /= alpha * beta1
     return best
-
-
-def _snr_scale(sc: ScenarioConfig, which: str) -> float:
-    link = eve_link(sc) if which == "eve" else bob_link(sc)
-    return sc.nodes.gamma0 * link.pointing.a0
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +172,7 @@ def estimate_sop(
             raise ValueError(f"r_e must be non-negative, got {r}")
     rngs = _stream_rngs(sim, _EVE_ROLE)
     sizes = sim.stream_sizes()
-    scale = _snr_scale(sc, "eve")
+    scale = sc.nodes.gamma0 * eve_link(sc).pointing.a0
     thrs = [(2.0**r - 1.0) / scale for r in rates]
 
     def one(j: int) -> list[int]:
@@ -198,7 +192,7 @@ def estimate_reliability_outage(
         raise ValueError(f"r_b must be non-negative, got {r_b}")
     rngs = _stream_rngs(sim, _BOB_ROLE)
     sizes = sim.stream_sizes()
-    thr = (2.0**r_b - 1.0) / _snr_scale(sc, "bob")
+    thr = (2.0**r_b - 1.0) / (sc.nodes.gamma0 * bob_link(sc).pointing.a0)
 
     def one(j: int) -> int:
         draws = sample_bob_irradiance(sc, rngs[j], sizes[j])
@@ -309,8 +303,8 @@ def _estimate_est_adaptive(
     eve_rngs = _stream_rngs(sim, _EVE_ROLE)
     bob_rngs = _stream_rngs(sim, _BOB_ROLE)
     sizes = sim.stream_sizes()
-    snr_b = _snr_scale(sc, "bob")
-    snr_e = _snr_scale(sc, "eve")
+    snr_b = sc.nodes.gamma0 * bob_link(sc).pointing.a0
+    snr_e = sc.nodes.gamma0 * eve_link(sc).pointing.a0
 
     def draw(j: int) -> tuple[np.ndarray, np.ndarray]:
         cap = np.log2(1.0 + snr_b * sample_bob_irradiance(sc, bob_rngs[j], sizes[j]))

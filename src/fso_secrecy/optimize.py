@@ -73,6 +73,9 @@ _RATE_TOL = 1e-9
 _MAX_ITER = 200
 _DAMPING = 0.5
 
+# The fixed grid oracle's lowest codeword rate.
+FIXED_ORACLE_RB_MIN = 1e-3
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -656,7 +659,7 @@ def fixed_grid_oracle(
     """
     opts = opts or _DEFAULT
     n = opts.grid_points
-    x_lo, y_lo = 0.0, 1e-3
+    x_lo, y_lo = 0.0, FIXED_ORACLE_RB_MIN
     sx = (hi - x_lo) / (n - 1)
     sy = (hi - y_lo) / (n - 1)
     xs, ys = _scan_nodes(x_lo, hi, n), _scan_nodes(y_lo, hi, n)

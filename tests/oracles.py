@@ -14,6 +14,11 @@ itself checked against direct summation and mpmath.  The paper's
 stationarity forms for the rate solvers (the adaptive fixed-point map and
 the Lambert-W argument) take their link parameters from the package's
 ``channel`` module.
+
+The per-aperture irradiance samplers draw every turbulence factor on its
+own, as the physical model states it; the package's samplers draw each
+beam's aperture sum as one Gamma(n * beta) variate, and the two-sample tests
+compare the two layouts.
 """
 
 from __future__ import annotations
@@ -146,6 +151,33 @@ def lambert_w_argument(sc, r_e: float, r_b: float) -> float:
             * t ** (1 - k)
             / (mp.exp(1 / mu) * (r_b - r_e) * mp.log(2) * n_a)
         )
+
+
+def sample_eve_per_aperture(sc, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Eavesdropper irradiance with one Gamma(beta, 1/beta) small-scale draw
+    per aperture: 1 + n_e gamma variates per trial, times a shared
+    large-scale Gamma(alpha, 1/alpha) and, with beam wander, the collection
+    factor U ** (1 / xi**2)."""
+    link = channel.eve_link(sc)
+    alpha, beta = link.turb.alpha, link.turb.beta_single
+    x_large = rng.standard_gamma(alpha, size) / alpha
+    y_sum = (rng.standard_gamma(beta, (sc.nodes.n_e, size)) / beta).sum(axis=0)
+    if sc.sigma_s == 0.0:
+        return x_large * y_sum
+    return rng.random(size) ** (1.0 / link.pointing.xi**2) * x_large * y_sum
+
+
+def sample_bob_per_aperture(sc, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Bob's selected-beam irradiance with one Gamma(beta, 1/beta) small-scale
+    draw per (beam, aperture) pair: n_a (1 + n_b) gamma variates per trial."""
+    link = channel.bob_link(sc)
+    alpha, beta = link.turb.alpha, link.turb.beta_single
+    beams = [
+        rng.standard_gamma(alpha, size) / alpha
+        * (rng.standard_gamma(beta, (sc.nodes.n_b, size)) / beta).sum(axis=0)
+        for _ in range(sc.nodes.n_a)
+    ]
+    return np.max(beams, axis=0)
 
 
 def bessel_k_quad(nu: float, x: float) -> float:

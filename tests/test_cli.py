@@ -412,6 +412,30 @@ def test_optimize_fixed_weak_link_under_ceiling(tmp_path, capsys):
     assert 0.0 <= doc["rates"]["r_e"] < doc["rates"]["r_b"]
 
 
+def test_optimize_fixed_oracle_reports_it_does_not_cover_the_optimum(tmp_path):
+    # At gamma0 1e-3 the fixed optimum's codeword rate lies below the oracle
+    # grid's lowest r_b, so the grid finds nothing and its zero gap is vacuous
+    cfg = tmp_path / "weak.json"
+    cfg.write_text('{"gamma0": 1e-3}', encoding="utf-8")
+    code, text = run_cli(
+        tmp_path, "optimize", "--config", str(cfg), "--scheme", "fixed", "--sth", "0.4"
+    )
+    assert code == 0
+    doc = json.loads(text)
+    assert 0.0 < doc["rates"]["r_b"] < optimize.FIXED_ORACLE_RB_MIN
+    assert doc["est"] > 0.0
+    assert doc["oracle"] == {"covers": False, "est": 0.0, "gap": 0.0}
+
+
+@pytest.mark.parametrize("scheme", ["fixed", "adaptive"])
+def test_optimize_oracle_covers_the_baseline_optimum(tmp_path, scheme):
+    code, text = run_cli(tmp_path, "optimize", "--scheme", scheme, "--cb", "4", "--sth", "0.4")
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["oracle"]["covers"] is True
+    assert doc["oracle"]["est"] > 0.0
+
+
 @pytest.mark.parametrize(
     ("config", "sth"),
     [

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from fso_secrecy import channel, optimize, secrecy
 from fso_secrecy.channel import baseline_scenario
 from fso_secrecy.montecarlo import (
@@ -110,13 +111,16 @@ def test_eve_sampler_pointing_free_has_unit_collection(pointing_free):
     # with no beam wander the sampler must consume no uniforms for the
     # collection factor and return exactly the turbulence product
     link = channel.eve_link(pointing_free)
+    alpha, beta = link.turb.alpha, link.turb.beta_single
     n = 1000
-    draws = sample_eve_irradiance(pointing_free, _rng(5), n)
+    used = _rng(5)
+    draws = sample_eve_irradiance(pointing_free, used, n)
     rng = _rng(5)
-    x = rng.standard_gamma(link.turb.alpha, n) / link.turb.alpha
-    y = rng.standard_gamma(link.turb.beta_single, n * 2).reshape(2, n)
-    want = x * (y / link.turb.beta_single).sum(axis=0)
+    x = rng.standard_gamma(alpha, n)
+    x *= rng.standard_gamma(pointing_free.nodes.n_e * beta, n)
+    want = x / (alpha * beta)
     np.testing.assert_array_equal(draws, want)
+    np.testing.assert_equal(used.bit_generator.state, rng.bit_generator.state)
 
 
 def test_eve_sampler_mean(baseline, pointing_free):
@@ -165,6 +169,37 @@ def test_bob_sampler_selection_squares_cdf():
         f = channel.gg_cdf(lb.turb.alpha, lb.beta_agg, x) ** 2
         emp = float(np.mean(draws <= x))
         assert abs(f - emp) <= 3.0 * math.sqrt(f * (1.0 - f) / n) + 1e-4
+
+
+def _assert_same_outages(draws, reference, quantiles=(0.1, 0.5, 0.9)):
+    # Two-sample binomial check at three thresholds: the outage fractions of
+    # the two samples agree within 3 sigma of their pooled proportion.
+    for q in quantiles:
+        thr = float(np.quantile(reference, q))
+        hits = int(np.count_nonzero(draws <= thr))
+        hits_ref = int(np.count_nonzero(reference <= thr))
+        pooled = (hits + hits_ref) / (draws.size + reference.size)
+        bound = 3.0 * math.sqrt(pooled * (1.0 - pooled) * (1 / draws.size + 1 / reference.size))
+        assert abs(hits / draws.size - hits_ref / reference.size) <= bound, q
+
+
+@pytest.mark.parametrize("n_b", [2, 4])
+def test_bob_sampler_matches_per_aperture_draws(n_b):
+    # The sampler draws a beam's aperture sum as one Gamma(n_b * beta); the
+    # oracle draws the n_b factors one by one.
+    sc = baseline_scenario(n_a=2, n_b=n_b)
+    n = 100_000
+    draws = sample_bob_irradiance(sc, _rng(61), n)
+    _assert_same_outages(draws, oracles.sample_bob_per_aperture(sc, _rng(62), n))
+
+
+@pytest.mark.parametrize("sigma_s", [0.0, 2.0])
+@pytest.mark.parametrize("n_e", [2, 4])
+def test_eve_sampler_matches_per_aperture_draws(n_e, sigma_s):
+    sc = baseline_scenario(n_e=n_e, sigma_s=sigma_s)
+    n = 100_000
+    draws = sample_eve_irradiance(sc, _rng(71), n)
+    _assert_same_outages(draws, oracles.sample_eve_per_aperture(sc, _rng(72), n))
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +303,9 @@ def test_estimate_est_fixed_frozen_values(baseline):
     # Bit-level regression values of the fixed-scheme estimator.
     sim = SimConfig(trials=50_000, seed=5, stream_count=4)
     e = estimate_est(baseline, RatePair(3.4, 1.2558717), "fixed", 1.0, sim)
-    assert (e.mean, e.ci_halfwidth, e.trials) == (0.6172793185473266, 0.01197703024793761, 50_000)
+    assert (e.mean, e.ci_halfwidth, e.trials) == (0.6173149891233767, 0.011977244290923582, 50_000)
     e = estimate_est(baseline, RatePair(2.5, 2.0), "fixed", 1.0, sim)
-    assert (e.mean, e.ci_halfwidth) == (0.23115772939999998, 0.0033293639621127837)
+    assert (e.mean, e.ci_halfwidth) == (0.23154416479999998, 0.003329750409334669)
     e = estimate_est(baseline, RatePair(3.4, 1.2558717), "fixed", 0.3, sim)
     assert (e.mean, e.ci_halfwidth) == (0.0, 0.0)
 
