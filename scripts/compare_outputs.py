@@ -18,10 +18,11 @@ The exit code of every CLI run is compared too (``exit_codes.json``), so a
 field instead of stopping the comparison.  It prints every file and field
 that differs between the trees, with the relative difference
 |new - old| / max(|old|, |new|) of each numeric one, then a summary line:
-how many files differ, and the largest relative difference among the
-solver fields (``rates``, ``est`` and ``sop_at_re`` of the ``optimize``
-outputs).  If nothing differs it prints ``identical``.  It exits 1 if
-anything differs.  Standard library only.
+how many files differ, the largest relative difference among the solver
+fields (``rates``, ``est`` and ``sop_at_re`` of the ``optimize`` outputs),
+and the largest among their ``oracle.est`` fields.  If nothing differs it
+prints ``identical``.  It exits 1 if anything differs.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -137,16 +138,24 @@ def relative_diff(old, new) -> float | None:
     return max(relative_diff(x, y) for x, y in pairs)
 
 
-def _is_solver_field(key: str) -> bool:
-    return key in ("est", "sop_at_re") or key.startswith("rates.")
+def _summary_group(key: str) -> str | None:
+    """The summary figure a differing ``optimize`` field counts toward."""
+    if key in ("est", "sop_at_re") or key.startswith("rates."):
+        return "solver"
+    if key == "oracle.est":
+        return "oracle"
+    return None
 
 
-def compare(parent_dir: Path, change_dir: Path) -> tuple[list[str], set[str], float | None]:
+def compare(
+    parent_dir: Path, change_dir: Path
+) -> tuple[list[str], set[str], dict[str, float]]:
     """One line per differing file or field, the names of the files that
-    differ, and the largest relative difference among solver fields."""
+    differ, and the largest relative difference of each summary group
+    (``solver``, ``oracle``) that has a differing field."""
     diffs: list[str] = []
     files: set[str] = set()
-    solver_max: float | None = None
+    largest: dict[str, float] = {}
     names = sorted({p.name for p in parent_dir.iterdir()} | {p.name for p in change_dir.iterdir()})
     for name in names:
         a, b = parent_dir / name, change_dir / name
@@ -166,11 +175,12 @@ def compare(parent_dir: Path, change_dir: Path) -> tuple[list[str], set[str], fl
             diffs.append(
                 f"{name}: {key}: {old!r} -> {new!r}" + ("" if rel is None else f" (rel {rel:.2g})")
             )
-            if rel is not None and a.suffix == ".json" and _is_solver_field(key):
-                solver_max = rel if solver_max is None else max(solver_max, rel)
+            group = _summary_group(key) if a.suffix == ".json" else None
+            if rel is not None and group is not None:
+                largest[group] = max(largest.get(group, rel), rel)
         if not fields:
             diffs.append(f"{name}: bytes differ, fields equal")
-    return diffs, files, solver_max
+    return diffs, files, largest
 
 
 def main() -> int:
@@ -188,16 +198,19 @@ def main() -> int:
             produce(src.resolve(), outdir)
             dirs.append(outdir)
         count = len(list(dirs[0].iterdir()))
-        diffs, files, solver_max = compare(*dirs)
+        diffs, files, largest = compare(*dirs)
     for line in diffs:
         print(line)
     if not diffs:
         print(f"identical ({count} files)")
         return 0
-    largest = "none differ" if solver_max is None else f"{solver_max:.2g}"
+    solver, oracle = (
+        f"{largest[group]:.2g}" if group in largest else "none differ"
+        for group in ("solver", "oracle")
+    )
     print(
         f"{len(files)} of {count} files differ; largest relative diff in solver fields "
-        f"(rates, est, sop_at_re): {largest}"
+        f"(rates, est, sop_at_re): {solver}; in oracle.est: {oracle}"
     )
     return 1
 

@@ -50,7 +50,6 @@ __all__ = [
     "turbulence_params",
     "pointing_params",
     "gamma_approx",
-    "gg_pdf",
     "gg_cdf",
     "ggp_cdf",
     "ggp_cdf_approx",
@@ -353,18 +352,6 @@ def snr_threshold(node: NodeConfig, pointing: PointingParams, rate: float, which
 # ---------------------------------------------------------------------------
 # distribution kernels
 # ---------------------------------------------------------------------------
-
-
-def gg_pdf(alpha: float, beta_agg: float, i: float) -> float:
-    """Density of the unit-mean aggregated turbulence fading at ``i > 0``."""
-    if not i > 0.0:
-        raise ValueError(f"gg_pdf requires i > 0, got {i}")
-    ab = alpha * beta_agg
-    s = 0.5 * (alpha + beta_agg)
-    log_coef = math.log(2.0) + s * math.log(ab) - math.lgamma(alpha) - math.lgamma(beta_agg)
-    return math.exp(log_coef + (s - 1.0) * math.log(i)) * specfun.bessel_k(
-        alpha - beta_agg, 2.0 * math.sqrt(ab * i)
-    )
 
 
 def _trapezoid_nodes(m: float) -> np.ndarray:

@@ -361,7 +361,9 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     grid up to 3 above the solver's codeword rate) for the fixed scheme,
     :func:`optimize.adaptive_grid_oracle` (400 nodes over (0, c_b)) for the
     adaptive one.  Each returns what :func:`optimize.grid_refine_maximize`
-    returns on the same objective, bit for bit.  ``covers`` is false when the
+    returns on the same objective, bit for bit; the shared polish stops at
+    the first round that does not raise the throughput, and each golden line
+    search once its bracket stops shrinking.  ``covers`` is false when the
     solver's rates lie outside the grid's domain, where the gap means nothing.
     """
     s_th = args.sth if args.sth is not None else sc.s_th

@@ -103,10 +103,10 @@ class Optimum:
     (stationarity, a fixed-point map in the paper), ``lambert_w``
     (stationarity in r_b under the ceiling, a Lambert-W form in the paper),
     ``threshold`` (the outage pinned to the ceiling) or ``grid_oracle`` (a
-    grid search).  The adaptive scheme reports ``grid_oracle`` when its slope
-    scan found no root and the grid fallback gave r_e.  One grid search still
-    stands behind a closed-form label: the no-root fallback of
-    :func:`fixed_constrained_rb` is labelled ``lambert_w``.  ``hessian_ok``
+    grid search).  Every solver reports ``grid_oracle`` when its scan found
+    no root and its grid fallback gave the rate: the adaptive scheme's r_e,
+    the fixed scheme's pair, or the codeword rate of
+    :func:`fixed_constrained_rb` under the ceiling.  ``hessian_ok``
     reports the local second-order check where one is performed; it is not
     an error flag.
     """
@@ -155,16 +155,27 @@ def _t_of(rate: float, ctx: _LinkCtx) -> float:
 
 
 def _golden_in(f, lo: float, hi: float, iters: int = 120) -> float:
+    """Golden-section maximizer of ``f`` on [lo, hi]: the bracket midpoint.
+
+    It stops at the first step that would leave the bracket, and so its
+    width ``b - a``, unchanged: the interior point it would move an end to
+    has rounded onto that end, and no later step can narrow the bracket
+    further.  ``iters`` caps the steps.
+    """
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iters):
         if fc > fd:
+            if d == b:
+                break
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
             fc = f(c)
         else:
+            if c == a:
+                break
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = f(d)
@@ -519,6 +530,13 @@ def fixed_constrained_rb(
     and golden refinement of the throughput factor stands in where the scan
     finds none.
     """
+    return _fixed_constrained(sc, r_e_fixed, opts)[0]
+
+
+def _fixed_constrained(
+    sc: ScenarioConfig, r_e_fixed: float, opts: SolverOptions | None
+) -> tuple[float, str]:
+    """:func:`fixed_constrained_rb` and the ``Optimum.method`` of its path."""
     if r_e_fixed < 0.0:
         raise ValueError(f"r_e_fixed must be non-negative, got {r_e_fixed}")
     opts = opts or _DEFAULT
@@ -536,8 +554,8 @@ def fixed_constrained_rb(
     xs = _scan_nodes(lo, hi, max(opts.grid_points, 100))
     roots = _scan_roots(lambda r: float(resid(r)), xs, resid(np.array(xs)), falling_only=True)
     if not roots:
-        return _grid_then_golden(bob_factor, lo, hi, opts.grid_points)[0]
-    return max(roots, key=bob_factor)
+        return _grid_then_golden(bob_factor, lo, hi, opts.grid_points)[0], "grid_oracle"
+    return max(roots, key=bob_factor), "lambert_w"
 
 
 def fixed_optimal(sc: ScenarioConfig, s_th: float, opts: SolverOptions | None = None) -> Optimum:
@@ -555,7 +573,7 @@ def fixed_optimal(sc: ScenarioConfig, s_th: float, opts: SolverOptions | None = 
     if pair.rates.r_e >= re_t:
         return pair
     constraint = SecrecyConstraint(s_th)
-    rb = fixed_constrained_rb(sc, re_t, opts)
+    rb, method = _fixed_constrained(sc, re_t, opts)
     report = est_fixed(sc, RatePair(r_b=rb, r_e=re_t), constraint, use_approx=True)
 
     def f_rb(x: float) -> float:
@@ -566,7 +584,7 @@ def fixed_optimal(sc: ScenarioConfig, s_th: float, opts: SolverOptions | None = 
     return Optimum(
         rates=RatePair(r_b=rb, r_e=re_t),
         est=report.est,
-        method="lambert_w",
+        method=method,
         hessian_ok=_d2(f_rb, rb) < 0.0,
         constraint_active=True,
     )
@@ -616,25 +634,40 @@ def grid_refine_maximize(objective, bounds, opts: SolverOptions | None = None) -
             if v > best[0]:
                 best = (v, i, j)
     v, i, j = best
-    return _refine_2d(objective, i, j, v, bounds, (sx, sy))
+
+    def line_y(x: float):
+        return lambda y: objective(x, y)
+
+    def line_x(y: float):
+        return lambda x: objective(x, y)
+
+    return _refine_2d(line_y, line_x, i, j, v, bounds, (sx, sy))
 
 
-def _refine_2d(objective, i: int, j: int, best: float, bounds, steps) -> Optimum:
-    """Polish grid cell ``(i, j)`` of value ``best`` by 25 alternating golden rounds.
+def _refine_2d(line_y, line_x, i: int, j: int, best: float, bounds, steps) -> Optimum:
+    """Polish grid cell ``(i, j)`` of value ``best`` by alternating golden rounds.
 
-    Each line search stays within one grid step of the current point.  If
-    the polished value does not beat ``best``, the grid cell stands.
+    ``line_y(x)`` is the objective along y at fixed x, and ``line_x(y)`` along
+    x at fixed y, so a caller can hoist the factor that is constant along a
+    line.  Each round searches y, then x, each within one grid step of the
+    current point.  The polish keeps the best point of its rounds and stops
+    after the first round that does not raise it, or after 25 rounds.  The
+    grid cell stands unless a round beats ``best``: ties go to the grid
+    incumbent (first index).
     """
     (x_lo, x_hi), (y_lo, y_hi) = bounds
     sx, sy = steps
     x, y = x_lo + i * sx, y_lo + j * sy
+    top = (best, x, y)
     for _ in range(25):
-        y = _golden_in(lambda yy: objective(x, yy), max(y - sy, y_lo), min(y + sy, y_hi))
-        x = _golden_in(lambda xx: objective(xx, y), max(x - sx, x_lo), min(x + sx, x_hi))
-    v = objective(x, y)
-    if v <= best:
-        # Ties go to the grid incumbent (first index), not the refined point.
-        x, y, v = x_lo + i * sx, y_lo + j * sy, best
+        y = _golden_in(line_y(x), max(y - sy, y_lo), min(y + sy, y_hi))
+        along_x = line_x(y)
+        x = _golden_in(along_x, max(x - sx, x_lo), min(x + sx, x_hi))
+        v = along_x(x)
+        if not v > top[0]:
+            break
+        top = (v, x, y)
+    v, x, y = top
     return Optimum(
         rates=RatePair(r_b=y, r_e=x),
         est=v,
@@ -654,8 +687,11 @@ def fixed_grid_oracle(
     r_e in (0, hi) and r_b in (1e-3, hi); the result equals the generic
     oracle's bit for bit.  That throughput is (r_b - r_e)(1 - T(r_b))(1 - S(r_e)),
     gated to zero where S(r_e) > s_th, so the grid takes ``grid_points``
-    outages of each kind and forms the cells by broadcasting; the golden
-    polish is the generic oracle's, on a closure with est_fixed's arithmetic.
+    outages of each kind and forms the cells by broadcasting.  The golden
+    polish is the generic oracle's, on line objectives with est_fixed's
+    arithmetic: along r_b the factor 1 - S(r_e) and its gate are computed
+    once per line, and along r_e the factor 1 - T(r_b), so each golden step
+    makes one scalar outage call.
     """
     opts = opts or _DEFAULT
     n = opts.grid_points
@@ -664,14 +700,28 @@ def fixed_grid_oracle(
     sy = (hi - y_lo) / (n - 1)
     xs, ys = _scan_nodes(x_lo, hi, n), _scan_nodes(y_lo, hi, n)
 
-    def objective(r_e: float, r_b: float) -> float:
-        # est_fixed's value, in its product order.
-        if not 0.0 <= r_e < r_b:
-            return 0.0
+    # est_fixed's value, in its product order, along a line of the polish:
+    # the outage of the fixed rate is computed once per line.
+    def line_rb(r_e: float):
         s = sop_approx(sc, r_e)
-        if not s <= s_th:
-            return 0.0
-        return (r_b - r_e) * (1.0 - reliability_outage_approx(sc, r_b)) * (1.0 - s)
+
+        def f(r_b: float) -> float:
+            if not (0.0 <= r_e < r_b and s <= s_th):
+                return 0.0
+            return (r_b - r_e) * (1.0 - reliability_outage_approx(sc, r_b)) * (1.0 - s)
+
+        return f
+
+    def line_re(r_b: float):
+        reliability = 1.0 - reliability_outage_approx(sc, r_b)
+
+        def f(r_e: float) -> float:
+            if not 0.0 <= r_e < r_b:
+                return 0.0
+            s = sop_approx(sc, r_e)
+            return (r_b - r_e) * reliability * (1.0 - s) if s <= s_th else 0.0
+
+        return f
 
     s = sop_approx_curve(sc, np.array(xs))[0]
     t = reliability_outage_approx_curve(sc, np.array(ys))[0]
@@ -682,7 +732,8 @@ def fixed_grid_oracle(
     # The scalar scan never takes a NaN cell as a new maximum.
     grid[np.isnan(grid)] = -math.inf
     i, j = (int(k) for k in np.unravel_index(np.argmax(grid), grid.shape))
-    return _refine_2d(objective, i, j, float(grid[i, j]), ((x_lo, hi), (y_lo, hi)), (sx, sy))
+    bounds = ((x_lo, hi), (y_lo, hi))
+    return _refine_2d(line_rb, line_re, i, j, float(grid[i, j]), bounds, (sx, sy))
 
 
 def adaptive_grid_oracle(

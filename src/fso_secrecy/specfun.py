@@ -291,7 +291,11 @@ def lambert_w(branch: str, x: float) -> float:
 
 
 def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function of the second kind, positive order-symmetric."""
+    """Modified Bessel function of the second kind, positive order-symmetric.
+
+    The package does not call it; it serves acceptance criterion 7 and the
+    tests' reference turbulence density.
+    """
     if not x > 0.0:
         raise ValueError(f"bessel_k requires x > 0, got {x}")
     return float(_sp.kv(nu, x))

@@ -7,13 +7,15 @@ verification chain: the plain turbulence CDF is checked against a
 conditioning quadrature, and the pointing-loss CDFs against mixture
 quadratures over the already-verified layer below.
 
-Two groups are exceptions: references for the paper's formulas, not
-independent oracles.  The paper's 1F2 expansions of the two exact CDFs, at
-the end of this file, sum the package's ``specfun.hyp1f2_reg``, which is
-itself checked against direct summation and mpmath.  The paper's
-stationarity forms for the rate solvers (the adaptive fixed-point map and
-the Lambert-W argument) take their link parameters from the package's
-``channel`` module.
+Three groups are exceptions: references for the paper's formulas, not
+independent oracles.  The paper's turbulence density ``gg_pdf`` takes the
+package's ``specfun.bessel_k``; the tests check it against moment identities
+and the derivative of the exact CDF.  The paper's 1F2 expansions of the two
+exact CDFs, at the end of this file, sum the package's
+``specfun.hyp1f2_reg``, which is itself checked against direct summation
+and mpmath.  The paper's stationarity forms for the rate solvers (the
+adaptive fixed-point map and the Lambert-W argument) take their link
+parameters from the package's ``channel`` module.
 
 The per-aperture irradiance samplers draw every turbulence factor on its
 own, as the physical model states it; the package's samplers draw each
@@ -255,6 +257,19 @@ def surrogate_cdf_mixture(k: float, theta: float, xi: float, x: float) -> float:
 
     val, _ = integrate.quad(integrand, 0.0, 1.0, limit=200)
     return val
+
+
+def gg_pdf(alpha: float, beta_agg: float, i: float) -> float:
+    """The paper's density of the unit-mean aggregated turbulence fading at
+    ``i > 0``, a Bessel-K closed form (reference, not oracle)."""
+    if not i > 0.0:
+        raise ValueError(f"gg_pdf requires i > 0, got {i}")
+    ab = alpha * beta_agg
+    s = 0.5 * (alpha + beta_agg)
+    log_coef = math.log(2.0) + s * math.log(ab) - math.lgamma(alpha) - math.lgamma(beta_agg)
+    return math.exp(log_coef + (s - 1.0) * math.log(i)) * specfun.bessel_k(
+        alpha - beta_agg, 2.0 * math.sqrt(ab * i)
+    )
 
 
 def gg_pdf_norm_and_mean(alpha: float, beta: float, pdf_fn) -> tuple[float, float]:

@@ -337,6 +337,24 @@ def test_fixed_optimal_constrained_branch_frozen(baseline):
         assert o.hessian_ok
 
 
+def test_fixed_optimal_labels_the_constrained_grid_fallback(baseline, monkeypatch):
+    # No schema input is known to leave the constrained codeword-rate scan
+    # without a root, so the scan is made to find none: the golden fallback
+    # then gives r_b, and the result must say so.
+    scan = optimize._scan_roots
+
+    def no_falling_roots(g, xs, gs, falling_only=False):
+        return [] if falling_only else scan(g, xs, gs)
+
+    monkeypatch.setattr(optimize, "_scan_roots", no_falling_roots)
+    o = fixed_optimal(baseline, 0.3)
+    assert o.method == "grid_oracle"
+    assert o.constraint_active
+    assert o.rates.r_e == pytest.approx(RE_THRESHOLD_TABLE[0.3], rel=1e-9)
+    assert o.rates.r_b == fixed_constrained_rb(baseline, o.rates.r_e)
+    assert o.rates.r_b == pytest.approx(CONSTRAINED_RB_TABLE[0.3], abs=1e-6)
+
+
 def test_fixed_optimal_est_self_consistent(baseline):
     for s_th in (1.0, 0.5, 0.3, 0.1):
         o = fixed_optimal(baseline, s_th)
@@ -504,6 +522,57 @@ def test_fixed_grid_oracle_all_gated_surface_returns_first_cell(baseline):
     s_th = 0.5 * sop_approx(baseline, hi)
     o = _oracles_agree(baseline, s_th, hi)
     assert (o.rates.r_e, o.rates.r_b, o.est) == (0.0, 1e-3, 0.0)
+
+
+def test_fixed_grid_oracle_polish_makes_one_kernel_call_per_step(monkeypatch):
+    # The CLI's fixed oracle at n = 2, s_th = 0.4.  The polish hoists the
+    # outage of the fixed rate out of each line search and stops when it
+    # stops improving; with 25 full rounds of 120-step searches on the
+    # 2-argument objective it made 11,653 scalar outage calls here.
+    sc = baseline_scenario(n_a=2, n_b=2, n_e=2)
+    hi = fixed_optimal(sc, 0.4).rates.r_b + 3.0
+    calls = []
+    for name in ("sop_approx", "reliability_outage_approx"):
+        kernel = getattr(optimize, name)
+
+        def counted(*args, _kernel=kernel):
+            calls.append(args)
+            return _kernel(*args)
+
+        monkeypatch.setattr(optimize, name, counted)
+    fixed_grid_oracle(sc, 0.4, hi, SolverOptions(grid_points=160))
+    assert 0 < len(calls) < 1000
+
+
+def test_golden_in_stops_when_its_bracket_stops_shrinking():
+    evals = []
+
+    def f(x):
+        evals.append(x)
+        return 1.0 - (x - 1.3) ** 2
+
+    assert optimize._golden_in(f, 0.0, 3.0) == 1.3000000074505809
+    # 120 steps and the two starting points would make 122 evaluations.
+    assert len(evals) < 120
+
+
+def test_refine_2d_keeps_the_best_round():
+    # A narrow ridge along y = 1 sits on a broad hill whose crest in y,
+    # y = x + 0.5, moves with x.  The grid's best cell (0.5, 1.0) is on the
+    # ridge.  Round one finds the ridge in y and climbs along it to
+    # x = 0.625.  Round two's line search in y, whose first points miss the
+    # ridge, lands on the crest at y = 1.125, lower than round one.  Running
+    # on from there ends lower than the grid cell itself.
+    def f(x, y):
+        hill = -((x - 0.75) ** 2) - (y - x - 0.5) ** 2
+        return hill + math.exp(-(((y - 1.0) / 0.001) ** 2))
+
+    o = grid_refine_maximize(f, ((0.0, 2.0), (0.0, 2.0)), SolverOptions(grid_points=5))
+    assert o.rates.r_e == pytest.approx(0.625, abs=1e-6)
+    assert o.rates.r_b == pytest.approx(1.0, abs=1e-6)
+    assert o.est == f(o.rates.r_e, o.rates.r_b)
+    assert o.est > f(0.5, 1.0) + 0.03
+    assert f(0.625, 1.125) < o.est - 0.5
 
 
 @pytest.mark.parametrize("c_b", [2.0, 4.0, 6.0])
