@@ -313,7 +313,7 @@ def _estimate_est_adaptive(
 
     drawn = _map_streams(draw, sim.stream_count, jobs)
     caps_all = [d[0] for d in drawn]
-    r_th = optimize.re_threshold(sc, s_th) if s_th < 1.0 else 0.0
+    r_th = optimize.re_threshold(sc, s_th)
     if rates is None:
         cap_max = max(float(c.max()) for c in caps_all if c.size)
         table_c, table_r = _adaptive_redundancy_table(sc, cap_max)

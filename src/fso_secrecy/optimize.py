@@ -16,9 +16,9 @@ the curve kernels ``sop_approx_curve`` and ``reliability_outage_approx_curve``
 of :mod:`fso_secrecy.secrecy`, one array call per scan, so the solvers form
 no incomplete gamma or density of their own.  The paper's map and Lambert-W
 forms live on as test references and hold at the returned points.  The
-outage-ceiling inversion :func:`re_threshold` keeps its damped iteration on
-hand-formed gamma terms, which settles on many inputs, with bisection on the
-monotone outage behind it.
+outage-ceiling inversion :func:`re_threshold` is a root of the same secrecy
+curve: Newton steps on its analytic slope, kept inside a bracket whose upper
+end is the pointing-free inversion.
 
 All solvers evaluate and report on the gamma-surrogate (``use_approx=True``)
 surface they are derived on; the exact-kernel value of a returned optimum is
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from fso_secrecy import specfun
 from fso_secrecy.channel import ScenarioConfig, bob_link, eve_link
 from fso_secrecy.secrecy import (
     RatePair,
@@ -68,10 +67,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # carries no information this far out anyway.
 _RATE_CEIL = 60.0
 
-# Bisection width on a rate, and re_threshold's iteration budget and damping.
+# Bisection width on a rate in the residual scans' cells.
 _RATE_TOL = 1e-9
-_MAX_ITER = 200
-_DAMPING = 0.5
 
 # The fixed grid oracle's lowest codeword rate.
 FIXED_ORACLE_RB_MIN = 1e-3
@@ -116,37 +113,6 @@ class Optimum:
     method: str
     hessian_ok: bool
     constraint_active: bool
-
-
-# ---------------------------------------------------------------------------
-# per-scenario solver contexts
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _LinkCtx:
-    k: float
-    scale: float  # gamma0 * a0 * n_rx * theta: maps rate to the gamma argument
-    xi2: float
-
-
-def _eve_ctx(sc: ScenarioConfig) -> _LinkCtx:
-    link = eve_link(sc)
-    ga = link.ga
-    scale = sc.nodes.gamma0 * link.pointing.a0 * sc.nodes.n_e * ga.theta_ap
-    xi = link.pointing.xi
-    return _LinkCtx(k=ga.k_ap, scale=scale, xi2=xi * xi)
-
-
-def _bob_ctx(sc: ScenarioConfig) -> _LinkCtx:
-    link = bob_link(sc)
-    ga = link.ga
-    scale = sc.nodes.gamma0 * link.pointing.a0 * sc.nodes.n_b * ga.theta_ap
-    return _LinkCtx(k=ga.k_ap, scale=scale, xi2=math.inf)
-
-
-def _t_of(rate: float, ctx: _LinkCtx) -> float:
-    return (2.0 ** min(rate, _RATE_CEIL) - 1.0) / ctx.scale
 
 
 # ---------------------------------------------------------------------------
@@ -262,65 +228,57 @@ def _scan_roots(g, xs: list[float], gs, falling_only: bool = False) -> list[floa
 def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
     """Redundancy rate at which the surrogate secrecy outage equals ``s_th``.
 
-    The inversion of the surrogate outage is itself a fixed point (the rate
-    appears inside the gamma argument), resolved by damped iteration seeded
-    at the pointing-free inversion; the returned rate is nudged upward by at
-    most a few ulps so the outage at the result never exceeds ``s_th``.
+    The outage S falls from 1 at rate 0, so the root of S(r) = s_th is
+    bracketed by 0 and the pointing-free inversion r_free, where the gamma
+    part of the surrogate CDF alone reaches 1 - s_th: the pointing term only
+    adds to the CDF, so S(r_free) <= s_th.  Should rounding break that, the
+    upper end doubles until it holds.  Newton steps on the analytic slope of
+    :func:`fso_secrecy.secrecy.sop_approx_curve` then shrink the bracket,
+    with bisection wherever a step would leave it or would not halve the
+    step before last (``rtsafe``, Numerical Recipes 9.4), until its width
+    is a few ulps or stops shrinking.  The result is the bracket's feasible
+    end, so the outage there never exceeds ``s_th``.  A ceiling no rate up
+    to ``_RATE_CEIL`` meets raises :class:`ConvergenceError`.
     """
     if not 0.0 < s_th <= 1.0:
         raise ValueError(f"s_th must lie in (0, 1], got {s_th}")
     if s_th == 1.0:
         return 0.0
-    eve = _eve_ctx(sc)
-    t0 = float(_sp.gammaincinv(eve.k, 1.0 - s_th))
-    r = math.log2(1.0 + t0 * eve.scale)
-    if sc.sigma_s == 0.0:
-        # No misalignment: the pointing-free inversion is already exact.
-        return _nudge_to_feasible(sc, r, s_th)
-
-    lg_k = math.lgamma(eve.k)
-    converged = False
-    for _ in range(4 * _MAX_ITER):
-        t = _t_of(r, eve)
-        num = math.exp(lg_k) * (float(_sp.gammaincc(eve.k, t)) - s_th)
-        if num <= 0.0:
-            r *= 0.5
-            continue
-        ev = specfun.exp_integral(eve.xi2 - eve.k + 1.0, t)
-        r_new = math.log2(1.0 + eve.scale * (num / ev) ** (1.0 / eve.k))
-        if abs(r_new - r) < _RATE_TOL:
-            r = r_new
-            converged = True
+    link = eve_link(sc)
+    t_free = float(_sp.gammaincinv(link.ga.k_ap, 1.0 - s_th))
+    gain = sc.nodes.gamma0 * link.pointing.a0 * link.n_rx * link.ga.theta_ap
+    hi = math.log1p(t_free * gain) / math.log(2.0)
+    while True:
+        if not hi <= _RATE_CEIL:
+            raise ConvergenceError(f"secrecy ceiling {s_th} is below the achievable outage floor")
+        s, ds = sop_approx_curve(sc, hi)
+        if s <= s_th:
             break
-        r = (1.0 - _DAMPING) * r + _DAMPING * r_new
-        if r > _RATE_CEIL:
-            raise ConvergenceError(
-                f"secrecy ceiling {s_th} is below the achievable outage floor"
-            )
-    if not converged:
-        # Bisection on the monotone outage curve; expand until bracketed.
-        hi = max(2.0 * r, 1.0)
-        while sop_approx(sc, hi) > s_th:
-            hi *= 2.0
-            if hi > _RATE_CEIL:
-                raise ConvergenceError(
-                    f"secrecy ceiling {s_th} is below the achievable outage floor"
-                )
-        r = _bisect_root(lambda x: sop_approx(sc, x) - s_th, 0.0, hi, _RATE_TOL * 1e-3)
-    return _nudge_to_feasible(sc, r, s_th)
+        hi *= 2.0
 
-
-def _nudge_to_feasible(sc: ScenarioConfig, r: float, s_th: float) -> float:
-    # Rounding can leave the outage a hair above the ceiling, which would
-    # trip the hard gating downstream; push up by the smallest step that
-    # restores feasibility.
-    step = max(1e-12, abs(r) * 1e-14)
-    for _ in range(80):
-        if sop_approx(sc, r) <= s_th:
-            return r
-        r += step
-        step *= 2.0
-    raise ConvergenceError(f"could not reach outage <= {s_th} near rate {r}")
+    lo, r = 0.0, hi
+    last = before = math.inf  # the last two step lengths
+    while True:
+        width = hi - lo
+        # The smallest step is half the stopping width, so an iterate next
+        # to the root steps across it.  A zero slope gives a NaN step.
+        step = 2e-16 * hi
+        with np.errstate(all="ignore"):
+            new = float(r - (s - s_th) / ds)
+        new = max(new, r + step) if s > s_th else min(new, r - step)
+        # Bisect where Newton would leave the bracket, or would not halve
+        # the step before last.
+        if not (lo < new < hi and abs(new - r) <= 0.5 * before):
+            new = 0.5 * (lo + hi)
+        before, last = last, abs(new - r)
+        r = new
+        s, ds = sop_approx_curve(sc, r)
+        if s <= s_th:
+            hi = r
+        else:
+            lo = r
+        if hi - lo <= 2.0 * step or not hi - lo < width:
+            return hi
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +377,15 @@ def adaptive_optimal(
 # ---------------------------------------------------------------------------
 
 
+def _bob_cap_seed(sc: ScenarioConfig) -> float:
+    """Bob's capacity at his mean surrogate SNR: where the codeword-rate
+    scans set their upper end."""
+    link = bob_link(sc)
+    ga = link.ga
+    mean_snr = sc.nodes.gamma0 * link.pointing.a0 * sc.nodes.n_b * ga.theta_ap * ga.k_ap
+    return math.log2(1.0 + mean_snr)
+
+
 def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = None) -> Optimum:
     """Jointly optimal (codeword, redundancy) rates with no outage ceiling.
 
@@ -439,9 +406,7 @@ def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = No
             return 0.0
         return est_fixed(sc, RatePair(r_b=rb, r_e=re), unconstrained, use_approx=True).est
 
-    bob = _bob_ctx(sc)
-    cap_seed = math.log2(1.0 + bob.scale * bob.k)
-    hi = min(cap_seed + 15.0, _RATE_CEIL)
+    hi = min(_bob_cap_seed(sc) + 15.0, _RATE_CEIL)
     candidates: list[tuple[float, float, float, str]] = []  # (est, re, rb, method)
 
     # A quotient overflows where a slope is subnormal or zero, and is 0/0
@@ -540,9 +505,8 @@ def _fixed_constrained(
     if r_e_fixed < 0.0:
         raise ValueError(f"r_e_fixed must be non-negative, got {r_e_fixed}")
     opts = opts or _DEFAULT
-    bob = _bob_ctx(sc)
     lo = r_e_fixed + 1e-6
-    hi = min(max(r_e_fixed + 25.0, math.log2(1.0 + bob.scale * bob.k) + 10.0), _RATE_CEIL)
+    hi = min(max(r_e_fixed + 25.0, _bob_cap_seed(sc) + 10.0), _RATE_CEIL)
 
     def bob_factor(rb: float) -> float:
         return (rb - r_e_fixed) * (1.0 - reliability_outage_approx(sc, rb))

@@ -9,10 +9,10 @@ pieces the stack does *not* ship in usable form are built here:
 
 * ``exp_integral`` -- the generalized exponential integral for arbitrary real
   order, obtained from the upper incomplete gamma with a downward recurrence
-  to reach negative first arguments.  In the package only the damped
-  iteration of ``re_threshold`` in :mod:`fso_secrecy.optimize` calls it;
-  the surrogate CDF and its slope take the log-domain pointing term of
-  :mod:`fso_secrecy.channel`;
+  to reach negative first arguments.  No module of the package calls it:
+  the surrogate CDF, its slope and the threshold rate all take the
+  log-domain pointing term of :mod:`fso_secrecy.channel`.  It stays for
+  acceptance criterion 7;
 * ``hyp1f2_reg`` -- the regularized hypergeometric series 1F2, summed
   forward with compensated (Kahan) accumulation and reciprocal-gamma pole
   handling.  The paper writes its fading CDFs as sums of these series; the

@@ -440,6 +440,7 @@ def test_optimize_oracle_covers_the_baseline_optimum(tmp_path, scheme):
     ("config", "sth"),
     [
         ('{"cn2": 1e-10}', None),
+        ('{"cn2": 1e-10}', "0.4"),
         ('{"epsilon": 0.24}', None),
         ('{"epsilon": 0.24}', "0.4"),
         ('{"cn2": 1e-30}', None),
@@ -452,8 +453,9 @@ def test_optimize_oracle_covers_the_baseline_optimum(tmp_path, scheme):
 )
 def test_optimize_fixed_at_extreme_surrogate_shapes(tmp_path, capsys, config, sth):
     # Each of these once exited 2 with a raw OverflowError from the rate
-    # updates, which formed Gamma(k_ap) and exponential integrals by hand;
-    # the solver now takes outages and slopes from the surrogate curves.
+    # updates or the threshold inversion, which formed Gamma(k_ap) and
+    # exponential integrals by hand; the solver now takes outages and slopes
+    # from the surrogate curves.
     cfg = tmp_path / "scenario.json"
     cfg.write_text(config, encoding="utf-8")
     ceiling = ["--sth", sth] if sth else []
@@ -467,6 +469,33 @@ def test_optimize_fixed_at_extreme_surrogate_shapes(tmp_path, capsys, config, st
     assert doc["est"] > 0.0
     assert doc["sop_at_re"] <= float(sth or 1.0) + 1e-6
     assert doc["oracle"]["gap"] <= 0.02
+
+
+def test_optimize_adaptive_under_a_ceiling_at_vanishing_turbulence(tmp_path, capsys):
+    # At cn2 1e-10 the eavesdropper's surrogate shape k_ap is about 5,700,
+    # where Gamma(k_ap) overflows a double; the threshold rate is a root on
+    # the surrogate curve kernel, which works in the log domain.
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text('{"cn2": 1e-10}', encoding="utf-8")
+    code, text = run_cli(
+        tmp_path, "optimize", "--config", str(cfg), "--scheme", "adaptive", "--cb", "4",
+        "--sth", "0.4",
+    )
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads(text)
+    assert doc["constraint_active"] is True
+    assert doc["sop_at_re"] <= 0.4
+    assert doc["est"] > 0.0
+
+
+def test_optimize_ceiling_below_the_outage_floor_exits_2(tmp_path, capsys):
+    # 1 - 1e-17 rounds to 1, so no finite rate meets the ceiling.
+    code, _ = run_cli(tmp_path, "optimize", "--scheme", "fixed", "--sth", "1e-17")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "solver error: secrecy ceiling 1e-17 is below the achievable outage floor\n"
+    )
 
 
 def test_optimize_adaptive_averaged_mode(tmp_path):
@@ -488,7 +517,7 @@ def test_optimize_adaptive_averaged_mode(tmp_path):
     assert doc["est_mc"] > 0.0
     assert doc["ci_halfwidth"] > 0.0
     assert doc["trials"] == 50000
-    assert doc["re_threshold"] == pytest.approx(2.6993223940249464, rel=1e-9)
+    assert doc["re_threshold"] == pytest.approx(2.6993223939520092, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
