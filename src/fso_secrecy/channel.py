@@ -27,6 +27,7 @@ pure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -241,6 +242,15 @@ class ScenarioConfig:
             raise ValueError("ScenarioConfig.omega_adj must be strictly positive")
         if not (self.d_b > 0.0 and self.d_e > 0.0):
             raise ValueError("ScenarioConfig distances must be strictly positive")
+        # The smaller of the two link gains gamma0 * n_rx * a0; a subnormal
+        # one overflows the rate-to-threshold map of the surrogate kernels.
+        gain = self.nodes.gamma0 * min(self.nodes.n_b, self.nodes.n_e)
+        gain *= pointing_params(self.geometry, 0.0).a0
+        if gain < sys.float_info.min:
+            raise ValueError(
+                f"link gain gamma0 * n_rx * a0 = {gain:.3g} is below the smallest "
+                f"normal float {sys.float_info.min:.3g}"
+            )
 
 
 _GEOMETRY_FIELDS = ("wavelength_m", "link_distance_m", "cn2", "beam_waist_wb", "aperture_radius_rho")

@@ -8,6 +8,13 @@ estimates with 3-sigma confidence intervals.  Gamma factors come from numpy's
 Gamma(beta, 1/beta) of a beam's apertures are drawn as their exact sum,
 one Gamma(n * beta)/beta.
 
+The reliability estimator thins by beam: the selected link is in outage only
+when every beam is, so beam ``i + 1`` is drawn only for the trials still in
+outage after beam ``i``.  It counts the same event over the same trials as
+thresholding :func:`sample_bob_irradiance`, with fewer draws; at ``n_a = 1``
+the two draw the same stream.  :func:`sample_bob_irradiance`, which the
+adaptive throughput estimator uses, still draws every beam of every trial.
+
 Reproducibility model: trial ``t`` belongs to stream ``t mod stream_count``
 and every stream owns an independent child generator spawned from the run
 seed.  Per-stream partial results are reduced in stream order with
@@ -26,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from fso_secrecy import optimize
-from fso_secrecy.channel import ScenarioConfig, bob_link, eve_link
+from fso_secrecy.channel import LinkParams, ScenarioConfig, bob_link, eve_link
 from fso_secrecy.secrecy import RatePair
 
 __all__ = [
@@ -119,23 +126,28 @@ def sample_eve_irradiance(sc: ScenarioConfig, rng: np.random.Generator, size: in
     return x
 
 
-def sample_bob_irradiance(sc: ScenarioConfig, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Legitimate-receiver irradiance draws under transmit selection.
+def _sample_beam(link: LinkParams, n_b: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """One transmit beam's irradiance draws at the legitimate receiver.
 
-    Per trial and transmit beam: one Gamma(alpha) large-scale draw, shared by
-    the receiver's apertures, and one Gamma(n_b * beta) draw for the sum of
-    their small-scale factors.  Selection keeps the strongest beam.  No
-    beam-wander loss on the aligned link.
+    Per trial: one Gamma(alpha) large-scale draw, shared by the receiver's
+    apertures, and one Gamma(n_b * beta) draw for the sum of their
+    small-scale factors.  No beam-wander loss on the aligned link.
     """
-    link = bob_link(sc)
     alpha = link.turb.alpha
     beta1 = link.turb.beta_single
-    best = np.zeros(size)
-    for _ in range(sc.nodes.n_a):
-        x = rng.standard_gamma(alpha, size)
-        x *= rng.standard_gamma(sc.nodes.n_b * beta1, size)
-        np.maximum(best, x, out=best)
-    best /= alpha * beta1
+    x = rng.standard_gamma(alpha, size)
+    x *= rng.standard_gamma(n_b * beta1, size)
+    x /= alpha * beta1
+    return x
+
+
+def sample_bob_irradiance(sc: ScenarioConfig, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Legitimate-receiver irradiance draws under transmit selection: the
+    strongest of ``n_a`` independent beams, each drawn as in ``_sample_beam``."""
+    link = bob_link(sc)
+    best = _sample_beam(link, sc.nodes.n_b, rng, size)
+    for _ in range(sc.nodes.n_a - 1):
+        np.maximum(best, _sample_beam(link, sc.nodes.n_b, rng, size), out=best)
     return best
 
 
@@ -187,16 +199,25 @@ def estimate_sop(
 def estimate_reliability_outage(
     sc: ScenarioConfig, r_b: float, sim: SimConfig, *, jobs: int | None = 1
 ) -> Estimate:
-    """Empirical probability that the legitimate link cannot carry ``r_b``."""
+    """Empirical probability that the legitimate link cannot carry ``r_b``.
+
+    Thinned by beam (see the module docstring): trials and beams are iid, so
+    each stream draws beam ``i + 1`` for as many trials as beams 1..i left
+    in outage, and what is left after the last beam is the outage count.
+    """
     if r_b < 0.0:
         raise ValueError(f"r_b must be non-negative, got {r_b}")
     rngs = _stream_rngs(sim, _BOB_ROLE)
     sizes = sim.stream_sizes()
-    thr = (2.0**r_b - 1.0) / (sc.nodes.gamma0 * bob_link(sc).pointing.a0)
+    link = bob_link(sc)
+    thr = (2.0**r_b - 1.0) / (sc.nodes.gamma0 * link.pointing.a0)
 
     def one(j: int) -> int:
-        draws = sample_bob_irradiance(sc, rngs[j], sizes[j])
-        return int(np.count_nonzero(draws <= thr))
+        left = sizes[j]
+        for _ in range(sc.nodes.n_a):
+            beam = _sample_beam(link, sc.nodes.n_b, rngs[j], left)
+            left = int(np.count_nonzero(beam <= thr))
+        return left
 
     return _binomial_estimate(_map_streams(one, sim.stream_count, jobs), sim)
 

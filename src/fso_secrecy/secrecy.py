@@ -178,10 +178,13 @@ def reliability_outage_approx_curve(
 
 def _surrogate_threshold(scenario: ScenarioConfig, link: channel.LinkParams, rate):
     """SNR threshold of ``rate`` (a float or an array) and its derivative in
-    the rate, by the same numpy arithmetic for both; ``rate`` >= 0."""
+    the rate, by the same numpy arithmetic for both; ``rate`` >= 0.
+
+    ``expm1`` keeps the threshold's relative accuracy at small rates, where
+    2**rate - 1 would cancel (and read 0 below rate 1.6e-16)."""
     gain = scenario.nodes.gamma0 * link.n_rx * link.pointing.a0
-    p = np.exp2(rate)
-    return (p - 1.0) / gain, p * (_LN2 / gain)
+    m = np.expm1(rate * _LN2)
+    return m / gain, (m + 1.0) * (_LN2 / gain)
 
 
 def est_adaptive(

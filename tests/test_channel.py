@@ -162,6 +162,10 @@ def test_scenario_config_rejects_invalid():
         ScenarioConfig(s_th=1.1)
     with pytest.raises(ValueError):
         ScenarioConfig(d_e=0.0)
+    # a subnormal link gain gamma0 * n_rx * a0 (a0 is about 3.2e-3 here)
+    with pytest.raises(ValueError, match="link gain"):
+        baseline_scenario(gamma0=1e-306)
+    assert baseline_scenario(gamma0=1e-300, n_b=3).nodes.gamma0 == 1e-300
 
 
 def test_pointing_params_field_invariants():

@@ -110,6 +110,37 @@ def test_sweep_into_undefined_gamma_surrogate_exits_1(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+_TINY_GAIN_COMMANDS = (
+    ("optimize", "--scheme", "adaptive", "--cb", "4", "--sth", "0.4"),
+    ("optimize", "--scheme", "fixed", "--sth", "0.4"),
+    ("validate", "--trials", "2000"),
+)
+
+
+@pytest.mark.parametrize("gamma0", ["1e-306", "1e-320", "5e-324"])
+def test_subnormal_link_gain_exits_1(tmp_path, capsys, gamma0):
+    # gamma0 * n_rx * a0 is subnormal (or 0) here: the surrogate thresholds
+    # overflowed, which gave numpy warnings and an outage of 0 or NaN, or
+    # "float division by zero" with exit 2.
+    cfg = tmp_path / "gain.json"
+    cfg.write_text(f'{{"gamma0": {gamma0}}}', encoding="utf-8")
+    for argv in _TINY_GAIN_COMMANDS:
+        code, _ = run_cli(tmp_path, *argv, "--config", str(cfg))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: link gain gamma0 * n_rx * a0 = ")
+        assert err.count("\n") == 1
+
+
+def test_smallest_normal_link_gains_run(tmp_path, capsys):
+    cfg = tmp_path / "gain.json"
+    cfg.write_text('{"gamma0": 1e-300}', encoding="utf-8")
+    for argv in _TINY_GAIN_COMMANDS:
+        code, _ = run_cli(tmp_path, *argv, "--config", str(cfg))
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # params
 # ---------------------------------------------------------------------------

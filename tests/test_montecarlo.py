@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fso_secrecy import channel, optimize, secrecy
+from fso_secrecy import channel, montecarlo, optimize, secrecy
 from fso_secrecy.channel import baseline_scenario
 from fso_secrecy.montecarlo import (
     Estimate,
@@ -68,6 +68,10 @@ def test_concurrency_does_not_change_results(baseline):
     serial = estimate_sop(baseline, 2.0, sim, jobs=1)
     threaded = estimate_sop(baseline, 2.0, sim, jobs=8)
     assert (serial.mean, serial.ci_halfwidth) == (threaded.mean, threaded.ci_halfwidth)
+
+    # per-beam outage 0.41: the thinned draws of the second beam matter
+    r1 = estimate_reliability_outage(baseline, 3.4, sim, jobs=1)
+    assert r1 == estimate_reliability_outage(baseline, 3.4, sim, jobs=8)
 
     rates = RatePair(3.4, 1.25)
     s1 = estimate_est(baseline, rates, "fixed", 1.0, sim, jobs=1)
@@ -264,6 +268,58 @@ def test_estimate_reliability_outage(baseline):
     assert abs(e.mean - secrecy.reliability_outage(baseline, 3.0)) <= e.ci_halfwidth + 1e-4
 
 
+@pytest.mark.parametrize("n_a", [2, 4])
+@pytest.mark.parametrize(("n_b", "r_b"), [(1, 3.4), (2, 4.5)])
+def test_thinned_reliability_outage_matches_selected_beam_draws(n_a, n_b, r_b):
+    # The estimator draws beam i + 1 only for the trials still in outage
+    # after beam i; thresholding the strongest of n_a full beams on an
+    # independent generator counts the same event.  The per-beam outage
+    # is 0.41 (n_b = 1) and 0.46 (n_b = 2), so every beam decides trials.
+    sc = baseline_scenario(n_a=n_a, n_b=n_b)
+    per_beam = secrecy.reliability_outage(sc, r_b) ** (1.0 / n_a)
+    assert 0.3 <= per_beam <= 0.6
+    n = 200_000
+    thinned = estimate_reliability_outage(sc, r_b, SimConfig(trials=n, seed=83))
+    thr = (2.0**r_b - 1.0) / (sc.nodes.gamma0 * channel.bob_link(sc).pointing.a0)
+    p_full = np.count_nonzero(sample_bob_irradiance(sc, _rng(84), n) <= thr) / n
+    p = thinned.mean
+    sigma = math.sqrt((p * (1.0 - p) + p_full * (1.0 - p_full)) / n)
+    assert abs(p - p_full) <= 3.0 * sigma
+
+
+class _CountingRng:
+    """A generator that adds the size of every ``standard_gamma`` call to a
+    shared tally and passes everything else through."""
+
+    def __init__(self, rng, tally):
+        self._rng = rng
+        self._tally = tally
+
+    def standard_gamma(self, shape, size):
+        self._tally[0] += size
+        return self._rng.standard_gamma(shape, size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_reliability_outage_draws_only_undecided_beams(monkeypatch):
+    # Four beams, per-beam outage 4e-4 at r_b = 3: nearly every trial leaves
+    # the outage event at its first beam, so Bob's gamma variates per trial
+    # are about 2, not the 2 * n_a = 8 of drawing every beam.
+    tally = [0]
+    stream_rngs = montecarlo._stream_rngs
+    monkeypatch.setattr(
+        montecarlo,
+        "_stream_rngs",
+        lambda sim, role: [_CountingRng(g, tally) for g in stream_rngs(sim, role)],
+    )
+    sc = baseline_scenario(n_a=4, n_b=4, n_e=4)
+    sim = SimConfig(trials=100_000, seed=3)
+    estimate_reliability_outage(sc, 3.0, sim)
+    assert 2.0 <= tally[0] / sim.trials <= 2.1
+
+
 def test_estimate_reliability_outage_monotone_trend(baseline):
     sim = SimConfig(trials=50_000, seed=21)
     grid = np.linspace(0.5, 5.0, 10)
@@ -303,9 +359,9 @@ def test_estimate_est_fixed_frozen_values(baseline):
     # Bit-level regression values of the fixed-scheme estimator.
     sim = SimConfig(trials=50_000, seed=5, stream_count=4)
     e = estimate_est(baseline, RatePair(3.4, 1.2558717), "fixed", 1.0, sim)
-    assert (e.mean, e.ci_halfwidth, e.trials) == (0.6173149891233767, 0.011977244290923582, 50_000)
+    assert (e.mean, e.ci_halfwidth, e.trials) == (0.6170478238759862, 0.011973550466978634, 50_000)
     e = estimate_est(baseline, RatePair(2.5, 2.0), "fixed", 1.0, sim)
-    assert (e.mean, e.ci_halfwidth) == (0.23154416479999998, 0.003329750409334669)
+    assert (e.mean, e.ci_halfwidth) == (0.2316516576, 0.0033306172135115094)
     e = estimate_est(baseline, RatePair(3.4, 1.2558717), "fixed", 0.3, sim)
     assert (e.mean, e.ci_halfwidth) == (0.0, 0.0)
 

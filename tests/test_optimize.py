@@ -5,6 +5,7 @@ The solvers operate on the gamma-surrogate metric surface throughout; every
 "optimal up to" claim below is therefore judged on that surface.
 """
 
+import itertools
 import math
 import random
 
@@ -132,13 +133,12 @@ def test_re_threshold_is_the_feasible_end_of_the_root(baseline):
         assert _is_tight_threshold(baseline, s_th)
 
 
-def _heavy_pointing_ceilings(count):
-    """The first ``count`` (scenario, ceiling) pairs of a seeded draw over the
-    solver property test's ranges with xi**2 < 0.3 at the eavesdropper, a
-    ceiling in [0.6, 0.99] and a threshold rate above 1e-10."""
+def _heavy_pointing_draws():
+    """(scenario, ceiling) pairs of a seeded draw over the solver property
+    test's ranges, kept where xi**2 < 0.3 at the eavesdropper, with a ceiling
+    in [0.6, 0.99]."""
     rng = random.Random(12345)
-    found = []
-    while len(found) < count:
+    while True:
         sc = baseline_scenario(
             sigma_s=rng.uniform(0.3, 5.0),
             n_a=rng.randint(1, 6),
@@ -150,9 +150,14 @@ def _heavy_pointing_ceilings(count):
             gamma0=10.0 ** rng.uniform(math.log10(30.0), 5.0),
         )
         s_th = rng.uniform(0.6, 0.99)
-        if channel.eve_link(sc).pointing.xi ** 2 < 0.3 and re_threshold(sc, s_th) > 1e-10:
-            found.append((sc, s_th))
-    return found
+        if channel.eve_link(sc).pointing.xi ** 2 < 0.3:
+            yield sc, s_th
+
+
+def _heavy_pointing_ceilings(count):
+    """The first ``count`` heavy-pointing draws with a threshold rate above 1e-10."""
+    found = ((sc, s_th) for sc, s_th in _heavy_pointing_draws() if re_threshold(sc, s_th) > 1e-10)
+    return list(itertools.islice(found, count))
 
 
 def test_re_threshold_is_tight_under_heavy_pointing_loss():
@@ -161,6 +166,35 @@ def test_re_threshold_is_tight_under_heavy_pointing_loss():
     # absolute stopping width would be a large relative error.
     for sc, s_th in _heavy_pointing_ceilings(12):
         assert _is_tight_threshold(sc, s_th)
+
+
+def _log_bisection_root(sc, s_th):
+    """Root of the surrogate S(r) = s_th by bisection in ln r over
+    [1e-300, 60], on the surrogate kernel fed expm1(r ln 2) / gain."""
+    link = channel.eve_link(sc)
+    gain = sc.nodes.gamma0 * link.n_rx * link.pointing.a0
+    lo, hi = math.log(1e-300), math.log(60.0)
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        x = math.expm1(math.exp(mid) * math.log(2.0)) / gain
+        if 1.0 - channel.ggp_cdf_approx(link.ga, link.pointing.xi, x) <= s_th:
+            hi = mid
+        else:
+            lo = mid
+    return math.exp(hi)
+
+
+def test_re_threshold_matches_log_bisection_at_tiny_rates():
+    # Roots down to 1e-27 occur in the first 1,119 heavy-pointing draws (332
+    # of them below 1e-7).  A threshold formed as 2**r - 1 cancels there and
+    # makes the outage a step function of the rate.
+    tiny = 0
+    for sc, s_th in itertools.islice(_heavy_pointing_draws(), 1119):
+        want = _log_bisection_root(sc, s_th)
+        if want < 1e-7:
+            tiny += 1
+            assert abs(re_threshold(sc, s_th) - want) <= 1e-6 * want
+    assert tiny == 332
 
 
 # ---------------------------------------------------------------------------
