@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -542,7 +543,9 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Once per process: building costs more than parsing, which keeps no state.
     parser = argparse.ArgumentParser(
         prog="fso-secrecy",
         description="Secrecy-throughput toolkit for optical wiretap links",

@@ -7,7 +7,8 @@ outage ceiling.  Iterated as maps, these do not settle: near the operating
 points of interest their local multiplier exceeds one.  Each solver
 therefore finds the root of its condition directly:
 
-1. sign-scan plus bisection on the stationarity residual;
+1. sign-scan plus bisection on the stationarity residual, in array calls:
+   one for the scan, and one per six levels of bisection;
 2. grid search with golden-section refinement of the throughput objective,
    where the scan finds no sign change.
 
@@ -69,6 +70,9 @@ _RATE_CEIL = 60.0
 
 # Bisection width on a rate in the residual scans' cells.
 _RATE_TOL = 1e-9
+
+# Halvings per array call of a bisection: 2**6 - 1 = 63 midpoints.
+_BISECT_LEVELS = 6
 
 # The fixed grid oracle's lowest codeword rate.
 FIXED_ORACLE_RB_MIN = 1e-3
@@ -187,17 +191,37 @@ def _d2(f, x: float, h: float = _D2_STEP) -> float:
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
 
 
-def _bisect_root(g, lo: float, hi: float, tol: float, iters: int = 200) -> float:
-    glo = g(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
-            return mid
-        gm = g(mid)
-        if (glo > 0.0) == (gm > 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
+def _bisect_root(g, lo: float, hi: float, g_lo: float, tol: float, iters: int = 200) -> float:
+    """Bisected root of the array function ``g`` in [lo, hi], given g(lo).
+
+    Each array call evaluates the midpoints, each ``0.5 * (a + b)`` of its
+    cell, of the next ``_BISECT_LEVELS`` halvings; the walk down that tree
+    by sign stops where one call per halving would (width ``tol``, or
+    ``iters`` halvings) and returns the same float.  Only a midpoint of the
+    sign of g(lo) becomes ``lo``, so that sign holds throughout.
+    """
+    lo_pos = g_lo > 0.0
+    while iters > 0 and not hi - lo < tol:
+        depth = min(_BISECT_LEVELS, iters)
+        # Level order: the children of node k are nodes 2k + 1 and 2k + 2.
+        mids, cells = [], [(lo, hi)]
+        for _ in range(depth):
+            below = []
+            for a, b in cells:
+                m = 0.5 * (a + b)
+                mids.append(m)
+                below += [(a, m), (m, b)]
+            cells = below
+        pos = g(np.array(mids)) > 0.0
+        k = 0
+        for _ in range(depth):
+            if hi - lo < tol:
+                break
+            if pos[k] == lo_pos:
+                lo, k = mids[k], 2 * k + 2
+            else:
+                hi, k = mids[k], 2 * k + 1
+        iters -= depth
     return 0.5 * (lo + hi)
 
 
@@ -208,16 +232,12 @@ def _scan_nodes(lo: float, hi: float, n: int) -> list[float]:
 
 
 def _scan_roots(g, xs: list[float], gs, falling_only: bool = False) -> list[float]:
-    """Bisected roots of ``g`` in the cells of the scan ``xs`` (values ``gs``)
-    where its sign changes; with ``falling_only``, only where it turns from
-    positive to non-positive."""
-    roots = []
-    for i in range(1, len(xs)):
-        prev_g, gx = gs[i - 1], gs[i]
-        crossed = (prev_g > 0.0 >= gx) if falling_only else ((prev_g > 0.0) != (gx > 0.0))
-        if crossed:
-            roots.append(_bisect_root(g, xs[i - 1], xs[i], _RATE_TOL))
-    return roots
+    """Bisected roots of the array function ``g`` in the cells of the scan
+    ``xs`` (values ``gs``) where its sign changes; with ``falling_only``,
+    only where it turns from positive to non-positive (not to NaN)."""
+    pos = gs > 0.0
+    crossed = pos[:-1] & (gs[1:] <= 0.0) if falling_only else pos[:-1] != pos[1:]
+    return [_bisect_root(g, xs[i], xs[i + 1], gs[i], _RATE_TOL) for i in np.flatnonzero(crossed)]
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +313,10 @@ def adaptive_unconstrained_re(
 
     The paper's stationarity condition, solved as a root of the surrogate
     throughput's slope -(1 - s) - (c_b - r) s', with the analytic outage
-    slope s': a sign-scan over (0, c_b) in one array call, then bisection in
-    each cell where it turns from rising to falling; the root with the
-    largest throughput wins.  If the slope never flips, golden refinement of
-    the best scan point stands in.
+    slope s': a sign-scan over (0, c_b) in one array call, then bisection,
+    six levels per array call, in each cell where it turns from rising to
+    falling; the root with the largest throughput wins.  If the slope never
+    flips, golden refinement of the best scan point stands in.
     """
     return _adaptive_unconstrained(sc, c_b, opts)[0]
 
@@ -325,7 +345,7 @@ def _adaptive_unconstrained(
     # an interior maximum exists and the slope changes sign across it.
     n = max(opts.grid_points, 64)
     xs = _scan_nodes(lo, hi, n)
-    roots = _scan_roots(lambda r: float(slope(r)), xs, slope(np.array(xs)), falling_only=True)
+    roots = _scan_roots(slope, xs, slope(np.array(xs)), falling_only=True)
     if roots:
         return max(roots, key=psi), "fixed_point"
     # Slope never flips: the maximum sits on the scan, refine around it.
@@ -394,9 +414,9 @@ def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = No
     the paper's two updates, with the outages and their slopes from the
     surrogate curve kernels.  The chained residual g_b(g_e(r_b)) - r_b is
     sign-scanned in one array call per kernel and bisected on the same
-    functions; each root whose pair is an interior stationary point is a
-    candidate.  A coordinate search on the throughput surface is the
-    fallback when no root is.
+    functions, six levels per array call; each root whose pair is an
+    interior stationary point is a candidate.  A coordinate search on the
+    throughput surface is the fallback when no root is.
     """
     opts = opts or _DEFAULT
     unconstrained = SecrecyConstraint(1.0)
@@ -428,7 +448,7 @@ def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = No
         return g_b(g_e(rb)) - rb
 
     xs = _scan_nodes(0.05, hi, max(opts.grid_points, 100))
-    for root in _scan_roots(lambda r: float(resid(r)), xs, resid(np.array(xs))):
+    for root in _scan_roots(resid, xs, resid(np.array(xs))):
         re_c = float(g_e(root))
         if _is_interior_stationary(f, re_c, root):
             candidates.append((f(re_c, root), re_c, root, "fixed_point"))
@@ -490,10 +510,10 @@ def fixed_constrained_rb(
     expression that still holds r_b on both sides.  Its unwrapped residual
     (1 - T) - (r_b - r_e) T', with the reliability outage T and its slope
     from the surrogate curve kernel, holds for any number of beams n_a.  It
-    is sign-scanned in one array call and bisected where it turns from
-    positive to negative; the root with the highest throughput factor wins,
-    and golden refinement of the throughput factor stands in where the scan
-    finds none.
+    is sign-scanned in one array call and bisected, six levels per array
+    call, where it turns from positive to negative; the root with the
+    highest throughput factor wins, and golden refinement of the throughput
+    factor stands in where the scan finds none.
     """
     return _fixed_constrained(sc, r_e_fixed, opts)[0]
 
@@ -516,7 +536,7 @@ def _fixed_constrained(
         return (1.0 - t) - (rb - r_e_fixed) * dt
 
     xs = _scan_nodes(lo, hi, max(opts.grid_points, 100))
-    roots = _scan_roots(lambda r: float(resid(r)), xs, resid(np.array(xs)), falling_only=True)
+    roots = _scan_roots(resid, xs, resid(np.array(xs)), falling_only=True)
     if not roots:
         return _grid_then_golden(bob_factor, lo, hi, opts.grid_points)[0], "grid_oracle"
     return max(roots, key=bob_factor), "lambert_w"

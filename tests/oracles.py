@@ -15,7 +15,9 @@ exact CDFs, at the end of this file, sum the package's
 ``specfun.hyp1f2_reg``, which is itself checked against direct summation
 and mpmath.  The paper's stationarity forms for the rate solvers (the
 adaptive fixed-point map and the Lambert-W argument) take their link
-parameters from the package's ``channel`` module.
+parameters from the package's ``channel`` module.  The scalar bisection
+``bisect_root`` is the reference the solvers' batched bisection must match
+to the bit.
 
 The per-aperture irradiance samplers draw every turbulence factor on its
 own, as the physical model states it; the package's samplers draw each
@@ -153,6 +155,23 @@ def lambert_w_argument(sc, r_e: float, r_b: float) -> float:
             * t ** (1 - k)
             / (mp.exp(1 / mu) * (r_b - r_e) * mp.log(2) * n_a)
         )
+
+
+def bisect_root(g, lo: float, hi: float, tol: float, iters: int = 200) -> float:
+    """Bisection of the scalar function ``g`` from a sign at ``lo``: one call
+    per halving, until the cell is narrower than ``tol`` or after ``iters``
+    halvings; the cell's midpoint is the root."""
+    glo = g(lo)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if hi - lo < tol:
+            return mid
+        gm = g(mid)
+        if (glo > 0.0) == (gm > 0.0):
+            lo, glo = mid, gm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def sample_eve_per_aperture(sc, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -39,19 +39,19 @@ from fso_secrecy.channel import (
 
 def test_default_turbulence_parameters(baseline):
     turb = eve_link(baseline).turb
-    assert turb.rytov_var == pytest.approx(0.33846224546915965, rel=1e-14)
-    assert turb.alpha == pytest.approx(6.126110647376661, rel=1e-14)
-    assert turb.beta_single == pytest.approx(5.55337674843494, rel=1e-14)
+    assert turb.rytov_var == pytest.approx(0.33846224546915965, rel=1e-14, abs=0)
+    assert turb.alpha == pytest.approx(6.126110647376661, rel=1e-14, abs=0)
+    assert turb.beta_single == pytest.approx(5.55337674843494, rel=1e-14, abs=0)
     # the two receivers sit at the same default distance
     assert bob_link(baseline).turb == turb
 
 
 def test_default_pointing_parameters(baseline):
     p = eve_link(baseline).pointing
-    assert p.nu == pytest.approx(0.050132565492620004, rel=1e-14)
-    assert p.a0 == pytest.approx(0.0031946446312098383, rel=1e-14)
-    assert p.omega_e == pytest.approx(2.502095623802944, rel=1e-14)
-    assert p.xi == pytest.approx(0.625523905950736, rel=1e-14)
+    assert p.nu == pytest.approx(0.050132565492620004, rel=1e-14, abs=0)
+    assert p.a0 == pytest.approx(0.0031946446312098383, rel=1e-14, abs=0)
+    assert p.omega_e == pytest.approx(2.502095623802944, rel=1e-14, abs=0)
+    assert p.xi == pytest.approx(0.625523905950736, rel=1e-14, abs=0)
     assert p.sigma_s == 2.0
 
 
@@ -67,18 +67,18 @@ def test_pointing_free_sentinel(pointing_free):
 def test_default_gamma_surrogates(baseline):
     gae = eve_link(baseline).ga
     gab = bob_link(baseline).ga
-    assert gae.k_ap == pytest.approx(3.731788945316813, rel=1e-14)
-    assert gae.theta_ap == pytest.approx(0.2599289547757774, rel=1e-14)
-    assert gab.k_ap == pytest.approx(2.6831211203947607, rel=1e-14)
-    assert gab.theta_ap == pytest.approx(0.3615192741866556, rel=1e-14)
+    assert gae.k_ap == pytest.approx(3.731788945316813, rel=1e-14, abs=0)
+    assert gae.theta_ap == pytest.approx(0.2599289547757774, rel=1e-14, abs=0)
+    assert gab.k_ap == pytest.approx(2.6831211203947607, rel=1e-14, abs=0)
+    assert gab.theta_ap == pytest.approx(0.3615192741866556, rel=1e-14, abs=0)
 
 
 def test_aggregated_small_scale_shape(baseline):
     le = eve_link(baseline)
-    assert le.beta_agg == pytest.approx(le.turb.beta_single * baseline.nodes.n_e, rel=1e-15)
+    assert le.beta_agg == pytest.approx(le.turb.beta_single * baseline.nodes.n_e, rel=1e-15, abs=0)
     assert le.n_rx == baseline.nodes.n_e
     lb = bob_link(baseline)
-    assert lb.beta_agg == pytest.approx(lb.turb.beta_single * baseline.nodes.n_b, rel=1e-15)
+    assert lb.beta_agg == pytest.approx(lb.turb.beta_single * baseline.nodes.n_b, rel=1e-15, abs=0)
 
 
 def test_vanishing_scintillation_caps_shapes():
@@ -184,7 +184,7 @@ def test_pointing_params_field_invariants():
 
 def test_gamma_approx_mean_identity_default(baseline):
     ga = eve_link(baseline).ga
-    assert ga.k_ap * ga.theta_ap == pytest.approx(0.97, rel=1e-15)
+    assert ga.k_ap * ga.theta_ap == pytest.approx(0.97, rel=1e-15, abs=0)
     assert ga.omega_adj == 0.97
     assert ga.epsilon == 0.0
 
@@ -198,7 +198,7 @@ def test_gamma_approx_mean_identity_default(baseline):
 def test_gamma_approx_mean_identity_random(alpha, beta, omega):
     turb = channel.TurbulenceParams(alpha=alpha, beta_single=beta, rytov_var=0.3)
     ga = gamma_approx(turb, 1, 0.0, omega)
-    assert ga.k_ap * ga.theta_ap == pytest.approx(omega, rel=1e-12)
+    assert ga.k_ap * ga.theta_ap == pytest.approx(omega, rel=1e-12, abs=0)
 
 
 def test_gamma_approx_deterministic_limit():
@@ -267,17 +267,17 @@ def test_snr_threshold_examples(baseline):
 
     node = NodeConfig(gamma0=1e4, n_e=2)
     v = snr_threshold(node, p, 1.0, "eve").value
-    assert v == pytest.approx(1.0 / (1e4 * 2 * p.a0), rel=1e-15)
+    assert v == pytest.approx(1.0 / (1e4 * 2 * p.a0), rel=1e-15, abs=0)
     assert v == pytest.approx(0.015651, abs=5e-6)
 
     doubled = NodeConfig(gamma0=2e4, n_e=2)
-    assert snr_threshold(doubled, p, 1.0, "eve").value == pytest.approx(v / 2.0, rel=1e-15)
+    assert snr_threshold(doubled, p, 1.0, "eve").value == pytest.approx(v / 2.0, rel=1e-15, abs=0)
 
     # bob/eve selector picks the right aperture count
     node_bn = NodeConfig(gamma0=1e4, n_b=1, n_e=4)
     vb = snr_threshold(node_bn, p, 1.0, "bob").value
     ve = snr_threshold(node_bn, p, 1.0, "eve").value
-    assert vb == pytest.approx(4.0 * ve, rel=1e-15)
+    assert vb == pytest.approx(4.0 * ve, rel=1e-15, abs=0)
 
 
 def test_snr_threshold_domain_errors(baseline):
@@ -477,7 +477,7 @@ def test_conditioning_kernel_matches_mpmath_oracle(cn2, sigma_s, n):
     x = 1.01 * 100.0 / (a * b)
     want = oracles.mp_ggp_cdf_conditioning(a, b, xi, x)
     got = gg_cdf(a, b, x) if math.isinf(xi) else ggp_cdf(a, b, xi, x)
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("sigma_s", [0.1, 0.2])
@@ -487,7 +487,7 @@ def test_conditioning_kernel_narrow_jitter(sigma_s):
     a, b, xi = _eve_shapes(1.7e-14, sigma_s, 2)
     for x in (0.05, 3.0):
         want = oracles.mp_ggp_cdf_conditioning(a, b, xi, x)
-        assert channel._conditioned_cdf(a, b, xi * xi, x) == pytest.approx(want, rel=1e-12)
+        assert channel._conditioned_cdf(a, b, xi * xi, x) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_conditioning_kernel_takes_inputs_the_series_cannot_evaluate():
@@ -497,9 +497,9 @@ def test_conditioning_kernel_takes_inputs_the_series_cannot_evaluate():
     for x in (0.5, 1.0):
         want = oracles.mp_ggp_cdf_conditioning(a, b, xi, x)
         assert 0.0 <= ggp_cdf(a, b, xi, x) <= 1.0
-        assert ggp_cdf(a, b, xi, x) == pytest.approx(want, rel=1e-12)
+        assert ggp_cdf(a, b, xi, x) == pytest.approx(want, rel=1e-12, abs=0)
         want = oracles.mp_ggp_cdf_conditioning(a, b / 2, math.inf, x)
-        assert gg_cdf(a, b / 2, x) == pytest.approx(want, rel=1e-12)
+        assert gg_cdf(a, b / 2, x) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_series_products_past_the_double_range_take_the_kernel():
@@ -514,7 +514,7 @@ def test_series_products_past_the_double_range_take_the_kernel():
     x = snr_threshold(sc.nodes, le.pointing, 1.0011347829612158, "eve").value
     assert a * b * x < 100.0
     want = oracles.mp_ggp_cdf_conditioning(a, b, xi, x)
-    assert ggp_cdf(a, b, xi, x) == pytest.approx(want, rel=1e-12)
+    assert ggp_cdf(a, b, xi, x) == pytest.approx(want, rel=1e-12, abs=0)
 
     sc = baseline_scenario(cn2=7.917620229666677e-15, sigma_s=0.09874657550041502, n_e=5,
                            d_e=604.8434970567932)
@@ -532,7 +532,7 @@ def test_conditioning_kernel_at_the_shape_cap():
     xi2 = 0.391
     channel.reset_clamp_events()
     for x in (1e-30, 0.5, 0.9):
-        assert ggp_cdf(cap, 2 * cap, math.sqrt(xi2), x) == pytest.approx(x**xi2, rel=1e-5)
+        assert ggp_cdf(cap, 2 * cap, math.sqrt(xi2), x) == pytest.approx(x**xi2, rel=1e-5, abs=0)
     assert gg_cdf(cap, 2 * cap, 0.5) == 0.0
     assert gg_cdf(cap, 2 * cap, 1.0) == pytest.approx(0.5, abs=1e-6)
     assert gg_cdf(cap, 2 * cap, 1.5) == 1.0
@@ -553,7 +553,7 @@ def test_gg_cdf_matches_oracle_at_z_18_8():
     # paper's 1F2 series is off by 8.6e-8 relative from truncating its sums.
     a, b, x = 6.126110647376661, 11.10675349686988, 0.27613255287933103
     want = oracles.mp_ggp_cdf_conditioning(a, b, math.inf, x)
-    assert gg_cdf(a, b, x) == pytest.approx(want, rel=1e-12)
+    assert gg_cdf(a, b, x) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +595,7 @@ def test_ggp_cdf_approx_pointing_free_is_gamma_cdf(baseline):
     ga = eve_link(baseline).ga
     for x in (0.2, 0.8, 2.0):
         want = float(sp.gammainc(ga.k_ap, x / ga.theta_ap))
-        assert ggp_cdf_approx(ga, math.inf, x) == pytest.approx(want, rel=1e-14)
+        assert ggp_cdf_approx(ga, math.inf, x) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_ggp_cdf_approx_within_two_percent_of_exact(baseline):

@@ -152,8 +152,8 @@ def test_params_baseline(tmp_path):
     doc = json.loads(text)
     assert doc["eve"]["alpha"] == pytest.approx(6.126110647376661, rel=1e-12)
     assert doc["eve"]["beta_single"] == pytest.approx(5.55337674843494, rel=1e-12)
-    assert doc["eve"]["a0"] == pytest.approx(0.0031946446312098383, rel=1e-12)
-    assert doc["eve"]["xi"] == pytest.approx(0.625523905950736, rel=1e-12)
+    assert doc["eve"]["a0"] == pytest.approx(0.0031946446312098383, rel=1e-12, abs=0)
+    assert doc["eve"]["xi"] == pytest.approx(0.625523905950736, rel=1e-12, abs=0)
     assert doc["eve"]["beta_aggregate"] == pytest.approx(11.10675349686988, rel=1e-12)
     assert doc["bob"]["xi"] == "inf"  # aligned receiver sentinel
     assert doc["scenario"]["gamma0"] == 3967.6
@@ -377,7 +377,7 @@ def test_optimize_fixed_unconstrained(tmp_path, baseline):
     assert doc["oracle"]["gap"] <= 0.02
     pair = RatePair(doc["rates"]["r_b"], doc["rates"]["r_e"])
     want = secrecy.est_fixed(baseline, pair, SecrecyConstraint(1.0)).est
-    assert doc["est_exact_kernel"] == pytest.approx(want, rel=1e-12)
+    assert doc["est_exact_kernel"] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_optimize_fixed_binding_ceiling(tmp_path, baseline):
@@ -657,3 +657,25 @@ def test_validate_low_power_is_inconclusive_not_failed(tmp_path):
     assert code == 0
     assert "FAIL" not in text
     assert "INCONCLUSIVE" in text
+
+
+def test_cached_parser_carries_nothing_between_calls(tmp_path):
+    # One process, one parser: each run must print what a run with a freshly
+    # built parser prints.  The last run leaves --cb unset, so the optimize
+    # subcommand's own default (None: the MC-averaged mode) must survive the
+    # --cb 4 run before it.
+    runs = [
+        ["optimize"],
+        ["validate", "--trials", "1000"],
+        ["optimize", "--scheme", "adaptive", "--cb", "4"],
+        ["optimize", "--scheme", "adaptive", "--trials", "1000"],
+    ]
+    assert cli._build_parser() is cli._build_parser()
+    cached = [run_cli(tmp_path, *argv, name=f"cached{i}.txt") for i, argv in enumerate(runs)]
+    fresh = []
+    for i, argv in enumerate(runs):
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(tmp_path, *argv, name=f"fresh{i}.txt"))
+    assert cached == fresh
+    assert json.loads(cached[3][1])["mode"] == "mc_averaged"
+    assert cli._build_parser().parse_args(["optimize"]).cb is None

@@ -546,6 +546,138 @@ def test_solvers_return_feasible_optima_or_raise(
 
 
 # ---------------------------------------------------------------------------
+# residual scans and their batched bisection
+# ---------------------------------------------------------------------------
+
+# The three stationarity residuals the solvers scan, by qualified name.
+RESIDUALS = {
+    "_adaptive_unconstrained.<locals>.slope",
+    "fixed_unconstrained_pair.<locals>.resid",
+    "_fixed_constrained.<locals>.resid",
+}
+
+
+@pytest.fixture(scope="module")
+def solver_scans():
+    """Every residual scan and bisection cell of the closed-form optimize runs
+    of the benchmark's optimize_batch workload (n in {1, 2, 4}, s_th in
+    {0.2, 0.4, 1.0}, the fixed scheme and the adaptive one at c_b 2, 4 and
+    6), at sigma_s 0, 0.5 and 2.  Repeats are dropped: the adaptive and the
+    unconstrained fixed scans do not depend on s_th.
+
+    Returns {sigma_s: (scans, cells)}, with scans as (g, xs, gs) and cells
+    as (g, lo, hi, g_lo, tol, root) of each distinct call.
+    """
+    scan, bisect = optimize._scan_roots, optimize._bisect_root
+    found = {}
+
+    def recorded_scan(g, xs, gs, falling_only=False):
+        found[sigma_s][0].setdefault((g.__qualname__, gs.tobytes()), (g, xs, gs))
+        return scan(g, xs, gs, falling_only)
+
+    def recorded_bisect(g, lo, hi, g_lo, tol, iters=200):
+        root = bisect(g, lo, hi, g_lo, tol, iters)
+        found[sigma_s][1].setdefault((g.__qualname__, lo, hi, g_lo), (g, lo, hi, g_lo, tol, root))
+        return root
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "_scan_roots", recorded_scan)
+        mp.setattr(optimize, "_bisect_root", recorded_bisect)
+        for sigma_s in (0.0, 0.5, 2.0):
+            found[sigma_s] = ({}, {})
+            for n in (1, 2, 4):
+                sc = baseline_scenario(sigma_s=sigma_s, n_a=n, n_b=n, n_e=n)
+                for s_th in (0.2, 0.4, 1.0):
+                    fixed_optimal(sc, s_th)
+                    for c_b in (2.0, 4.0, 6.0):
+                        adaptive_optimal(sc, c_b, s_th)
+    return {k: (list(scans.values()), list(cells.values())) for k, (scans, cells) in found.items()}
+
+
+@pytest.mark.parametrize("sigma_s", [0.0, 0.5, 2.0])
+def test_scan_elements_equal_the_scalar_residual_to_the_bit(solver_scans, sigma_s):
+    # The bisection takes g(lo) from the scan, so each scan element must be
+    # what a call of the residual at that one rate returns.
+    scans, _ = solver_scans[sigma_s]
+    assert {g.__qualname__ for g, _, _ in scans} == RESIDUALS
+    for g, xs, gs in scans:
+        scalar = np.array([float(g(x)) for x in xs])
+        assert scalar.tobytes() == gs.tobytes(), g.__qualname__
+
+
+@pytest.mark.parametrize("sigma_s", [0.0, 0.5, 2.0])
+def test_batched_bisection_equals_the_scalar_one(solver_scans, sigma_s):
+    _, cells = solver_scans[sigma_s]
+    assert {g.__qualname__ for g, *_ in cells} == RESIDUALS
+    for g, lo, hi, _, tol, root in cells:
+        assert oracles.bisect_root(lambda r: float(g(r)), lo, hi, tol) == root, g.__qualname__
+
+
+@pytest.mark.parametrize("falling_only", [False, True])
+def test_scan_roots_bisects_the_cells_of_the_scalar_sign_test(monkeypatch, falling_only):
+    # The sign test of a loop over the scan values, NaN included: NaN is not
+    # positive, and a fall from positive to NaN is not a fall to non-positive.
+    xs = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    gs = np.array([1.0, np.nan, -1.0, 2.0, 0.0, np.nan, 3.0])
+    cells = []
+
+    def bisect(g, lo, hi, g_lo, tol, iters=200):
+        cells.append((lo, hi, g_lo))
+        return lo
+
+    monkeypatch.setattr(optimize, "_bisect_root", bisect)
+    optimize._scan_roots(None, xs, gs, falling_only)
+    want = []
+    for i in range(1, len(xs)):
+        prev, g = gs[i - 1], gs[i]
+        if (prev > 0.0 >= g) if falling_only else ((prev > 0.0) != (g > 0.0)):
+            want.append((xs[i - 1], xs[i], prev))
+    np.testing.assert_equal(cells, want)  # NaN equals NaN here
+
+
+def _nan_inside(x):
+    return np.where((0.2 <= x) & (x <= 0.3), np.nan, 0.4 - x)
+
+
+@pytest.mark.parametrize(
+    "g, lo, hi, tol, iters",
+    [
+        (_nan_inside, 0.0, 1.0, 1e-9, 200),  # NaN counts as non-positive
+        (lambda x: 0.25 - x, 0.0, 1.0, 1e-9, 200),  # g(mid) == 0.0 at 0.25
+        (lambda x: x * (x - 0.7), 0.0, 1.0, 1e-9, 200),  # g(lo) == 0.0
+        (lambda x: 0.3 - x, 0.3, 0.3 + 5e-10, 1e-9, 200),  # narrower than tol
+        (lambda x: 0.123 - x, 0.1, 0.15, 1e-9, 0),
+        (lambda x: 0.123 - x, 0.1, 0.15, 1e-9, 4),  # fewer halvings than a batch
+        (lambda x: 0.123 - x, 0.1, 0.15, 1e-9, 13),  # not a multiple of a batch
+        (lambda x: 0.123 - x, 0.1, 0.15, 0.0, 200),  # stops after iters halvings
+    ],
+)
+def test_batched_bisection_equals_the_scalar_one_on_edge_cases(g, lo, hi, tol, iters):
+    g_lo = g(np.array([lo]))[0]
+    got = optimize._bisect_root(g, lo, hi, g_lo, tol, iters)
+    assert got == oracles.bisect_root(lambda r: float(g(r)), lo, hi, tol, iters)
+
+
+def test_batched_bisection_makes_few_array_calls():
+    # A 0.05-wide cell needs 26 halvings to reach 1e-9: one scalar call each,
+    # against one array call per six.
+    batched, scalar = [], []
+
+    def g(x):
+        batched.append(x)
+        return 0.123 - x
+
+    def g_scalar(x):
+        scalar.append(x)
+        return 0.123 - x
+
+    root = optimize._bisect_root(g, 0.1, 0.15, 0.023, 1e-9)
+    assert root == oracles.bisect_root(g_scalar, 0.1, 0.15, 1e-9)
+    assert len(batched) <= 5
+    assert len(scalar) >= 26
+
+
+# ---------------------------------------------------------------------------
 # grid oracle
 # ---------------------------------------------------------------------------
 

@@ -40,7 +40,7 @@ UNCONSTRAINED = SecrecyConstraint(1.0)
 
 def test_rate_pair_accessor_and_validation():
     rates = RatePair(r_b=3.4, r_e=1.25)
-    assert rates.secrecy_rate == pytest.approx(2.15, rel=1e-15)
+    assert rates.secrecy_rate == pytest.approx(2.15, rel=1e-15, abs=0)
     assert RatePair(2.0, 2.0).secrecy_rate == 0.0
     with pytest.raises(ValueError):
         RatePair(r_b=1.0, r_e=1.5)
@@ -89,7 +89,7 @@ def test_sop_pointing_free_uses_turbulence_kernel(pointing_free):
     link = channel.eve_link(pointing_free)
     thr = channel.snr_threshold(pointing_free.nodes, link.pointing, 1.5, "eve").value
     want = 1.0 - channel.gg_cdf(link.turb.alpha, link.beta_agg, thr)
-    assert sop(pointing_free, 1.5) == pytest.approx(want, rel=1e-15)
+    assert sop(pointing_free, 1.5) == pytest.approx(want, rel=1e-15, abs=0)
 
 
 def test_sop_approx_boundaries_and_monotone(baseline):
@@ -118,7 +118,7 @@ def test_reliability_outage_frozen_values():
     table = {1: 0.23803262174987164, 2: 0.00037513622873844565, 4: 3.2195968712111515e-14}
     for n, want in table.items():
         scn = baseline_scenario(n_a=n, n_b=n)
-        assert reliability_outage(scn, 3.0) == pytest.approx(want, rel=1e-10)
+        assert reliability_outage(scn, 3.0) == pytest.approx(want, rel=1e-10, abs=0)
 
 
 def test_reliability_outage_boundary(baseline):
@@ -355,7 +355,7 @@ def test_est_adaptive_unconstrained_never_gates(baseline):
     for r_e in np.linspace(0.0, 4.0, 30):
         rep = est_adaptive(baseline, 4.0, float(r_e), UNCONSTRAINED)
         assert rep.constraint_met
-        assert rep.est == pytest.approx((4.0 - r_e) * rep.secrecy_factor, rel=1e-15)
+        assert rep.est == pytest.approx((4.0 - r_e) * rep.secrecy_factor, rel=1e-15, abs=0)
 
 
 def test_est_adaptive_argument_errors(baseline):
@@ -381,20 +381,20 @@ def test_est_adaptive_gating(baseline):
     gated = est_adaptive(baseline, 4.0, 2.6, constraint)
     assert gated.est == 0.0
     assert not gated.constraint_met
-    assert gated.sop == pytest.approx(s_lo, rel=1e-15)
-    assert gated.secrecy_factor == pytest.approx(1.0 - s_lo, rel=1e-15)
+    assert gated.sop == pytest.approx(s_lo, rel=1e-15, abs=0)
+    assert gated.secrecy_factor == pytest.approx(1.0 - s_lo, rel=1e-15, abs=0)
 
     s_hi = sop(baseline, 3.2)
     assert s_hi < 0.4
     open_ = est_adaptive(baseline, 4.0, 3.2, constraint)
     assert open_.constraint_met
-    assert open_.est == pytest.approx((4.0 - 3.2) * (1.0 - s_hi), rel=1e-14)
+    assert open_.est == pytest.approx((4.0 - 3.2) * (1.0 - s_hi), rel=1e-14, abs=0)
 
 
 def test_est_adaptive_approx_flavor(baseline):
     rep = est_adaptive(baseline, 4.0, 1.5, UNCONSTRAINED, use_approx=True)
-    assert rep.sop == pytest.approx(sop_approx(baseline, 1.5), rel=1e-15)
-    assert rep.est == pytest.approx((4.0 - 1.5) * (1.0 - rep.sop), rel=1e-15)
+    assert rep.sop == pytest.approx(sop_approx(baseline, 1.5), rel=1e-15, abs=0)
+    assert rep.est == pytest.approx((4.0 - 1.5) * (1.0 - rep.sop), rel=1e-15, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +408,7 @@ def test_est_fixed_reference_point(baseline):
     assert rep.reliability_factor == pytest.approx(0.8303853022697556, rel=1e-10)
     assert rep.secrecy_factor == pytest.approx(0.3448209985714641, rel=1e-10)
     assert rep.est == pytest.approx(
-        (3.4 - 1.2558717) * rep.reliability_factor * rep.secrecy_factor, rel=1e-15
+        (3.4 - 1.2558717) * rep.reliability_factor * rep.secrecy_factor, rel=1e-15, abs=0
     )
 
 
@@ -439,15 +439,17 @@ def test_est_fixed_gating(baseline):
     assert rep.est == 0.0
     assert not rep.constraint_met
     # the decomposition is still reported for diagnostics
-    assert rep.sop == pytest.approx(s, rel=1e-15)
-    assert rep.reliability_factor == pytest.approx(1.0 - reliability_outage(baseline, 3.0), rel=1e-14)
+    assert rep.sop == pytest.approx(s, rel=1e-15, abs=0)
+    assert rep.reliability_factor == pytest.approx(
+        1.0 - reliability_outage(baseline, 3.0), rel=1e-14, abs=0
+    )
 
 
 def test_est_fixed_approx_flavor(baseline):
     rep = est_fixed(baseline, RatePair(3.4, 1.25), UNCONSTRAINED, use_approx=True)
-    assert rep.sop == pytest.approx(sop_approx(baseline, 1.25), rel=1e-15)
+    assert rep.sop == pytest.approx(sop_approx(baseline, 1.25), rel=1e-15, abs=0)
     assert rep.reliability_factor == pytest.approx(
-        1.0 - reliability_outage_approx(baseline, 3.4), rel=1e-15
+        1.0 - reliability_outage_approx(baseline, 3.4), rel=1e-15, abs=0
     )
 
 
