@@ -10,6 +10,10 @@ script runs:
 - the 37 ``optimize`` commands of the benchmark's ``optimize_batch``
   workload, as listed by ``bench/workloads.py``, with the program seed of
   the benchmark's pass 7 at seed 7 (7007) for the MC-averaged run;
+- three more MC-averaged adaptive ``optimize`` runs on the same scenario and
+  seed: at ``--sth 0.2``, at ``--sth 1.0`` (threshold rate 0, so the
+  estimator's ceiling cut is empty), and at ``--sth 0.4`` with 100 streams
+  of 1,000 trials, shorter than the 2,048-row redundancy table;
 - ``scripts/figure_sweeps.py`` without Monte-Carlo (11 CSV files);
 - ``validate --trials 1000000 --seed 7`` at ``--jobs 1`` and ``--jobs 4``.
 
@@ -43,6 +47,13 @@ import workloads  # noqa: E402
 
 PROGRAM_SEED = workloads.pass_seed(7, 7)
 
+# (output name, ceiling, trials, stream count) of the extra MC-averaged runs.
+EXTRA_MC_RUNS = (
+    ("opt_mc_sth0.2.json", "0.2", workloads.MC_TRIALS, "16"),
+    ("opt_mc_sth1.0.json", "1.0", workloads.MC_TRIALS, "16"),
+    ("opt_mc_streams100.json", workloads.OPT_MC_STH, "100000", "100"),
+)
+
 # Runs (output name, CLI argv) pairs in one interpreter, as the benchmark
 # does, and writes each exit code to the file sys.argv[2].  Exit 3 (a failed
 # validate check) is an output to compare; 1 and 2 mean the run produced none.
@@ -68,6 +79,13 @@ def produce(src: Path, outdir: Path) -> None:
     """Write every compared output of the tree ``src`` into ``outdir``."""
     workloads.write_configs(outdir)
     ops = workloads.optimize_ops(outdir, PROGRAM_SEED)
+    mc_config = str(workloads.config_path(outdir, workloads.OPT_MC_N))
+    for name, sth, trials, streams in EXTRA_MC_RUNS:
+        ops.append(
+            (name, ["optimize", "--config", mc_config, "--scheme", "adaptive", "--sth", sth,
+                    "--trials", trials, "--stream-count", streams, "--seed", str(PROGRAM_SEED),
+                    "--jobs", "1", "--out", str(outdir / name)])
+        )
     for jobs in ("1", "4"):
         name = f"validate_jobs{jobs}.txt"
         ops.append(

@@ -17,9 +17,10 @@ Exit codes: 0 success, 1 configuration error, 2 solver failure,
 3 validation failure.
 
 For the adaptive scheme the closed-form sweep column is conditional on the
-configured realized capacity (``--cb``) while the Monte-Carlo column averages
-over capacity realizations; the two are only directly comparable for the
-fixed-rate scheme.
+configured realized capacity (``--cb``).  On rate rows the Monte-Carlo column
+estimates that same pinned-capacity value from the eavesdropper's draws; on
+optimum rows (``s_th``, ``n``, ``sigma_s``) it averages the per-realization
+optimum over capacity realizations, which the closed-form column does not.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ _SWEEP_COLUMNS = [
     "reliability_outage",
     "constraint_met",
 ]
+
+# Rates are bits per channel use; 2**r overflows a double from r = 1024 on.
+_RATE_LIMIT = 1024.0
 
 # Halfwidths wider than this carry no evidential weight either way.
 _INCONCLUSIVE_CI = 0.05
@@ -596,6 +600,16 @@ def main(argv: list[str] | None = None) -> int:
         sc = _load_scenario(args.config)
         if args.sth is not None and not 0.0 < args.sth <= 1.0:
             raise ConfigError("sth: must lie in (0, 1]")
+        # A realized capacity of zero leaves the adaptive optimum undefined.
+        if args.cb is not None and not 0.0 < args.cb < _RATE_LIMIT:
+            raise ConfigError(f"cb: must lie in (0, {_RATE_LIMIT:g})")
+        rate_args = ["re", "rb"]
+        if getattr(args, "axis", None) in ("r_e", "r_b", "r_e_x_r_b"):
+            rate_args += ["min", "max"]
+        for name in rate_args:
+            val = getattr(args, name, None)
+            if val is not None and not 0.0 <= val < _RATE_LIMIT:
+                raise ConfigError(f"{name}: must lie in [0, {_RATE_LIMIT:g})")
         if args.trials < 1:
             raise ConfigError("trials: must be at least 1")
         if args.stream_count < 1:

@@ -15,6 +15,12 @@ thresholding :func:`sample_bob_irradiance`, with fewer draws; at ``n_a = 1``
 the two draw the same stream.  :func:`sample_bob_irradiance`, which the
 adaptive throughput estimator uses, still draws every beam of every trial.
 
+The capacity-averaged adaptive estimator floors each trial's interpolated
+redundancy rate at the ceiling's threshold rate.  Below a cut capacity --
+one table row under the threshold -- the floor is certain to bind, so only
+the trials at or above the cut are interpolated; the rest take the
+threshold rate and one scalar eavesdropper threshold, with the same bits.
+
 Reproducibility model: trial ``t`` belongs to stream ``t mod stream_count``
 and every stream owns an independent child generator spawned from the run
 seed.  Per-stream partial results are reduced in stream order with
@@ -241,33 +247,39 @@ def estimate_est(
     Fixed scheme: :func:`est_fixed_from_outages` of :func:`estimate_sop` at
     ``r_e`` and :func:`estimate_reliability_outage` at ``r_b``.
 
-    Adaptive scheme: per trial the realized capacity is mapped to its
-    optimal redundancy rate -- the ceiling-aware optimum, resolved through
-    the capacity-independent stationarity curve of the unconstrained problem
-    and floored at the threshold rate -- and the secret bits delivered that
-    trial are averaged.  Passing ``rates`` pins the redundancy rate instead
-    (curve-reproduction mode).
+    Adaptive scheme without ``rates``: per trial the realized capacity is
+    mapped to its optimal redundancy rate -- the ceiling-aware optimum,
+    resolved through the capacity-independent stationarity curve of the
+    unconstrained problem and floored at the threshold rate -- and the
+    secret bits delivered that trial are averaged over both draws.
+
+    Adaptive scheme with ``rates`` (curve-reproduction mode): the capacity
+    is pinned at ``rates.r_b`` and the redundancy rate at ``rates.r_e``, so
+    the estimate is (r_b - r_e)(1 - S^(r_e)) from the eavesdropper's draw
+    alone, gated at ``s_th`` -- the Monte-Carlo twin of
+    :func:`secrecy.est_adaptive` at ``c_b = r_b``.  The codeword rate tracks
+    the capacity, so there is no reliability outage to estimate.
     """
     if scheme not in ("adaptive", "fixed"):
         raise ValueError(f"scheme must be 'adaptive' or 'fixed', got {scheme!r}")
     if not 0.0 < s_th <= 1.0:
         raise ValueError(f"s_th must lie in (0, 1], got {s_th}")
-    if scheme == "fixed":
-        if rates is None:
+    if rates is None:
+        if scheme == "fixed":
             raise ValueError("fixed scheme requires a rate pair")
-        return est_fixed_from_outages(
-            rates,
-            estimate_sop(sc, rates.r_e, sim, jobs=jobs),
-            estimate_reliability_outage(sc, rates.r_b, sim, jobs=jobs),
-            s_th,
-        )
-    return _estimate_est_adaptive(sc, rates, s_th, sim, jobs)
+        return _estimate_est_adaptive(sc, s_th, sim, jobs)
+    sop = estimate_sop(sc, rates.r_e, sim, jobs=jobs)
+    if scheme == "fixed":
+        reliability_outage = estimate_reliability_outage(sc, rates.r_b, sim, jobs=jobs)
+    else:
+        reliability_outage = Estimate(mean=0.0, ci_halfwidth=0.0, trials=sim.trials, count=0)
+    return est_fixed_from_outages(rates, sop, reliability_outage, s_th)
 
 
 def est_fixed_from_outages(
     rates: RatePair, sop: Estimate, reliability_outage: Estimate, s_th: float
 ) -> Estimate:
-    """Fixed-scheme throughput from the two marginal outage estimates.
+    """Fixed-rate throughput from the two marginal outage estimates.
 
     ``sop`` is an :func:`estimate_sop` result at ``rates.r_e`` and
     ``reliability_outage`` an :func:`estimate_reliability_outage` result at
@@ -275,7 +287,9 @@ def est_fixed_from_outages(
     drew the eavesdropper for other thresholds passes that estimate in.  The
     product of the two success rates scaled by the secrecy rate, with a
     delta-method halfwidth; it gates to zero when the estimated secrecy
-    outage breaches ``s_th`` (mirroring the closed-form definition).
+    outage breaches ``s_th`` (mirroring the closed-form definition).  The
+    adaptive curve-reproduction mode of :func:`estimate_est` passes a
+    reliability outage with a zero count.
     """
     n = sop.trials
     p_sec = (n - sop.count) / n
@@ -318,9 +332,31 @@ def _adaptive_redundancy_table(
     return np.maximum.accumulate(caps), rs
 
 
+def _ceiling_cut(table_c: np.ndarray, table_r: np.ndarray, r_th: float) -> float:
+    """Capacity below which the floored table rate is ``r_th`` itself.
+
+    With ``k`` the last row where ``table_r[k] <= r_th``, the cut is
+    ``table_c[k - 1]``.  ``np.interp`` at a capacity strictly below it
+    blends rows ``j`` and ``j + 1 <= k - 1`` (the table is nondecreasing in
+    the capacity), so it returns at most ``table_r[k - 1]``, a full grid
+    step (at least 1/2047 in rate) under ``r_th`` -- far above any rounding of
+    the blend -- and ``max(., r_th)`` is ``r_th``.  The cut must be strict:
+    where ``np.maximum.accumulate`` ties rows, or sends them to ``inf``, a
+    capacity equal to ``table_c[k - 1]`` can read a row past ``k``.  Below
+    the table's second row there is no cut (``-inf``).
+    """
+    k = int(np.searchsorted(table_r, r_th, side="right")) - 1
+    return float(table_c[k - 1]) if k >= 1 else -math.inf
+
+
 def _estimate_est_adaptive(
-    sc: ScenarioConfig, rates: RatePair | None, s_th: float, sim: SimConfig, jobs: int | None
+    sc: ScenarioConfig, s_th: float, sim: SimConfig, jobs: int | None
 ) -> Estimate:
+    """Secret bits of the ceiling-aware per-realization optimum, averaged
+    over both draws.  Only the trials at or above :func:`_ceiling_cut` are
+    interpolated; every trial keeps the float full interpolation gives, in
+    one full-length array per stream, so the pairwise sums keep their bits.
+    """
     eve_rngs = _stream_rngs(sim, _EVE_ROLE)
     bob_rngs = _stream_rngs(sim, _BOB_ROLE)
     sizes = sim.stream_sizes()
@@ -333,21 +369,20 @@ def _estimate_est_adaptive(
         return cap, i_e
 
     drawn = _map_streams(draw, sim.stream_count, jobs)
-    caps_all = [d[0] for d in drawn]
     r_th = optimize.re_threshold(sc, s_th)
-    if rates is None:
-        cap_max = max(float(c.max()) for c in caps_all if c.size)
-        table_c, table_r = _adaptive_redundancy_table(sc, cap_max)
+    cap_max = max(float(cap.max()) for cap, _ in drawn if cap.size)
+    table_c, table_r = _adaptive_redundancy_table(sc, cap_max)
+    c_cut = _ceiling_cut(table_c, table_r, r_th)
+    thr_th = (np.exp2(r_th) - 1.0) / snr_e
 
     def reduce_one(j: int) -> tuple[float, float]:
         cap, i_e = drawn[j]
-        if rates is None:
-            r_e = np.maximum(np.interp(cap, table_c, table_r), r_th)
-        else:
-            r_e = np.full_like(cap, max(rates.r_e, r_th))
-        live = r_e <= cap
-        secure = i_e <= (np.exp2(r_e) - 1.0) / snr_e
-        psi = np.where(live & secure, cap - r_e, 0.0)
+        psi = np.where((r_th <= cap) & (i_e <= thr_th), cap - r_th, 0.0)
+        free = np.flatnonzero(~(cap < c_cut))
+        c = cap[free]
+        r_e = np.maximum(np.interp(c, table_c, table_r), r_th)
+        secure = i_e[free] <= (np.exp2(r_e) - 1.0) / snr_e
+        psi[free] = np.where((r_e <= c) & secure, c - r_e, 0.0)
         return float(psi.sum()), float((psi * psi).sum())
 
     parts = _map_streams(reduce_one, sim.stream_count, jobs)

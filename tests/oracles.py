@@ -23,6 +23,12 @@ The per-aperture irradiance samplers draw every turbulence factor on its
 own, as the physical model states it; the package's samplers draw each
 beam's aperture sum as one Gamma(n * beta) variate, and the two-sample tests
 compare the two layouts.
+
+``est_adaptive_full_interp`` is a reference, not an oracle: the
+capacity-averaged adaptive throughput estimate with every trial's redundancy
+rate interpolated, on the package's own draws, table and threshold rate.
+The package interpolates only the trials the threshold floor does not
+decide, and must match it to the bit.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import mpmath as mp
 import numpy as np
 from scipy import integrate, special, stats
 
-from fso_secrecy import channel, specfun
+from fso_secrecy import channel, montecarlo, optimize, specfun
 
 
 def erf_maclaurin(x: float, terms: int = 40) -> float:
@@ -199,6 +205,39 @@ def sample_bob_per_aperture(sc, rng: np.random.Generator, size: int) -> np.ndarr
         for _ in range(sc.nodes.n_a)
     ]
     return np.max(beams, axis=0)
+
+
+def est_adaptive_full_interp(sc, s_th: float, sim, jobs: int | None = 1):
+    """``estimate_est(sc, None, "adaptive", s_th, sim)`` with the redundancy
+    rate of every trial taken as ``max(np.interp(cap, table_c, table_r),
+    r_th)``, as a straight transcription of the per-realization rule."""
+    eve_rngs = montecarlo._stream_rngs(sim, montecarlo._EVE_ROLE)
+    bob_rngs = montecarlo._stream_rngs(sim, montecarlo._BOB_ROLE)
+    sizes = sim.stream_sizes()
+    snr_b = sc.nodes.gamma0 * channel.bob_link(sc).pointing.a0
+    snr_e = sc.nodes.gamma0 * channel.eve_link(sc).pointing.a0
+
+    def draw(j: int):
+        cap = np.log2(1.0 + snr_b * montecarlo.sample_bob_irradiance(sc, bob_rngs[j], sizes[j]))
+        return cap, montecarlo.sample_eve_irradiance(sc, eve_rngs[j], sizes[j])
+
+    drawn = montecarlo._map_streams(draw, sim.stream_count, jobs)
+    r_th = optimize.re_threshold(sc, s_th)
+    cap_max = max(float(cap.max()) for cap, _ in drawn if cap.size)
+    table_c, table_r = montecarlo._adaptive_redundancy_table(sc, cap_max)
+
+    def reduce_one(j: int):
+        cap, i_e = drawn[j]
+        r_e = np.maximum(np.interp(cap, table_c, table_r), r_th)
+        secure = i_e <= (np.exp2(r_e) - 1.0) / snr_e
+        psi = np.where((r_e <= cap) & secure, cap - r_e, 0.0)
+        return float(psi.sum()), float((psi * psi).sum())
+
+    parts = montecarlo._map_streams(reduce_one, sim.stream_count, jobs)
+    n = sim.trials
+    mean = math.fsum(p[0] for p in parts) / n
+    var = max(math.fsum(p[1] for p in parts) / n - mean * mean, 0.0)
+    return montecarlo.Estimate(mean=mean, ci_halfwidth=3.0 * math.sqrt(var / n), trials=n)
 
 
 def bessel_k_quad(nu: float, x: float) -> float:

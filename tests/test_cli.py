@@ -330,6 +330,64 @@ def test_sweep_invalid_ceiling_range_exits_1(tmp_path, capsys):
     assert "s_th" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["optimize", "--scheme", "adaptive", "--cb", "nan"], "cb: must lie in (0, 1024)"),
+        (["optimize", "--scheme", "adaptive", "--cb", "-1"], "cb: must lie in (0, 1024)"),
+        (["optimize", "--scheme", "adaptive", "--cb", "0"], "cb: must lie in (0, 1024)"),
+        (["optimize", "--scheme", "adaptive", "--cb", "1024"], "cb: must lie in (0, 1024)"),
+        (["sweep", "--axis", "r_e", "--min", "0", "--max", "nan", "--steps", "3"],
+         "max: must lie in [0, 1024)"),
+        (["sweep", "--axis", "r_b", "--min", "0", "--max", "inf", "--steps", "3"],
+         "max: must lie in [0, 1024)"),
+        (["sweep", "--axis", "r_e", "--min", "0", "--max", "1100", "--steps", "3"],
+         "max: must lie in [0, 1024)"),
+        (["sweep", "--axis", "r_e_x_r_b", "--min", "-1", "--max", "2", "--steps", "3"],
+         "min: must lie in [0, 1024)"),
+        (["sweep", "--axis", "r_b", "--min", "1", "--max", "3", "--steps", "3", "--re", "nan"],
+         "re: must lie in [0, 1024)"),
+        (["sweep", "--axis", "r_e", "--min", "1", "--max", "3", "--steps", "3", "--rb", "-2"],
+         "rb: must lie in [0, 1024)"),
+        (["sweep", "--axis", "s_th", "--min", "0.2", "--max", "1", "--steps", "2",
+          "--scheme", "adaptive", "--cb", "inf"], "cb: must lie in (0, 1024)"),
+    ],
+)
+def test_rate_arguments_out_of_range_exit_1(tmp_path, capsys, argv, message):
+    code, text = run_cli(tmp_path, *argv)
+    assert code == 1
+    assert text == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_rate_axis_reaches_just_under_the_rate_limit(tmp_path):
+    # every outage is still defined at 1023 bpcu; 2**1024 overflows
+    for axis in ("r_e", "r_b"):
+        code, text = run_cli(
+            tmp_path, "sweep", "--axis", axis, "--min", "0", "--max", "1023", "--steps", "2"
+        )
+        assert code == 0
+        assert [row["value"] for row in read_rows(text)] == ["0", "1023"]
+
+
+def test_adaptive_sweep_mc_rate_rows_estimate_the_pinned_capacity_value(tmp_path, baseline):
+    # On rate rows both columns are (c_b - r_e)(1 - S(r_e)) at the pinned
+    # capacity, gated at the ceiling; est_mc reads S from Eve's draw alone.
+    for s_th in ("1.0", "0.4"):
+        code, text = run_cli(
+            tmp_path, "sweep", "--axis", "r_e", "--min", "0.5", "--max", "4", "--steps", "4",
+            "--scheme", "adaptive", "--cb", "6", "--sth", s_th, "--mc", "--trials", "100000",
+        )
+        assert code == 0
+        for row in read_rows(text):
+            closed, est_mc, ci = float(row["est_closed"]), float(row["est_mc"]), float(row["ci"])
+            if row["constraint_met"] == "true":
+                assert ci > 0.0
+                assert abs(closed - est_mc) <= ci
+            else:
+                assert closed == est_mc == ci == 0.0
+
+
 def test_sweep_with_monte_carlo_columns(tmp_path, baseline):
     code, text = run_cli(
         tmp_path,

@@ -402,15 +402,107 @@ def test_estimate_est_adaptive_dominates_fixed_optimum(baseline):
 
 
 def test_estimate_est_adaptive_pinned_rate_mode(baseline):
-    # pinning the redundancy rate reproduces the closed-form curve point:
-    # E[(C_B - r_e) 1{C_B >= r_e} 1{secure}] with independent Bob/Eve draws
+    # Pinning the rates reproduces the closed-form curve point at the pinned
+    # capacity, (c_b - r_e)(1 - S(r_e)), from the eavesdropper's draw alone.
     sim = SimConfig(trials=200_000, seed=41)
-    r_e = 2.0
-    e = estimate_est(baseline, RatePair(30.0, r_e), "adaptive", 1.0, sim)
+    for c_b, r_e in [(6.0, 0.5), (4.0, 2.0), (30.0, 2.0)]:
+        e = estimate_est(baseline, RatePair(c_b, r_e), "adaptive", 1.0, sim)
+        want = secrecy.est_adaptive(baseline, c_b, r_e, secrecy.SecrecyConstraint(1.0)).est
+        assert abs(e.mean - want) <= e.ci_halfwidth
+        sop = estimate_sop(baseline, r_e, sim)
+        assert e.mean == (c_b - r_e) * ((sim.trials - sop.count) / sim.trials)
+        assert e.ci_halfwidth == pytest.approx((c_b - r_e) * sop.ci_halfwidth, rel=1e-12, abs=0)
+
+
+def test_estimate_est_adaptive_pinned_rate_mode_gates_at_the_ceiling(baseline):
+    # S(0.5) is about 0.79: above a 0.4 ceiling the point delivers nothing,
+    # in the closed form and in the estimate; it is not floored at r_th.
+    sim = SimConfig(trials=100_000, seed=41)
+    closed = secrecy.est_adaptive(baseline, 6.0, 0.5, secrecy.SecrecyConstraint(0.4))
+    assert not closed.constraint_met
+    e = estimate_est(baseline, RatePair(6.0, 0.5), "adaptive", 0.4, sim)
+    assert (e.mean, e.ci_halfwidth) == (0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the capacity-averaged adaptive estimator against full interpolation
+# ---------------------------------------------------------------------------
+
+
+def _assert_matches_full_interpolation(sc, s_th, sim, jobs=1):
+    got = estimate_est(sc, None, "adaptive", s_th, sim, jobs=jobs)
+    want = oracles.est_adaptive_full_interp(sc, s_th, sim, jobs=jobs)
+    assert (got.mean, got.ci_halfwidth, got.trials) == (want.mean, want.ci_halfwidth, want.trials)
+    return got
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+@pytest.mark.parametrize("s_th", [0.2, 0.4, 1.0])
+def test_adaptive_est_matches_full_interpolation(baseline, s_th, jobs):
+    # 12,500 trials per stream: np.interp precomputes the table's slopes
+    sim = SimConfig(trials=200_000, seed=11, stream_count=16)
+    _assert_matches_full_interpolation(baseline, s_th, sim, jobs)
+
+
+def test_adaptive_est_cut_decides_most_trials_under_a_ceiling(baseline):
+    # At s_th 0.4 the cut sits a table row under the capacity at r_th, above
+    # Bob's median capacity: most trials never reach np.interp.
+    r_th = optimize.re_threshold(baseline, 0.4)
+    table_c, table_r = montecarlo._adaptive_redundancy_table(baseline, 20.0)
+    c_cut = montecarlo._ceiling_cut(table_c, table_r, r_th)
+    assert np.interp(c_cut, table_c, table_r) < r_th
     scale = baseline.nodes.gamma0 * channel.bob_link(baseline).pointing.a0
-    rng = np.random.default_rng(np.random.Philox(99))
-    caps = np.log2(1.0 + scale * sample_bob_irradiance(baseline, rng, 200_000))
-    cond_mean = float(np.where(caps >= r_e, caps - r_e, 0.0).mean()) * (
-        1.0 - secrecy.sop(baseline, r_e)
-    )
-    assert e.mean == pytest.approx(cond_mean, abs=3.0 * e.ci_halfwidth + 0.01)
+    caps = np.log2(1.0 + scale * sample_bob_irradiance(baseline, _rng(5), 100_000))
+    assert np.mean(caps < c_cut) > 0.9
+    # no ceiling: r_th = 0 lies under the table's first row, so no cut
+    r_free = optimize.re_threshold(baseline, 1.0)
+    assert montecarlo._ceiling_cut(table_c, table_r, r_free) == -math.inf
+
+
+@pytest.mark.parametrize(
+    "trials, stream_count",
+    [(20_000, 16), (3_000, 7), (5, 8)],
+    ids=["short-streams", "uneven-short-streams", "empty-streams"],
+)
+def test_adaptive_est_matches_full_interpolation_on_short_streams(baseline, trials, stream_count):
+    # Streams under the table's 2,048 rows make np.interp form each slope on
+    # the fly; with more streams than trials some streams are empty.
+    sim = SimConfig(trials=trials, seed=3, stream_count=stream_count)
+    _assert_matches_full_interpolation(baseline, 0.4, sim)
+
+
+def test_adaptive_est_matches_full_interpolation_with_r_th_above_every_capacity(
+    baseline, monkeypatch
+):
+    monkeypatch.setattr(optimize, "re_threshold", lambda sc, s_th: 500.0)
+    sim = SimConfig(trials=20_000, seed=3)
+    got = _assert_matches_full_interpolation(baseline, 0.4, sim)
+    assert got.mean == 0.0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("tail", ["tied", "inf"])
+def test_adaptive_est_matches_full_interpolation_with_ties_at_the_cut(
+    baseline, monkeypatch, seed, tail
+):
+    # np.maximum.accumulate ties rows, and sends rows past a flat outage to
+    # inf.  "tied": rows k - 1 .. k + 1 sit at the largest drawn capacity,
+    # so that trial lands exactly on the cut, where np.interp reads row
+    # k + 1 above r_th.  "inf": the cut itself is inf, and every finite
+    # capacity is below it.
+    r_th = optimize.re_threshold(baseline, 0.4)
+    real_table = montecarlo._adaptive_redundancy_table
+
+    def table_with_tail(sc, cap_max):
+        table_c, table_r = real_table(sc, cap_max)
+        k = int(np.searchsorted(table_r, r_th, side="right")) - 1
+        if tail == "tied":
+            table_c[k - 1 : k + 2] = cap_max
+            table_c[k + 2 :] = np.inf
+        else:
+            table_c[k - 1 :] = np.inf
+        return table_c, table_r
+
+    monkeypatch.setattr(montecarlo, "_adaptive_redundancy_table", table_with_tail)
+    sim = SimConfig(trials=20_000, seed=seed, stream_count=4)
+    _assert_matches_full_interpolation(baseline, 0.4, sim)
