@@ -22,7 +22,9 @@ The exit code of every CLI run is compared too (``exit_codes.json``), so a
 field instead of stopping the comparison.  It prints every file and field
 that differs between the trees, with the relative difference
 |new - old| / max(|old|, |new|) of each numeric one, then a summary line:
-how many files differ, the largest relative difference among the solver
+how many files differ, how many of those are Monte-Carlo outputs
+(``opt_mc*.json``, ``validate_jobs*.txt``) and how many closed-form ones, the
+largest relative difference among the solver
 fields (``rates``, ``est`` and ``sop_at_re`` of the ``optimize`` outputs),
 and the largest among their ``oracle.est`` fields.  If nothing differs it
 prints ``identical``.  It exits 1 if anything differs.  Standard library
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import fnmatch
 import json
 import os
 import subprocess
@@ -156,6 +159,13 @@ def relative_diff(old, new) -> float | None:
     return max(relative_diff(x, y) for x, y in pairs)
 
 
+def is_monte_carlo(name: str) -> bool:
+    """Whether the output file ``name`` holds Monte-Carlo numbers, which move
+    with the seed-to-numbers map.  The summary counts every other file,
+    ``exit_codes.json`` included, as closed-form."""
+    return fnmatch.fnmatch(name, "opt_mc*.json") or fnmatch.fnmatch(name, "validate_jobs*.txt")
+
+
 def _summary_group(key: str) -> str | None:
     """The summary figure a differing ``optimize`` field counts toward."""
     if key in ("est", "sop_at_re") or key.startswith("rates."):
@@ -226,8 +236,10 @@ def main() -> int:
         f"{largest[group]:.2g}" if group in largest else "none differ"
         for group in ("solver", "oracle")
     )
+    mc = sum(map(is_monte_carlo, files))
     print(
-        f"{len(files)} of {count} files differ; largest relative diff in solver fields "
+        f"{len(files)} of {count} files differ ({mc} Monte-Carlo, {len(files) - mc} closed-form);"
+        f" largest relative diff in solver fields "
         f"(rates, est, sop_at_re): {solver}; in oracle.est: {oracle}"
     )
     return 1

@@ -79,6 +79,24 @@ _SWEEP_COLUMNS = [
 
 # Rates are bits per channel use; 2**r overflows a double from r = 1024 on.
 _RATE_LIMIT = 1024.0
+_RATE_DOMAIN = (lambda v: 0.0 <= v < _RATE_LIMIT, f"must lie in [0, {_RATE_LIMIT:g})")
+
+# The domain of each sweep axis's --min and --max (NaN lies in none), checked
+# before any row is written: (membership test, message).
+_AXIS_DOMAINS = {
+    "r_e": _RATE_DOMAIN,
+    "r_b": _RATE_DOMAIN,
+    "r_e_x_r_b": _RATE_DOMAIN,
+    "s_th": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1] on the s_th axis"),
+    "n": (
+        lambda v: math.isfinite(v) and round(v) >= 1,
+        "must be finite and round to at least 1 on the n axis",
+    ),
+    "sigma_s": (
+        lambda v: 0.0 <= v < math.inf,
+        "must be finite and non-negative on the sigma_s axis",
+    ),
+}
 
 # Halfwidths wider than this carry no evidential weight either way.
 _INCONCLUSIVE_CI = 0.05
@@ -217,18 +235,15 @@ def _axis_values(args) -> list[float]:
     if args.steps == 1:
         return [args.min]
     step = (args.max - args.min) / (args.steps - 1)
-    return [args.min + i * step for i in range(args.steps)]
+    # Rounding must not carry the last value past --max, out of the axis's domain.
+    return [min(args.min + i * step, args.max) for i in range(args.steps)]
 
 
 def _scenario_at(sc: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
     if axis == "n":
         n = int(round(value))
-        if n < 1:
-            raise ConfigError("range: aperture counts must be at least 1")
         return _derive_links(replace(sc, nodes=replace(sc.nodes, n_a=n, n_b=n, n_e=n)))
     if axis == "sigma_s":
-        if value < 0.0:
-            raise ConfigError("range: sigma_s must be non-negative")
         return replace(sc, sigma_s=value)
     return sc
 
@@ -288,9 +303,9 @@ def _optimum_row(
 
 def cmd_sweep(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     """Evaluate throughput over the chosen axis and write CSV rows."""
+    values = _axis_values(args)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_SWEEP_COLUMNS)
-    values = _axis_values(args)
     sim = SimConfig(trials=args.trials, seed=args.seed, stream_count=args.stream_count)
     s_th = args.sth if args.sth is not None else sc.s_th
     scheme = args.scheme
@@ -341,8 +356,6 @@ def cmd_sweep(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
                 )
     elif axis == "s_th":
         for v in values:
-            if not 0.0 < v <= 1.0:
-                raise ConfigError("range: s_th values must lie in (0, 1]")
             emit(v, None, _optimum_row(sc, scheme, v, args.cb, args.mc, sim, args.jobs))
     elif axis in ("n", "sigma_s"):
         for v in values:
@@ -521,9 +534,7 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         est.ci_halfwidth,
     )
 
-    moment_rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(sim.seed).spawn(3)[2])
-    )
+    moment_rng = montecarlo.seeded_generator(np.random.SeedSequence(sim.seed).spawn(3)[2])
     k_shape = eve_link(sc).turb.alpha
     draws = moment_rng.standard_gamma(k_shape, min(sim.trials, 200_000))
     rel_ci = 3.0 * float(draws.std()) / math.sqrt(draws.size) / k_shape
@@ -532,7 +543,8 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     status = "FAIL" if n_fail else "PASS"
     header = [
         "validation report",
-        f"trials={sim.trials} seed={sim.seed} streams={sim.stream_count}",
+        f"trials={sim.trials} seed={sim.seed} streams={sim.stream_count}"
+        f" generator={type(moment_rng.bit_generator).__name__}",
     ]
     footer = (
         f"result: {status} ({len(lines)} checks, {n_fail} failed,"
@@ -603,13 +615,14 @@ def main(argv: list[str] | None = None) -> int:
         # A realized capacity of zero leaves the adaptive optimum undefined.
         if args.cb is not None and not 0.0 < args.cb < _RATE_LIMIT:
             raise ConfigError(f"cb: must lie in (0, {_RATE_LIMIT:g})")
-        rate_args = ["re", "rb"]
-        if getattr(args, "axis", None) in ("r_e", "r_b", "r_e_x_r_b"):
-            rate_args += ["min", "max"]
-        for name in rate_args:
+        checks = [("re", _RATE_DOMAIN), ("rb", _RATE_DOMAIN)]
+        axis = getattr(args, "axis", None)
+        if axis in _AXIS_DOMAINS:
+            checks += [("min", _AXIS_DOMAINS[axis]), ("max", _AXIS_DOMAINS[axis])]
+        for name, (inside, domain) in checks:
             val = getattr(args, name, None)
-            if val is not None and not 0.0 <= val < _RATE_LIMIT:
-                raise ConfigError(f"{name}: must lie in [0, {_RATE_LIMIT:g})")
+            if val is not None and not inside(val):
+                raise ConfigError(f"{name}: {domain}")
         if args.trials < 1:
             raise ConfigError("trials: must be at least 1")
         if args.stream_count < 1:

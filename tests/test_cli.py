@@ -351,6 +351,25 @@ def test_sweep_invalid_ceiling_range_exits_1(tmp_path, capsys):
          "rb: must lie in [0, 1024)"),
         (["sweep", "--axis", "s_th", "--min", "0.2", "--max", "1", "--steps", "2",
           "--scheme", "adaptive", "--cb", "inf"], "cb: must lie in (0, 1024)"),
+        # The other axes' bounds: NaN used to label rows, inf and NaN to end
+        # in tracebacks, and an s_th past 1 or a reversed range to exit 1
+        # after the header or a first row.
+        (["sweep", "--axis", "sigma_s", "--min", "0", "--max", "nan", "--steps", "2"],
+         "max: must be finite and non-negative on the sigma_s axis"),
+        (["sweep", "--axis", "sigma_s", "--min", "0", "--max", "inf", "--steps", "2"],
+         "max: must be finite and non-negative on the sigma_s axis"),
+        (["sweep", "--axis", "sigma_s", "--min", "-1", "--max", "2", "--steps", "2"],
+         "min: must be finite and non-negative on the sigma_s axis"),
+        (["sweep", "--axis", "n", "--min", "1", "--max", "nan", "--steps", "2"],
+         "max: must be finite and round to at least 1 on the n axis"),
+        (["sweep", "--axis", "n", "--min", "0.4", "--max", "2", "--steps", "2"],
+         "min: must be finite and round to at least 1 on the n axis"),
+        (["sweep", "--axis", "s_th", "--min", "0.1", "--max", "2", "--steps", "2"],
+         "max: must lie in (0, 1] on the s_th axis"),
+        (["sweep", "--axis", "s_th", "--min", "nan", "--max", "1", "--steps", "2"],
+         "min: must lie in (0, 1] on the s_th axis"),
+        (["sweep", "--axis", "r_e", "--min", "2", "--max", "1", "--steps", "2"],
+         "range: max must be at least min"),
     ],
 )
 def test_rate_arguments_out_of_range_exit_1(tmp_path, capsys, argv, message):
@@ -358,6 +377,16 @@ def test_rate_arguments_out_of_range_exit_1(tmp_path, capsys, argv, message):
     assert code == 1
     assert text == ""
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_sweep_endpoint_stays_inside_the_axis_domain(tmp_path):
+    # 0.08 + 3 * ((1 - 0.08) / 3) rounds to 1.0000000000000002; the last row
+    # used to end the sweep with exit 1, and now sits at --max itself.
+    code, text = run_cli(
+        tmp_path, "sweep", "--axis", "s_th", "--min", "0.08", "--max", "1", "--steps", "4"
+    )
+    assert code == 0
+    assert [row["value"] for row in read_rows(text)] == ["0.08", "0.386666667", "0.693333333", "1"]
 
 
 def test_rate_axis_reaches_just_under_the_rate_limit(tmp_path):
