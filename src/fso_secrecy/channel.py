@@ -44,7 +44,6 @@ __all__ = [
     "PointingParams",
     "NodeConfig",
     "GammaApprox",
-    "SnrThreshold",
     "ScenarioConfig",
     "LinkParams",
     "baseline_scenario",
@@ -55,7 +54,6 @@ __all__ = [
     "ggp_cdf",
     "ggp_cdf_approx",
     "ggp_cdf_pdf_approx",
-    "snr_threshold",
     "bob_link",
     "eve_link",
     "clamp_event_count",
@@ -207,17 +205,6 @@ class GammaApprox:
 
 
 @dataclass(frozen=True)
-class SnrThreshold:
-    """Normalized irradiance threshold equivalent to a rate threshold."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.value < 0.0:
-            raise ValueError("SnrThreshold.value must be non-negative")
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     """Full experiment description: geometry, apertures, SNR budget,
     misalignment spread, and the secrecy-outage constraint."""
@@ -344,19 +331,6 @@ def gamma_approx(
         )
     k_ap = 1.0 / bracket
     return GammaApprox(k_ap=k_ap, theta_ap=omega_adj / k_ap, epsilon=epsilon, omega_adj=omega_adj)
-
-
-def snr_threshold(node: NodeConfig, pointing: PointingParams, rate: float, which: str) -> SnrThreshold:
-    """Normalized irradiance level a receiver must clear to support ``rate``."""
-    if rate < 0.0:
-        raise ValueError(f"rate must be non-negative, got {rate}")
-    if which == "bob":
-        n_rx = node.n_b
-    elif which == "eve":
-        n_rx = node.n_e
-    else:
-        raise ValueError(f"which must be 'bob' or 'eve', got {which!r}")
-    return SnrThreshold((2.0**rate - 1.0) / (node.gamma0 * n_rx * pointing.a0))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +475,7 @@ def _conditioned_cdf(alpha: float, beta_agg: float, xi2: float | None, x: float)
     u = _trapezoid_nodes(m)
     log_w = -m * (np.expm1(u) - u)
     w = np.exp(log_w)
-    log_c = math.log(x) - u
+    log_c = np.log(x) - u
     # Past t = e**700, P(k, t) is 1 and the second term 0 in double precision.
     t = np.exp(np.minimum(math.log(k) + log_c, 700.0))
     mass = w * _sp.gammainc(k, t)

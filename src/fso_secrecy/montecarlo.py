@@ -42,7 +42,7 @@ import numpy as np
 
 from fso_secrecy import optimize
 from fso_secrecy.channel import LinkParams, ScenarioConfig, bob_link, eve_link
-from fso_secrecy.secrecy import RatePair
+from fso_secrecy.secrecy import RatePair, rate_threshold
 
 __all__ = [
     "SimConfig",
@@ -199,7 +199,7 @@ def estimate_sop(
     rngs = _stream_rngs(sim, _EVE_ROLE)
     sizes = sim.stream_sizes()
     scale = sc.nodes.gamma0 * eve_link(sc).pointing.a0
-    thrs = [(2.0**r - 1.0) / scale for r in rates]
+    thrs = [rate_threshold(r, scale)[0] for r in rates]
 
     def one(j: int) -> list[int]:
         draws = sample_eve_irradiance(sc, rngs[j], sizes[j])
@@ -224,7 +224,7 @@ def estimate_reliability_outage(
     rngs = _stream_rngs(sim, _BOB_ROLE)
     sizes = sim.stream_sizes()
     link = bob_link(sc)
-    thr = (2.0**r_b - 1.0) / (sc.nodes.gamma0 * link.pointing.a0)
+    thr, _ = rate_threshold(r_b, sc.nodes.gamma0 * link.pointing.a0)
 
     def one(j: int) -> int:
         left = sizes[j]
@@ -381,7 +381,7 @@ def _estimate_est_adaptive(
     cap_max = max(float(cap.max()) for cap, _ in drawn if cap.size)
     table_c, table_r = _adaptive_redundancy_table(sc, cap_max)
     c_cut = _ceiling_cut(table_c, table_r, r_th)
-    thr_th = (np.exp2(r_th) - 1.0) / snr_e
+    thr_th, _ = rate_threshold(r_th, snr_e)
 
     def reduce_one(j: int) -> tuple[float, float]:
         cap, i_e = drawn[j]
@@ -389,7 +389,7 @@ def _estimate_est_adaptive(
         free = np.flatnonzero(~(cap < c_cut))
         c = cap[free]
         r_e = np.maximum(np.interp(c, table_c, table_r), r_th)
-        secure = i_e[free] <= (np.exp2(r_e) - 1.0) / snr_e
+        secure = i_e[free] <= rate_threshold(r_e, snr_e)[0]
         psi[free] = np.where((r_e <= c) & secure, c - r_e, 0.0)
         return float(psi.sum()), float((psi * psi).sum())
 

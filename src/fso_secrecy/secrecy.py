@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from fso_secrecy import channel
-from fso_secrecy.channel import ScenarioConfig, bob_link, eve_link, snr_threshold
+from fso_secrecy.channel import ScenarioConfig, bob_link, eve_link
 
 __all__ = [
     "RatePair",
@@ -45,6 +45,7 @@ __all__ = [
     "reliability_outage_approx_curve",
     "est_adaptive",
     "est_fixed",
+    "rate_threshold",
 ]
 
 #: LRU bound of each memoized outage function.
@@ -94,8 +95,10 @@ class EstReport:
 @lru_cache(maxsize=OUTAGE_CACHE_SIZE)
 def sop(scenario: ScenarioConfig, r_e: float) -> float:
     """Secrecy outage probability: chance the eavesdropper's capacity tops ``r_e``."""
+    if r_e < 0.0:
+        raise ValueError(f"rate must be non-negative, got {r_e}")
     link = eve_link(scenario)
-    thr = snr_threshold(scenario.nodes, link.pointing, r_e, "eve").value
+    thr, _ = _link_threshold(scenario, link, r_e)
     if scenario.sigma_s == 0.0:
         f = channel.gg_cdf(link.turb.alpha, link.beta_agg, thr)
     else:
@@ -112,7 +115,7 @@ def sop_approx(scenario: ScenarioConfig, r_e: float) -> float:
     if r_e < 0.0:
         raise ValueError(f"rate must be non-negative, got {r_e}")
     link = eve_link(scenario)
-    x, _ = _surrogate_threshold(scenario, link, r_e)
+    x, _ = _link_threshold(scenario, link, r_e)
     return 1.0 - channel.ggp_cdf_approx(link.ga, link.pointing.xi, float(x))
 
 
@@ -125,7 +128,7 @@ def sop_approx_curve(scenario: ScenarioConfig, r_e: np.ndarray) -> tuple[np.ndar
     if (r_e < 0.0).any():
         raise ValueError("rates must be non-negative")
     link = eve_link(scenario)
-    x, dx = _surrogate_threshold(scenario, link, r_e)
+    x, dx = _link_threshold(scenario, link, r_e)
     cdf, pdf = channel.ggp_cdf_pdf_approx(link.ga, link.pointing.xi, x)
     return 1.0 - cdf, -pdf * dx
 
@@ -137,9 +140,11 @@ def reliability_outage(scenario: ScenarioConfig, r_b: float) -> float:
     Transmit selection over ``n_a`` independent beams raises the
     single-beam outage to the ``n_a``-th power.
     """
+    if r_b < 0.0:
+        raise ValueError(f"rate must be non-negative, got {r_b}")
     link = bob_link(scenario)
-    thr = snr_threshold(scenario.nodes, link.pointing, r_b, "bob").value
-    return channel.gg_cdf(link.turb.alpha, link.beta_agg, thr) ** scenario.nodes.n_a
+    thr, _ = _link_threshold(scenario, link, r_b)
+    return float(np.power(channel.gg_cdf(link.turb.alpha, link.beta_agg, thr), scenario.nodes.n_a))
 
 
 @lru_cache(maxsize=OUTAGE_CACHE_SIZE)
@@ -152,7 +157,7 @@ def reliability_outage_approx(scenario: ScenarioConfig, r_b: float) -> float:
     if r_b < 0.0:
         raise ValueError(f"rate must be non-negative, got {r_b}")
     link = bob_link(scenario)
-    x, _ = _surrogate_threshold(scenario, link, r_b)
+    x, _ = _link_threshold(scenario, link, r_b)
     c1 = channel.ggp_cdf_approx(link.ga, link.pointing.xi, float(x))
     return float(np.power(c1, scenario.nodes.n_a))
 
@@ -170,21 +175,29 @@ def reliability_outage_approx_curve(
     if (r_b < 0.0).any():
         raise ValueError("rates must be non-negative")
     link = bob_link(scenario)
-    x, dx = _surrogate_threshold(scenario, link, r_b)
+    x, dx = _link_threshold(scenario, link, r_b)
     c1, pdf = channel.ggp_cdf_pdf_approx(link.ga, link.pointing.xi, x)
     n_a = scenario.nodes.n_a
     return np.power(c1, n_a), n_a * np.power(c1, n_a - 1) * pdf * dx
 
 
-def _surrogate_threshold(scenario: ScenarioConfig, link: channel.LinkParams, rate):
-    """SNR threshold of ``rate`` (a float or an array) and its derivative in
-    the rate, by the same numpy arithmetic for both; ``rate`` >= 0.
+def rate_threshold(rate, gain: float):
+    """Normalized irradiance a receiver of SNR gain ``gain`` must clear to
+    carry ``rate`` (a float or an array, >= 0), and its derivative in the
+    rate, by the same numpy arithmetic for both.
 
-    ``expm1`` keeps the threshold's relative accuracy at small rates, where
-    2**rate - 1 would cancel (and read 0 below rate 1.6e-16)."""
-    gain = scenario.nodes.gamma0 * link.n_rx * link.pointing.a0
+    The threshold is (2**rate - 1) / gain, formed with ``expm1`` so that it
+    keeps its relative accuracy at small rates, where 2**rate - 1 would
+    cancel (and read 0 below rate 1.6e-16).  Every exact and surrogate
+    outage and every Monte-Carlo estimator maps its rates through it.
+    """
     m = np.expm1(rate * _LN2)
     return m / gain, (m + 1.0) * (_LN2 / gain)
+
+
+def _link_threshold(scenario: ScenarioConfig, link: channel.LinkParams, rate):
+    """:func:`rate_threshold` of ``rate`` at the link's gain gamma0 * n_rx * a0."""
+    return rate_threshold(rate, scenario.nodes.gamma0 * link.n_rx * link.pointing.a0)
 
 
 def est_adaptive(

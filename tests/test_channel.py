@@ -28,9 +28,10 @@ from fso_secrecy.channel import (
     ggp_cdf,
     ggp_cdf_approx,
     pointing_params,
-    snr_threshold,
     turbulence_params,
 )
+from fso_secrecy.montecarlo import SimConfig, estimate_reliability_outage, estimate_sop
+from fso_secrecy.secrecy import _link_threshold, rate_threshold
 
 # ---------------------------------------------------------------------------
 # derived parameters of the default scenario
@@ -263,31 +264,38 @@ def test_paper_expansions_match_the_kernel(baseline):
 
 def test_snr_threshold_examples(baseline):
     p = eve_link(baseline).pointing
-    assert snr_threshold(baseline.nodes, p, 0.0, "eve").value == 0.0
+    assert rate_threshold(0.0, 1e4 * p.a0)[0] == 0.0
 
-    node = NodeConfig(gamma0=1e4, n_e=2)
-    v = snr_threshold(node, p, 1.0, "eve").value
-    assert v == pytest.approx(1.0 / (1e4 * 2 * p.a0), rel=1e-15, abs=0)
+    gain = 1e4 * 2 * p.a0
+    v, dv = rate_threshold(1.0, gain)
+    assert v == pytest.approx(1.0 / gain, rel=1e-15, abs=0)
     assert v == pytest.approx(0.015651, abs=5e-6)
+    assert dv == pytest.approx(2.0 * math.log(2.0) / gain, rel=1e-15, abs=0)
+    assert rate_threshold(1.0, 2.0 * gain)[0] == pytest.approx(v / 2.0, rel=1e-15, abs=0)
+    # expm1 keeps the relative accuracy where 2**r - 1 cancels to 0
+    assert rate_threshold(1e-20, 1.0)[0] == pytest.approx(1e-20 * math.log(2.0), rel=1e-15, abs=0)
 
-    doubled = NodeConfig(gamma0=2e4, n_e=2)
-    assert snr_threshold(doubled, p, 1.0, "eve").value == pytest.approx(v / 2.0, rel=1e-15, abs=0)
+    # an array maps to the bits of its elements' float calls
+    rates = np.array([0.0, 1e-12, 0.5, 6.0])
+    xs, dxs = rate_threshold(rates, gain)
+    for r, x, dx in zip(rates.tolist(), xs.tolist(), dxs.tolist()):
+        assert (x.hex(), dx.hex()) == tuple(float(v).hex() for v in rate_threshold(r, gain))
 
-    # bob/eve selector picks the right aperture count
-    node_bn = NodeConfig(gamma0=1e4, n_b=1, n_e=4)
-    vb = snr_threshold(node_bn, p, 1.0, "bob").value
-    ve = snr_threshold(node_bn, p, 1.0, "eve").value
+    # each link's gain carries its own aperture count
+    sc = baseline_scenario(n_b=1, n_e=4)
+    vb = _link_threshold(sc, bob_link(sc), 1.0)[0]
+    ve = _link_threshold(sc, eve_link(sc), 1.0)[0]
     assert vb == pytest.approx(4.0 * ve, rel=1e-15, abs=0)
 
 
 def test_snr_threshold_domain_errors(baseline):
-    p = eve_link(baseline).pointing
+    # the Monte-Carlo estimators reject a negative rate before drawing
+    sim = SimConfig(trials=10, stream_count=1)
+    for rate in (-0.5, [1.0, -0.5]):
+        with pytest.raises(ValueError):
+            estimate_sop(baseline, rate, sim)
     with pytest.raises(ValueError):
-        snr_threshold(baseline.nodes, p, -0.5, "eve")
-    with pytest.raises(ValueError):
-        snr_threshold(baseline.nodes, p, 1.0, "alice")
-    with pytest.raises(ValueError):
-        channel.SnrThreshold(-1e-9)
+        estimate_reliability_outage(baseline, -0.5, sim)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +519,7 @@ def test_series_products_past_the_double_range_take_the_kernel():
                            d_e=581.8852747561125)
     le = eve_link(sc)
     a, b, xi = le.turb.alpha, le.beta_agg, le.pointing.xi
-    x = snr_threshold(sc.nodes, le.pointing, 1.0011347829612158, "eve").value
+    x = _link_threshold(sc, le, 1.0011347829612158)[0]
     assert a * b * x < 100.0
     want = oracles.mp_ggp_cdf_conditioning(a, b, xi, x)
     assert ggp_cdf(a, b, xi, x) == pytest.approx(want, rel=1e-12, abs=0)
@@ -520,7 +528,7 @@ def test_series_products_past_the_double_range_take_the_kernel():
                            d_e=604.8434970567932)
     le = eve_link(sc)
     a, b, xi = le.turb.alpha, le.beta_agg, le.pointing.xi
-    x = snr_threshold(sc.nodes, le.pointing, 0.7908362607525738, "eve").value
+    x = _link_threshold(sc, le, 0.7908362607525738)[0]
     assert a * b * x < 100.0
     assert 0.0 < ggp_cdf(a, b, xi, x) < 1e-40
 

@@ -87,7 +87,7 @@ def test_sop_strictly_decreasing(baseline):
 def test_sop_pointing_free_uses_turbulence_kernel(pointing_free):
     # with no beam wander the outage reduces to the turbulence-only tail
     link = channel.eve_link(pointing_free)
-    thr = channel.snr_threshold(pointing_free.nodes, link.pointing, 1.5, "eve").value
+    thr = secrecy._link_threshold(pointing_free, link, 1.5)[0]
     want = 1.0 - channel.gg_cdf(link.turb.alpha, link.beta_agg, thr)
     assert sop(pointing_free, 1.5) == pytest.approx(want, rel=1e-15, abs=0)
 
@@ -239,7 +239,7 @@ def test_sop_approx_at_vanishing_turbulence(cn2, table):
     le = channel.eve_link(sc)
     for r_e, want in table.items():
         got = sop_approx(sc, r_e)
-        x = channel.snr_threshold(sc.nodes, le.pointing, r_e, "eve").value
+        x = secrecy._link_threshold(sc, le, r_e)[0]
         mixture = 1.0 - oracles.surrogate_cdf_mixture(le.ga.k_ap, le.ga.theta_ap, le.pointing.xi, x)
         assert got == pytest.approx(want, abs=1e-6)
         assert got == pytest.approx(mixture, abs=1e-6)
