@@ -7,9 +7,9 @@ eavesdropper's receiver, and evaluates the three CDF kernels everything else
 is built on:
 
 * ``gg_cdf`` -- unit-mean turbulence fading (product of two gamma factors),
-  aggregated over receive apertures;
+  aggregated over receive apertures, at one threshold or an array of them;
 * ``ggp_cdf`` -- the same fading multiplied by the random collected-power
-  fraction of a misaligned receiver;
+  fraction of a misaligned receiver, likewise;
 * ``ggp_cdf_approx`` / ``ggp_cdf_pdf_approx`` -- the gamma-surrogate
   approximation of ``ggp_cdf`` used by the rate optimizers, at one
   threshold or, with its density, on an array of thresholds.
@@ -17,7 +17,8 @@ is built on:
 The exact kernels condition on the gamma factor of larger shape: given
 that factor, the other gamma factor and the collected-power fraction
 integrate in closed form, and the expectation over the factor is a
-trapezoid rule in its logarithm on one numpy array of nodes.  The surrogate
+trapezoid rule in its logarithm on one numpy array of nodes, against which
+an array of thresholds broadcasts.  The surrogate
 is that closed form with the factor fixed at one, on the same log-domain
 pointing term.  The paper's 1F2 expansions of the same CDFs are kept as a
 test reference only.  All records are frozen dataclasses, all functions
@@ -101,9 +102,8 @@ def _clamp_prob(p):
 def clamp_event_count() -> int:
     """Number of probabilities clamped by more than 1e-9.
 
-    It counts kernel evaluations, one per array element: a cache hit in the
-    memoized outage functions of :mod:`fso_secrecy.secrecy` evaluates no
-    kernel and adds none.
+    It counts every kernel evaluation, one per array element: nothing
+    between a caller and the kernels stores a probability.
     """
     return _CLAMP_EVENTS
 
@@ -451,8 +451,8 @@ def _log_upper_gamma_cf(a: float, t: np.ndarray) -> np.ndarray:
     )
 
 
-def _conditioned_cdf(alpha: float, beta_agg: float, xi2: float | None, x: float) -> float:
-    """P(X Y V <= x) by conditioning on the gamma factor of larger shape.
+def _conditioned_cdf(alpha: float, beta_agg: float, xi2: float | None, x: np.ndarray) -> np.ndarray:
+    """P(X Y V <= x) on an array of x > 0, conditioning on the larger-shape factor.
 
     X ~ Gamma(m, 1/m) is the factor of larger shape and Y ~ Gamma(k, 1/k) the
     other one; the product is symmetric in the two.  V is the collected-power
@@ -469,45 +469,47 @@ def _conditioned_cdf(alpha: float, beta_agg: float, xi2: float | None, x: float)
     geometrically in the step.  Dividing by the sum of the weights removes
     the gamma normalization of X.  The weights and the pointing term are
     formed from their logarithms, so no factor overflows for any shape up to
-    ``_SHAPE_CAP``.
+    ``_SHAPE_CAP``.  The nodes depend on the shapes only, so x broadcasts
+    against them, and each element has the bits of a one-element call.
     """
     m, k = (alpha, beta_agg) if alpha >= beta_agg else (beta_agg, alpha)
     u = _trapezoid_nodes(m)
     log_w = -m * (np.expm1(u) - u)
     w = np.exp(log_w)
-    log_c = np.log(x) - u
+    log_c = np.log(x)[..., None] - u
     # Past t = e**700, P(k, t) is 1 and the second term 0 in double precision.
     t = np.exp(np.minimum(math.log(k) + log_c, 700.0))
     mass = w * _sp.gammainc(k, t)
     if xi2 is not None:
         mass += np.exp(log_w + _log_pointing_term(k, xi2, t, log_c))
-    return float(mass.sum() / w.sum())
+    return mass.sum(axis=-1) / w.sum()
 
 
-def gg_cdf(alpha: float, beta_agg: float, x: float) -> float:
-    """CDF of the unit-mean aggregated turbulence fading."""
+def _exact_cdf(name: str, alpha: float, beta_agg: float, xi2: float | None, x):
+    """:func:`_conditioned_cdf` clamped to [0, 1], 0 at x = 0, for x >= 0 a float
+    or an array: a float takes a one-element array's code and returns a float."""
     if not (alpha > 0.0 and beta_agg > 0.0):
-        raise ValueError("gg_cdf shape parameters must be strictly positive")
-    if x < 0.0:
-        raise ValueError(f"gg_cdf requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    return float(_clamp_prob(_conditioned_cdf(alpha, beta_agg, None, x)))
+        raise ValueError(f"{name} shape parameters must be strictly positive")
+    xs = np.asarray(x, dtype=float)
+    if (xs < 0.0).any():
+        raise ValueError(f"{name} requires x >= 0, got {x}")
+    p = np.zeros(xs.shape)
+    live = xs != 0.0
+    p[live] = _clamp_prob(_conditioned_cdf(alpha, beta_agg, xi2, xs[live]))
+    return float(p) if p.ndim == 0 else p
 
 
-def ggp_cdf(alpha: float, beta_agg: float, xi: float, x: float) -> float:
-    """CDF of turbulence fading scaled by the random collected-power fraction."""
-    if not (alpha > 0.0 and beta_agg > 0.0):
-        raise ValueError("ggp_cdf shape parameters must be strictly positive")
+def gg_cdf(alpha: float, beta_agg: float, x):
+    """CDF of the unit-mean aggregated turbulence fading at x (a float or an array)."""
+    return _exact_cdf("gg_cdf", alpha, beta_agg, None, x)
+
+
+def ggp_cdf(alpha: float, beta_agg: float, xi: float, x):
+    """CDF of turbulence fading scaled by the random collected-power fraction,
+    at x (a float or an array)."""
     if not xi > 0.0:
         raise ValueError(f"ggp_cdf requires xi > 0, got {xi}")
-    if x < 0.0:
-        raise ValueError(f"ggp_cdf requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if math.isinf(xi):
-        return gg_cdf(alpha, beta_agg, x)
-    return float(_clamp_prob(_conditioned_cdf(alpha, beta_agg, xi * xi, x)))
+    return _exact_cdf("ggp_cdf", alpha, beta_agg, None if math.isinf(xi) else xi * xi, x)
 
 
 def _surrogate_cdf(k: float, xi2: float | None, t):

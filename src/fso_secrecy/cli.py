@@ -13,8 +13,8 @@ Four subcommands, all emitting machine-readable output (JSON or CSV, UTF-8,
               PASS/FAIL/INCONCLUSIVE line per check; deterministic bytes for
               a fixed seed.
 
-Exit codes: 0 success, 1 configuration error, 2 solver failure,
-3 validation failure.
+Exit codes: 0 success, 1 configuration error (a malformed command line
+included), 2 solver failure, 3 validation failure.
 
 For the adaptive scheme the closed-form sweep column is conditional on the
 configured realized capacity (``--cb``).  On rate rows the Monte-Carlo column
@@ -248,30 +248,44 @@ def _scenario_at(sc: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
     return sc
 
 
-def _rate_row(
+def _outages(outage, sc: ScenarioConfig, rates: list[float]) -> list[float]:
+    """``outage(sc, r)`` at each of ``rates``, from one array call on the distinct ones."""
+    distinct, index = np.unique(rates, return_inverse=True)
+    return outage(sc, distinct)[index].tolist()
+
+
+def _rate_rows(
     sc: ScenarioConfig,
     scheme: str,
     s_th: float,
-    rates: RatePair,
-    c_b: float,
+    cells: list[tuple[float, float, float]],
     with_mc: bool,
     sim: SimConfig,
     jobs: int,
-) -> tuple[float, str, str, float, float, bool]:
+) -> list[tuple[float, str, str, float, float, bool]]:
+    """One row per cell (r_e, r_b, c_b) of a rate axis, from one exact outage
+    call per kind and ``est_from_outages``.  The adaptive scheme has no
+    reliability outage, and no secrecy rate past c_b; r_b < r_e is a zero row."""
     constraint = SecrecyConstraint(s_th)
-    sop_val = secrecy.sop(sc, rates.r_e)
-    if scheme == "adaptive":
-        report = secrecy.est_adaptive(sc, c_b, min(rates.r_e, c_b), constraint)
-        rel = 0.0
+    s = _outages(secrecy.sop, sc, [r_e for r_e, _, _ in cells])
+    if scheme == "fixed":
+        t = _outages(secrecy.reliability_outage, sc, [r_b for _, r_b, _ in cells])
     else:
-        report = secrecy.est_fixed(sc, rates, constraint)
-        rel = secrecy.reliability_outage(sc, rates.r_b)
-    est_mc = ci = ""
-    if with_mc:
-        mc_rates = rates if scheme == "fixed" else RatePair(r_b=max(rates.r_e, c_b), r_e=rates.r_e)
-        est = montecarlo.estimate_est(sc, mc_rates, scheme, s_th, sim, jobs=jobs)
-        est_mc, ci = _fmt(est.mean), _fmt(est.ci_halfwidth)
-    return report.est, est_mc, ci, sop_val, rel, report.constraint_met
+        t = [0.0] * len(cells)
+    rows = []
+    for (r_e, r_b, c_b), s_i, t_i in zip(cells, s, t):
+        if r_b < r_e:
+            rows.append((0.0, "", "", s_i, 0.0, False))
+            continue
+        secrecy_rate = r_b - r_e if scheme == "fixed" else max(c_b - r_e, 0.0)
+        report = secrecy.est_from_outages(secrecy_rate, t_i, s_i, constraint)
+        est_mc = ci = ""
+        if with_mc:
+            mc_rates = RatePair(r_b=r_b if scheme == "fixed" else max(r_e, c_b), r_e=r_e)
+            est = montecarlo.estimate_est(sc, mc_rates, scheme, s_th, sim, jobs=jobs)
+            est_mc, ci = _fmt(est.mean), _fmt(est.ci_halfwidth)
+        rows.append((report.est, est_mc, ci, report.sop, t_i, report.constraint_met))
+    return rows
 
 
 def _optimum_row(
@@ -327,42 +341,32 @@ def cmd_sweep(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
             ]
         )
 
-    if axis == "r_e":
+    if axis in ("s_th", "n", "sigma_s"):
         for v in values:
-            if scheme == "fixed":
-                r_b = args.rb if args.rb is not None else optimize.fixed_constrained_rb(sc, v)
-                rates = RatePair(r_b=max(r_b, v), r_e=v)
-            else:
-                rates = RatePair(r_b=max(args.cb, v), r_e=v)
-            emit(v, None, _rate_row(sc, scheme, s_th, rates, args.cb, args.mc, sim, args.jobs))
+            sc_v, s_th_v = _scenario_at(sc, axis, v), v if axis == "s_th" else s_th
+            emit(v, None, _optimum_row(sc_v, scheme, s_th_v, args.cb, args.mc, sim, args.jobs))
+        return _EXIT_OK
+
+    # Rate axes: (value, value2) and the cell (r_e, r_b, c_b) of each row.
+    if axis == "r_e":
+        points = []
+        for v in values:
+            r_b = args.cb if scheme == "adaptive" else args.rb
+            if r_b is None:
+                r_b = optimize.fixed_constrained_rb(sc, v)
+            points.append((v, None, (v, max(r_b, v), args.cb)))
     elif axis == "r_b":
         r_e = args.re
         if r_e is None:
             r_e = optimize.re_threshold(sc, s_th)
-        for v in values:
-            rates = RatePair(r_b=max(v, r_e), r_e=r_e)
-            emit(v, None, _rate_row(sc, scheme, s_th, rates, args.cb, args.mc, sim, args.jobs))
+        points = [(v, None, (r_e, max(v, r_e), args.cb)) for v in values]
     elif axis == "r_e_x_r_b":
-        for v_e in values:
-            for v_b in values:
-                if v_b < v_e:
-                    emit(v_e, v_b, (0.0, "", "", secrecy.sop(sc, v_e), 0.0, False))
-                    continue
-                rates = RatePair(r_b=v_b, r_e=v_e)
-                emit(
-                    v_e,
-                    v_b,
-                    _rate_row(sc, scheme, s_th, rates, max(args.cb, v_b), args.mc, sim, args.jobs),
-                )
-    elif axis == "s_th":
-        for v in values:
-            emit(v, None, _optimum_row(sc, scheme, v, args.cb, args.mc, sim, args.jobs))
-    elif axis in ("n", "sigma_s"):
-        for v in values:
-            sc_pt = _scenario_at(sc, axis, v)
-            emit(v, None, _optimum_row(sc_pt, scheme, s_th, args.cb, args.mc, sim, args.jobs))
+        points = [(v_e, v_b, (v_e, v_b, max(args.cb, v_b))) for v_e in values for v_b in values]
     else:
         raise ConfigError(f"axis: unknown axis {axis!r}")
+    rows = _rate_rows(sc, scheme, s_th, [cell for _, _, cell in points], args.mc, sim, args.jobs)
+    for (v, v2, _), row in zip(points, rows):
+        emit(v, v2, row)
     return _EXIT_OK
 
 
@@ -409,14 +413,14 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     if scheme == "adaptive":
         opt = optimize.adaptive_optimal(sc, args.cb, s_th, opts)
         oracle = optimize.adaptive_grid_oracle(sc, args.cb, s_th, opts)
-        est_exact = secrecy.est_adaptive(sc, args.cb, opt.rates.r_e, unconstrained).est
+        exact = secrecy.est_adaptive(sc, args.cb, opt.rates.r_e, unconstrained)
         covers = True  # the grid spans [0, c_b], where every adaptive r_e lies
     else:
         opt = optimize.fixed_optimal(sc, s_th, opts)
         oracle = optimize.fixed_grid_oracle(
             sc, s_th, opt.rates.r_b + 3.0, optimize.SolverOptions(grid_points=160)
         )
-        est_exact = secrecy.est_fixed(sc, opt.rates, unconstrained).est
+        exact = secrecy.est_fixed(sc, opt.rates, unconstrained)
         # r_e <= r_b lies inside the grid; r_b can fall below its first row.
         covers = opt.rates.r_b >= optimize.FIXED_ORACLE_RB_MIN
 
@@ -429,12 +433,12 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         "est": opt.est,
         # Exact-kernel throughput at the same rates with the gate lifted; the
         # gate itself is contracted on the surrogate surface.
-        "est_exact_kernel": est_exact,
+        "est_exact_kernel": exact.est,
         "method": opt.method,
         "hessian_ok": opt.hessian_ok,
         "constraint_active": opt.constraint_active,
         "sop_at_re": secrecy.sop_approx(sc, opt.rates.r_e),
-        "sop_exact_at_re": secrecy.sop(sc, opt.rates.r_e),
+        "sop_exact_at_re": exact.sop,
         "oracle": {"est": oracle.est, "gap": gap, "covers": covers},
     }
     if scheme == "adaptive":
@@ -512,13 +516,12 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         1e-10,
     )
 
-    gap_rates = [0.1 + i * (6.0 - 0.1) / 24 for i in range(25)]
+    gap_rates = np.array([0.1 + i * (6.0 - 0.1) / 24 for i in range(25)])
     gap_worst = 0.0
     for sig in (1.0, 2.0, 3.0):
         sc_s = _scenario_at(sc, "sigma_s", sig)
-        approx = secrecy.sop_approx_curve(sc_s, np.array(gap_rates))[0]
-        for r_e, s_approx in zip(gap_rates, approx.tolist()):
-            gap_worst = max(gap_worst, abs(s_approx - secrecy.sop(sc_s, r_e)))
+        gaps = np.abs(secrecy.sop_approx_curve(sc_s, gap_rates)[0] - secrecy.sop(sc_s, gap_rates))
+        gap_worst = max(gap_worst, *gaps.tolist())
     check_analytic("surrogate_outage_gap_max", gap_worst, 0.0, 0.02)
 
     est = montecarlo.est_fixed_from_outages(
@@ -559,10 +562,17 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, in the subparsers too, are configuration errors: exit 1."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Once per process: building costs more than parsing, which keeps no state.
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fso-secrecy",
         description="Secrecy-throughput toolkit for optical wiretap links",
     )
@@ -606,9 +616,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         sc = _load_scenario(args.config)
         if args.sth is not None and not 0.0 < args.sth <= 1.0:
             raise ConfigError("sth: must lie in (0, 1]")

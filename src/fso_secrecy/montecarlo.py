@@ -42,7 +42,7 @@ import numpy as np
 
 from fso_secrecy import optimize
 from fso_secrecy.channel import LinkParams, ScenarioConfig, bob_link, eve_link
-from fso_secrecy.secrecy import RatePair, rate_threshold
+from fso_secrecy.secrecy import RatePair, rate_threshold, sop_approx_curve
 
 __all__ = [
     "SimConfig",
@@ -192,14 +192,12 @@ def estimate_sop(
     once and counted against each threshold, so a sequence gives back one
     ``Estimate`` per rate, each equal to the scalar call at that rate.
     """
-    rates = [float(r) for r in np.atleast_1d(r_e)]
-    for r in rates:
-        if r < 0.0:
-            raise ValueError(f"r_e must be non-negative, got {r}")
+    rates = np.atleast_1d(np.asarray(r_e, dtype=float))
+    if (rates < 0.0).any():
+        raise ValueError(f"r_e must be non-negative, got {r_e}")
     rngs = _stream_rngs(sim, _EVE_ROLE)
     sizes = sim.stream_sizes()
-    scale = sc.nodes.gamma0 * eve_link(sc).pointing.a0
-    thrs = [rate_threshold(r, scale)[0] for r in rates]
+    thrs = rate_threshold(rates, sc.nodes.gamma0 * eve_link(sc).pointing.a0)[0].tolist()
 
     def one(j: int) -> list[int]:
         draws = sample_eve_irradiance(sc, rngs[j], sizes[j])
@@ -324,8 +322,6 @@ def _adaptive_redundancy_table(
     Interpolation error in the rate costs only second order in throughput
     because the point is stationary.
     """
-    from fso_secrecy.secrecy import sop_approx_curve
-
     r_lo = 1e-4
     r_hi = max(r_hi, r_lo + 1.0)
     rs = np.linspace(r_lo, r_hi, n_grid)

@@ -41,6 +41,7 @@ from fso_secrecy.secrecy import (
     SecrecyConstraint,
     est_adaptive,
     est_fixed,
+    est_from_outages,
     reliability_outage_approx,
     reliability_outage_approx_curve,
     sop_approx,
@@ -450,7 +451,7 @@ def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = No
     xs = _scan_nodes(0.05, hi, max(opts.grid_points, 100))
     for root in _scan_roots(resid, xs, resid(np.array(xs))):
         re_c = float(g_e(root))
-        if _is_interior_stationary(f, re_c, root):
+        if _is_interior_stationary(sc, re_c, root):
             candidates.append((f(re_c, root), re_c, root, "fixed_point"))
 
     if not candidates:
@@ -458,7 +459,7 @@ def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = No
         candidates.append((f(re_c, rb_c), re_c, rb_c, "grid_oracle"))
 
     est, re, rb, method = max(candidates, key=lambda c: c[0])
-    hessian_ok = _hessian_negative_definite(f, re, rb)
+    hessian_ok = _hessian_negative_definite(sc, re, rb)
     return Optimum(
         rates=RatePair(r_b=rb, r_e=re),
         est=est,
@@ -468,22 +469,37 @@ def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = No
     )
 
 
-def _is_interior_stationary(f, re: float, rb: float, tol: float = 1e-5) -> bool:
+def _throughput_stencil(sc: ScenarioConfig, re: float, rb: float, h: float) -> list[list[float]]:
+    """``fixed_unconstrained_pair``'s objective at (re + i h, rb + j h) as
+    [i + 1][j + 1], i, j in (-1, 0, 1); 0 outside 0 <= r_e < r_b.  It is
+    separable, so one array call per outage gives the nine values."""
+    res, rbs = [re - h, re, re + h], [rb - h, rb, rb + h]
+    # A negative rate's cells are 0 whatever it maps to.
+    s = sop_approx_curve(sc, np.maximum(res, 0.0))[0].tolist()
+    t = reliability_outage_approx_curve(sc, np.maximum(rbs, 0.0))[0].tolist()
+    one = SecrecyConstraint(1.0)
+    return [
+        [est_from_outages(y - x, tj, si, one).est if 0.0 <= x < y else 0.0 for y, tj in zip(rbs, t)]
+        for x, si in zip(res, s)
+    ]
+
+
+def _is_interior_stationary(sc: ScenarioConfig, re: float, rb: float, tol: float = 1e-5) -> bool:
     if not (re > 1e-8 and rb > re + 1e-8 and rb < _RATE_CEIL - 1e-6):
         return False
-    scale = max(1.0, abs(f(re, rb)))
-    g_re = (f(re + 1e-5, rb) - f(re - 1e-5, rb)) / 2e-5
-    g_rb = (f(re, rb + 1e-5) - f(re, rb - 1e-5)) / 2e-5
+    f = _throughput_stencil(sc, re, rb, 1e-5)
+    scale = max(1.0, abs(f[1][1]))
+    g_re = (f[2][1] - f[0][1]) / 2e-5
+    g_rb = (f[1][2] - f[1][0]) / 2e-5
     return abs(g_re) <= tol * scale and abs(g_rb) <= tol * scale
 
 
-def _hessian_negative_definite(f, re: float, rb: float, h: float = 1e-4) -> bool:
-    f00 = f(re, rb)
-    a = (f(re + h, rb) - 2.0 * f00 + f(re - h, rb)) / (h * h)
-    c = (f(re, rb + h) - 2.0 * f00 + f(re, rb - h)) / (h * h)
-    b = (f(re + h, rb + h) - f(re + h, rb - h) - f(re - h, rb + h) + f(re - h, rb - h)) / (
-        4.0 * h * h
-    )
+def _hessian_negative_definite(sc: ScenarioConfig, re: float, rb: float, h: float = 1e-4) -> bool:
+    f = _throughput_stencil(sc, re, rb, h)
+    f00 = f[1][1]
+    a = (f[2][1] - 2.0 * f00 + f[0][1]) / (h * h)
+    c = (f[1][2] - 2.0 * f00 + f[1][0]) / (h * h)
+    b = (f[2][2] - f[2][0] - f[0][2] + f[0][0]) / (4.0 * h * h)
     return a < 0.0 and a * c - b * b > 0.0
 
 

@@ -11,22 +11,21 @@ Every metric exists in two flavors: the exact CDF kernels, and the
 gamma-surrogate approximation (``use_approx=True``) that the rate optimizers
 are derived on.
 
-The four per-rate outage functions (``sop``, ``sop_approx``,
-``reliability_outage``, ``reliability_outage_approx``) are memoized on
-(scenario, rate) in LRU caches of ``OUTAGE_CACHE_SIZE`` = 1024 entries
-each, so a repeated outage is computed once while it stays cached.  Errors
-are not cached.  The memo applies to these scalar calls only: the
-surrogate's rate-array forms ``sop_approx_curve`` and
-``reliability_outage_approx_curve`` evaluate the kernel on every call, and
-each returns the analytic slope in the rate with the outage.  They are the
-one place the solvers take the surrogate's rate derivatives from.
+The exact ``sop`` and ``reliability_outage`` take a float or an array of
+rates, one kernel call per array, each element equal to the float call to
+the bit.  Nothing is stored between calls: a caller asks once for its
+distinct rates, and :func:`est_from_outages` turns the outages into
+throughput.  The surrogate's rate-array forms ``sop_approx_curve`` and
+``reliability_outage_approx_curve`` return the analytic slope in the rate
+with the outage; they are the one place the solvers take the surrogate's
+rate derivatives from.  Every rate meets a kernel through
+:func:`rate_threshold`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,11 +44,9 @@ __all__ = [
     "reliability_outage_approx_curve",
     "est_adaptive",
     "est_fixed",
+    "est_from_outages",
     "rate_threshold",
 ]
-
-#: LRU bound of each memoized outage function.
-OUTAGE_CACHE_SIZE = 1024
 
 _LN2 = math.log(2.0)
 
@@ -92,21 +89,15 @@ class EstReport:
     constraint_met: bool
 
 
-@lru_cache(maxsize=OUTAGE_CACHE_SIZE)
-def sop(scenario: ScenarioConfig, r_e: float) -> float:
-    """Secrecy outage probability: chance the eavesdropper's capacity tops ``r_e``."""
-    if r_e < 0.0:
-        raise ValueError(f"rate must be non-negative, got {r_e}")
+def sop(scenario: ScenarioConfig, r_e):
+    """Secrecy outage probability: chance the eavesdropper's capacity tops
+    ``r_e``, a float or an array of rates."""
     link = eve_link(scenario)
-    thr, _ = _link_threshold(scenario, link, r_e)
-    if scenario.sigma_s == 0.0:
-        f = channel.gg_cdf(link.turb.alpha, link.beta_agg, thr)
-    else:
-        f = channel.ggp_cdf(link.turb.alpha, link.beta_agg, link.pointing.xi, thr)
-    return 1.0 - f
+    thr, _ = _link_threshold(scenario, link, _rates(r_e))
+    # xi is POINTING_FREE_XI at sigma_s = 0, where ggp_cdf is gg_cdf.
+    return 1.0 - channel.ggp_cdf(link.turb.alpha, link.beta_agg, link.pointing.xi, thr)
 
 
-@lru_cache(maxsize=OUTAGE_CACHE_SIZE)
 def sop_approx(scenario: ScenarioConfig, r_e: float) -> float:
     """Gamma-surrogate secrecy outage probability (optimizer surface).
 
@@ -120,34 +111,27 @@ def sop_approx(scenario: ScenarioConfig, r_e: float) -> float:
 
 
 def sop_approx_curve(scenario: ScenarioConfig, r_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Surrogate secrecy outage and its slope in ``r_e`` on an array of rates.
-
-    Not memoized: a whole rate grid is one call into the surrogate kernel.
-    """
-    r_e = np.asarray(r_e, dtype=float)
-    if (r_e < 0.0).any():
-        raise ValueError("rates must be non-negative")
+    """Surrogate secrecy outage and its slope in ``r_e`` on an array of
+    rates, in one call into the surrogate kernel."""
     link = eve_link(scenario)
-    x, dx = _link_threshold(scenario, link, r_e)
+    x, dx = _link_threshold(scenario, link, _rates(r_e))
     cdf, pdf = channel.ggp_cdf_pdf_approx(link.ga, link.pointing.xi, x)
     return 1.0 - cdf, -pdf * dx
 
 
-@lru_cache(maxsize=OUTAGE_CACHE_SIZE)
-def reliability_outage(scenario: ScenarioConfig, r_b: float) -> float:
-    """Probability the selected-beam combined link cannot carry ``r_b``.
+def reliability_outage(scenario: ScenarioConfig, r_b):
+    """Probability the selected-beam combined link cannot carry ``r_b``, a
+    float or an array of rates.
 
     Transmit selection over ``n_a`` independent beams raises the
     single-beam outage to the ``n_a``-th power.
     """
-    if r_b < 0.0:
-        raise ValueError(f"rate must be non-negative, got {r_b}")
     link = bob_link(scenario)
-    thr, _ = _link_threshold(scenario, link, r_b)
-    return float(np.power(channel.gg_cdf(link.turb.alpha, link.beta_agg, thr), scenario.nodes.n_a))
+    thr, _ = _link_threshold(scenario, link, _rates(r_b))
+    t = np.power(channel.gg_cdf(link.turb.alpha, link.beta_agg, thr), scenario.nodes.n_a)
+    return t if np.ndim(r_b) else float(t)
 
 
-@lru_cache(maxsize=OUTAGE_CACHE_SIZE)
 def reliability_outage_approx(scenario: ScenarioConfig, r_b: float) -> float:
     """Gamma-surrogate reliability outage (optimizer surface).
 
@@ -168,29 +152,29 @@ def reliability_outage_approx_curve(
     """Surrogate reliability outage and its slope in ``r_b`` on an array of rates.
 
     The outage is c1**n_a for the single-beam surrogate CDF c1, so the slope
-    is n_a c1**(n_a - 1) times c1's.  Not memoized: a whole rate grid is one
-    call into the surrogate kernel.
+    is n_a c1**(n_a - 1) times c1's.  A whole rate grid is one call into
+    the surrogate kernel.
     """
-    r_b = np.asarray(r_b, dtype=float)
-    if (r_b < 0.0).any():
-        raise ValueError("rates must be non-negative")
     link = bob_link(scenario)
-    x, dx = _link_threshold(scenario, link, r_b)
+    x, dx = _link_threshold(scenario, link, _rates(r_b))
     c1, pdf = channel.ggp_cdf_pdf_approx(link.ga, link.pointing.xi, x)
     n_a = scenario.nodes.n_a
     return np.power(c1, n_a), n_a * np.power(c1, n_a - 1) * pdf * dx
 
 
-def rate_threshold(rate, gain: float):
-    """Normalized irradiance a receiver of SNR gain ``gain`` must clear to
-    carry ``rate`` (a float or an array, >= 0), and its derivative in the
-    rate, by the same numpy arithmetic for both.
+def _rates(rate) -> np.ndarray:
+    """``rate``, a float or an array, as a float array with no negative element."""
+    r = np.asarray(rate, dtype=float)
+    if (r < 0.0).any():
+        raise ValueError(f"rates must be non-negative, got {rate}")
+    return r
 
-    The threshold is (2**rate - 1) / gain, formed with ``expm1`` so that it
-    keeps its relative accuracy at small rates, where 2**rate - 1 would
-    cancel (and read 0 below rate 1.6e-16).  Every exact and surrogate
-    outage and every Monte-Carlo estimator maps its rates through it.
-    """
+
+def rate_threshold(rate, gain: float):
+    """Normalized irradiance (2**rate - 1) / gain that a receiver of SNR
+    gain ``gain`` must clear to carry ``rate`` (a float or an array, >= 0),
+    and its slope in the rate.  ``expm1`` keeps its relative accuracy where
+    2**rate - 1 would cancel (and read 0 below rate 1.6e-16)."""
     m = np.expm1(rate * _LN2)
     return m / gain, (m + 1.0) * (_LN2 / gain)
 
@@ -216,15 +200,7 @@ def est_adaptive(
     if not 0.0 <= r_e <= c_b:
         raise ValueError(f"est_adaptive requires 0 <= r_e <= c_b, got ({c_b}, {r_e})")
     s = sop_approx(scenario, r_e) if use_approx else sop(scenario, r_e)
-    met = s <= constraint.s_th
-    secrecy_factor = 1.0 - s
-    return EstReport(
-        est=(c_b - r_e) * secrecy_factor if met else 0.0,
-        reliability_factor=1.0,
-        secrecy_factor=secrecy_factor,
-        sop=s,
-        constraint_met=met,
-    )
+    return est_from_outages(c_b - r_e, 0.0, s, constraint)
 
 
 def est_fixed(
@@ -241,11 +217,23 @@ def est_fixed(
     else:
         t = reliability_outage(scenario, rates.r_b)
         s = sop(scenario, rates.r_e)
+    return est_from_outages(rates.secrecy_rate, t, s, constraint)
+
+
+def est_from_outages(
+    secrecy_rate: float, t: float, s: float, constraint: SecrecyConstraint
+) -> EstReport:
+    """Throughput secrecy_rate (1 - t)(1 - s) of a reliability outage ``t``
+    and a secrecy outage ``s``, gated to zero where ``s`` tops the ceiling.
+
+    The arithmetic of :func:`est_fixed`, and of :func:`est_adaptive` with
+    t = 0, for a caller that holds the outages already.
+    """
     met = s <= constraint.s_th
     reliability_factor = 1.0 - t
     secrecy_factor = 1.0 - s
     return EstReport(
-        est=rates.secrecy_rate * reliability_factor * secrecy_factor if met else 0.0,
+        est=secrecy_rate * reliability_factor * secrecy_factor if met else 0.0,
         reliability_factor=reliability_factor,
         secrecy_factor=secrecy_factor,
         sop=s,

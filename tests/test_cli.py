@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fso_secrecy import cli, optimize, secrecy
@@ -72,6 +73,41 @@ def test_malformed_config_file_exits_1(tmp_path, capsys):
     unknown.write_text('{"nodes": {"n_zz": 3}}', encoding="utf-8")
     assert cli.main(["params", "--config", str(unknown)]) == 1
     assert "n_zz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["sweep", "--axis", "n", "--min", "1", "--max", "2", "--steps", "two"],
+         "error: argument --steps: invalid int value: 'two'"),
+        # argparse reads -inf as an option, so --min has no value
+        (["sweep", "--axis", "sigma_s", "--min", "-inf", "--max", "1", "--steps", "2"],
+         "error: argument --min: expected one argument"),
+        (["sweep", "--axis", "r_e", "--min", "0", "--max", "1"],
+         "error: the following arguments are required: --steps"),
+        (["sweep", "--axis", "phase", "--min", "0", "--max", "1", "--steps", "2"],
+         "error: argument --axis: invalid choice"),
+        (["optimize", "--sceme", "fixed"], "error: unrecognized arguments: --sceme fixed"),
+        (["plot"], "error: argument command: invalid choice"),
+        ([], "error: the following arguments are required: command"),
+    ],
+)
+def test_command_line_usage_errors_exit_1_with_one_line(capsys, argv, message):
+    # a malformed command line is a configuration error, not argparse's
+    # usage text and exit 2, which reads as a solver failure
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert "usage: fso-secrecy" in capsys.readouterr().out
 
 
 def test_flag_validation_exits_1(tmp_path, capsys):
@@ -251,6 +287,26 @@ def test_sweep_adaptive_gated_plateau(tmp_path, baseline):
             assert float(row["est_closed"]) == 0.0
 
 
+def test_sweep_adaptive_rate_rows_past_the_capacity(tmp_path, baseline):
+    # past r_e = c_b there is no secrecy rate: est 0, and the sop column and
+    # the gate both read the outage at the row's own r_e
+    code, text = run_cli(
+        tmp_path, "sweep", "--axis", "r_e", "--scheme", "adaptive", "--cb", "2", "--sth", "0.4",
+        "--min", "1", "--max", "4", "--steps", "4",
+    )
+    assert code == 0
+    rows = read_rows(text)
+    assert [row["value"] for row in rows] == ["1", "2", "3", "4"]
+    for row in rows:
+        r_e = float(row["value"])
+        s = secrecy.sop(baseline, r_e)
+        assert row["sop"] == cli._fmt(s)
+        assert row["constraint_met"] == ("true" if s <= 0.4 else "false")
+        if r_e >= 2.0:
+            assert float(row["est_closed"]) == 0.0
+    assert rows[-1]["constraint_met"] == "true"
+
+
 def test_sweep_two_dimensional_interior_maximum(tmp_path):
     code, text = run_cli(
         tmp_path,
@@ -280,23 +336,31 @@ def test_sweep_two_dimensional_interior_maximum(tmp_path):
             assert row["constraint_met"] == "false"
 
 
-def test_sweep_grid_computes_each_outage_once(tmp_path):
+def test_sweep_grid_computes_each_outage_once(tmp_path, monkeypatch):
     # the grid's secrecy outage depends only on r_e and its reliability
-    # outage only on r_b: 4 distinct values each, whatever the row count
-    secrecy.sop.cache_clear()
-    secrecy.reliability_outage.cache_clear()
+    # outage only on r_b: one array call of the 4 distinct rates each,
+    # whatever the row count, on every run
+    calls = []
+
+    def counted(name, outage):
+        def call(sc, rates):
+            calls.append((name, np.size(rates)))
+            return outage(sc, rates)
+
+        return call
+
+    for name in ("sop", "reliability_outage"):
+        monkeypatch.setattr(secrecy, name, counted(name, getattr(secrecy, name)))
     argv = [
         "sweep", "--axis", "r_e_x_r_b", "--min", "0.5", "--max", "3", "--steps", "4",
         "--scheme", "fixed", "--sth", "1.0",
     ]
-    code, _ = run_cli(tmp_path, *argv, name="first.csv")
-    assert code == 0
-    assert secrecy.sop.cache_info().misses == 4
-    assert secrecy.reliability_outage.cache_info().misses == 4
-    code, _ = run_cli(tmp_path, *argv, name="second.csv")
-    assert code == 0
-    assert secrecy.sop.cache_info().misses == 4
-    assert secrecy.reliability_outage.cache_info().misses == 4
+    for name in ("first.csv", "second.csv"):
+        calls.clear()
+        code, text = run_cli(tmp_path, *argv, name=name)
+        assert code == 0
+        assert len(read_rows(text)) == 16
+        assert sorted(calls) == [("reliability_outage", 4), ("sop", 4)]
     assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
 
 

@@ -334,6 +334,37 @@ def test_fixed_unconstrained_pair_pointing_free(pointing_free):
     assert o.est == pytest.approx(0.027884577588162967, rel=1e-7)
 
 
+@pytest.mark.parametrize("sigma_s", [0.0, 2.0])
+@pytest.mark.parametrize(
+    ("re", "rb", "h"),
+    [(1.2558717, 3.3999996, 1e-4), (2.0, 3.0, 1e-5), (5e-6, 1e-5 + 5e-6, 1e-5)],
+)
+def test_throughput_stencil_equals_the_pointwise_objective(sigma_s, re, rb, h):
+    # the separable stencil gives each cell the bits of est_fixed's surrogate
+    # throughput there, and 0 outside 0 <= r_e < r_b (the last case reaches
+    # a negative r_e and r_e >= r_b cells)
+    sc = baseline_scenario(sigma_s=sigma_s)
+    unconstrained = SecrecyConstraint(1.0)
+    got = optimize._throughput_stencil(sc, re, rb, h)
+    for i, x in enumerate((re - h, re, re + h)):
+        for j, y in enumerate((rb - h, rb, rb + h)):
+            want = 0.0
+            if 0.0 <= x < y:
+                want = est_fixed(sc, RatePair(r_b=y, r_e=x), unconstrained, use_approx=True).est
+            assert got[i][j].hex() == want.hex(), (i, j)
+
+
+def test_stencil_checks_return_python_bools(baseline):
+    o = fixed_unconstrained_pair(baseline)
+    checks = (
+        optimize._is_interior_stationary(baseline, o.rates.r_e, o.rates.r_b),
+        optimize._hessian_negative_definite(baseline, o.rates.r_e, o.rates.r_b),
+        o.hessian_ok,
+    )
+    assert checks == (True, True, True)
+    assert all(type(c) is bool for c in checks)
+
+
 def test_fixed_pair_scan_passes_the_saturated_reliability_cell(baseline, monkeypatch):
     # Near r_b = 11.76 the reliability outage rounds to 1 and its slope to 0,
     # so the redundancy update (1 - T) / T' is 0/0 there.  The scan's root in
@@ -343,8 +374,8 @@ def test_fixed_pair_scan_passes_the_saturated_reliability_cell(baseline, monkeyp
     checked = []
     stationary = optimize._is_interior_stationary
 
-    def spy(f, re, rb):
-        ok = stationary(f, re, rb)
+    def spy(sc, re, rb):
+        ok = stationary(sc, re, rb)
         checked.append((re, rb, ok))
         return ok
 

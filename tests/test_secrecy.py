@@ -162,8 +162,8 @@ def test_exact_outages_are_probabilities(log_cn2, sigma_s, n_e, n_b, d_e, d_b, r
     sc = baseline_scenario(
         cn2=10.0**log_cn2, sigma_s=sigma_s, n_e=n_e, n_b=n_b, d_e=d_e, d_b=d_b
     )
-    s, s_up = sop.__wrapped__(sc, rate), sop.__wrapped__(sc, rate + dr)
-    q, q_up = reliability_outage.__wrapped__(sc, rate), reliability_outage.__wrapped__(sc, rate + dr)
+    s, s_up = sop(sc, rate), sop(sc, rate + dr)
+    q, q_up = reliability_outage(sc, rate), reliability_outage(sc, rate + dr)
     assert 0.0 <= s <= 1.0
     assert 0.0 <= q <= 1.0
     assert s_up <= s + 1e-15
@@ -194,8 +194,8 @@ def test_surrogate_outage_arrays_equal_scalar_calls_to_the_bit(sigma_s):
     s, _ = sop_approx_curve(sc, rates)
     t = reliability_outage_approx_curve(sc, rates)[0]
     for i, r in enumerate(rates):
-        assert sop_approx.__wrapped__(sc, float(r)).hex() == float(s[i]).hex()
-        assert reliability_outage_approx.__wrapped__(sc, float(r)).hex() == float(t[i]).hex()
+        assert sop_approx(sc, float(r)).hex() == float(s[i]).hex()
+        assert reliability_outage_approx(sc, float(r)).hex() == float(t[i]).hex()
 
 
 @pytest.mark.parametrize("sigma_s", SURROGATE_SIGMAS)
@@ -291,53 +291,54 @@ def test_clamp_counter_counts_array_elements():
 
 
 # ---------------------------------------------------------------------------
-# memoization of the per-rate outage functions
+# exact outages on rate arrays, and the rate domain
 # ---------------------------------------------------------------------------
 
-OUTAGE_FNS = [sop, sop_approx, reliability_outage, reliability_outage_approx]
-memoized = pytest.mark.parametrize("fn", OUTAGE_FNS, ids=lambda fn: fn.__name__)
+EXACT_RATES = [0.0, 1e-12, 0.3, 1.0, 2.0, 3.5, 6.0]
 
 
-@memoized
-@pytest.mark.parametrize("scenario", ["baseline", "pointing_free"])
-def test_outage_memo_equals_uncached(fn, scenario, request):
-    sc = request.getfixturevalue(scenario)
-    fn.cache_clear()
-    for rate in (0.0, 0.5, 1.5, 3.0, 5.5):
-        want = fn.__wrapped__(sc, rate)
-        assert fn(sc, rate).hex() == want.hex()  # miss
-        assert fn(sc, rate).hex() == want.hex()  # hit
-    assert fn.cache_info().misses == 5
-    assert fn.cache_info().hits == 5
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"sigma_s": 0.0},
+        # xi**2 = 6.26 tops the smaller shape 6.13: the pointing term takes
+        # its a <= 0 branch (continued fraction and recurrence)
+        {"sigma_s": 0.5},
+        {"sigma_s": 2.0},
+        {"n_a": 8, "n_b": 8, "n_e": 8},
+        {"cn2": 1e-30},
+    ],
+    ids=["sigma0", "xi2_above_k", "sigma2", "n8", "cn2_1e-30"],
+)
+def test_exact_outage_arrays_equal_scalar_calls_to_the_bit(overrides):
+    sc = baseline_scenario(**overrides)
+    rates = np.array(EXACT_RATES)
+    s, t = sop(sc, rates), reliability_outage(sc, rates)
+    assert s.shape == t.shape == rates.shape
+    for i, r in enumerate(EXACT_RATES):
+        assert type(sop(sc, r)) is float and type(reliability_outage(sc, r)) is float
+        assert sop(sc, r).hex() == float(s[i]).hex()
+        assert reliability_outage(sc, r).hex() == float(t[i]).hex()
 
 
-@memoized
-def test_outage_memo_equal_scenario_is_a_hit(fn):
-    fn.cache_clear()
-    first = fn(baseline_scenario(), 1.5)
-    before = fn.cache_info()
-    assert fn(baseline_scenario(), 1.5) == first
-    after = fn.cache_info()
-    assert after.hits == before.hits + 1
-    assert after.misses == before.misses
-
-
-@memoized
-def test_outage_memo_does_not_cache_errors(fn, baseline):
-    fn.cache_clear()
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            fn(baseline, -0.5)
-    assert fn.cache_info().currsize == 0
-
-
-@memoized
-def test_outage_memo_is_bounded(fn, baseline):
-    fn.cache_clear()
-    assert fn.cache_info().maxsize == secrecy.OUTAGE_CACHE_SIZE
-    for i in range(secrecy.OUTAGE_CACHE_SIZE + 50):
-        fn(baseline, 0.5 + 1e-3 * i)
-    assert fn.cache_info().currsize <= secrecy.OUTAGE_CACHE_SIZE
+@pytest.mark.parametrize(
+    ("scalar", "array"),
+    [
+        (sop, sop),
+        (reliability_outage, reliability_outage),
+        # the surrogate outages take one rate; their rate arrays go through
+        # the curve forms
+        (sop_approx, sop_approx_curve),
+        (reliability_outage_approx, reliability_outage_approx_curve),
+    ],
+    ids=["sop", "reliability_outage", "sop_approx", "reliability_outage_approx"],
+)
+def test_outages_reject_negative_rates(baseline, scalar, array):
+    with pytest.raises(ValueError, match="non-negative"):
+        scalar(baseline, -0.5)
+    for rates in ([-0.5], [1.0, 2.0, -1e-300], [[0.5, -2.0]]):
+        with pytest.raises(ValueError, match="non-negative"):
+            array(baseline, np.array(rates))
 
 
 # ---------------------------------------------------------------------------
