@@ -14,6 +14,9 @@ script runs:
   seed: at ``--sth 0.2``, at ``--sth 1.0`` (threshold rate 0, so the
   estimator's ceiling cut is empty), and at ``--sth 0.4`` with 100 streams
   of 1,000 trials, shorter than the 2,048-row redundancy table;
+- two closed-form ``optimize`` runs on weak links, whose rates lie far
+  below 1 bpcu: ``--scheme fixed`` at gamma0 0.1 and ``--scheme adaptive
+  --cb 4`` at gamma0 1e-3;
 - ``scripts/figure_sweeps.py`` without Monte-Carlo (11 CSV files);
 - ``validate --trials 1000000 --seed 7`` at ``--jobs 1`` and ``--jobs 4``.
 
@@ -57,6 +60,12 @@ EXTRA_MC_RUNS = (
     ("opt_mc_streams100.json", workloads.OPT_MC_STH, "100000", "100"),
 )
 
+# (output name, gamma0, scheme arguments) of the weak-link optimize runs.
+WEAK_LINK_RUNS = (
+    ("opt_weak_fixed.json", 0.1, ["--scheme", "fixed"]),
+    ("opt_weak_adaptive.json", 1e-3, ["--scheme", "adaptive", "--cb", "4"]),
+)
+
 # Runs (output name, CLI argv) pairs in one interpreter, as the benchmark
 # does, and writes each exit code to the file sys.argv[2].  Exit 3 (a failed
 # validate check) is an output to compare; 1 and 2 mean the run produced none.
@@ -89,6 +98,10 @@ def produce(src: Path, outdir: Path) -> None:
                     "--trials", trials, "--stream-count", streams, "--seed", str(PROGRAM_SEED),
                     "--jobs", "1", "--out", str(outdir / name)])
         )
+    for name, gamma0, scheme in WEAK_LINK_RUNS:
+        cfg = outdir / f"weak_{name}"
+        cfg.write_text(json.dumps({"gamma0": gamma0}), encoding="utf-8")
+        ops.append((name, ["optimize", "--config", str(cfg), *scheme, "--out", str(outdir / name)]))
     for jobs in ("1", "4"):
         name = f"validate_jobs{jobs}.txt"
         ops.append(
@@ -99,6 +112,8 @@ def produce(src: Path, outdir: Path) -> None:
     _run(src, [str(ROOT / "scripts" / "figure_sweeps.py"), "--outdir", str(outdir)])
     for n in workloads.OPT_NS:
         workloads.config_path(outdir, n).unlink()
+    for name, _, _ in WEAK_LINK_RUNS:
+        (outdir / f"weak_{name}").unlink()
 
 
 def _flatten(doc, prefix: str = "") -> dict[str, object]:

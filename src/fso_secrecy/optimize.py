@@ -9,8 +9,13 @@ therefore finds the root of its condition directly:
 
 1. sign-scan plus bisection on the stationarity residual, in array calls:
    one for the scan, and one per six levels of bisection;
-2. grid search with golden-section refinement of the throughput objective,
-   where the scan finds no sign change.
+2. where the scan finds no sign change, an array grid search with golden
+   refinement of the throughput: :func:`fixed_grid_oracle`,
+   :func:`adaptive_grid_oracle`, or one reliability-outage scan.
+
+The fixed scheme's rate constants and every stencil step are multiples of
+u = min(C_b, 1), Bob's capacity at his mean surrogate SNR capped at 1 bpcu,
+so a weak link is searched at its own rate scale.
 
 Each residual takes the surrogate outages and their slopes in the rate from
 the curve kernels ``sop_approx_curve`` and ``reliability_outage_approx_curve``
@@ -69,7 +74,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # carries no information this far out anyway.
 _RATE_CEIL = 60.0
 
-# Bisection width on a rate in the residual scans' cells.
+# Bisection width in the residual scans' cells (times u in the fixed scheme).
 _RATE_TOL = 1e-9
 
 # Halvings per array call of a bisection: 2**6 - 1 = 63 midpoints.
@@ -106,8 +111,8 @@ class Optimum:
     (stationarity in r_b under the ceiling, a Lambert-W form in the paper),
     ``threshold`` (the outage pinned to the ceiling) or ``grid_oracle`` (a
     grid search).  Every solver reports ``grid_oracle`` when its scan found
-    no root and its grid fallback gave the rate: the adaptive scheme's r_e,
-    the fixed scheme's pair, or the codeword rate of
+    no root and an array grid search gave the rate: the adaptive scheme's
+    r_e, the fixed scheme's pair, or the codeword rate of
     :func:`fixed_constrained_rb` under the ceiling.  ``hessian_ok``
     reports the local second-order check where one is performed; it is not
     an error flag.
@@ -153,24 +158,6 @@ def _golden_in(f, lo: float, hi: float, iters: int = 120) -> float:
     return 0.5 * (a + b)
 
 
-def _grid_then_golden(f, lo: float, hi: float, n: int) -> tuple[float, float]:
-    """Coarse scan for the incumbent cell, then golden refinement inside it.
-
-    Plain golden section mis-brackets on objectives with flat (gated-to-zero)
-    stretches, so the bracket always comes from the scan.
-    """
-    if n < 2:
-        raise ValueError("grid scan needs at least 2 points")
-    step = (hi - lo) / (n - 1)
-    best_i = 0
-    best_v = -math.inf
-    for i in range(n):
-        v = f(lo + i * step)
-        if v > best_v:
-            best_i, best_v = i, v
-    return _golden_polish(f, lo, step, n, best_i, best_v)
-
-
 def _golden_polish(
     f, lo: float, step: float, n: int, best_i: int, best_v: float
 ) -> tuple[float, float]:
@@ -185,11 +172,10 @@ def _golden_polish(
     return lo + best_i * step, best_v
 
 
-_D2_STEP = 1e-4
-
-
-def _d2(f, x: float, h: float = _D2_STEP) -> float:
-    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+def _curves_down(f: list[float], u: float) -> bool:
+    """Whether ``f`` at x - h, x, x + h has a negative second difference, in units of u."""
+    lo, mid, hi = (v / u for v in f)
+    return hi - 2.0 * mid + lo < 0.0
 
 
 def _bisect_root(g, lo: float, hi: float, g_lo: float, tol: float, iters: int = 200) -> float:
@@ -232,13 +218,13 @@ def _scan_nodes(lo: float, hi: float, n: int) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def _scan_roots(g, xs: list[float], gs, falling_only: bool = False) -> list[float]:
-    """Bisected roots of the array function ``g`` in the cells of the scan
-    ``xs`` (values ``gs``) where its sign changes; with ``falling_only``,
-    only where it turns from positive to non-positive (not to NaN)."""
+def _scan_roots(g, xs: list[float], gs, tol: float, falling_only: bool = False) -> list[float]:
+    """Roots of the array function ``g``, bisected to width ``tol``, in the
+    cells of the scan ``xs`` (values ``gs``) where its sign changes; with
+    ``falling_only``, only where it turns from positive to non-positive."""
     pos = gs > 0.0
     crossed = pos[:-1] & (gs[1:] <= 0.0) if falling_only else pos[:-1] != pos[1:]
-    return [_bisect_root(g, xs[i], xs[i + 1], gs[i], _RATE_TOL) for i in np.flatnonzero(crossed)]
+    return [_bisect_root(g, xs[i], xs[i + 1], gs[i], tol) for i in np.flatnonzero(crossed)]
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +303,7 @@ def adaptive_unconstrained_re(
     slope s': a sign-scan over (0, c_b) in one array call, then bisection,
     six levels per array call, in each cell where it turns from rising to
     falling; the root with the largest throughput wins.  If the slope never
-    flips, golden refinement of the best scan point stands in.
+    flips, :func:`adaptive_grid_oracle` with no ceiling stands in.
     """
     return _adaptive_unconstrained(sc, c_b, opts)[0]
 
@@ -346,11 +332,10 @@ def _adaptive_unconstrained(
     # an interior maximum exists and the slope changes sign across it.
     n = max(opts.grid_points, 64)
     xs = _scan_nodes(lo, hi, n)
-    roots = _scan_roots(slope, xs, slope(np.array(xs)), falling_only=True)
+    roots = _scan_roots(slope, xs, slope(np.array(xs)), _RATE_TOL, falling_only=True)
     if roots:
         return max(roots, key=psi), "fixed_point"
-    # Slope never flips: the maximum sits on the scan, refine around it.
-    return _grid_then_golden(psi, lo, hi, n)[0], "grid_oracle"
+    return adaptive_grid_oracle(sc, c_b, 1.0, opts).rates.r_e, "grid_oracle"
 
 
 def adaptive_optimal(
@@ -375,15 +360,16 @@ def adaptive_optimal(
         r_e = c_b
     report = est_adaptive(sc, c_b, r_e, constraint, use_approx=True)
 
-    def psi(r: float) -> float:
-        return est_adaptive(sc, c_b, r, constraint, use_approx=True).est
-
     # The second-difference stencil must lie strictly inside (0, c_b): at an
-    # end point psi's edge, not its curvature, decides the sign.
+    # end point the throughput's edge, not its curvature, decides the sign.
+    u = min(_bob_cap_seed(sc), 1.0)
+    h = 1e-4 * u
     hessian_ok = False
-    inside = 0.0 < r_e - _D2_STEP and r_e + _D2_STEP < c_b
-    if feasible and inside and report.est > 0.0 and not constraint_active:
-        hessian_ok = _d2(psi, r_e) < 0.0
+    if feasible and 0.0 < r_e - h and r_e + h < c_b and report.est > 0.0 and not constraint_active:
+        rs = [r_e - h, r_e, r_e + h]
+        s = sop_approx_curve(sc, np.array(rs))[0].tolist()
+        psi = [est_from_outages(c_b - r, 0.0, si, constraint).est for r, si in zip(rs, s)]
+        hessian_ok = _curves_down(psi, u)
     return Optimum(
         rates=RatePair(r_b=c_b, r_e=r_e),
         est=report.est,
@@ -400,11 +386,11 @@ def adaptive_optimal(
 
 def _bob_cap_seed(sc: ScenarioConfig) -> float:
     """Bob's capacity at his mean surrogate SNR: where the codeword-rate
-    scans set their upper end."""
+    scans set their upper end.  It is positive even where 1 + SNR rounds to 1."""
     link = bob_link(sc)
     ga = link.ga
     mean_snr = sc.nodes.gamma0 * link.pointing.a0 * sc.nodes.n_b * ga.theta_ap * ga.k_ap
-    return math.log2(1.0 + mean_snr)
+    return math.log1p(mean_snr) / math.log(2.0)
 
 
 def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = None) -> Optimum:
@@ -416,18 +402,14 @@ def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = No
     surrogate curve kernels.  The chained residual g_b(g_e(r_b)) - r_b is
     sign-scanned in one array call per kernel and bisected on the same
     functions, six levels per array call; each root whose pair is an
-    interior stationary point is a candidate.  A coordinate search on the
-    throughput surface is the fallback when no root is.
+    interior stationary point is a candidate.  The scan spans 0.05 u to
+    C_b + 15 u; :func:`fixed_grid_oracle` over it gives the pair when no
+    root is a candidate.
     """
     opts = opts or _DEFAULT
-    unconstrained = SecrecyConstraint(1.0)
-
-    def f(re: float, rb: float) -> float:
-        if not 0.0 <= re < rb:
-            return 0.0
-        return est_fixed(sc, RatePair(r_b=rb, r_e=re), unconstrained, use_approx=True).est
-
-    hi = min(_bob_cap_seed(sc) + 15.0, _RATE_CEIL)
+    cap = _bob_cap_seed(sc)
+    u = min(cap, 1.0)
+    hi = min(cap + 15.0 * u, _RATE_CEIL)
     candidates: list[tuple[float, float, float, str]] = []  # (est, re, rb, method)
 
     # A quotient overflows where a slope is subnormal or zero, and is 0/0
@@ -437,26 +419,28 @@ def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = No
         t, dt = reliability_outage_approx_curve(sc, rb)
         with np.errstate(all="ignore"):
             re = rb - (1.0 - t) / dt
-        return np.minimum(np.fmax(re, 1e-12), rb - 1e-12)
+        return np.minimum(np.fmax(re, 1e-12 * u), rb - 1e-12 * u)
 
     def g_b(re):
         s, ds = sop_approx_curve(sc, re)
         with np.errstate(all="ignore"):
             rb = re + (1.0 - s) / -ds
-        return np.minimum(np.fmax(rb, re + 1e-12), _RATE_CEIL)
+        return np.minimum(np.fmax(rb, re + 1e-12 * u), _RATE_CEIL)
 
     def resid(rb):
         return g_b(g_e(rb)) - rb
 
-    xs = _scan_nodes(0.05, hi, max(opts.grid_points, 100))
-    for root in _scan_roots(resid, xs, resid(np.array(xs))):
+    xs = _scan_nodes(0.05 * u, hi, max(opts.grid_points, 100))
+    for root in _scan_roots(resid, xs, resid(np.array(xs)), _RATE_TOL * u):
         re_c = float(g_e(root))
         if _is_interior_stationary(sc, re_c, root):
-            candidates.append((f(re_c, root), re_c, root, "fixed_point"))
+            pair = RatePair(r_b=root, r_e=re_c)
+            est = est_fixed(sc, pair, SecrecyConstraint(1.0), use_approx=True).est
+            candidates.append((est, re_c, root, "fixed_point"))
 
     if not candidates:
-        re_c, rb_c = _coordinate_search(f, hi, opts)
-        candidates.append((f(re_c, rb_c), re_c, rb_c, "grid_oracle"))
+        o = fixed_grid_oracle(sc, 1.0, hi, opts)
+        candidates.append((o.est, o.rates.r_e, o.rates.r_b, "grid_oracle"))
 
     est, re, rb, method = max(candidates, key=lambda c: c[0])
     hessian_ok = _hessian_negative_definite(sc, re, rb)
@@ -484,10 +468,13 @@ def _throughput_stencil(sc: ScenarioConfig, re: float, rb: float, h: float) -> l
     ]
 
 
+# The stencil checks step h u and difference the objective over u, which
+# stays normal on the weakest links.
 def _is_interior_stationary(sc: ScenarioConfig, re: float, rb: float, tol: float = 1e-5) -> bool:
-    if not (re > 1e-8 and rb > re + 1e-8 and rb < _RATE_CEIL - 1e-6):
+    u = min(_bob_cap_seed(sc), 1.0)
+    if not (re > 1e-8 * u and rb > re + 1e-8 * u and rb < _RATE_CEIL - 1e-6 * u):
         return False
-    f = _throughput_stencil(sc, re, rb, 1e-5)
+    f = [[v / u for v in row] for row in _throughput_stencil(sc, re, rb, 1e-5 * u)]
     scale = max(1.0, abs(f[1][1]))
     g_re = (f[2][1] - f[0][1]) / 2e-5
     g_rb = (f[1][2] - f[1][0]) / 2e-5
@@ -495,21 +482,13 @@ def _is_interior_stationary(sc: ScenarioConfig, re: float, rb: float, tol: float
 
 
 def _hessian_negative_definite(sc: ScenarioConfig, re: float, rb: float, h: float = 1e-4) -> bool:
-    f = _throughput_stencil(sc, re, rb, h)
+    u = min(_bob_cap_seed(sc), 1.0)
+    f = [[v / u for v in row] for row in _throughput_stencil(sc, re, rb, h * u)]
     f00 = f[1][1]
     a = (f[2][1] - 2.0 * f00 + f[0][1]) / (h * h)
     c = (f[1][2] - 2.0 * f00 + f[1][0]) / (h * h)
     b = (f[2][2] - f[2][0] - f[0][2] + f[0][0]) / (4.0 * h * h)
     return a < 0.0 and a * c - b * b > 0.0
-
-
-def _coordinate_search(f, hi: float, opts: SolverOptions) -> tuple[float, float]:
-    re, rb = 0.3 * hi, 0.6 * hi
-    n = max(opts.grid_points // 2, 100)
-    for _ in range(40):
-        rb = _grid_then_golden(lambda x: f(re, x), re + 1e-9, hi, n)[0]
-        re = _grid_then_golden(lambda x: f(x, rb), 1e-9, rb - 1e-9, n)[0]
-    return re, rb
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +507,8 @@ def fixed_constrained_rb(
     from the surrogate curve kernel, holds for any number of beams n_a.  It
     is sign-scanned in one array call and bisected, six levels per array
     call, where it turns from positive to negative; the root with the
-    highest throughput factor wins, and golden refinement of the throughput
-    factor stands in where the scan finds none.
+    highest throughput factor wins, and golden refinement of the best scan
+    node's throughput factor stands in where the scan finds none.
     """
     return _fixed_constrained(sc, r_e_fixed, opts)[0]
 
@@ -541,8 +520,10 @@ def _fixed_constrained(
     if r_e_fixed < 0.0:
         raise ValueError(f"r_e_fixed must be non-negative, got {r_e_fixed}")
     opts = opts or _DEFAULT
-    lo = r_e_fixed + 1e-6
-    hi = min(max(r_e_fixed + 25.0, _bob_cap_seed(sc) + 10.0), _RATE_CEIL)
+    cap = _bob_cap_seed(sc)
+    u = min(cap, 1.0)
+    lo = r_e_fixed + 1e-6 * u
+    hi = min(max(r_e_fixed + 25.0 * u, cap + 10.0 * u), _RATE_CEIL)
 
     def bob_factor(rb: float) -> float:
         return (rb - r_e_fixed) * (1.0 - reliability_outage_approx(sc, rb))
@@ -551,11 +532,16 @@ def _fixed_constrained(
         t, dt = reliability_outage_approx_curve(sc, rb)
         return (1.0 - t) - (rb - r_e_fixed) * dt
 
-    xs = _scan_nodes(lo, hi, max(opts.grid_points, 100))
-    roots = _scan_roots(resid, xs, resid(np.array(xs)), falling_only=True)
-    if not roots:
-        return _grid_then_golden(bob_factor, lo, hi, opts.grid_points)[0], "grid_oracle"
-    return max(roots, key=bob_factor), "lambert_w"
+    n = max(opts.grid_points, 100)
+    xs = _scan_nodes(lo, hi, n)
+    r = np.array(xs)
+    roots = _scan_roots(resid, xs, resid(r), _RATE_TOL * u, falling_only=True)
+    if roots:
+        return max(roots, key=bob_factor), "lambert_w"
+    v = (r - r_e_fixed) * (1.0 - reliability_outage_approx_curve(sc, r)[0])
+    best = int(np.argmax(v))
+    rb = _golden_polish(bob_factor, lo, (hi - lo) / (n - 1), n, best, float(v[best]))[0]
+    return rb, "grid_oracle"
 
 
 def fixed_optimal(sc: ScenarioConfig, s_th: float, opts: SolverOptions | None = None) -> Optimum:
@@ -576,16 +562,18 @@ def fixed_optimal(sc: ScenarioConfig, s_th: float, opts: SolverOptions | None = 
     rb, method = _fixed_constrained(sc, re_t, opts)
     report = est_fixed(sc, RatePair(r_b=rb, r_e=re_t), constraint, use_approx=True)
 
-    def f_rb(x: float) -> float:
-        if x <= re_t:
-            return 0.0
-        return est_fixed(sc, RatePair(r_b=x, r_e=re_t), constraint, use_approx=True).est
-
+    u = min(_bob_cap_seed(sc), 1.0)
+    rbs = [rb - 1e-4 * u, rb, rb + 1e-4 * u]
+    t = reliability_outage_approx_curve(sc, np.maximum(rbs, 0.0))[0].tolist()
+    f_rb = [  # the throughput along r_b; S(re_t) is the report's
+        est_from_outages(max(x - re_t, 0.0), tj, report.sop, constraint).est
+        for x, tj in zip(rbs, t)
+    ]
     return Optimum(
         rates=RatePair(r_b=rb, r_e=re_t),
         est=report.est,
         method=method,
-        hessian_ok=_d2(f_rb, rb) < 0.0,
+        hessian_ok=_curves_down(f_rb, u),
         constraint_active=True,
     )
 
@@ -613,7 +601,16 @@ def grid_refine_maximize(objective, bounds, opts: SolverOptions | None = None) -
     two_dim = hasattr(bounds[0], "__len__")
     if not two_dim:
         lo, hi = float(bounds[0]), float(bounds[1])
-        x, v = _grid_then_golden(objective, lo, hi, opts.grid_points)
+        # The golden bracket comes from a scan: flat (gated-to-zero) stretches
+        # mis-bracket plain golden section.
+        n = opts.grid_points
+        step = (hi - lo) / (n - 1)
+        best_i, best_v = 0, -math.inf
+        for i in range(n):
+            v = objective(lo + i * step)
+            if v > best_v:
+                best_i, best_v = i, v
+        x, v = _golden_polish(objective, lo, step, n, best_i, best_v)
         return Optimum(
             rates=RatePair(r_b=x, r_e=x),
             est=v,

@@ -17,9 +17,9 @@ the bit.  Nothing is stored between calls: a caller asks once for its
 distinct rates, and :func:`est_from_outages` turns the outages into
 throughput.  The surrogate's rate-array forms ``sop_approx_curve`` and
 ``reliability_outage_approx_curve`` return the analytic slope in the rate
-with the outage; they are the one place the solvers take the surrogate's
-rate derivatives from.  Every rate meets a kernel through
-:func:`rate_threshold`.
+with the outage, infinite where it passes the double range; they are the
+one place the solvers take the surrogate's rate derivatives from.  Every
+rate meets a kernel through :func:`rate_threshold`.
 """
 
 from __future__ import annotations
@@ -116,7 +116,8 @@ def sop_approx_curve(scenario: ScenarioConfig, r_e: np.ndarray) -> tuple[np.ndar
     link = eve_link(scenario)
     x, dx = _link_threshold(scenario, link, _rates(r_e))
     cdf, pdf = channel.ggp_cdf_pdf_approx(link.ga, link.pointing.xi, x)
-    return 1.0 - cdf, -pdf * dx
+    with np.errstate(over="ignore"):
+        return 1.0 - cdf, -pdf * dx
 
 
 def reliability_outage(scenario: ScenarioConfig, r_b):
@@ -159,7 +160,8 @@ def reliability_outage_approx_curve(
     x, dx = _link_threshold(scenario, link, _rates(r_b))
     c1, pdf = channel.ggp_cdf_pdf_approx(link.ga, link.pointing.xi, x)
     n_a = scenario.nodes.n_a
-    return np.power(c1, n_a), n_a * np.power(c1, n_a - 1) * pdf * dx
+    with np.errstate(over="ignore"):
+        return np.power(c1, n_a), n_a * np.power(c1, n_a - 1) * pdf * dx
 
 
 def _rates(rate) -> np.ndarray:

@@ -570,11 +570,13 @@ def test_optimize_adaptive_weak_eavesdropper_link(tmp_path, capsys):
     assert 0.0 <= doc["sop_at_re"] <= 1.0
     assert 0.0 < doc["est"] <= 4.0
     assert doc["oracle"]["gap"] <= 0.02
-    # The optimum sits at the scan's lower end, r_e = 1e-4, so the curvature
-    # stencil reaches r = 0: no second-order check was made.
-    assert doc["rates"]["r_e"] <= 1e-4
-    assert doc["hessian_ok"] is False
-    # and the grid fallback, not a stationary point, gave r_e
+    # The grid fallback, not a stationary point of the scan, gave r_e: the
+    # interior maximum below the scan's lower end 1e-4, whose throughput it
+    # beats.  The curvature stencil, of step 1e-4 u in Bob's rate scale u
+    # (4.5e-6 here), lies inside (0, c_b), so the second-order check is made.
+    assert 0.0 < doc["rates"]["r_e"] < 1e-4
+    assert doc["est"] > 4.0 - 1e-4
+    assert doc["hessian_ok"] is True
     assert doc["method"] == "grid_oracle"
 
 

@@ -445,22 +445,21 @@ def test_fixed_optimal_constrained_branch_frozen(baseline):
         assert o.hessian_ok
 
 
-def test_fixed_optimal_labels_the_constrained_grid_fallback(baseline, monkeypatch):
-    # No schema input is known to leave the constrained codeword-rate scan
-    # without a root, so the scan is made to find none: the golden fallback
-    # then gives r_b, and the result must say so.
-    scan = optimize._scan_roots
-
-    def no_falling_roots(g, xs, gs, falling_only=False):
-        return [] if falling_only else scan(g, xs, gs)
-
-    monkeypatch.setattr(optimize, "_scan_roots", no_falling_roots)
-    o = fixed_optimal(baseline, 0.3)
+def test_fixed_optimal_labels_the_constrained_grid_fallback():
+    # Here the ceiling's threshold rate (3.678) lies far above Bob's mean
+    # capacity (2.31), so the reliability outage is 1 all along the
+    # codeword-rate scan and its residual never falls through 0: the grid
+    # fallback gives r_b, at zero throughput, and the result must say so.
+    sc = baseline_scenario(
+        sigma_s=0.0, n_a=5, n_b=2, n_e=6, cn2=1.36e-16, d_b=2124, d_e=2264, gamma0=639
+    )
+    o = fixed_optimal(sc, 0.52)
     assert o.method == "grid_oracle"
     assert o.constraint_active
-    assert o.rates.r_e == pytest.approx(RE_THRESHOLD_TABLE[0.3], rel=1e-9)
-    assert o.rates.r_b == fixed_constrained_rb(baseline, o.rates.r_e)
-    assert o.rates.r_b == pytest.approx(CONSTRAINED_RB_TABLE[0.3], abs=1e-6)
+    assert o.rates.r_e == re_threshold(sc, 0.52)
+    assert o.rates.r_e == pytest.approx(3.678, abs=1e-3)
+    assert o.rates.r_b == fixed_constrained_rb(sc, o.rates.r_e)
+    assert o.est == 0.0
 
 
 def test_fixed_optimal_est_self_consistent(baseline):
@@ -495,6 +494,17 @@ def test_fixed_optimal_matches_grid_oracle(baseline):
     )
     assert o.est >= 0.98 * oracle.est
     assert o.est >= oracle.est - 1e-6
+
+
+def test_fixed_optimum_scales_with_the_snr_on_weak_links():
+    # Far below 1 bpcu log2(1 + x) is x / ln 2, so every rate, and with them
+    # the optimal throughput, is proportional to the SNR: it falls 100-fold
+    # from gamma0 0.1 to 1e-3 only if each optimum is found at its link's
+    # own rate scale.
+    weak = fixed_optimal(baseline_scenario(gamma0=1e-3), 1.0)
+    strong = fixed_optimal(baseline_scenario(gamma0=0.1), 1.0)
+    assert weak.method == strong.method == "fixed_point"
+    assert weak.est / strong.est == pytest.approx(0.01, rel=1e-3, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +557,7 @@ def test_constrained_rb_satisfies_the_paper_lambert_w_form(overrides):
     log_cn2=st.floats(-16.0, math.log10(3e-13)),
     d_b=st.floats(300.0, 3000.0),
     d_e=st.floats(300.0, 3000.0),
-    log_gamma0=st.floats(math.log10(30.0), 5.0),
+    log_gamma0=st.floats(-3.0, 5.0),
     s_th=st.floats(0.05, 1.0),
     c_b=st.floats(0.5, 8.0),
 )
@@ -602,9 +612,9 @@ def solver_scans():
     scan, bisect = optimize._scan_roots, optimize._bisect_root
     found = {}
 
-    def recorded_scan(g, xs, gs, falling_only=False):
+    def recorded_scan(g, xs, gs, tol, falling_only=False):
         found[sigma_s][0].setdefault((g.__qualname__, gs.tobytes()), (g, xs, gs))
-        return scan(g, xs, gs, falling_only)
+        return scan(g, xs, gs, tol, falling_only)
 
     def recorded_bisect(g, lo, hi, g_lo, tol, iters=200):
         root = bisect(g, lo, hi, g_lo, tol, iters)
@@ -657,7 +667,7 @@ def test_scan_roots_bisects_the_cells_of_the_scalar_sign_test(monkeypatch, falli
         return lo
 
     monkeypatch.setattr(optimize, "_bisect_root", bisect)
-    optimize._scan_roots(None, xs, gs, falling_only)
+    optimize._scan_roots(None, xs, gs, 1e-9, falling_only)
     want = []
     for i in range(1, len(xs)):
         prev, g = gs[i - 1], gs[i]
