@@ -17,6 +17,10 @@ script runs:
 - two closed-form ``optimize`` runs on weak links, whose rates lie far
   below 1 bpcu: ``--scheme fixed`` at gamma0 0.1 and ``--scheme adaptive
   --cb 4`` at gamma0 1e-3;
+- ``sweep --axis s_th --mc --trials 20000`` for ``--scheme fixed`` and
+  ``--scheme adaptive`` (``--cb 4``), over the 20 ceilings of the figure
+  sweeps, with the same program seed, so the Monte-Carlo column of the
+  ceiling axis is compared byte for byte;
 - ``scripts/figure_sweeps.py`` without Monte-Carlo (11 CSV files);
 - ``validate --trials 1000000 --seed 7`` at ``--jobs 1`` and ``--jobs 4``.
 
@@ -26,10 +30,10 @@ field instead of stopping the comparison.  It prints every file and field
 that differs between the trees, with the relative difference
 |new - old| / max(|old|, |new|) of each numeric one, then a summary line:
 how many files differ, how many of those are Monte-Carlo outputs
-(``opt_mc*.json``, ``validate_jobs*.txt``) and how many closed-form ones, the
-largest relative difference among the solver
-fields (``rates``, ``est`` and ``sop_at_re`` of the ``optimize`` outputs),
-and the largest among their ``oracle.est`` fields.  If nothing differs it
+(``opt_mc*.json``, ``sweep_mc*.csv``, ``validate_jobs*.txt``) and how many
+closed-form ones, the largest relative difference among the solver fields
+(``rates``, ``est`` and ``sop_at_re`` of the ``optimize`` outputs), and the
+largest among their ``oracle.est`` fields.  If nothing differs it
 prints ``identical``.  It exits 1 if anything differs.  Standard library
 only.
 """
@@ -65,6 +69,9 @@ WEAK_LINK_RUNS = (
     ("opt_weak_fixed.json", 0.1, ["--scheme", "fixed"]),
     ("opt_weak_adaptive.json", 1e-3, ["--scheme", "adaptive", "--cb", "4"]),
 )
+
+# The schemes of the ceiling-axis Monte-Carlo sweeps.
+MC_SWEEP_SCHEMES = (["--scheme", "fixed"], ["--scheme", "adaptive", "--cb", "4"])
 
 # Runs (output name, CLI argv) pairs in one interpreter, as the benchmark
 # does, and writes each exit code to the file sys.argv[2].  Exit 3 (a failed
@@ -102,6 +109,13 @@ def produce(src: Path, outdir: Path) -> None:
         cfg = outdir / f"weak_{name}"
         cfg.write_text(json.dumps({"gamma0": gamma0}), encoding="utf-8")
         ops.append((name, ["optimize", "--config", str(cfg), *scheme, "--out", str(outdir / name)]))
+    for scheme in MC_SWEEP_SCHEMES:
+        name = f"sweep_mc_sth_{scheme[1]}.csv"
+        ops.append(
+            (name, ["sweep", "--axis", "s_th", "--min", "0.05", "--max", "1", "--steps", "20",
+                    *scheme, "--mc", "--trials", "20000", "--seed", str(PROGRAM_SEED),
+                    "--out", str(outdir / name)])
+        )
     for jobs in ("1", "4"):
         name = f"validate_jobs{jobs}.txt"
         ops.append(
@@ -178,7 +192,10 @@ def is_monte_carlo(name: str) -> bool:
     """Whether the output file ``name`` holds Monte-Carlo numbers, which move
     with the seed-to-numbers map.  The summary counts every other file,
     ``exit_codes.json`` included, as closed-form."""
-    return fnmatch.fnmatch(name, "opt_mc*.json") or fnmatch.fnmatch(name, "validate_jobs*.txt")
+    return any(
+        fnmatch.fnmatch(name, pattern)
+        for pattern in ("opt_mc*.json", "sweep_mc*.csv", "validate_jobs*.txt")
+    )
 
 
 def _summary_group(key: str) -> str | None:

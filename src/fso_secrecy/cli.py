@@ -288,31 +288,55 @@ def _rate_rows(
     return rows
 
 
-def _optimum_row(
+def _optimum_rows(
     sc: ScenarioConfig,
     scheme: str,
-    s_th: float,
+    ceilings: list[float],
     c_b: float,
     with_mc: bool,
     sim: SimConfig,
     jobs: int,
-) -> tuple[float, str, str, float, float, bool]:
+) -> list[tuple[float, str, str, float, float, bool]]:
+    """One row per outage ceiling, from one solver call over all of them.
+
+    The exact outages at the optima come from one array call per kind, and
+    the surrogate outage that ``constraint_met`` reads from one curve call.
+    The Monte-Carlo column of the adaptive scheme is one estimate over every
+    ceiling; the fixed scheme's rows share one eavesdropper draw over their
+    distinct r_e and make one reliability draw each.
+    """
     if scheme == "adaptive":
-        opt = optimize.adaptive_optimal(sc, c_b, s_th)
-        rel = 0.0
+        optima = optimize.adaptive_optimal(sc, c_b, ceilings)
+        rel = [0.0] * len(optima)
     else:
-        opt = optimize.fixed_optimal(sc, s_th)
-        rel = secrecy.reliability_outage(sc, opt.rates.r_b)
-    sop_val = secrecy.sop(sc, opt.rates.r_e)
-    est_mc = ci = ""
+        optima = optimize.fixed_optimal(sc, ceilings)
+        rel = _outages(secrecy.reliability_outage, sc, [o.rates.r_b for o in optima])
+    r_es = [o.rates.r_e for o in optima]
+    sop_vals = _outages(secrecy.sop, sc, r_es)
+    mc = [("", "")] * len(optima)
     if with_mc:
-        mc_rates = None if scheme == "adaptive" else opt.rates
-        est = montecarlo.estimate_est(sc, mc_rates, scheme, s_th, sim, jobs=jobs)
-        est_mc, ci = _fmt(est.mean), _fmt(est.ci_halfwidth)
+        if scheme == "adaptive":
+            estimates = montecarlo.estimate_est(sc, None, scheme, ceilings, sim, jobs=jobs)
+        else:
+            distinct = list(dict.fromkeys(r_es))
+            sop_at = dict(zip(distinct, montecarlo.estimate_sop(sc, distinct, sim, jobs=jobs)))
+            estimates = [
+                montecarlo.est_fixed_from_outages(
+                    o.rates,
+                    sop_at[o.rates.r_e],
+                    montecarlo.estimate_reliability_outage(sc, o.rates.r_b, sim, jobs=jobs),
+                    s_th,
+                )
+                for o, s_th in zip(optima, ceilings)
+            ]
+        mc = [(_fmt(e.mean), _fmt(e.ci_halfwidth)) for e in estimates]
     # Solvers contract on the surrogate outage surface; the sop column stays
     # exact-kernel for diagnostics.
-    met = secrecy.sop_approx(sc, opt.rates.r_e) <= s_th + 1e-6 or opt.est == 0.0
-    return opt.est, est_mc, ci, sop_val, rel, met
+    s_approx = secrecy.sop_approx_curve(sc, np.array(r_es))[0].tolist()
+    return [
+        (o.est, est_mc, ci, s, t, s_a <= s_th + 1e-6 or o.est == 0.0)
+        for o, (est_mc, ci), s, t, s_a, s_th in zip(optima, mc, sop_vals, rel, s_approx, ceilings)
+    ]
 
 
 def cmd_sweep(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
@@ -342,9 +366,16 @@ def cmd_sweep(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         )
 
     if axis in ("s_th", "n", "sigma_s"):
-        for v in values:
-            sc_v, s_th_v = _scenario_at(sc, axis, v), v if axis == "s_th" else s_th
-            emit(v, None, _optimum_row(sc_v, scheme, s_th_v, args.cb, args.mc, sim, args.jobs))
+        # The s_th axis solves all its ceilings in one call; the n and
+        # sigma_s axes change the scenario, so each row is its own call.
+        if axis == "s_th":
+            groups = [(sc, values, values)] if values else []
+        else:
+            groups = ((_scenario_at(sc, axis, v), [v], [s_th]) for v in values)
+        for sc_g, vs, ceilings in groups:
+            rows = _optimum_rows(sc_g, scheme, ceilings, args.cb, args.mc, sim, args.jobs)
+            for v, row in zip(vs, rows):
+                emit(v, None, row)
         return _EXIT_OK
 
     # Rate axes: (value, value2) and the cell (r_e, r_b, c_b) of each row.

@@ -243,11 +243,11 @@ def estimate_est(
     sc: ScenarioConfig,
     rates: RatePair | None,
     scheme: str,
-    s_th: float,
+    s_th: float | Sequence[float],
     sim: SimConfig,
     *,
     jobs: int | None = 1,
-) -> Estimate:
+) -> Estimate | list[Estimate]:
     """Empirical effective secrecy throughput under either rate scheme.
 
     Fixed scheme: :func:`est_fixed_from_outages` of :func:`estimate_sop` at
@@ -265,21 +265,29 @@ def estimate_est(
     alone, gated at ``s_th`` -- the Monte-Carlo twin of
     :func:`secrecy.est_adaptive` at ``c_b = r_b``.  The codeword rate tracks
     the capacity, so there is no reliability outage to estimate.
+
+    ``s_th`` may be one ceiling or a sequence of them.  The draws do not
+    depend on the ceiling, so they are made once and a sequence gives back
+    one ``Estimate`` per ceiling, each equal to the float call's.
     """
     if scheme not in ("adaptive", "fixed"):
         raise ValueError(f"scheme must be 'adaptive' or 'fixed', got {scheme!r}")
-    if not 0.0 < s_th <= 1.0:
-        raise ValueError(f"s_th must lie in (0, 1], got {s_th}")
+    ceilings = np.atleast_1d(s_th).tolist()
+    for c in ceilings:
+        if not 0.0 < c <= 1.0:
+            raise ValueError(f"s_th must lie in (0, 1], got {c}")
     if rates is None:
         if scheme == "fixed":
             raise ValueError("fixed scheme requires a rate pair")
-        return _estimate_est_adaptive(sc, s_th, sim, jobs)
-    sop = estimate_sop(sc, rates.r_e, sim, jobs=jobs)
-    if scheme == "fixed":
-        reliability_outage = estimate_reliability_outage(sc, rates.r_b, sim, jobs=jobs)
+        estimates = _estimate_est_adaptive(sc, ceilings, sim, jobs)
     else:
-        reliability_outage = Estimate(mean=0.0, ci_halfwidth=0.0, trials=sim.trials, count=0)
-    return est_fixed_from_outages(rates, sop, reliability_outage, s_th)
+        sop = estimate_sop(sc, rates.r_e, sim, jobs=jobs)
+        if scheme == "fixed":
+            reliability_outage = estimate_reliability_outage(sc, rates.r_b, sim, jobs=jobs)
+        else:
+            reliability_outage = Estimate(mean=0.0, ci_halfwidth=0.0, trials=sim.trials, count=0)
+        estimates = [est_fixed_from_outages(rates, sop, reliability_outage, c) for c in ceilings]
+    return estimates[0] if np.ndim(s_th) == 0 else estimates
 
 
 def est_fixed_from_outages(
@@ -354,12 +362,14 @@ def _ceiling_cut(table_c: np.ndarray, table_r: np.ndarray, r_th: float) -> float
 
 
 def _estimate_est_adaptive(
-    sc: ScenarioConfig, s_th: float, sim: SimConfig, jobs: int | None
-) -> Estimate:
+    sc: ScenarioConfig, ceilings: list[float], sim: SimConfig, jobs: int | None
+) -> list[Estimate]:
     """Secret bits of the ceiling-aware per-realization optimum, averaged
-    over both draws.  Only the trials at or above :func:`_ceiling_cut` are
-    interpolated; every trial keeps the float full interpolation gives, in
-    one full-length array per stream, so the pairwise sums keep their bits.
+    over both draws, at each of ``ceilings``.  The draws and the redundancy
+    table are made once.  Only the trials at or above :func:`_ceiling_cut`
+    are interpolated; every trial keeps the float full interpolation gives,
+    in one full-length array per stream, so the pairwise sums keep their
+    bits.
     """
     eve_rngs = _stream_rngs(sim, _EVE_ROLE)
     bob_rngs = _stream_rngs(sim, _BOB_ROLE)
@@ -373,27 +383,31 @@ def _estimate_est_adaptive(
         return cap, i_e
 
     drawn = _map_streams(draw, sim.stream_count, jobs)
-    r_th = optimize.re_threshold(sc, s_th)
     cap_max = max(float(cap.max()) for cap, _ in drawn if cap.size)
     table_c, table_r = _adaptive_redundancy_table(sc, cap_max)
-    c_cut = _ceiling_cut(table_c, table_r, r_th)
-    thr_th, _ = rate_threshold(r_th, snr_e)
 
-    def reduce_one(j: int) -> tuple[float, float]:
-        cap, i_e = drawn[j]
-        psi = np.where((r_th <= cap) & (i_e <= thr_th), cap - r_th, 0.0)
-        free = np.flatnonzero(~(cap < c_cut))
-        c = cap[free]
-        r_e = np.maximum(np.interp(c, table_c, table_r), r_th)
-        secure = i_e[free] <= rate_threshold(r_e, snr_e)[0]
-        psi[free] = np.where((r_e <= c) & secure, c - r_e, 0.0)
-        return float(psi.sum()), float((psi * psi).sum())
+    def at_ceiling(s_th: float) -> Estimate:
+        r_th = optimize.re_threshold(sc, s_th)
+        c_cut = _ceiling_cut(table_c, table_r, r_th)
+        thr_th, _ = rate_threshold(r_th, snr_e)
 
-    parts = _map_streams(reduce_one, sim.stream_count, jobs)
-    n = sim.trials
-    total = math.fsum(p[0] for p in parts)
-    total_sq = math.fsum(p[1] for p in parts)
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    ci = 3.0 * math.sqrt(var / n)
-    return Estimate(mean=mean, ci_halfwidth=ci, trials=n)
+        def reduce_one(j: int) -> tuple[float, float]:
+            cap, i_e = drawn[j]
+            psi = np.where((r_th <= cap) & (i_e <= thr_th), cap - r_th, 0.0)
+            free = np.flatnonzero(~(cap < c_cut))
+            c = cap[free]
+            r_e = np.maximum(np.interp(c, table_c, table_r), r_th)
+            secure = i_e[free] <= rate_threshold(r_e, snr_e)[0]
+            psi[free] = np.where((r_e <= c) & secure, c - r_e, 0.0)
+            return float(psi.sum()), float((psi * psi).sum())
+
+        parts = _map_streams(reduce_one, sim.stream_count, jobs)
+        n = sim.trials
+        total = math.fsum(p[0] for p in parts)
+        total_sq = math.fsum(p[1] for p in parts)
+        mean = total / n
+        var = max(total_sq / n - mean * mean, 0.0)
+        ci = 3.0 * math.sqrt(var / n)
+        return Estimate(mean=mean, ci_halfwidth=ci, trials=n)
+
+    return [at_ceiling(s_th) for s_th in ceilings]

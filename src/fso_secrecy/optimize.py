@@ -15,7 +15,8 @@ therefore finds the root of its condition directly:
 
 The fixed scheme's rate constants and every stencil step are multiples of
 u = min(C_b, 1), Bob's capacity at his mean surrogate SNR capped at 1 bpcu,
-so a weak link is searched at its own rate scale.
+and the adaptive scan's of u_e = min(C_e, 1), Eve's, so a weak link is
+searched at its own rate scale.
 
 Each residual takes the surrogate outages and their slopes in the rate from
 the curve kernels ``sop_approx_curve`` and ``reliability_outage_approx_curve``
@@ -35,12 +36,13 @@ available by re-evaluating :func:`fso_secrecy.secrecy.est_fixed` /
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
 
-from fso_secrecy.channel import ScenarioConfig, bob_link, eve_link
+from fso_secrecy.channel import LinkParams, ScenarioConfig, bob_link, eve_link
 from fso_secrecy.secrecy import (
     RatePair,
     SecrecyConstraint,
@@ -74,7 +76,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # carries no information this far out anyway.
 _RATE_CEIL = 60.0
 
-# Bisection width in the residual scans' cells (times u in the fixed scheme).
+# Bisection width in the residual scans' cells, times the rate scale: u in the
+# fixed scheme, u_e in the adaptive one.
 _RATE_TOL = 1e-9
 
 # Halvings per array call of a bisection: 2**6 - 1 = 63 midpoints.
@@ -311,11 +314,17 @@ def adaptive_unconstrained_re(
 def _adaptive_unconstrained(
     sc: ScenarioConfig, c_b: float, opts: SolverOptions | None
 ) -> tuple[float, str]:
-    """:func:`adaptive_unconstrained_re` and the ``Optimum.method`` of its path."""
+    """:func:`adaptive_unconstrained_re` and the ``Optimum.method`` of its path.
+
+    The scan's lower end and the bisection width are multiples of the
+    eavesdropper's rate scale u_e = min(C_e, 1), so a link whose whole rate
+    scale lies below 1e-4 is still scanned where its slope falls.
+    """
     if not c_b > 0.0:
         raise ValueError(f"c_b must be positive, got {c_b}")
     opts = opts or _DEFAULT
     unconstrained = SecrecyConstraint(1.0)
+    u_e = min(_cap_seed(sc, eve_link(sc)), 1.0)
 
     def psi(r: float) -> float:
         return est_adaptive(sc, c_b, r, unconstrained, use_approx=True).est
@@ -325,22 +334,22 @@ def _adaptive_unconstrained(
         s, ds = sop_approx_curve(sc, r)
         return -(1.0 - s) - (c_b - r) * ds
 
-    lo = 1e-4 * min(c_b, 1.0)
+    lo = 1e-4 * min(c_b, u_e)
     hi = c_b - lo
 
     # Slope sign-scan: the throughput vanishes at both ends of (0, c_b), so
     # an interior maximum exists and the slope changes sign across it.
     n = max(opts.grid_points, 64)
     xs = _scan_nodes(lo, hi, n)
-    roots = _scan_roots(slope, xs, slope(np.array(xs)), _RATE_TOL, falling_only=True)
+    roots = _scan_roots(slope, xs, slope(np.array(xs)), _RATE_TOL * u_e, falling_only=True)
     if roots:
         return max(roots, key=psi), "fixed_point"
     return adaptive_grid_oracle(sc, c_b, 1.0, opts).rates.r_e, "grid_oracle"
 
 
 def adaptive_optimal(
-    sc: ScenarioConfig, c_b: float, s_th: float, opts: SolverOptions | None = None
-) -> Optimum:
+    sc: ScenarioConfig, c_b: float, s_th: float | Sequence[float], opts: SolverOptions | None = None
+) -> Optimum | list[Optimum]:
     """Ceiling-aware optimal redundancy rate for realized capacity ``c_b``.
 
     The optimum is the larger of the unconstrained stationary rate and the
@@ -348,11 +357,25 @@ def adaptive_optimal(
     threshold rate exceeds the capacity there is no feasible operating point
     with positive secrecy rate; the report then degenerates to zero
     throughput at the capacity itself.
+
+    ``s_th`` is one ceiling or a sequence of them: a float gives one
+    ``Optimum``, a sequence a list with one per ceiling, each equal to the
+    float call's.  The unconstrained rate is solved once per call, the
+    threshold rate once per ceiling.
     """
     opts = opts or _DEFAULT
-    constraint = SecrecyConstraint(s_th)
+    constraints = [SecrecyConstraint(c) for c in np.atleast_1d(s_th).tolist()]
     re_u, method_u = _adaptive_unconstrained(sc, c_b, opts)
-    re_t = re_threshold(sc, s_th)
+    optima = [_adaptive_under(sc, c_b, re_u, method_u, c) for c in constraints]
+    return optima[0] if np.ndim(s_th) == 0 else optima
+
+
+def _adaptive_under(
+    sc: ScenarioConfig, c_b: float, re_u: float, method_u: str, constraint: SecrecyConstraint
+) -> Optimum:
+    """:func:`adaptive_optimal` at one ceiling, given the unconstrained rate
+    ``re_u`` and the method of its path."""
+    re_t = re_threshold(sc, constraint.s_th)
     constraint_active = re_t > re_u
     r_e = max(re_u, re_t)
     feasible = r_e <= c_b
@@ -362,7 +385,7 @@ def adaptive_optimal(
 
     # The second-difference stencil must lie strictly inside (0, c_b): at an
     # end point the throughput's edge, not its curvature, decides the sign.
-    u = min(_bob_cap_seed(sc), 1.0)
+    u = min(_cap_seed(sc, bob_link(sc)), 1.0)
     h = 1e-4 * u
     hessian_ok = False
     if feasible and 0.0 < r_e - h and r_e + h < c_b and report.est > 0.0 and not constraint_active:
@@ -384,12 +407,12 @@ def adaptive_optimal(
 # ---------------------------------------------------------------------------
 
 
-def _bob_cap_seed(sc: ScenarioConfig) -> float:
-    """Bob's capacity at his mean surrogate SNR: where the codeword-rate
-    scans set their upper end.  It is positive even where 1 + SNR rounds to 1."""
-    link = bob_link(sc)
+def _cap_seed(sc: ScenarioConfig, link: LinkParams) -> float:
+    """The link's capacity at its mean surrogate SNR, Bob's or Eve's: where
+    the codeword-rate scans set their upper end, and the rate scale of the
+    solvers.  It is positive even where 1 + SNR rounds to 1."""
     ga = link.ga
-    mean_snr = sc.nodes.gamma0 * link.pointing.a0 * sc.nodes.n_b * ga.theta_ap * ga.k_ap
+    mean_snr = sc.nodes.gamma0 * link.pointing.a0 * link.n_rx * ga.theta_ap * ga.k_ap
     return math.log1p(mean_snr) / math.log(2.0)
 
 
@@ -407,7 +430,7 @@ def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = No
     root is a candidate.
     """
     opts = opts or _DEFAULT
-    cap = _bob_cap_seed(sc)
+    cap = _cap_seed(sc, bob_link(sc))
     u = min(cap, 1.0)
     hi = min(cap + 15.0 * u, _RATE_CEIL)
     candidates: list[tuple[float, float, float, str]] = []  # (est, re, rb, method)
@@ -471,7 +494,7 @@ def _throughput_stencil(sc: ScenarioConfig, re: float, rb: float, h: float) -> l
 # The stencil checks step h u and difference the objective over u, which
 # stays normal on the weakest links.
 def _is_interior_stationary(sc: ScenarioConfig, re: float, rb: float, tol: float = 1e-5) -> bool:
-    u = min(_bob_cap_seed(sc), 1.0)
+    u = min(_cap_seed(sc, bob_link(sc)), 1.0)
     if not (re > 1e-8 * u and rb > re + 1e-8 * u and rb < _RATE_CEIL - 1e-6 * u):
         return False
     f = [[v / u for v in row] for row in _throughput_stencil(sc, re, rb, 1e-5 * u)]
@@ -482,7 +505,7 @@ def _is_interior_stationary(sc: ScenarioConfig, re: float, rb: float, tol: float
 
 
 def _hessian_negative_definite(sc: ScenarioConfig, re: float, rb: float, h: float = 1e-4) -> bool:
-    u = min(_bob_cap_seed(sc), 1.0)
+    u = min(_cap_seed(sc, bob_link(sc)), 1.0)
     f = [[v / u for v in row] for row in _throughput_stencil(sc, re, rb, h * u)]
     f00 = f[1][1]
     a = (f[2][1] - 2.0 * f00 + f[0][1]) / (h * h)
@@ -520,7 +543,7 @@ def _fixed_constrained(
     if r_e_fixed < 0.0:
         raise ValueError(f"r_e_fixed must be non-negative, got {r_e_fixed}")
     opts = opts or _DEFAULT
-    cap = _bob_cap_seed(sc)
+    cap = _cap_seed(sc, bob_link(sc))
     u = min(cap, 1.0)
     lo = r_e_fixed + 1e-6 * u
     hi = min(max(r_e_fixed + 25.0 * u, cap + 10.0 * u), _RATE_CEIL)
@@ -544,15 +567,29 @@ def _fixed_constrained(
     return rb, "grid_oracle"
 
 
-def fixed_optimal(sc: ScenarioConfig, s_th: float, opts: SolverOptions | None = None) -> Optimum:
+def fixed_optimal(
+    sc: ScenarioConfig, s_th: float | Sequence[float], opts: SolverOptions | None = None
+) -> Optimum | list[Optimum]:
     """Outage-ceiling-aware optimal rate pair for the fixed-rate scheme.
 
     If the unconstrained redundancy rate already satisfies the ceiling the
     unconstrained pair stands; otherwise the redundancy rate is pinned to
     the threshold value and the codeword rate re-optimized around it.
+
+    ``s_th`` is one ceiling or a sequence of them: a float gives one
+    ``Optimum``, a sequence a list with one per ceiling, each equal to the
+    float call's.  The unconstrained pair is solved once per call; the
+    threshold rate, and the codeword rate where the ceiling binds, once per
+    ceiling.
     """
     opts = opts or _DEFAULT
     pair = fixed_unconstrained_pair(sc, opts)
+    optima = [_fixed_under(sc, pair, c, opts) for c in np.atleast_1d(s_th).tolist()]
+    return optima[0] if np.ndim(s_th) == 0 else optima
+
+
+def _fixed_under(sc: ScenarioConfig, pair: Optimum, s_th: float, opts: SolverOptions) -> Optimum:
+    """:func:`fixed_optimal` at one ceiling, given the unconstrained ``pair``."""
     if s_th >= 1.0:
         return pair
     re_t = re_threshold(sc, s_th)
@@ -562,7 +599,7 @@ def fixed_optimal(sc: ScenarioConfig, s_th: float, opts: SolverOptions | None = 
     rb, method = _fixed_constrained(sc, re_t, opts)
     report = est_fixed(sc, RatePair(r_b=rb, r_e=re_t), constraint, use_approx=True)
 
-    u = min(_bob_cap_seed(sc), 1.0)
+    u = min(_cap_seed(sc, bob_link(sc)), 1.0)
     rbs = [rb - 1e-4 * u, rb, rb + 1e-4 * u]
     t = reliability_outage_approx_curve(sc, np.maximum(rbs, 0.0))[0].tolist()
     f_rb = [  # the throughput along r_b; S(re_t) is the report's

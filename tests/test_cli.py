@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fso_secrecy import cli, optimize, secrecy
+from fso_secrecy import cli, montecarlo, optimize, secrecy
 from fso_secrecy.cli import ConfigError, scenario_from_dict
 from fso_secrecy.secrecy import RatePair, SecrecyConstraint
 
@@ -386,6 +386,94 @@ def test_sweep_ceiling_axis_monotone(tmp_path):
     assert all(row["constraint_met"] == "true" for row in rows)
 
 
+def _ceiling_rows_one_by_one(sc, scheme, ceilings, c_b, sim=None):
+    """The CSV of an s_th sweep built row by row from float calls: one
+    solve, one exact outage per kind, one surrogate outage and, with
+    ``sim``, one Monte-Carlo estimate per ceiling."""
+    lines = [HEADER]
+    for s_th in ceilings:
+        if scheme == "adaptive":
+            opt = optimize.adaptive_optimal(sc, c_b, s_th)
+            rel = 0.0
+        else:
+            opt = optimize.fixed_optimal(sc, s_th)
+            rel = secrecy.reliability_outage(sc, opt.rates.r_b)
+        est_mc = ci = ""
+        if sim is not None:
+            mc_rates = None if scheme == "adaptive" else opt.rates
+            est = montecarlo.estimate_est(sc, mc_rates, scheme, s_th, sim)
+            est_mc, ci = cli._fmt(est.mean), cli._fmt(est.ci_halfwidth)
+        met = secrecy.sop_approx(sc, opt.rates.r_e) <= s_th + 1e-6 or opt.est == 0.0
+        cells = [opt.est, est_mc, ci, secrecy.sop(sc, opt.rates.r_e), rel]
+        cells = [c if isinstance(c, str) else cli._fmt(c) for c in cells]
+        lines.append(",".join(["s_th", cli._fmt(s_th), "", *cells, "true" if met else "false"]))
+    return "\n".join(lines) + "\n"
+
+
+# --min 0.05 --max 1 --steps 8: binding and non-binding ceilings, s_th = 1,
+# and at c_b 4 threshold rates above the capacity.
+CEILING_AXIS = ["--axis", "s_th", "--min", "0.05", "--max", "1", "--steps", "8", "--cb", "4"]
+
+
+def _ceiling_values():
+    # the axis's own arithmetic, so each ceiling is the sweep's float
+    step = (1.0 - 0.05) / 7
+    return [min(0.05 + i * step, 1.0) for i in range(8)]
+
+
+@pytest.mark.parametrize("scheme", ["fixed", "adaptive"])
+def test_sweep_ceiling_axis_solves_once_and_asks_each_outage_once(
+    tmp_path, monkeypatch, baseline, scheme
+):
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+
+    counted(optimize, "fixed_unconstrained_pair")
+    counted(optimize, "_adaptive_unconstrained")
+    for name in ("sop", "reliability_outage", "sop_approx_curve"):
+        counted(secrecy, name)
+    code, text = run_cli(tmp_path, "sweep", *CEILING_AXIS, "--scheme", scheme)
+    assert code == 0
+    # The solvers take their surrogate outages from secrecy's names bound in
+    # optimize, so only the CLI's own calls are counted here.
+    if scheme == "fixed":
+        want = ["fixed_unconstrained_pair", "reliability_outage", "sop", "sop_approx_curve"]
+    else:
+        want = ["_adaptive_unconstrained", "sop", "sop_approx_curve"]
+    assert sorted(calls) == want
+    monkeypatch.undo()
+    assert text == _ceiling_rows_one_by_one(baseline, scheme, _ceiling_values(), 4.0)
+
+
+@pytest.mark.parametrize("scheme", ["fixed", "adaptive"])
+def test_sweep_ceiling_axis_monte_carlo_column_equals_the_float_calls(
+    tmp_path, monkeypatch, baseline, scheme
+):
+    calls = []
+    for name in ("estimate_est", "estimate_sop", "estimate_reliability_outage"):
+        real = getattr(montecarlo, name)
+        monkeypatch.setattr(
+            montecarlo,
+            name,
+            lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k),
+        )
+    argv = [*CEILING_AXIS, "--scheme", scheme, "--mc", "--trials", "2000", "--seed", "3"]
+    code, text = run_cli(tmp_path, "sweep", *argv)
+    assert code == 0
+    # adaptive: one capacity-averaged estimate over all ceilings; fixed: one
+    # eavesdropper draw over the rows' distinct r_e, one reliability draw per row
+    if scheme == "fixed":
+        assert sorted(calls) == ["estimate_reliability_outage"] * 8 + ["estimate_sop"]
+    else:
+        assert calls == ["estimate_est"]
+    monkeypatch.undo()
+    sim = montecarlo.SimConfig(trials=2000, seed=3)
+    assert text == _ceiling_rows_one_by_one(baseline, scheme, _ceiling_values(), 4.0, sim)
+
+
 def test_sweep_invalid_ceiling_range_exits_1(tmp_path, capsys):
     code = cli.main(
         ["sweep", "--axis", "s_th", "--min", "0", "--max", "1", "--steps", "3"]
@@ -555,9 +643,9 @@ def test_optimize_adaptive_pinned_capacity(tmp_path, baseline):
 
 
 def test_optimize_adaptive_weak_eavesdropper_link(tmp_path, capsys):
-    # At gamma0 1e-3 the surrogate throughput's slope never turns from rising
-    # to falling on the sign-scan; the scan's grid fallback still returns an
-    # optimum
+    # At gamma0 1e-3 the eavesdropper's whole rate scale u_e = min(C_e, 1)
+    # (8.9e-6 here) lies below 1e-4: the slope scan starts at 1e-4 u_e, so it
+    # sees the slope turn from rising to falling and bisects to the root
     cfg = tmp_path / "weak.json"
     cfg.write_text('{"gamma0": 1e-3}', encoding="utf-8")
     code, text = run_cli(
@@ -570,14 +658,15 @@ def test_optimize_adaptive_weak_eavesdropper_link(tmp_path, capsys):
     assert 0.0 <= doc["sop_at_re"] <= 1.0
     assert 0.0 < doc["est"] <= 4.0
     assert doc["oracle"]["gap"] <= 0.02
-    # The grid fallback, not a stationary point of the scan, gave r_e: the
-    # interior maximum below the scan's lower end 1e-4, whose throughput it
-    # beats.  The curvature stencil, of step 1e-4 u in Bob's rate scale u
-    # (4.5e-6 here), lies inside (0, c_b), so the second-order check is made.
+    # The stationary root of the scan, not the grid fallback, gave r_e; its
+    # throughput is the grid oracle's or more.  The curvature stencil, of
+    # step 1e-4 u in Bob's rate scale u (4.5e-6 here), lies inside (0, c_b),
+    # so the second-order check is made.
     assert 0.0 < doc["rates"]["r_e"] < 1e-4
     assert doc["est"] > 4.0 - 1e-4
+    assert doc["est"] >= doc["oracle"]["est"]
     assert doc["hessian_ok"] is True
-    assert doc["method"] == "grid_oracle"
+    assert doc["method"] == "fixed_point"
 
 
 def test_optimize_fixed_weak_link_under_ceiling(tmp_path, capsys):

@@ -395,6 +395,38 @@ def test_est_fixed_from_a_shared_eavesdropper_draw(baseline, jobs):
     assert shared == estimate_est(baseline, rates, "fixed", 1.0, sim, jobs=jobs)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "rates, scheme",
+    [(None, "adaptive"), (RatePair(6.0, 2.0), "adaptive"), (RatePair(3.4, 1.2558717), "fixed")],
+    ids=["capacity-averaged", "pinned-capacity", "fixed"],
+)
+def test_estimate_est_over_ceilings_equals_the_float_calls(baseline, rates, scheme, jobs):
+    # The draws do not depend on the ceiling: one draw serves every ceiling,
+    # and each estimate is the float call's, field for field.
+    sim = SimConfig(trials=3_000, seed=13, stream_count=5)
+    ceilings = [1.0, 0.6, 0.4, 0.2, 0.05, 0.4]
+    got = estimate_est(baseline, rates, scheme, ceilings, sim, jobs=jobs)
+    assert got == [estimate_est(baseline, rates, scheme, s_th, sim, jobs=jobs) for s_th in ceilings]
+    assert len({e.mean for e in got}) >= 2
+
+
+def test_capacity_averaged_estimate_draws_once_over_ceilings(baseline, monkeypatch):
+    calls = []
+    for name in ("sample_bob_irradiance", "sample_eve_irradiance", "_adaptive_redundancy_table"):
+        real = getattr(montecarlo, name)
+        monkeypatch.setattr(
+            montecarlo, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
+        )
+    sim = SimConfig(trials=1_000, seed=2, stream_count=4)
+    assert len(estimate_est(baseline, None, "adaptive", (0.2, 0.4, 1.0), sim)) == 3
+    assert sorted(calls) == ["_adaptive_redundancy_table"] + ["sample_bob_irradiance"] * 4 + [
+        "sample_eve_irradiance"
+    ] * 4
+    with pytest.raises(ValueError):
+        estimate_est(baseline, None, "adaptive", [0.4, 0.0], sim)
+
+
 def test_estimate_est_fixed_matches_closed_form(baseline):
     sim = SimConfig(trials=200_000, seed=31)
     pairs = [

@@ -496,6 +496,53 @@ def test_fixed_optimal_matches_grid_oracle(baseline):
     assert o.est >= oracle.est - 1e-6
 
 
+# ---------------------------------------------------------------------------
+# a sequence of ceilings
+# ---------------------------------------------------------------------------
+
+# Non-binding, binding and s_th = 1 ceilings.  The threshold rate at 0.05
+# lies above Bob's mean-SNR capacity on the baseline (4.71 > 3.73) and at
+# gamma0 1e-3 (9.2e-6 > 4.5e-6), and above c_b = 2 from 0.4 down on the
+# baseline, where the adaptive optimum is infeasible.  At gamma0 1e-3 no
+# ceiling binds the adaptive scheme: its unconstrained r_e tops them all.
+SEQUENCE_CEILINGS = [1.0, 0.9, 0.6, 0.4, 0.2, 0.05, 0.6]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"sigma_s": 0.0}, {"n_a": 4, "n_b": 4, "n_e": 4}, {"gamma0": 1e-3}, {"cn2": 1e-30}],
+    ids=["baseline", "pointing-free", "n4", "gamma0-1e-3", "cn2-1e-30"],
+)
+@pytest.mark.parametrize(
+    "solve",
+    [fixed_optimal, lambda sc, s_th: adaptive_optimal(sc, 2.0, s_th)],
+    ids=["fixed", "adaptive"],
+)
+def test_ceiling_sequence_equals_the_float_calls_to_the_bit(overrides, solve):
+    sc = baseline_scenario(**overrides)
+    got = solve(sc, SEQUENCE_CEILINGS)
+    assert isinstance(got, list)
+    want = [solve(sc, s_th) for s_th in SEQUENCE_CEILINGS]
+    # repr of a float round-trips, so equal reprs are equal bits
+    assert [repr(o) for o in got] == [repr(o) for o in want]
+
+
+def test_ceiling_sequence_solves_the_unconstrained_problem_once(baseline, monkeypatch):
+    calls = []
+    for name in ("fixed_unconstrained_pair", "_adaptive_unconstrained", "re_threshold"):
+        real = getattr(optimize, name)
+        monkeypatch.setattr(
+            optimize, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
+        )
+    assert len(fixed_optimal(baseline, SEQUENCE_CEILINGS)) == len(SEQUENCE_CEILINGS)
+    assert len(adaptive_optimal(baseline, 4.0, np.array(SEQUENCE_CEILINGS))) == 7
+    assert calls.count("fixed_unconstrained_pair") == 1
+    assert calls.count("_adaptive_unconstrained") == 1
+    # s_th = 1 short-cuts the fixed solver; the adaptive one asks every ceiling
+    assert calls.count("re_threshold") == 6 + 7
+    assert fixed_optimal(baseline, []) == []
+
+
 def test_fixed_optimum_scales_with_the_snr_on_weak_links():
     # Far below 1 bpcu log2(1 + x) is x / ln 2, so every rate, and with them
     # the optimal throughput, is proportional to the SNR: it falls 100-fold
