@@ -22,7 +22,10 @@ script runs:
   sweeps, with the same program seed, so the Monte-Carlo column of the
   ceiling axis is compared byte for byte;
 - ``scripts/figure_sweeps.py`` without Monte-Carlo (11 CSV files);
-- ``validate --trials 1000000 --seed 7`` at ``--jobs 1`` and ``--jobs 4``.
+- ``validate --trials 1000000 --seed 7`` at ``--jobs 1`` and ``--jobs 4``;
+- ``validate --trials 1000003 --stream-count 7 --seed 7`` at ``--jobs 1``
+  and ``--jobs 4``, whose streams are of uneven size (142,858 and 142,857
+  trials).
 
 The exit code of every CLI run is compared too (``exit_codes.json``), so a
 ``validate`` check that fails (exit 3) on one side shows as a differing
@@ -30,7 +33,7 @@ field instead of stopping the comparison.  It prints every file and field
 that differs between the trees, with the relative difference
 |new - old| / max(|old|, |new|) of each numeric one, then a summary line:
 how many files differ, how many of those are Monte-Carlo outputs
-(``opt_mc*.json``, ``sweep_mc*.csv``, ``validate_jobs*.txt``) and how many
+(``opt_mc*.json``, ``sweep_mc*.csv``, ``validate*.txt``) and how many
 closed-form ones, the largest relative difference among the solver fields
 (``rates``, ``est`` and ``sop_at_re`` of the ``optimize`` outputs), and the
 largest among their ``oracle.est`` fields.  If nothing differs it
@@ -72,6 +75,10 @@ WEAK_LINK_RUNS = (
 
 # The schemes of the ceiling-axis Monte-Carlo sweeps.
 MC_SWEEP_SCHEMES = (["--scheme", "fixed"], ["--scheme", "adaptive", "--cb", "4"])
+
+# (output name tag, trials, stream count) of the validate runs; 1,000,003
+# trials over 7 streams gives streams of uneven size.
+VALIDATE_RUNS = (("", "1000000", "16"), ("_streams7", "1000003", "7"))
 
 # Runs (output name, CLI argv) pairs in one interpreter, as the benchmark
 # does, and writes each exit code to the file sys.argv[2].  Exit 3 (a failed
@@ -116,12 +123,13 @@ def produce(src: Path, outdir: Path) -> None:
                     *scheme, "--mc", "--trials", "20000", "--seed", str(PROGRAM_SEED),
                     "--out", str(outdir / name)])
         )
-    for jobs in ("1", "4"):
-        name = f"validate_jobs{jobs}.txt"
-        ops.append(
-            (name, ["validate", "--trials", "1000000", "--seed", "7", "--jobs", jobs,
-                    "--out", str(outdir / name)])
-        )
+    for tag, trials, streams in VALIDATE_RUNS:
+        for jobs in ("1", "4"):
+            name = f"validate{tag}_jobs{jobs}.txt"
+            ops.append(
+                (name, ["validate", "--trials", trials, "--stream-count", streams, "--seed", "7",
+                        "--jobs", jobs, "--out", str(outdir / name)])
+            )
     _run(src, ["-c", _RUN_CLI, json.dumps(ops), str(outdir / "exit_codes.json")])
     _run(src, [str(ROOT / "scripts" / "figure_sweeps.py"), "--outdir", str(outdir)])
     for n in workloads.OPT_NS:
@@ -194,7 +202,7 @@ def is_monte_carlo(name: str) -> bool:
     ``exit_codes.json`` included, as closed-form."""
     return any(
         fnmatch.fnmatch(name, pattern)
-        for pattern in ("opt_mc*.json", "sweep_mc*.csv", "validate_jobs*.txt")
+        for pattern in ("opt_mc*.json", "sweep_mc*.csv", "validate*.txt")
     )
 
 

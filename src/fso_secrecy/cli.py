@@ -303,7 +303,8 @@ def _optimum_rows(
     the surrogate outage that ``constraint_met`` reads from one curve call.
     The Monte-Carlo column of the adaptive scheme is one estimate over every
     ceiling; the fixed scheme's rows share one eavesdropper draw over their
-    distinct r_e and make one reliability draw each.
+    distinct r_e and one Bob draw over their r_b, in which a repeated r_b
+    is drawn once.
     """
     if scheme == "adaptive":
         optima = optimize.adaptive_optimal(sc, c_b, ceilings)
@@ -320,14 +321,12 @@ def _optimum_rows(
         else:
             distinct = list(dict.fromkeys(r_es))
             sop_at = dict(zip(distinct, montecarlo.estimate_sop(sc, distinct, sim, jobs=jobs)))
+            rel_mc = montecarlo.estimate_reliability_outage(
+                sc, [o.rates.r_b for o in optima], sim, jobs=jobs
+            )
             estimates = [
-                montecarlo.est_fixed_from_outages(
-                    o.rates,
-                    sop_at[o.rates.r_e],
-                    montecarlo.estimate_reliability_outage(sc, o.rates.r_b, sim, jobs=jobs),
-                    s_th,
-                )
-                for o, s_th in zip(optima, ceilings)
+                montecarlo.est_fixed_from_outages(o.rates, sop_at[o.rates.r_e], t, s_th)
+                for o, t, s_th in zip(optima, rel_mc, ceilings)
             ]
         mc = [(_fmt(e.mean), _fmt(e.ci_halfwidth)) for e in estimates]
     # Solvers contract on the surrogate outage surface; the sop column stays
@@ -528,9 +527,13 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     for r_e, est in zip(sop_rates, sop_ests):
         check(f"sop r_e={_fmt(r_e)}", secrecy.sop(sc, r_e), est.mean, est.ci_halfwidth)
 
-    for n in (1, 2, 4):
-        sc_n = _scenario_at(sc, "n", float(n))
-        est = montecarlo.estimate_reliability_outage(sc_n, 3.0, sim, jobs=jobs)
+    # One Bob draw serves the three reliability checks and the est_fixed check.
+    rel_ns = (1, 2, 4)
+    rel_scs = [_scenario_at(sc, "n", float(n)) for n in rel_ns]
+    *rel_ests, rel_at_est_rb = montecarlo.estimate_reliability_outages(
+        [(sc_n, 3.0) for sc_n in rel_scs] + [(sc, est_rates.r_b)], sim, jobs=jobs
+    )
+    for n, sc_n, est in zip(rel_ns, rel_scs, rel_ests):
         check(
             f"reliability_outage n={n} r_b=3",
             secrecy.reliability_outage(sc_n, 3.0),
@@ -555,12 +558,7 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         gap_worst = max(gap_worst, *gaps.tolist())
     check_analytic("surrogate_outage_gap_max", gap_worst, 0.0, 0.02)
 
-    est = montecarlo.est_fixed_from_outages(
-        est_rates,
-        sop_at_est_re,
-        montecarlo.estimate_reliability_outage(sc, est_rates.r_b, sim, jobs=jobs),
-        1.0,
-    )
+    est = montecarlo.est_fixed_from_outages(est_rates, sop_at_est_re, rel_at_est_rb, 1.0)
     check(
         "est_fixed r_b=3.4 r_e=1.2558717",
         secrecy.est_fixed(sc, est_rates, SecrecyConstraint(1.0)).est,

@@ -15,6 +15,19 @@ thresholding :func:`sample_bob_irradiance`, with fewer draws; at ``n_a = 1``
 the two draw the same stream.  :func:`sample_bob_irradiance`, which the
 adaptive throughput estimator uses, still draws every beam of every trial.
 
+Reliability cases share their first draws.  :func:`estimate_reliability_outages`
+takes a list of (scenario, r_b) cases, and every case starts each stream
+from the same generator state.  So cases with the same large-scale shape
+alpha draw the same first Gamma(alpha) variates, and cases that also share
+the small-scale shape n_b * beta draw the same whole first beam.  Each of
+these draws is made once per stream.  A generator's variates are a function
+of its state alone, so saving ``rng.bit_generator.state`` after a shared
+draw and restoring it before each draw that follows it replays the stream
+exactly: every case gets the variates, in the order, of a run of its own,
+and thins its remaining beams from there.  :func:`estimate_reliability_outage`
+is the same kernel on one scenario, so its result equals the matching case's
+bit for bit.
+
 The capacity-averaged adaptive estimator floors each trial's interpolated
 redundancy rate at the ceiling's threshold rate.  Below a cut capacity --
 one table row under the threshold -- the floor is certain to bind, so only
@@ -52,6 +65,7 @@ __all__ = [
     "sample_bob_irradiance",
     "estimate_sop",
     "estimate_reliability_outage",
+    "estimate_reliability_outages",
     "estimate_est",
     "est_fixed_from_outages",
 ]
@@ -209,29 +223,81 @@ def estimate_sop(
 
 
 def estimate_reliability_outage(
-    sc: ScenarioConfig, r_b: float, sim: SimConfig, *, jobs: int | None = 1
-) -> Estimate:
+    sc: ScenarioConfig, r_b: float | Sequence[float], sim: SimConfig, *, jobs: int | None = 1
+) -> Estimate | list[Estimate]:
     """Empirical probability that the legitimate link cannot carry ``r_b``.
 
-    Thinned by beam (see the module docstring): trials and beams are iid, so
-    each stream draws beam ``i + 1`` for as many trials as beams 1..i left
-    in outage, and what is left after the last beam is the outage count.
+    ``r_b`` may be one rate or a sequence of rates; a sequence gives back one
+    ``Estimate`` per rate.  Every rate is a case of
+    :func:`estimate_reliability_outages`, so each element equals the float
+    call at that rate.
     """
-    if r_b < 0.0:
-        raise ValueError(f"r_b must be non-negative, got {r_b}")
+    rates = np.atleast_1d(r_b).tolist()
+    estimates = estimate_reliability_outages([(sc, r) for r in rates], sim, jobs=jobs)
+    return estimates[0] if np.ndim(r_b) == 0 else estimates
+
+
+def estimate_reliability_outages(
+    cases: Sequence[tuple[ScenarioConfig, float]], sim: SimConfig, *, jobs: int | None = 1
+) -> list[Estimate]:
+    """Empirical reliability outage of each ``(scenario, r_b)`` case, one
+    ``Estimate`` per case, from the draws the cases share (see the module
+    docstring).  A repeated case is drawn once.
+
+    Thinned by beam: trials and beams are iid, so each stream draws beam
+    ``i + 1`` for as many trials as beams 1..i left in outage, and what is
+    left after the last beam is the outage count.
+    """
+    for _, r_b in cases:
+        if r_b < 0.0:
+            raise ValueError(f"r_b must be non-negative, got {r_b}")
+    # A case's draws and count depend only on (alpha, beta, n_b, n_a, thr).
+    links = {}
+    keys = []
+    for sc, r_b in cases:
+        link = bob_link(sc)
+        key = (
+            link.turb.alpha,
+            link.turb.beta_single,
+            sc.nodes.n_b,
+            sc.nodes.n_a,
+            rate_threshold(r_b, sc.nodes.gamma0 * link.pointing.a0)[0],
+        )
+        links.setdefault(key, link)
+        keys.append(key)
+    # alpha -> first-beam shape n_b * beta -> the distinct cases drawing it
+    tree: dict[float, dict[float, list[tuple]]] = {}
+    for key in links:
+        alpha, beta1, n_b = key[:3]
+        tree.setdefault(alpha, {}).setdefault(n_b * beta1, []).append(key)
     rngs = _stream_rngs(sim, _BOB_ROLE)
     sizes = sim.stream_sizes()
-    link = bob_link(sc)
-    thr, _ = rate_threshold(r_b, sc.nodes.gamma0 * link.pointing.a0)
 
-    def one(j: int) -> int:
-        left = sizes[j]
-        for _ in range(sc.nodes.n_a):
-            beam = _sample_beam(link, sc.nodes.n_b, rngs[j], left)
-            left = int(np.count_nonzero(beam <= thr))
-        return left
+    def one(j: int) -> list[int]:
+        rng = rngs[j]
+        bits = rng.bit_generator
+        start = bits.state
+        left_of = {}
+        for alpha, shapes in tree.items():
+            bits.state = start
+            large = rng.standard_gamma(alpha, sizes[j])
+            after_large = bits.state
+            for shape, group in shapes.items():
+                bits.state = after_large
+                first = large * rng.standard_gamma(shape, sizes[j])
+                after_first = bits.state
+                for key in group:
+                    _, beta1, n_b, n_a, thr = key
+                    bits.state = after_first
+                    left = int(np.count_nonzero(first / (alpha * beta1) <= thr))
+                    for _ in range(n_a - 1):
+                        beam = _sample_beam(links[key], n_b, rng, left)
+                        left = int(np.count_nonzero(beam <= thr))
+                    left_of[key] = left
+        return [left_of[key] for key in keys]
 
-    return _binomial_estimate(_map_streams(one, sim.stream_count, jobs), sim)
+    parts = _map_streams(one, sim.stream_count, jobs)
+    return [_binomial_estimate(hits, sim) for hits in zip(*parts)]
 
 
 # ---------------------------------------------------------------------------

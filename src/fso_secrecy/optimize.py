@@ -305,8 +305,9 @@ def adaptive_unconstrained_re(
     throughput's slope -(1 - s) - (c_b - r) s', with the analytic outage
     slope s': a sign-scan over (0, c_b) in one array call, then bisection,
     six levels per array call, in each cell where it turns from rising to
-    falling; the root with the largest throughput wins.  If the slope never
-    flips, :func:`adaptive_grid_oracle` with no ceiling stands in.
+    falling; the root with the largest throughput wins.  If the slope flips
+    neither on the scan nor on a scan of its first cell alone,
+    :func:`adaptive_grid_oracle` with no ceiling stands in.
     """
     return _adaptive_unconstrained(sc, c_b, opts)[0]
 
@@ -342,6 +343,11 @@ def _adaptive_unconstrained(
     n = max(opts.grid_points, 64)
     xs = _scan_nodes(lo, hi, n)
     roots = _scan_roots(slope, xs, slope(np.array(xs)), _RATE_TOL * u_e, falling_only=True)
+    if not roots:
+        # Where the outage is exactly 1 with a zero slope at the first node,
+        # the whole rise can sit inside the first cell: scan it alone.
+        xs = _scan_nodes(lo, xs[1], n)
+        roots = _scan_roots(slope, xs, slope(np.array(xs)), _RATE_TOL * u_e, falling_only=True)
     if roots:
         return max(roots, key=psi), "fixed_point"
     return adaptive_grid_oracle(sc, c_b, 1.0, opts).rates.r_e, "grid_oracle"

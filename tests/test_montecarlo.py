@@ -334,6 +334,90 @@ def test_reliability_outage_draws_only_undecided_beams(monkeypatch):
     assert 2.0 <= tally[0] / sim.trials <= 2.1
 
 
+def _reliability_outage_on_its_own(sc, r_b, sim):
+    """The reliability outage of one case, drawn on streams of its own: each
+    stream thins the case's beams with nothing shared."""
+    link = channel.bob_link(sc)
+    thr = secrecy.rate_threshold(r_b, sc.nodes.gamma0 * link.pointing.a0)[0]
+    hits = []
+    for rng, left in zip(montecarlo._stream_rngs(sim, montecarlo._BOB_ROLE), sim.stream_sizes()):
+        for _ in range(sc.nodes.n_a):
+            beam = montecarlo._sample_beam(link, sc.nodes.n_b, rng, left)
+            left = int(np.count_nonzero(beam <= thr))
+        hits.append(left)
+    return montecarlo._binomial_estimate(hits, sim)
+
+
+# n_a 1-4 on two large-scale shapes (d_b 1000 and 2500 m), with shared and
+# distinct small-scale shapes, a duplicate case and a zero rate.
+_SHARED_CASES = [
+    (baseline_scenario(n_a=n_a, n_b=n_b, d_b=d_b), r_b)
+    for d_b in (1000.0, 2500.0)
+    for n_a, n_b, r_b in ((1, 1, 3.0), (2, 1, 3.4), (3, 2, 4.0), (4, 4, 5.0), (2, 1, 0.0))
+] + [(baseline_scenario(n_a=2, n_b=1), 3.4)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 8])
+@pytest.mark.parametrize(("trials", "stream_count"), [(20_000, 16), (20_003, 7)])
+def test_shared_reliability_draws_equal_the_single_calls(jobs, trials, stream_count):
+    sim = SimConfig(trials=trials, seed=29, stream_count=stream_count)
+    shared = montecarlo.estimate_reliability_outages(_SHARED_CASES, sim, jobs=jobs)
+    assert len(shared) == len(_SHARED_CASES)
+    for (sc, r_b), est in zip(_SHARED_CASES, shared):
+        assert est == estimate_reliability_outage(sc, r_b, sim, jobs=jobs)
+        assert est == _reliability_outage_on_its_own(sc, r_b, sim)
+    assert shared[-1] == shared[1]
+    assert shared[4].count == shared[9].count == 0
+
+
+def test_reliability_outage_over_rates_equals_the_float_calls(baseline):
+    sim = SimConfig(trials=20_000, seed=31)
+    rates = [3.4, 0.0, 2.0, 3.4]
+    got = estimate_reliability_outage(baseline, rates, sim)
+    assert got == [estimate_reliability_outage(baseline, r, sim) for r in rates]
+
+
+def test_shared_reliability_draws_reject_a_negative_rate_before_drawing(baseline, monkeypatch):
+    def no_streams(sim, role):
+        raise AssertionError("streams were seeded")
+
+    monkeypatch.setattr(montecarlo, "_stream_rngs", no_streams)
+    for cases in ([(baseline, 3.0), (baseline, -0.5)], [(baseline, -1e-12)]):
+        with pytest.raises(ValueError, match="r_b must be non-negative"):
+            montecarlo.estimate_reliability_outages(cases, SimConfig(trials=10))
+
+
+def test_validate_draws_each_shared_variate_once(tmp_path, monkeypatch):
+    # validate's three reliability cases (n = 1, 2, 4 at r_b = 3) and the
+    # est_fixed case (the baseline at r_b = 3.4) share every stream's first
+    # Gamma(alpha) draw, and the n = 1 and baseline cases (both n_b = 1) the
+    # whole first beam: about 4.86 Bob gamma variates per trial, where four
+    # runs of their own draw about 8.86.  With the eavesdropper's 2, the
+    # run draws about 6.86 per trial, not 10.86.
+    from fso_secrecy import cli
+
+    tally = [0]
+    stream_rngs = montecarlo._stream_rngs
+    monkeypatch.setattr(
+        montecarlo,
+        "_stream_rngs",
+        lambda sim, role: [_CountingRng(g, tally) for g in stream_rngs(sim, role)],
+    )
+    trials = 100_000
+    argv = ["validate", "--trials", str(trials), "--seed", "7", "--out", str(tmp_path / "v.txt")]
+    assert cli.main(argv) == 0
+    assert 6.82 <= tally[0] / trials <= 6.90
+
+    tally[0] = 0
+    sim = SimConfig(trials=trials, seed=7)
+    baseline = baseline_scenario()
+    estimate_sop(baseline, [0.5, 1.0, 2.0, 4.0, 1.2558717], sim)
+    for n in (1, 2, 4):
+        estimate_reliability_outage(baseline_scenario(n_a=n, n_b=n, n_e=n), 3.0, sim)
+    estimate_reliability_outage(baseline, 3.4, sim)
+    assert 10.82 <= tally[0] / trials <= 10.90
+
+
 def test_estimate_reliability_outage_monotone_trend(baseline):
     sim = SimConfig(trials=50_000, seed=21)
     grid = np.linspace(0.5, 5.0, 10)

@@ -292,6 +292,20 @@ def test_adaptive_optimal_matches_grid_oracle(baseline):
     assert o.est >= oracle.est - 1e-6
 
 
+def test_adaptive_optimal_rescans_the_first_cell_before_the_grid():
+    # Eve's outage is exactly 1, with a zero slope, at the scan's first node
+    # (1.6e-8), and the whole rise of the throughput (optimum near 2.2e-4)
+    # sits inside the first cell, 7.5e-3 wide: the main scan sees no fall.
+    sc = baseline_scenario(
+        sigma_s=0.0, n_a=2, n_b=3, n_e=1, cn2=3.18e-16, d_b=2206, d_e=836, gamma0=0.0365
+    )
+    c_b, s_th = 2.98, 0.656
+    o = adaptive_optimal(sc, c_b, s_th)
+    assert o.method == "fixed_point"
+    assert o.est >= adaptive_grid_oracle(sc, c_b, s_th).est
+    assert o.rates.r_e == pytest.approx(2.2131e-4, rel=1e-4, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # fixed-rate scheme
 # ---------------------------------------------------------------------------
