@@ -10,19 +10,27 @@ is built on:
   aggregated over receive apertures, at one threshold or an array of them;
 * ``ggp_cdf`` -- the same fading multiplied by the random collected-power
   fraction of a misaligned receiver, likewise;
-* ``ggp_cdf_approx`` / ``ggp_cdf_pdf_approx`` -- the gamma-surrogate
-  approximation of ``ggp_cdf`` used by the rate optimizers, at one
+* ``ggp_cdf_approx`` -- the gamma-surrogate approximation of ``ggp_cdf``
+  used by the rate optimizers, at one threshold; ``surrogate_cdf`` and
+  ``surrogate_cdf_pdf`` evaluate it from a link's bound constants, at one
   threshold or, with its density, on an array of thresholds.
 
 The exact kernels condition on the gamma factor of larger shape: given
 that factor, the other gamma factor and the collected-power fraction
 integrate in closed form, and the expectation over the factor is a
 trapezoid rule in its logarithm on one numpy array of nodes, against which
-an array of thresholds broadcasts.  The surrogate
-is that closed form with the factor fixed at one, on the same log-domain
-pointing term.  The paper's 1F2 expansions of the same CDFs are kept as a
-test reference only.  All records are frozen dataclasses, all functions
-pure.
+an array of thresholds broadcasts.  The surrogate is that closed form with
+the factor fixed at one, on the same log-domain pointing term.
+
+The surrogate's constants live in the link: when :func:`bob_link` or
+:func:`eve_link` derive a link, ``LinkParams.gain`` takes the SNR gain
+gamma0 * n_rx * a0 and ``LinkParams.surrogate`` a :class:`Surrogate` with
+the shape and scale, xi**2 and the pointing term's log-gamma ratio.  An
+evaluation from them does only numpy and scipy ufunc work, the same
+sequence on a float as on each element of an array.
+
+The paper's 1F2 expansions of the same CDFs are kept as a test reference
+only.  All records are frozen dataclasses, all functions pure.
 """
 
 from __future__ import annotations
@@ -45,16 +53,19 @@ __all__ = [
     "PointingParams",
     "NodeConfig",
     "GammaApprox",
+    "Surrogate",
     "ScenarioConfig",
     "LinkParams",
     "baseline_scenario",
     "turbulence_params",
     "pointing_params",
     "gamma_approx",
+    "surrogate",
     "gg_cdf",
     "ggp_cdf",
     "ggp_cdf_approx",
-    "ggp_cdf_pdf_approx",
+    "surrogate_cdf",
+    "surrogate_cdf_pdf",
     "bob_link",
     "eve_link",
     "clamp_event_count",
@@ -205,6 +216,23 @@ class GammaApprox:
 
 
 @dataclass(frozen=True)
+class Surrogate:
+    """The gamma surrogate of one receiver's fading-plus-misalignment
+    product, with the constants of its CDF computed once.
+
+    ``k`` and ``theta`` are the surrogate's shape and scale, ``xi2`` the
+    squared jitter-normalized beam width, None without pointing loss, and
+    ``log_ratio`` the pointing term's :func:`_log_scaled_gamma_ratio` of
+    k - xi2 and xi2 where k - xi2 > 0, None elsewhere.
+    """
+
+    k: float
+    theta: float
+    xi2: float | None
+    log_ratio: float | None
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Full experiment description: geometry, apertures, SNR budget,
     misalignment spread, and the secrecy-outage constraint."""
@@ -266,13 +294,20 @@ def baseline_scenario(**overrides) -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class LinkParams:
-    """Derived per-receiver bundle consumed by the secrecy closed forms."""
+    """Derived per-receiver bundle consumed by the secrecy closed forms.
+
+    ``gain`` is the SNR gain gamma0 * n_rx * a0 that maps a rate to the
+    normalized irradiance a receiver must clear, and ``surrogate`` the
+    constants of the link's gamma-surrogate CDF.
+    """
 
     turb: TurbulenceParams
     pointing: PointingParams
     beta_agg: float
     ga: GammaApprox
     n_rx: int
+    gain: float
+    surrogate: Surrogate
 
 
 def turbulence_params(geom: GeometryConfig, distance_m: float) -> TurbulenceParams:
@@ -333,6 +368,16 @@ def gamma_approx(
     return GammaApprox(k_ap=k_ap, theta_ap=omega_adj / k_ap, epsilon=epsilon, omega_adj=omega_adj)
 
 
+def surrogate(ga: GammaApprox, xi: float) -> Surrogate:
+    """The :class:`Surrogate` of shape and scale ``ga`` and pointing width
+    ``xi`` (``POINTING_FREE_XI`` without pointing loss)."""
+    if not xi > 0.0:
+        raise ValueError(f"surrogate requires xi > 0, got {xi}")
+    xi2 = None if math.isinf(xi) else xi * xi
+    log_ratio = None if xi2 is None else _pointing_log_ratio(ga.k_ap, xi2)
+    return Surrogate(k=ga.k_ap, theta=ga.theta_ap, xi2=xi2, log_ratio=log_ratio)
+
+
 # ---------------------------------------------------------------------------
 # distribution kernels
 # ---------------------------------------------------------------------------
@@ -381,9 +426,16 @@ def _log_scaled_gamma_ratio(a: float, m: float) -> float:
     )
 
 
-def _log_pointing_term(k: float, xi2: float, t, log_c):
+def _pointing_log_ratio(k: float, xi2: float) -> float | None:
+    """The constant ln(k**xi2 Gamma(a) / Gamma(k)) of :func:`_log_pointing_term`
+    where a = k - xi2 > 0; None where a <= 0, which takes no such term."""
+    a = k - xi2
+    return _log_scaled_gamma_ratio(a, xi2) if a > 0.0 else None
+
+
+def _log_pointing_term(k: float, xi2: float, log_ratio: float | None, t, log_c):
     """ln(t**xi2 Gamma(k - xi2, t) / Gamma(k)) with t = k c, elementwise on
-    floats or arrays.
+    floats or arrays, given ``log_ratio`` = :func:`_pointing_log_ratio` (k, xi2).
 
     With a = k - xi2 > 0 it is written as
     c**xi2 Q(a, t) k**xi2 Gamma(a) / Gamma(k): scipy's regularized upper
@@ -397,10 +449,8 @@ def _log_pointing_term(k: float, xi2: float, t, log_c):
     error by t / |s - 1|, which the split keeps below one after the first.
     """
     a = k - xi2
-    if a > 0.0:
-        with np.errstate(divide="ignore"):  # Q(a, t) underflows far in the tail
-            log_q = np.log(_sp.gammaincc(a, t))
-        return xi2 * log_c + log_q + _log_scaled_gamma_ratio(a, xi2)
+    if log_ratio is not None:
+        return xi2 * log_c + _log_upper_q(a, t) + log_ratio
     t, log_c = np.asarray(t), np.asarray(log_c)  # masks need arrays
     log_t = math.log(k) + log_c
     out = np.empty_like(t)
@@ -419,6 +469,12 @@ def _log_pointing_term(k: float, xi2: float, t, log_c):
             s -= 1.0
         out[rec] = xi2 * log_t + lg - math.lgamma(k)
     return out
+
+
+@np.errstate(divide="ignore")  # Q(a, t) underflows far in the tail
+def _log_upper_q(a: float, t):
+    """ln Q(a, t) of scipy's regularized upper gamma, -inf where Q underflows."""
+    return np.log(_sp.gammaincc(a, t))
 
 
 def _log_upper_gamma_cf(a: float, t: np.ndarray) -> np.ndarray:
@@ -481,7 +537,8 @@ def _conditioned_cdf(alpha: float, beta_agg: float, xi2: float | None, x: np.nda
     t = np.exp(np.minimum(math.log(k) + log_c, 700.0))
     mass = w * _sp.gammainc(k, t)
     if xi2 is not None:
-        mass += np.exp(log_w + _log_pointing_term(k, xi2, t, log_c))
+        log_ratio = _pointing_log_ratio(k, xi2)
+        mass += np.exp(log_w + _log_pointing_term(k, xi2, log_ratio, t, log_c))
     return mass.sum(axis=-1) / w.sum()
 
 
@@ -512,7 +569,7 @@ def ggp_cdf(alpha: float, beta_agg: float, xi: float, x):
     return _exact_cdf("ggp_cdf", alpha, beta_agg, None if math.isinf(xi) else xi * xi, x)
 
 
-def _surrogate_cdf(k: float, xi2: float | None, t):
+def _surrogate_cdf(sur: Surrogate, t):
     """Gamma-surrogate CDF F(t) at t > 0, a float or an array, and its
     pointing term.
 
@@ -520,55 +577,57 @@ def _surrogate_cdf(k: float, xi2: float | None, t):
     term of :func:`_conditioned_cdf` with the fading factor fixed at one.
     The second term comes from :func:`_log_pointing_term` in the log
     domain, so no factor overflows for any shape up to ``_SHAPE_CAP``; it is
-    returned as well, or None when ``xi2`` is None (no pointing loss).
-    Every step is a numpy ufunc or IEEE arithmetic, which give a float the
-    bits of the matching array element.
+    returned as well, or None without pointing loss.  Every step is a numpy
+    ufunc or IEEE arithmetic, which give a float the bits of the matching
+    array element.
     """
+    k, xi2 = sur.k, sur.xi2
     p = _sp.gammainc(k, t)
     if xi2 is None:
         return _clamp_prob(p), None
-    second = np.exp(_log_pointing_term(k, xi2, t, np.log(t / k)))
+    second = np.exp(_log_pointing_term(k, xi2, sur.log_ratio, t, np.log(t / k)))
     return _clamp_prob(p + second), second
 
 
-def ggp_cdf_pdf_approx(ga: GammaApprox, xi: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma-surrogate CDF and density of the fading-plus-misalignment product.
+def surrogate_cdf(sur: Surrogate, x: float) -> float:
+    """The surrogate CDF at one x >= 0, from the link's constants ``sur``.
 
-    Takes an array of x >= 0 and returns two arrays of its shape.  With
-    t = x / theta_ap the density in t is (xi2 / t) times the pointing term
-    of :func:`_surrogate_cdf`: the gamma densities of the two terms'
-    derivatives cancel.  Without pointing loss (``xi`` the sentinel) these
-    are the plain gamma CDF and density.  The density is per unit x, and
-    0 at x = 0.
+    The same numpy code as the matching element of
+    :func:`surrogate_cdf_pdf`, so the two agree to the bit.
     """
-    k, theta = ga.k_ap, ga.theta_ap
-    xi2 = None if math.isinf(xi) else xi * xi
+    if x == 0.0:
+        return 0.0
+    return float(_surrogate_cdf(sur, x / sur.theta)[0])
+
+
+def surrogate_cdf_pdf(sur: Surrogate, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The surrogate CDF and density on an array of x >= 0, from the
+    link's constants ``sur``; two arrays of the shape of ``x``.
+
+    With t = x / theta the density in t is (xi2 / t) times the pointing term
+    of :func:`_surrogate_cdf`: the gamma densities of the two terms'
+    derivatives cancel.  Without pointing loss these are the plain gamma CDF
+    and density.  The density is per unit x, and 0 at x = 0.
+    """
+    k, theta = sur.k, sur.theta
     t = np.asarray(x, dtype=float) / theta
     cdf, pdf = np.zeros(t.shape), np.zeros(t.shape)
     pos = t > 0.0
     t = t[pos]
-    cdf[pos], second = _surrogate_cdf(k, xi2, t)
+    cdf[pos], second = _surrogate_cdf(sur, t)
     if second is None:
         pdf[pos] = np.exp((k - 1.0) * np.log(t) - t - math.lgamma(k)) / theta
     else:
-        pdf[pos] = xi2 * second / t / theta
+        pdf[pos] = sur.xi2 * second / t / theta
     return cdf, pdf
 
 
 def ggp_cdf_approx(ga: GammaApprox, xi: float, x: float) -> float:
-    """Gamma-surrogate CDF of the fading-plus-misalignment product at one x.
-
-    The same numpy code as the matching element of
-    :func:`ggp_cdf_pdf_approx`, so the two agree to the bit.
-    """
+    """Gamma-surrogate CDF of the fading-plus-misalignment product at one x:
+    :func:`surrogate_cdf` on the :func:`surrogate` of ``ga`` and ``xi``."""
     if x < 0.0:
         raise ValueError(f"ggp_cdf_approx requires x >= 0, got {x}")
-    if not xi > 0.0:
-        raise ValueError(f"ggp_cdf_approx requires xi > 0, got {xi}")
-    if x == 0.0:
-        return 0.0
-    xi2 = None if math.isinf(xi) else xi * xi
-    return float(_surrogate_cdf(ga.k_ap, xi2, x / ga.theta_ap)[0])
+    return surrogate_cdf(surrogate(ga, xi), x)
 
 
 # ---------------------------------------------------------------------------
@@ -576,31 +635,28 @@ def ggp_cdf_approx(ga: GammaApprox, xi: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def bob_link(scenario: ScenarioConfig) -> LinkParams:
-    """Derived parameters of the legitimate receiver's link (no pointing loss)."""
-    turb = turbulence_params(scenario.geometry, scenario.d_b)
-    pointing = pointing_params(scenario.geometry, 0.0)
-    ga = gamma_approx(turb, scenario.nodes.n_b, scenario.epsilon, scenario.omega_adj)
+def _link(scenario: ScenarioConfig, distance_m: float, sigma_s: float, n_rx: int) -> LinkParams:
+    turb = turbulence_params(scenario.geometry, distance_m)
+    pointing = pointing_params(scenario.geometry, sigma_s)
+    ga = gamma_approx(turb, n_rx, scenario.epsilon, scenario.omega_adj)
     return LinkParams(
         turb=turb,
         pointing=pointing,
-        beta_agg=turb.beta_single * scenario.nodes.n_b,
+        beta_agg=turb.beta_single * n_rx,
         ga=ga,
-        n_rx=scenario.nodes.n_b,
+        n_rx=n_rx,
+        gain=scenario.nodes.gamma0 * n_rx * pointing.a0,
+        surrogate=surrogate(ga, pointing.xi),
     )
+
+
+@lru_cache(maxsize=256)
+def bob_link(scenario: ScenarioConfig) -> LinkParams:
+    """Derived parameters of the legitimate receiver's link (no pointing loss)."""
+    return _link(scenario, scenario.d_b, 0.0, scenario.nodes.n_b)
 
 
 @lru_cache(maxsize=256)
 def eve_link(scenario: ScenarioConfig) -> LinkParams:
     """Derived parameters of the eavesdropper's link (with pointing loss)."""
-    turb = turbulence_params(scenario.geometry, scenario.d_e)
-    pointing = pointing_params(scenario.geometry, scenario.sigma_s)
-    ga = gamma_approx(turb, scenario.nodes.n_e, scenario.epsilon, scenario.omega_adj)
-    return LinkParams(
-        turb=turb,
-        pointing=pointing,
-        beta_agg=turb.beta_single * scenario.nodes.n_e,
-        ga=ga,
-        n_rx=scenario.nodes.n_e,
-    )
+    return _link(scenario, scenario.d_e, scenario.sigma_s, scenario.nodes.n_e)

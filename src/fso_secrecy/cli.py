@@ -667,6 +667,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("stream-count: must be at least 1")
         if args.jobs < 1:
             raise ConfigError("jobs: must be at least 1")
+        if args.seed < 0:
+            raise ConfigError("seed: must be non-negative")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -88,6 +88,8 @@ class SimConfig:
             raise ValueError("trials must be at least 1")
         if self.stream_count < 1:
             raise ValueError("stream_count must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     def stream_sizes(self) -> list[int]:
         """Trials handled by each stream under the ``t mod stream_count`` split."""
@@ -211,7 +213,7 @@ def estimate_sop(
         raise ValueError(f"r_e must be non-negative, got {r_e}")
     rngs = _stream_rngs(sim, _EVE_ROLE)
     sizes = sim.stream_sizes()
-    thrs = rate_threshold(rates, sc.nodes.gamma0 * eve_link(sc).pointing.a0)[0].tolist()
+    thrs = rate_threshold(rates, sc.nodes.gamma0 * eve_link(sc).pointing.a0).tolist()
 
     def one(j: int) -> list[int]:
         draws = sample_eve_irradiance(sc, rngs[j], sizes[j])
@@ -261,7 +263,7 @@ def estimate_reliability_outages(
             link.turb.beta_single,
             sc.nodes.n_b,
             sc.nodes.n_a,
-            rate_threshold(r_b, sc.nodes.gamma0 * link.pointing.a0)[0],
+            rate_threshold(r_b, sc.nodes.gamma0 * link.pointing.a0),
         )
         links.setdefault(key, link)
         keys.append(key)
@@ -455,7 +457,7 @@ def _estimate_est_adaptive(
     def at_ceiling(s_th: float) -> Estimate:
         r_th = optimize.re_threshold(sc, s_th)
         c_cut = _ceiling_cut(table_c, table_r, r_th)
-        thr_th, _ = rate_threshold(r_th, snr_e)
+        thr_th = rate_threshold(r_th, snr_e)
 
         def reduce_one(j: int) -> tuple[float, float]:
             cap, i_e = drawn[j]
@@ -463,7 +465,7 @@ def _estimate_est_adaptive(
             free = np.flatnonzero(~(cap < c_cut))
             c = cap[free]
             r_e = np.maximum(np.interp(c, table_c, table_r), r_th)
-            secure = i_e[free] <= rate_threshold(r_e, snr_e)[0]
+            secure = i_e[free] <= rate_threshold(r_e, snr_e)
             psi[free] = np.where((r_e <= c) & secure, c - r_e, 0.0)
             return float(psi.sum()), float((psi * psi).sum())
 

@@ -19,13 +19,15 @@ and the adaptive scan's of u_e = min(C_e, 1), Eve's, so a weak link is
 searched at its own rate scale.
 
 Each residual takes the surrogate outages and their slopes in the rate from
-the curve kernels ``sop_approx_curve`` and ``reliability_outage_approx_curve``
-of :mod:`fso_secrecy.secrecy`, one array call per scan, so the solvers form
-no incomplete gamma or density of their own.  The paper's map and Lambert-W
-forms live on as test references and hold at the returned points.  The
-outage-ceiling inversion :func:`re_threshold` is a root of the same secrecy
-curve: Newton steps on its analytic slope, kept inside a bracket whose upper
-end is the pointing-free inversion.
+the curve kernels of :mod:`fso_secrecy.secrecy`, one array call per scan, so
+the solvers form no incomplete gamma or density of their own.  A solver or
+oracle that evaluates outages in a loop looks its links up once and calls
+the link forms ``surrogate_sop``, ``surrogate_reliability_outage`` and
+their ``*_curve`` twins.  The paper's map and Lambert-W forms live on as
+test references and hold at the returned points.  The outage-ceiling
+inversion :func:`re_threshold` is a root of the same secrecy curve: Newton
+steps on its analytic slope, kept inside a bracket whose upper end is the
+pointing-free inversion.
 
 All solvers evaluate and report on the gamma-surrogate (``use_approx=True``)
 surface they are derived on; the exact-kernel value of a returned optimum is
@@ -49,10 +51,12 @@ from fso_secrecy.secrecy import (
     est_adaptive,
     est_fixed,
     est_from_outages,
-    reliability_outage_approx,
     reliability_outage_approx_curve,
-    sop_approx,
     sop_approx_curve,
+    surrogate_reliability_outage,
+    surrogate_reliability_outage_curve,
+    surrogate_sop,
+    surrogate_sop_curve,
 )
 from fso_secrecy.specfun import ConvergenceError
 
@@ -243,7 +247,7 @@ def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
     part of the surrogate CDF alone reaches 1 - s_th: the pointing term only
     adds to the CDF, so S(r_free) <= s_th.  Should rounding break that, the
     upper end doubles until it holds.  Newton steps on the analytic slope of
-    :func:`fso_secrecy.secrecy.sop_approx_curve` then shrink the bracket,
+    :func:`fso_secrecy.secrecy.surrogate_sop_curve` then shrink the bracket,
     with bisection wherever a step would leave it or would not halve the
     step before last (``rtsafe``, Numerical Recipes 9.4), until its width
     is a few ulps or stops shrinking.  The result is the bracket's feasible
@@ -261,7 +265,7 @@ def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
     while True:
         if not hi <= _RATE_CEIL:
             raise ConvergenceError(f"secrecy ceiling {s_th} is below the achievable outage floor")
-        s, ds = sop_approx_curve(sc, hi)
+        s, ds = surrogate_sop_curve(link, hi)
         if s <= s_th:
             break
         hi *= 2.0
@@ -282,7 +286,7 @@ def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
             new = 0.5 * (lo + hi)
         before, last = last, abs(new - r)
         r = new
-        s, ds = sop_approx_curve(sc, r)
+        s, ds = surrogate_sop_curve(link, r)
         if s <= s_th:
             hi = r
         else:
@@ -324,15 +328,15 @@ def _adaptive_unconstrained(
     if not c_b > 0.0:
         raise ValueError(f"c_b must be positive, got {c_b}")
     opts = opts or _DEFAULT
-    unconstrained = SecrecyConstraint(1.0)
-    u_e = min(_cap_seed(sc, eve_link(sc)), 1.0)
+    eve = eve_link(sc)
+    u_e = min(_cap_seed(sc, eve), 1.0)
 
     def psi(r: float) -> float:
-        return est_adaptive(sc, c_b, r, unconstrained, use_approx=True).est
+        return _adaptive_est(eve, c_b, r, 1.0)
 
     def slope(r):
         # psi's derivative, on a float or an array of rates.
-        s, ds = sop_approx_curve(sc, r)
+        s, ds = surrogate_sop_curve(eve, r)
         return -(1.0 - s) - (c_b - r) * ds
 
     lo = 1e-4 * min(c_b, u_e)
@@ -374,6 +378,14 @@ def adaptive_optimal(
     re_u, method_u = _adaptive_unconstrained(sc, c_b, opts)
     optima = [_adaptive_under(sc, c_b, re_u, method_u, c) for c in constraints]
     return optima[0] if np.ndim(s_th) == 0 else optima
+
+
+def _adaptive_est(eve: LinkParams, c_b: float, r_e: float, s_th: float) -> float:
+    """``est_adaptive(sc, c_b, r_e, SecrecyConstraint(s_th), use_approx=True).est``,
+    bit for bit, on the eavesdropper's link ``eve``: (c_b - r_e)(1 - S(r_e)),
+    zero where S(r_e) tops the ceiling or is NaN."""
+    s = surrogate_sop(eve, r_e)
+    return (c_b - r_e) * (1.0 - s) if s <= s_th else 0.0
 
 
 def _adaptive_under(
@@ -436,7 +448,8 @@ def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = No
     root is a candidate.
     """
     opts = opts or _DEFAULT
-    cap = _cap_seed(sc, bob_link(sc))
+    eve, bob, n_a = eve_link(sc), bob_link(sc), sc.nodes.n_a
+    cap = _cap_seed(sc, bob)
     u = min(cap, 1.0)
     hi = min(cap + 15.0 * u, _RATE_CEIL)
     candidates: list[tuple[float, float, float, str]] = []  # (est, re, rb, method)
@@ -445,13 +458,13 @@ def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = No
     # where an outage and its slope both round to their limits; fmax sends
     # that NaN to the lower clamp, as it does -inf.
     def g_e(rb):
-        t, dt = reliability_outage_approx_curve(sc, rb)
+        t, dt = surrogate_reliability_outage_curve(bob, n_a, rb)
         with np.errstate(all="ignore"):
             re = rb - (1.0 - t) / dt
         return np.minimum(np.fmax(re, 1e-12 * u), rb - 1e-12 * u)
 
     def g_b(re):
-        s, ds = sop_approx_curve(sc, re)
+        s, ds = surrogate_sop_curve(eve, re)
         with np.errstate(all="ignore"):
             rb = re + (1.0 - s) / -ds
         return np.minimum(np.fmax(rb, re + 1e-12 * u), _RATE_CEIL)
@@ -549,16 +562,17 @@ def _fixed_constrained(
     if r_e_fixed < 0.0:
         raise ValueError(f"r_e_fixed must be non-negative, got {r_e_fixed}")
     opts = opts or _DEFAULT
-    cap = _cap_seed(sc, bob_link(sc))
+    bob, n_a = bob_link(sc), sc.nodes.n_a
+    cap = _cap_seed(sc, bob)
     u = min(cap, 1.0)
     lo = r_e_fixed + 1e-6 * u
     hi = min(max(r_e_fixed + 25.0 * u, cap + 10.0 * u), _RATE_CEIL)
 
     def bob_factor(rb: float) -> float:
-        return (rb - r_e_fixed) * (1.0 - reliability_outage_approx(sc, rb))
+        return (rb - r_e_fixed) * (1.0 - surrogate_reliability_outage(bob, n_a, rb))
 
     def resid(rb):
-        t, dt = reliability_outage_approx_curve(sc, rb)
+        t, dt = surrogate_reliability_outage_curve(bob, n_a, rb)
         return (1.0 - t) - (rb - r_e_fixed) * dt
 
     n = max(opts.grid_points, 100)
@@ -567,7 +581,7 @@ def _fixed_constrained(
     roots = _scan_roots(resid, xs, resid(r), _RATE_TOL * u, falling_only=True)
     if roots:
         return max(roots, key=bob_factor), "lambert_w"
-    v = (r - r_e_fixed) * (1.0 - reliability_outage_approx_curve(sc, r)[0])
+    v = (r - r_e_fixed) * (1.0 - surrogate_reliability_outage_curve(bob, n_a, r)[0])
     best = int(np.argmax(v))
     rb = _golden_polish(bob_factor, lo, (hi - lo) / (n - 1), n, best, float(v[best]))[0]
     return rb, "grid_oracle"
@@ -739,32 +753,33 @@ def fixed_grid_oracle(
     sx = (hi - x_lo) / (n - 1)
     sy = (hi - y_lo) / (n - 1)
     xs, ys = _scan_nodes(x_lo, hi, n), _scan_nodes(y_lo, hi, n)
+    eve, bob, n_a = eve_link(sc), bob_link(sc), sc.nodes.n_a
 
     # est_fixed's value, in its product order, along a line of the polish:
     # the outage of the fixed rate is computed once per line.
     def line_rb(r_e: float):
-        s = sop_approx(sc, r_e)
+        s = surrogate_sop(eve, r_e)
 
         def f(r_b: float) -> float:
             if not (0.0 <= r_e < r_b and s <= s_th):
                 return 0.0
-            return (r_b - r_e) * (1.0 - reliability_outage_approx(sc, r_b)) * (1.0 - s)
+            return (r_b - r_e) * (1.0 - surrogate_reliability_outage(bob, n_a, r_b)) * (1.0 - s)
 
         return f
 
     def line_re(r_b: float):
-        reliability = 1.0 - reliability_outage_approx(sc, r_b)
+        reliability = 1.0 - surrogate_reliability_outage(bob, n_a, r_b)
 
         def f(r_e: float) -> float:
             if not 0.0 <= r_e < r_b:
                 return 0.0
-            s = sop_approx(sc, r_e)
+            s = surrogate_sop(eve, r_e)
             return (r_b - r_e) * reliability * (1.0 - s) if s <= s_th else 0.0
 
         return f
 
-    s = sop_approx_curve(sc, np.array(xs))[0]
-    t = reliability_outage_approx_curve(sc, np.array(ys))[0]
+    s = surrogate_sop_curve(eve, np.array(xs))[0]
+    t = surrogate_reliability_outage_curve(bob, n_a, np.array(ys))[0]
     r_e, r_b = np.array(xs)[:, None], np.array(ys)[None, :]
     live = (0.0 <= r_e) & (r_e < r_b) & (s <= s_th)[:, None]
     with np.errstate(invalid="ignore"):
@@ -788,14 +803,15 @@ def adaptive_grid_oracle(
     """
     opts = opts or _DEFAULT
     n = opts.grid_points
-    constraint = SecrecyConstraint(s_th)
+    s_th = SecrecyConstraint(s_th).s_th
+    eve = eve_link(sc)
 
     def psi(r: float) -> float:
-        return est_adaptive(sc, c_b, r, constraint, use_approx=True).est
+        return _adaptive_est(eve, c_b, r, s_th)
 
     xs = _scan_nodes(0.0, c_b, n)
     r = np.array(xs)
-    s = sop_approx_curve(sc, r)[0]
+    s = surrogate_sop_curve(eve, r)[0]
     # est_adaptive's value, in its product order; an outage above the
     # ceiling, NaN included, gates the node to zero.
     v = np.where(s <= s_th, (c_b - r) * (1.0 - s), 0.0)

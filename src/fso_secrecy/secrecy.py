@@ -20,6 +20,14 @@ throughput.  The surrogate's rate-array forms ``sop_approx_curve`` and
 with the outage, infinite where it passes the double range; they are the
 one place the solvers take the surrogate's rate derivatives from.  Every
 rate meets a kernel through :func:`rate_threshold`.
+
+The surrogate outages are evaluated from the constants each link carries
+(``LinkParams.gain`` and ``LinkParams.surrogate``, computed once by
+``bob_link`` and ``eve_link``).  ``surrogate_sop``,
+``surrogate_reliability_outage`` and their ``*_curve`` forms take the link
+itself, so a solver looks it up once per call and each outage does only
+the kernel's ufunc work; ``sop_approx`` and the other scenario forms look
+the link up and call them.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fso_secrecy import channel
-from fso_secrecy.channel import ScenarioConfig, bob_link, eve_link
+from fso_secrecy.channel import LinkParams, ScenarioConfig, bob_link, eve_link
 
 __all__ = [
     "RatePair",
@@ -42,6 +50,10 @@ __all__ = [
     "reliability_outage",
     "reliability_outage_approx",
     "reliability_outage_approx_curve",
+    "surrogate_sop",
+    "surrogate_sop_curve",
+    "surrogate_reliability_outage",
+    "surrogate_reliability_outage_curve",
     "est_adaptive",
     "est_fixed",
     "est_from_outages",
@@ -93,31 +105,21 @@ def sop(scenario: ScenarioConfig, r_e):
     """Secrecy outage probability: chance the eavesdropper's capacity tops
     ``r_e``, a float or an array of rates."""
     link = eve_link(scenario)
-    thr, _ = _link_threshold(scenario, link, _rates(r_e))
+    thr = rate_threshold(_rates(r_e), link.gain)
     # xi is POINTING_FREE_XI at sigma_s = 0, where ggp_cdf is gg_cdf.
     return 1.0 - channel.ggp_cdf(link.turb.alpha, link.beta_agg, link.pointing.xi, thr)
 
 
 def sop_approx(scenario: ScenarioConfig, r_e: float) -> float:
-    """Gamma-surrogate secrecy outage probability (optimizer surface).
-
-    Equal to the matching element of :func:`sop_approx_curve` to the bit.
-    """
-    if r_e < 0.0:
-        raise ValueError(f"rate must be non-negative, got {r_e}")
-    link = eve_link(scenario)
-    x, _ = _link_threshold(scenario, link, r_e)
-    return 1.0 - channel.ggp_cdf_approx(link.ga, link.pointing.xi, float(x))
+    """Gamma-surrogate secrecy outage probability (optimizer surface):
+    :func:`surrogate_sop` on the eavesdropper's link."""
+    return surrogate_sop(eve_link(scenario), r_e)
 
 
 def sop_approx_curve(scenario: ScenarioConfig, r_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Surrogate secrecy outage and its slope in ``r_e`` on an array of
-    rates, in one call into the surrogate kernel."""
-    link = eve_link(scenario)
-    x, dx = _link_threshold(scenario, link, _rates(r_e))
-    cdf, pdf = channel.ggp_cdf_pdf_approx(link.ga, link.pointing.xi, x)
-    with np.errstate(over="ignore"):
-        return 1.0 - cdf, -pdf * dx
+    rates: :func:`surrogate_sop_curve` on the eavesdropper's link."""
+    return surrogate_sop_curve(eve_link(scenario), r_e)
 
 
 def reliability_outage(scenario: ScenarioConfig, r_b):
@@ -128,40 +130,68 @@ def reliability_outage(scenario: ScenarioConfig, r_b):
     single-beam outage to the ``n_a``-th power.
     """
     link = bob_link(scenario)
-    thr, _ = _link_threshold(scenario, link, _rates(r_b))
+    thr = rate_threshold(_rates(r_b), link.gain)
     t = np.power(channel.gg_cdf(link.turb.alpha, link.beta_agg, thr), scenario.nodes.n_a)
     return t if np.ndim(r_b) else float(t)
 
 
 def reliability_outage_approx(scenario: ScenarioConfig, r_b: float) -> float:
-    """Gamma-surrogate reliability outage (optimizer surface).
-
-    Equal to the matching element of :func:`reliability_outage_approx_curve`
-    to the bit.
-    """
-    if r_b < 0.0:
-        raise ValueError(f"rate must be non-negative, got {r_b}")
-    link = bob_link(scenario)
-    x, _ = _link_threshold(scenario, link, r_b)
-    c1 = channel.ggp_cdf_approx(link.ga, link.pointing.xi, float(x))
-    return float(np.power(c1, scenario.nodes.n_a))
+    """Gamma-surrogate reliability outage (optimizer surface):
+    :func:`surrogate_reliability_outage` on the legitimate link."""
+    return surrogate_reliability_outage(bob_link(scenario), scenario.nodes.n_a, r_b)
 
 
 def reliability_outage_approx_curve(
     scenario: ScenarioConfig, r_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Surrogate reliability outage and its slope in ``r_b`` on an array of rates.
+    """Surrogate reliability outage and its slope in ``r_b`` on an array of
+    rates: :func:`surrogate_reliability_outage_curve` on the legitimate link."""
+    return surrogate_reliability_outage_curve(bob_link(scenario), scenario.nodes.n_a, r_b)
+
+
+def surrogate_sop(eve: LinkParams, r_e: float) -> float:
+    """Surrogate secrecy outage at one rate on the eavesdropper's link
+    ``eve``, equal to the matching element of :func:`surrogate_sop_curve`
+    to the bit."""
+    if r_e < 0.0:
+        raise ValueError(f"rate must be non-negative, got {r_e}")
+    return 1.0 - channel.surrogate_cdf(eve.surrogate, rate_threshold(r_e, eve.gain))
+
+
+def surrogate_sop_curve(eve: LinkParams, r_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Surrogate secrecy outage and its slope in ``r_e`` on an array of
+    rates on the eavesdropper's link ``eve``, in one call into the
+    surrogate kernel."""
+    r = _rates(r_e)
+    cdf, pdf = channel.surrogate_cdf_pdf(eve.surrogate, rate_threshold(r, eve.gain))
+    with np.errstate(over="ignore"):
+        return 1.0 - cdf, -pdf * _rate_slope(r, eve.gain)
+
+
+def surrogate_reliability_outage(bob: LinkParams, n_a: int, r_b: float) -> float:
+    """Surrogate reliability outage at one rate on the legitimate link
+    ``bob`` with ``n_a`` transmit beams, equal to the matching element of
+    :func:`surrogate_reliability_outage_curve` to the bit."""
+    if r_b < 0.0:
+        raise ValueError(f"rate must be non-negative, got {r_b}")
+    c1 = channel.surrogate_cdf(bob.surrogate, rate_threshold(r_b, bob.gain))
+    return float(np.power(c1, n_a))
+
+
+def surrogate_reliability_outage_curve(
+    bob: LinkParams, n_a: int, r_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Surrogate reliability outage and its slope in ``r_b`` on an array of
+    rates on the legitimate link ``bob`` with ``n_a`` transmit beams.
 
     The outage is c1**n_a for the single-beam surrogate CDF c1, so the slope
     is n_a c1**(n_a - 1) times c1's.  A whole rate grid is one call into
     the surrogate kernel.
     """
-    link = bob_link(scenario)
-    x, dx = _link_threshold(scenario, link, _rates(r_b))
-    c1, pdf = channel.ggp_cdf_pdf_approx(link.ga, link.pointing.xi, x)
-    n_a = scenario.nodes.n_a
+    r = _rates(r_b)
+    c1, pdf = channel.surrogate_cdf_pdf(bob.surrogate, rate_threshold(r, bob.gain))
     with np.errstate(over="ignore"):
-        return np.power(c1, n_a), n_a * np.power(c1, n_a - 1) * pdf * dx
+        return np.power(c1, n_a), n_a * np.power(c1, n_a - 1) * pdf * _rate_slope(r, bob.gain)
 
 
 def _rates(rate) -> np.ndarray:
@@ -174,16 +204,16 @@ def _rates(rate) -> np.ndarray:
 
 def rate_threshold(rate, gain: float):
     """Normalized irradiance (2**rate - 1) / gain that a receiver of SNR
-    gain ``gain`` must clear to carry ``rate`` (a float or an array, >= 0),
-    and its slope in the rate.  ``expm1`` keeps its relative accuracy where
-    2**rate - 1 would cancel (and read 0 below rate 1.6e-16)."""
-    m = np.expm1(rate * _LN2)
-    return m / gain, (m + 1.0) * (_LN2 / gain)
+    gain ``gain`` must clear to carry ``rate`` (a float or an array, >= 0).
+    ``expm1`` keeps its relative accuracy where 2**rate - 1 would cancel
+    (and read 0 below rate 1.6e-16)."""
+    return np.expm1(rate * _LN2) / gain
 
 
-def _link_threshold(scenario: ScenarioConfig, link: channel.LinkParams, rate):
-    """:func:`rate_threshold` of ``rate`` at the link's gain gamma0 * n_rx * a0."""
-    return rate_threshold(rate, scenario.nodes.gamma0 * link.n_rx * link.pointing.a0)
+def _rate_slope(rate, gain: float):
+    """Slope of :func:`rate_threshold` in the rate, 2**rate ln 2 / gain, with
+    2**rate formed as the threshold's own expm1 plus one."""
+    return (np.expm1(rate * _LN2) + 1.0) * (_LN2 / gain)
 
 
 def est_adaptive(

@@ -31,7 +31,7 @@ from fso_secrecy.channel import (
     turbulence_params,
 )
 from fso_secrecy.montecarlo import SimConfig, estimate_reliability_outage, estimate_sop
-from fso_secrecy.secrecy import _link_threshold, rate_threshold
+from fso_secrecy.secrecy import _rate_slope, rate_threshold
 
 # ---------------------------------------------------------------------------
 # derived parameters of the default scenario
@@ -264,27 +264,28 @@ def test_paper_expansions_match_the_kernel(baseline):
 
 def test_snr_threshold_examples(baseline):
     p = eve_link(baseline).pointing
-    assert rate_threshold(0.0, 1e4 * p.a0)[0] == 0.0
+    assert rate_threshold(0.0, 1e4 * p.a0) == 0.0
 
     gain = 1e4 * 2 * p.a0
-    v, dv = rate_threshold(1.0, gain)
+    v, dv = rate_threshold(1.0, gain), _rate_slope(1.0, gain)
     assert v == pytest.approx(1.0 / gain, rel=1e-15, abs=0)
     assert v == pytest.approx(0.015651, abs=5e-6)
     assert dv == pytest.approx(2.0 * math.log(2.0) / gain, rel=1e-15, abs=0)
-    assert rate_threshold(1.0, 2.0 * gain)[0] == pytest.approx(v / 2.0, rel=1e-15, abs=0)
+    assert rate_threshold(1.0, 2.0 * gain) == pytest.approx(v / 2.0, rel=1e-15, abs=0)
     # expm1 keeps the relative accuracy where 2**r - 1 cancels to 0
-    assert rate_threshold(1e-20, 1.0)[0] == pytest.approx(1e-20 * math.log(2.0), rel=1e-15, abs=0)
+    assert rate_threshold(1e-20, 1.0) == pytest.approx(1e-20 * math.log(2.0), rel=1e-15, abs=0)
 
     # an array maps to the bits of its elements' float calls
     rates = np.array([0.0, 1e-12, 0.5, 6.0])
-    xs, dxs = rate_threshold(rates, gain)
+    xs, dxs = rate_threshold(rates, gain), _rate_slope(rates, gain)
     for r, x, dx in zip(rates.tolist(), xs.tolist(), dxs.tolist()):
-        assert (x.hex(), dx.hex()) == tuple(float(v).hex() for v in rate_threshold(r, gain))
+        assert x.hex() == float(rate_threshold(r, gain)).hex()
+        assert dx.hex() == float(_rate_slope(r, gain)).hex()
 
     # each link's gain carries its own aperture count
     sc = baseline_scenario(n_b=1, n_e=4)
-    vb = _link_threshold(sc, bob_link(sc), 1.0)[0]
-    ve = _link_threshold(sc, eve_link(sc), 1.0)[0]
+    vb = rate_threshold(1.0, bob_link(sc).gain)
+    ve = rate_threshold(1.0, eve_link(sc).gain)
     assert vb == pytest.approx(4.0 * ve, rel=1e-15, abs=0)
 
 
@@ -519,7 +520,7 @@ def test_series_products_past_the_double_range_take_the_kernel():
                            d_e=581.8852747561125)
     le = eve_link(sc)
     a, b, xi = le.turb.alpha, le.beta_agg, le.pointing.xi
-    x = _link_threshold(sc, le, 1.0011347829612158)[0]
+    x = rate_threshold(1.0011347829612158, le.gain)
     assert a * b * x < 100.0
     want = oracles.mp_ggp_cdf_conditioning(a, b, xi, x)
     assert ggp_cdf(a, b, xi, x) == pytest.approx(want, rel=1e-12, abs=0)
@@ -528,7 +529,7 @@ def test_series_products_past_the_double_range_take_the_kernel():
                            d_e=604.8434970567932)
     le = eve_link(sc)
     a, b, xi = le.turb.alpha, le.beta_agg, le.pointing.xi
-    x = _link_threshold(sc, le, 0.7908362607525738)[0]
+    x = rate_threshold(0.7908362607525738, le.gain)
     assert a * b * x < 100.0
     assert 0.0 < ggp_cdf(a, b, xi, x) < 1e-40
 

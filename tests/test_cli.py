@@ -120,6 +120,24 @@ def test_flag_validation_exits_1(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {flag[2:]}: must be at least 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--trials", "100", "--seed", "-5"],
+        ["optimize", "--scheme", "adaptive", "--trials", "100", "--seed", "-5"],
+        ["sweep", "--axis", "s_th", "--min", "0.2", "--max", "0.4", "--steps", "3", "--mc",
+         "--trials", "100", "--seed", "-3"],
+    ],
+    ids=["validate", "optimize_mc", "sweep_mc"],
+)
+def test_negative_seed_exits_1_with_one_line(capsys, argv):
+    # numpy's SeedSequence rejects a negative seed with a traceback
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed: must be non-negative\n"
+
+
 def test_undefined_gamma_surrogate_exits_1(tmp_path, capsys):
     # epsilon 0.5 closes the surrogate's moment bracket for the default links
     cfg = tmp_path / "eps.json"

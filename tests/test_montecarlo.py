@@ -44,6 +44,8 @@ def test_sim_config_validation():
         SimConfig(trials=0)
     with pytest.raises(ValueError):
         SimConfig(stream_count=0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        SimConfig(seed=-1)
 
 
 def test_estimate_is_frozen():
@@ -338,7 +340,7 @@ def _reliability_outage_on_its_own(sc, r_b, sim):
     """The reliability outage of one case, drawn on streams of its own: each
     stream thins the case's beams with nothing shared."""
     link = channel.bob_link(sc)
-    thr = secrecy.rate_threshold(r_b, sc.nodes.gamma0 * link.pointing.a0)[0]
+    thr = secrecy.rate_threshold(r_b, sc.nodes.gamma0 * link.pointing.a0)
     hits = []
     for rng, left in zip(montecarlo._stream_rngs(sim, montecarlo._BOB_ROLE), sim.stream_sizes()):
         for _ in range(sc.nodes.n_a):

@@ -831,7 +831,7 @@ def test_fixed_grid_oracle_polish_makes_one_kernel_call_per_step(monkeypatch):
     sc = baseline_scenario(n_a=2, n_b=2, n_e=2)
     hi = fixed_optimal(sc, 0.4).rates.r_b + 3.0
     calls = []
-    for name in ("sop_approx", "reliability_outage_approx"):
+    for name in ("surrogate_sop", "surrogate_reliability_outage"):
         kernel = getattr(optimize, name)
 
         def counted(*args, _kernel=kernel):

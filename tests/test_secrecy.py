@@ -87,7 +87,7 @@ def test_sop_strictly_decreasing(baseline):
 def test_sop_pointing_free_uses_turbulence_kernel(pointing_free):
     # with no beam wander the outage reduces to the turbulence-only tail
     link = channel.eve_link(pointing_free)
-    thr = secrecy._link_threshold(pointing_free, link, 1.5)[0]
+    thr = secrecy.rate_threshold(1.5, link.gain)
     want = 1.0 - channel.gg_cdf(link.turb.alpha, link.beta_agg, thr)
     assert sop(pointing_free, 1.5) == pytest.approx(want, rel=1e-15, abs=0)
 
@@ -198,6 +198,50 @@ def test_surrogate_outage_arrays_equal_scalar_calls_to_the_bit(sigma_s):
         assert reliability_outage_approx(sc, float(r)).hex() == float(t[i]).hex()
 
 
+# sigma_s 0.3 puts xi**2 = 17.4 past k_ap - 10 at every n, so the pointing
+# term takes its continued fraction; at 0.5, k_ap - xi**2 lies in (-10, 0)
+# and thresholds below k_ap take the recurrence.
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("sigma_s", [2.0, 0.0, 0.3, 0.5])
+def test_bound_surrogate_kernel_equals_the_curve_elements_to_the_bit(sigma_s, n):
+    sc = baseline_scenario(sigma_s=sigma_s, n_a=n, n_b=n, n_e=n)
+    eve, bob = channel.eve_link(sc), channel.bob_link(sc)
+    rates = [0.0, 1e-17, 1e-3, 0.3, 1.0, 2.5, 4.0, 8.0, 20.0]
+    s = sop_approx_curve(sc, np.array(rates))[0]
+    t = reliability_outage_approx_curve(sc, np.array(rates))[0]
+    for i, r in enumerate(rates):
+        assert sop_approx(sc, r) == secrecy.surrogate_sop(eve, r) == s[i]
+        assert reliability_outage_approx(sc, r) == t[i]
+        assert secrecy.surrogate_reliability_outage(bob, n, r) == t[i]
+
+
+def test_bound_surrogate_kernel_equals_the_curve_where_the_slope_overflows():
+    # On a link of gain 6.4e-303 the slope at rate 1e-320 passes the double
+    # range and reads -inf; the outage is still a plain float.
+    sc = baseline_scenario(gamma0=1e-300)
+    rates = [0.0, 1e-320, 1e-310, 1e-300, 1e-17, 1.0]
+    s, ds = sop_approx_curve(sc, np.array(rates))
+    t = reliability_outage_approx_curve(sc, np.array(rates))[0]
+    assert ds[1] == -math.inf
+    for i, r in enumerate(rates):
+        assert sop_approx(sc, r) == s[i]
+        assert reliability_outage_approx(sc, r) == t[i]
+
+
+def test_clamp_counter_counts_a_scalar_call_as_a_one_element_array():
+    # A log-gamma ratio raised by 5 inflates the pointing term until the
+    # surrogate CDF overshoots 1 and is clamped.
+    link = channel.eve_link(baseline_scenario())
+    over = dataclasses.replace(link.surrogate, log_ratio=link.surrogate.log_ratio + 5.0)
+    link = dataclasses.replace(link, surrogate=over)
+    channel.reset_clamp_events()
+    assert secrecy.surrogate_sop(link, 1.0) == 0.0
+    assert channel.clamp_event_count() == 1
+    assert secrecy.surrogate_sop_curve(link, np.array([1.0]))[0].tolist() == [0.0]
+    assert channel.clamp_event_count() == 2
+    channel.reset_clamp_events()
+
+
 @pytest.mark.parametrize("sigma_s", SURROGATE_SIGMAS)
 def test_sop_approx_slope_matches_central_differences(sigma_s):
     sc = baseline_scenario(sigma_s=sigma_s, n_e=2)
@@ -239,7 +283,7 @@ def test_sop_approx_at_vanishing_turbulence(cn2, table):
     le = channel.eve_link(sc)
     for r_e, want in table.items():
         got = sop_approx(sc, r_e)
-        x = secrecy._link_threshold(sc, le, r_e)[0]
+        x = secrecy.rate_threshold(r_e, le.gain)
         mixture = 1.0 - oracles.surrogate_cdf_mixture(le.ga.k_ap, le.ga.theta_ap, le.pointing.xi, x)
         assert got == pytest.approx(want, abs=1e-6)
         assert got == pytest.approx(mixture, abs=1e-6)
