@@ -21,6 +21,9 @@ script runs:
   ``--scheme adaptive`` (``--cb 4``), over the 20 ceilings of the figure
   sweeps, with the same program seed, so the Monte-Carlo column of the
   ceiling axis is compared byte for byte;
+- ``params`` for the default scenario, for four apertures at every node
+  and for a pointing-free eavesdropper (``sigma_s`` 0), whose ``k_ap`` and
+  ``theta_ap`` keys the benchmark's checks read;
 - ``scripts/figure_sweeps.py`` without Monte-Carlo (11 CSV files);
 - ``validate --trials 1000000 --seed 7`` at ``--jobs 1`` and ``--jobs 4``;
 - ``validate --trials 1000003 --stream-count 7 --seed 7`` at ``--jobs 1``
@@ -73,6 +76,13 @@ WEAK_LINK_RUNS = (
     ("opt_weak_adaptive.json", 1e-3, ["--scheme", "adaptive", "--cb", "4"]),
 )
 
+# (output name, config) of the params runs.
+PARAMS_RUNS = (
+    ("params_default.json", {}),
+    ("params_n4.json", {"n_a": 4, "n_b": 4, "n_e": 4}),
+    ("params_sigma0.json", {"sigma_s": 0}),
+)
+
 # The schemes of the ceiling-axis Monte-Carlo sweeps.
 MC_SWEEP_SCHEMES = (["--scheme", "fixed"], ["--scheme", "adaptive", "--cb", "4"])
 
@@ -116,6 +126,10 @@ def produce(src: Path, outdir: Path) -> None:
         cfg = outdir / f"weak_{name}"
         cfg.write_text(json.dumps({"gamma0": gamma0}), encoding="utf-8")
         ops.append((name, ["optimize", "--config", str(cfg), *scheme, "--out", str(outdir / name)]))
+    for name, doc in PARAMS_RUNS:
+        cfg = outdir / f"config_{name}"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        ops.append((name, ["params", "--config", str(cfg), "--out", str(outdir / name)]))
     for scheme in MC_SWEEP_SCHEMES:
         name = f"sweep_mc_sth_{scheme[1]}.csv"
         ops.append(
@@ -136,6 +150,8 @@ def produce(src: Path, outdir: Path) -> None:
         workloads.config_path(outdir, n).unlink()
     for name, _, _ in WEAK_LINK_RUNS:
         (outdir / f"weak_{name}").unlink()
+    for name, _ in PARAMS_RUNS:
+        (outdir / f"config_{name}").unlink()
 
 
 def _flatten(doc, prefix: str = "") -> dict[str, object]:

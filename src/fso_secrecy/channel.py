@@ -11,9 +11,9 @@ is built on:
 * ``ggp_cdf`` -- the same fading multiplied by the random collected-power
   fraction of a misaligned receiver, likewise;
 * ``ggp_cdf_approx`` -- the gamma-surrogate approximation of ``ggp_cdf``
-  used by the rate optimizers, at one threshold; ``surrogate_cdf`` and
-  ``surrogate_cdf_pdf`` evaluate it from a link's bound constants, at one
-  threshold or, with its density, on an array of thresholds.
+  used by the rate optimizers, at one threshold, from a link's
+  :class:`Surrogate`; ``surrogate_cdf_pdf`` evaluates it with its density
+  on an array of thresholds.
 
 The exact kernels condition on the gamma factor of larger shape: given
 that factor, the other gamma factor and the collected-power fraction
@@ -24,10 +24,10 @@ the factor fixed at one, on the same log-domain pointing term.
 
 The surrogate's constants live in the link: when :func:`bob_link` or
 :func:`eve_link` derive a link, ``LinkParams.gain`` takes the SNR gain
-gamma0 * n_rx * a0 and ``LinkParams.surrogate`` a :class:`Surrogate` with
-the shape and scale, xi**2 and the pointing term's log-gamma ratio.  An
-evaluation from them does only numpy and scipy ufunc work, the same
-sequence on a float as on each element of an array.
+gamma0 * n_rx * a0 and ``LinkParams.surrogate`` the :class:`Surrogate` of
+:func:`gamma_approx`, with the shape and scale, xi**2 and the pointing
+term's log-gamma ratio.  An evaluation from them does only numpy and scipy
+ufunc work, the same sequence on a float as on each element of an array.
 
 The paper's 1F2 expansions of the same CDFs are kept as a test reference
 only.  All records are frozen dataclasses, all functions pure.
@@ -52,7 +52,6 @@ __all__ = [
     "TurbulenceParams",
     "PointingParams",
     "NodeConfig",
-    "GammaApprox",
     "Surrogate",
     "ScenarioConfig",
     "LinkParams",
@@ -60,11 +59,9 @@ __all__ = [
     "turbulence_params",
     "pointing_params",
     "gamma_approx",
-    "surrogate",
     "gg_cdf",
     "ggp_cdf",
     "ggp_cdf_approx",
-    "surrogate_cdf",
     "surrogate_cdf_pdf",
     "bob_link",
     "eve_link",
@@ -202,20 +199,6 @@ class NodeConfig:
 
 
 @dataclass(frozen=True)
-class GammaApprox:
-    """Single-gamma surrogate of an aggregated turbulence variable."""
-
-    k_ap: float
-    theta_ap: float
-    epsilon: float
-    omega_adj: float
-
-    def __post_init__(self) -> None:
-        if not (self.k_ap > 0.0 and self.theta_ap > 0.0):
-            raise ValueError("GammaApprox shape and scale must be strictly positive")
-
-
-@dataclass(frozen=True)
 class Surrogate:
     """The gamma surrogate of one receiver's fading-plus-misalignment
     product, with the constants of its CDF computed once.
@@ -230,6 +213,10 @@ class Surrogate:
     theta: float
     xi2: float | None
     log_ratio: float | None
+
+    def __post_init__(self) -> None:
+        if not (self.k > 0.0 and self.theta > 0.0):
+            raise ValueError("Surrogate shape and scale must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -304,7 +291,6 @@ class LinkParams:
     turb: TurbulenceParams
     pointing: PointingParams
     beta_agg: float
-    ga: GammaApprox
     n_rx: int
     gain: float
     surrogate: Surrogate
@@ -345,12 +331,14 @@ def pointing_params(geom: GeometryConfig, sigma_s: float) -> PointingParams:
 
 
 def gamma_approx(
-    turb: TurbulenceParams, n_apertures: int, epsilon: float, omega_adj: float
-) -> GammaApprox:
-    """Moment-matched single-gamma surrogate of the aggregated fading.
+    turb: TurbulenceParams, n_apertures: int, epsilon: float, omega_adj: float, xi: float
+) -> Surrogate:
+    """Moment-matched single-gamma surrogate of the aggregated fading, with
+    the pointing constants of jitter-normalized beam width ``xi``
+    (``POINTING_FREE_XI`` without pointing loss).
 
     The aggregated small-scale shape is ``beta_single * n_apertures``.  The
-    shape/scale pair always satisfies ``k_ap * theta_ap == omega_adj``.
+    shape/scale pair always satisfies ``k * theta == omega_adj``.
     """
     if epsilon < 0.0:
         raise ValueError("epsilon must be non-negative")
@@ -364,18 +352,12 @@ def gamma_approx(
             f"gamma surrogate undefined: moment bracket {bracket:.3g} <= 0 "
             f"for shapes ({a:.3g}, {b:.3g}) and epsilon {epsilon}"
         )
-    k_ap = 1.0 / bracket
-    return GammaApprox(k_ap=k_ap, theta_ap=omega_adj / k_ap, epsilon=epsilon, omega_adj=omega_adj)
-
-
-def surrogate(ga: GammaApprox, xi: float) -> Surrogate:
-    """The :class:`Surrogate` of shape and scale ``ga`` and pointing width
-    ``xi`` (``POINTING_FREE_XI`` without pointing loss)."""
     if not xi > 0.0:
-        raise ValueError(f"surrogate requires xi > 0, got {xi}")
+        raise ValueError(f"gamma_approx requires xi > 0, got {xi}")
+    k = 1.0 / bracket
     xi2 = None if math.isinf(xi) else xi * xi
-    log_ratio = None if xi2 is None else _pointing_log_ratio(ga.k_ap, xi2)
-    return Surrogate(k=ga.k_ap, theta=ga.theta_ap, xi2=xi2, log_ratio=log_ratio)
+    log_ratio = None if xi2 is None else _pointing_log_ratio(k, xi2)
+    return Surrogate(k=k, theta=omega_adj / k, xi2=xi2, log_ratio=log_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -589,13 +571,16 @@ def _surrogate_cdf(sur: Surrogate, t):
     return _clamp_prob(p + second), second
 
 
-def surrogate_cdf(sur: Surrogate, x: float) -> float:
-    """The surrogate CDF at one x >= 0, from the link's constants ``sur``.
+def ggp_cdf_approx(sur: Surrogate, x: float) -> float:
+    """Gamma-surrogate CDF of the fading-plus-misalignment product at one
+    x >= 0, from the link's constants ``sur``.
 
     The same numpy code as the matching element of
     :func:`surrogate_cdf_pdf`, so the two agree to the bit.
     """
-    if x == 0.0:
+    if x <= 0.0:
+        if x < 0.0:
+            raise ValueError(f"ggp_cdf_approx requires x >= 0, got {x}")
         return 0.0
     return float(_surrogate_cdf(sur, x / sur.theta)[0])
 
@@ -622,14 +607,6 @@ def surrogate_cdf_pdf(sur: Surrogate, x: np.ndarray) -> tuple[np.ndarray, np.nda
     return cdf, pdf
 
 
-def ggp_cdf_approx(ga: GammaApprox, xi: float, x: float) -> float:
-    """Gamma-surrogate CDF of the fading-plus-misalignment product at one x:
-    :func:`surrogate_cdf` on the :func:`surrogate` of ``ga`` and ``xi``."""
-    if x < 0.0:
-        raise ValueError(f"ggp_cdf_approx requires x >= 0, got {x}")
-    return surrogate_cdf(surrogate(ga, xi), x)
-
-
 # ---------------------------------------------------------------------------
 # cached per-scenario link bundles
 # ---------------------------------------------------------------------------
@@ -638,15 +615,13 @@ def ggp_cdf_approx(ga: GammaApprox, xi: float, x: float) -> float:
 def _link(scenario: ScenarioConfig, distance_m: float, sigma_s: float, n_rx: int) -> LinkParams:
     turb = turbulence_params(scenario.geometry, distance_m)
     pointing = pointing_params(scenario.geometry, sigma_s)
-    ga = gamma_approx(turb, n_rx, scenario.epsilon, scenario.omega_adj)
     return LinkParams(
         turb=turb,
         pointing=pointing,
         beta_agg=turb.beta_single * n_rx,
-        ga=ga,
         n_rx=n_rx,
         gain=scenario.nodes.gamma0 * n_rx * pointing.a0,
-        surrogate=surrogate(ga, pointing.xi),
+        surrogate=gamma_approx(turb, n_rx, scenario.epsilon, scenario.omega_adj, pointing.xi),
     )
 
 

@@ -46,7 +46,7 @@ from fso_secrecy.channel import (
     eve_link,
 )
 from fso_secrecy.montecarlo import SimConfig
-from fso_secrecy.secrecy import RatePair, SecrecyConstraint
+from fso_secrecy.secrecy import RATE_LIMIT, RatePair, SecrecyConstraint
 from fso_secrecy.specfun import ConvergenceError
 
 __all__ = [
@@ -77,9 +77,8 @@ _SWEEP_COLUMNS = [
     "constraint_met",
 ]
 
-# Rates are bits per channel use; 2**r overflows a double from r = 1024 on.
-_RATE_LIMIT = 1024.0
-_RATE_DOMAIN = (lambda v: 0.0 <= v < _RATE_LIMIT, f"must lie in [0, {_RATE_LIMIT:g})")
+# The outages' rate domain, in bits per channel use.
+_RATE_DOMAIN = (lambda v: 0.0 <= v < RATE_LIMIT, f"must lie in [0, {RATE_LIMIT:g})")
 
 # The domain of each sweep axis's --min and --max (NaN lies in none), checked
 # before any row is written: (membership test, message).
@@ -197,8 +196,8 @@ def cmd_params(sc: ScenarioConfig, out: io.TextIOBase) -> int:
             "a0": link.pointing.a0,
             "omega_e": link.pointing.omega_e,
             "xi": _jsonable(link.pointing.xi),
-            "k_ap": link.ga.k_ap,
-            "theta_ap": link.ga.theta_ap,
+            "k_ap": link.surrogate.k,
+            "theta_ap": link.surrogate.theta,
         }
 
     doc = {
@@ -331,7 +330,7 @@ def _optimum_rows(
         mc = [(_fmt(e.mean), _fmt(e.ci_halfwidth)) for e in estimates]
     # Solvers contract on the surrogate outage surface; the sop column stays
     # exact-kernel for diagnostics.
-    s_approx = secrecy.sop_approx_curve(sc, np.array(r_es))[0].tolist()
+    s_approx = secrecy.sop_approx_curve(eve_link(sc), np.array(r_es))[0].tolist()
     return [
         (o.est, est_mc, ci, s, t, s_a <= s_th + 1e-6 or o.est == 0.0)
         for o, (est_mc, ci), s, t, s_a, s_th in zip(optima, mc, sop_vals, rel, s_approx, ceilings)
@@ -383,7 +382,7 @@ def cmd_sweep(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         for v in values:
             r_b = args.cb if scheme == "adaptive" else args.rb
             if r_b is None:
-                r_b = optimize.fixed_constrained_rb(sc, v)
+                r_b = optimize.fixed_constrained_rb(sc, v)[0]
             points.append((v, None, (v, max(r_b, v), args.cb)))
     elif axis == "r_b":
         r_e = args.re
@@ -467,7 +466,7 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         "method": opt.method,
         "hessian_ok": opt.hessian_ok,
         "constraint_active": opt.constraint_active,
-        "sop_at_re": secrecy.sop_approx(sc, opt.rates.r_e),
+        "sop_at_re": secrecy.sop_approx(eve_link(sc), opt.rates.r_e),
         "sop_exact_at_re": exact.sop,
         "oracle": {"est": oracle.est, "gap": gap, "covers": covers},
     }
@@ -554,7 +553,8 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     gap_worst = 0.0
     for sig in (1.0, 2.0, 3.0):
         sc_s = _scenario_at(sc, "sigma_s", sig)
-        gaps = np.abs(secrecy.sop_approx_curve(sc_s, gap_rates)[0] - secrecy.sop(sc_s, gap_rates))
+        s_approx = secrecy.sop_approx_curve(eve_link(sc_s), gap_rates)[0]
+        gaps = np.abs(s_approx - secrecy.sop(sc_s, gap_rates))
         gap_worst = max(gap_worst, *gaps.tolist())
     check_analytic("surrogate_outage_gap_max", gap_worst, 0.0, 0.02)
 
@@ -651,8 +651,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.sth is not None and not 0.0 < args.sth <= 1.0:
             raise ConfigError("sth: must lie in (0, 1]")
         # A realized capacity of zero leaves the adaptive optimum undefined.
-        if args.cb is not None and not 0.0 < args.cb < _RATE_LIMIT:
-            raise ConfigError(f"cb: must lie in (0, {_RATE_LIMIT:g})")
+        if args.cb is not None and not 0.0 < args.cb < RATE_LIMIT:
+            raise ConfigError(f"cb: must lie in (0, {RATE_LIMIT:g})")
         checks = [("re", _RATE_DOMAIN), ("rb", _RATE_DOMAIN)]
         axis = getattr(args, "axis", None)
         if axis in _AXIS_DOMAINS:

@@ -55,7 +55,7 @@ import numpy as np
 
 from fso_secrecy import optimize
 from fso_secrecy.channel import LinkParams, ScenarioConfig, bob_link, eve_link
-from fso_secrecy.secrecy import RatePair, rate_threshold, sop_approx_curve
+from fso_secrecy.secrecy import RATE_LIMIT, RatePair, _rates, rate_threshold, sop_approx_curve
 
 __all__ = [
     "SimConfig",
@@ -208,9 +208,7 @@ def estimate_sop(
     once and counted against each threshold, so a sequence gives back one
     ``Estimate`` per rate, each equal to the scalar call at that rate.
     """
-    rates = np.atleast_1d(np.asarray(r_e, dtype=float))
-    if (rates < 0.0).any():
-        raise ValueError(f"r_e must be non-negative, got {r_e}")
+    rates = np.atleast_1d(_rates(r_e))
     rngs = _stream_rngs(sim, _EVE_ROLE)
     sizes = sim.stream_sizes()
     thrs = rate_threshold(rates, sc.nodes.gamma0 * eve_link(sc).pointing.a0).tolist()
@@ -251,8 +249,8 @@ def estimate_reliability_outages(
     left after the last beam is the outage count.
     """
     for _, r_b in cases:
-        if r_b < 0.0:
-            raise ValueError(f"r_b must be non-negative, got {r_b}")
+        if not 0.0 <= r_b < RATE_LIMIT:
+            raise ValueError(f"r_b must be non-negative and below {RATE_LIMIT:g}, got {r_b}")
     # A case's draws and count depend only on (alpha, beta, n_b, n_a, thr).
     links = {}
     keys = []
@@ -401,7 +399,7 @@ def _adaptive_redundancy_table(
     r_lo = 1e-4
     r_hi = max(r_hi, r_lo + 1.0)
     rs = np.linspace(r_lo, r_hi, n_grid)
-    s, ds = sop_approx_curve(sc, rs)
+    s, ds = sop_approx_curve(eve_link(sc), rs)
     # Past the first rate where the outage stops falling, no capacity makes
     # the rate stationary.
     flat = np.flatnonzero(ds >= -1e-290)

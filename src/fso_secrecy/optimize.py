@@ -20,14 +20,15 @@ searched at its own rate scale.
 
 Each residual takes the surrogate outages and their slopes in the rate from
 the curve kernels of :mod:`fso_secrecy.secrecy`, one array call per scan, so
-the solvers form no incomplete gamma or density of their own.  A solver or
-oracle that evaluates outages in a loop looks its links up once and calls
-the link forms ``surrogate_sop``, ``surrogate_reliability_outage`` and
-their ``*_curve`` twins.  The paper's map and Lambert-W forms live on as
-test references and hold at the returned points.  The outage-ceiling
-inversion :func:`re_threshold` is a root of the same secrecy curve: Newton
-steps on its analytic slope, kept inside a bracket whose upper end is the
-pointing-free inversion.
+the solvers form no incomplete gamma or density of their own.  Every solver
+and oracle looks its links up once per call and passes them to
+``sop_approx``, ``reliability_outage_approx`` and their ``*_curve`` forms.
+:func:`adaptive_unconstrained_re` and :func:`fixed_constrained_rb` return
+the rate with the ``Optimum.method`` of the path that found it.  The
+paper's map and Lambert-W forms live on as test references and hold at the
+returned points.  The outage-ceiling inversion :func:`re_threshold` is a
+root of the same secrecy curve: Newton steps on its analytic slope, kept
+inside a bracket whose upper end is the pointing-free inversion.
 
 All solvers evaluate and report on the gamma-surrogate (``use_approx=True``)
 surface they are derived on; the exact-kernel value of a returned optimum is
@@ -51,12 +52,10 @@ from fso_secrecy.secrecy import (
     est_adaptive,
     est_fixed,
     est_from_outages,
+    reliability_outage_approx,
     reliability_outage_approx_curve,
+    sop_approx,
     sop_approx_curve,
-    surrogate_reliability_outage,
-    surrogate_reliability_outage_curve,
-    surrogate_sop,
-    surrogate_sop_curve,
 )
 from fso_secrecy.specfun import ConvergenceError
 
@@ -247,7 +246,7 @@ def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
     part of the surrogate CDF alone reaches 1 - s_th: the pointing term only
     adds to the CDF, so S(r_free) <= s_th.  Should rounding break that, the
     upper end doubles until it holds.  Newton steps on the analytic slope of
-    :func:`fso_secrecy.secrecy.surrogate_sop_curve` then shrink the bracket,
+    :func:`fso_secrecy.secrecy.sop_approx_curve` then shrink the bracket,
     with bisection wherever a step would leave it or would not halve the
     step before last (``rtsafe``, Numerical Recipes 9.4), until its width
     is a few ulps or stops shrinking.  The result is the bracket's feasible
@@ -259,13 +258,13 @@ def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
     if s_th == 1.0:
         return 0.0
     link = eve_link(sc)
-    t_free = float(_sp.gammaincinv(link.ga.k_ap, 1.0 - s_th))
-    gain = sc.nodes.gamma0 * link.pointing.a0 * link.n_rx * link.ga.theta_ap
+    t_free = float(_sp.gammaincinv(link.surrogate.k, 1.0 - s_th))
+    gain = sc.nodes.gamma0 * link.pointing.a0 * link.n_rx * link.surrogate.theta
     hi = math.log1p(t_free * gain) / math.log(2.0)
     while True:
         if not hi <= _RATE_CEIL:
             raise ConvergenceError(f"secrecy ceiling {s_th} is below the achievable outage floor")
-        s, ds = surrogate_sop_curve(link, hi)
+        s, ds = sop_approx_curve(link, hi)
         if s <= s_th:
             break
         hi *= 2.0
@@ -286,7 +285,7 @@ def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
             new = 0.5 * (lo + hi)
         before, last = last, abs(new - r)
         r = new
-        s, ds = surrogate_sop_curve(link, r)
+        s, ds = sop_approx_curve(link, r)
         if s <= s_th:
             hi = r
         else:
@@ -302,8 +301,9 @@ def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
 
 def adaptive_unconstrained_re(
     sc: ScenarioConfig, c_b: float, opts: SolverOptions | None = None
-) -> float:
-    """Throughput-maximizing redundancy rate of the adaptive scheme, no ceiling.
+) -> tuple[float, str]:
+    """Throughput-maximizing redundancy rate of the adaptive scheme, no
+    ceiling, and the ``Optimum.method`` of its path.
 
     The paper's stationarity condition, solved as a root of the surrogate
     throughput's slope -(1 - s) - (c_b - r) s', with the analytic outage
@@ -312,14 +312,6 @@ def adaptive_unconstrained_re(
     falling; the root with the largest throughput wins.  If the slope flips
     neither on the scan nor on a scan of its first cell alone,
     :func:`adaptive_grid_oracle` with no ceiling stands in.
-    """
-    return _adaptive_unconstrained(sc, c_b, opts)[0]
-
-
-def _adaptive_unconstrained(
-    sc: ScenarioConfig, c_b: float, opts: SolverOptions | None
-) -> tuple[float, str]:
-    """:func:`adaptive_unconstrained_re` and the ``Optimum.method`` of its path.
 
     The scan's lower end and the bisection width are multiples of the
     eavesdropper's rate scale u_e = min(C_e, 1), so a link whose whole rate
@@ -336,7 +328,7 @@ def _adaptive_unconstrained(
 
     def slope(r):
         # psi's derivative, on a float or an array of rates.
-        s, ds = surrogate_sop_curve(eve, r)
+        s, ds = sop_approx_curve(eve, r)
         return -(1.0 - s) - (c_b - r) * ds
 
     lo = 1e-4 * min(c_b, u_e)
@@ -375,7 +367,7 @@ def adaptive_optimal(
     """
     opts = opts or _DEFAULT
     constraints = [SecrecyConstraint(c) for c in np.atleast_1d(s_th).tolist()]
-    re_u, method_u = _adaptive_unconstrained(sc, c_b, opts)
+    re_u, method_u = adaptive_unconstrained_re(sc, c_b, opts)
     optima = [_adaptive_under(sc, c_b, re_u, method_u, c) for c in constraints]
     return optima[0] if np.ndim(s_th) == 0 else optima
 
@@ -384,7 +376,7 @@ def _adaptive_est(eve: LinkParams, c_b: float, r_e: float, s_th: float) -> float
     """``est_adaptive(sc, c_b, r_e, SecrecyConstraint(s_th), use_approx=True).est``,
     bit for bit, on the eavesdropper's link ``eve``: (c_b - r_e)(1 - S(r_e)),
     zero where S(r_e) tops the ceiling or is NaN."""
-    s = surrogate_sop(eve, r_e)
+    s = sop_approx(eve, r_e)
     return (c_b - r_e) * (1.0 - s) if s <= s_th else 0.0
 
 
@@ -408,7 +400,7 @@ def _adaptive_under(
     hessian_ok = False
     if feasible and 0.0 < r_e - h and r_e + h < c_b and report.est > 0.0 and not constraint_active:
         rs = [r_e - h, r_e, r_e + h]
-        s = sop_approx_curve(sc, np.array(rs))[0].tolist()
+        s = sop_approx_curve(eve_link(sc), np.array(rs))[0].tolist()
         psi = [est_from_outages(c_b - r, 0.0, si, constraint).est for r, si in zip(rs, s)]
         hessian_ok = _curves_down(psi, u)
     return Optimum(
@@ -429,8 +421,8 @@ def _cap_seed(sc: ScenarioConfig, link: LinkParams) -> float:
     """The link's capacity at its mean surrogate SNR, Bob's or Eve's: where
     the codeword-rate scans set their upper end, and the rate scale of the
     solvers.  It is positive even where 1 + SNR rounds to 1."""
-    ga = link.ga
-    mean_snr = sc.nodes.gamma0 * link.pointing.a0 * link.n_rx * ga.theta_ap * ga.k_ap
+    sur = link.surrogate
+    mean_snr = sc.nodes.gamma0 * link.pointing.a0 * link.n_rx * sur.theta * sur.k
     return math.log1p(mean_snr) / math.log(2.0)
 
 
@@ -458,13 +450,13 @@ def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = No
     # where an outage and its slope both round to their limits; fmax sends
     # that NaN to the lower clamp, as it does -inf.
     def g_e(rb):
-        t, dt = surrogate_reliability_outage_curve(bob, n_a, rb)
+        t, dt = reliability_outage_approx_curve(bob, n_a, rb)
         with np.errstate(all="ignore"):
             re = rb - (1.0 - t) / dt
         return np.minimum(np.fmax(re, 1e-12 * u), rb - 1e-12 * u)
 
     def g_b(re):
-        s, ds = surrogate_sop_curve(eve, re)
+        s, ds = sop_approx_curve(eve, re)
         with np.errstate(all="ignore"):
             rb = re + (1.0 - s) / -ds
         return np.minimum(np.fmax(rb, re + 1e-12 * u), _RATE_CEIL)
@@ -501,8 +493,9 @@ def _throughput_stencil(sc: ScenarioConfig, re: float, rb: float, h: float) -> l
     separable, so one array call per outage gives the nine values."""
     res, rbs = [re - h, re, re + h], [rb - h, rb, rb + h]
     # A negative rate's cells are 0 whatever it maps to.
-    s = sop_approx_curve(sc, np.maximum(res, 0.0))[0].tolist()
-    t = reliability_outage_approx_curve(sc, np.maximum(rbs, 0.0))[0].tolist()
+    s = sop_approx_curve(eve_link(sc), np.maximum(res, 0.0))[0].tolist()
+    bob, n_a = bob_link(sc), sc.nodes.n_a
+    t = reliability_outage_approx_curve(bob, n_a, np.maximum(rbs, 0.0))[0].tolist()
     one = SecrecyConstraint(1.0)
     return [
         [est_from_outages(y - x, tj, si, one).est if 0.0 <= x < y else 0.0 for y, tj in zip(rbs, t)]
@@ -540,8 +533,9 @@ def _hessian_negative_definite(sc: ScenarioConfig, re: float, rb: float, h: floa
 
 def fixed_constrained_rb(
     sc: ScenarioConfig, r_e_fixed: float, opts: SolverOptions | None = None
-) -> float:
-    """Optimal codeword rate when the redundancy rate is pinned.
+) -> tuple[float, str]:
+    """Optimal codeword rate when the redundancy rate is pinned, and the
+    ``Optimum.method`` of its path.
 
     The paper writes the stationarity condition in r_b as a Lambert-W
     expression that still holds r_b on both sides.  Its unwrapped residual
@@ -552,13 +546,6 @@ def fixed_constrained_rb(
     highest throughput factor wins, and golden refinement of the best scan
     node's throughput factor stands in where the scan finds none.
     """
-    return _fixed_constrained(sc, r_e_fixed, opts)[0]
-
-
-def _fixed_constrained(
-    sc: ScenarioConfig, r_e_fixed: float, opts: SolverOptions | None
-) -> tuple[float, str]:
-    """:func:`fixed_constrained_rb` and the ``Optimum.method`` of its path."""
     if r_e_fixed < 0.0:
         raise ValueError(f"r_e_fixed must be non-negative, got {r_e_fixed}")
     opts = opts or _DEFAULT
@@ -569,10 +556,10 @@ def _fixed_constrained(
     hi = min(max(r_e_fixed + 25.0 * u, cap + 10.0 * u), _RATE_CEIL)
 
     def bob_factor(rb: float) -> float:
-        return (rb - r_e_fixed) * (1.0 - surrogate_reliability_outage(bob, n_a, rb))
+        return (rb - r_e_fixed) * (1.0 - reliability_outage_approx(bob, n_a, rb))
 
     def resid(rb):
-        t, dt = surrogate_reliability_outage_curve(bob, n_a, rb)
+        t, dt = reliability_outage_approx_curve(bob, n_a, rb)
         return (1.0 - t) - (rb - r_e_fixed) * dt
 
     n = max(opts.grid_points, 100)
@@ -581,7 +568,7 @@ def _fixed_constrained(
     roots = _scan_roots(resid, xs, resid(r), _RATE_TOL * u, falling_only=True)
     if roots:
         return max(roots, key=bob_factor), "lambert_w"
-    v = (r - r_e_fixed) * (1.0 - surrogate_reliability_outage_curve(bob, n_a, r)[0])
+    v = (r - r_e_fixed) * (1.0 - reliability_outage_approx_curve(bob, n_a, r)[0])
     best = int(np.argmax(v))
     rb = _golden_polish(bob_factor, lo, (hi - lo) / (n - 1), n, best, float(v[best]))[0]
     return rb, "grid_oracle"
@@ -616,12 +603,13 @@ def _fixed_under(sc: ScenarioConfig, pair: Optimum, s_th: float, opts: SolverOpt
     if pair.rates.r_e >= re_t:
         return pair
     constraint = SecrecyConstraint(s_th)
-    rb, method = _fixed_constrained(sc, re_t, opts)
+    rb, method = fixed_constrained_rb(sc, re_t, opts)
     report = est_fixed(sc, RatePair(r_b=rb, r_e=re_t), constraint, use_approx=True)
 
-    u = min(_cap_seed(sc, bob_link(sc)), 1.0)
+    bob = bob_link(sc)
+    u = min(_cap_seed(sc, bob), 1.0)
     rbs = [rb - 1e-4 * u, rb, rb + 1e-4 * u]
-    t = reliability_outage_approx_curve(sc, np.maximum(rbs, 0.0))[0].tolist()
+    t = reliability_outage_approx_curve(bob, sc.nodes.n_a, np.maximum(rbs, 0.0))[0].tolist()
     f_rb = [  # the throughput along r_b; S(re_t) is the report's
         est_from_outages(max(x - re_t, 0.0), tj, report.sop, constraint).est
         for x, tj in zip(rbs, t)
@@ -758,28 +746,28 @@ def fixed_grid_oracle(
     # est_fixed's value, in its product order, along a line of the polish:
     # the outage of the fixed rate is computed once per line.
     def line_rb(r_e: float):
-        s = surrogate_sop(eve, r_e)
+        s = sop_approx(eve, r_e)
 
         def f(r_b: float) -> float:
             if not (0.0 <= r_e < r_b and s <= s_th):
                 return 0.0
-            return (r_b - r_e) * (1.0 - surrogate_reliability_outage(bob, n_a, r_b)) * (1.0 - s)
+            return (r_b - r_e) * (1.0 - reliability_outage_approx(bob, n_a, r_b)) * (1.0 - s)
 
         return f
 
     def line_re(r_b: float):
-        reliability = 1.0 - surrogate_reliability_outage(bob, n_a, r_b)
+        reliability = 1.0 - reliability_outage_approx(bob, n_a, r_b)
 
         def f(r_e: float) -> float:
             if not 0.0 <= r_e < r_b:
                 return 0.0
-            s = surrogate_sop(eve, r_e)
+            s = sop_approx(eve, r_e)
             return (r_b - r_e) * reliability * (1.0 - s) if s <= s_th else 0.0
 
         return f
 
-    s = surrogate_sop_curve(eve, np.array(xs))[0]
-    t = surrogate_reliability_outage_curve(bob, n_a, np.array(ys))[0]
+    s = sop_approx_curve(eve, np.array(xs))[0]
+    t = reliability_outage_approx_curve(bob, n_a, np.array(ys))[0]
     r_e, r_b = np.array(xs)[:, None], np.array(ys)[None, :]
     live = (0.0 <= r_e) & (r_e < r_b) & (s <= s_th)[:, None]
     with np.errstate(invalid="ignore"):
@@ -811,7 +799,7 @@ def adaptive_grid_oracle(
 
     xs = _scan_nodes(0.0, c_b, n)
     r = np.array(xs)
-    s = surrogate_sop_curve(eve, r)[0]
+    s = sop_approx_curve(eve, r)[0]
     # est_adaptive's value, in its product order; an outage above the
     # ceiling, NaN included, gates the node to zero.
     v = np.where(s <= s_th, (c_b - r) * (1.0 - s), 0.0)

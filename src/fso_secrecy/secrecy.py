@@ -11,23 +11,23 @@ Every metric exists in two flavors: the exact CDF kernels, and the
 gamma-surrogate approximation (``use_approx=True``) that the rate optimizers
 are derived on.
 
-The exact ``sop`` and ``reliability_outage`` take a float or an array of
-rates, one kernel call per array, each element equal to the float call to
-the bit.  Nothing is stored between calls: a caller asks once for its
-distinct rates, and :func:`est_from_outages` turns the outages into
-throughput.  The surrogate's rate-array forms ``sop_approx_curve`` and
-``reliability_outage_approx_curve`` return the analytic slope in the rate
-with the outage, infinite where it passes the double range; they are the
-one place the solvers take the surrogate's rate derivatives from.  Every
-rate meets a kernel through :func:`rate_threshold`.
+The exact ``sop`` and ``reliability_outage`` take a scenario and a float
+or an array of rates, one kernel call per array, each element equal to the
+float call to the bit.  Nothing is stored between calls: a caller asks once
+for its distinct rates, and :func:`est_from_outages` turns the outages into
+throughput.  Every rate meets a kernel through :func:`rate_threshold`, and
+every outage rejects a rate outside [0, ``RATE_LIMIT``), where 2**rate
+overflows.
 
-The surrogate outages are evaluated from the constants each link carries
+The surrogate outages take the link itself, with the constants it carries
 (``LinkParams.gain`` and ``LinkParams.surrogate``, computed once by
-``bob_link`` and ``eve_link``).  ``surrogate_sop``,
-``surrogate_reliability_outage`` and their ``*_curve`` forms take the link
-itself, so a solver looks it up once per call and each outage does only
-the kernel's ufunc work; ``sop_approx`` and the other scenario forms look
-the link up and call them.
+``bob_link`` and ``eve_link``): ``sop_approx(eve, r_e)`` and
+``reliability_outage_approx(bob, n_a, r_b)`` at one rate, so a solver looks
+its link up once and each outage does only the kernel's ufunc work.  Their
+rate-array forms ``sop_approx_curve`` and ``reliability_outage_approx_curve``
+also return the analytic slope in the rate, infinite where it passes the
+double range; they are the one place the solvers take the surrogate's rate
+derivatives from.
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ __all__ = [
     "reliability_outage",
     "reliability_outage_approx",
     "reliability_outage_approx_curve",
-    "surrogate_sop",
-    "surrogate_sop_curve",
-    "surrogate_reliability_outage",
-    "surrogate_reliability_outage_curve",
     "est_adaptive",
     "est_fixed",
     "est_from_outages",
@@ -61,6 +57,11 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+
+#: Rates, in bits per channel use, lie in [0, RATE_LIMIT): 2**rate overflows
+#: a double from 1024 on.  Every outage, closed-form or Monte-Carlo, and the
+#: command line reject a rate outside it.
+RATE_LIMIT = 1024.0
 
 
 @dataclass(frozen=True)
@@ -110,16 +111,23 @@ def sop(scenario: ScenarioConfig, r_e):
     return 1.0 - channel.ggp_cdf(link.turb.alpha, link.beta_agg, link.pointing.xi, thr)
 
 
-def sop_approx(scenario: ScenarioConfig, r_e: float) -> float:
-    """Gamma-surrogate secrecy outage probability (optimizer surface):
-    :func:`surrogate_sop` on the eavesdropper's link."""
-    return surrogate_sop(eve_link(scenario), r_e)
+def sop_approx(eve: LinkParams, r_e: float) -> float:
+    """Gamma-surrogate secrecy outage at one rate on the eavesdropper's link
+    ``eve`` (the optimizer surface), equal to the matching element of
+    :func:`sop_approx_curve` to the bit."""
+    if not 0.0 <= r_e < RATE_LIMIT:
+        raise ValueError(f"rate must be non-negative and below {RATE_LIMIT:g}, got {r_e}")
+    return 1.0 - channel.ggp_cdf_approx(eve.surrogate, rate_threshold(r_e, eve.gain))
 
 
-def sop_approx_curve(scenario: ScenarioConfig, r_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sop_approx_curve(eve: LinkParams, r_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Surrogate secrecy outage and its slope in ``r_e`` on an array of
-    rates: :func:`surrogate_sop_curve` on the eavesdropper's link."""
-    return surrogate_sop_curve(eve_link(scenario), r_e)
+    rates on the eavesdropper's link ``eve``, in one call into the
+    surrogate kernel."""
+    r = _rates(r_e)
+    cdf, pdf = channel.surrogate_cdf_pdf(eve.surrogate, rate_threshold(r, eve.gain))
+    with np.errstate(over="ignore"):
+        return 1.0 - cdf, -pdf * _rate_slope(r, eve.gain)
 
 
 def reliability_outage(scenario: ScenarioConfig, r_b):
@@ -135,50 +143,18 @@ def reliability_outage(scenario: ScenarioConfig, r_b):
     return t if np.ndim(r_b) else float(t)
 
 
-def reliability_outage_approx(scenario: ScenarioConfig, r_b: float) -> float:
-    """Gamma-surrogate reliability outage (optimizer surface):
-    :func:`surrogate_reliability_outage` on the legitimate link."""
-    return surrogate_reliability_outage(bob_link(scenario), scenario.nodes.n_a, r_b)
-
-
-def reliability_outage_approx_curve(
-    scenario: ScenarioConfig, r_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Surrogate reliability outage and its slope in ``r_b`` on an array of
-    rates: :func:`surrogate_reliability_outage_curve` on the legitimate link."""
-    return surrogate_reliability_outage_curve(bob_link(scenario), scenario.nodes.n_a, r_b)
-
-
-def surrogate_sop(eve: LinkParams, r_e: float) -> float:
-    """Surrogate secrecy outage at one rate on the eavesdropper's link
-    ``eve``, equal to the matching element of :func:`surrogate_sop_curve`
-    to the bit."""
-    if r_e < 0.0:
-        raise ValueError(f"rate must be non-negative, got {r_e}")
-    return 1.0 - channel.surrogate_cdf(eve.surrogate, rate_threshold(r_e, eve.gain))
-
-
-def surrogate_sop_curve(eve: LinkParams, r_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Surrogate secrecy outage and its slope in ``r_e`` on an array of
-    rates on the eavesdropper's link ``eve``, in one call into the
-    surrogate kernel."""
-    r = _rates(r_e)
-    cdf, pdf = channel.surrogate_cdf_pdf(eve.surrogate, rate_threshold(r, eve.gain))
-    with np.errstate(over="ignore"):
-        return 1.0 - cdf, -pdf * _rate_slope(r, eve.gain)
-
-
-def surrogate_reliability_outage(bob: LinkParams, n_a: int, r_b: float) -> float:
-    """Surrogate reliability outage at one rate on the legitimate link
-    ``bob`` with ``n_a`` transmit beams, equal to the matching element of
-    :func:`surrogate_reliability_outage_curve` to the bit."""
-    if r_b < 0.0:
-        raise ValueError(f"rate must be non-negative, got {r_b}")
-    c1 = channel.surrogate_cdf(bob.surrogate, rate_threshold(r_b, bob.gain))
+def reliability_outage_approx(bob: LinkParams, n_a: int, r_b: float) -> float:
+    """Gamma-surrogate reliability outage at one rate on the legitimate link
+    ``bob`` with ``n_a`` transmit beams (the optimizer surface), equal to
+    the matching element of :func:`reliability_outage_approx_curve` to the
+    bit."""
+    if not 0.0 <= r_b < RATE_LIMIT:
+        raise ValueError(f"rate must be non-negative and below {RATE_LIMIT:g}, got {r_b}")
+    c1 = channel.ggp_cdf_approx(bob.surrogate, rate_threshold(r_b, bob.gain))
     return float(np.power(c1, n_a))
 
 
-def surrogate_reliability_outage_curve(
+def reliability_outage_approx_curve(
     bob: LinkParams, n_a: int, r_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Surrogate reliability outage and its slope in ``r_b`` on an array of
@@ -195,10 +171,11 @@ def surrogate_reliability_outage_curve(
 
 
 def _rates(rate) -> np.ndarray:
-    """``rate``, a float or an array, as a float array with no negative element."""
+    """``rate``, a float or an array, as a float array, each element in
+    [0, ``RATE_LIMIT``)."""
     r = np.asarray(rate, dtype=float)
-    if (r < 0.0).any():
-        raise ValueError(f"rates must be non-negative, got {rate}")
+    if not ((0.0 <= r) & (r < RATE_LIMIT)).all():
+        raise ValueError(f"rates must be non-negative and below {RATE_LIMIT:g}, got {rate}")
     return r
 
 
@@ -231,7 +208,7 @@ def est_adaptive(
     """
     if not 0.0 <= r_e <= c_b:
         raise ValueError(f"est_adaptive requires 0 <= r_e <= c_b, got ({c_b}, {r_e})")
-    s = sop_approx(scenario, r_e) if use_approx else sop(scenario, r_e)
+    s = sop_approx(eve_link(scenario), r_e) if use_approx else sop(scenario, r_e)
     return est_from_outages(c_b - r_e, 0.0, s, constraint)
 
 
@@ -244,8 +221,8 @@ def est_fixed(
 ) -> EstReport:
     """Throughput of the fixed-rate scheme at the given rate pair."""
     if use_approx:
-        t = reliability_outage_approx(scenario, rates.r_b)
-        s = sop_approx(scenario, rates.r_e)
+        t = reliability_outage_approx(bob_link(scenario), scenario.nodes.n_a, rates.r_b)
+        s = sop_approx(eve_link(scenario), rates.r_e)
     else:
         t = reliability_outage(scenario, rates.r_b)
         s = sop(scenario, rates.r_e)

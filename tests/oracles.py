@@ -106,13 +106,13 @@ def mp_lambert_w(x: float, branch: int = 0) -> float:
 
 def _eve_rate_scale(sc) -> float:
     link = channel.eve_link(sc)
-    return sc.nodes.gamma0 * link.pointing.a0 * sc.nodes.n_e * link.ga.theta_ap
+    return sc.nodes.gamma0 * link.pointing.a0 * sc.nodes.n_e * link.surrogate.theta
 
 
 def bob_rate_scale(sc) -> float:
     """mu: Bob's gamma-surrogate argument is (2**rate - 1) / mu."""
     link = channel.bob_link(sc)
-    return sc.nodes.gamma0 * link.pointing.a0 * sc.nodes.n_b * link.ga.theta_ap
+    return sc.nodes.gamma0 * link.pointing.a0 * sc.nodes.n_b * link.surrogate.theta
 
 
 def adaptive_stationarity_map(sc, c_b: float, r: float) -> float:
@@ -123,7 +123,7 @@ def adaptive_stationarity_map(sc, c_b: float, r: float) -> float:
     Needs pointing loss (sigma_s > 0).  The incomplete gammas are mpmath's.
     """
     link = channel.eve_link(sc)
-    k = link.ga.k_ap
+    k = link.surrogate.k
     scale = _eve_rate_scale(sc)
     we2 = link.pointing.omega_e**2
     sig2 = sc.sigma_s**2
@@ -149,7 +149,7 @@ def lambert_w_argument(sc, r_e: float, r_b: float) -> float:
     ``r_b == log2(-mu * W_{-1}(lambert_w_argument(sc, r_e, r_b)))``, where
     mu is :func:`bob_rate_scale`.  The incomplete gamma is mpmath's.
     """
-    k = channel.bob_link(sc).ga.k_ap
+    k = channel.bob_link(sc).surrogate.k
     mu = bob_rate_scale(sc)
     n_a = sc.nodes.n_a
     with mp.workdps(40):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import oracles
 from fso_secrecy import channel
 from fso_secrecy.channel import (
-    GammaApprox,
     GeometryConfig,
     NodeConfig,
     PointingParams,
@@ -66,12 +65,12 @@ def test_pointing_free_sentinel(pointing_free):
 
 
 def test_default_gamma_surrogates(baseline):
-    gae = eve_link(baseline).ga
-    gab = bob_link(baseline).ga
-    assert gae.k_ap == pytest.approx(3.731788945316813, rel=1e-14, abs=0)
-    assert gae.theta_ap == pytest.approx(0.2599289547757774, rel=1e-14, abs=0)
-    assert gab.k_ap == pytest.approx(2.6831211203947607, rel=1e-14, abs=0)
-    assert gab.theta_ap == pytest.approx(0.3615192741866556, rel=1e-14, abs=0)
+    gae = eve_link(baseline).surrogate
+    gab = bob_link(baseline).surrogate
+    assert gae.k == pytest.approx(3.731788945316813, rel=1e-14, abs=0)
+    assert gae.theta == pytest.approx(0.2599289547757774, rel=1e-14, abs=0)
+    assert gab.k == pytest.approx(2.6831211203947607, rel=1e-14, abs=0)
+    assert gab.theta == pytest.approx(0.3615192741866556, rel=1e-14, abs=0)
 
 
 def test_aggregated_small_scale_shape(baseline):
@@ -184,10 +183,8 @@ def test_pointing_params_field_invariants():
 
 
 def test_gamma_approx_mean_identity_default(baseline):
-    ga = eve_link(baseline).ga
-    assert ga.k_ap * ga.theta_ap == pytest.approx(0.97, rel=1e-15, abs=0)
-    assert ga.omega_adj == 0.97
-    assert ga.epsilon == 0.0
+    ga = eve_link(baseline).surrogate
+    assert ga.k * ga.theta == pytest.approx(0.97, rel=1e-15, abs=0)
 
 
 @given(
@@ -198,28 +195,28 @@ def test_gamma_approx_mean_identity_default(baseline):
 @settings(max_examples=200, deadline=None)
 def test_gamma_approx_mean_identity_random(alpha, beta, omega):
     turb = channel.TurbulenceParams(alpha=alpha, beta_single=beta, rytov_var=0.3)
-    ga = gamma_approx(turb, 1, 0.0, omega)
-    assert ga.k_ap * ga.theta_ap == pytest.approx(omega, rel=1e-12, abs=0)
+    ga = gamma_approx(turb, 1, 0.0, omega, math.inf)
+    assert ga.k * ga.theta == pytest.approx(omega, rel=1e-12, abs=0)
 
 
 def test_gamma_approx_deterministic_limit():
     turb = channel.TurbulenceParams(alpha=1e12, beta_single=1e12, rytov_var=0.3)
-    ga = gamma_approx(turb, 1, 0.0, 1.0)
-    assert ga.k_ap > 1e10
-    assert ga.theta_ap < 1e-10
-    assert ga.k_ap * ga.theta_ap == pytest.approx(1.0, rel=1e-12)
+    ga = gamma_approx(turb, 1, 0.0, 1.0, math.inf)
+    assert ga.k > 1e10
+    assert ga.theta < 1e-10
+    assert ga.k * ga.theta == pytest.approx(1.0, rel=1e-12)
 
 
 def test_gamma_approx_bracket_error():
     turb = channel.TurbulenceParams(alpha=10.0, beta_single=10.0, rytov_var=0.3)
     with pytest.raises(ValueError, match="bracket"):
-        gamma_approx(turb, 1, 0.5, 0.97)
+        gamma_approx(turb, 1, 0.5, 0.97, math.inf)
     with pytest.raises(ValueError):
-        gamma_approx(turb, 1, -0.1, 0.97)
+        gamma_approx(turb, 1, -0.1, 0.97, math.inf)
     with pytest.raises(ValueError):
-        gamma_approx(turb, 1, 0.0, 0.0)
+        gamma_approx(turb, 1, 0.0, 0.0, math.inf)
     with pytest.raises(ValueError):
-        GammaApprox(k_ap=0.0, theta_ap=1.0, epsilon=0.0, omega_adj=1.0)
+        channel.Surrogate(k=0.0, theta=1.0, xi2=None, log_ratio=None)
 
 
 # ---------------------------------------------------------------------------
@@ -579,56 +576,57 @@ def test_ggp_cdf_approx_frozen_values(baseline):
         1.0: 0.9510241386874951,
     }
     for x, want in table.items():
-        assert ggp_cdf_approx(le.ga, le.pointing.xi, x) == pytest.approx(want, rel=1e-10)
+        assert ggp_cdf_approx(le.surrogate, x) == pytest.approx(want, rel=1e-10)
 
 
 def test_ggp_cdf_approx_boundaries(baseline):
     le = eve_link(baseline)
-    assert ggp_cdf_approx(le.ga, le.pointing.xi, 0.0) == 0.0
+    assert ggp_cdf_approx(le.surrogate, 0.0) == 0.0
     # far in the upper tail P(k, t) rounds to one and the pointing term
     # underflows to zero, so the CDF is exactly one
-    assert ggp_cdf_approx(le.ga, le.pointing.xi, 200.0) == 1.0
+    assert ggp_cdf_approx(le.surrogate, 200.0) == 1.0
 
 
 def test_ggp_cdf_approx_matches_surrogate_mixture(baseline):
     le = eve_link(baseline)
     for x in (0.1, 0.4, 1.0):
-        got = ggp_cdf_approx(le.ga, le.pointing.xi, x)
-        want = oracles.surrogate_cdf_mixture(le.ga.k_ap, le.ga.theta_ap, le.pointing.xi, x)
+        got = ggp_cdf_approx(le.surrogate, x)
+        want = oracles.surrogate_cdf_mixture(le.surrogate.k, le.surrogate.theta, le.pointing.xi, x)
         assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_ggp_cdf_approx_pointing_free_is_gamma_cdf(baseline):
     from scipy import special as sp
 
-    ga = eve_link(baseline).ga
+    le = eve_link(baseline)
+    ga = gamma_approx(le.turb, le.n_rx, baseline.epsilon, baseline.omega_adj, math.inf)
     for x in (0.2, 0.8, 2.0):
-        want = float(sp.gammainc(ga.k_ap, x / ga.theta_ap))
-        assert ggp_cdf_approx(ga, math.inf, x) == pytest.approx(want, rel=1e-14, abs=0)
+        want = float(sp.gammainc(ga.k, x / ga.theta))
+        assert ggp_cdf_approx(ga, x) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_ggp_cdf_approx_within_two_percent_of_exact(baseline):
     le = eve_link(baseline)
     a, b, xi = le.turb.alpha, le.beta_agg, le.pointing.xi
     for x in np.linspace(0.02, 3.0, 60):
-        gap = abs(ggp_cdf_approx(le.ga, xi, float(x)) - ggp_cdf(a, b, xi, float(x)))
+        gap = abs(ggp_cdf_approx(le.surrogate, float(x)) - ggp_cdf(a, b, xi, float(x)))
         assert gap <= 0.02
 
 
 def test_ggp_cdf_approx_monotone_and_bounded(baseline):
     le = eve_link(baseline)
     xs = np.linspace(0.0, 8.0, 200)
-    vals = [ggp_cdf_approx(le.ga, le.pointing.xi, float(x)) for x in xs]
+    vals = [ggp_cdf_approx(le.surrogate, float(x)) for x in xs]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(hi >= lo - 1e-12 for lo, hi in zip(vals, vals[1:]))
 
 
 def test_ggp_cdf_approx_domain_errors(baseline):
-    ga = eve_link(baseline).ga
+    le = eve_link(baseline)
     with pytest.raises(ValueError):
-        ggp_cdf_approx(ga, 0.6, -0.5)
+        ggp_cdf_approx(le.surrogate, -0.5)
     with pytest.raises(ValueError):
-        ggp_cdf_approx(ga, -0.6, 0.5)
+        gamma_approx(le.turb, le.n_rx, baseline.epsilon, baseline.omega_adj, -0.6)
 
 
 # ---------------------------------------------------------------------------
@@ -638,16 +636,16 @@ def test_ggp_cdf_approx_domain_errors(baseline):
 
 def test_cdf_kernels_match_sampled_quantiles(baseline):
     le = eve_link(baseline)
-    a, b, xi, ga = le.turb.alpha, le.beta_agg, le.pointing.xi, le.ga
+    a, b, xi, ga = le.turb.alpha, le.beta_agg, le.pointing.xi, le.surrogate
     n = 1_000_000
     rng = np.random.default_rng(np.random.Philox(20260814))
     turb = rng.gamma(a, 1.0 / a, n) * rng.gamma(b, 1.0 / b, n)
     frac = rng.random(n) ** (1.0 / (xi * xi))
-    surrogate = rng.gamma(ga.k_ap, ga.theta_ap, n) * frac
+    surrogate = rng.gamma(ga.k, ga.theta, n) * frac
     cases = [
         (turb, lambda x: gg_cdf(a, b, x)),
         (turb * frac, lambda x: ggp_cdf(a, b, xi, x)),
-        (surrogate, lambda x: ggp_cdf_approx(ga, xi, x)),
+        (surrogate, lambda x: ggp_cdf_approx(ga, x)),
     ]
     for draws, cdf in cases:
         for q in np.linspace(0.04, 0.96, 20):
@@ -667,4 +665,4 @@ def test_kernels_are_pure(baseline):
     a, b, xi = le.turb.alpha, le.beta_agg, le.pointing.xi
     assert gg_cdf(a, b, 0.77) == gg_cdf(a, b, 0.77)
     assert ggp_cdf(a, b, xi, 0.77) == ggp_cdf(a, b, xi, 0.77)
-    assert ggp_cdf_approx(le.ga, xi, 0.77) == ggp_cdf_approx(le.ga, xi, 0.77)
+    assert ggp_cdf_approx(le.surrogate, 0.77) == ggp_cdf_approx(le.surrogate, 0.77)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from fso_secrecy import cli, montecarlo, optimize, secrecy
+from fso_secrecy.channel import eve_link
 from fso_secrecy.cli import ConfigError, scenario_from_dict
 from fso_secrecy.secrecy import RatePair, SecrecyConstraint
 
@@ -421,7 +422,7 @@ def _ceiling_rows_one_by_one(sc, scheme, ceilings, c_b, sim=None):
             mc_rates = None if scheme == "adaptive" else opt.rates
             est = montecarlo.estimate_est(sc, mc_rates, scheme, s_th, sim)
             est_mc, ci = cli._fmt(est.mean), cli._fmt(est.ci_halfwidth)
-        met = secrecy.sop_approx(sc, opt.rates.r_e) <= s_th + 1e-6 or opt.est == 0.0
+        met = secrecy.sop_approx(eve_link(sc), opt.rates.r_e) <= s_th + 1e-6 or opt.est == 0.0
         cells = [opt.est, est_mc, ci, secrecy.sop(sc, opt.rates.r_e), rel]
         cells = [c if isinstance(c, str) else cli._fmt(c) for c in cells]
         lines.append(",".join(["s_th", cli._fmt(s_th), "", *cells, "true" if met else "false"]))
@@ -450,7 +451,7 @@ def test_sweep_ceiling_axis_solves_once_and_asks_each_outage_once(
         monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or real(*a, **k))
 
     counted(optimize, "fixed_unconstrained_pair")
-    counted(optimize, "_adaptive_unconstrained")
+    counted(optimize, "adaptive_unconstrained_re")
     for name in ("sop", "reliability_outage", "sop_approx_curve"):
         counted(secrecy, name)
     code, text = run_cli(tmp_path, "sweep", *CEILING_AXIS, "--scheme", scheme)
@@ -460,7 +461,7 @@ def test_sweep_ceiling_axis_solves_once_and_asks_each_outage_once(
     if scheme == "fixed":
         want = ["fixed_unconstrained_pair", "reliability_outage", "sop", "sop_approx_curve"]
     else:
-        want = ["_adaptive_unconstrained", "sop", "sop_approx_curve"]
+        want = ["adaptive_unconstrained_re", "sop", "sop_approx_curve"]
     assert sorted(calls) == want
     monkeypatch.undo()
     assert text == _ceiling_rows_one_by_one(baseline, scheme, _ceiling_values(), 4.0)

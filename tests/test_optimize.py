@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fso_secrecy import channel, montecarlo, optimize, secrecy, specfun
-from fso_secrecy.channel import baseline_scenario
+from fso_secrecy.channel import baseline_scenario, bob_link, eve_link
 from fso_secrecy.optimize import (
     Optimum,
     SolverOptions,
@@ -58,11 +58,12 @@ CONSTRAINED_RB_TABLE = {
 
 
 def _psi_adaptive(sc, c_b, r):
-    return (c_b - r) * (1.0 - sop_approx(sc, r))
+    return (c_b - r) * (1.0 - sop_approx(eve_link(sc), r))
 
 
 def _psi_fixed(sc, r_e, r_b):
-    return (r_b - r_e) * (1.0 - reliability_outage_approx(sc, r_b)) * (1.0 - sop_approx(sc, r_e))
+    t = reliability_outage_approx(bob_link(sc), sc.nodes.n_a, r_b)
+    return (r_b - r_e) * (1.0 - t) * (1.0 - sop_approx(eve_link(sc), r_e))
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +94,7 @@ def test_re_threshold_frozen_values(baseline):
 def test_re_threshold_inversion_identity(baseline):
     for s_th in (0.2, 0.4, 0.6):
         r = re_threshold(baseline, s_th)
-        s = sop_approx(baseline, r)
+        s = sop_approx(eve_link(baseline), r)
         assert s == pytest.approx(s_th, abs=1e-6)
         # the returned rate sits on the feasible side of the ceiling
         assert s <= s_th + 1e-6
@@ -104,7 +105,7 @@ def test_re_threshold_matches_bisection_oracle(baseline):
     lo, hi = 0.0, 10.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if sop_approx(baseline, mid) > s_th:
+        if sop_approx(eve_link(baseline), mid) > s_th:
             lo = mid
         else:
             hi = mid
@@ -119,13 +120,13 @@ def test_re_threshold_decreasing_in_ceiling(baseline):
 def test_re_threshold_pointing_free(pointing_free):
     r = re_threshold(pointing_free, 0.3)
     assert r == pytest.approx(4.924434230498147, rel=1e-9)
-    assert sop_approx(pointing_free, r) == pytest.approx(0.3, abs=1e-6)
+    assert sop_approx(eve_link(pointing_free), r) == pytest.approx(0.3, abs=1e-6)
 
 
 def _is_tight_threshold(sc, s_th):
     # The outage meets the ceiling at r and misses it 1e-12 below r.
     r = re_threshold(sc, s_th)
-    return sop_approx(sc, r) <= s_th < sop_approx(sc, r * (1.0 - 1e-12))
+    return sop_approx(eve_link(sc), r) <= s_th < sop_approx(eve_link(sc), r * (1.0 - 1e-12))
 
 
 def test_re_threshold_is_the_feasible_end_of_the_root(baseline):
@@ -177,7 +178,7 @@ def _log_bisection_root(sc, s_th):
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         x = math.expm1(math.exp(mid) * math.log(2.0)) / gain
-        if 1.0 - channel.ggp_cdf_approx(link.ga, link.pointing.xi, x) <= s_th:
+        if 1.0 - channel.ggp_cdf_approx(link.surrogate, x) <= s_th:
             hi = mid
         else:
             lo = mid
@@ -209,20 +210,20 @@ def test_adaptive_unconstrained_frozen_values(baseline):
         6.0: 2.757198465020659,
     }
     for c_b, want in table.items():
-        assert adaptive_unconstrained_re(baseline, c_b) == pytest.approx(want, rel=1e-9)
+        assert adaptive_unconstrained_re(baseline, c_b)[0] == pytest.approx(want, rel=1e-9)
 
 
 def test_adaptive_unconstrained_is_stationary(baseline):
     h = 1e-5
     for c_b in (2.0, 4.0, 6.0):
-        r = adaptive_unconstrained_re(baseline, c_b)
+        r = adaptive_unconstrained_re(baseline, c_b)[0]
         d1 = (_psi_adaptive(baseline, c_b, r + h) - _psi_adaptive(baseline, c_b, r - h)) / (2 * h)
         assert abs(d1) <= 5e-6
 
 
 def test_adaptive_unconstrained_dominates_grid(baseline):
     c_b = 4.0
-    r_star = adaptive_unconstrained_re(baseline, c_b)
+    r_star = adaptive_unconstrained_re(baseline, c_b)[0]
     best = max(_psi_adaptive(baseline, c_b, float(r)) for r in np.linspace(1e-4, c_b, 1000))
     assert _psi_adaptive(baseline, c_b, r_star) >= best - 1e-9
 
@@ -258,7 +259,7 @@ def test_adaptive_optimal_infeasible_capacity(baseline):
 
 def test_adaptive_optimal_max_rule(baseline):
     c_b = 4.0
-    re_u = adaptive_unconstrained_re(baseline, c_b)
+    re_u = adaptive_unconstrained_re(baseline, c_b)[0]
     for s_th in (1.0, 0.8, 0.6, 0.4, 0.2):
         o = adaptive_optimal(baseline, c_b, s_th)
         want = max(re_u, re_threshold(baseline, s_th))
@@ -271,7 +272,7 @@ def test_adaptive_optimal_respects_ceiling(baseline):
         for c_b in (4.0, 6.0):
             o = adaptive_optimal(baseline, c_b, s_th)
             if o.est > 0.0:
-                assert sop_approx(baseline, o.rates.r_e) <= s_th + 1e-6
+                assert sop_approx(eve_link(baseline), o.rates.r_e) <= s_th + 1e-6
 
 
 def test_adaptive_optimal_est_self_consistent(baseline):
@@ -384,7 +385,8 @@ def test_fixed_pair_scan_passes_the_saturated_reliability_cell(baseline, monkeyp
     # so the redundancy update (1 - T) / T' is 0/0 there.  The scan's root in
     # that cell must be no candidate, and no RuntimeWarning may escape (the
     # suite turns them into errors).
-    assert reliability_outage_approx_curve(baseline, 11.76) == (1.0, 0.0)
+    bob, n_a = bob_link(baseline), baseline.nodes.n_a
+    assert reliability_outage_approx_curve(bob, n_a, 11.76) == (1.0, 0.0)
     checked = []
     stationary = optimize._is_interior_stationary
 
@@ -401,17 +403,18 @@ def test_fixed_pair_scan_passes_the_saturated_reliability_cell(baseline, monkeyp
 
 def test_fixed_constrained_rb_frozen(baseline):
     for s_th, want in CONSTRAINED_RB_TABLE.items():
-        rb = fixed_constrained_rb(baseline, RE_THRESHOLD_TABLE[s_th])
+        rb = fixed_constrained_rb(baseline, RE_THRESHOLD_TABLE[s_th])[0]
         assert rb == pytest.approx(want, rel=1e-9)
 
 
 def test_fixed_constrained_rb_is_stationary(baseline):
     r_e = RE_THRESHOLD_TABLE[0.3]
-    rb = fixed_constrained_rb(baseline, r_e)
+    rb = fixed_constrained_rb(baseline, r_e)[0]
     h = 1e-5
 
     def profile(r):
-        return (r - r_e) * (1.0 - reliability_outage_approx(baseline, r))
+        t = reliability_outage_approx(bob_link(baseline), baseline.nodes.n_a, r)
+        return (r - r_e) * (1.0 - t)
 
     d1 = (profile(rb + h) - profile(rb - h)) / (2 * h)
     assert abs(d1) <= 1e-5
@@ -427,9 +430,10 @@ def test_fixed_constrained_rb_single_beam_path():
     # one-dimensional oracle on the same objective
     sc = baseline_scenario(n_a=1)
     r_e = 2.0
-    rb = fixed_constrained_rb(sc, r_e)
+    rb = fixed_constrained_rb(sc, r_e)[0]
+    bob, n_a = bob_link(sc), sc.nodes.n_a
     oracle = grid_refine_maximize(
-        lambda r: (r - r_e) * (1.0 - reliability_outage_approx(sc, r)) if r > r_e else 0.0,
+        lambda r: (r - r_e) * (1.0 - reliability_outage_approx(bob, n_a, r)) if r > r_e else 0.0,
         (r_e, r_e + 5.0),
     )
     assert rb == pytest.approx(oracle.rates.r_e, abs=1e-4)
@@ -472,7 +476,7 @@ def test_fixed_optimal_labels_the_constrained_grid_fallback():
     assert o.constraint_active
     assert o.rates.r_e == re_threshold(sc, 0.52)
     assert o.rates.r_e == pytest.approx(3.678, abs=1e-3)
-    assert o.rates.r_b == fixed_constrained_rb(sc, o.rates.r_e)
+    assert o.rates.r_b == fixed_constrained_rb(sc, o.rates.r_e)[0]
     assert o.est == 0.0
 
 
@@ -486,7 +490,7 @@ def test_fixed_optimal_est_self_consistent(baseline):
 def test_fixed_optimal_respects_ceiling(baseline):
     for s_th in (0.5, 0.3, 0.1):
         o = fixed_optimal(baseline, s_th)
-        assert sop_approx(baseline, o.rates.r_e) <= s_th + 1e-6
+        assert sop_approx(eve_link(baseline), o.rates.r_e) <= s_th + 1e-6
 
 
 def test_fixed_optimal_monotone_in_ceiling(baseline):
@@ -543,7 +547,7 @@ def test_ceiling_sequence_equals_the_float_calls_to_the_bit(overrides, solve):
 
 def test_ceiling_sequence_solves_the_unconstrained_problem_once(baseline, monkeypatch):
     calls = []
-    for name in ("fixed_unconstrained_pair", "_adaptive_unconstrained", "re_threshold"):
+    for name in ("fixed_unconstrained_pair", "adaptive_unconstrained_re", "re_threshold"):
         real = getattr(optimize, name)
         monkeypatch.setattr(
             optimize, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
@@ -551,7 +555,7 @@ def test_ceiling_sequence_solves_the_unconstrained_problem_once(baseline, monkey
     assert len(fixed_optimal(baseline, SEQUENCE_CEILINGS)) == len(SEQUENCE_CEILINGS)
     assert len(adaptive_optimal(baseline, 4.0, np.array(SEQUENCE_CEILINGS))) == 7
     assert calls.count("fixed_unconstrained_pair") == 1
-    assert calls.count("_adaptive_unconstrained") == 1
+    assert calls.count("adaptive_unconstrained_re") == 1
     # s_th = 1 short-cuts the fixed solver; the adaptive one asks every ceiling
     assert calls.count("re_threshold") == 6 + 7
     assert fixed_optimal(baseline, []) == []
@@ -587,7 +591,7 @@ def test_adaptive_optimum_is_a_fixed_point_of_the_paper_map(overrides):
     # must hold at the root it returns.
     sc = baseline_scenario(**overrides)
     for c_b in (2.0, 4.0, 6.0):
-        r_e = adaptive_unconstrained_re(sc, c_b)
+        r_e = adaptive_unconstrained_re(sc, c_b)[0]
         assert abs(oracles.adaptive_stationarity_map(sc, c_b, r_e) - r_e) <= 1e-7
 
 
@@ -644,7 +648,7 @@ def test_solvers_return_feasible_optima_or_raise(
         assert 0.0 <= o.rates.r_e <= o.rates.r_b
         assert o.est >= 0.0
         if o.est > 0.0:
-            assert sop_approx(sc, o.rates.r_e) <= s_th + 1e-6
+            assert sop_approx(eve_link(sc), o.rates.r_e) <= s_th + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -653,9 +657,9 @@ def test_solvers_return_feasible_optima_or_raise(
 
 # The three stationarity residuals the solvers scan, by qualified name.
 RESIDUALS = {
-    "_adaptive_unconstrained.<locals>.slope",
+    "adaptive_unconstrained_re.<locals>.slope",
     "fixed_unconstrained_pair.<locals>.resid",
-    "_fixed_constrained.<locals>.resid",
+    "fixed_constrained_rb.<locals>.resid",
 }
 
 
@@ -818,7 +822,7 @@ def test_fixed_grid_oracle_all_gated_surface_returns_first_cell(baseline):
     # A ceiling below the outage at every grid r_e gates every cell to zero;
     # the tie goes to the first grid index, (r_e, r_b) = (0, 1e-3).
     hi = 6.0
-    s_th = 0.5 * sop_approx(baseline, hi)
+    s_th = 0.5 * sop_approx(eve_link(baseline), hi)
     o = _oracles_agree(baseline, s_th, hi)
     assert (o.rates.r_e, o.rates.r_b, o.est) == (0.0, 1e-3, 0.0)
 
@@ -831,7 +835,7 @@ def test_fixed_grid_oracle_polish_makes_one_kernel_call_per_step(monkeypatch):
     sc = baseline_scenario(n_a=2, n_b=2, n_e=2)
     hi = fixed_optimal(sc, 0.4).rates.r_b + 3.0
     calls = []
-    for name in ("surrogate_sop", "surrogate_reliability_outage"):
+    for name in ("sop_approx", "reliability_outage_approx"):
         kernel = getattr(optimize, name)
 
         def counted(*args, _kernel=kernel):
@@ -899,7 +903,7 @@ def test_redundancy_table_rows_are_stationary(scenario, request):
     rows = [i for i in range(128, len(rs), 128) if caps[i] < 100.0]
     assert len(rows) >= 10
     for i in rows:
-        assert adaptive_unconstrained_re(sc, float(caps[i])) == pytest.approx(rs[i], abs=1e-8)
+        assert adaptive_unconstrained_re(sc, float(caps[i]))[0] == pytest.approx(rs[i], abs=1e-8)
 
 
 def test_grid_oracle_recovers_quadratic_maximum():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fso_secrecy import channel, montecarlo, secrecy
-from fso_secrecy.channel import baseline_scenario
+from fso_secrecy.channel import baseline_scenario, bob_link, eve_link
 from fso_secrecy.secrecy import (
     EstReport,
     RatePair,
@@ -93,20 +93,20 @@ def test_sop_pointing_free_uses_turbulence_kernel(pointing_free):
 
 
 def test_sop_approx_boundaries_and_monotone(baseline):
-    assert sop_approx(baseline, 0.0) == 1.0
+    assert sop_approx(eve_link(baseline), 0.0) == 1.0
     grid = np.linspace(0.0, 6.0, 100)
-    vals = [sop_approx(baseline, float(r)) for r in grid]
+    vals = [sop_approx(eve_link(baseline), float(r)) for r in grid]
     assert all(hi < lo + 1e-12 for lo, hi in zip(vals, vals[1:]))
 
 
 def test_sop_approx_frozen_values(baseline):
-    assert sop_approx(baseline, 0.5) == pytest.approx(0.7809868927504382, rel=1e-10)
-    assert sop_approx(baseline, 2.0) == pytest.approx(0.5250331356993307, rel=1e-10)
+    assert sop_approx(eve_link(baseline), 0.5) == pytest.approx(0.7809868927504382, rel=1e-10)
+    assert sop_approx(eve_link(baseline), 2.0) == pytest.approx(0.5250331356993307, rel=1e-10)
 
 
 def test_sop_approx_within_two_percent(baseline):
     for r_e in np.linspace(0.1, 6.0, 40):
-        assert abs(sop_approx(baseline, float(r_e)) - sop(baseline, float(r_e))) <= 0.02
+        assert abs(sop_approx(eve_link(baseline), float(r_e)) - sop(baseline, float(r_e))) <= 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ def test_reliability_outage_frozen_values():
 
 def test_reliability_outage_boundary(baseline):
     assert reliability_outage(baseline, 0.0) == 0.0
-    assert reliability_outage_approx(baseline, 0.0) == 0.0
+    assert reliability_outage_approx(bob_link(baseline), baseline.nodes.n_a, 0.0) == 0.0
 
 
 def test_selection_squares_single_beam_outage():
@@ -133,8 +133,8 @@ def test_selection_squares_single_beam_outage():
     for r_b in (1.5, 2.5, 3.5):
         p1 = reliability_outage(one, r_b)
         assert abs(reliability_outage(two, r_b) - p1 * p1) <= 1e-10
-        q1 = reliability_outage_approx(one, r_b)
-        assert abs(reliability_outage_approx(two, r_b) - q1 * q1) <= 1e-10
+        q1 = reliability_outage_approx(bob_link(one), one.nodes.n_a, r_b)
+        assert abs(reliability_outage_approx(bob_link(two), two.nodes.n_a, r_b) - q1 * q1) <= 1e-10
 
 
 def test_reliability_outage_strictly_increasing(baseline):
@@ -174,7 +174,8 @@ def test_reliability_outage_approx_tracks_exact(baseline):
     # no formal error bound is claimed for the legitimate link's surrogate;
     # it only has to be close enough to steer the optimizer
     for r_b in (2.0, 3.0, 4.0):
-        gap = abs(reliability_outage_approx(baseline, r_b) - reliability_outage(baseline, r_b))
+        t = reliability_outage_approx(bob_link(baseline), baseline.nodes.n_a, r_b)
+        gap = abs(t - reliability_outage(baseline, r_b))
         assert gap <= 0.05
 
 
@@ -190,12 +191,13 @@ SURROGATE_SIGMAS = [0.0, 0.5, 2.0]
 @pytest.mark.parametrize("sigma_s", SURROGATE_SIGMAS)
 def test_surrogate_outage_arrays_equal_scalar_calls_to_the_bit(sigma_s):
     sc = baseline_scenario(sigma_s=sigma_s)
+    eve, bob, n_a = eve_link(sc), bob_link(sc), sc.nodes.n_a
     rates = np.concatenate([[0.0], np.linspace(1e-4, 8.0, 240)])
-    s, _ = sop_approx_curve(sc, rates)
-    t = reliability_outage_approx_curve(sc, rates)[0]
+    s, _ = sop_approx_curve(eve, rates)
+    t = reliability_outage_approx_curve(bob, n_a, rates)[0]
     for i, r in enumerate(rates):
-        assert sop_approx(sc, float(r)).hex() == float(s[i]).hex()
-        assert reliability_outage_approx(sc, float(r)).hex() == float(t[i]).hex()
+        assert sop_approx(eve, float(r)).hex() == float(s[i]).hex()
+        assert reliability_outage_approx(bob, n_a, float(r)).hex() == float(t[i]).hex()
 
 
 # sigma_s 0.3 puts xi**2 = 17.4 past k_ap - 10 at every n, so the pointing
@@ -207,12 +209,11 @@ def test_bound_surrogate_kernel_equals_the_curve_elements_to_the_bit(sigma_s, n)
     sc = baseline_scenario(sigma_s=sigma_s, n_a=n, n_b=n, n_e=n)
     eve, bob = channel.eve_link(sc), channel.bob_link(sc)
     rates = [0.0, 1e-17, 1e-3, 0.3, 1.0, 2.5, 4.0, 8.0, 20.0]
-    s = sop_approx_curve(sc, np.array(rates))[0]
-    t = reliability_outage_approx_curve(sc, np.array(rates))[0]
+    s = sop_approx_curve(eve, np.array(rates))[0]
+    t = reliability_outage_approx_curve(bob, n, np.array(rates))[0]
     for i, r in enumerate(rates):
-        assert sop_approx(sc, r) == secrecy.surrogate_sop(eve, r) == s[i]
-        assert reliability_outage_approx(sc, r) == t[i]
-        assert secrecy.surrogate_reliability_outage(bob, n, r) == t[i]
+        assert sop_approx(eve, r) == s[i]
+        assert reliability_outage_approx(bob, n, r) == t[i]
 
 
 def test_bound_surrogate_kernel_equals_the_curve_where_the_slope_overflows():
@@ -220,12 +221,12 @@ def test_bound_surrogate_kernel_equals_the_curve_where_the_slope_overflows():
     # range and reads -inf; the outage is still a plain float.
     sc = baseline_scenario(gamma0=1e-300)
     rates = [0.0, 1e-320, 1e-310, 1e-300, 1e-17, 1.0]
-    s, ds = sop_approx_curve(sc, np.array(rates))
-    t = reliability_outage_approx_curve(sc, np.array(rates))[0]
+    s, ds = sop_approx_curve(eve_link(sc), np.array(rates))
+    t = reliability_outage_approx_curve(bob_link(sc), sc.nodes.n_a, np.array(rates))[0]
     assert ds[1] == -math.inf
     for i, r in enumerate(rates):
-        assert sop_approx(sc, r) == s[i]
-        assert reliability_outage_approx(sc, r) == t[i]
+        assert sop_approx(eve_link(sc), r) == s[i]
+        assert reliability_outage_approx(bob_link(sc), sc.nodes.n_a, r) == t[i]
 
 
 def test_clamp_counter_counts_a_scalar_call_as_a_one_element_array():
@@ -235,9 +236,9 @@ def test_clamp_counter_counts_a_scalar_call_as_a_one_element_array():
     over = dataclasses.replace(link.surrogate, log_ratio=link.surrogate.log_ratio + 5.0)
     link = dataclasses.replace(link, surrogate=over)
     channel.reset_clamp_events()
-    assert secrecy.surrogate_sop(link, 1.0) == 0.0
+    assert sop_approx(link, 1.0) == 0.0
     assert channel.clamp_event_count() == 1
-    assert secrecy.surrogate_sop_curve(link, np.array([1.0]))[0].tolist() == [0.0]
+    assert sop_approx_curve(link, np.array([1.0]))[0].tolist() == [0.0]
     assert channel.clamp_event_count() == 2
     channel.reset_clamp_events()
 
@@ -247,8 +248,9 @@ def test_sop_approx_slope_matches_central_differences(sigma_s):
     sc = baseline_scenario(sigma_s=sigma_s, n_e=2)
     rates = np.linspace(0.2, 6.0, 30)
     h = 1e-5
-    _, slope = sop_approx_curve(sc, rates)
-    diff = (sop_approx_curve(sc, rates + h)[0] - sop_approx_curve(sc, rates - h)[0]) / (2.0 * h)
+    eve = eve_link(sc)
+    _, slope = sop_approx_curve(eve, rates)
+    diff = (sop_approx_curve(eve, rates + h)[0] - sop_approx_curve(eve, rates - h)[0]) / (2.0 * h)
     assert np.allclose(slope, diff, rtol=1e-6, atol=1e-9)
     assert np.all(slope < 0.0)
 
@@ -259,10 +261,10 @@ def test_reliability_outage_approx_slope_matches_central_differences(sigma_s, n_
     sc = baseline_scenario(sigma_s=sigma_s, n_a=n_a)
     rates = np.linspace(0.2, 6.0, 30)
     h = 1e-5
-    _, slope = reliability_outage_approx_curve(sc, rates)
+    _, slope = reliability_outage_approx_curve(bob_link(sc), sc.nodes.n_a, rates)
     diff = (
-        reliability_outage_approx_curve(sc, rates + h)[0]
-        - reliability_outage_approx_curve(sc, rates - h)[0]
+        reliability_outage_approx_curve(bob_link(sc), sc.nodes.n_a, rates + h)[0]
+        - reliability_outage_approx_curve(bob_link(sc), sc.nodes.n_a, rates - h)[0]
     ) / (2.0 * h)
     assert np.allclose(slope, diff, rtol=1e-6, atol=1e-9)
     assert np.all(slope > 0.0)
@@ -282,9 +284,10 @@ def test_sop_approx_at_vanishing_turbulence(cn2, table):
     sc = baseline_scenario(cn2=cn2)
     le = channel.eve_link(sc)
     for r_e, want in table.items():
-        got = sop_approx(sc, r_e)
+        got = sop_approx(eve_link(sc), r_e)
         x = secrecy.rate_threshold(r_e, le.gain)
-        mixture = 1.0 - oracles.surrogate_cdf_mixture(le.ga.k_ap, le.ga.theta_ap, le.pointing.xi, x)
+        sur = le.surrogate
+        mixture = 1.0 - oracles.surrogate_cdf_mixture(sur.k, sur.theta, le.pointing.xi, x)
         assert got == pytest.approx(want, abs=1e-6)
         assert got == pytest.approx(mixture, abs=1e-6)
         # the surrogate gap to the exact outage is about 0.004 to 0.008
@@ -318,8 +321,8 @@ def test_surrogate_outages_are_monotone_probabilities(
         limit = min(limit, (b + 1.0) * (a + 1.0) / (b * a) - 1.0)
     sc = dataclasses.replace(sc, epsilon=eps_share * limit)
     r = np.sort(np.array(rates))
-    s, _ = sop_approx_curve(sc, r)
-    t = reliability_outage_approx_curve(sc, r)[0]
+    s, _ = sop_approx_curve(eve_link(sc), r)
+    t = reliability_outage_approx_curve(bob_link(sc), sc.nodes.n_a, r)[0]
     assert np.all((0.0 <= s) & (s <= 1.0))
     assert np.all((0.0 <= t) & (t <= 1.0))
     assert np.all(np.diff(s) <= 1e-15)
@@ -370,10 +373,16 @@ def test_exact_outage_arrays_equal_scalar_calls_to_the_bit(overrides):
     [
         (sop, sop),
         (reliability_outage, reliability_outage),
-        # the surrogate outages take one rate; their rate arrays go through
-        # the curve forms
-        (sop_approx, sop_approx_curve),
-        (reliability_outage_approx, reliability_outage_approx_curve),
+        # the surrogate outages take the link and one rate; their rate
+        # arrays go through the curve forms
+        (
+            lambda sc, r: sop_approx(eve_link(sc), r),
+            lambda sc, r: sop_approx_curve(eve_link(sc), r),
+        ),
+        (
+            lambda sc, r: reliability_outage_approx(bob_link(sc), sc.nodes.n_a, r),
+            lambda sc, r: reliability_outage_approx_curve(bob_link(sc), sc.nodes.n_a, r),
+        ),
     ],
     ids=["sop", "reliability_outage", "sop_approx", "reliability_outage_approx"],
 )
@@ -383,6 +392,42 @@ def test_outages_reject_negative_rates(baseline, scalar, array):
     for rates in ([-0.5], [1.0, 2.0, -1e-300], [[0.5, -2.0]]):
         with pytest.raises(ValueError, match="non-negative"):
             array(baseline, np.array(rates))
+
+
+@pytest.mark.parametrize("rate", [1024.0, 1100.0, math.inf, math.nan])
+def test_outages_reject_rates_where_two_to_the_rate_overflows(baseline, rate):
+    # From rate 1024 on 2**rate overflows a double: the closed forms returned
+    # NaN there, with RuntimeWarnings, and estimate_sop an outage of 0.
+    eve, bob, n_a = eve_link(baseline), bob_link(baseline), baseline.nodes.n_a
+    rates = np.array([1.0, rate])
+    sim = montecarlo.SimConfig(trials=10)
+    calls = [
+        lambda: sop(baseline, rate),
+        lambda: sop(baseline, rates),
+        lambda: reliability_outage(baseline, rate),
+        lambda: reliability_outage(baseline, rates),
+        lambda: sop_approx(eve, rate),
+        lambda: sop_approx_curve(eve, rates),
+        lambda: reliability_outage_approx(bob, n_a, rate),
+        lambda: reliability_outage_approx_curve(bob, n_a, rates),
+        lambda: montecarlo.estimate_sop(baseline, rate, sim),
+        lambda: montecarlo.estimate_sop(baseline, rates.tolist(), sim),
+        lambda: montecarlo.estimate_reliability_outage(baseline, rate, sim),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="below 1024"):
+            call()
+
+
+def test_outages_take_the_largest_rate_of_the_domain(baseline):
+    # The last double below 1024 keeps 2**rate finite: the outages are 0 and 1.
+    r = math.nextafter(1024.0, 0.0)
+    eve, bob = eve_link(baseline), bob_link(baseline)
+    assert sop(baseline, r) == sop_approx(eve, r) == 0.0
+    assert reliability_outage(baseline, r) == reliability_outage_approx(bob, 2, r) == 1.0
+    assert sop_approx_curve(eve, np.array([r]))[0].tolist() == [0.0]
+    assert reliability_outage_approx_curve(bob, 2, np.array([r]))[0].tolist() == [1.0]
+    assert montecarlo.estimate_sop(baseline, r, montecarlo.SimConfig(trials=1000)).count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +483,7 @@ def test_est_adaptive_gating(baseline):
 
 def test_est_adaptive_approx_flavor(baseline):
     rep = est_adaptive(baseline, 4.0, 1.5, UNCONSTRAINED, use_approx=True)
-    assert rep.sop == pytest.approx(sop_approx(baseline, 1.5), rel=1e-15, abs=0)
+    assert rep.sop == pytest.approx(sop_approx(eve_link(baseline), 1.5), rel=1e-15, abs=0)
     assert rep.est == pytest.approx((4.0 - 1.5) * (1.0 - rep.sop), rel=1e-15, abs=0)
 
 
@@ -492,9 +537,11 @@ def test_est_fixed_gating(baseline):
 
 def test_est_fixed_approx_flavor(baseline):
     rep = est_fixed(baseline, RatePair(3.4, 1.25), UNCONSTRAINED, use_approx=True)
-    assert rep.sop == pytest.approx(sop_approx(baseline, 1.25), rel=1e-15, abs=0)
+    assert rep.sop == pytest.approx(sop_approx(eve_link(baseline), 1.25), rel=1e-15, abs=0)
     assert rep.reliability_factor == pytest.approx(
-        1.0 - reliability_outage_approx(baseline, 3.4), rel=1e-15, abs=0
+        1.0 - reliability_outage_approx(bob_link(baseline), baseline.nodes.n_a, 3.4),
+        rel=1e-15,
+        abs=0,
     )
 
 
