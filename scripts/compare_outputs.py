@@ -21,6 +21,10 @@ script runs:
   ``--scheme adaptive`` (``--cb 4``), over the 20 ceilings of the figure
   sweeps, with the same program seed, so the Monte-Carlo column of the
   ceiling axis is compared byte for byte;
+- the two rate-axis sweeps of the figure sweeps with ``--mc --trials 20000``
+  and the same program seed: ``--axis r_e --scheme adaptive --cb 6`` and
+  ``--axis r_e_x_r_b --scheme fixed``, whose rows with r_b < r_e carry no
+  Monte-Carlo estimate;
 - ``params`` for the default scenario, for four apertures at every node
   and for a pointing-free eavesdropper (``sigma_s`` 0), whose ``k_ap`` and
   ``theta_ap`` keys the benchmark's checks read;
@@ -86,6 +90,17 @@ PARAMS_RUNS = (
 # The schemes of the ceiling-axis Monte-Carlo sweeps.
 MC_SWEEP_SCHEMES = (["--scheme", "fixed"], ["--scheme", "adaptive", "--cb", "4"])
 
+# (output name, sweep arguments) of the rate-axis Monte-Carlo sweeps, on the
+# axes and ranges of scripts/figure_sweeps.py.
+MC_RATE_SWEEPS = (
+    ("sweep_mc_re_adaptive.csv",
+     ["--axis", "r_e", "--min", "0.05", "--max", "6", "--steps", "120",
+      "--scheme", "adaptive", "--cb", "6"]),
+    ("sweep_mc_re_x_rb_fixed.csv",
+     ["--axis", "r_e_x_r_b", "--min", "0.1", "--max", "6", "--steps", "40",
+      "--scheme", "fixed"]),
+)
+
 # (output name tag, trials, stream count) of the validate runs; 1,000,003
 # trials over 7 streams gives streams of uneven size.
 VALIDATE_RUNS = (("", "1000000", "16"), ("_streams7", "1000003", "7"))
@@ -135,6 +150,11 @@ def produce(src: Path, outdir: Path) -> None:
         ops.append(
             (name, ["sweep", "--axis", "s_th", "--min", "0.05", "--max", "1", "--steps", "20",
                     *scheme, "--mc", "--trials", "20000", "--seed", str(PROGRAM_SEED),
+                    "--out", str(outdir / name)])
+        )
+    for name, axis in MC_RATE_SWEEPS:
+        ops.append(
+            (name, ["sweep", *axis, "--mc", "--trials", "20000", "--seed", str(PROGRAM_SEED),
                     "--out", str(outdir / name)])
         )
     for tag, trials, streams in VALIDATE_RUNS:

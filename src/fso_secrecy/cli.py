@@ -18,9 +18,11 @@ included), 2 solver failure, 3 validation failure.
 
 For the adaptive scheme the closed-form sweep column is conditional on the
 configured realized capacity (``--cb``).  On rate rows the Monte-Carlo column
-estimates that same pinned-capacity value from the eavesdropper's draws; on
-optimum rows (``s_th``, ``n``, ``sigma_s``) it averages the per-realization
-optimum over capacity realizations, which the closed-form column does not.
+estimates that same pinned-capacity value, ``montecarlo.est_fixed_from_outages``
+of the eavesdropper's draws and an exact zero reliability outage; on optimum
+rows (``s_th``, ``n``, ``sigma_s``) it is ``montecarlo.estimate_est``, the
+per-realization optimum averaged over capacity realizations, which the
+closed-form column does not estimate.
 """
 
 from __future__ import annotations
@@ -253,6 +255,35 @@ def _outages(outage, sc: ScenarioConfig, rates: list[float]) -> list[float]:
     return outage(sc, distinct)[index].tolist()
 
 
+def _mc_columns(
+    sc: ScenarioConfig,
+    scheme: str,
+    pairs: list[RatePair],
+    ceilings: list[float],
+    sim: SimConfig,
+    jobs: int,
+) -> list[tuple[str, str]]:
+    """The Monte-Carlo (est_mc, ci) cells of rows at the rate ``pairs``, one
+    ceiling each: ``est_fixed_from_outages`` of one eavesdropper draw over
+    the distinct r_e and, for the fixed scheme, one Bob draw over the r_b,
+    in which a repeated r_b is drawn once.  The adaptive scheme's codeword
+    rate tracks the capacity, so its reliability outage is an exact zero."""
+    if not pairs:
+        return []
+    distinct = list(dict.fromkeys(p.r_e for p in pairs))
+    sop_at = dict(zip(distinct, montecarlo.estimate_sop(sc, distinct, sim, jobs=jobs)))
+    if scheme == "fixed":
+        rel = montecarlo.estimate_reliability_outage(sc, [p.r_b for p in pairs], sim, jobs=jobs)
+    else:
+        zero = montecarlo.Estimate(mean=0.0, ci_halfwidth=0.0, trials=sim.trials, count=0)
+        rel = [zero] * len(pairs)
+    estimates = (
+        montecarlo.est_fixed_from_outages(p, sop_at[p.r_e], t, s_th)
+        for p, t, s_th in zip(pairs, rel, ceilings)
+    )
+    return [(_fmt(e.mean), _fmt(e.ci_halfwidth)) for e in estimates]
+
+
 def _rate_rows(
     sc: ScenarioConfig,
     scheme: str,
@@ -264,13 +295,24 @@ def _rate_rows(
 ) -> list[tuple[float, str, str, float, float, bool]]:
     """One row per cell (r_e, r_b, c_b) of a rate axis, from one exact outage
     call per kind and ``est_from_outages``.  The adaptive scheme has no
-    reliability outage, and no secrecy rate past c_b; r_b < r_e is a zero row."""
+    reliability outage, and no secrecy rate past c_b; r_b < r_e is a zero row,
+    without a Monte-Carlo estimate."""
     constraint = SecrecyConstraint(s_th)
     s = _outages(secrecy.sop, sc, [r_e for r_e, _, _ in cells])
     if scheme == "fixed":
         t = _outages(secrecy.reliability_outage, sc, [r_b for _, r_b, _ in cells])
     else:
         t = [0.0] * len(cells)
+    mc_cells = iter(())
+    if with_mc:
+        # The rate pair of each live cell; the adaptive scheme's secrecy rate
+        # is max(c_b - r_e, 0).
+        live = [
+            RatePair(r_b=r_b if scheme == "fixed" else max(r_e, c_b), r_e=r_e)
+            for r_e, r_b, c_b in cells
+            if not r_b < r_e
+        ]
+        mc_cells = iter(_mc_columns(sc, scheme, live, [s_th] * len(live), sim, jobs))
     rows = []
     for (r_e, r_b, c_b), s_i, t_i in zip(cells, s, t):
         if r_b < r_e:
@@ -278,11 +320,7 @@ def _rate_rows(
             continue
         secrecy_rate = r_b - r_e if scheme == "fixed" else max(c_b - r_e, 0.0)
         report = secrecy.est_from_outages(secrecy_rate, t_i, s_i, constraint)
-        est_mc = ci = ""
-        if with_mc:
-            mc_rates = RatePair(r_b=r_b if scheme == "fixed" else max(r_e, c_b), r_e=r_e)
-            est = montecarlo.estimate_est(sc, mc_rates, scheme, s_th, sim, jobs=jobs)
-            est_mc, ci = _fmt(est.mean), _fmt(est.ci_halfwidth)
+        est_mc, ci = next(mc_cells, ("", ""))
         rows.append((report.est, est_mc, ci, report.sop, t_i, report.constraint_met))
     return rows
 
@@ -300,10 +338,9 @@ def _optimum_rows(
 
     The exact outages at the optima come from one array call per kind, and
     the surrogate outage that ``constraint_met`` reads from one curve call.
-    The Monte-Carlo column of the adaptive scheme is one estimate over every
-    ceiling; the fixed scheme's rows share one eavesdropper draw over their
-    distinct r_e and one Bob draw over their r_b, in which a repeated r_b
-    is drawn once.
+    The Monte-Carlo column of the adaptive scheme is one capacity-averaged
+    estimate over every ceiling; the fixed scheme's is :func:`_mc_columns`
+    at the optima.
     """
     if scheme == "adaptive":
         optima = optimize.adaptive_optimal(sc, c_b, ceilings)
@@ -314,20 +351,11 @@ def _optimum_rows(
     r_es = [o.rates.r_e for o in optima]
     sop_vals = _outages(secrecy.sop, sc, r_es)
     mc = [("", "")] * len(optima)
-    if with_mc:
-        if scheme == "adaptive":
-            estimates = montecarlo.estimate_est(sc, None, scheme, ceilings, sim, jobs=jobs)
-        else:
-            distinct = list(dict.fromkeys(r_es))
-            sop_at = dict(zip(distinct, montecarlo.estimate_sop(sc, distinct, sim, jobs=jobs)))
-            rel_mc = montecarlo.estimate_reliability_outage(
-                sc, [o.rates.r_b for o in optima], sim, jobs=jobs
-            )
-            estimates = [
-                montecarlo.est_fixed_from_outages(o.rates, sop_at[o.rates.r_e], t, s_th)
-                for o, t, s_th in zip(optima, rel_mc, ceilings)
-            ]
+    if with_mc and scheme == "adaptive":
+        estimates = montecarlo.estimate_est(sc, ceilings, sim, jobs=jobs)
         mc = [(_fmt(e.mean), _fmt(e.ci_halfwidth)) for e in estimates]
+    elif with_mc:
+        mc = _mc_columns(sc, scheme, [o.rates for o in optima], ceilings, sim, jobs)
     # Solvers contract on the surrogate outage surface; the sop column stays
     # exact-kernel for diagnostics.
     s_approx = secrecy.sop_approx_curve(eve_link(sc), np.array(r_es))[0].tolist()
@@ -419,12 +447,11 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     """
     s_th = args.sth if args.sth is not None else sc.s_th
     scheme = args.scheme
-    opts = optimize.SolverOptions()
 
     if scheme == "adaptive" and args.cb is None:
         # Capacity not pinned: average the per-realization optimum by simulation.
         sim = SimConfig(trials=args.trials, seed=args.seed, stream_count=args.stream_count)
-        est = montecarlo.estimate_est(sc, None, "adaptive", s_th, sim, jobs=args.jobs)
+        est = montecarlo.estimate_est(sc, s_th, sim, jobs=args.jobs)
         doc = {
             "scheme": scheme,
             "s_th": s_th,
@@ -440,15 +467,13 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
 
     unconstrained = SecrecyConstraint(1.0)
     if scheme == "adaptive":
-        opt = optimize.adaptive_optimal(sc, args.cb, s_th, opts)
-        oracle = optimize.adaptive_grid_oracle(sc, args.cb, s_th, opts)
+        opt = optimize.adaptive_optimal(sc, args.cb, s_th)
+        oracle = optimize.adaptive_grid_oracle(sc, args.cb, s_th)
         exact = secrecy.est_adaptive(sc, args.cb, opt.rates.r_e, unconstrained)
         covers = True  # the grid spans [0, c_b], where every adaptive r_e lies
     else:
-        opt = optimize.fixed_optimal(sc, s_th, opts)
-        oracle = optimize.fixed_grid_oracle(
-            sc, s_th, opt.rates.r_b + 3.0, optimize.SolverOptions(grid_points=160)
-        )
+        opt = optimize.fixed_optimal(sc, s_th)
+        oracle = optimize.fixed_grid_oracle(sc, s_th, opt.rates.r_b + 3.0, grid_points=160)
         exact = secrecy.est_fixed(sc, opt.rates, unconstrained)
         # r_e <= r_b lies inside the grid; r_b can fall below its first row.
         covers = opt.rates.r_b >= optimize.FIXED_ORACLE_RB_MIN
@@ -570,6 +595,8 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     k_shape = eve_link(sc).turb.alpha
     draws = moment_rng.standard_gamma(k_shape, min(sim.trials, 200_000))
     rel_ci = 3.0 * float(draws.std()) / math.sqrt(draws.size) / k_shape
+    if draws.size == 1:
+        rel_ci = math.inf  # one draw has no spread to estimate: inconclusive
     check("gamma_sampler_mean_rel", 1.0, float(draws.mean()) / k_shape, rel_ci)
 
     status = "FAIL" if n_fail else "PASS"

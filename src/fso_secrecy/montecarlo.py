@@ -305,57 +305,6 @@ def estimate_reliability_outages(
 # ---------------------------------------------------------------------------
 
 
-def estimate_est(
-    sc: ScenarioConfig,
-    rates: RatePair | None,
-    scheme: str,
-    s_th: float | Sequence[float],
-    sim: SimConfig,
-    *,
-    jobs: int | None = 1,
-) -> Estimate | list[Estimate]:
-    """Empirical effective secrecy throughput under either rate scheme.
-
-    Fixed scheme: :func:`est_fixed_from_outages` of :func:`estimate_sop` at
-    ``r_e`` and :func:`estimate_reliability_outage` at ``r_b``.
-
-    Adaptive scheme without ``rates``: per trial the realized capacity is
-    mapped to its optimal redundancy rate -- the ceiling-aware optimum,
-    resolved through the capacity-independent stationarity curve of the
-    unconstrained problem and floored at the threshold rate -- and the
-    secret bits delivered that trial are averaged over both draws.
-
-    Adaptive scheme with ``rates`` (curve-reproduction mode): the capacity
-    is pinned at ``rates.r_b`` and the redundancy rate at ``rates.r_e``, so
-    the estimate is (r_b - r_e)(1 - S^(r_e)) from the eavesdropper's draw
-    alone, gated at ``s_th`` -- the Monte-Carlo twin of
-    :func:`secrecy.est_adaptive` at ``c_b = r_b``.  The codeword rate tracks
-    the capacity, so there is no reliability outage to estimate.
-
-    ``s_th`` may be one ceiling or a sequence of them.  The draws do not
-    depend on the ceiling, so they are made once and a sequence gives back
-    one ``Estimate`` per ceiling, each equal to the float call's.
-    """
-    if scheme not in ("adaptive", "fixed"):
-        raise ValueError(f"scheme must be 'adaptive' or 'fixed', got {scheme!r}")
-    ceilings = np.atleast_1d(s_th).tolist()
-    for c in ceilings:
-        if not 0.0 < c <= 1.0:
-            raise ValueError(f"s_th must lie in (0, 1], got {c}")
-    if rates is None:
-        if scheme == "fixed":
-            raise ValueError("fixed scheme requires a rate pair")
-        estimates = _estimate_est_adaptive(sc, ceilings, sim, jobs)
-    else:
-        sop = estimate_sop(sc, rates.r_e, sim, jobs=jobs)
-        if scheme == "fixed":
-            reliability_outage = estimate_reliability_outage(sc, rates.r_b, sim, jobs=jobs)
-        else:
-            reliability_outage = Estimate(mean=0.0, ci_halfwidth=0.0, trials=sim.trials, count=0)
-        estimates = [est_fixed_from_outages(rates, sop, reliability_outage, c) for c in ceilings]
-    return estimates[0] if np.ndim(s_th) == 0 else estimates
-
-
 def est_fixed_from_outages(
     rates: RatePair, sop: Estimate, reliability_outage: Estimate, s_th: float
 ) -> Estimate:
@@ -368,8 +317,16 @@ def est_fixed_from_outages(
     product of the two success rates scaled by the secrecy rate, with a
     delta-method halfwidth; it gates to zero when the estimated secrecy
     outage breaches ``s_th`` (mirroring the closed-form definition).  The
-    adaptive curve-reproduction mode of :func:`estimate_est` passes a
-    reliability outage with a zero count.
+    adaptive scheme, whose codeword rate tracks the capacity, passes an
+    exact zero reliability outage: count 0 and halfwidth 0.
+
+    At a count of 0 or n a factor's plug-in variance p(1 - p)/n is 0, which
+    is absence of power, not certainty; its estimate's own halfwidth h
+    stands in, (h/3)**2, which is 1/n**2 for the rule-of-three halfwidth of
+    :func:`estimate_sop` and :func:`estimate_reliability_outage`.  There the
+    variance also keeps the product of the two factors' variances, the term
+    of a product of independent estimates that the delta method drops: it
+    is all that is left where both success rates are 0.
     """
     n = sop.trials
     p_sec = (n - sop.count) / n
@@ -378,10 +335,22 @@ def est_fixed_from_outages(
         return Estimate(mean=0.0, ci_halfwidth=0.0, trials=n)
     rate = rates.secrecy_rate
     mean = rate * p_rel * p_sec
-    var = (rate * rate) * (
-        p_rel * p_rel * p_sec * (1.0 - p_sec) + p_sec * p_sec * p_rel * (1.0 - p_rel)
-    ) / n
+    a_sec, b_sec = _variance_factors(sop, p_sec)
+    a_rel, b_rel = _variance_factors(reliability_outage, p_rel)
+    var = (rate * rate) * (p_rel * p_rel * a_sec * b_sec + p_sec * p_sec * a_rel * b_rel) / n
+    if not (0 < sop.count < n and 0 < reliability_outage.count < n):
+        var += (rate * rate) * (a_sec * b_sec) * (a_rel * b_rel) / (n * n)
     return Estimate(mean=mean, ci_halfwidth=3.0 * math.sqrt(var), trials=n)
+
+
+def _variance_factors(outage: Estimate, p: float) -> tuple[float, float]:
+    """Two factors whose product is n times the variance of the success rate
+    ``p`` of ``outage``: p and 1 - p, or 1 and n (h/3)**2 for the halfwidth
+    h of an estimate whose count is 0 or n (see :func:`est_fixed_from_outages`)."""
+    n = outage.trials
+    if 0 < outage.count < n:
+        return p, 1.0 - p
+    return 1.0, n * (outage.ci_halfwidth / 3.0) ** 2
 
 
 def _adaptive_redundancy_table(
@@ -427,16 +396,31 @@ def _ceiling_cut(table_c: np.ndarray, table_r: np.ndarray, r_th: float) -> float
     return float(table_c[k - 1]) if k >= 1 else -math.inf
 
 
-def _estimate_est_adaptive(
-    sc: ScenarioConfig, ceilings: list[float], sim: SimConfig, jobs: int | None
-) -> list[Estimate]:
-    """Secret bits of the ceiling-aware per-realization optimum, averaged
-    over both draws, at each of ``ceilings``.  The draws and the redundancy
-    table are made once.  Only the trials at or above :func:`_ceiling_cut`
-    are interpolated; every trial keeps the float full interpolation gives,
-    in one full-length array per stream, so the pairwise sums keep their
-    bits.
+def estimate_est(
+    sc: ScenarioConfig, s_th: float | Sequence[float], sim: SimConfig, *, jobs: int | None = 1
+) -> Estimate | list[Estimate]:
+    """Empirical effective secrecy throughput of the adaptive scheme,
+    averaged over the realized capacity.
+
+    Per trial the realized capacity is mapped to its optimal redundancy
+    rate -- the ceiling-aware optimum, resolved through the
+    capacity-independent stationarity curve of the unconstrained problem
+    and floored at the threshold rate -- and the secret bits delivered that
+    trial are averaged over both draws.  Only the trials at or above
+    :func:`_ceiling_cut` are interpolated; every trial keeps the float full
+    interpolation gives, in one full-length array per stream, so the
+    pairwise sums keep their bits.
+
+    ``s_th`` may be one ceiling or a sequence of them.  The draws and the
+    redundancy table do not depend on the ceiling, so they are made once
+    and a sequence gives back one ``Estimate`` per ceiling, each equal to
+    the float call's.  A pinned rate pair's throughput, under either
+    scheme, is :func:`est_fixed_from_outages` of the outage estimates.
     """
+    ceilings = np.atleast_1d(s_th).tolist()
+    for c in ceilings:
+        if not 0.0 < c <= 1.0:
+            raise ValueError(f"s_th must lie in (0, 1], got {c}")
     eve_rngs = _stream_rngs(sim, _EVE_ROLE)
     bob_rngs = _stream_rngs(sim, _BOB_ROLE)
     sizes = sim.stream_sizes()
@@ -476,4 +460,5 @@ def _estimate_est_adaptive(
         ci = 3.0 * math.sqrt(var / n)
         return Estimate(mean=mean, ci_halfwidth=ci, trials=n)
 
-    return [at_ceiling(s_th) for s_th in ceilings]
+    estimates = [at_ceiling(c) for c in ceilings]
+    return estimates[0] if np.ndim(s_th) == 0 else estimates

@@ -30,10 +30,12 @@ returned points.  The outage-ceiling inversion :func:`re_threshold` is a
 root of the same secrecy curve: Newton steps on its analytic slope, kept
 inside a bracket whose upper end is the pointing-free inversion.
 
-All solvers evaluate and report on the gamma-surrogate (``use_approx=True``)
-surface they are derived on; the exact-kernel value of a returned optimum is
-available by re-evaluating :func:`fso_secrecy.secrecy.est_fixed` /
-``est_adaptive`` without the flag.
+All solvers evaluate and report on the gamma-surrogate surface they are
+derived on, :func:`fso_secrecy.secrecy.est_from_outages` of the surrogate
+outages; the exact-kernel value of a returned optimum is
+:func:`fso_secrecy.secrecy.est_fixed` / ``est_adaptive`` at its rates.  Every
+scan and grid has ``GRID_POINTS`` nodes; only the grid oracles take another
+count, which the command line's fixed-scheme oracle sets to 160.
 """
 
 from __future__ import annotations
@@ -47,10 +49,9 @@ from scipy import special as _sp
 
 from fso_secrecy.channel import LinkParams, ScenarioConfig, bob_link, eve_link
 from fso_secrecy.secrecy import (
+    RATE_LIMIT,
     RatePair,
     SecrecyConstraint,
-    est_adaptive,
-    est_fixed,
     est_from_outages,
     reliability_outage_approx,
     reliability_outage_approx_curve,
@@ -60,7 +61,6 @@ from fso_secrecy.secrecy import (
 from fso_secrecy.specfun import ConvergenceError
 
 __all__ = [
-    "SolverOptions",
     "Optimum",
     "re_threshold",
     "adaptive_unconstrained_re",
@@ -89,23 +89,8 @@ _BISECT_LEVELS = 6
 # The fixed grid oracle's lowest codeword rate.
 FIXED_ORACLE_RB_MIN = 1e-3
 
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Scan and oracle resolution shared by all solvers.
-
-    ``grid_points`` sets the resolution of the residual scans and the grid
-    oracles' nodes per axis.
-    """
-
-    grid_points: int = 400
-
-    def __post_init__(self) -> None:
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be at least 2")
-
-
-_DEFAULT = SolverOptions()
+#: Nodes of every residual scan and of the grid oracles, per axis.
+GRID_POINTS = 400
 
 
 @dataclass(frozen=True)
@@ -218,6 +203,11 @@ def _bisect_root(g, lo: float, hi: float, g_lo: float, tol: float, iters: int = 
     return 0.5 * (lo + hi)
 
 
+def _check_grid(grid_points: int) -> None:
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
+
+
 def _scan_nodes(lo: float, hi: float, n: int) -> list[float]:
     # Python arithmetic, not np.linspace: every scan and grid uses these nodes.
     step = (hi - lo) / (n - 1)
@@ -299,9 +289,7 @@ def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def adaptive_unconstrained_re(
-    sc: ScenarioConfig, c_b: float, opts: SolverOptions | None = None
-) -> tuple[float, str]:
+def adaptive_unconstrained_re(sc: ScenarioConfig, c_b: float) -> tuple[float, str]:
     """Throughput-maximizing redundancy rate of the adaptive scheme, no
     ceiling, and the ``Optimum.method`` of its path.
 
@@ -319,7 +307,6 @@ def adaptive_unconstrained_re(
     """
     if not c_b > 0.0:
         raise ValueError(f"c_b must be positive, got {c_b}")
-    opts = opts or _DEFAULT
     eve = eve_link(sc)
     u_e = min(_cap_seed(sc, eve), 1.0)
 
@@ -336,21 +323,20 @@ def adaptive_unconstrained_re(
 
     # Slope sign-scan: the throughput vanishes at both ends of (0, c_b), so
     # an interior maximum exists and the slope changes sign across it.
-    n = max(opts.grid_points, 64)
-    xs = _scan_nodes(lo, hi, n)
+    xs = _scan_nodes(lo, hi, GRID_POINTS)
     roots = _scan_roots(slope, xs, slope(np.array(xs)), _RATE_TOL * u_e, falling_only=True)
     if not roots:
         # Where the outage is exactly 1 with a zero slope at the first node,
         # the whole rise can sit inside the first cell: scan it alone.
-        xs = _scan_nodes(lo, xs[1], n)
+        xs = _scan_nodes(lo, xs[1], GRID_POINTS)
         roots = _scan_roots(slope, xs, slope(np.array(xs)), _RATE_TOL * u_e, falling_only=True)
     if roots:
         return max(roots, key=psi), "fixed_point"
-    return adaptive_grid_oracle(sc, c_b, 1.0, opts).rates.r_e, "grid_oracle"
+    return adaptive_grid_oracle(sc, c_b, 1.0).rates.r_e, "grid_oracle"
 
 
 def adaptive_optimal(
-    sc: ScenarioConfig, c_b: float, s_th: float | Sequence[float], opts: SolverOptions | None = None
+    sc: ScenarioConfig, c_b: float, s_th: float | Sequence[float]
 ) -> Optimum | list[Optimum]:
     """Ceiling-aware optimal redundancy rate for realized capacity ``c_b``.
 
@@ -365,17 +351,16 @@ def adaptive_optimal(
     float call's.  The unconstrained rate is solved once per call, the
     threshold rate once per ceiling.
     """
-    opts = opts or _DEFAULT
     constraints = [SecrecyConstraint(c) for c in np.atleast_1d(s_th).tolist()]
-    re_u, method_u = adaptive_unconstrained_re(sc, c_b, opts)
+    re_u, method_u = adaptive_unconstrained_re(sc, c_b)
     optima = [_adaptive_under(sc, c_b, re_u, method_u, c) for c in constraints]
     return optima[0] if np.ndim(s_th) == 0 else optima
 
 
 def _adaptive_est(eve: LinkParams, c_b: float, r_e: float, s_th: float) -> float:
-    """``est_adaptive(sc, c_b, r_e, SecrecyConstraint(s_th), use_approx=True).est``,
-    bit for bit, on the eavesdropper's link ``eve``: (c_b - r_e)(1 - S(r_e)),
-    zero where S(r_e) tops the ceiling or is NaN."""
+    """The adaptive surrogate throughput (c_b - r_e)(1 - S(r_e)) on the
+    eavesdropper's link ``eve``, zero where S(r_e) tops the ceiling or is
+    NaN: ``est_from_outages`` of ``sop_approx(eve, r_e)``, bit for bit."""
     s = sop_approx(eve, r_e)
     return (c_b - r_e) * (1.0 - s) if s <= s_th else 0.0
 
@@ -391,21 +376,22 @@ def _adaptive_under(
     feasible = r_e <= c_b
     if not feasible:
         r_e = c_b
-    report = est_adaptive(sc, c_b, r_e, constraint, use_approx=True)
+    eve = eve_link(sc)
+    est = _adaptive_est(eve, c_b, r_e, constraint.s_th)
 
     # The second-difference stencil must lie strictly inside (0, c_b): at an
     # end point the throughput's edge, not its curvature, decides the sign.
     u = min(_cap_seed(sc, bob_link(sc)), 1.0)
     h = 1e-4 * u
     hessian_ok = False
-    if feasible and 0.0 < r_e - h and r_e + h < c_b and report.est > 0.0 and not constraint_active:
+    if feasible and 0.0 < r_e - h and r_e + h < c_b and est > 0.0 and not constraint_active:
         rs = [r_e - h, r_e, r_e + h]
-        s = sop_approx_curve(eve_link(sc), np.array(rs))[0].tolist()
+        s = sop_approx_curve(eve, np.array(rs))[0].tolist()
         psi = [est_from_outages(c_b - r, 0.0, si, constraint).est for r, si in zip(rs, s)]
         hessian_ok = _curves_down(psi, u)
     return Optimum(
         rates=RatePair(r_b=c_b, r_e=r_e),
-        est=report.est,
+        est=est,
         method="threshold" if constraint_active else method_u,
         hessian_ok=hessian_ok,
         constraint_active=constraint_active,
@@ -426,7 +412,7 @@ def _cap_seed(sc: ScenarioConfig, link: LinkParams) -> float:
     return math.log1p(mean_snr) / math.log(2.0)
 
 
-def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = None) -> Optimum:
+def fixed_unconstrained_pair(sc: ScenarioConfig) -> Optimum:
     """Jointly optimal (codeword, redundancy) rates with no outage ceiling.
 
     The throughput (r_b - r_e)(1 - T(r_b))(1 - S(r_e)) is stationary where
@@ -439,7 +425,6 @@ def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = No
     C_b + 15 u; :func:`fixed_grid_oracle` over it gives the pair when no
     root is a candidate.
     """
-    opts = opts or _DEFAULT
     eve, bob, n_a = eve_link(sc), bob_link(sc), sc.nodes.n_a
     cap = _cap_seed(sc, bob)
     u = min(cap, 1.0)
@@ -464,16 +449,17 @@ def fixed_unconstrained_pair(sc: ScenarioConfig, opts: SolverOptions | None = No
     def resid(rb):
         return g_b(g_e(rb)) - rb
 
-    xs = _scan_nodes(0.05 * u, hi, max(opts.grid_points, 100))
+    one = SecrecyConstraint(1.0)
+    xs = _scan_nodes(0.05 * u, hi, GRID_POINTS)
     for root in _scan_roots(resid, xs, resid(np.array(xs)), _RATE_TOL * u):
         re_c = float(g_e(root))
         if _is_interior_stationary(sc, re_c, root):
-            pair = RatePair(r_b=root, r_e=re_c)
-            est = est_fixed(sc, pair, SecrecyConstraint(1.0), use_approx=True).est
+            t, s = reliability_outage_approx(bob, n_a, root), sop_approx(eve, re_c)
+            est = est_from_outages(root - re_c, t, s, one).est
             candidates.append((est, re_c, root, "fixed_point"))
 
     if not candidates:
-        o = fixed_grid_oracle(sc, 1.0, hi, opts)
+        o = fixed_grid_oracle(sc, 1.0, hi)
         candidates.append((o.est, o.rates.r_e, o.rates.r_b, "grid_oracle"))
 
     est, re, rb, method = max(candidates, key=lambda c: c[0])
@@ -531,9 +517,7 @@ def _hessian_negative_definite(sc: ScenarioConfig, re: float, rb: float, h: floa
 # ---------------------------------------------------------------------------
 
 
-def fixed_constrained_rb(
-    sc: ScenarioConfig, r_e_fixed: float, opts: SolverOptions | None = None
-) -> tuple[float, str]:
+def fixed_constrained_rb(sc: ScenarioConfig, r_e_fixed: float) -> tuple[float, str]:
     """Optimal codeword rate when the redundancy rate is pinned, and the
     ``Optimum.method`` of its path.
 
@@ -545,15 +529,22 @@ def fixed_constrained_rb(
     call, where it turns from positive to negative; the root with the
     highest throughput factor wins, and golden refinement of the best scan
     node's throughput factor stands in where the scan finds none.
+
+    The scan runs upward from just above ``r_e_fixed``, inside [0,
+    ``RATE_LIMIT``), so the rate returned lies above ``r_e_fixed`` wherever a
+    double does below the limit.  Its top is capped at ``_RATE_CEIL``, or,
+    for a pinned rate at or past that cap, 25 u above the pinned rate.
     """
     if r_e_fixed < 0.0:
         raise ValueError(f"r_e_fixed must be non-negative, got {r_e_fixed}")
-    opts = opts or _DEFAULT
     bob, n_a = bob_link(sc), sc.nodes.n_a
     cap = _cap_seed(sc, bob)
     u = min(cap, 1.0)
     lo = r_e_fixed + 1e-6 * u
     hi = min(max(r_e_fixed + 25.0 * u, cap + 10.0 * u), _RATE_CEIL)
+    if not lo < hi:
+        top = math.nextafter(RATE_LIMIT, 0.0)
+        lo, hi = min(lo, top), min(r_e_fixed + 25.0 * u, top)
 
     def bob_factor(rb: float) -> float:
         return (rb - r_e_fixed) * (1.0 - reliability_outage_approx(bob, n_a, rb))
@@ -562,7 +553,7 @@ def fixed_constrained_rb(
         t, dt = reliability_outage_approx_curve(bob, n_a, rb)
         return (1.0 - t) - (rb - r_e_fixed) * dt
 
-    n = max(opts.grid_points, 100)
+    n = GRID_POINTS
     xs = _scan_nodes(lo, hi, n)
     r = np.array(xs)
     roots = _scan_roots(resid, xs, resid(r), _RATE_TOL * u, falling_only=True)
@@ -574,9 +565,7 @@ def fixed_constrained_rb(
     return rb, "grid_oracle"
 
 
-def fixed_optimal(
-    sc: ScenarioConfig, s_th: float | Sequence[float], opts: SolverOptions | None = None
-) -> Optimum | list[Optimum]:
+def fixed_optimal(sc: ScenarioConfig, s_th: float | Sequence[float]) -> Optimum | list[Optimum]:
     """Outage-ceiling-aware optimal rate pair for the fixed-rate scheme.
 
     If the unconstrained redundancy rate already satisfies the ceiling the
@@ -589,13 +578,12 @@ def fixed_optimal(
     threshold rate, and the codeword rate where the ceiling binds, once per
     ceiling.
     """
-    opts = opts or _DEFAULT
-    pair = fixed_unconstrained_pair(sc, opts)
-    optima = [_fixed_under(sc, pair, c, opts) for c in np.atleast_1d(s_th).tolist()]
+    pair = fixed_unconstrained_pair(sc)
+    optima = [_fixed_under(sc, pair, c) for c in np.atleast_1d(s_th).tolist()]
     return optima[0] if np.ndim(s_th) == 0 else optima
 
 
-def _fixed_under(sc: ScenarioConfig, pair: Optimum, s_th: float, opts: SolverOptions) -> Optimum:
+def _fixed_under(sc: ScenarioConfig, pair: Optimum, s_th: float) -> Optimum:
     """:func:`fixed_optimal` at one ceiling, given the unconstrained ``pair``."""
     if s_th >= 1.0:
         return pair
@@ -603,13 +591,14 @@ def _fixed_under(sc: ScenarioConfig, pair: Optimum, s_th: float, opts: SolverOpt
     if pair.rates.r_e >= re_t:
         return pair
     constraint = SecrecyConstraint(s_th)
-    rb, method = fixed_constrained_rb(sc, re_t, opts)
-    report = est_fixed(sc, RatePair(r_b=rb, r_e=re_t), constraint, use_approx=True)
+    rb, method = fixed_constrained_rb(sc, re_t)
+    bob, n_a = bob_link(sc), sc.nodes.n_a
+    t_rb = reliability_outage_approx(bob, n_a, rb)
+    report = est_from_outages(rb - re_t, t_rb, sop_approx(eve_link(sc), re_t), constraint)
 
-    bob = bob_link(sc)
     u = min(_cap_seed(sc, bob), 1.0)
     rbs = [rb - 1e-4 * u, rb, rb + 1e-4 * u]
-    t = reliability_outage_approx_curve(bob, sc.nodes.n_a, np.maximum(rbs, 0.0))[0].tolist()
+    t = reliability_outage_approx_curve(bob, n_a, np.maximum(rbs, 0.0))[0].tolist()
     f_rb = [  # the throughput along r_b; S(re_t) is the report's
         est_from_outages(max(x - re_t, 0.0), tj, report.sop, constraint).est
         for x, tj in zip(rbs, t)
@@ -628,7 +617,7 @@ def _fixed_under(sc: ScenarioConfig, pair: Optimum, s_th: float, opts: SolverOpt
 # ---------------------------------------------------------------------------
 
 
-def grid_refine_maximize(objective, bounds, opts: SolverOptions | None = None) -> Optimum:
+def grid_refine_maximize(objective, bounds, grid_points: int = GRID_POINTS) -> Optimum:
     """Deterministic grid search with golden refinement, used as an oracle.
 
     ``bounds`` is either a ``(lo, hi)`` pair for a one-argument objective or
@@ -639,16 +628,17 @@ def grid_refine_maximize(objective, bounds, opts: SolverOptions | None = None) -
 
     This generic form serves the acceptance gate.  The CLI's oracles are
     :func:`fixed_grid_oracle` and :func:`adaptive_grid_oracle`, which return
-    the same result on the ``est_fixed`` and ``est_adaptive`` objectives and
-    are tested against this function.
+    the same result on the surrogate throughput objectives and are tested
+    against this function.  ``grid_points`` is the scan's nodes per axis, at
+    least 2.
     """
-    opts = opts or _DEFAULT
+    _check_grid(grid_points)
     two_dim = hasattr(bounds[0], "__len__")
     if not two_dim:
         lo, hi = float(bounds[0]), float(bounds[1])
         # The golden bracket comes from a scan: flat (gated-to-zero) stretches
         # mis-bracket plain golden section.
-        n = opts.grid_points
+        n = grid_points
         step = (hi - lo) / (n - 1)
         best_i, best_v = 0, -math.inf
         for i in range(n):
@@ -665,7 +655,7 @@ def grid_refine_maximize(objective, bounds, opts: SolverOptions | None = None) -
         )
 
     (x_lo, x_hi), (y_lo, y_hi) = bounds
-    nx = ny = opts.grid_points
+    nx = ny = grid_points
     sx = (x_hi - x_lo) / (nx - 1)
     sy = (y_hi - y_lo) / (ny - 1)
     best = (-math.inf, 0, 0)
@@ -720,30 +710,31 @@ def _refine_2d(line_y, line_x, i: int, j: int, best: float, bounds, steps) -> Op
 
 
 def fixed_grid_oracle(
-    sc: ScenarioConfig, s_th: float, hi: float, opts: SolverOptions | None = None
+    sc: ScenarioConfig, s_th: float, hi: float, grid_points: int = GRID_POINTS
 ) -> Optimum:
     """:func:`grid_refine_maximize` on the fixed-scheme surrogate throughput.
 
-    The objective is ``est_fixed(sc, RatePair(r_b, r_e), SecrecyConstraint(s_th),
-    use_approx=True).est`` where ``0 <= r_e < r_b`` and zero elsewhere, over
-    r_e in (0, hi) and r_b in (1e-3, hi); the result equals the generic
-    oracle's bit for bit.  That throughput is (r_b - r_e)(1 - T(r_b))(1 - S(r_e)),
-    gated to zero where S(r_e) > s_th, so the grid takes ``grid_points``
-    outages of each kind and forms the cells by broadcasting.  The golden
-    polish is the generic oracle's, on line objectives with est_fixed's
-    arithmetic: along r_b the factor 1 - S(r_e) and its gate are computed
-    once per line, and along r_e the factor 1 - T(r_b), so each golden step
-    makes one scalar outage call.
+    The objective is ``est_from_outages(r_b - r_e, T(r_b), S(r_e),
+    SecrecyConstraint(s_th)).est`` of the surrogate outages T and S where
+    ``0 <= r_e < r_b`` and zero elsewhere, over r_e in (0, hi) and r_b in
+    (1e-3, hi), ``grid_points`` nodes per axis; the result equals the
+    generic oracle's bit for bit.  That throughput is
+    (r_b - r_e)(1 - T(r_b))(1 - S(r_e)), gated to zero where S(r_e) > s_th,
+    so the grid takes ``grid_points`` outages of each kind and forms the
+    cells by broadcasting.  The golden polish is the generic oracle's, on
+    line objectives with est_from_outages' arithmetic: along r_b the factor
+    1 - S(r_e) and its gate are computed once per line, and along r_e the
+    factor 1 - T(r_b), so each golden step makes one scalar outage call.
     """
-    opts = opts or _DEFAULT
-    n = opts.grid_points
+    _check_grid(grid_points)
+    n = grid_points
     x_lo, y_lo = 0.0, FIXED_ORACLE_RB_MIN
     sx = (hi - x_lo) / (n - 1)
     sy = (hi - y_lo) / (n - 1)
     xs, ys = _scan_nodes(x_lo, hi, n), _scan_nodes(y_lo, hi, n)
     eve, bob, n_a = eve_link(sc), bob_link(sc), sc.nodes.n_a
 
-    # est_fixed's value, in its product order, along a line of the polish:
+    # est_from_outages' value, in its product order, along a line of the polish:
     # the outage of the fixed rate is computed once per line.
     def line_rb(r_e: float):
         s = sop_approx(eve, r_e)
@@ -779,18 +770,16 @@ def fixed_grid_oracle(
     return _refine_2d(line_rb, line_re, i, j, float(grid[i, j]), bounds, (sx, sy))
 
 
-def adaptive_grid_oracle(
-    sc: ScenarioConfig, c_b: float, s_th: float, opts: SolverOptions | None = None
-) -> Optimum:
+def adaptive_grid_oracle(sc: ScenarioConfig, c_b: float, s_th: float) -> Optimum:
     """:func:`grid_refine_maximize` on the adaptive-scheme surrogate throughput.
 
-    The objective is ``est_adaptive(sc, c_b, r_e, SecrecyConstraint(s_th),
-    use_approx=True).est`` over r_e in (0, c_b); the result equals the
-    generic oracle's bit for bit.  The ``grid_points`` outages of the scan
-    come from one array call, and the golden polish is the generic one.
+    The objective is ``est_from_outages(c_b - r_e, 0.0, S(r_e),
+    SecrecyConstraint(s_th)).est`` of the surrogate outage S over r_e in
+    (0, c_b); the result equals the generic oracle's bit for bit.  The
+    ``GRID_POINTS`` outages of the scan come from one array call, and the
+    golden polish is the generic one.
     """
-    opts = opts or _DEFAULT
-    n = opts.grid_points
+    n = GRID_POINTS
     s_th = SecrecyConstraint(s_th).s_th
     eve = eve_link(sc)
 
@@ -800,7 +789,7 @@ def adaptive_grid_oracle(
     xs = _scan_nodes(0.0, c_b, n)
     r = np.array(xs)
     s = sop_approx_curve(eve, r)[0]
-    # est_adaptive's value, in its product order; an outage above the
+    # est_from_outages' value, in its product order; an outage above the
     # ceiling, NaN included, gates the node to zero.
     v = np.where(s <= s_th, (c_b - r) * (1.0 - s), 0.0)
     best_i = int(np.argmax(v))

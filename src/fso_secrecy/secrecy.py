@@ -7,9 +7,10 @@ and the redundancy rate are set in advance, so reliability and secrecy are
 both probabilistic.  Throughput is gated to zero whenever the secrecy-outage
 probability exceeds the configured ceiling.
 
-Every metric exists in two flavors: the exact CDF kernels, and the
-gamma-surrogate approximation (``use_approx=True``) that the rate optimizers
-are derived on.
+Each outage exists in two flavors: the exact CDF kernels, and the
+gamma-surrogate approximation that the rate optimizers are derived on.
+:func:`est_adaptive` and :func:`est_fixed` are the exact throughputs; the
+surrogate throughput is :func:`est_from_outages` of the surrogate outages.
 
 The exact ``sop`` and ``reliability_outage`` take a scenario and a float
 or an array of rates, one kernel call per array, each element equal to the
@@ -194,12 +195,7 @@ def _rate_slope(rate, gain: float):
 
 
 def est_adaptive(
-    scenario: ScenarioConfig,
-    c_b: float,
-    r_e: float,
-    constraint: SecrecyConstraint,
-    *,
-    use_approx: bool = False,
+    scenario: ScenarioConfig, c_b: float, r_e: float, constraint: SecrecyConstraint
 ) -> EstReport:
     """Throughput of the capacity-tracking scheme at redundancy rate ``r_e``.
 
@@ -208,25 +204,15 @@ def est_adaptive(
     """
     if not 0.0 <= r_e <= c_b:
         raise ValueError(f"est_adaptive requires 0 <= r_e <= c_b, got ({c_b}, {r_e})")
-    s = sop_approx(eve_link(scenario), r_e) if use_approx else sop(scenario, r_e)
-    return est_from_outages(c_b - r_e, 0.0, s, constraint)
+    return est_from_outages(c_b - r_e, 0.0, sop(scenario, r_e), constraint)
 
 
 def est_fixed(
-    scenario: ScenarioConfig,
-    rates: RatePair,
-    constraint: SecrecyConstraint,
-    *,
-    use_approx: bool = False,
+    scenario: ScenarioConfig, rates: RatePair, constraint: SecrecyConstraint
 ) -> EstReport:
     """Throughput of the fixed-rate scheme at the given rate pair."""
-    if use_approx:
-        t = reliability_outage_approx(bob_link(scenario), scenario.nodes.n_a, rates.r_b)
-        s = sop_approx(eve_link(scenario), rates.r_e)
-    else:
-        t = reliability_outage(scenario, rates.r_b)
-        s = sop(scenario, rates.r_e)
-    return est_from_outages(rates.secrecy_rate, t, s, constraint)
+    t = reliability_outage(scenario, rates.r_b)
+    return est_from_outages(rates.secrecy_rate, t, sop(scenario, rates.r_e), constraint)
 
 
 def est_from_outages(
@@ -236,7 +222,8 @@ def est_from_outages(
     and a secrecy outage ``s``, gated to zero where ``s`` tops the ceiling.
 
     The arithmetic of :func:`est_fixed`, and of :func:`est_adaptive` with
-    t = 0, for a caller that holds the outages already.
+    t = 0, for a caller that holds the outages already: the solvers form
+    the surrogate throughput with it from the surrogate outages.
     """
     met = s <= constraint.s_th
     reliability_factor = 1.0 - t

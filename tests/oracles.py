@@ -208,7 +208,7 @@ def sample_bob_per_aperture(sc, rng: np.random.Generator, size: int) -> np.ndarr
 
 
 def est_adaptive_full_interp(sc, s_th: float, sim, jobs: int | None = 1):
-    """``estimate_est(sc, None, "adaptive", s_th, sim)`` with the redundancy
+    """``estimate_est(sc, s_th, sim)`` with the redundancy
     rate of every trial taken as ``max(np.interp(cap, table_c, table_r),
     r_th)``, as a straight transcription of the per-realization rule."""
     eve_rngs = montecarlo._stream_rngs(sim, montecarlo._EVE_ROLE)

@@ -15,7 +15,7 @@ import pytest
 from fso_secrecy import channel, cli, montecarlo, optimize, secrecy, specfun
 from fso_secrecy.channel import baseline_scenario, bob_link, eve_link
 from fso_secrecy.montecarlo import SimConfig
-from fso_secrecy.secrecy import RatePair, SecrecyConstraint
+from fso_secrecy.secrecy import SecrecyConstraint
 
 TRIALS = 1_000_000
 
@@ -85,14 +85,15 @@ def test_criterion_4_solver_vs_oracle(baseline):
     t0 = time.perf_counter()
     worst_ratio = math.inf
     ok = True
+    eve, bob, n_a = eve_link(baseline), bob_link(baseline), baseline.nodes.n_a
 
     for s_th in (1.0, 0.6, 0.4, 0.2):
         constraint = SecrecyConstraint(s_th)
         for c_b in (2.0, 4.0, 6.0):
             opt = optimize.adaptive_optimal(baseline, c_b, s_th)
             oracle = optimize.grid_refine_maximize(
-                lambda r: secrecy.est_adaptive(
-                    baseline, c_b, r, constraint, use_approx=True
+                lambda r: secrecy.est_from_outages(
+                    c_b - r, 0.0, secrecy.sop_approx(eve, r), constraint
                 ).est,
                 (0.0, c_b),
             )
@@ -114,13 +115,13 @@ def test_criterion_4_solver_vs_oracle(baseline):
         def objective(r_e: float, r_b: float) -> float:
             if not 0.0 <= r_e < r_b:
                 return 0.0
-            return secrecy.est_fixed(
-                baseline, RatePair(r_b=r_b, r_e=r_e), constraint, use_approx=True
-            ).est
+            t = secrecy.reliability_outage_approx(bob, n_a, r_b)
+            s = secrecy.sop_approx(eve, r_e)
+            return secrecy.est_from_outages(r_b - r_e, t, s, constraint).est
 
         hi = opt.rates.r_b + 3.0
         oracle = optimize.grid_refine_maximize(
-            objective, ((0.0, hi), (1e-3, hi)), optimize.SolverOptions(grid_points=160)
+            objective, ((0.0, hi), (1e-3, hi)), grid_points=160
         )
         worst_ratio = min(worst_ratio, opt.est / oracle.est)
         ok = ok and opt.est >= 0.98 * oracle.est
@@ -172,7 +173,7 @@ def test_criterion_5_structural_trends(baseline):
     # (d) capacity tracking beats committed rates at every tested ceiling
     sim = SimConfig(trials=200_000, seed=11)
     for s_th in (1.0, 0.6, 0.4, 0.2, 0.1):
-        adaptive = montecarlo.estimate_est(baseline, None, "adaptive", s_th, sim)
+        adaptive = montecarlo.estimate_est(baseline, s_th, sim)
         fixed = optimize.fixed_optimal(baseline, s_th).est
         dom = adaptive.mean - adaptive.ci_halfwidth >= fixed
         ok = ok and dom

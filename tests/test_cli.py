@@ -405,6 +405,18 @@ def test_sweep_ceiling_axis_monotone(tmp_path):
     assert all(row["constraint_met"] == "true" for row in rows)
 
 
+def _pinned_monte_carlo(sc, scheme, rates, s_th, sim):
+    """The Monte-Carlo throughput at one rate pair from float calls: the
+    secrecy outage at r_e and, for the fixed scheme, the reliability outage
+    at r_b; the adaptive scheme's reliability outage is an exact zero."""
+    sop = montecarlo.estimate_sop(sc, rates.r_e, sim)
+    if scheme == "fixed":
+        rel = montecarlo.estimate_reliability_outage(sc, rates.r_b, sim)
+    else:
+        rel = montecarlo.Estimate(mean=0.0, ci_halfwidth=0.0, trials=sim.trials, count=0)
+    return montecarlo.est_fixed_from_outages(rates, sop, rel, s_th)
+
+
 def _ceiling_rows_one_by_one(sc, scheme, ceilings, c_b, sim=None):
     """The CSV of an s_th sweep built row by row from float calls: one
     solve, one exact outage per kind, one surrogate outage and, with
@@ -419,8 +431,10 @@ def _ceiling_rows_one_by_one(sc, scheme, ceilings, c_b, sim=None):
             rel = secrecy.reliability_outage(sc, opt.rates.r_b)
         est_mc = ci = ""
         if sim is not None:
-            mc_rates = None if scheme == "adaptive" else opt.rates
-            est = montecarlo.estimate_est(sc, mc_rates, scheme, s_th, sim)
+            if scheme == "adaptive":
+                est = montecarlo.estimate_est(sc, s_th, sim)
+            else:
+                est = _pinned_monte_carlo(sc, scheme, opt.rates, s_th, sim)
             est_mc, ci = cli._fmt(est.mean), cli._fmt(est.ci_halfwidth)
         met = secrecy.sop_approx(eve_link(sc), opt.rates.r_e) <= s_th + 1e-6 or opt.est == 0.0
         cells = [opt.est, est_mc, ci, secrecy.sop(sc, opt.rates.r_e), rel]
@@ -491,6 +505,74 @@ def test_sweep_ceiling_axis_monte_carlo_column_equals_the_float_calls(
     monkeypatch.undo()
     sim = montecarlo.SimConfig(trials=2000, seed=3)
     assert text == _ceiling_rows_one_by_one(baseline, scheme, _ceiling_values(), 4.0, sim)
+
+
+def _rate_rows_one_by_one(sc, scheme, axis, values, c_b, s_th, sim):
+    """The CSV of an --mc sweep on the ``r_e`` or ``r_e_x_r_b`` axis built row
+    by row from float calls: one exact outage per kind and, where r_b >= r_e,
+    one Monte-Carlo estimate per row.  ``c_b`` is the adaptive scheme's
+    capacity, or the fixed scheme's pinned r_b on the ``r_e`` axis."""
+    if axis == "r_e":
+        points = [(v, "", v, max(c_b, v)) for v in values]
+    else:
+        points = [(v_e, cli._fmt(v_b), v_e, v_b) for v_e in values for v_b in values]
+    constraint = SecrecyConstraint(s_th)
+    lines = [HEADER]
+    for value, value2, r_e, r_b in points:
+        s = secrecy.sop(sc, r_e)
+        cells = [0.0, "", "", s, 0.0, False]
+        if not r_b < r_e:
+            if scheme == "fixed":
+                t, rates = secrecy.reliability_outage(sc, r_b), RatePair(r_b=r_b, r_e=r_e)
+                report = secrecy.est_from_outages(r_b - r_e, t, s, constraint)
+            else:
+                t, rates = 0.0, RatePair(r_b=max(r_e, c_b), r_e=r_e)
+                report = secrecy.est_from_outages(max(c_b - r_e, 0.0), t, s, constraint)
+            est = _pinned_monte_carlo(sc, scheme, rates, s_th, sim)
+            est_mc, ci = cli._fmt(est.mean), cli._fmt(est.ci_halfwidth)
+            cells = [report.est, est_mc, ci, report.sop, t, report.constraint_met]
+        met = "true" if cells.pop() else "false"
+        cells = [c if isinstance(c, str) else cli._fmt(c) for c in cells]
+        lines.append(",".join([axis, cli._fmt(value), value2, *cells, met]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "scheme, axis", [("adaptive", "r_e"), ("fixed", "r_e"), ("fixed", "r_e_x_r_b")]
+)
+def test_sweep_rate_axis_monte_carlo_column_equals_the_float_calls(
+    tmp_path, monkeypatch, baseline, scheme, axis
+):
+    # --min 0.5 --max 7 --steps 4 at c_b 6 and s_th 0.6: gated rows, rows past
+    # the capacity, and on the r_e x r_b grid rows with r_b < r_e, which carry
+    # no Monte-Carlo estimate.  The fixed r_e axis pins r_b at 3.4.
+    calls = []
+    for name in ("estimate_est", "estimate_sop", "estimate_reliability_outage"):
+        real = getattr(montecarlo, name)
+        monkeypatch.setattr(
+            montecarlo,
+            name,
+            lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k),
+        )
+    argv = ["--axis", axis, "--min", "0.5", "--max", "7", "--steps", "4", "--cb", "6"]
+    argv += ["--scheme", scheme, "--sth", "0.6", "--rb", "3.4"]
+    code, text = run_cli(tmp_path, "sweep", *argv, "--mc", "--trials", "2000", "--seed", "3")
+    assert code == 0
+    # one eavesdropper draw over the rows' distinct r_e and, for the fixed
+    # scheme, one Bob draw over their r_b
+    if scheme == "fixed":
+        assert sorted(calls) == ["estimate_reliability_outage", "estimate_sop"]
+    else:
+        assert calls == ["estimate_sop"]
+    monkeypatch.undo()
+    values = [min(0.5 + i * (6.5 / 3), 7.0) for i in range(4)]
+    sim = montecarlo.SimConfig(trials=2000, seed=3)
+    c_b = 6.0 if scheme == "adaptive" else 3.4
+    want = _rate_rows_one_by_one(baseline, scheme, axis, values, c_b, 0.6, sim)
+    assert text == want
+    rows = read_rows(text)
+    assert any(row["est_mc"] == "" for row in rows) == (axis == "r_e_x_r_b")
+    assert any(float(row["est_mc"] or 0.0) > 0.0 for row in rows)
 
 
 def test_sweep_invalid_ceiling_range_exits_1(tmp_path, capsys):
@@ -918,6 +1000,36 @@ def test_validate_low_power_is_inconclusive_not_failed(tmp_path):
     assert code == 0
     assert "FAIL" not in text
     assert "INCONCLUSIVE" in text
+
+
+@pytest.mark.parametrize(
+    "trials, seed", [(1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (4, 2), (5, 2)]
+)
+def test_validate_est_fixed_at_tiny_trial_counts_is_inconclusive(tmp_path, trials, seed):
+    # Every trial in secrecy outage (and, at (1, 1), in reliability outage
+    # too) left the throughput estimate a zero halfwidth, and the check
+    # failed at margin 1e-4 with no power behind it.
+    code, text = run_cli(tmp_path, "validate", "--trials", str(trials), "--seed", str(seed))
+    lines = {line.split()[1]: line.split()[0] for line in text.splitlines()[2:-1]}
+    assert lines["est_fixed"] == "INCONCLUSIVE"
+    if trials == 1:
+        # one draw has no spread to estimate
+        assert lines["gamma_sampler_mean_rel"] == "INCONCLUSIVE"
+        assert code == 0
+
+
+def test_sweep_fixed_scheme_past_the_rate_ceiling_exits_0(tmp_path):
+    # the constrained codeword rate past _RATE_CEIL; every r_b there is in
+    # outage, so the throughput is 0
+    code, text = run_cli(
+        tmp_path, "sweep", "--axis", "r_e", "--min", "100", "--max", "1023", "--steps", "2",
+        "--scheme", "fixed",
+    )
+    assert code == 0
+    assert [(row["value"], row["est_closed"]) for row in read_rows(text)] == [
+        ("100", "0"),
+        ("1023", "0"),
+    ]
 
 
 def test_cached_parser_carries_nothing_between_calls(tmp_path):

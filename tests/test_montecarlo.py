@@ -31,6 +31,23 @@ def _rng(seed):
     return montecarlo.seeded_generator(np.random.SeedSequence(seed))
 
 
+def _pinned_outages(sc, rates, scheme, sim, jobs=1):
+    """The outage estimates of a pinned rate pair: the secrecy outage at
+    r_e and, for the fixed scheme, the reliability outage at r_b; the
+    adaptive scheme's codeword rate tracks the capacity, so its reliability
+    outage is an exact zero."""
+    sop = estimate_sop(sc, rates.r_e, sim, jobs=jobs)
+    if scheme == "fixed":
+        return sop, estimate_reliability_outage(sc, rates.r_b, sim, jobs=jobs)
+    return sop, Estimate(mean=0.0, ci_halfwidth=0.0, trials=sim.trials, count=0)
+
+
+def _pinned_est(sc, rates, scheme, s_th, sim, jobs=1):
+    """The Monte-Carlo throughput at a pinned rate pair (for the adaptive
+    scheme, at the capacity r_b), as the command line composes it."""
+    return est_fixed_from_outages(rates, *_pinned_outages(sc, rates, scheme, sim, jobs), s_th)
+
+
 # ---------------------------------------------------------------------------
 # configuration records
 # ---------------------------------------------------------------------------
@@ -77,12 +94,12 @@ def test_concurrency_does_not_change_results(baseline):
     assert r1 == estimate_reliability_outage(baseline, 3.4, sim, jobs=8)
 
     rates = RatePair(3.4, 1.25)
-    s1 = estimate_est(baseline, rates, "fixed", 1.0, sim, jobs=1)
-    s8 = estimate_est(baseline, rates, "fixed", 1.0, sim, jobs=8)
+    s1 = _pinned_est(baseline, rates, "fixed", 1.0, sim, jobs=1)
+    s8 = _pinned_est(baseline, rates, "fixed", 1.0, sim, jobs=8)
     assert (s1.mean, s1.ci_halfwidth) == (s8.mean, s8.ci_halfwidth)
 
-    a1 = estimate_est(baseline, None, "adaptive", 0.4, sim, jobs=1)
-    a8 = estimate_est(baseline, None, "adaptive", 0.4, sim, jobs=8)
+    a1 = estimate_est(baseline, 0.4, sim, jobs=1)
+    a8 = estimate_est(baseline, 0.4, sim, jobs=8)
     assert (a1.mean, a1.ci_halfwidth) == (a8.mean, a8.ci_halfwidth)
 
 
@@ -443,15 +460,13 @@ def test_degenerate_counts_keep_nonzero_halfwidth(baseline):
 def test_estimate_est_argument_validation(baseline):
     sim = SimConfig(trials=10)
     with pytest.raises(ValueError):
-        estimate_est(baseline, None, "fixed", 1.0, sim)
+        estimate_est(baseline, 0.0, sim)
     with pytest.raises(ValueError):
-        estimate_est(baseline, RatePair(2.0, 1.0), "other", 1.0, sim)
-    with pytest.raises(ValueError):
-        estimate_est(baseline, RatePair(2.0, 1.0), "fixed", 0.0, sim)
+        estimate_est(baseline, 1.5, sim)
 
 
 def test_estimate_est_fixed_zero_secrecy_rate(baseline):
-    e = estimate_est(baseline, RatePair(2.0, 2.0), "fixed", 1.0, SimConfig(trials=5_000))
+    e = _pinned_est(baseline, RatePair(2.0, 2.0), "fixed", 1.0, SimConfig(trials=5_000))
     assert e.mean == 0.0
 
 
@@ -461,11 +476,11 @@ def test_estimate_est_fixed_frozen_values(baseline):
     # and 0.231026 (test_estimate_est_fixed_matches_closed_form checks that
     # agreement at 200,000 trials).
     sim = SimConfig(trials=50_000, seed=5, stream_count=4)
-    e = estimate_est(baseline, RatePair(3.4, 1.2558717), "fixed", 1.0, sim)
+    e = _pinned_est(baseline, RatePair(3.4, 1.2558717), "fixed", 1.0, sim)
     assert (e.mean, e.ci_halfwidth, e.trials) == (0.6106955067302674, 0.011924665920830715, 50_000)
-    e = estimate_est(baseline, RatePair(2.5, 2.0), "fixed", 1.0, sim)
+    e = _pinned_est(baseline, RatePair(2.5, 2.0), "fixed", 1.0, sim)
     assert (e.mean, e.ci_halfwidth) == (0.23060929759999999, 0.0033286364147440293)
-    e = estimate_est(baseline, RatePair(3.4, 1.2558717), "fixed", 0.3, sim)
+    e = _pinned_est(baseline, RatePair(3.4, 1.2558717), "fixed", 0.3, sim)
     assert (e.mean, e.ci_halfwidth) == (0.0, 0.0)
 
 
@@ -478,7 +493,7 @@ def test_est_fixed_from_a_shared_eavesdropper_draw(baseline, jobs):
     assert sop_at_re.count == round(sop_at_re.mean * sim.trials)
     rel = estimate_reliability_outage(baseline, rates.r_b, sim, jobs=jobs)
     shared = est_fixed_from_outages(rates, sop_at_re, rel, 1.0)
-    assert shared == estimate_est(baseline, rates, "fixed", 1.0, sim, jobs=jobs)
+    assert shared == _pinned_est(baseline, rates, "fixed", 1.0, sim, jobs=jobs)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -489,11 +504,18 @@ def test_est_fixed_from_a_shared_eavesdropper_draw(baseline, jobs):
 )
 def test_estimate_est_over_ceilings_equals_the_float_calls(baseline, rates, scheme, jobs):
     # The draws do not depend on the ceiling: one draw serves every ceiling,
-    # and each estimate is the float call's, field for field.
+    # and each estimate is the float call's, field for field.  A pinned rate
+    # pair's estimates come from one pair of outage estimates.
     sim = SimConfig(trials=3_000, seed=13, stream_count=5)
     ceilings = [1.0, 0.6, 0.4, 0.2, 0.05, 0.4]
-    got = estimate_est(baseline, rates, scheme, ceilings, sim, jobs=jobs)
-    assert got == [estimate_est(baseline, rates, scheme, s_th, sim, jobs=jobs) for s_th in ceilings]
+    if rates is None:
+        got = estimate_est(baseline, ceilings, sim, jobs=jobs)
+        want = [estimate_est(baseline, s_th, sim, jobs=jobs) for s_th in ceilings]
+    else:
+        outages = _pinned_outages(baseline, rates, scheme, sim, jobs)
+        got = [est_fixed_from_outages(rates, *outages, s_th) for s_th in ceilings]
+        want = [_pinned_est(baseline, rates, scheme, s_th, sim, jobs) for s_th in ceilings]
+    assert got == want
     assert len({e.mean for e in got}) >= 2
 
 
@@ -505,12 +527,12 @@ def test_capacity_averaged_estimate_draws_once_over_ceilings(baseline, monkeypat
             montecarlo, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
         )
     sim = SimConfig(trials=1_000, seed=2, stream_count=4)
-    assert len(estimate_est(baseline, None, "adaptive", (0.2, 0.4, 1.0), sim)) == 3
+    assert len(estimate_est(baseline, (0.2, 0.4, 1.0), sim)) == 3
     assert sorted(calls) == ["_adaptive_redundancy_table"] + ["sample_bob_irradiance"] * 4 + [
         "sample_eve_irradiance"
     ] * 4
     with pytest.raises(ValueError):
-        estimate_est(baseline, None, "adaptive", [0.4, 0.0], sim)
+        estimate_est(baseline, [0.4, 0.0], sim)
 
 
 def test_estimate_est_fixed_matches_closed_form(baseline):
@@ -523,7 +545,7 @@ def test_estimate_est_fixed_matches_closed_form(baseline):
         RatePair(5.0, 3.5),
     ]
     for rates in pairs:
-        e = estimate_est(baseline, rates, "fixed", 1.0, sim)
+        e = _pinned_est(baseline, rates, "fixed", 1.0, sim)
         want = secrecy.est_fixed(baseline, rates, secrecy.SecrecyConstraint(1.0)).est
         assert abs(e.mean - want) <= e.ci_halfwidth + 1e-3
 
@@ -531,7 +553,7 @@ def test_estimate_est_fixed_matches_closed_form(baseline):
 def test_estimate_est_adaptive_dominates_fixed_optimum(baseline):
     sim = SimConfig(trials=200_000, seed=37)
     for s_th in (0.4, 0.2):
-        adaptive = estimate_est(baseline, None, "adaptive", s_th, sim)
+        adaptive = estimate_est(baseline, s_th, sim)
         fixed = optimize.fixed_optimal(baseline, s_th).est
         assert adaptive.mean - adaptive.ci_halfwidth >= fixed
 
@@ -541,7 +563,7 @@ def test_estimate_est_adaptive_pinned_rate_mode(baseline):
     # capacity, (c_b - r_e)(1 - S(r_e)), from the eavesdropper's draw alone.
     sim = SimConfig(trials=200_000, seed=41)
     for c_b, r_e in [(6.0, 0.5), (4.0, 2.0), (30.0, 2.0)]:
-        e = estimate_est(baseline, RatePair(c_b, r_e), "adaptive", 1.0, sim)
+        e = _pinned_est(baseline, RatePair(c_b, r_e), "adaptive", 1.0, sim)
         want = secrecy.est_adaptive(baseline, c_b, r_e, secrecy.SecrecyConstraint(1.0)).est
         assert abs(e.mean - want) <= e.ci_halfwidth
         sop = estimate_sop(baseline, r_e, sim)
@@ -555,7 +577,7 @@ def test_estimate_est_adaptive_pinned_rate_mode_gates_at_the_ceiling(baseline):
     sim = SimConfig(trials=100_000, seed=41)
     closed = secrecy.est_adaptive(baseline, 6.0, 0.5, secrecy.SecrecyConstraint(0.4))
     assert not closed.constraint_met
-    e = estimate_est(baseline, RatePair(6.0, 0.5), "adaptive", 0.4, sim)
+    e = _pinned_est(baseline, RatePair(6.0, 0.5), "adaptive", 0.4, sim)
     assert (e.mean, e.ci_halfwidth) == (0.0, 0.0)
 
 
@@ -565,7 +587,7 @@ def test_estimate_est_adaptive_pinned_rate_mode_gates_at_the_ceiling(baseline):
 
 
 def _assert_matches_full_interpolation(sc, s_th, sim, jobs=1):
-    got = estimate_est(sc, None, "adaptive", s_th, sim, jobs=jobs)
+    got = estimate_est(sc, s_th, sim, jobs=jobs)
     want = oracles.est_adaptive_full_interp(sc, s_th, sim, jobs=jobs)
     assert (got.mean, got.ci_halfwidth, got.trials) == (want.mean, want.ci_halfwidth, want.trials)
     return got
@@ -641,3 +663,34 @@ def test_adaptive_est_matches_full_interpolation_with_ties_at_the_cut(
     monkeypatch.setattr(montecarlo, "_adaptive_redundancy_table", table_with_tail)
     sim = SimConfig(trials=20_000, seed=seed, stream_count=4)
     _assert_matches_full_interpolation(baseline, 0.4, sim)
+
+
+def test_est_fixed_from_outages_floors_an_extreme_count_at_the_rule_of_three():
+    # A count of 0 or n gives a factor a plug-in variance of 0; its estimate's
+    # rule-of-three halfwidth 3/n stands in, and the product of the two
+    # variances keeps the halfwidth off 0 where both success rates are 0.
+    n, rate = 50, 2.0
+    rates = RatePair(3.0, 1.0)
+    sim = SimConfig(trials=n, stream_count=1)
+    none, some, every = (montecarlo._binomial_estimate([k], sim) for k in (0, 10, n))
+    exact_zero = Estimate(mean=0.0, ci_halfwidth=0.0, trials=n, count=0)
+
+    # neither count extreme: the delta method, bit for bit
+    p = (n - 10) / n
+    e = est_fixed_from_outages(rates, some, some, 1.0)
+    var = rate * rate * (p * p * p * (1.0 - p) + p * p * p * (1.0 - p)) / n
+    assert e.ci_halfwidth == 3.0 * math.sqrt(var)
+    # an exact zero reliability outage (the adaptive scheme) adds nothing
+    e = est_fixed_from_outages(rates, some, exact_zero, 1.0)
+    assert e.ci_halfwidth == 3.0 * math.sqrt(rate * rate * (p * (1.0 - p)) / n)
+
+    floor = (1.0 / n) ** 2
+    cases = [
+        (every, some, rate**2 * (0.8**2 * floor + 0.8 * 0.2 / n * floor)),
+        (some, none, rate**2 * (0.8 * 0.2 / n + 0.8**2 * floor + 0.8 * 0.2 / n * floor)),
+        (every, every, rate**2 * floor * floor),
+    ]
+    for sop, rel, var in cases:
+        e = est_fixed_from_outages(rates, sop, rel, 1.0)
+        assert e.ci_halfwidth == pytest.approx(3.0 * math.sqrt(var), rel=1e-12)
+        assert e.ci_halfwidth > 0.0

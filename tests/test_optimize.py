@@ -19,7 +19,6 @@ from fso_secrecy import channel, montecarlo, optimize, secrecy, specfun
 from fso_secrecy.channel import baseline_scenario, bob_link, eve_link
 from fso_secrecy.optimize import (
     Optimum,
-    SolverOptions,
     adaptive_grid_oracle,
     adaptive_optimal,
     adaptive_unconstrained_re,
@@ -33,8 +32,7 @@ from fso_secrecy.optimize import (
 from fso_secrecy.secrecy import (
     RatePair,
     SecrecyConstraint,
-    est_adaptive,
-    est_fixed,
+    est_from_outages,
     reliability_outage_approx,
     reliability_outage_approx_curve,
     sop_approx,
@@ -66,15 +64,29 @@ def _psi_fixed(sc, r_e, r_b):
     return (r_b - r_e) * (1.0 - t) * (1.0 - sop_approx(eve_link(sc), r_e))
 
 
+def _surrogate_est_adaptive(sc, c_b, r_e, constraint):
+    """The adaptive surrogate throughput the solvers report."""
+    return est_from_outages(c_b - r_e, 0.0, sop_approx(eve_link(sc), r_e), constraint)
+
+
+def _surrogate_est_fixed(sc, rates, constraint):
+    """The fixed-scheme surrogate throughput the solvers report."""
+    t = reliability_outage_approx(bob_link(sc), sc.nodes.n_a, rates.r_b)
+    s = sop_approx(eve_link(sc), rates.r_e)
+    return est_from_outages(rates.secrecy_rate, t, s, constraint)
+
+
 # ---------------------------------------------------------------------------
-# options record
+# grid sizes
 # ---------------------------------------------------------------------------
 
 
-def test_solver_options_validation():
-    assert SolverOptions().grid_points == 400
-    with pytest.raises(ValueError):
-        SolverOptions(grid_points=1)
+def test_grid_oracles_reject_fewer_than_two_points(baseline):
+    assert optimize.GRID_POINTS == 400
+    with pytest.raises(ValueError, match="grid_points"):
+        grid_refine_maximize(lambda r: r, (0.0, 1.0), grid_points=1)
+    with pytest.raises(ValueError, match="grid_points"):
+        fixed_grid_oracle(baseline, 0.4, 6.0, grid_points=1)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +290,7 @@ def test_adaptive_optimal_respects_ceiling(baseline):
 def test_adaptive_optimal_est_self_consistent(baseline):
     for c_b, s_th in ((4.0, 1.0), (4.0, 0.2), (6.0, 0.4), (2.0, 0.2)):
         o = adaptive_optimal(baseline, c_b, s_th)
-        rep = est_adaptive(baseline, c_b, o.rates.r_e, SecrecyConstraint(s_th), use_approx=True)
+        rep = _surrogate_est_adaptive(baseline, c_b, o.rates.r_e, SecrecyConstraint(s_th))
         assert o.est == pytest.approx(rep.est, abs=1e-9)
 
 
@@ -286,7 +298,7 @@ def test_adaptive_optimal_matches_grid_oracle(baseline):
     c_b, s_th = 4.0, 0.4
     o = adaptive_optimal(baseline, c_b, s_th)
     oracle = grid_refine_maximize(
-        lambda r: est_adaptive(baseline, c_b, r, SecrecyConstraint(s_th), use_approx=True).est,
+        lambda r: _surrogate_est_adaptive(baseline, c_b, r, SecrecyConstraint(s_th)).est,
         (0.0, c_b),
     )
     assert o.est >= 0.98 * oracle.est
@@ -355,7 +367,7 @@ def test_fixed_unconstrained_pair_pointing_free(pointing_free):
     [(1.2558717, 3.3999996, 1e-4), (2.0, 3.0, 1e-5), (5e-6, 1e-5 + 5e-6, 1e-5)],
 )
 def test_throughput_stencil_equals_the_pointwise_objective(sigma_s, re, rb, h):
-    # the separable stencil gives each cell the bits of est_fixed's surrogate
+    # the separable stencil gives each cell the bits of the surrogate
     # throughput there, and 0 outside 0 <= r_e < r_b (the last case reaches
     # a negative r_e and r_e >= r_b cells)
     sc = baseline_scenario(sigma_s=sigma_s)
@@ -365,7 +377,7 @@ def test_throughput_stencil_equals_the_pointwise_objective(sigma_s, re, rb, h):
         for j, y in enumerate((rb - h, rb, rb + h)):
             want = 0.0
             if 0.0 <= x < y:
-                want = est_fixed(sc, RatePair(r_b=y, r_e=x), unconstrained, use_approx=True).est
+                want = _surrogate_est_fixed(sc, RatePair(r_b=y, r_e=x), unconstrained).est
             assert got[i][j].hex() == want.hex(), (i, j)
 
 
@@ -423,6 +435,26 @@ def test_fixed_constrained_rb_is_stationary(baseline):
 def test_fixed_constrained_rb_rejects_negative_rate(baseline):
     with pytest.raises(ValueError):
         fixed_constrained_rb(baseline, -0.5)
+
+
+@pytest.mark.parametrize("r_e", [100.0, 1023.5])
+def test_fixed_constrained_rb_scans_upward_past_the_rate_ceiling(baseline, monkeypatch, r_e):
+    # A pinned rate past _RATE_CEIL: the scan runs upward from just above it
+    # and stays below RATE_LIMIT.  Every codeword rate there is in outage,
+    # so no residual root exists and the grid polish gives r_b.
+    spans = []
+    scan_nodes = optimize._scan_nodes
+
+    def spy(lo, hi, n):
+        spans.append((lo, hi))
+        return scan_nodes(lo, hi, n)
+
+    monkeypatch.setattr(optimize, "_scan_nodes", spy)
+    rb, method = fixed_constrained_rb(baseline, r_e)
+    ((lo, hi),) = spans
+    assert r_e < lo < hi < secrecy.RATE_LIMIT
+    assert r_e < rb < secrecy.RATE_LIMIT
+    assert method == "grid_oracle"
 
 
 def test_fixed_constrained_rb_single_beam_path():
@@ -483,7 +515,7 @@ def test_fixed_optimal_labels_the_constrained_grid_fallback():
 def test_fixed_optimal_est_self_consistent(baseline):
     for s_th in (1.0, 0.5, 0.3, 0.1):
         o = fixed_optimal(baseline, s_th)
-        rep = est_fixed(baseline, o.rates, SecrecyConstraint(s_th), use_approx=True)
+        rep = _surrogate_est_fixed(baseline, o.rates, SecrecyConstraint(s_th))
         assert o.est == pytest.approx(rep.est, abs=1e-9)
 
 
@@ -505,11 +537,9 @@ def test_fixed_optimal_matches_grid_oracle(baseline):
     def objective(re_, rb_):
         if re_ > rb_:
             return 0.0
-        return est_fixed(baseline, RatePair(rb_, re_), SecrecyConstraint(s_th), use_approx=True).est
+        return _surrogate_est_fixed(baseline, RatePair(rb_, re_), SecrecyConstraint(s_th)).est
 
-    oracle = grid_refine_maximize(
-        objective, ((0.0, 6.0), (1e-3, 6.0)), SolverOptions(grid_points=160)
-    )
+    oracle = grid_refine_maximize(objective, ((0.0, 6.0), (1e-3, 6.0)), grid_points=160)
     assert o.est >= 0.98 * oracle.est
     assert o.est >= oracle.est - 1e-6
 
@@ -789,18 +819,18 @@ def test_batched_bisection_makes_few_array_calls():
 
 
 def _oracles_agree(sc, s_th, hi):
-    """fixed_grid_oracle against grid_refine_maximize on the est_fixed
-    objective, as the CLI's fixed-scheme oracle ran it; equal to the bit."""
+    """fixed_grid_oracle against grid_refine_maximize on the fixed-scheme
+    surrogate throughput, as the CLI's fixed-scheme oracle runs it; equal to
+    the bit."""
     constraint = SecrecyConstraint(s_th)
 
     def objective(re_, rb_):
         if not 0.0 <= re_ < rb_:
             return 0.0
-        return est_fixed(sc, RatePair(r_b=rb_, r_e=re_), constraint, use_approx=True).est
+        return _surrogate_est_fixed(sc, RatePair(r_b=rb_, r_e=re_), constraint).est
 
-    opts = SolverOptions(grid_points=160)
-    want = grid_refine_maximize(objective, ((0.0, hi), (1e-3, hi)), opts)
-    got = fixed_grid_oracle(sc, s_th, hi, opts)
+    want = grid_refine_maximize(objective, ((0.0, hi), (1e-3, hi)), grid_points=160)
+    got = fixed_grid_oracle(sc, s_th, hi, grid_points=160)
     assert got.rates == want.rates
     assert got.est == want.est
     return got
@@ -843,7 +873,7 @@ def test_fixed_grid_oracle_polish_makes_one_kernel_call_per_step(monkeypatch):
             return _kernel(*args)
 
         monkeypatch.setattr(optimize, name, counted)
-    fixed_grid_oracle(sc, 0.4, hi, SolverOptions(grid_points=160))
+    fixed_grid_oracle(sc, 0.4, hi, grid_points=160)
     assert 0 < len(calls) < 1000
 
 
@@ -870,7 +900,7 @@ def test_refine_2d_keeps_the_best_round():
         hill = -((x - 0.75) ** 2) - (y - x - 0.5) ** 2
         return hill + math.exp(-(((y - 1.0) / 0.001) ** 2))
 
-    o = grid_refine_maximize(f, ((0.0, 2.0), (0.0, 2.0)), SolverOptions(grid_points=5))
+    o = grid_refine_maximize(f, ((0.0, 2.0), (0.0, 2.0)), grid_points=5)
     assert o.rates.r_e == pytest.approx(0.625, abs=1e-6)
     assert o.rates.r_b == pytest.approx(1.0, abs=1e-6)
     assert o.est == f(o.rates.r_e, o.rates.r_b)
@@ -887,7 +917,7 @@ def test_adaptive_grid_oracle_matches_generic_oracle(n, s_th, c_b):
     sc = baseline_scenario(n_a=n, n_b=n, n_e=n)
     constraint = SecrecyConstraint(s_th)
     want = grid_refine_maximize(
-        lambda r: est_adaptive(sc, c_b, r, constraint, use_approx=True).est, (0.0, c_b)
+        lambda r: _surrogate_est_adaptive(sc, c_b, r, constraint).est, (0.0, c_b)
     )
     got = adaptive_grid_oracle(sc, c_b, s_th)
     assert got == want

@@ -481,12 +481,6 @@ def test_est_adaptive_gating(baseline):
     assert open_.est == pytest.approx((4.0 - 3.2) * (1.0 - s_hi), rel=1e-14, abs=0)
 
 
-def test_est_adaptive_approx_flavor(baseline):
-    rep = est_adaptive(baseline, 4.0, 1.5, UNCONSTRAINED, use_approx=True)
-    assert rep.sop == pytest.approx(sop_approx(eve_link(baseline), 1.5), rel=1e-15, abs=0)
-    assert rep.est == pytest.approx((4.0 - 1.5) * (1.0 - rep.sop), rel=1e-15, abs=0)
-
-
 # ---------------------------------------------------------------------------
 # fixed-rate throughput
 # ---------------------------------------------------------------------------
@@ -532,16 +526,6 @@ def test_est_fixed_gating(baseline):
     assert rep.sop == pytest.approx(s, rel=1e-15, abs=0)
     assert rep.reliability_factor == pytest.approx(
         1.0 - reliability_outage(baseline, 3.0), rel=1e-14, abs=0
-    )
-
-
-def test_est_fixed_approx_flavor(baseline):
-    rep = est_fixed(baseline, RatePair(3.4, 1.25), UNCONSTRAINED, use_approx=True)
-    assert rep.sop == pytest.approx(sop_approx(eve_link(baseline), 1.25), rel=1e-15, abs=0)
-    assert rep.reliability_factor == pytest.approx(
-        1.0 - reliability_outage_approx(bob_link(baseline), baseline.nodes.n_a, 3.4),
-        rel=1e-15,
-        abs=0,
     )
 
 
