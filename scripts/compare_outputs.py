@@ -17,6 +17,13 @@ script runs:
 - two closed-form ``optimize`` runs on weak links, whose rates lie far
   below 1 bpcu: ``--scheme fixed`` at gamma0 0.1 and ``--scheme adaptive
   --cb 4`` at gamma0 1e-3;
+- two closed-form ``optimize --scheme fixed`` runs whose scans find no
+  root, so a solver's grid fallback gives its rates.  At ``--sth 0.52`` on
+  the scenario of ``test_fixed_optimal_labels_the_constrained_grid_fallback``
+  the codeword-rate fallback runs on a factor that is 0 along the whole
+  scan.  At gamma0 1e25 the pair's fallback runs on a throughput that
+  peaks inside the r_e range, at the r_b cap of 60; these solver fields
+  are the grid search's, and move with it;
 - ``sweep --axis s_th --mc --trials 20000`` for ``--scheme fixed`` and
   ``--scheme adaptive`` (``--cb 4``), over the 20 ceilings of the figure
   sweeps, with the same program seed, so the Monte-Carlo column of the
@@ -74,10 +81,18 @@ EXTRA_MC_RUNS = (
     ("opt_mc_streams100.json", workloads.OPT_MC_STH, "100000", "100"),
 )
 
-# (output name, gamma0, scheme arguments) of the weak-link optimize runs.
-WEAK_LINK_RUNS = (
-    ("opt_weak_fixed.json", 0.1, ["--scheme", "fixed"]),
-    ("opt_weak_adaptive.json", 1e-3, ["--scheme", "adaptive", "--cb", "4"]),
+# (output name, config, scheme arguments) of the weak-link optimize runs and
+# of the runs that take a fixed-scheme solver's grid fallback.
+CONFIG_RUNS = (
+    ("opt_weak_fixed.json", {"gamma0": 0.1}, ["--scheme", "fixed"]),
+    ("opt_weak_adaptive.json", {"gamma0": 1e-3}, ["--scheme", "adaptive", "--cb", "4"]),
+    (
+        "opt_grid_fallback_fixed.json",
+        {"sigma_s": 0.0, "n_a": 5, "n_b": 2, "n_e": 6, "cn2": 1.36e-16, "d_b": 2124,
+         "d_e": 2264, "gamma0": 639},
+        ["--scheme", "fixed", "--sth", "0.52"],
+    ),
+    ("opt_grid_fallback_pair.json", {"gamma0": 1e25}, ["--scheme", "fixed"]),
 )
 
 # (output name, config) of the params runs.
@@ -137,9 +152,9 @@ def produce(src: Path, outdir: Path) -> None:
                     "--trials", trials, "--stream-count", streams, "--seed", str(PROGRAM_SEED),
                     "--jobs", "1", "--out", str(outdir / name)])
         )
-    for name, gamma0, scheme in WEAK_LINK_RUNS:
-        cfg = outdir / f"weak_{name}"
-        cfg.write_text(json.dumps({"gamma0": gamma0}), encoding="utf-8")
+    for name, doc, scheme in CONFIG_RUNS:
+        cfg = outdir / f"config_{name}"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
         ops.append((name, ["optimize", "--config", str(cfg), *scheme, "--out", str(outdir / name)]))
     for name, doc in PARAMS_RUNS:
         cfg = outdir / f"config_{name}"
@@ -168,9 +183,7 @@ def produce(src: Path, outdir: Path) -> None:
     _run(src, [str(ROOT / "scripts" / "figure_sweeps.py"), "--outdir", str(outdir)])
     for n in workloads.OPT_NS:
         workloads.config_path(outdir, n).unlink()
-    for name, _, _ in WEAK_LINK_RUNS:
-        (outdir / f"weak_{name}").unlink()
-    for name, _ in PARAMS_RUNS:
+    for name, *_ in (*CONFIG_RUNS, *PARAMS_RUNS):
         (outdir / f"config_{name}").unlink()
 
 

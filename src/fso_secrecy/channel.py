@@ -81,6 +81,11 @@ POINTING_FREE_XI = math.inf
 # to infinity, keeping downstream arithmetic finite.
 _SHAPE_CAP = 1e12
 
+# Past this argument every CDF kernel reads 1 and every density 0 in double
+# precision, at any shape up to _SHAPE_CAP; the kernels clamp a larger one,
+# inf included, to it.
+_X_CERTAIN = 1e300
+
 # About one ulp of 1.0; the pointing term's recurrence caps a log ratio
 # at -_EPS so that log1p(-exp(.)) stays finite.
 _EPS = 2.3e-16
@@ -525,8 +530,9 @@ def _conditioned_cdf(alpha: float, beta_agg: float, xi2: float | None, x: np.nda
 
 
 def _exact_cdf(name: str, alpha: float, beta_agg: float, xi2: float | None, x):
-    """:func:`_conditioned_cdf` clamped to [0, 1], 0 at x = 0, for x >= 0 a float
-    or an array: a float takes a one-element array's code and returns a float."""
+    """:func:`_conditioned_cdf` clamped to [0, 1], 0 at x = 0 and 1 at x = inf,
+    for x >= 0 a float or an array: a float takes a one-element array's code
+    and returns a float."""
     if not (alpha > 0.0 and beta_agg > 0.0):
         raise ValueError(f"{name} shape parameters must be strictly positive")
     xs = np.asarray(x, dtype=float)
@@ -534,7 +540,7 @@ def _exact_cdf(name: str, alpha: float, beta_agg: float, xi2: float | None, x):
         raise ValueError(f"{name} requires x >= 0, got {x}")
     p = np.zeros(xs.shape)
     live = xs != 0.0
-    p[live] = _clamp_prob(_conditioned_cdf(alpha, beta_agg, xi2, xs[live]))
+    p[live] = _clamp_prob(_conditioned_cdf(alpha, beta_agg, xi2, np.minimum(xs[live], _X_CERTAIN)))
     return float(p) if p.ndim == 0 else p
 
 
@@ -576,13 +582,13 @@ def ggp_cdf_approx(sur: Surrogate, x: float) -> float:
     x >= 0, from the link's constants ``sur``.
 
     The same numpy code as the matching element of
-    :func:`surrogate_cdf_pdf`, so the two agree to the bit.
+    :func:`surrogate_cdf_pdf`, so the two agree to the bit; 1 at x = inf.
     """
     if x <= 0.0:
         if x < 0.0:
             raise ValueError(f"ggp_cdf_approx requires x >= 0, got {x}")
         return 0.0
-    return float(_surrogate_cdf(sur, x / sur.theta)[0])
+    return float(_surrogate_cdf(sur, min(x, _X_CERTAIN * sur.theta) / sur.theta)[0])
 
 
 def surrogate_cdf_pdf(sur: Surrogate, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -592,10 +598,11 @@ def surrogate_cdf_pdf(sur: Surrogate, x: np.ndarray) -> tuple[np.ndarray, np.nda
     With t = x / theta the density in t is (xi2 / t) times the pointing term
     of :func:`_surrogate_cdf`: the gamma densities of the two terms'
     derivatives cancel.  Without pointing loss these are the plain gamma CDF
-    and density.  The density is per unit x, and 0 at x = 0.
+    and density.  The density is per unit x, 0 at x = 0 and at x = inf,
+    where the CDF is 1.
     """
     k, theta = sur.k, sur.theta
-    t = np.asarray(x, dtype=float) / theta
+    t = np.minimum(np.asarray(x, dtype=float), _X_CERTAIN * theta) / theta
     cdf, pdf = np.zeros(t.shape), np.zeros(t.shape)
     pos = t > 0.0
     t = t[pos]

@@ -294,15 +294,20 @@ def _rate_rows(
     jobs: int,
 ) -> list[tuple[float, str, str, float, float, bool]]:
     """One row per cell (r_e, r_b, c_b) of a rate axis, from one exact outage
-    call per kind and ``est_from_outages``.  The adaptive scheme has no
-    reliability outage, and no secrecy rate past c_b; r_b < r_e is a zero row,
-    without a Monte-Carlo estimate."""
-    constraint = SecrecyConstraint(s_th)
+    call per kind and one ``est_from_outages`` call.  The adaptive scheme has
+    no reliability outage, and no secrecy rate past c_b; r_b < r_e is a zero
+    row, without a Monte-Carlo estimate."""
     s = _outages(secrecy.sop, sc, [r_e for r_e, _, _ in cells])
     if scheme == "fixed":
         t = _outages(secrecy.reliability_outage, sc, [r_b for _, r_b, _ in cells])
     else:
         t = [0.0] * len(cells)
+    secrecy_rates = [
+        r_b - r_e if scheme == "fixed" else max(c_b - r_e, 0.0) for r_e, r_b, c_b in cells
+    ]
+    report = secrecy.est_from_outages(
+        np.array(secrecy_rates), np.array(t), np.array(s), SecrecyConstraint(s_th)
+    )
     mc_cells = iter(())
     if with_mc:
         # The rate pair of each live cell; the adaptive scheme's secrecy rate
@@ -314,14 +319,14 @@ def _rate_rows(
         ]
         mc_cells = iter(_mc_columns(sc, scheme, live, [s_th] * len(live), sim, jobs))
     rows = []
-    for (r_e, r_b, c_b), s_i, t_i in zip(cells, s, t):
+    for (r_e, r_b, _), s_i, t_i, est, met in zip(
+        cells, s, t, report.est.tolist(), report.constraint_met.tolist()
+    ):
         if r_b < r_e:
             rows.append((0.0, "", "", s_i, 0.0, False))
             continue
-        secrecy_rate = r_b - r_e if scheme == "fixed" else max(c_b - r_e, 0.0)
-        report = secrecy.est_from_outages(secrecy_rate, t_i, s_i, constraint)
         est_mc, ci = next(mc_cells, ("", ""))
-        rows.append((report.est, est_mc, ci, report.sop, t_i, report.constraint_met))
+        rows.append((est, est_mc, ci, s_i, t_i, met))
     return rows
 
 
@@ -435,15 +440,15 @@ def cmd_sweep(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
 def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     """Run the scheme's solver and report the optimum plus oracle diagnostics.
 
-    The ``oracle`` block comes from a grid search with golden refinement on
-    the surrogate throughput: :func:`optimize.fixed_grid_oracle` (a 160 x 160
-    grid up to 3 above the solver's codeword rate) for the fixed scheme,
-    :func:`optimize.adaptive_grid_oracle` (400 nodes over (0, c_b)) for the
-    adaptive one.  Each returns what :func:`optimize.grid_refine_maximize`
-    returns on the same objective, bit for bit; the shared polish stops at
-    the first round that does not raise the throughput, and each golden line
-    search once its bracket stops shrinking.  ``covers`` is false when the
-    solver's rates lie outside the grid's domain, where the gap means nothing.
+    The ``oracle`` block comes from :func:`optimize.grid_refine_maximize`,
+    a zooming grid search, on the surrogate throughput:
+    :func:`optimize.fixed_grid_oracle` (160 x 160 nodes up to 3 above the
+    solver's codeword rate) for the fixed scheme,
+    :func:`optimize.adaptive_grid_oracle` (400 nodes over [0, c_b]) for the
+    adaptive one.  Each zoom level re-grids one node step either side of the
+    best point with as many nodes, and takes one array call per outage.
+    ``covers`` is false when the solver's rates lie outside the grid's
+    domain, where the gap means nothing.
     """
     s_th = args.sth if args.sth is not None else sc.s_th
     scheme = args.scheme

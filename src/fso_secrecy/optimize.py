@@ -9,9 +9,10 @@ therefore finds the root of its condition directly:
 
 1. sign-scan plus bisection on the stationarity residual, in array calls:
    one for the scan, and one per six levels of bisection;
-2. where the scan finds no sign change, an array grid search with golden
-   refinement of the throughput: :func:`fixed_grid_oracle`,
-   :func:`adaptive_grid_oracle`, or one reliability-outage scan.
+2. where the scan finds no sign change, the zooming grid search
+   :func:`grid_refine_maximize` of the throughput: through
+   :func:`fixed_grid_oracle` or :func:`adaptive_grid_oracle`, or on the
+   codeword rate's throughput factor.
 
 The fixed scheme's rate constants and every stencil step are multiples of
 u = min(C_b, 1), Bob's capacity at his mean surrogate SNR capped at 1 bpcu,
@@ -34,8 +35,12 @@ All solvers evaluate and report on the gamma-surrogate surface they are
 derived on, :func:`fso_secrecy.secrecy.est_from_outages` of the surrogate
 outages; the exact-kernel value of a returned optimum is
 :func:`fso_secrecy.secrecy.est_fixed` / ``est_adaptive`` at its rates.  Every
-scan and grid has ``GRID_POINTS`` nodes; only the grid oracles take another
-count, which the command line's fixed-scheme oracle sets to 160.
+curvature stencil takes its throughput from one ``est_from_outages`` call
+on its outage arrays.  :func:`grid_refine_maximize` is the one grid search:
+the solvers' fallbacks, the command line's oracles and the acceptance gate
+run it on array objectives, one call per zoom level.  Every scan and grid
+has ``GRID_POINTS`` nodes; only the grid search and the fixed oracle take
+another count, which the command line's fixed-scheme oracle sets to 160.
 """
 
 from __future__ import annotations
@@ -73,8 +78,6 @@ __all__ = [
     "adaptive_grid_oracle",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 # Hard ceiling on any rate iterate; 2**rate must stay finite and the model
 # carries no information this far out anyway.
 _RATE_CEIL = 60.0
@@ -91,6 +94,13 @@ FIXED_ORACLE_RB_MIN = 1e-3
 
 #: Nodes of every residual scan and of the grid oracles, per axis.
 GRID_POINTS = 400
+
+# The grid search zooms until its node step is at most this fraction of the
+# first level's.
+_ZOOM_TOL = _RATE_TOL
+
+# The ceiling of a throughput that no ceiling gates.
+_UNCONSTRAINED = SecrecyConstraint(1.0)
 
 
 @dataclass(frozen=True)
@@ -121,51 +131,9 @@ class Optimum:
 # ---------------------------------------------------------------------------
 
 
-def _golden_in(f, lo: float, hi: float, iters: int = 120) -> float:
-    """Golden-section maximizer of ``f`` on [lo, hi]: the bracket midpoint.
-
-    It stops at the first step that would leave the bracket, and so its
-    width ``b - a``, unchanged: the interior point it would move an end to
-    has rounded onto that end, and no later step can narrow the bracket
-    further.  ``iters`` caps the steps.
-    """
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc > fd:
-            if d == b:
-                break
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            if c == a:
-                break
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _golden_polish(
-    f, lo: float, step: float, n: int, best_i: int, best_v: float
-) -> tuple[float, float]:
-    """Golden refinement of scan node ``best_i`` of value ``best_v`` within
-    one step either side; the node stands unless the refined point beats it."""
-    a = lo + max(best_i - 1, 0) * step
-    b = lo + min(best_i + 1, n - 1) * step
-    x = _golden_in(f, a, b)
-    fx = f(x)
-    if fx > best_v:
-        return x, fx
-    return lo + best_i * step, best_v
-
-
-def _curves_down(f: list[float], u: float) -> bool:
+def _curves_down(f: np.ndarray, u: float) -> bool:
     """Whether ``f`` at x - h, x, x + h has a negative second difference, in units of u."""
-    lo, mid, hi = (v / u for v in f)
+    lo, mid, hi = (f / u).tolist()
     return hi - 2.0 * mid + lo < 0.0
 
 
@@ -203,13 +171,8 @@ def _bisect_root(g, lo: float, hi: float, g_lo: float, tol: float, iters: int = 
     return 0.5 * (lo + hi)
 
 
-def _check_grid(grid_points: int) -> None:
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
-
-
 def _scan_nodes(lo: float, hi: float, n: int) -> list[float]:
-    # Python arithmetic, not np.linspace: every scan and grid uses these nodes.
+    # Python arithmetic, not np.linspace: every residual scan uses these nodes.
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 
@@ -311,7 +274,7 @@ def adaptive_unconstrained_re(sc: ScenarioConfig, c_b: float) -> tuple[float, st
     u_e = min(_cap_seed(sc, eve), 1.0)
 
     def psi(r: float) -> float:
-        return _adaptive_est(eve, c_b, r, 1.0)
+        return est_from_outages(c_b - r, 0.0, sop_approx(eve, r), _UNCONSTRAINED).est
 
     def slope(r):
         # psi's derivative, on a float or an array of rates.
@@ -357,14 +320,6 @@ def adaptive_optimal(
     return optima[0] if np.ndim(s_th) == 0 else optima
 
 
-def _adaptive_est(eve: LinkParams, c_b: float, r_e: float, s_th: float) -> float:
-    """The adaptive surrogate throughput (c_b - r_e)(1 - S(r_e)) on the
-    eavesdropper's link ``eve``, zero where S(r_e) tops the ceiling or is
-    NaN: ``est_from_outages`` of ``sop_approx(eve, r_e)``, bit for bit."""
-    s = sop_approx(eve, r_e)
-    return (c_b - r_e) * (1.0 - s) if s <= s_th else 0.0
-
-
 def _adaptive_under(
     sc: ScenarioConfig, c_b: float, re_u: float, method_u: str, constraint: SecrecyConstraint
 ) -> Optimum:
@@ -377,7 +332,7 @@ def _adaptive_under(
     if not feasible:
         r_e = c_b
     eve = eve_link(sc)
-    est = _adaptive_est(eve, c_b, r_e, constraint.s_th)
+    est = est_from_outages(c_b - r_e, 0.0, sop_approx(eve, r_e), constraint).est
 
     # The second-difference stencil must lie strictly inside (0, c_b): at an
     # end point the throughput's edge, not its curvature, decides the sign.
@@ -385,9 +340,8 @@ def _adaptive_under(
     h = 1e-4 * u
     hessian_ok = False
     if feasible and 0.0 < r_e - h and r_e + h < c_b and est > 0.0 and not constraint_active:
-        rs = [r_e - h, r_e, r_e + h]
-        s = sop_approx_curve(eve, np.array(rs))[0].tolist()
-        psi = [est_from_outages(c_b - r, 0.0, si, constraint).est for r, si in zip(rs, s)]
+        rs = np.array([r_e - h, r_e, r_e + h])
+        psi = est_from_outages(c_b - rs, 0.0, sop_approx_curve(eve, rs)[0], constraint).est
         hessian_ok = _curves_down(psi, u)
     return Optimum(
         rates=RatePair(r_b=c_b, r_e=r_e),
@@ -449,13 +403,12 @@ def fixed_unconstrained_pair(sc: ScenarioConfig) -> Optimum:
     def resid(rb):
         return g_b(g_e(rb)) - rb
 
-    one = SecrecyConstraint(1.0)
     xs = _scan_nodes(0.05 * u, hi, GRID_POINTS)
     for root in _scan_roots(resid, xs, resid(np.array(xs)), _RATE_TOL * u):
         re_c = float(g_e(root))
         if _is_interior_stationary(sc, re_c, root):
             t, s = reliability_outage_approx(bob, n_a, root), sop_approx(eve, re_c)
-            est = est_from_outages(root - re_c, t, s, one).est
+            est = est_from_outages(root - re_c, t, s, _UNCONSTRAINED).est
             candidates.append((est, re_c, root, "fixed_point"))
 
     if not candidates:
@@ -473,20 +426,17 @@ def fixed_unconstrained_pair(sc: ScenarioConfig) -> Optimum:
     )
 
 
-def _throughput_stencil(sc: ScenarioConfig, re: float, rb: float, h: float) -> list[list[float]]:
+def _throughput_stencil(sc: ScenarioConfig, re: float, rb: float, h: float) -> np.ndarray:
     """``fixed_unconstrained_pair``'s objective at (re + i h, rb + j h) as
-    [i + 1][j + 1], i, j in (-1, 0, 1); 0 outside 0 <= r_e < r_b.  It is
-    separable, so one array call per outage gives the nine values."""
-    res, rbs = [re - h, re, re + h], [rb - h, rb, rb + h]
+    [i + 1, j + 1], i, j in (-1, 0, 1); 0 outside 0 <= r_e < r_b.  It is
+    separable, so one array call per outage and one ``est_from_outages``
+    call give the nine values."""
+    res, rbs = np.array([re - h, re, re + h])[:, None], np.array([rb - h, rb, rb + h])
     # A negative rate's cells are 0 whatever it maps to.
-    s = sop_approx_curve(eve_link(sc), np.maximum(res, 0.0))[0].tolist()
-    bob, n_a = bob_link(sc), sc.nodes.n_a
-    t = reliability_outage_approx_curve(bob, n_a, np.maximum(rbs, 0.0))[0].tolist()
-    one = SecrecyConstraint(1.0)
-    return [
-        [est_from_outages(y - x, tj, si, one).est if 0.0 <= x < y else 0.0 for y, tj in zip(rbs, t)]
-        for x, si in zip(res, s)
-    ]
+    s = sop_approx_curve(eve_link(sc), np.maximum(res, 0.0))[0]
+    t = reliability_outage_approx_curve(bob_link(sc), sc.nodes.n_a, np.maximum(rbs, 0.0))[0]
+    est = est_from_outages(rbs - res, t, s, _UNCONSTRAINED).est
+    return np.where((0.0 <= res) & (res < rbs), est, 0.0)
 
 
 # The stencil checks step h u and difference the objective over u, which
@@ -495,7 +445,7 @@ def _is_interior_stationary(sc: ScenarioConfig, re: float, rb: float, tol: float
     u = min(_cap_seed(sc, bob_link(sc)), 1.0)
     if not (re > 1e-8 * u and rb > re + 1e-8 * u and rb < _RATE_CEIL - 1e-6 * u):
         return False
-    f = [[v / u for v in row] for row in _throughput_stencil(sc, re, rb, 1e-5 * u)]
+    f = (_throughput_stencil(sc, re, rb, 1e-5 * u) / u).tolist()
     scale = max(1.0, abs(f[1][1]))
     g_re = (f[2][1] - f[0][1]) / 2e-5
     g_rb = (f[1][2] - f[1][0]) / 2e-5
@@ -504,7 +454,7 @@ def _is_interior_stationary(sc: ScenarioConfig, re: float, rb: float, tol: float
 
 def _hessian_negative_definite(sc: ScenarioConfig, re: float, rb: float, h: float = 1e-4) -> bool:
     u = min(_cap_seed(sc, bob_link(sc)), 1.0)
-    f = [[v / u for v in row] for row in _throughput_stencil(sc, re, rb, h * u)]
+    f = (_throughput_stencil(sc, re, rb, h * u) / u).tolist()
     f00 = f[1][1]
     a = (f[2][1] - 2.0 * f00 + f[0][1]) / (h * h)
     c = (f[1][2] - 2.0 * f00 + f[1][0]) / (h * h)
@@ -527,8 +477,9 @@ def fixed_constrained_rb(sc: ScenarioConfig, r_e_fixed: float) -> tuple[float, s
     from the surrogate curve kernel, holds for any number of beams n_a.  It
     is sign-scanned in one array call and bisected, six levels per array
     call, where it turns from positive to negative; the root with the
-    highest throughput factor wins, and golden refinement of the best scan
-    node's throughput factor stands in where the scan finds none.
+    highest throughput factor (r_b - r_e)(1 - T) wins, and
+    :func:`grid_refine_maximize` of that factor over the scan's interval
+    stands in where the scan finds none.
 
     The scan runs upward from just above ``r_e_fixed``, inside [0,
     ``RATE_LIMIT``), so the rate returned lies above ``r_e_fixed`` wherever a
@@ -553,15 +504,13 @@ def fixed_constrained_rb(sc: ScenarioConfig, r_e_fixed: float) -> tuple[float, s
         t, dt = reliability_outage_approx_curve(bob, n_a, rb)
         return (1.0 - t) - (rb - r_e_fixed) * dt
 
-    n = GRID_POINTS
-    xs = _scan_nodes(lo, hi, n)
-    r = np.array(xs)
-    roots = _scan_roots(resid, xs, resid(r), _RATE_TOL * u, falling_only=True)
+    xs = _scan_nodes(lo, hi, GRID_POINTS)
+    roots = _scan_roots(resid, xs, resid(np.array(xs)), _RATE_TOL * u, falling_only=True)
     if roots:
         return max(roots, key=bob_factor), "lambert_w"
-    v = (r - r_e_fixed) * (1.0 - reliability_outage_approx_curve(bob, n_a, r)[0])
-    best = int(np.argmax(v))
-    rb = _golden_polish(bob_factor, lo, (hi - lo) / (n - 1), n, best, float(v[best]))[0]
+    rb = grid_refine_maximize(
+        lambda r: (r - r_e_fixed) * (1.0 - reliability_outage_approx_curve(bob, n_a, r)[0]), (lo, hi)
+    ).rates.r_b
     return rb, "grid_oracle"
 
 
@@ -597,12 +546,10 @@ def _fixed_under(sc: ScenarioConfig, pair: Optimum, s_th: float) -> Optimum:
     report = est_from_outages(rb - re_t, t_rb, sop_approx(eve_link(sc), re_t), constraint)
 
     u = min(_cap_seed(sc, bob), 1.0)
-    rbs = [rb - 1e-4 * u, rb, rb + 1e-4 * u]
-    t = reliability_outage_approx_curve(bob, n_a, np.maximum(rbs, 0.0))[0].tolist()
-    f_rb = [  # the throughput along r_b; S(re_t) is the report's
-        est_from_outages(max(x - re_t, 0.0), tj, report.sop, constraint).est
-        for x, tj in zip(rbs, t)
-    ]
+    rbs = np.array([rb - 1e-4 * u, rb, rb + 1e-4 * u])
+    t = reliability_outage_approx_curve(bob, n_a, np.maximum(rbs, 0.0))[0]
+    # The throughput along r_b; S(re_t) is the report's.
+    f_rb = est_from_outages(np.maximum(rbs - re_t, 0.0), t, report.sop, constraint).est
     return Optimum(
         rates=RatePair(r_b=rb, r_e=re_t),
         est=report.est,
@@ -613,96 +560,55 @@ def _fixed_under(sc: ScenarioConfig, pair: Optimum, s_th: float) -> Optimum:
 
 
 # ---------------------------------------------------------------------------
-# validation oracle
+# grid search: the oracles and the solvers' fallbacks
 # ---------------------------------------------------------------------------
 
 
 def grid_refine_maximize(objective, bounds, grid_points: int = GRID_POINTS) -> Optimum:
-    """Deterministic grid search with golden refinement, used as an oracle.
+    """Deterministic zooming grid search: the oracle, and the solvers' fallback.
 
     ``bounds`` is either a ``(lo, hi)`` pair for a one-argument objective or
     a pair of such pairs ``((re_lo, re_hi), (rb_lo, rb_hi))`` for a
-    two-argument ``objective(r_e, r_b)``.  Ties break toward the first
-    (lowest) grid index.  For one-dimensional searches both rate slots of
+    two-argument ``objective(r_e, r_b)``.  The objective takes one array of
+    nodes per axis, shaped to broadcast (``np.ix_``), and returns the values
+    on the whole grid, so each level of the search is one call.  The first
+    level spans the bounds with ``grid_points`` nodes per axis, at least 2.
+    Each later level spans one node step either side of the best point so
+    far, clipped to the bounds, with as many nodes; the search stops after
+    the first level whose step is at most ``_ZOOM_TOL`` times the first
+    level's, or where a level would not shrink the step (fewer than four
+    nodes).  Ties break toward the first index in C order, as ``np.argmax``
+    gives it, a NaN value never wins, and the best point stands unless a
+    later level beats it.  For one-dimensional searches both rate slots of
     the result carry the argmax.
 
-    This generic form serves the acceptance gate.  The CLI's oracles are
-    :func:`fixed_grid_oracle` and :func:`adaptive_grid_oracle`, which return
-    the same result on the surrogate throughput objectives and are tested
-    against this function.  ``grid_points`` is the scan's nodes per axis, at
-    least 2.
+    It serves the acceptance gate, the command line's oracles and the
+    solvers' fallbacks: :func:`fixed_grid_oracle` and
+    :func:`adaptive_grid_oracle` run it on the surrogate throughput, and
+    :func:`fixed_constrained_rb` on its codeword-rate factor.
     """
-    _check_grid(grid_points)
-    two_dim = hasattr(bounds[0], "__len__")
-    if not two_dim:
-        lo, hi = float(bounds[0]), float(bounds[1])
-        # The golden bracket comes from a scan: flat (gated-to-zero) stretches
-        # mis-bracket plain golden section.
-        n = grid_points
-        step = (hi - lo) / (n - 1)
-        best_i, best_v = 0, -math.inf
-        for i in range(n):
-            v = objective(lo + i * step)
-            if v > best_v:
-                best_i, best_v = i, v
-        x, v = _golden_polish(objective, lo, step, n, best_i, best_v)
-        return Optimum(
-            rates=RatePair(r_b=x, r_e=x),
-            est=v,
-            method="grid_oracle",
-            hessian_ok=False,
-            constraint_active=False,
-        )
-
-    (x_lo, x_hi), (y_lo, y_hi) = bounds
-    nx = ny = grid_points
-    sx = (x_hi - x_lo) / (nx - 1)
-    sy = (y_hi - y_lo) / (ny - 1)
-    best = (-math.inf, 0, 0)
-    for i in range(nx):
-        x = x_lo + i * sx
-        for j in range(ny):
-            v = objective(x, y_lo + j * sy)
-            if v > best[0]:
-                best = (v, i, j)
-    v, i, j = best
-
-    def line_y(x: float):
-        return lambda y: objective(x, y)
-
-    def line_x(y: float):
-        return lambda x: objective(x, y)
-
-    return _refine_2d(line_y, line_x, i, j, v, bounds, (sx, sy))
-
-
-def _refine_2d(line_y, line_x, i: int, j: int, best: float, bounds, steps) -> Optimum:
-    """Polish grid cell ``(i, j)`` of value ``best`` by alternating golden rounds.
-
-    ``line_y(x)`` is the objective along y at fixed x, and ``line_x(y)`` along
-    x at fixed y, so a caller can hoist the factor that is constant along a
-    line.  Each round searches y, then x, each within one grid step of the
-    current point.  The polish keeps the best point of its rounds and stops
-    after the first round that does not raise it, or after 25 rounds.  The
-    grid cell stands unless a round beats ``best``: ties go to the grid
-    incumbent (first index).
-    """
-    (x_lo, x_hi), (y_lo, y_hi) = bounds
-    sx, sy = steps
-    x, y = x_lo + i * sx, y_lo + j * sy
-    top = (best, x, y)
-    for _ in range(25):
-        y = _golden_in(line_y(x), max(y - sy, y_lo), min(y + sy, y_hi))
-        along_x = line_x(y)
-        x = _golden_in(along_x, max(x - sx, x_lo), min(x + sx, x_hi))
-        v = along_x(x)
-        if not v > top[0]:
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
+    box = np.array(bounds if hasattr(bounds[0], "__len__") else [bounds], dtype=float)
+    lo, hi = box[:, 0], box[:, 1]
+    a, b = lo, hi
+    step = first = (hi - lo) / (grid_points - 1)
+    best, x = -math.inf, lo
+    while True:
+        axes = [np.linspace(a_k, b_k, grid_points) for a_k, b_k in zip(a, b)]
+        v = np.broadcast_to(objective(*np.ix_(*axes)), (grid_points,) * len(axes))
+        v = np.where(np.isnan(v), -math.inf, v)
+        cell = np.unravel_index(np.argmax(v), v.shape)
+        if v[cell] > best:
+            best, x = float(v[cell]), np.array([ax[i] for ax, i in zip(axes, cell)])
+        a, b = np.maximum(x - step, lo), np.minimum(x + step, hi)
+        zoomed = (b - a) / (grid_points - 1)
+        if (step <= _ZOOM_TOL * first).all() or not (zoomed < step).any():
             break
-        top = (v, x, y)
-    v, x, y = top
+        step = zoomed
     return Optimum(
-        rates=RatePair(r_b=y, r_e=x),
-        est=v,
+        rates=RatePair(r_b=float(x[-1]), r_e=float(x[0])),
+        est=best,
         method="grid_oracle",
         hessian_ok=False,
         constraint_active=False,
@@ -716,58 +622,21 @@ def fixed_grid_oracle(
 
     The objective is ``est_from_outages(r_b - r_e, T(r_b), S(r_e),
     SecrecyConstraint(s_th)).est`` of the surrogate outages T and S where
-    ``0 <= r_e < r_b`` and zero elsewhere, over r_e in (0, hi) and r_b in
-    (1e-3, hi), ``grid_points`` nodes per axis; the result equals the
-    generic oracle's bit for bit.  That throughput is
-    (r_b - r_e)(1 - T(r_b))(1 - S(r_e)), gated to zero where S(r_e) > s_th,
-    so the grid takes ``grid_points`` outages of each kind and forms the
-    cells by broadcasting.  The golden polish is the generic oracle's, on
-    line objectives with est_from_outages' arithmetic: along r_b the factor
-    1 - S(r_e) and its gate are computed once per line, and along r_e the
-    factor 1 - T(r_b), so each golden step makes one scalar outage call.
+    r_e < r_b and zero elsewhere, over r_e in [0, hi] and r_b in
+    [``FIXED_ORACLE_RB_MIN``, hi], ``grid_points`` nodes per axis.  The
+    throughput is separable, so each level takes one array call per outage,
+    ``grid_points`` outages of each kind, and forms the cells by
+    broadcasting.
     """
-    _check_grid(grid_points)
-    n = grid_points
-    x_lo, y_lo = 0.0, FIXED_ORACLE_RB_MIN
-    sx = (hi - x_lo) / (n - 1)
-    sy = (hi - y_lo) / (n - 1)
-    xs, ys = _scan_nodes(x_lo, hi, n), _scan_nodes(y_lo, hi, n)
     eve, bob, n_a = eve_link(sc), bob_link(sc), sc.nodes.n_a
+    constraint = SecrecyConstraint(s_th)
 
-    # est_from_outages' value, in its product order, along a line of the polish:
-    # the outage of the fixed rate is computed once per line.
-    def line_rb(r_e: float):
-        s = sop_approx(eve, r_e)
+    def throughput(r_e, r_b):
+        s = sop_approx_curve(eve, r_e)[0]
+        t = reliability_outage_approx_curve(bob, n_a, r_b)[0]
+        return np.where(r_e < r_b, est_from_outages(r_b - r_e, t, s, constraint).est, 0.0)
 
-        def f(r_b: float) -> float:
-            if not (0.0 <= r_e < r_b and s <= s_th):
-                return 0.0
-            return (r_b - r_e) * (1.0 - reliability_outage_approx(bob, n_a, r_b)) * (1.0 - s)
-
-        return f
-
-    def line_re(r_b: float):
-        reliability = 1.0 - reliability_outage_approx(bob, n_a, r_b)
-
-        def f(r_e: float) -> float:
-            if not 0.0 <= r_e < r_b:
-                return 0.0
-            s = sop_approx(eve, r_e)
-            return (r_b - r_e) * reliability * (1.0 - s) if s <= s_th else 0.0
-
-        return f
-
-    s = sop_approx_curve(eve, np.array(xs))[0]
-    t = reliability_outage_approx_curve(bob, n_a, np.array(ys))[0]
-    r_e, r_b = np.array(xs)[:, None], np.array(ys)[None, :]
-    live = (0.0 <= r_e) & (r_e < r_b) & (s <= s_th)[:, None]
-    with np.errstate(invalid="ignore"):
-        grid = np.where(live, (r_b - r_e) * (1.0 - t) * (1.0 - s)[:, None], 0.0)
-    # The scalar scan never takes a NaN cell as a new maximum.
-    grid[np.isnan(grid)] = -math.inf
-    i, j = (int(k) for k in np.unravel_index(np.argmax(grid), grid.shape))
-    bounds = ((x_lo, hi), (y_lo, hi))
-    return _refine_2d(line_rb, line_re, i, j, float(grid[i, j]), bounds, (sx, sy))
+    return grid_refine_maximize(throughput, ((0.0, hi), (FIXED_ORACLE_RB_MIN, hi)), grid_points)
 
 
 def adaptive_grid_oracle(sc: ScenarioConfig, c_b: float, s_th: float) -> Optimum:
@@ -775,29 +644,11 @@ def adaptive_grid_oracle(sc: ScenarioConfig, c_b: float, s_th: float) -> Optimum
 
     The objective is ``est_from_outages(c_b - r_e, 0.0, S(r_e),
     SecrecyConstraint(s_th)).est`` of the surrogate outage S over r_e in
-    (0, c_b); the result equals the generic oracle's bit for bit.  The
-    ``GRID_POINTS`` outages of the scan come from one array call, and the
-    golden polish is the generic one.
+    [0, c_b], ``GRID_POINTS`` nodes, one array call per level.
     """
-    n = GRID_POINTS
-    s_th = SecrecyConstraint(s_th).s_th
-    eve = eve_link(sc)
+    eve, constraint = eve_link(sc), SecrecyConstraint(s_th)
 
-    def psi(r: float) -> float:
-        return _adaptive_est(eve, c_b, r, s_th)
+    def throughput(r_e):
+        return est_from_outages(c_b - r_e, 0.0, sop_approx_curve(eve, r_e)[0], constraint).est
 
-    xs = _scan_nodes(0.0, c_b, n)
-    r = np.array(xs)
-    s = sop_approx_curve(eve, r)[0]
-    # est_from_outages' value, in its product order; an outage above the
-    # ceiling, NaN included, gates the node to zero.
-    v = np.where(s <= s_th, (c_b - r) * (1.0 - s), 0.0)
-    best_i = int(np.argmax(v))
-    x, est = _golden_polish(psi, 0.0, c_b / (n - 1), n, best_i, float(v[best_i]))
-    return Optimum(
-        rates=RatePair(r_b=x, r_e=x),
-        est=est,
-        method="grid_oracle",
-        hessian_ok=False,
-        constraint_active=False,
-    )
+    return grid_refine_maximize(throughput, (0.0, c_b))

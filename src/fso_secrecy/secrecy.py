@@ -34,6 +34,7 @@ derivatives from.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +95,8 @@ class SecrecyConstraint:
 
 @dataclass(frozen=True)
 class EstReport:
-    """Throughput value with its reliability/secrecy decomposition."""
+    """Throughput value with its reliability/secrecy decomposition: floats,
+    or arrays from an array call of :func:`est_from_outages`."""
 
     est: float
     reliability_factor: float
@@ -184,14 +186,19 @@ def rate_threshold(rate, gain: float):
     """Normalized irradiance (2**rate - 1) / gain that a receiver of SNR
     gain ``gain`` must clear to carry ``rate`` (a float or an array, >= 0).
     ``expm1`` keeps its relative accuracy where 2**rate - 1 would cancel
-    (and read 0 below rate 1.6e-16)."""
-    return np.expm1(rate * _LN2) / gain
+    (and read 0 below rate 1.6e-16).  Below ``RATE_LIMIT`` a gain under 1
+    can carry the quotient past the double range: it is then inf, which
+    every CDF kernel takes as certain (CDF 1, density 0)."""
+    with np.errstate(over="ignore"):
+        return np.expm1(rate * _LN2) / gain
 
 
 def _rate_slope(rate, gain: float):
     """Slope of :func:`rate_threshold` in the rate, 2**rate ln 2 / gain, with
-    2**rate formed as the threshold's own expm1 plus one."""
-    return (np.expm1(rate * _LN2) + 1.0) * (_LN2 / gain)
+    2**rate formed as the threshold's own expm1 plus one.  It is capped at
+    the largest double: it passes that only where the threshold is inf, and
+    the density it multiplies there is 0, as their product must stay."""
+    return np.minimum((np.expm1(rate * _LN2) + 1.0) * (_LN2 / gain), sys.float_info.max)
 
 
 def est_adaptive(
@@ -215,21 +222,25 @@ def est_fixed(
     return est_from_outages(rates.secrecy_rate, t, sop(scenario, rates.r_e), constraint)
 
 
-def est_from_outages(
-    secrecy_rate: float, t: float, s: float, constraint: SecrecyConstraint
-) -> EstReport:
+def est_from_outages(secrecy_rate, t, s, constraint: SecrecyConstraint) -> EstReport:
     """Throughput secrecy_rate (1 - t)(1 - s) of a reliability outage ``t``
-    and a secrecy outage ``s``, gated to zero where ``s`` tops the ceiling.
+    and a secrecy outage ``s``, gated to zero where ``s`` tops the ceiling or
+    is NaN.
 
     The arithmetic of :func:`est_fixed`, and of :func:`est_adaptive` with
-    t = 0, for a caller that holds the outages already: the solvers form
-    the surrogate throughput with it from the surrogate outages.
+    t = 0, for a caller that holds the outages already: the solvers and grid
+    oracles form the surrogate throughput with it from the surrogate
+    outages.  The three values are floats or arrays that broadcast, such as
+    a column of secrecy outages against a row of reliability outages.
+    Floats give a report of floats; arrays give arrays, the throughput of
+    the broadcast shape, each element equal to the float call's to the bit.
     """
     met = s <= constraint.s_th
     reliability_factor = 1.0 - t
     secrecy_factor = 1.0 - s
+    est = np.where(met, secrecy_rate * reliability_factor * secrecy_factor, 0.0)
     return EstReport(
-        est=secrecy_rate * reliability_factor * secrecy_factor if met else 0.0,
+        est=est if est.ndim else float(est),
         reliability_factor=reliability_factor,
         secrecy_factor=secrecy_factor,
         sop=s,

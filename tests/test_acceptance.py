@@ -93,7 +93,7 @@ def test_criterion_4_solver_vs_oracle(baseline):
             opt = optimize.adaptive_optimal(baseline, c_b, s_th)
             oracle = optimize.grid_refine_maximize(
                 lambda r: secrecy.est_from_outages(
-                    c_b - r, 0.0, secrecy.sop_approx(eve, r), constraint
+                    c_b - r, 0.0, secrecy.sop_approx_curve(eve, r)[0], constraint
                 ).est,
                 (0.0, c_b),
             )
@@ -112,12 +112,12 @@ def test_criterion_4_solver_vs_oracle(baseline):
         constraint = SecrecyConstraint(s_th)
         opt = optimize.fixed_optimal(baseline, s_th)
 
-        def objective(r_e: float, r_b: float) -> float:
-            if not 0.0 <= r_e < r_b:
-                return 0.0
-            t = secrecy.reliability_outage_approx(bob, n_a, r_b)
-            s = secrecy.sop_approx(eve, r_e)
-            return secrecy.est_from_outages(r_b - r_e, t, s, constraint).est
+        def objective(r_e: np.ndarray, r_b: np.ndarray) -> np.ndarray:
+            # a column of r_e against a row of r_b: one outage call per axis
+            t = secrecy.reliability_outage_approx_curve(bob, n_a, r_b)[0]
+            s = secrecy.sop_approx_curve(eve, r_e)[0]
+            est = secrecy.est_from_outages(r_b - r_e, t, s, constraint).est
+            return np.where(r_e < r_b, est, 0.0)
 
         hi = opt.rates.r_b + 3.0
         oracle = optimize.grid_refine_maximize(

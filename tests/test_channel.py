@@ -286,6 +286,30 @@ def test_snr_threshold_examples(baseline):
     assert vb == pytest.approx(4.0 * ve, rel=1e-15, abs=0)
 
 
+def test_cdf_kernels_are_certain_at_an_infinite_threshold():
+    # At gamma0 0.1 each link's SNR gain is below 1, so (2**r - 1) / gain
+    # passes the double range below RATE_LIMIT: the threshold is inf, with
+    # no warning (the suite turns a RuntimeWarning into an error), and
+    # every CDF kernel reads it as certain: CDF 1, density 0.
+    sc = baseline_scenario(gamma0=0.1)
+    for link in (bob_link(sc), eve_link(sc)):
+        assert link.gain < 1.0
+        assert rate_threshold(1023.9, link.gain) == math.inf
+        assert rate_threshold(np.array([1000.0, 1023.9]), link.gain)[1] == math.inf
+        xi = link.pointing.xi if link is eve_link(sc) else channel.POINTING_FREE_XI
+        assert ggp_cdf(link.turb.alpha, link.beta_agg, xi, math.inf) == 1.0
+        assert gg_cdf(link.turb.alpha, link.beta_agg, math.inf) == 1.0
+        xs = np.array([0.0, 1.0, math.inf])
+        assert gg_cdf(link.turb.alpha, link.beta_agg, xs)[[0, 2]].tolist() == [0.0, 1.0]
+        assert ggp_cdf_approx(link.surrogate, math.inf) == 1.0
+        # x / theta overflows from a finite x too where theta is below 1
+        assert link.surrogate.theta < 1.0
+        assert ggp_cdf_approx(link.surrogate, 1.7e308) == 1.0
+        cdf, pdf = channel.surrogate_cdf_pdf(link.surrogate, np.array([1.0, 1.7e308, math.inf]))
+        assert cdf[1:].tolist() == [1.0, 1.0]
+        assert pdf[1:].tolist() == [0.0, 0.0]
+
+
 def test_snr_threshold_domain_errors(baseline):
     # the Monte-Carlo estimators reject a negative rate before drawing
     sim = SimConfig(trials=10, stream_count=1)

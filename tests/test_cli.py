@@ -1032,6 +1032,25 @@ def test_sweep_fixed_scheme_past_the_rate_ceiling_exits_0(tmp_path):
     ]
 
 
+def test_sweep_at_thresholds_past_the_double_range_exits_0(tmp_path):
+    # At gamma0 0.1 the SNR gains are below 1, so at r_e = 1023.9 the
+    # threshold (2**r - 1) / gain passes the double range: it is inf, the
+    # secrecy outage 0 and the reliability outage 1, with no warning (the
+    # suite turns a RuntimeWarning into an error).
+    cfg = tmp_path / "weak.json"
+    cfg.write_text('{"gamma0": 0.1}', encoding="utf-8")
+    code, text = run_cli(
+        tmp_path, "sweep", "--config", str(cfg), "--axis", "r_e", "--min", "1000",
+        "--max", "1023.9", "--steps", "2", "--scheme", "fixed",
+    )
+    assert code == 0
+    columns = ("value", "est_closed", "sop", "reliability_outage", "constraint_met")
+    assert [tuple(row[c] for c in columns) for row in read_rows(text)] == [
+        ("1000", "0", "0", "1", "true"),
+        ("1023.9", "0", "0", "1", "true"),
+    ]
+
+
 def test_cached_parser_carries_nothing_between_calls(tmp_path):
     # One process, one parser: each run must print what a run with a freshly
     # built parser prints.  The last run leaves --cb unset, so the optimize

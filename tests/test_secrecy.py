@@ -430,6 +430,19 @@ def test_outages_take_the_largest_rate_of_the_domain(baseline):
     assert montecarlo.estimate_sop(baseline, r, montecarlo.SimConfig(trials=1000)).count == 0
 
 
+def test_outages_at_an_infinite_threshold():
+    # At gamma0 0.1 the links' SNR gains are below 1: at rate 1023.9 the
+    # threshold is inf and its slope in the rate passes the double range.
+    # The outages are 0 and 1 and the slopes 0, not NaN, with no warning.
+    sc = baseline_scenario(gamma0=0.1)
+    eve, bob, r = eve_link(sc), bob_link(sc), 1023.9
+    assert sop(sc, r) == sop_approx(eve, r) == 0.0
+    assert reliability_outage(sc, r) == reliability_outage_approx(bob, 2, r) == 1.0
+    rates = np.array([1.0, r])
+    assert sop_approx_curve(eve, rates)[1][1] == 0.0
+    assert reliability_outage_approx_curve(bob, 2, rates)[1][1] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # adaptive-scheme throughput
 # ---------------------------------------------------------------------------
