@@ -17,13 +17,16 @@ script runs:
 - two closed-form ``optimize`` runs on weak links, whose rates lie far
   below 1 bpcu: ``--scheme fixed`` at gamma0 0.1 and ``--scheme adaptive
   --cb 4`` at gamma0 1e-3;
-- two closed-form ``optimize --scheme fixed`` runs whose scans find no
-  root, so a solver's grid fallback gives its rates.  At ``--sth 0.52`` on
-  the scenario of ``test_fixed_optimal_labels_the_constrained_grid_fallback``
-  the codeword-rate fallback runs on a factor that is 0 along the whole
-  scan.  At gamma0 1e25 the pair's fallback runs on a throughput that
-  peaks inside the r_e range, at the r_b cap of 60; these solver fields
-  are the grid search's, and move with it;
+- three closed-form ``optimize --scheme fixed`` runs far from the
+  baseline.  At ``--sth 0.52`` on the scenario of
+  ``test_fixed_optimal_labels_the_constrained_grid_fallback`` the scan finds
+  no root, and the codeword-rate fallback runs on a factor that is 0 along
+  the whole scan.  At gamma0 1e25 (``opt_grid_fallback_pair.json``) Bob's
+  mean capacity is 74.7, and the pair's scan runs up to 15 above it.  At
+  ``--sth 0.426`` on the scenario of
+  ``test_optimize_ceiling_met_past_a_rounded_inversion_exits_0`` the outage
+  at the pointing-free inversion (rate 34.1) rounds above the ceiling, so
+  the ceiling inversion brackets upward past it;
 - ``sweep --axis s_th --mc --trials 20000`` for ``--scheme fixed`` and
   ``--scheme adaptive`` (``--cb 4``), over the 20 ceilings of the figure
   sweeps, with the same program seed, so the Monte-Carlo column of the
@@ -42,8 +45,9 @@ script runs:
   trials).
 
 The exit code of every CLI run is compared too (``exit_codes.json``), so a
-``validate`` check that fails (exit 3) on one side shows as a differing
-field instead of stopping the comparison.  It prints every file and field
+``validate`` check that fails (exit 3) or a solver error (exit 2) on one
+side shows as a differing field instead of stopping the comparison; a run
+that exits 2 writes no output file.  It prints every file and field
 that differs between the trees, with the relative difference
 |new - old| / max(|old|, |new|) of each numeric one, then a summary line:
 how many files differ, how many of those are Monte-Carlo outputs
@@ -82,7 +86,7 @@ EXTRA_MC_RUNS = (
 )
 
 # (output name, config, scheme arguments) of the weak-link optimize runs and
-# of the runs that take a fixed-scheme solver's grid fallback.
+# of the fixed-scheme runs far from the baseline.
 CONFIG_RUNS = (
     ("opt_weak_fixed.json", {"gamma0": 0.1}, ["--scheme", "fixed"]),
     ("opt_weak_adaptive.json", {"gamma0": 1e-3}, ["--scheme", "adaptive", "--cb", "4"]),
@@ -93,6 +97,12 @@ CONFIG_RUNS = (
         ["--scheme", "fixed", "--sth", "0.52"],
     ),
     ("opt_grid_fallback_pair.json", {"gamma0": 1e25}, ["--scheme", "fixed"]),
+    (
+        "opt_high_rate_ceiling.json",
+        {"sigma_s": 0.0, "n_a": 3, "n_b": 4, "n_e": 3, "cn2": 5.304716812423572e-15,
+         "d_b": 2727.692221928623, "d_e": 2732.8255184772124, "gamma0": 2050614501111.1985},
+        ["--scheme", "fixed", "--sth", "0.426"],
+    ),
 )
 
 # (output name, config) of the params runs.
@@ -121,16 +131,20 @@ MC_RATE_SWEEPS = (
 VALIDATE_RUNS = (("", "1000000", "16"), ("_streams7", "1000003", "7"))
 
 # Runs (output name, CLI argv) pairs in one interpreter, as the benchmark
-# does, and writes each exit code to the file sys.argv[2].  Exit 3 (a failed
-# validate check) is an output to compare; 1 and 2 mean the run produced none.
+# does, and writes each exit code to the file sys.argv[2].  Exits 2 (a solver
+# error) and 3 (a failed validate check) are outputs to compare; 1 means the
+# run's arguments or config are wrong.  A solver error leaves the run's --out
+# file empty, and that file is removed.
 _RUN_CLI = """
-import json, sys
+import json, os, sys
 from fso_secrecy import cli
 codes = {}
 for name, argv in json.loads(sys.argv[1]):
     codes[name] = cli.main(argv)
-    if codes[name] in (1, 2):
+    if codes[name] == 1:
         raise SystemExit(f"exit code {codes[name]}: {argv}")
+    if codes[name] == 2:
+        os.remove(argv[argv.index("--out") + 1])
 with open(sys.argv[2], "w", encoding="utf-8") as fh:
     json.dump(codes, fh, indent=2)
 """

@@ -599,9 +599,9 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     moment_rng = montecarlo.seeded_generator(np.random.SeedSequence(sim.seed).spawn(3)[2])
     k_shape = eve_link(sc).turb.alpha
     draws = moment_rng.standard_gamma(k_shape, min(sim.trials, 200_000))
-    rel_ci = 3.0 * float(draws.std()) / math.sqrt(draws.size) / k_shape
-    if draws.size == 1:
-        rel_ci = math.inf  # one draw has no spread to estimate: inconclusive
+    # Gamma(k) / k has variance exactly 1 / k, so the mean of n draws over k
+    # has standard deviation 1 / sqrt(k n), whatever spread the draws show.
+    rel_ci = 3.0 / math.sqrt(k_shape * draws.size)
     check("gamma_sampler_mean_rel", 1.0, float(draws.mean()) / k_shape, rel_ci)
 
     status = "FAIL" if n_fail else "PASS"

@@ -55,7 +55,7 @@ import numpy as np
 
 from fso_secrecy import optimize
 from fso_secrecy.channel import LinkParams, ScenarioConfig, bob_link, eve_link
-from fso_secrecy.secrecy import RATE_LIMIT, RatePair, _rates, rate_threshold, sop_approx_curve
+from fso_secrecy.secrecy import RatePair, _rates, rate_threshold, sop_approx_curve
 
 __all__ = [
     "SimConfig",
@@ -248,9 +248,7 @@ def estimate_reliability_outages(
     ``i + 1`` for as many trials as beams 1..i left in outage, and what is
     left after the last beam is the outage count.
     """
-    for _, r_b in cases:
-        if not 0.0 <= r_b < RATE_LIMIT:
-            raise ValueError(f"r_b must be non-negative and below {RATE_LIMIT:g}, got {r_b}")
+    _rates([r_b for _, r_b in cases])
     # A case's draws and count depend only on (alpha, beta, n_b, n_a, thr).
     links = {}
     keys = []

@@ -17,7 +17,9 @@ therefore finds the root of its condition directly:
 The fixed scheme's rate constants and every stencil step are multiples of
 u = min(C_b, 1), Bob's capacity at his mean surrogate SNR capped at 1 bpcu,
 and the adaptive scan's of u_e = min(C_e, 1), Eve's, so a weak link is
-searched at its own rate scale.
+searched at its own rate scale.  The fixed scheme's scans and grids and the
+ceiling inversion's bracket end at most at the largest double below
+``RATE_LIMIT``, the top of the one rate domain.
 
 Each residual takes the surrogate outages and their slopes in the rate from
 the curve kernels of :mod:`fso_secrecy.secrecy`, one array call per scan, so
@@ -78,9 +80,8 @@ __all__ = [
     "adaptive_grid_oracle",
 ]
 
-# Hard ceiling on any rate iterate; 2**rate must stay finite and the model
-# carries no information this far out anyway.
-_RATE_CEIL = 60.0
+# The top of every rate scan and bracket: the largest rate below RATE_LIMIT.
+_RATE_TOP = math.nextafter(RATE_LIMIT, 0.0)
 
 # Bisection width in the residual scans' cells, times the rate scale: u in the
 # fixed scheme, u_e in the adaptive one.
@@ -203,8 +204,9 @@ def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
     with bisection wherever a step would leave it or would not halve the
     step before last (``rtsafe``, Numerical Recipes 9.4), until its width
     is a few ulps or stops shrinking.  The result is the bracket's feasible
-    end, so the outage there never exceeds ``s_th``.  A ceiling no rate up
-    to ``_RATE_CEIL`` meets raises :class:`ConvergenceError`.
+    end, so the outage there never exceeds ``s_th``.  Only a ceiling no rate
+    meets raises :class:`ConvergenceError`: 1 - s_th rounds to 1, so r_free
+    is not finite, or the outage tops ``s_th`` at the domain's top rate.
     """
     if not 0.0 < s_th <= 1.0:
         raise ValueError(f"s_th must lie in (0, 1], got {s_th}")
@@ -213,14 +215,17 @@ def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
     link = eve_link(sc)
     t_free = float(_sp.gammaincinv(link.surrogate.k, 1.0 - s_th))
     gain = sc.nodes.gamma0 * link.pointing.a0 * link.n_rx * link.surrogate.theta
-    hi = math.log1p(t_free * gain) / math.log(2.0)
+    floor = ConvergenceError(f"secrecy ceiling {s_th} is below the achievable outage floor")
+    if not math.isfinite(t_free):
+        raise floor
+    hi = min(math.log1p(t_free * gain) / math.log(2.0), _RATE_TOP)
     while True:
-        if not hi <= _RATE_CEIL:
-            raise ConvergenceError(f"secrecy ceiling {s_th} is below the achievable outage floor")
         s, ds = sop_approx_curve(link, hi)
         if s <= s_th:
             break
-        hi *= 2.0
+        if hi == _RATE_TOP:
+            raise floor
+        hi = min(2.0 * hi, _RATE_TOP)
 
     lo, r = 0.0, hi
     last = before = math.inf  # the last two step lengths
@@ -382,7 +387,7 @@ def fixed_unconstrained_pair(sc: ScenarioConfig) -> Optimum:
     eve, bob, n_a = eve_link(sc), bob_link(sc), sc.nodes.n_a
     cap = _cap_seed(sc, bob)
     u = min(cap, 1.0)
-    hi = min(cap + 15.0 * u, _RATE_CEIL)
+    hi = min(cap + 15.0 * u, _RATE_TOP)
     candidates: list[tuple[float, float, float, str]] = []  # (est, re, rb, method)
 
     # A quotient overflows where a slope is subnormal or zero, and is 0/0
@@ -398,7 +403,7 @@ def fixed_unconstrained_pair(sc: ScenarioConfig) -> Optimum:
         s, ds = sop_approx_curve(eve, re)
         with np.errstate(all="ignore"):
             rb = re + (1.0 - s) / -ds
-        return np.minimum(np.fmax(rb, re + 1e-12 * u), _RATE_CEIL)
+        return np.minimum(np.fmax(rb, re + 1e-12 * u), _RATE_TOP)
 
     def resid(rb):
         return g_b(g_e(rb)) - rb
@@ -432,9 +437,9 @@ def _throughput_stencil(sc: ScenarioConfig, re: float, rb: float, h: float) -> n
     separable, so one array call per outage and one ``est_from_outages``
     call give the nine values."""
     res, rbs = np.array([re - h, re, re + h])[:, None], np.array([rb - h, rb, rb + h])
-    # A negative rate's cells are 0 whatever it maps to.
-    s = sop_approx_curve(eve_link(sc), np.maximum(res, 0.0))[0]
-    t = reliability_outage_approx_curve(bob_link(sc), sc.nodes.n_a, np.maximum(rbs, 0.0))[0]
+    # Negative rates' cells are 0 whatever they map to; a rate past the top takes its outage.
+    s = sop_approx_curve(eve_link(sc), np.clip(res, 0.0, _RATE_TOP))[0]
+    t = reliability_outage_approx_curve(bob_link(sc), sc.nodes.n_a, np.clip(rbs, 0.0, _RATE_TOP))[0]
     est = est_from_outages(rbs - res, t, s, _UNCONSTRAINED).est
     return np.where((0.0 <= res) & (res < rbs), est, 0.0)
 
@@ -443,7 +448,7 @@ def _throughput_stencil(sc: ScenarioConfig, re: float, rb: float, h: float) -> n
 # stays normal on the weakest links.
 def _is_interior_stationary(sc: ScenarioConfig, re: float, rb: float, tol: float = 1e-5) -> bool:
     u = min(_cap_seed(sc, bob_link(sc)), 1.0)
-    if not (re > 1e-8 * u and rb > re + 1e-8 * u and rb < _RATE_CEIL - 1e-6 * u):
+    if not (re > 1e-8 * u and rb > re + 1e-8 * u and rb < _RATE_TOP - 1e-6 * u):
         return False
     f = (_throughput_stencil(sc, re, rb, 1e-5 * u) / u).tolist()
     scale = max(1.0, abs(f[1][1]))
@@ -481,21 +486,17 @@ def fixed_constrained_rb(sc: ScenarioConfig, r_e_fixed: float) -> tuple[float, s
     :func:`grid_refine_maximize` of that factor over the scan's interval
     stands in where the scan finds none.
 
-    The scan runs upward from just above ``r_e_fixed``, inside [0,
-    ``RATE_LIMIT``), so the rate returned lies above ``r_e_fixed`` wherever a
-    double does below the limit.  Its top is capped at ``_RATE_CEIL``, or,
-    for a pinned rate at or past that cap, 25 u above the pinned rate.
+    The scan runs upward from 1e-6 u above ``r_e_fixed`` to the higher of
+    ``r_e_fixed`` + 25 u and C_b + 10 u, so the rate returned lies above
+    ``r_e_fixed`` wherever a double does below ``RATE_LIMIT``.
     """
     if r_e_fixed < 0.0:
         raise ValueError(f"r_e_fixed must be non-negative, got {r_e_fixed}")
     bob, n_a = bob_link(sc), sc.nodes.n_a
     cap = _cap_seed(sc, bob)
     u = min(cap, 1.0)
-    lo = r_e_fixed + 1e-6 * u
-    hi = min(max(r_e_fixed + 25.0 * u, cap + 10.0 * u), _RATE_CEIL)
-    if not lo < hi:
-        top = math.nextafter(RATE_LIMIT, 0.0)
-        lo, hi = min(lo, top), min(r_e_fixed + 25.0 * u, top)
+    lo = min(r_e_fixed + 1e-6 * u, _RATE_TOP)
+    hi = min(max(r_e_fixed + 25.0 * u, cap + 10.0 * u), _RATE_TOP)
 
     def bob_factor(rb: float) -> float:
         return (rb - r_e_fixed) * (1.0 - reliability_outage_approx(bob, n_a, rb))
@@ -547,7 +548,7 @@ def _fixed_under(sc: ScenarioConfig, pair: Optimum, s_th: float) -> Optimum:
 
     u = min(_cap_seed(sc, bob), 1.0)
     rbs = np.array([rb - 1e-4 * u, rb, rb + 1e-4 * u])
-    t = reliability_outage_approx_curve(bob, n_a, np.maximum(rbs, 0.0))[0]
+    t = reliability_outage_approx_curve(bob, n_a, np.clip(rbs, 0.0, _RATE_TOP))[0]
     # The throughput along r_b; S(re_t) is the report's.
     f_rb = est_from_outages(np.maximum(rbs - re_t, 0.0), t, report.sop, constraint).est
     return Optimum(
@@ -636,6 +637,7 @@ def fixed_grid_oracle(
         t = reliability_outage_approx_curve(bob, n_a, r_b)[0]
         return np.where(r_e < r_b, est_from_outages(r_b - r_e, t, s, constraint).est, 0.0)
 
+    hi = min(hi, _RATE_TOP)
     return grid_refine_maximize(throughput, ((0.0, hi), (FIXED_ORACLE_RB_MIN, hi)), grid_points)
 
 

@@ -118,8 +118,7 @@ def sop_approx(eve: LinkParams, r_e: float) -> float:
     """Gamma-surrogate secrecy outage at one rate on the eavesdropper's link
     ``eve`` (the optimizer surface), equal to the matching element of
     :func:`sop_approx_curve` to the bit."""
-    if not 0.0 <= r_e < RATE_LIMIT:
-        raise ValueError(f"rate must be non-negative and below {RATE_LIMIT:g}, got {r_e}")
+    _rates(r_e)
     return 1.0 - channel.ggp_cdf_approx(eve.surrogate, rate_threshold(r_e, eve.gain))
 
 
@@ -151,8 +150,7 @@ def reliability_outage_approx(bob: LinkParams, n_a: int, r_b: float) -> float:
     ``bob`` with ``n_a`` transmit beams (the optimizer surface), equal to
     the matching element of :func:`reliability_outage_approx_curve` to the
     bit."""
-    if not 0.0 <= r_b < RATE_LIMIT:
-        raise ValueError(f"rate must be non-negative and below {RATE_LIMIT:g}, got {r_b}")
+    _rates(r_b)
     c1 = channel.ggp_cdf_approx(bob.surrogate, rate_threshold(r_b, bob.gain))
     return float(np.power(c1, n_a))
 

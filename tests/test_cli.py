@@ -863,6 +863,42 @@ def test_optimize_adaptive_under_a_ceiling_at_vanishing_turbulence(tmp_path, cap
     assert doc["est"] > 0.0
 
 
+def test_optimize_ceiling_met_past_a_rounded_inversion_exits_0(tmp_path, capsys):
+    # The pointing-free inversion lands at rate 34.1 and the outage there
+    # rounds above the ceiling; the threshold lies just above it.
+    cfg = tmp_path / "high_rate.json"
+    cfg.write_text(
+        json.dumps(
+            {"sigma_s": 0.0, "n_a": 3, "n_b": 4, "n_e": 3, "cn2": 5.304716812423572e-15,
+             "d_b": 2727.692221928623, "d_e": 2732.8255184772124,
+             "gamma0": 2050614501111.1985}
+        )
+    )
+    code, text = run_cli(
+        tmp_path, "optimize", "--config", str(cfg), "--scheme", "fixed", "--sth", "0.426"
+    )
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(text)["sop_at_re"] <= 0.426
+
+
+@pytest.mark.parametrize("s_th", ["1.0", "0.05"])
+def test_optimize_at_the_top_of_the_rate_domain_exits_0(tmp_path, capsys, s_th):
+    # Bob's mean capacity lies within 15 of RATE_LIMIT, so the scans, the
+    # curvature stencils and the oracle's range all reach the domain's top
+    # rate, and none may step past it.  At s_th 0.05 the ceiling binds.
+    cfg = tmp_path / "top.json"
+    cfg.write_text(json.dumps({"gamma0": 5e307, "n_a": 6, "n_b": 6}))
+    code, text = run_cli(
+        tmp_path, "optimize", "--config", str(cfg), "--scheme", "fixed", "--sth", s_th
+    )
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads(text)
+    assert 0.0 < doc["rates"]["r_e"] < doc["rates"]["r_b"] < 1024.0
+    assert doc["est"] > 0.0
+
+
 def test_optimize_ceiling_below_the_outage_floor_exits_2(tmp_path, capsys):
     # 1 - 1e-17 rounds to 1, so no finite rate meets the ceiling.
     code, _ = run_cli(tmp_path, "optimize", "--scheme", "fixed", "--sth", "1e-17")
@@ -1008,19 +1044,21 @@ def test_validate_low_power_is_inconclusive_not_failed(tmp_path):
 def test_validate_est_fixed_at_tiny_trial_counts_is_inconclusive(tmp_path, trials, seed):
     # Every trial in secrecy outage (and, at (1, 1), in reliability outage
     # too) left the throughput estimate a zero halfwidth, and the check
-    # failed at margin 1e-4 with no power behind it.
+    # failed at margin 1e-4 with no power behind it.  The sampler-mean check
+    # takes its halfwidth 3 / sqrt(k n) from the known variance of the
+    # gamma draws, not from their spread: two draws close together made the
+    # sample spread tiny and failed the check at (2, 2).
     code, text = run_cli(tmp_path, "validate", "--trials", str(trials), "--seed", str(seed))
     lines = {line.split()[1]: line.split()[0] for line in text.splitlines()[2:-1]}
+    assert code == 0
+    assert "FAIL" not in lines.values()
     assert lines["est_fixed"] == "INCONCLUSIVE"
-    if trials == 1:
-        # one draw has no spread to estimate
-        assert lines["gamma_sampler_mean_rel"] == "INCONCLUSIVE"
-        assert code == 0
+    assert lines["gamma_sampler_mean_rel"] == "INCONCLUSIVE"
 
 
 def test_sweep_fixed_scheme_past_the_rate_ceiling_exits_0(tmp_path):
-    # the constrained codeword rate past _RATE_CEIL; every r_b there is in
-    # outage, so the throughput is 0
+    # the constrained codeword rate far past Bob's capacity; every r_b there
+    # is in outage, so the throughput is 0
     code, text = run_cli(
         tmp_path, "sweep", "--axis", "r_e", "--min", "100", "--max", "1023", "--steps", "2",
         "--scheme", "fixed",

@@ -402,7 +402,7 @@ def test_shared_reliability_draws_reject_a_negative_rate_before_drawing(baseline
 
     monkeypatch.setattr(montecarlo, "_stream_rngs", no_streams)
     for cases in ([(baseline, 3.0), (baseline, -0.5)], [(baseline, -1e-12)]):
-        with pytest.raises(ValueError, match="r_b must be non-negative"):
+        with pytest.raises(ValueError, match="rates must be non-negative"):
             montecarlo.estimate_reliability_outages(cases, SimConfig(trials=10))
 
 

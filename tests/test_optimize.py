@@ -231,6 +231,40 @@ def test_re_threshold_matches_log_bisection_at_tiny_rates():
     assert tiny == 332
 
 
+# A scenario of the solver property test's ranges where the pointing-free
+# inversion lands past rate 30 and the outage there rounds above 0.426.
+HIGH_RATE_CEILING_SCENARIO = dict(
+    sigma_s=0.0,
+    n_a=3,
+    n_b=4,
+    n_e=3,
+    cn2=5.304716812423572e-15,
+    d_b=2727.692221928623,
+    d_e=2732.8255184772124,
+    gamma0=2050614501111.1985,
+)
+
+
+def test_re_threshold_brackets_upward_past_a_rounded_inversion():
+    assert _is_tight_threshold(baseline_scenario(**HIGH_RATE_CEILING_SCENARIO), 0.426)
+
+
+def test_re_threshold_raises_where_no_rate_meets_the_ceiling(baseline, monkeypatch):
+    # An outage that never falls below 0.5: the bracket end doubles up to
+    # the largest rate below RATE_LIMIT and stops there with the error.
+    rates = []
+
+    def flat(link, r):
+        rates.append(r)
+        return np.array(0.5), np.array(0.0)
+
+    monkeypatch.setattr(optimize, "sop_approx_curve", flat)
+    with pytest.raises(ConvergenceError, match="below the achievable outage floor"):
+        re_threshold(baseline, 0.4)
+    assert rates[-1] == math.nextafter(secrecy.RATE_LIMIT, 0.0)
+    assert all(a < b for a, b in zip(rates, rates[1:]))
+
+
 # ---------------------------------------------------------------------------
 # adaptive scheme
 # ---------------------------------------------------------------------------
@@ -462,9 +496,9 @@ def test_fixed_constrained_rb_rejects_negative_rate(baseline):
 
 @pytest.mark.parametrize("r_e", [100.0, 1023.5])
 def test_fixed_constrained_rb_scans_upward_past_the_rate_ceiling(baseline, monkeypatch, r_e):
-    # A pinned rate past _RATE_CEIL: the scan runs upward from just above it
-    # and stays below RATE_LIMIT.  Every codeword rate there is in outage,
-    # so no residual root exists and the grid search gives r_b.
+    # A pinned rate far past Bob's capacity: the scan runs upward from just
+    # above it and stays below RATE_LIMIT.  Every codeword rate there is in
+    # outage, so no residual root exists and the grid search gives r_b.
     spans = []
     scan_nodes = optimize._scan_nodes
 
@@ -670,7 +704,7 @@ def test_constrained_rb_satisfies_the_paper_lambert_w_form(overrides):
     log_cn2=st.floats(-16.0, math.log10(3e-13)),
     d_b=st.floats(300.0, 3000.0),
     d_e=st.floats(300.0, 3000.0),
-    log_gamma0=st.floats(-3.0, 5.0),
+    log_gamma0=st.floats(-3.0, 25.0),
     s_th=st.floats(0.05, 1.0),
     c_b=st.floats(0.5, 8.0),
 )
@@ -688,15 +722,16 @@ def test_solvers_return_feasible_optima_or_raise(
         d_e=d_e,
         gamma0=10.0**log_gamma0,
     )
-    for solve in (lambda: fixed_optimal(sc, s_th), lambda: adaptive_optimal(sc, c_b, s_th)):
-        try:
-            o = solve()
-        except ConvergenceError:
-            continue
+    fixed = fixed_optimal(sc, s_th)
+    for o in (fixed, adaptive_optimal(sc, c_b, s_th)):
         assert 0.0 <= o.rates.r_e <= o.rates.r_b
         assert o.est >= 0.0
         if o.est > 0.0:
             assert sop_approx(eve_link(sc), o.rates.r_e) <= s_th + 1e-6
+    # The fixed optimum against the command line's oracle, over a range that
+    # spans Bob's mean capacity C_b as well as the solver's r_b.
+    hi = max(fixed.rates.r_b, optimize._cap_seed(sc, bob_link(sc))) + 3.0
+    assert fixed.est >= 0.98 * fixed_grid_oracle(sc, s_th, hi, grid_points=160).est
 
 
 # ---------------------------------------------------------------------------
@@ -959,22 +994,38 @@ def test_adaptive_unconstrained_re_grid_fallback_reaches_the_polished_est(baseli
     assert r_e == pytest.approx(root, rel=1e-7, abs=0)
 
 
-def test_fixed_scheme_grid_fallbacks_past_the_rate_ceiling():
-    # At gamma0 1e25 Bob's mean capacity (74.7) lies past the scans' cap of
-    # 60: the codeword-rate factor still rises at the cap, no scan finds a
-    # root, and both fixed-scheme fallbacks run unforced.  The pair's
-    # throughput peaks inside the r_e range; frozen from the golden polish,
-    # whose r_b (60.00000000000001) overshot the cap by one ulp.
+# At gamma0 1e25 Bob's mean capacity C_b is 74.7, far past the baseline's;
+# every rate scan reaches it.  Frozen: the pair's throughput, and the
+# codeword-rate factor (r_b - r_e)(1 - T) at the pinned r_e = 1.
+HIGH_GAIN_PAIR_EST = 0.844565276320082
+HIGH_GAIN_RB_FACTOR = 71.56017189020564
+
+
+def _rb_factor(sc, r_e, r_b):
+    return (r_b - r_e) * (1.0 - reliability_outage_approx(bob_link(sc), sc.nodes.n_a, r_b))
+
+
+def test_fixed_scheme_roots_at_high_gain():
     sc = baseline_scenario(gamma0=1e25)
     o = fixed_unconstrained_pair(sc)
+    assert o.method == "fixed_point"
+    assert o.est == HIGH_GAIN_PAIR_EST
+    rb, method = fixed_constrained_rb(sc, 1.0)
+    assert method == "lambert_w"
+    assert _rb_factor(sc, 1.0, rb) == HIGH_GAIN_RB_FACTOR
+
+
+def test_fixed_scheme_grid_fallbacks_at_high_gain(monkeypatch):
+    # Both fixed-scheme fallbacks, forced by a scan that finds no root, over
+    # the same rate ranges as the roots of the test above.
+    sc = baseline_scenario(gamma0=1e25)
+    monkeypatch.setattr(optimize, "_scan_roots", _no_roots)
+    o = fixed_unconstrained_pair(sc)
     assert o.method == "grid_oracle"
-    _at_least(o.est, 0.02069606557094912)
-    assert 0.0 < o.rates.r_e < o.rates.r_b <= 60.0
+    _at_least(o.est, HIGH_GAIN_PAIR_EST)
     rb, method = fixed_constrained_rb(sc, 1.0)
     assert method == "grid_oracle"
-    t = reliability_outage_approx(bob_link(sc), sc.nodes.n_a, rb)
-    _at_least((rb - 1.0) * (1.0 - t), 59.00000000000001)
-    assert rb <= 60.0
+    _at_least(_rb_factor(sc, 1.0, rb), HIGH_GAIN_RB_FACTOR)
 
 
 def test_fixed_grid_oracle_all_gated_surface_returns_first_cell(baseline):
