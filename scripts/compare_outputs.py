@@ -133,8 +133,8 @@ VALIDATE_RUNS = (("", "1000000", "16"), ("_streams7", "1000003", "7"))
 # Runs (output name, CLI argv) pairs in one interpreter, as the benchmark
 # does, and writes each exit code to the file sys.argv[2].  Exits 2 (a solver
 # error) and 3 (a failed validate check) are outputs to compare; 1 means the
-# run's arguments or config are wrong.  A solver error leaves the run's --out
-# file empty, and that file is removed.
+# run's arguments or config are wrong.  A solver error writes no --out file;
+# an older tree left an empty one there, and that file is removed.
 _RUN_CLI = """
 import json, os, sys
 from fso_secrecy import cli
@@ -143,7 +143,7 @@ for name, argv in json.loads(sys.argv[1]):
     codes[name] = cli.main(argv)
     if codes[name] == 1:
         raise SystemExit(f"exit code {codes[name]}: {argv}")
-    if codes[name] == 2:
+    if codes[name] == 2 and os.path.exists(argv[argv.index("--out") + 1]):
         os.remove(argv[argv.index("--out") + 1])
 with open(sys.argv[2], "w", encoding="utf-8") as fh:
     json.dump(codes, fh, indent=2)

@@ -11,9 +11,8 @@ is built on:
 * ``ggp_cdf`` -- the same fading multiplied by the random collected-power
   fraction of a misaligned receiver, likewise;
 * ``ggp_cdf_approx`` -- the gamma-surrogate approximation of ``ggp_cdf``
-  used by the rate optimizers, at one threshold, from a link's
-  :class:`Surrogate`; ``surrogate_cdf_pdf`` evaluates it with its density
-  on an array of thresholds.
+  used by the rate optimizers, with its density, at one threshold or an
+  array of them, from a link's :class:`Surrogate`.
 
 The exact kernels condition on the gamma factor of larger shape: given
 that factor, the other gamma factor and the collected-power fraction
@@ -24,7 +23,7 @@ the factor fixed at one, on the same log-domain pointing term.
 
 The surrogate's constants live in the link: when :func:`bob_link` or
 :func:`eve_link` derive a link, ``LinkParams.gain`` takes the SNR gain
-gamma0 * n_rx * a0 and ``LinkParams.surrogate`` the :class:`Surrogate` of
+gamma0 * a0 * n_rx and ``LinkParams.surrogate`` the :class:`Surrogate` of
 :func:`gamma_approx`, with the shape and scale, xi**2 and the pointing
 term's log-gamma ratio.  An evaluation from them does only numpy and scipy
 ufunc work, the same sequence on a float as on each element of an array.
@@ -62,7 +61,6 @@ __all__ = [
     "gg_cdf",
     "ggp_cdf",
     "ggp_cdf_approx",
-    "surrogate_cdf_pdf",
     "bob_link",
     "eve_link",
     "clamp_event_count",
@@ -249,10 +247,11 @@ class ScenarioConfig:
             raise ValueError("ScenarioConfig.omega_adj must be strictly positive")
         if not (self.d_b > 0.0 and self.d_e > 0.0):
             raise ValueError("ScenarioConfig distances must be strictly positive")
-        # The smaller of the two link gains gamma0 * n_rx * a0; a subnormal
-        # one overflows the rate-to-threshold map of the surrogate kernels.
-        gain = self.nodes.gamma0 * min(self.nodes.n_b, self.nodes.n_e)
-        gain *= pointing_params(self.geometry, 0.0).a0
+        # The smaller of the two link gains gamma0 * a0 * n_rx, formed as
+        # LinkParams.gain is; a subnormal one overflows the rate-to-threshold
+        # map of the surrogate kernels.
+        a0 = pointing_params(self.geometry, 0.0).a0
+        gain = self.nodes.gamma0 * a0 * min(self.nodes.n_b, self.nodes.n_e)
         if gain < sys.float_info.min:
             raise ValueError(
                 f"link gain gamma0 * n_rx * a0 = {gain:.3g} is below the smallest "
@@ -288,9 +287,9 @@ def baseline_scenario(**overrides) -> ScenarioConfig:
 class LinkParams:
     """Derived per-receiver bundle consumed by the secrecy closed forms.
 
-    ``gain`` is the SNR gain gamma0 * n_rx * a0 that maps a rate to the
-    normalized irradiance a receiver must clear, and ``surrogate`` the
-    constants of the link's gamma-surrogate CDF.
+    ``gain`` is the SNR gain gamma0 * a0 * n_rx, multiplied in that order,
+    that maps a rate to the normalized irradiance a receiver must clear,
+    and ``surrogate`` the constants of the link's gamma-surrogate CDF.
     """
 
     turb: TurbulenceParams
@@ -422,7 +421,7 @@ def _pointing_log_ratio(k: float, xi2: float) -> float | None:
 
 def _log_pointing_term(k: float, xi2: float, log_ratio: float | None, t, log_c):
     """ln(t**xi2 Gamma(k - xi2, t) / Gamma(k)) with t = k c, elementwise on
-    floats or arrays, given ``log_ratio`` = :func:`_pointing_log_ratio` (k, xi2).
+    arrays, given ``log_ratio`` = :func:`_pointing_log_ratio` (k, xi2).
 
     With a = k - xi2 > 0 it is written as
     c**xi2 Q(a, t) k**xi2 Gamma(a) / Gamma(k): scipy's regularized upper
@@ -438,7 +437,6 @@ def _log_pointing_term(k: float, xi2: float, log_ratio: float | None, t, log_c):
     a = k - xi2
     if log_ratio is not None:
         return xi2 * log_c + _log_upper_q(a, t) + log_ratio
-    t, log_c = np.asarray(t), np.asarray(log_c)  # masks need arrays
     log_t = math.log(k) + log_c
     out = np.empty_like(t)
     cf = (t >= 1.0) | (a <= -10.0)
@@ -557,17 +555,14 @@ def ggp_cdf(alpha: float, beta_agg: float, xi: float, x):
     return _exact_cdf("ggp_cdf", alpha, beta_agg, None if math.isinf(xi) else xi * xi, x)
 
 
-def _surrogate_cdf(sur: Surrogate, t):
-    """Gamma-surrogate CDF F(t) at t > 0, a float or an array, and its
-    pointing term.
+def _surrogate_cdf(sur: Surrogate, t: np.ndarray):
+    """Gamma-surrogate CDF F(t) on an array of t > 0, and its pointing term.
 
     F(t) = P(k, t) + t**xi2 Gamma(k - xi2, t) / Gamma(k) is the conditional
     term of :func:`_conditioned_cdf` with the fading factor fixed at one.
     The second term comes from :func:`_log_pointing_term` in the log
     domain, so no factor overflows for any shape up to ``_SHAPE_CAP``; it is
-    returned as well, or None without pointing loss.  Every step is a numpy
-    ufunc or IEEE arithmetic, which give a float the bits of the matching
-    array element.
+    returned as well, or None without pointing loss.
     """
     k, xi2 = sur.k, sur.xi2
     p = _sp.gammainc(k, t)
@@ -577,32 +572,25 @@ def _surrogate_cdf(sur: Surrogate, t):
     return _clamp_prob(p + second), second
 
 
-def ggp_cdf_approx(sur: Surrogate, x: float) -> float:
-    """Gamma-surrogate CDF of the fading-plus-misalignment product at one
-    x >= 0, from the link's constants ``sur``.
+def ggp_cdf_approx(sur: Surrogate, x):
+    """Gamma-surrogate CDF and density of the fading-plus-misalignment
+    product at x >= 0, a float or an array, from the link's constants ``sur``.
 
-    The same numpy code as the matching element of
-    :func:`surrogate_cdf_pdf`, so the two agree to the bit; 1 at x = inf.
-    """
-    if x <= 0.0:
-        if x < 0.0:
-            raise ValueError(f"ggp_cdf_approx requires x >= 0, got {x}")
-        return 0.0
-    return float(_surrogate_cdf(sur, min(x, _X_CERTAIN * sur.theta) / sur.theta)[0])
-
-
-def surrogate_cdf_pdf(sur: Surrogate, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The surrogate CDF and density on an array of x >= 0, from the
-    link's constants ``sur``; two arrays of the shape of ``x``.
-
-    With t = x / theta the density in t is (xi2 / t) times the pointing term
-    of :func:`_surrogate_cdf`: the gamma densities of the two terms'
+    An array gives two arrays of its shape; a float gives two numpy floats,
+    which divide by zero as array elements do.  Either way every step is a
+    numpy ufunc or IEEE arithmetic on an array, so a float call returns the
+    bits of the matching element of an array call.  With t = x / theta the
+    density in t is (xi2 / t) times the pointing term of
+    :func:`_surrogate_cdf`: the gamma densities of the two terms'
     derivatives cancel.  Without pointing loss these are the plain gamma CDF
     and density.  The density is per unit x, 0 at x = 0 and at x = inf,
     where the CDF is 1.
     """
     k, theta = sur.k, sur.theta
-    t = np.minimum(np.asarray(x, dtype=float), _X_CERTAIN * theta) / theta
+    xs = np.asarray(x, dtype=float)
+    if not (xs >= 0.0).all():
+        raise ValueError(f"ggp_cdf_approx requires x >= 0, got {x}")
+    t = np.minimum(xs, _X_CERTAIN * theta) / theta
     cdf, pdf = np.zeros(t.shape), np.zeros(t.shape)
     pos = t > 0.0
     t = t[pos]
@@ -611,7 +599,7 @@ def surrogate_cdf_pdf(sur: Surrogate, x: np.ndarray) -> tuple[np.ndarray, np.nda
         pdf[pos] = np.exp((k - 1.0) * np.log(t) - t - math.lgamma(k)) / theta
     else:
         pdf[pos] = sur.xi2 * second / t / theta
-    return cdf, pdf
+    return cdf[()], pdf[()]
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +615,7 @@ def _link(scenario: ScenarioConfig, distance_m: float, sigma_s: float, n_rx: int
         pointing=pointing,
         beta_agg=turb.beta_single * n_rx,
         n_rx=n_rx,
-        gain=scenario.nodes.gamma0 * n_rx * pointing.a0,
+        gain=scenario.nodes.gamma0 * pointing.a0 * n_rx,
         surrogate=gamma_approx(turb, n_rx, scenario.epsilon, scenario.omega_adj, pointing.xi),
     )
 

@@ -342,7 +342,7 @@ def _optimum_rows(
     """One row per outage ceiling, from one solver call over all of them.
 
     The exact outages at the optima come from one array call per kind, and
-    the surrogate outage that ``constraint_met`` reads from one curve call.
+    the surrogate outage that ``constraint_met`` reads from one array call.
     The Monte-Carlo column of the adaptive scheme is one capacity-averaged
     estimate over every ceiling; the fixed scheme's is :func:`_mc_columns`
     at the optima.
@@ -363,7 +363,7 @@ def _optimum_rows(
         mc = _mc_columns(sc, scheme, [o.rates for o in optima], ceilings, sim, jobs)
     # Solvers contract on the surrogate outage surface; the sop column stays
     # exact-kernel for diagnostics.
-    s_approx = secrecy.sop_approx_curve(eve_link(sc), np.array(r_es))[0].tolist()
+    s_approx = secrecy.sop_approx(eve_link(sc), np.array(r_es))[0].tolist()
     return [
         (o.est, est_mc, ci, s, t, s_a <= s_th + 1e-6 or o.est == 0.0)
         for o, (est_mc, ci), s, t, s_a, s_th in zip(optima, mc, sop_vals, rel, s_approx, ceilings)
@@ -496,7 +496,7 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         "method": opt.method,
         "hessian_ok": opt.hessian_ok,
         "constraint_active": opt.constraint_active,
-        "sop_at_re": secrecy.sop_approx(eve_link(sc), opt.rates.r_e),
+        "sop_at_re": float(secrecy.sop_approx(eve_link(sc), opt.rates.r_e)[0]),
         "sop_exact_at_re": exact.sop,
         "oracle": {"est": oracle.est, "gap": gap, "covers": covers},
     }
@@ -583,7 +583,7 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     gap_worst = 0.0
     for sig in (1.0, 2.0, 3.0):
         sc_s = _scenario_at(sc, "sigma_s", sig)
-        s_approx = secrecy.sop_approx_curve(eve_link(sc_s), gap_rates)[0]
+        s_approx = secrecy.sop_approx(eve_link(sc_s), gap_rates)[0]
         gaps = np.abs(s_approx - secrecy.sop(sc_s, gap_rates))
         gap_worst = max(gap_worst, *gaps.tolist())
     check_analytic("surrogate_outage_gap_max", gap_worst, 0.0, 0.02)
@@ -706,23 +706,22 @@ def main(argv: list[str] | None = None) -> int:
         return _EXIT_CONFIG
 
     handlers = {
-        "params": cmd_params,
+        "params": lambda sc, args, out: cmd_params(sc, out),
         "sweep": cmd_sweep,
         "optimize": cmd_optimize,
         "validate": cmd_validate,
     }
     handler = handlers[args.command]
-
-    def run(out: io.TextIOBase) -> int:
-        if args.command == "params":
-            return cmd_params(sc, out)
-        return handler(sc, args, out)
-
     try:
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                return run(fh)
-        return run(sys.stdout)
+        if not args.out:
+            return handler(sc, args, sys.stdout)
+        # The file is written only when the command returns, so a run that
+        # ends in an error leaves none.
+        buf = io.StringIO()
+        code = handler(sc, args, buf)
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(buf.getvalue())
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -55,7 +55,7 @@ import numpy as np
 
 from fso_secrecy import optimize
 from fso_secrecy.channel import LinkParams, ScenarioConfig, bob_link, eve_link
-from fso_secrecy.secrecy import RatePair, _rates, rate_threshold, sop_approx_curve
+from fso_secrecy.secrecy import RatePair, _rates, rate_threshold, sop_approx
 
 __all__ = [
     "SimConfig",
@@ -366,7 +366,7 @@ def _adaptive_redundancy_table(
     r_lo = 1e-4
     r_hi = max(r_hi, r_lo + 1.0)
     rs = np.linspace(r_lo, r_hi, n_grid)
-    s, ds = sop_approx_curve(eve_link(sc), rs)
+    s, ds = sop_approx(eve_link(sc), rs)
     # Past the first rate where the outage stops falling, no capacity makes
     # the rate stationary.
     flat = np.flatnonzero(ds >= -1e-290)

@@ -22,10 +22,11 @@ ceiling inversion's bracket end at most at the largest double below
 ``RATE_LIMIT``, the top of the one rate domain.
 
 Each residual takes the surrogate outages and their slopes in the rate from
-the curve kernels of :mod:`fso_secrecy.secrecy`, one array call per scan, so
-the solvers form no incomplete gamma or density of their own.  Every solver
-and oracle looks its links up once per call and passes them to
-``sop_approx``, ``reliability_outage_approx`` and their ``*_curve`` forms.
+``sop_approx`` and ``reliability_outage_approx`` of
+:mod:`fso_secrecy.secrecy`, one array call per scan, so the solvers form no
+incomplete gamma or density of their own.  Every solver and oracle looks its
+links up once per call and passes them to those two, and reads a link
+constant, such as the rate scale u, from the link alone.
 :func:`adaptive_unconstrained_re` and :func:`fixed_constrained_rb` return
 the rate with the ``Optimum.method`` of the path that found it.  The
 paper's map and Lambert-W forms live on as test references and hold at the
@@ -61,9 +62,7 @@ from fso_secrecy.secrecy import (
     SecrecyConstraint,
     est_from_outages,
     reliability_outage_approx,
-    reliability_outage_approx_curve,
     sop_approx,
-    sop_approx_curve,
 )
 from fso_secrecy.specfun import ConvergenceError
 
@@ -200,7 +199,7 @@ def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
     part of the surrogate CDF alone reaches 1 - s_th: the pointing term only
     adds to the CDF, so S(r_free) <= s_th.  Should rounding break that, the
     upper end doubles until it holds.  Newton steps on the analytic slope of
-    :func:`fso_secrecy.secrecy.sop_approx_curve` then shrink the bracket,
+    :func:`fso_secrecy.secrecy.sop_approx` then shrink the bracket,
     with bisection wherever a step would leave it or would not halve the
     step before last (``rtsafe``, Numerical Recipes 9.4), until its width
     is a few ulps or stops shrinking.  The result is the bracket's feasible
@@ -214,13 +213,13 @@ def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
         return 0.0
     link = eve_link(sc)
     t_free = float(_sp.gammaincinv(link.surrogate.k, 1.0 - s_th))
-    gain = sc.nodes.gamma0 * link.pointing.a0 * link.n_rx * link.surrogate.theta
+    gain = link.gain * link.surrogate.theta
     floor = ConvergenceError(f"secrecy ceiling {s_th} is below the achievable outage floor")
     if not math.isfinite(t_free):
         raise floor
     hi = min(math.log1p(t_free * gain) / math.log(2.0), _RATE_TOP)
     while True:
-        s, ds = sop_approx_curve(link, hi)
+        s, ds = sop_approx(link, hi)
         if s <= s_th:
             break
         if hi == _RATE_TOP:
@@ -243,7 +242,7 @@ def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
             new = 0.5 * (lo + hi)
         before, last = last, abs(new - r)
         r = new
-        s, ds = sop_approx_curve(link, r)
+        s, ds = sop_approx(link, r)
         if s <= s_th:
             hi = r
         else:
@@ -276,14 +275,14 @@ def adaptive_unconstrained_re(sc: ScenarioConfig, c_b: float) -> tuple[float, st
     if not c_b > 0.0:
         raise ValueError(f"c_b must be positive, got {c_b}")
     eve = eve_link(sc)
-    u_e = min(_cap_seed(sc, eve), 1.0)
+    u_e = _rate_scale(eve)
 
     def psi(r: float) -> float:
-        return est_from_outages(c_b - r, 0.0, sop_approx(eve, r), _UNCONSTRAINED).est
+        return est_from_outages(c_b - r, 0.0, sop_approx(eve, r)[0], _UNCONSTRAINED).est
 
     def slope(r):
         # psi's derivative, on a float or an array of rates.
-        s, ds = sop_approx_curve(eve, r)
+        s, ds = sop_approx(eve, r)
         return -(1.0 - s) - (c_b - r) * ds
 
     lo = 1e-4 * min(c_b, u_e)
@@ -337,16 +336,16 @@ def _adaptive_under(
     if not feasible:
         r_e = c_b
     eve = eve_link(sc)
-    est = est_from_outages(c_b - r_e, 0.0, sop_approx(eve, r_e), constraint).est
+    est = est_from_outages(c_b - r_e, 0.0, sop_approx(eve, r_e)[0], constraint).est
 
     # The second-difference stencil must lie strictly inside (0, c_b): at an
     # end point the throughput's edge, not its curvature, decides the sign.
-    u = min(_cap_seed(sc, bob_link(sc)), 1.0)
+    u = _rate_scale(bob_link(sc))
     h = 1e-4 * u
     hessian_ok = False
     if feasible and 0.0 < r_e - h and r_e + h < c_b and est > 0.0 and not constraint_active:
         rs = np.array([r_e - h, r_e, r_e + h])
-        psi = est_from_outages(c_b - rs, 0.0, sop_approx_curve(eve, rs)[0], constraint).est
+        psi = est_from_outages(c_b - rs, 0.0, sop_approx(eve, rs)[0], constraint).est
         hessian_ok = _curves_down(psi, u)
     return Optimum(
         rates=RatePair(r_b=c_b, r_e=r_e),
@@ -362,13 +361,18 @@ def _adaptive_under(
 # ---------------------------------------------------------------------------
 
 
-def _cap_seed(sc: ScenarioConfig, link: LinkParams) -> float:
+def _cap_seed(link: LinkParams) -> float:
     """The link's capacity at its mean surrogate SNR, Bob's or Eve's: where
-    the codeword-rate scans set their upper end, and the rate scale of the
-    solvers.  It is positive even where 1 + SNR rounds to 1."""
+    the codeword-rate scans set their upper end.  It is positive even where
+    1 + SNR rounds to 1."""
     sur = link.surrogate
-    mean_snr = sc.nodes.gamma0 * link.pointing.a0 * link.n_rx * sur.theta * sur.k
-    return math.log1p(mean_snr) / math.log(2.0)
+    return math.log1p(link.gain * sur.theta * sur.k) / math.log(2.0)
+
+
+def _rate_scale(link: LinkParams) -> float:
+    """The solvers' rate scale on the link, u = min(C, 1) of its
+    :func:`_cap_seed` C."""
+    return min(_cap_seed(link), 1.0)
 
 
 def fixed_unconstrained_pair(sc: ScenarioConfig) -> Optimum:
@@ -376,17 +380,16 @@ def fixed_unconstrained_pair(sc: ScenarioConfig) -> Optimum:
 
     The throughput (r_b - r_e)(1 - T(r_b))(1 - S(r_e)) is stationary where
     r_e = g_e(r_b) = r_b - (1 - T)/T' and r_b = g_b(r_e) = r_e + (1 - S)/(-S'),
-    the paper's two updates, with the outages and their slopes from the
-    surrogate curve kernels.  The chained residual g_b(g_e(r_b)) - r_b is
-    sign-scanned in one array call per kernel and bisected on the same
-    functions, six levels per array call; each root whose pair is an
-    interior stationary point is a candidate.  The scan spans 0.05 u to
+    the paper's two updates, with the surrogate outages and their slopes.
+    The chained residual g_b(g_e(r_b)) - r_b is sign-scanned in one array
+    call per outage and bisected on the same functions, six levels per
+    array call; each root whose pair is an interior stationary point is a
+    candidate.  The scan spans 0.05 u to
     C_b + 15 u; :func:`fixed_grid_oracle` over it gives the pair when no
     root is a candidate.
     """
     eve, bob, n_a = eve_link(sc), bob_link(sc), sc.nodes.n_a
-    cap = _cap_seed(sc, bob)
-    u = min(cap, 1.0)
+    cap, u = _cap_seed(bob), _rate_scale(bob)
     hi = min(cap + 15.0 * u, _RATE_TOP)
     candidates: list[tuple[float, float, float, str]] = []  # (est, re, rb, method)
 
@@ -394,13 +397,13 @@ def fixed_unconstrained_pair(sc: ScenarioConfig) -> Optimum:
     # where an outage and its slope both round to their limits; fmax sends
     # that NaN to the lower clamp, as it does -inf.
     def g_e(rb):
-        t, dt = reliability_outage_approx_curve(bob, n_a, rb)
+        t, dt = reliability_outage_approx(bob, n_a, rb)
         with np.errstate(all="ignore"):
             re = rb - (1.0 - t) / dt
         return np.minimum(np.fmax(re, 1e-12 * u), rb - 1e-12 * u)
 
     def g_b(re):
-        s, ds = sop_approx_curve(eve, re)
+        s, ds = sop_approx(eve, re)
         with np.errstate(all="ignore"):
             rb = re + (1.0 - s) / -ds
         return np.minimum(np.fmax(rb, re + 1e-12 * u), _RATE_TOP)
@@ -412,7 +415,7 @@ def fixed_unconstrained_pair(sc: ScenarioConfig) -> Optimum:
     for root in _scan_roots(resid, xs, resid(np.array(xs)), _RATE_TOL * u):
         re_c = float(g_e(root))
         if _is_interior_stationary(sc, re_c, root):
-            t, s = reliability_outage_approx(bob, n_a, root), sop_approx(eve, re_c)
+            t, s = reliability_outage_approx(bob, n_a, root)[0], sop_approx(eve, re_c)[0]
             est = est_from_outages(root - re_c, t, s, _UNCONSTRAINED).est
             candidates.append((est, re_c, root, "fixed_point"))
 
@@ -438,8 +441,8 @@ def _throughput_stencil(sc: ScenarioConfig, re: float, rb: float, h: float) -> n
     call give the nine values."""
     res, rbs = np.array([re - h, re, re + h])[:, None], np.array([rb - h, rb, rb + h])
     # Negative rates' cells are 0 whatever they map to; a rate past the top takes its outage.
-    s = sop_approx_curve(eve_link(sc), np.clip(res, 0.0, _RATE_TOP))[0]
-    t = reliability_outage_approx_curve(bob_link(sc), sc.nodes.n_a, np.clip(rbs, 0.0, _RATE_TOP))[0]
+    s = sop_approx(eve_link(sc), np.clip(res, 0.0, _RATE_TOP))[0]
+    t = reliability_outage_approx(bob_link(sc), sc.nodes.n_a, np.clip(rbs, 0.0, _RATE_TOP))[0]
     est = est_from_outages(rbs - res, t, s, _UNCONSTRAINED).est
     return np.where((0.0 <= res) & (res < rbs), est, 0.0)
 
@@ -447,7 +450,7 @@ def _throughput_stencil(sc: ScenarioConfig, re: float, rb: float, h: float) -> n
 # The stencil checks step h u and difference the objective over u, which
 # stays normal on the weakest links.
 def _is_interior_stationary(sc: ScenarioConfig, re: float, rb: float, tol: float = 1e-5) -> bool:
-    u = min(_cap_seed(sc, bob_link(sc)), 1.0)
+    u = _rate_scale(bob_link(sc))
     if not (re > 1e-8 * u and rb > re + 1e-8 * u and rb < _RATE_TOP - 1e-6 * u):
         return False
     f = (_throughput_stencil(sc, re, rb, 1e-5 * u) / u).tolist()
@@ -458,7 +461,7 @@ def _is_interior_stationary(sc: ScenarioConfig, re: float, rb: float, tol: float
 
 
 def _hessian_negative_definite(sc: ScenarioConfig, re: float, rb: float, h: float = 1e-4) -> bool:
-    u = min(_cap_seed(sc, bob_link(sc)), 1.0)
+    u = _rate_scale(bob_link(sc))
     f = (_throughput_stencil(sc, re, rb, h * u) / u).tolist()
     f00 = f[1][1]
     a = (f[2][1] - 2.0 * f00 + f[0][1]) / (h * h)
@@ -478,13 +481,12 @@ def fixed_constrained_rb(sc: ScenarioConfig, r_e_fixed: float) -> tuple[float, s
 
     The paper writes the stationarity condition in r_b as a Lambert-W
     expression that still holds r_b on both sides.  Its unwrapped residual
-    (1 - T) - (r_b - r_e) T', with the reliability outage T and its slope
-    from the surrogate curve kernel, holds for any number of beams n_a.  It
-    is sign-scanned in one array call and bisected, six levels per array
-    call, where it turns from positive to negative; the root with the
-    highest throughput factor (r_b - r_e)(1 - T) wins, and
-    :func:`grid_refine_maximize` of that factor over the scan's interval
-    stands in where the scan finds none.
+    (1 - T) - (r_b - r_e) T', with the surrogate reliability outage T and
+    its slope, holds for any number of beams n_a.  It is sign-scanned in
+    one array call and bisected, six levels per array call, where it turns
+    from positive to negative; the root with the highest throughput factor
+    (r_b - r_e)(1 - T) wins, and :func:`grid_refine_maximize` of that
+    factor over the scan's interval stands in where the scan finds none.
 
     The scan runs upward from 1e-6 u above ``r_e_fixed`` to the higher of
     ``r_e_fixed`` + 25 u and C_b + 10 u, so the rate returned lies above
@@ -493,16 +495,15 @@ def fixed_constrained_rb(sc: ScenarioConfig, r_e_fixed: float) -> tuple[float, s
     if r_e_fixed < 0.0:
         raise ValueError(f"r_e_fixed must be non-negative, got {r_e_fixed}")
     bob, n_a = bob_link(sc), sc.nodes.n_a
-    cap = _cap_seed(sc, bob)
-    u = min(cap, 1.0)
+    cap, u = _cap_seed(bob), _rate_scale(bob)
     lo = min(r_e_fixed + 1e-6 * u, _RATE_TOP)
     hi = min(max(r_e_fixed + 25.0 * u, cap + 10.0 * u), _RATE_TOP)
 
     def bob_factor(rb: float) -> float:
-        return (rb - r_e_fixed) * (1.0 - reliability_outage_approx(bob, n_a, rb))
+        return (rb - r_e_fixed) * (1.0 - reliability_outage_approx(bob, n_a, rb)[0])
 
     def resid(rb):
-        t, dt = reliability_outage_approx_curve(bob, n_a, rb)
+        t, dt = reliability_outage_approx(bob, n_a, rb)
         return (1.0 - t) - (rb - r_e_fixed) * dt
 
     xs = _scan_nodes(lo, hi, GRID_POINTS)
@@ -510,7 +511,7 @@ def fixed_constrained_rb(sc: ScenarioConfig, r_e_fixed: float) -> tuple[float, s
     if roots:
         return max(roots, key=bob_factor), "lambert_w"
     rb = grid_refine_maximize(
-        lambda r: (r - r_e_fixed) * (1.0 - reliability_outage_approx_curve(bob, n_a, r)[0]), (lo, hi)
+        lambda r: (r - r_e_fixed) * (1.0 - reliability_outage_approx(bob, n_a, r)[0]), (lo, hi)
     ).rates.r_b
     return rb, "grid_oracle"
 
@@ -540,20 +541,17 @@ def _fixed_under(sc: ScenarioConfig, pair: Optimum, s_th: float) -> Optimum:
     re_t = re_threshold(sc, s_th)
     if pair.rates.r_e >= re_t:
         return pair
-    constraint = SecrecyConstraint(s_th)
     rb, method = fixed_constrained_rb(sc, re_t)
-    bob, n_a = bob_link(sc), sc.nodes.n_a
-    t_rb = reliability_outage_approx(bob, n_a, rb)
-    report = est_from_outages(rb - re_t, t_rb, sop_approx(eve_link(sc), re_t), constraint)
-
-    u = min(_cap_seed(sc, bob), 1.0)
+    bob = bob_link(sc)
+    u = _rate_scale(bob)
     rbs = np.array([rb - 1e-4 * u, rb, rb + 1e-4 * u])
-    t = reliability_outage_approx_curve(bob, n_a, np.clip(rbs, 0.0, _RATE_TOP))[0]
-    # The throughput along r_b; S(re_t) is the report's.
-    f_rb = est_from_outages(np.maximum(rbs - re_t, 0.0), t, report.sop, constraint).est
+    t = reliability_outage_approx(bob, sc.nodes.n_a, np.clip(rbs, 0.0, _RATE_TOP))[0]
+    s = sop_approx(eve_link(sc), re_t)[0]
+    # The throughput along r_b, the optimum's at the middle: rb >= re_t.
+    f_rb = est_from_outages(np.maximum(rbs - re_t, 0.0), t, s, SecrecyConstraint(s_th)).est
     return Optimum(
         rates=RatePair(r_b=rb, r_e=re_t),
-        est=report.est,
+        est=float(f_rb[1]),
         method=method,
         hessian_ok=_curves_down(f_rb, u),
         constraint_active=True,
@@ -633,8 +631,8 @@ def fixed_grid_oracle(
     constraint = SecrecyConstraint(s_th)
 
     def throughput(r_e, r_b):
-        s = sop_approx_curve(eve, r_e)[0]
-        t = reliability_outage_approx_curve(bob, n_a, r_b)[0]
+        s = sop_approx(eve, r_e)[0]
+        t = reliability_outage_approx(bob, n_a, r_b)[0]
         return np.where(r_e < r_b, est_from_outages(r_b - r_e, t, s, constraint).est, 0.0)
 
     hi = min(hi, _RATE_TOP)
@@ -651,6 +649,6 @@ def adaptive_grid_oracle(sc: ScenarioConfig, c_b: float, s_th: float) -> Optimum
     eve, constraint = eve_link(sc), SecrecyConstraint(s_th)
 
     def throughput(r_e):
-        return est_from_outages(c_b - r_e, 0.0, sop_approx_curve(eve, r_e)[0], constraint).est
+        return est_from_outages(c_b - r_e, 0.0, sop_approx(eve, r_e)[0], constraint).est
 
     return grid_refine_maximize(throughput, (0.0, c_b))

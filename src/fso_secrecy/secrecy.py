@@ -23,12 +23,12 @@ overflows.
 The surrogate outages take the link itself, with the constants it carries
 (``LinkParams.gain`` and ``LinkParams.surrogate``, computed once by
 ``bob_link`` and ``eve_link``): ``sop_approx(eve, r_e)`` and
-``reliability_outage_approx(bob, n_a, r_b)`` at one rate, so a solver looks
-its link up once and each outage does only the kernel's ufunc work.  Their
-rate-array forms ``sop_approx_curve`` and ``reliability_outage_approx_curve``
-also return the analytic slope in the rate, infinite where it passes the
-double range; they are the one place the solvers take the surrogate's rate
-derivatives from.
+``reliability_outage_approx(bob, n_a, r_b)`` take a float or an array of
+rates and return the outage with its analytic slope in the rate, infinite
+where it passes the double range, in one call into the surrogate kernel.
+So a solver looks its link up once, each outage does only the kernel's
+ufunc work, and they are the one place the solvers take the surrogate's
+rate derivatives from.
 """
 
 from __future__ import annotations
@@ -48,10 +48,8 @@ __all__ = [
     "EstReport",
     "sop",
     "sop_approx",
-    "sop_approx_curve",
     "reliability_outage",
     "reliability_outage_approx",
-    "reliability_outage_approx_curve",
     "est_adaptive",
     "est_fixed",
     "est_from_outages",
@@ -114,20 +112,13 @@ def sop(scenario: ScenarioConfig, r_e):
     return 1.0 - channel.ggp_cdf(link.turb.alpha, link.beta_agg, link.pointing.xi, thr)
 
 
-def sop_approx(eve: LinkParams, r_e: float) -> float:
-    """Gamma-surrogate secrecy outage at one rate on the eavesdropper's link
-    ``eve`` (the optimizer surface), equal to the matching element of
-    :func:`sop_approx_curve` to the bit."""
-    _rates(r_e)
-    return 1.0 - channel.ggp_cdf_approx(eve.surrogate, rate_threshold(r_e, eve.gain))
-
-
-def sop_approx_curve(eve: LinkParams, r_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Surrogate secrecy outage and its slope in ``r_e`` on an array of
-    rates on the eavesdropper's link ``eve``, in one call into the
-    surrogate kernel."""
+def sop_approx(eve: LinkParams, r_e):
+    """Gamma-surrogate secrecy outage on the eavesdropper's link ``eve`` (the
+    optimizer surface) and its slope in the rate, at ``r_e``, a float or an
+    array of rates, as :func:`fso_secrecy.channel.ggp_cdf_approx` returns
+    its pair."""
     r = _rates(r_e)
-    cdf, pdf = channel.surrogate_cdf_pdf(eve.surrogate, rate_threshold(r, eve.gain))
+    cdf, pdf = channel.ggp_cdf_approx(eve.surrogate, rate_threshold(r, eve.gain))
     with np.errstate(over="ignore"):
         return 1.0 - cdf, -pdf * _rate_slope(r, eve.gain)
 
@@ -145,28 +136,17 @@ def reliability_outage(scenario: ScenarioConfig, r_b):
     return t if np.ndim(r_b) else float(t)
 
 
-def reliability_outage_approx(bob: LinkParams, n_a: int, r_b: float) -> float:
-    """Gamma-surrogate reliability outage at one rate on the legitimate link
-    ``bob`` with ``n_a`` transmit beams (the optimizer surface), equal to
-    the matching element of :func:`reliability_outage_approx_curve` to the
-    bit."""
-    _rates(r_b)
-    c1 = channel.ggp_cdf_approx(bob.surrogate, rate_threshold(r_b, bob.gain))
-    return float(np.power(c1, n_a))
-
-
-def reliability_outage_approx_curve(
-    bob: LinkParams, n_a: int, r_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Surrogate reliability outage and its slope in ``r_b`` on an array of
-    rates on the legitimate link ``bob`` with ``n_a`` transmit beams.
+def reliability_outage_approx(bob: LinkParams, n_a: int, r_b):
+    """Gamma-surrogate reliability outage on the legitimate link ``bob`` with
+    ``n_a`` transmit beams (the optimizer surface) and its slope in the
+    rate, at ``r_b``, a float or an array of rates, as
+    :func:`fso_secrecy.channel.ggp_cdf_approx` returns its pair.
 
     The outage is c1**n_a for the single-beam surrogate CDF c1, so the slope
-    is n_a c1**(n_a - 1) times c1's.  A whole rate grid is one call into
-    the surrogate kernel.
+    is n_a c1**(n_a - 1) times c1's.
     """
     r = _rates(r_b)
-    c1, pdf = channel.surrogate_cdf_pdf(bob.surrogate, rate_threshold(r, bob.gain))
+    c1, pdf = channel.ggp_cdf_approx(bob.surrogate, rate_threshold(r, bob.gain))
     with np.errstate(over="ignore"):
         return np.power(c1, n_a), n_a * np.power(c1, n_a - 1) * pdf * _rate_slope(r, bob.gain)
 

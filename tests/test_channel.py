@@ -286,6 +286,15 @@ def test_snr_threshold_examples(baseline):
     assert vb == pytest.approx(4.0 * ve, rel=1e-15, abs=0)
 
 
+def test_link_gain_is_finite_where_the_whole_product_fits():
+    # gamma0 * n_e overflowed to inf before a0 (about 3.2e-3) scaled the
+    # product back into range; gamma0 * a0 * n_rx forms it without overflow.
+    sc = baseline_scenario(gamma0=1e308, n_b=3)
+    for link in (bob_link(sc), eve_link(sc)):
+        assert math.isfinite(link.gain)
+        assert link.gain == sc.nodes.gamma0 * link.pointing.a0 * link.n_rx
+
+
 def test_cdf_kernels_are_certain_at_an_infinite_threshold():
     # At gamma0 0.1 each link's SNR gain is below 1, so (2**r - 1) / gain
     # passes the double range below RATE_LIMIT: the threshold is inf, with
@@ -301,11 +310,11 @@ def test_cdf_kernels_are_certain_at_an_infinite_threshold():
         assert gg_cdf(link.turb.alpha, link.beta_agg, math.inf) == 1.0
         xs = np.array([0.0, 1.0, math.inf])
         assert gg_cdf(link.turb.alpha, link.beta_agg, xs)[[0, 2]].tolist() == [0.0, 1.0]
-        assert ggp_cdf_approx(link.surrogate, math.inf) == 1.0
+        assert ggp_cdf_approx(link.surrogate, math.inf) == (1.0, 0.0)
         # x / theta overflows from a finite x too where theta is below 1
         assert link.surrogate.theta < 1.0
-        assert ggp_cdf_approx(link.surrogate, 1.7e308) == 1.0
-        cdf, pdf = channel.surrogate_cdf_pdf(link.surrogate, np.array([1.0, 1.7e308, math.inf]))
+        assert ggp_cdf_approx(link.surrogate, 1.7e308) == (1.0, 0.0)
+        cdf, pdf = ggp_cdf_approx(link.surrogate, np.array([1.0, 1.7e308, math.inf]))
         assert cdf[1:].tolist() == [1.0, 1.0]
         assert pdf[1:].tolist() == [0.0, 0.0]
 
@@ -600,21 +609,21 @@ def test_ggp_cdf_approx_frozen_values(baseline):
         1.0: 0.9510241386874951,
     }
     for x, want in table.items():
-        assert ggp_cdf_approx(le.surrogate, x) == pytest.approx(want, rel=1e-10)
+        assert ggp_cdf_approx(le.surrogate, x)[0] == pytest.approx(want, rel=1e-10)
 
 
 def test_ggp_cdf_approx_boundaries(baseline):
     le = eve_link(baseline)
-    assert ggp_cdf_approx(le.surrogate, 0.0) == 0.0
+    assert ggp_cdf_approx(le.surrogate, 0.0) == (0.0, 0.0)
     # far in the upper tail P(k, t) rounds to one and the pointing term
-    # underflows to zero, so the CDF is exactly one
-    assert ggp_cdf_approx(le.surrogate, 200.0) == 1.0
+    # underflows to zero, so the CDF is exactly one and the density zero
+    assert ggp_cdf_approx(le.surrogate, 200.0) == (1.0, 0.0)
 
 
 def test_ggp_cdf_approx_matches_surrogate_mixture(baseline):
     le = eve_link(baseline)
     for x in (0.1, 0.4, 1.0):
-        got = ggp_cdf_approx(le.surrogate, x)
+        got = ggp_cdf_approx(le.surrogate, x)[0]
         want = oracles.surrogate_cdf_mixture(le.surrogate.k, le.surrogate.theta, le.pointing.xi, x)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -626,29 +635,49 @@ def test_ggp_cdf_approx_pointing_free_is_gamma_cdf(baseline):
     ga = gamma_approx(le.turb, le.n_rx, baseline.epsilon, baseline.omega_adj, math.inf)
     for x in (0.2, 0.8, 2.0):
         want = float(sp.gammainc(ga.k, x / ga.theta))
-        assert ggp_cdf_approx(ga, x) == pytest.approx(want, rel=1e-14, abs=0)
+        assert ggp_cdf_approx(ga, x)[0] == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_ggp_cdf_approx_within_two_percent_of_exact(baseline):
     le = eve_link(baseline)
     a, b, xi = le.turb.alpha, le.beta_agg, le.pointing.xi
     for x in np.linspace(0.02, 3.0, 60):
-        gap = abs(ggp_cdf_approx(le.surrogate, float(x)) - ggp_cdf(a, b, xi, float(x)))
+        gap = abs(ggp_cdf_approx(le.surrogate, float(x))[0] - ggp_cdf(a, b, xi, float(x)))
         assert gap <= 0.02
 
 
 def test_ggp_cdf_approx_monotone_and_bounded(baseline):
     le = eve_link(baseline)
     xs = np.linspace(0.0, 8.0, 200)
-    vals = [ggp_cdf_approx(le.surrogate, float(x)) for x in xs]
+    vals = [ggp_cdf_approx(le.surrogate, float(x))[0] for x in xs]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(hi >= lo - 1e-12 for lo, hi in zip(vals, vals[1:]))
 
 
+# sigma_s 0 has no pointing loss; at 0.5 k_ap - xi**2 < 0, which takes the
+# pointing term's continued fraction (x / theta >= 1) and its recurrence
+# (below); at 2 it is positive.
+@pytest.mark.parametrize("sigma_s", [0.0, 0.5, 2.0])
+def test_ggp_cdf_approx_float_calls_equal_array_elements_to_the_bit(sigma_s):
+    sur = eve_link(baseline_scenario(sigma_s=sigma_s)).surrogate
+    assert (sur.xi2 is None) if sigma_s == 0.0 else ((sur.k > sur.xi2) == (sigma_s == 2.0))
+    xs = np.concatenate([[0.0, 1e-300, 1e-12], np.geomspace(1e-4, 50.0, 121), [1e300, math.inf]])
+    cdf, pdf = ggp_cdf_approx(sur, xs)
+    assert cdf.shape == pdf.shape == xs.shape
+    grid = ggp_cdf_approx(sur, xs.reshape(2, -1))
+    assert [a.shape for a in grid] == [(2, xs.size // 2)] * 2
+    assert [a.ravel().tobytes() for a in grid] == [cdf.tobytes(), pdf.tobytes()]
+    for i, x in enumerate(xs.tolist()):
+        c, p = ggp_cdf_approx(sur, x)
+        assert type(c) is type(p) is np.float64
+        assert (c.hex(), p.hex()) == (float(cdf[i]).hex(), float(pdf[i]).hex()), x
+
+
 def test_ggp_cdf_approx_domain_errors(baseline):
     le = eve_link(baseline)
-    with pytest.raises(ValueError):
-        ggp_cdf_approx(le.surrogate, -0.5)
+    for x in (-0.5, np.array([1.0, -1e-300])):
+        with pytest.raises(ValueError, match="x >= 0"):
+            ggp_cdf_approx(le.surrogate, x)
     with pytest.raises(ValueError):
         gamma_approx(le.turb, le.n_rx, baseline.epsilon, baseline.omega_adj, -0.6)
 
@@ -669,7 +698,7 @@ def test_cdf_kernels_match_sampled_quantiles(baseline):
     cases = [
         (turb, lambda x: gg_cdf(a, b, x)),
         (turb * frac, lambda x: ggp_cdf(a, b, xi, x)),
-        (surrogate, lambda x: ggp_cdf_approx(ga, x)),
+        (surrogate, lambda x: ggp_cdf_approx(ga, x)[0]),
     ]
     for draws, cdf in cases:
         for q in np.linspace(0.04, 0.96, 20):

@@ -436,7 +436,7 @@ def _ceiling_rows_one_by_one(sc, scheme, ceilings, c_b, sim=None):
             else:
                 est = _pinned_monte_carlo(sc, scheme, opt.rates, s_th, sim)
             est_mc, ci = cli._fmt(est.mean), cli._fmt(est.ci_halfwidth)
-        met = secrecy.sop_approx(eve_link(sc), opt.rates.r_e) <= s_th + 1e-6 or opt.est == 0.0
+        met = secrecy.sop_approx(eve_link(sc), opt.rates.r_e)[0] <= s_th + 1e-6 or opt.est == 0.0
         cells = [opt.est, est_mc, ci, secrecy.sop(sc, opt.rates.r_e), rel]
         cells = [c if isinstance(c, str) else cli._fmt(c) for c in cells]
         lines.append(",".join(["s_th", cli._fmt(s_th), "", *cells, "true" if met else "false"]))
@@ -466,16 +466,16 @@ def test_sweep_ceiling_axis_solves_once_and_asks_each_outage_once(
 
     counted(optimize, "fixed_unconstrained_pair")
     counted(optimize, "adaptive_unconstrained_re")
-    for name in ("sop", "reliability_outage", "sop_approx_curve"):
+    for name in ("sop", "reliability_outage", "sop_approx"):
         counted(secrecy, name)
     code, text = run_cli(tmp_path, "sweep", *CEILING_AXIS, "--scheme", scheme)
     assert code == 0
     # The solvers take their surrogate outages from secrecy's names bound in
     # optimize, so only the CLI's own calls are counted here.
     if scheme == "fixed":
-        want = ["fixed_unconstrained_pair", "reliability_outage", "sop", "sop_approx_curve"]
+        want = ["fixed_unconstrained_pair", "reliability_outage", "sop", "sop_approx"]
     else:
-        want = ["adaptive_unconstrained_re", "sop", "sop_approx_curve"]
+        want = ["adaptive_unconstrained_re", "sop", "sop_approx"]
     assert sorted(calls) == want
     monkeypatch.undo()
     assert text == _ceiling_rows_one_by_one(baseline, scheme, _ceiling_values(), 4.0)
@@ -906,6 +906,30 @@ def test_optimize_ceiling_below_the_outage_floor_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "solver error: secrecy ceiling 1e-17 is below the achievable outage floor\n"
     )
+
+
+def test_a_solver_error_writes_no_output_file(tmp_path, capsys):
+    # The --out file was opened before the command ran, so a run that ended
+    # in a solver error left an empty file behind.
+    out = tmp_path / "opt.json"
+    code = cli.main(["optimize", "--scheme", "fixed", "--sth", "1e-17", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("solver error: ")
+    assert not out.exists()
+
+
+def test_optimize_at_the_largest_gamma0_meets_the_ceiling(tmp_path, capsys):
+    # gamma0 * n_e overflowed before a0 scaled it back, so Eve's gain read
+    # inf, her surrogate outage 1 at every rate, and the run exited 2 with
+    # "below the achievable outage floor".
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"gamma0": 1e308}))
+    code, text = run_cli(
+        tmp_path, "optimize", "--config", str(cfg), "--scheme", "fixed", "--sth", "0.4"
+    )
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(text)["sop_at_re"] <= 0.4
 
 
 def test_optimize_adaptive_averaged_mode(tmp_path):

@@ -34,9 +34,7 @@ from fso_secrecy.secrecy import (
     SecrecyConstraint,
     est_from_outages,
     reliability_outage_approx,
-    reliability_outage_approx_curve,
     sop_approx,
-    sop_approx_curve,
 )
 from fso_secrecy.specfun import ConvergenceError
 
@@ -57,23 +55,23 @@ CONSTRAINED_RB_TABLE = {
 
 
 def _psi_adaptive(sc, c_b, r):
-    return (c_b - r) * (1.0 - sop_approx(eve_link(sc), r))
+    return (c_b - r) * (1.0 - sop_approx(eve_link(sc), r)[0])
 
 
 def _psi_fixed(sc, r_e, r_b):
-    t = reliability_outage_approx(bob_link(sc), sc.nodes.n_a, r_b)
-    return (r_b - r_e) * (1.0 - t) * (1.0 - sop_approx(eve_link(sc), r_e))
+    t = reliability_outage_approx(bob_link(sc), sc.nodes.n_a, r_b)[0]
+    return (r_b - r_e) * (1.0 - t) * (1.0 - sop_approx(eve_link(sc), r_e)[0])
 
 
 def _surrogate_est_adaptive(sc, c_b, r_e, constraint):
     """The adaptive surrogate throughput the solvers report."""
-    return est_from_outages(c_b - r_e, 0.0, sop_approx(eve_link(sc), r_e), constraint)
+    return est_from_outages(c_b - r_e, 0.0, sop_approx(eve_link(sc), r_e)[0], constraint)
 
 
 def _surrogate_est_fixed(sc, rates, constraint):
     """The fixed-scheme surrogate throughput the solvers report."""
-    t = reliability_outage_approx(bob_link(sc), sc.nodes.n_a, rates.r_b)
-    s = sop_approx(eve_link(sc), rates.r_e)
+    t = reliability_outage_approx(bob_link(sc), sc.nodes.n_a, rates.r_b)[0]
+    s = sop_approx(eve_link(sc), rates.r_e)[0]
     return est_from_outages(rates.secrecy_rate, t, s, constraint)
 
 
@@ -81,7 +79,7 @@ def _adaptive_objective(sc, c_b, constraint):
     """The adaptive surrogate throughput on an array of r_e, as
     grid_refine_maximize takes it."""
     eve = eve_link(sc)
-    return lambda r: est_from_outages(c_b - r, 0.0, sop_approx_curve(eve, r)[0], constraint).est
+    return lambda r: est_from_outages(c_b - r, 0.0, sop_approx(eve, r)[0], constraint).est
 
 
 def _fixed_objective(sc, constraint):
@@ -90,8 +88,8 @@ def _fixed_objective(sc, constraint):
     eve, bob, n_a = eve_link(sc), bob_link(sc), sc.nodes.n_a
 
     def objective(r_e, r_b):
-        s = sop_approx_curve(eve, r_e)[0]
-        t = reliability_outage_approx_curve(bob, n_a, r_b)[0]
+        s = sop_approx(eve, r_e)[0]
+        t = reliability_outage_approx(bob, n_a, r_b)[0]
         return np.where(r_e < r_b, est_from_outages(r_b - r_e, t, s, constraint).est, 0.0)
 
     return objective
@@ -127,7 +125,7 @@ def test_re_threshold_frozen_values(baseline):
 def test_re_threshold_inversion_identity(baseline):
     for s_th in (0.2, 0.4, 0.6):
         r = re_threshold(baseline, s_th)
-        s = sop_approx(eve_link(baseline), r)
+        s = sop_approx(eve_link(baseline), r)[0]
         assert s == pytest.approx(s_th, abs=1e-6)
         # the returned rate sits on the feasible side of the ceiling
         assert s <= s_th + 1e-6
@@ -138,7 +136,7 @@ def test_re_threshold_matches_bisection_oracle(baseline):
     lo, hi = 0.0, 10.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if sop_approx(eve_link(baseline), mid) > s_th:
+        if sop_approx(eve_link(baseline), mid)[0] > s_th:
             lo = mid
         else:
             hi = mid
@@ -153,13 +151,13 @@ def test_re_threshold_decreasing_in_ceiling(baseline):
 def test_re_threshold_pointing_free(pointing_free):
     r = re_threshold(pointing_free, 0.3)
     assert r == pytest.approx(4.924434230498147, rel=1e-9)
-    assert sop_approx(eve_link(pointing_free), r) == pytest.approx(0.3, abs=1e-6)
+    assert sop_approx(eve_link(pointing_free), r)[0] == pytest.approx(0.3, abs=1e-6)
 
 
 def _is_tight_threshold(sc, s_th):
     # The outage meets the ceiling at r and misses it 1e-12 below r.
     r = re_threshold(sc, s_th)
-    return sop_approx(eve_link(sc), r) <= s_th < sop_approx(eve_link(sc), r * (1.0 - 1e-12))
+    return sop_approx(eve_link(sc), r)[0] <= s_th < sop_approx(eve_link(sc), r * (1.0 - 1e-12))[0]
 
 
 def test_re_threshold_is_the_feasible_end_of_the_root(baseline):
@@ -211,7 +209,7 @@ def _log_bisection_root(sc, s_th):
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         x = math.expm1(math.exp(mid) * math.log(2.0)) / gain
-        if 1.0 - channel.ggp_cdf_approx(link.surrogate, x) <= s_th:
+        if 1.0 - channel.ggp_cdf_approx(link.surrogate, x)[0] <= s_th:
             hi = mid
         else:
             lo = mid
@@ -256,9 +254,9 @@ def test_re_threshold_raises_where_no_rate_meets_the_ceiling(baseline, monkeypat
 
     def flat(link, r):
         rates.append(r)
-        return np.array(0.5), np.array(0.0)
+        return np.float64(0.5), np.float64(0.0)
 
-    monkeypatch.setattr(optimize, "sop_approx_curve", flat)
+    monkeypatch.setattr(optimize, "sop_approx", flat)
     with pytest.raises(ConvergenceError, match="below the achievable outage floor"):
         re_threshold(baseline, 0.4)
     assert rates[-1] == math.nextafter(secrecy.RATE_LIMIT, 0.0)
@@ -339,7 +337,7 @@ def test_adaptive_optimal_respects_ceiling(baseline):
         for c_b in (4.0, 6.0):
             o = adaptive_optimal(baseline, c_b, s_th)
             if o.est > 0.0:
-                assert sop_approx(eve_link(baseline), o.rates.r_e) <= s_th + 1e-6
+                assert sop_approx(eve_link(baseline), o.rates.r_e)[0] <= s_th + 1e-6
 
 
 def test_adaptive_optimal_est_self_consistent(baseline):
@@ -455,7 +453,7 @@ def test_fixed_pair_scan_passes_the_saturated_reliability_cell(baseline, monkeyp
     # that cell must be no candidate, and no RuntimeWarning may escape (the
     # suite turns them into errors).
     bob, n_a = bob_link(baseline), baseline.nodes.n_a
-    assert reliability_outage_approx_curve(bob, n_a, 11.76) == (1.0, 0.0)
+    assert reliability_outage_approx(bob, n_a, 11.76) == (1.0, 0.0)
     checked = []
     stationary = optimize._is_interior_stationary
 
@@ -482,7 +480,7 @@ def test_fixed_constrained_rb_is_stationary(baseline):
     h = 1e-5
 
     def profile(r):
-        t = reliability_outage_approx(bob_link(baseline), baseline.nodes.n_a, r)
+        t = reliability_outage_approx(bob_link(baseline), baseline.nodes.n_a, r)[0]
         return (r - r_e) * (1.0 - t)
 
     d1 = (profile(rb + h) - profile(rb - h)) / (2 * h)
@@ -522,7 +520,7 @@ def test_fixed_constrained_rb_single_beam_path():
     rb = fixed_constrained_rb(sc, r_e)[0]
     bob, n_a = bob_link(sc), sc.nodes.n_a
     oracle = grid_refine_maximize(
-        lambda r: (r - r_e) * (1.0 - reliability_outage_approx_curve(bob, n_a, r)[0]),
+        lambda r: (r - r_e) * (1.0 - reliability_outage_approx(bob, n_a, r)[0]),
         (r_e, r_e + 5.0),
     )
     assert rb == pytest.approx(oracle.rates.r_e, abs=1e-4)
@@ -576,10 +574,21 @@ def test_fixed_optimal_est_self_consistent(baseline):
         assert o.est == pytest.approx(rep.est, abs=1e-9)
 
 
+@pytest.mark.parametrize("overrides", [{}, {"n_a": 3, "n_b": 3, "n_e": 3}, {"sigma_s": 0.5}])
+def test_constrained_fixed_optimum_takes_the_float_calls_throughput(overrides):
+    # Under a binding ceiling the optimum's throughput is read off the
+    # middle of its r_b curvature stencil, with the bits of float calls.
+    sc = baseline_scenario(**overrides)
+    for s_th in (0.5, 0.3, 0.1):
+        o = fixed_optimal(sc, s_th)
+        assert o.constraint_active
+        assert o.est == _surrogate_est_fixed(sc, o.rates, SecrecyConstraint(s_th)).est
+
+
 def test_fixed_optimal_respects_ceiling(baseline):
     for s_th in (0.5, 0.3, 0.1):
         o = fixed_optimal(baseline, s_th)
-        assert sop_approx(eve_link(baseline), o.rates.r_e) <= s_th + 1e-6
+        assert sop_approx(eve_link(baseline), o.rates.r_e)[0] <= s_th + 1e-6
 
 
 def test_fixed_optimal_monotone_in_ceiling(baseline):
@@ -727,10 +736,10 @@ def test_solvers_return_feasible_optima_or_raise(
         assert 0.0 <= o.rates.r_e <= o.rates.r_b
         assert o.est >= 0.0
         if o.est > 0.0:
-            assert sop_approx(eve_link(sc), o.rates.r_e) <= s_th + 1e-6
+            assert sop_approx(eve_link(sc), o.rates.r_e)[0] <= s_th + 1e-6
     # The fixed optimum against the command line's oracle, over a range that
     # spans Bob's mean capacity C_b as well as the solver's r_b.
-    hi = max(fixed.rates.r_b, optimize._cap_seed(sc, bob_link(sc))) + 3.0
+    hi = max(fixed.rates.r_b, optimize._cap_seed(bob_link(sc))) + 3.0
     assert fixed.est >= 0.98 * fixed_grid_oracle(sc, s_th, hi, grid_points=160).est
 
 
@@ -967,7 +976,7 @@ def test_fixed_constrained_rb_grid_fallback_reaches_the_polished_factor(baseline
     monkeypatch.setattr(optimize, "_scan_roots", _no_roots)
     rb, method = fixed_constrained_rb(baseline, r_e)
     assert method == "grid_oracle"
-    t = reliability_outage_approx(bob_link(baseline), baseline.nodes.n_a, rb)
+    t = reliability_outage_approx(bob_link(baseline), baseline.nodes.n_a, rb)[0]
     _at_least((rb - r_e) * (1.0 - t), FALLBACK_RB_FACTOR[r_e])
     assert rb == pytest.approx(root, rel=1e-7, abs=0)
 
@@ -1002,7 +1011,7 @@ HIGH_GAIN_RB_FACTOR = 71.56017189020564
 
 
 def _rb_factor(sc, r_e, r_b):
-    return (r_b - r_e) * (1.0 - reliability_outage_approx(bob_link(sc), sc.nodes.n_a, r_b))
+    return (r_b - r_e) * (1.0 - reliability_outage_approx(bob_link(sc), sc.nodes.n_a, r_b)[0])
 
 
 def test_fixed_scheme_roots_at_high_gain():
@@ -1033,19 +1042,18 @@ def test_fixed_grid_oracle_all_gated_surface_returns_first_cell(baseline):
     # the tie goes to the first grid index, (r_e, r_b) = (0, 1e-3), at every
     # level of the zoom.
     hi = 6.0
-    s_th = 0.5 * sop_approx(eve_link(baseline), hi)
+    s_th = 0.5 * sop_approx(eve_link(baseline), hi)[0]
     o = fixed_grid_oracle(baseline, s_th, hi, grid_points=160)
     assert (o.rates.r_e, o.rates.r_b, o.est) == (0.0, 1e-3, 0.0)
 
 
 def test_fixed_grid_oracle_makes_one_curve_call_per_kind_and_level(monkeypatch):
-    # The command line's fixed oracle at n = 2, s_th = 0.4: no scalar outage
-    # call, and each zoom level takes one array call per outage kind.
+    # The command line's fixed oracle at n = 2, s_th = 0.4: each zoom level
+    # takes one array call per outage kind, and no other outage call.
     sc = baseline_scenario(n_a=2, n_b=2, n_e=2)
     hi = fixed_optimal(sc, 0.4).rates.r_b + 3.0
     calls = {}
-    for name in ("sop_approx", "reliability_outage_approx", "sop_approx_curve",
-                 "reliability_outage_approx_curve"):
+    for name in ("sop_approx", "reliability_outage_approx"):
         kernel = getattr(optimize, name)
 
         def counted(*args, _kernel=kernel, _name=name):
@@ -1067,7 +1075,7 @@ def test_fixed_grid_oracle_makes_one_curve_call_per_kind_and_level(monkeypatch):
     fixed_grid_oracle(sc, 0.4, hi, grid_points=160)
     assert len(levels) >= 2
     assert levels == [[160, 160]] * len(levels)
-    per_level = {"sop_approx_curve": len(levels), "reliability_outage_approx_curve": len(levels)}
+    per_level = {"sop_approx": len(levels), "reliability_outage_approx": len(levels)}
     assert calls == per_level
 
 

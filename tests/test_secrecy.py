@@ -24,10 +24,8 @@ from fso_secrecy.secrecy import (
     est_fixed,
     reliability_outage,
     reliability_outage_approx,
-    reliability_outage_approx_curve,
     sop,
     sop_approx,
-    sop_approx_curve,
 )
 
 UNCONSTRAINED = SecrecyConstraint(1.0)
@@ -93,20 +91,20 @@ def test_sop_pointing_free_uses_turbulence_kernel(pointing_free):
 
 
 def test_sop_approx_boundaries_and_monotone(baseline):
-    assert sop_approx(eve_link(baseline), 0.0) == 1.0
+    assert sop_approx(eve_link(baseline), 0.0)[0] == 1.0
     grid = np.linspace(0.0, 6.0, 100)
-    vals = [sop_approx(eve_link(baseline), float(r)) for r in grid]
+    vals = [sop_approx(eve_link(baseline), float(r))[0] for r in grid]
     assert all(hi < lo + 1e-12 for lo, hi in zip(vals, vals[1:]))
 
 
 def test_sop_approx_frozen_values(baseline):
-    assert sop_approx(eve_link(baseline), 0.5) == pytest.approx(0.7809868927504382, rel=1e-10)
-    assert sop_approx(eve_link(baseline), 2.0) == pytest.approx(0.5250331356993307, rel=1e-10)
+    assert sop_approx(eve_link(baseline), 0.5)[0] == pytest.approx(0.7809868927504382, rel=1e-10)
+    assert sop_approx(eve_link(baseline), 2.0)[0] == pytest.approx(0.5250331356993307, rel=1e-10)
 
 
 def test_sop_approx_within_two_percent(baseline):
     for r_e in np.linspace(0.1, 6.0, 40):
-        assert abs(sop_approx(eve_link(baseline), float(r_e)) - sop(baseline, float(r_e))) <= 0.02
+        assert abs(sop_approx(eve_link(baseline), float(r_e))[0] - sop(baseline, float(r_e))) <= 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +121,7 @@ def test_reliability_outage_frozen_values():
 
 def test_reliability_outage_boundary(baseline):
     assert reliability_outage(baseline, 0.0) == 0.0
-    assert reliability_outage_approx(bob_link(baseline), baseline.nodes.n_a, 0.0) == 0.0
+    assert reliability_outage_approx(bob_link(baseline), baseline.nodes.n_a, 0.0)[0] == 0.0
 
 
 def test_selection_squares_single_beam_outage():
@@ -133,8 +131,8 @@ def test_selection_squares_single_beam_outage():
     for r_b in (1.5, 2.5, 3.5):
         p1 = reliability_outage(one, r_b)
         assert abs(reliability_outage(two, r_b) - p1 * p1) <= 1e-10
-        q1 = reliability_outage_approx(bob_link(one), one.nodes.n_a, r_b)
-        assert abs(reliability_outage_approx(bob_link(two), two.nodes.n_a, r_b) - q1 * q1) <= 1e-10
+        q1 = reliability_outage_approx(bob_link(one), one.nodes.n_a, r_b)[0]
+        assert abs(reliability_outage_approx(bob_link(two), two.nodes.n_a, r_b)[0] - q1 * q1) <= 1e-10
 
 
 def test_reliability_outage_strictly_increasing(baseline):
@@ -174,7 +172,7 @@ def test_reliability_outage_approx_tracks_exact(baseline):
     # no formal error bound is claimed for the legitimate link's surrogate;
     # it only has to be close enough to steer the optimizer
     for r_b in (2.0, 3.0, 4.0):
-        t = reliability_outage_approx(bob_link(baseline), baseline.nodes.n_a, r_b)
+        t = reliability_outage_approx(bob_link(baseline), baseline.nodes.n_a, r_b)[0]
         gap = abs(t - reliability_outage(baseline, r_b))
         assert gap <= 0.05
 
@@ -188,32 +186,33 @@ def test_reliability_outage_approx_tracks_exact(baseline):
 SURROGATE_SIGMAS = [0.0, 0.5, 2.0]
 
 
+def _assert_float_calls_equal_array_elements(eve, bob, n_a, rates):
+    """Each float call of a surrogate outage returns two numpy floats with the
+    bits of the matching elements of one array call: outage and slope."""
+    arrays = sop_approx(eve, np.array(rates)), reliability_outage_approx(bob, n_a, np.array(rates))
+    for i, r in enumerate(rates):
+        floats = sop_approx(eve, float(r)), reliability_outage_approx(bob, n_a, float(r))
+        for got, want in zip(floats, arrays):
+            assert all(type(v) is np.float64 for v in got)
+            assert [v.hex() for v in got] == [float(w[i]).hex() for w in want], r
+
+
 @pytest.mark.parametrize("sigma_s", SURROGATE_SIGMAS)
 def test_surrogate_outage_arrays_equal_scalar_calls_to_the_bit(sigma_s):
     sc = baseline_scenario(sigma_s=sigma_s)
-    eve, bob, n_a = eve_link(sc), bob_link(sc), sc.nodes.n_a
     rates = np.concatenate([[0.0], np.linspace(1e-4, 8.0, 240)])
-    s, _ = sop_approx_curve(eve, rates)
-    t = reliability_outage_approx_curve(bob, n_a, rates)[0]
-    for i, r in enumerate(rates):
-        assert sop_approx(eve, float(r)).hex() == float(s[i]).hex()
-        assert reliability_outage_approx(bob, n_a, float(r)).hex() == float(t[i]).hex()
+    _assert_float_calls_equal_array_elements(eve_link(sc), bob_link(sc), sc.nodes.n_a, rates)
 
 
 # sigma_s 0.3 puts xi**2 = 17.4 past k_ap - 10 at every n, so the pointing
 # term takes its continued fraction; at 0.5, k_ap - xi**2 lies in (-10, 0)
 # and thresholds below k_ap take the recurrence.
-@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("sigma_s", [2.0, 0.0, 0.3, 0.5])
 def test_bound_surrogate_kernel_equals_the_curve_elements_to_the_bit(sigma_s, n):
     sc = baseline_scenario(sigma_s=sigma_s, n_a=n, n_b=n, n_e=n)
-    eve, bob = channel.eve_link(sc), channel.bob_link(sc)
     rates = [0.0, 1e-17, 1e-3, 0.3, 1.0, 2.5, 4.0, 8.0, 20.0]
-    s = sop_approx_curve(eve, np.array(rates))[0]
-    t = reliability_outage_approx_curve(bob, n, np.array(rates))[0]
-    for i, r in enumerate(rates):
-        assert sop_approx(eve, r) == s[i]
-        assert reliability_outage_approx(bob, n, r) == t[i]
+    _assert_float_calls_equal_array_elements(eve_link(sc), bob_link(sc), n, rates)
 
 
 def test_bound_surrogate_kernel_equals_the_curve_where_the_slope_overflows():
@@ -221,12 +220,8 @@ def test_bound_surrogate_kernel_equals_the_curve_where_the_slope_overflows():
     # range and reads -inf; the outage is still a plain float.
     sc = baseline_scenario(gamma0=1e-300)
     rates = [0.0, 1e-320, 1e-310, 1e-300, 1e-17, 1.0]
-    s, ds = sop_approx_curve(eve_link(sc), np.array(rates))
-    t = reliability_outage_approx_curve(bob_link(sc), sc.nodes.n_a, np.array(rates))[0]
-    assert ds[1] == -math.inf
-    for i, r in enumerate(rates):
-        assert sop_approx(eve_link(sc), r) == s[i]
-        assert reliability_outage_approx(bob_link(sc), sc.nodes.n_a, r) == t[i]
+    assert sop_approx(eve_link(sc), np.array(rates))[1][1] == -math.inf
+    _assert_float_calls_equal_array_elements(eve_link(sc), bob_link(sc), sc.nodes.n_a, rates)
 
 
 def test_clamp_counter_counts_a_scalar_call_as_a_one_element_array():
@@ -236,9 +231,9 @@ def test_clamp_counter_counts_a_scalar_call_as_a_one_element_array():
     over = dataclasses.replace(link.surrogate, log_ratio=link.surrogate.log_ratio + 5.0)
     link = dataclasses.replace(link, surrogate=over)
     channel.reset_clamp_events()
-    assert sop_approx(link, 1.0) == 0.0
+    assert sop_approx(link, 1.0)[0] == 0.0
     assert channel.clamp_event_count() == 1
-    assert sop_approx_curve(link, np.array([1.0]))[0].tolist() == [0.0]
+    assert sop_approx(link, np.array([1.0]))[0].tolist() == [0.0]
     assert channel.clamp_event_count() == 2
     channel.reset_clamp_events()
 
@@ -249,8 +244,8 @@ def test_sop_approx_slope_matches_central_differences(sigma_s):
     rates = np.linspace(0.2, 6.0, 30)
     h = 1e-5
     eve = eve_link(sc)
-    _, slope = sop_approx_curve(eve, rates)
-    diff = (sop_approx_curve(eve, rates + h)[0] - sop_approx_curve(eve, rates - h)[0]) / (2.0 * h)
+    _, slope = sop_approx(eve, rates)
+    diff = (sop_approx(eve, rates + h)[0] - sop_approx(eve, rates - h)[0]) / (2.0 * h)
     assert np.allclose(slope, diff, rtol=1e-6, atol=1e-9)
     assert np.all(slope < 0.0)
 
@@ -261,10 +256,10 @@ def test_reliability_outage_approx_slope_matches_central_differences(sigma_s, n_
     sc = baseline_scenario(sigma_s=sigma_s, n_a=n_a)
     rates = np.linspace(0.2, 6.0, 30)
     h = 1e-5
-    _, slope = reliability_outage_approx_curve(bob_link(sc), sc.nodes.n_a, rates)
+    _, slope = reliability_outage_approx(bob_link(sc), sc.nodes.n_a, rates)
     diff = (
-        reliability_outage_approx_curve(bob_link(sc), sc.nodes.n_a, rates + h)[0]
-        - reliability_outage_approx_curve(bob_link(sc), sc.nodes.n_a, rates - h)[0]
+        reliability_outage_approx(bob_link(sc), sc.nodes.n_a, rates + h)[0]
+        - reliability_outage_approx(bob_link(sc), sc.nodes.n_a, rates - h)[0]
     ) / (2.0 * h)
     assert np.allclose(slope, diff, rtol=1e-6, atol=1e-9)
     assert np.all(slope > 0.0)
@@ -284,7 +279,7 @@ def test_sop_approx_at_vanishing_turbulence(cn2, table):
     sc = baseline_scenario(cn2=cn2)
     le = channel.eve_link(sc)
     for r_e, want in table.items():
-        got = sop_approx(eve_link(sc), r_e)
+        got = sop_approx(eve_link(sc), r_e)[0]
         x = secrecy.rate_threshold(r_e, le.gain)
         sur = le.surrogate
         mixture = 1.0 - oracles.surrogate_cdf_mixture(sur.k, sur.theta, le.pointing.xi, x)
@@ -321,8 +316,8 @@ def test_surrogate_outages_are_monotone_probabilities(
         limit = min(limit, (b + 1.0) * (a + 1.0) / (b * a) - 1.0)
     sc = dataclasses.replace(sc, epsilon=eps_share * limit)
     r = np.sort(np.array(rates))
-    s, _ = sop_approx_curve(eve_link(sc), r)
-    t = reliability_outage_approx_curve(bob_link(sc), sc.nodes.n_a, r)[0]
+    s, _ = sop_approx(eve_link(sc), r)
+    t = reliability_outage_approx(bob_link(sc), sc.nodes.n_a, r)[0]
     assert np.all((0.0 <= s) & (s <= 1.0))
     assert np.all((0.0 <= t) & (t <= 1.0))
     assert np.all(np.diff(s) <= 1e-15)
@@ -369,29 +364,22 @@ def test_exact_outage_arrays_equal_scalar_calls_to_the_bit(overrides):
 
 
 @pytest.mark.parametrize(
-    ("scalar", "array"),
+    "outage",
     [
-        (sop, sop),
-        (reliability_outage, reliability_outage),
-        # the surrogate outages take the link and one rate; their rate
-        # arrays go through the curve forms
-        (
-            lambda sc, r: sop_approx(eve_link(sc), r),
-            lambda sc, r: sop_approx_curve(eve_link(sc), r),
-        ),
-        (
-            lambda sc, r: reliability_outage_approx(bob_link(sc), sc.nodes.n_a, r),
-            lambda sc, r: reliability_outage_approx_curve(bob_link(sc), sc.nodes.n_a, r),
-        ),
+        sop,
+        reliability_outage,
+        # the surrogate outages take the link
+        lambda sc, r: sop_approx(eve_link(sc), r),
+        lambda sc, r: reliability_outage_approx(bob_link(sc), sc.nodes.n_a, r),
     ],
     ids=["sop", "reliability_outage", "sop_approx", "reliability_outage_approx"],
 )
-def test_outages_reject_negative_rates(baseline, scalar, array):
+def test_outages_reject_negative_rates(baseline, outage):
     with pytest.raises(ValueError, match="non-negative"):
-        scalar(baseline, -0.5)
+        outage(baseline, -0.5)
     for rates in ([-0.5], [1.0, 2.0, -1e-300], [[0.5, -2.0]]):
         with pytest.raises(ValueError, match="non-negative"):
-            array(baseline, np.array(rates))
+            outage(baseline, np.array(rates))
 
 
 @pytest.mark.parametrize("rate", [1024.0, 1100.0, math.inf, math.nan])
@@ -407,9 +395,9 @@ def test_outages_reject_rates_where_two_to_the_rate_overflows(baseline, rate):
         lambda: reliability_outage(baseline, rate),
         lambda: reliability_outage(baseline, rates),
         lambda: sop_approx(eve, rate),
-        lambda: sop_approx_curve(eve, rates),
+        lambda: sop_approx(eve, rates),
         lambda: reliability_outage_approx(bob, n_a, rate),
-        lambda: reliability_outage_approx_curve(bob, n_a, rates),
+        lambda: reliability_outage_approx(bob, n_a, rates),
         lambda: montecarlo.estimate_sop(baseline, rate, sim),
         lambda: montecarlo.estimate_sop(baseline, rates.tolist(), sim),
         lambda: montecarlo.estimate_reliability_outage(baseline, rate, sim),
@@ -423,10 +411,10 @@ def test_outages_take_the_largest_rate_of_the_domain(baseline):
     # The last double below 1024 keeps 2**rate finite: the outages are 0 and 1.
     r = math.nextafter(1024.0, 0.0)
     eve, bob = eve_link(baseline), bob_link(baseline)
-    assert sop(baseline, r) == sop_approx(eve, r) == 0.0
-    assert reliability_outage(baseline, r) == reliability_outage_approx(bob, 2, r) == 1.0
-    assert sop_approx_curve(eve, np.array([r]))[0].tolist() == [0.0]
-    assert reliability_outage_approx_curve(bob, 2, np.array([r]))[0].tolist() == [1.0]
+    assert sop(baseline, r) == sop_approx(eve, r)[0] == 0.0
+    assert reliability_outage(baseline, r) == reliability_outage_approx(bob, 2, r)[0] == 1.0
+    assert sop_approx(eve, np.array([r]))[0].tolist() == [0.0]
+    assert reliability_outage_approx(bob, 2, np.array([r]))[0].tolist() == [1.0]
     assert montecarlo.estimate_sop(baseline, r, montecarlo.SimConfig(trials=1000)).count == 0
 
 
@@ -436,11 +424,12 @@ def test_outages_at_an_infinite_threshold():
     # The outages are 0 and 1 and the slopes 0, not NaN, with no warning.
     sc = baseline_scenario(gamma0=0.1)
     eve, bob, r = eve_link(sc), bob_link(sc), 1023.9
-    assert sop(sc, r) == sop_approx(eve, r) == 0.0
-    assert reliability_outage(sc, r) == reliability_outage_approx(bob, 2, r) == 1.0
+    assert sop(sc, r) == sop_approx(eve, r)[0] == 0.0
+    assert reliability_outage(sc, r) == reliability_outage_approx(bob, 2, r)[0] == 1.0
+    assert sop_approx(eve, r)[1] == reliability_outage_approx(bob, 2, r)[1] == 0.0
     rates = np.array([1.0, r])
-    assert sop_approx_curve(eve, rates)[1][1] == 0.0
-    assert reliability_outage_approx_curve(bob, 2, rates)[1][1] == 0.0
+    assert sop_approx(eve, rates)[1][1] == 0.0
+    assert reliability_outage_approx(bob, 2, rates)[1][1] == 0.0
 
 
 # ---------------------------------------------------------------------------

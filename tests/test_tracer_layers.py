@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
@@ -25,27 +27,30 @@ def test_every_traced_layer_function_resolves_to_a_callable():
     assert missing == []
 
 
-# Loads the tracer by path, installs it over the package and runs two
-# closed-form optimize commands; prints the call count of every layer.
+# Loads the tracer by path, installs it over the package, counts the calls of
+# the private surrogate kernel channel._surrogate_cdf by a patch, and runs two
+# closed-form optimize commands, one per scheme; prints the call count of
+# every layer and the kernel's.
 _TRACED_OPTIMIZE = """
 import importlib.util, json, os, sys
-from fso_secrecy import cli
+from fso_secrecy import channel, cli
 spec = importlib.util.spec_from_file_location("bench_tracer", sys.argv[1])
 tracer = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer)
 t = tracer.Tracer()
 t.install()
+kernel, kernel_calls = channel._surrogate_cdf, []
+channel._surrogate_cdf = lambda *a: kernel_calls.append(1) or kernel(*a)
 fixed = ["--scheme", "fixed", "--sth", "0.2"]
 adaptive = ["--scheme", "adaptive", "--cb", "4", "--sth", "0.4"]
 for argv in (fixed, adaptive):
     assert cli.main(["optimize", *argv, "--out", os.devnull]) == 0
-print(json.dumps(t.calls))
+print(json.dumps({"calls": t.calls, "surrogate_cdf": len(kernel_calls)}))
 """
 
 
-def test_the_tracer_sees_the_surrogate_layers_that_run():
-    # Each surrogate computation runs under the one name the tracer lists,
-    # so a traced solve counts its kernel, outage and solver calls.
+@pytest.fixture(scope="module")
+def traced_optimize():
     env = dict(os.environ, PYTHONPATH=str(TRACER.parent.parent / "src"))
     out = subprocess.run(
         [sys.executable, "-c", _TRACED_OPTIMIZE, str(TRACER)],
@@ -54,7 +59,13 @@ def test_the_tracer_sees_the_surrogate_layers_that_run():
         capture_output=True,
         text=True,
     ).stdout
-    calls = json.loads(out)
+    return json.loads(out)
+
+
+def test_the_tracer_sees_the_surrogate_layers_that_run(traced_optimize):
+    # Each surrogate computation runs under the one name the tracer lists,
+    # so a traced solve counts its kernel, outage and solver calls.
+    calls = traced_optimize["calls"]
     for name in (
         "channel.ggp_cdf_approx",
         "secrecy.sop_approx",
@@ -62,3 +73,11 @@ def test_the_tracer_sees_the_surrogate_layers_that_run():
         "optimize.fixed_constrained_rb",
     ):
         assert calls[name] > 0, name
+
+
+def test_the_tracer_counts_every_surrogate_kernel_call(traced_optimize):
+    # The solvers' array calls, scans and grids included, reach the surrogate
+    # kernel only through the traced channel.ggp_cdf_approx.
+    kernel_calls = traced_optimize["surrogate_cdf"]
+    assert kernel_calls > 0
+    assert traced_optimize["calls"]["channel.ggp_cdf_approx"] == kernel_calls
