@@ -17,7 +17,7 @@ script runs:
 - two closed-form ``optimize`` runs on weak links, whose rates lie far
   below 1 bpcu: ``--scheme fixed`` at gamma0 0.1 and ``--scheme adaptive
   --cb 4`` at gamma0 1e-3;
-- three closed-form ``optimize --scheme fixed`` runs far from the
+- four closed-form ``optimize --scheme fixed`` runs far from the
   baseline.  At ``--sth 0.52`` on the scenario of
   ``test_fixed_optimal_labels_the_constrained_grid_fallback`` the scan finds
   no root, and the codeword-rate fallback runs on a factor that is 0 along
@@ -26,7 +26,10 @@ script runs:
   ``--sth 0.426`` on the scenario of
   ``test_optimize_ceiling_met_past_a_rounded_inversion_exits_0`` the outage
   at the pointing-free inversion (rate 34.1) rounds above the ceiling, so
-  the ceiling inversion brackets upward past it;
+  the ceiling inversion brackets upward past it.  At gamma0 1e250 and
+  ``--sth 0.4`` (``opt_oracle_missed_band.json``) the codeword rate passes
+  800, and the oracle's 160-node grid, about 5 bits a step, finds no
+  positive throughput, so ``oracle.covers`` reads false;
 - ``sweep --axis s_th --mc --trials 20000`` for ``--scheme fixed`` and
   ``--scheme adaptive`` (``--cb 4``), over the 20 ceilings of the figure
   sweeps, with the same program seed, so the Monte-Carlo column of the
@@ -103,6 +106,7 @@ CONFIG_RUNS = (
          "d_b": 2727.692221928623, "d_e": 2732.8255184772124, "gamma0": 2050614501111.1985},
         ["--scheme", "fixed", "--sth", "0.426"],
     ),
+    ("opt_oracle_missed_band.json", {"gamma0": 1e250}, ["--scheme", "fixed", "--sth", "0.4"]),
 )
 
 # (output name, config) of the params runs.

@@ -247,15 +247,20 @@ class ScenarioConfig:
             raise ValueError("ScenarioConfig.omega_adj must be strictly positive")
         if not (self.d_b > 0.0 and self.d_e > 0.0):
             raise ValueError("ScenarioConfig distances must be strictly positive")
-        # The smaller of the two link gains gamma0 * a0 * n_rx, formed as
-        # LinkParams.gain is; a subnormal one overflows the rate-to-threshold
-        # map of the surrogate kernels.
+        # The two link gains gamma0 * a0 * n_rx, formed as LinkParams.gain
+        # is.  A subnormal one overflows the rate-to-threshold map of the
+        # surrogate kernels; an infinite one puts every rate in outage.
         a0 = pointing_params(self.geometry, 0.0).a0
-        gain = self.nodes.gamma0 * a0 * min(self.nodes.n_b, self.nodes.n_e)
-        if gain < sys.float_info.min:
+        low, high = (self.nodes.gamma0 * a0 * n for n in sorted((self.nodes.n_b, self.nodes.n_e)))
+        if low < sys.float_info.min:
             raise ValueError(
-                f"link gain gamma0 * n_rx * a0 = {gain:.3g} is below the smallest "
+                f"link gain gamma0 * n_rx * a0 = {low:.3g} is below the smallest "
                 f"normal float {sys.float_info.min:.3g}"
+            )
+        if not math.isfinite(high):
+            raise ValueError(
+                f"link gain gamma0 * n_rx * a0 = {high:.3g} is above the largest "
+                f"float {sys.float_info.max:.3g}"
             )
 
 

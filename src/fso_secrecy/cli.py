@@ -166,11 +166,7 @@ def _load_scenario(path: str | None) -> ScenarioConfig:
 
 
 def _fmt(x: float) -> str:
-    """Locale-proof float rendering; non-finite values become plain words."""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    """Locale-proof float rendering; non-finite values read nan, inf and -inf."""
     return format(float(x), ".9g")
 
 
@@ -448,7 +444,8 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     adaptive one.  Each zoom level re-grids one node step either side of the
     best point with as many nodes, and takes one array call per outage.
     ``covers`` is false when the solver's rates lie outside the grid's
-    domain, where the gap means nothing.
+    domain, or when the grid finds no positive throughput where the solver
+    does; the gap then means nothing.
     """
     s_th = args.sth if args.sth is not None else sc.s_th
     scheme = args.scheme
@@ -475,13 +472,16 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         opt = optimize.adaptive_optimal(sc, args.cb, s_th)
         oracle = optimize.adaptive_grid_oracle(sc, args.cb, s_th)
         exact = secrecy.est_adaptive(sc, args.cb, opt.rates.r_e, unconstrained)
-        covers = True  # the grid spans [0, c_b], where every adaptive r_e lies
+        in_grid = True  # the grid spans [0, c_b], where every adaptive r_e lies
     else:
         opt = optimize.fixed_optimal(sc, s_th)
         oracle = optimize.fixed_grid_oracle(sc, s_th, opt.rates.r_b + 3.0, grid_points=160)
         exact = secrecy.est_fixed(sc, opt.rates, unconstrained)
         # r_e <= r_b lies inside the grid; r_b can fall below its first row.
-        covers = opt.rates.r_b >= optimize.FIXED_ORACLE_RB_MIN
+        in_grid = opt.rates.r_b >= optimize.FIXED_ORACLE_RB_MIN
+    # A grid with no positive throughput where the solver found one has
+    # missed the feasible band: its gap of 0 proves nothing.
+    covers = in_grid and not oracle.est <= 0.0 < opt.est
 
     gap = 0.0 if oracle.est <= 0.0 else max(0.0, (oracle.est - opt.est) / oracle.est)
     doc = {
@@ -719,8 +719,11 @@ def main(argv: list[str] | None = None) -> int:
         # ends in an error leaves none.
         buf = io.StringIO()
         code = handler(sc, args, buf)
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(buf.getvalue())
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(buf.getvalue())
+        except OSError as exc:
+            raise ConfigError(f"out: {exc}") from exc
         return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,6 +34,15 @@ returned points.  The outage-ceiling inversion :func:`re_threshold` is a
 root of the same secrecy curve: Newton steps on its analytic slope, kept
 inside a bracket whose upper end is the pointing-free inversion.
 
+:func:`re_threshold`, :func:`adaptive_unconstrained_re` and
+:func:`fixed_unconstrained_pair` are memoized per scenario like the links of
+:func:`fso_secrecy.channel.bob_link` and ``eve_link``: each holds a
+``functools.lru_cache`` of 256 entries, keyed on the frozen scenario and the
+ceiling or c_b.  Both schemes' families of a figure share the threshold
+rates, and every ceiling of a scenario its unconstrained optima, so a key
+asked for again returns the stored result.  The results are immutable: a
+float, a tuple, a frozen :class:`Optimum`.  The outages stay unmemoized.
+
 All solvers evaluate and report on the gamma-surrogate surface they are
 derived on, :func:`fso_secrecy.secrecy.est_from_outages` of the surrogate
 outages; the exact-kernel value of a returned optimum is
@@ -51,6 +60,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
@@ -191,6 +201,7 @@ def _scan_roots(g, xs: list[float], gs, tol: float, falling_only: bool = False) 
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
 def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
     """Redundancy rate at which the surrogate secrecy outage equals ``s_th``.
 
@@ -256,6 +267,7 @@ def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
 def adaptive_unconstrained_re(sc: ScenarioConfig, c_b: float) -> tuple[float, str]:
     """Throughput-maximizing redundancy rate of the adaptive scheme, no
     ceiling, and the ``Optimum.method`` of its path.
@@ -375,6 +387,7 @@ def _rate_scale(link: LinkParams) -> float:
     return min(_cap_seed(link), 1.0)
 
 
+@lru_cache(maxsize=256)
 def fixed_unconstrained_pair(sc: ScenarioConfig) -> Optimum:
     """Jointly optimal (codeword, redundancy) rates with no outage ceiling.
 

@@ -166,6 +166,10 @@ def test_scenario_config_rejects_invalid():
     with pytest.raises(ValueError, match="link gain"):
         baseline_scenario(gamma0=1e-306)
     assert baseline_scenario(gamma0=1e-300, n_b=3).nodes.gamma0 == 1e-300
+    # an infinite one: gamma0 * a0 * n_e passes the double range
+    with pytest.raises(ValueError, match="above the largest float"):
+        baseline_scenario(gamma0=1e308, n_e=1000)
+    assert baseline_scenario(gamma0=1e308).nodes.gamma0 == 1e308
 
 
 def test_pointing_params_field_invariants():

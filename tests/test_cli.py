@@ -6,6 +6,7 @@ pointed at a temp file, and parses the emitted JSON/CSV back.
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -187,6 +188,22 @@ def test_subnormal_link_gain_exits_1(tmp_path, capsys, gamma0):
         assert err.count("\n") == 1
 
 
+def test_infinite_link_gain_exits_1(tmp_path, capsys):
+    # gamma0 * a0 * n_e passes the double range at n_e = 1000: Eve's gain
+    # read inf, her surrogate outage 1 at every rate, and the run exited 2
+    # with a false "below the achievable outage floor".  At the baseline n_e
+    # the same gamma0 runs (test_optimize_at_the_largest_gamma0_meets_the_ceiling).
+    cfg = tmp_path / "gain.json"
+    cfg.write_text('{"gamma0": 1e308, "n_e": 1000}', encoding="utf-8")
+    code, _ = run_cli(
+        tmp_path, "optimize", "--config", str(cfg), "--scheme", "fixed", "--sth", "0.4"
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: link gain gamma0 * n_rx * a0 = inf is above the largest float 1.8e+308\n"
+    )
+
+
 def test_smallest_normal_link_gains_run(tmp_path, capsys):
     cfg = tmp_path / "gain.json"
     cfg.write_text('{"gamma0": 1e-300}', encoding="utf-8")
@@ -214,6 +231,20 @@ def test_params_baseline(tmp_path):
     assert doc["scenario"]["gamma0"] == 3967.6
     assert doc["scenario"]["n_a"] == 2
     assert text.endswith("\n")
+
+
+def test_an_unwritable_out_path_exits_1(tmp_path, capsys):
+    # The OSError of opening --out escaped as a traceback.
+    out = tmp_path / "missing" / "params.json"
+    assert cli.main(["params", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out: [Errno 2] No such file or directory")
+    assert err.count("\n") == 1
+
+
+def test_fmt_writes_non_finite_values_as_plain_words():
+    values = [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf"), 0.1]
+    assert [cli._fmt(x) for x in values] == ["nan", "inf", "-inf", "nan", "-inf", "0.1"]
 
 
 def test_params_pointing_free_sentinel(tmp_path):
@@ -797,6 +828,23 @@ def test_optimize_fixed_oracle_reports_it_does_not_cover_the_optimum(tmp_path):
     assert code == 0
     doc = json.loads(text)
     assert 0.0 < doc["rates"]["r_b"] < optimize.FIXED_ORACLE_RB_MIN
+    assert doc["est"] > 0.0
+    assert doc["oracle"] == {"covers": False, "est": 0.0, "gap": 0.0}
+
+
+def test_optimize_fixed_oracle_reports_it_misses_the_feasible_band(tmp_path):
+    # At gamma0 1e250 the codeword rate passes 800: 160 nodes over
+    # [0, r_b + 3] lie about 5 bits apart, wider than the band where the
+    # ceiling admits a positive throughput, so the grid finds none and its
+    # gap of 0 says nothing, though r_b lies inside the grid.
+    cfg = tmp_path / "strong.json"
+    cfg.write_text('{"gamma0": 1e250}', encoding="utf-8")
+    code, text = run_cli(
+        tmp_path, "optimize", "--config", str(cfg), "--scheme", "fixed", "--sth", "0.4"
+    )
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["rates"]["r_b"] > 800.0
     assert doc["est"] > 0.0
     assert doc["oracle"] == {"covers": False, "est": 0.0, "gap": 0.0}
 

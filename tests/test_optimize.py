@@ -5,9 +5,12 @@ The solvers operate on the gamma-surrogate metric surface throughout; every
 "optimal up to" claim below is therefore judged on that surface.
 """
 
+import importlib.util
 import itertools
 import math
+import pathlib
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -652,6 +655,51 @@ def test_ceiling_sequence_solves_the_unconstrained_problem_once(baseline, monkey
     assert fixed_optimal(baseline, []) == []
 
 
+MEMOIZED = ("re_threshold", "adaptive_unconstrained_re", "fixed_unconstrained_pair")
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_memoized_solvers_equal_their_wrapped_functions_to_the_bit(n):
+    # The scenarios, ceilings and capacities of the benchmark's optimize_batch
+    # workload: a first call (a miss) and a second (a hit) each return what
+    # the undecorated solver does.
+    sc = baseline_scenario(n_a=n, n_b=n, n_e=n)
+    cases = [(re_threshold, (sc, s_th)) for s_th in (0.2, 0.4, 1.0)]
+    cases += [(adaptive_unconstrained_re, (sc, c_b)) for c_b in (2.0, 4.0, 6.0)]
+    cases += [(fixed_unconstrained_pair, (sc,))]
+    for solve, args in cases:
+        want = repr(solve.__wrapped__(*args))
+        # repr of a float round-trips, so equal reprs are equal bits
+        assert repr(solve(*args)) == want
+        assert repr(solve(*args)) == want
+    for name in MEMOIZED:
+        info = getattr(optimize, name).cache_info()
+        assert info.hits == info.misses > 0
+
+
+def test_figure_sweeps_solve_each_distinct_key_once(tmp_path, monkeypatch):
+    # Both schemes' families in scripts/figure_sweeps.py share thresholds and
+    # unconstrained optima: each memoized solver runs once per distinct
+    # (scenario, ceiling or c_b) key however often the sweeps ask for it.
+    solvers = {name: getattr(optimize, name) for name in MEMOIZED}
+    keys = {name: [] for name in MEMOIZED}
+    for name, solve in solvers.items():
+        monkeypatch.setattr(
+            optimize, name, lambda *a, _solve=solve, _keys=keys[name]: _keys.append(a) or _solve(*a)
+        )
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "figure_sweeps.py"
+    spec = importlib.util.spec_from_file_location("figure_sweeps", script)
+    sweeps = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweeps)
+    monkeypatch.setattr(sys, "argv", [str(script), "--outdir", str(tmp_path)])
+    assert sweeps.main() == 0
+    assert len(keys["re_threshold"]) > len(set(keys["re_threshold"]))
+    for name, solve in solvers.items():
+        info = solve.cache_info()
+        assert info.misses == len(set(keys[name])), name
+        assert info.hits + info.misses == len(keys[name]), name
+
+
 def test_fixed_optimum_scales_with_the_snr_on_weak_links():
     # Far below 1 bpcu log2(1 + x) is x / ln 2, so every rate, and with them
     # the optimal throughput, is proportional to the SNR: it falls 100-fold
@@ -984,6 +1032,7 @@ def test_fixed_constrained_rb_grid_fallback_reaches_the_polished_factor(baseline
 def test_fixed_unconstrained_pair_grid_fallback_reaches_the_polished_est(baseline, monkeypatch):
     root = fixed_unconstrained_pair(baseline)
     monkeypatch.setattr(optimize, "_scan_roots", _no_roots)
+    fixed_unconstrained_pair.cache_clear()
     o = fixed_unconstrained_pair(baseline)
     assert o.method == "grid_oracle"
     _at_least(o.est, FALLBACK_PAIR_EST)
@@ -996,6 +1045,7 @@ def test_fixed_unconstrained_pair_grid_fallback_reaches_the_polished_est(baselin
 def test_adaptive_unconstrained_re_grid_fallback_reaches_the_polished_est(baseline, monkeypatch, c_b):
     root, _ = adaptive_unconstrained_re(baseline, c_b)
     monkeypatch.setattr(optimize, "_scan_roots", _no_roots)
+    adaptive_unconstrained_re.cache_clear()
     r_e, method = adaptive_unconstrained_re(baseline, c_b)
     assert method == "grid_oracle"
     est = _surrogate_est_adaptive(baseline, c_b, r_e, SecrecyConstraint(1.0)).est
