@@ -30,10 +30,11 @@ script runs:
   ``--sth 0.4`` (``opt_oracle_missed_band.json``) the codeword rate passes
   800, and the oracle's 160-node grid, about 5 bits a step, finds no
   positive throughput, so ``oracle.covers`` reads false;
-- ``sweep --axis s_th --mc --trials 20000`` for ``--scheme fixed`` and
-  ``--scheme adaptive`` (``--cb 4``), over the 20 ceilings of the figure
-  sweeps, with the same program seed, so the Monte-Carlo column of the
-  ceiling axis is compared byte for byte;
+- ``sweep --axis s_th --mc --trials 20000`` over the 20 ceilings of the
+  figure sweeps, and ``sweep --axis n --mc --trials 20000 --sth 0.4`` over
+  its six array sizes, each for ``--scheme fixed`` and ``--scheme
+  adaptive`` (``--cb 4``) with the same program seed, so the optimum rows
+  of both axes, Monte-Carlo column included, are compared byte for byte;
 - the two rate-axis sweeps of the figure sweeps with ``--mc --trials 20000``
   and the same program seed: ``--axis r_e --scheme adaptive --cb 6`` and
   ``--axis r_e_x_r_b --scheme fixed``, whose rows with r_b < r_e carry no
@@ -116,8 +117,15 @@ PARAMS_RUNS = (
     ("params_sigma0.json", {"sigma_s": 0}),
 )
 
-# The schemes of the ceiling-axis Monte-Carlo sweeps.
+# The schemes of the optimum-axis Monte-Carlo sweeps.
 MC_SWEEP_SCHEMES = (["--scheme", "fixed"], ["--scheme", "adaptive", "--cb", "4"])
+
+# (output name tag, sweep arguments) of the optimum-axis Monte-Carlo sweeps,
+# each under both schemes, on the axes and ranges of scripts/figure_sweeps.py.
+MC_OPTIMUM_SWEEPS = (
+    ("sth", ["--axis", "s_th", "--min", "0.05", "--max", "1", "--steps", "20"]),
+    ("n", ["--axis", "n", "--min", "1", "--max", "6", "--steps", "6", "--sth", "0.4"]),
+)
 
 # (output name, sweep arguments) of the rate-axis Monte-Carlo sweeps, on the
 # axes and ranges of scripts/figure_sweeps.py.
@@ -178,13 +186,13 @@ def produce(src: Path, outdir: Path) -> None:
         cfg = outdir / f"config_{name}"
         cfg.write_text(json.dumps(doc), encoding="utf-8")
         ops.append((name, ["params", "--config", str(cfg), "--out", str(outdir / name)]))
-    for scheme in MC_SWEEP_SCHEMES:
-        name = f"sweep_mc_sth_{scheme[1]}.csv"
-        ops.append(
-            (name, ["sweep", "--axis", "s_th", "--min", "0.05", "--max", "1", "--steps", "20",
-                    *scheme, "--mc", "--trials", "20000", "--seed", str(PROGRAM_SEED),
-                    "--out", str(outdir / name)])
-        )
+    for tag, axis in MC_OPTIMUM_SWEEPS:
+        for scheme in MC_SWEEP_SCHEMES:
+            name = f"sweep_mc_{tag}_{scheme[1]}.csv"
+            ops.append(
+                (name, ["sweep", *axis, *scheme, "--mc", "--trials", "20000",
+                        "--seed", str(PROGRAM_SEED), "--out", str(outdir / name)])
+            )
     for name, axis in MC_RATE_SWEEPS:
         ops.append(
             (name, ["sweep", *axis, "--mc", "--trials", "20000", "--seed", str(PROGRAM_SEED),

@@ -196,10 +196,6 @@ class NodeConfig:
         if not self.gamma0 > 0.0:
             raise ValueError("NodeConfig.gamma0 must be strictly positive")
 
-    @property
-    def n0(self) -> float:
-        return 1.0 / self.gamma0
-
 
 @dataclass(frozen=True)
 class Surrogate:
@@ -539,7 +535,7 @@ def _exact_cdf(name: str, alpha: float, beta_agg: float, xi2: float | None, x):
     if not (alpha > 0.0 and beta_agg > 0.0):
         raise ValueError(f"{name} shape parameters must be strictly positive")
     xs = np.asarray(x, dtype=float)
-    if (xs < 0.0).any():
+    if not (xs >= 0.0).all():
         raise ValueError(f"{name} requires x >= 0, got {x}")
     p = np.zeros(xs.shape)
     live = xs != 0.0

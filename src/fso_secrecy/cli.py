@@ -335,7 +335,8 @@ def _optimum_rows(
     sim: SimConfig,
     jobs: int,
 ) -> list[tuple[float, str, str, float, float, bool]]:
-    """One row per outage ceiling, from one solver call over all of them.
+    """One row per outage ceiling, from one solver call per ceiling; the
+    ceilings share the memoized unconstrained solve.
 
     The exact outages at the optima come from one array call per kind, and
     the surrogate outage that ``constraint_met`` reads from one array call.
@@ -344,10 +345,10 @@ def _optimum_rows(
     at the optima.
     """
     if scheme == "adaptive":
-        optima = optimize.adaptive_optimal(sc, c_b, ceilings)
+        optima = [optimize.adaptive_optimal(sc, c_b, s_th) for s_th in ceilings]
         rel = [0.0] * len(optima)
     else:
-        optima = optimize.fixed_optimal(sc, ceilings)
+        optima = [optimize.fixed_optimal(sc, s_th) for s_th in ceilings]
         rel = _outages(secrecy.reliability_outage, sc, [o.rates.r_b for o in optima])
     r_es = [o.rates.r_e for o in optima]
     sop_vals = _outages(secrecy.sop, sc, r_es)
@@ -393,8 +394,8 @@ def cmd_sweep(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         )
 
     if axis in ("s_th", "n", "sigma_s"):
-        # The s_th axis solves all its ceilings in one call; the n and
-        # sigma_s axes change the scenario, so each row is its own call.
+        # The s_th axis is one group of rows; the n and sigma_s axes change
+        # the scenario, so each row is its own.
         if axis == "s_th":
             groups = [(sc, values, values)] if values else []
         else:

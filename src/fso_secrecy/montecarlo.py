@@ -55,7 +55,7 @@ import numpy as np
 
 from fso_secrecy import optimize
 from fso_secrecy.channel import LinkParams, ScenarioConfig, bob_link, eve_link
-from fso_secrecy.secrecy import RatePair, _rates, rate_threshold, sop_approx
+from fso_secrecy.secrecy import RatePair, SecrecyConstraint, _rates, rate_threshold, sop_approx
 
 __all__ = [
     "SimConfig",
@@ -122,9 +122,9 @@ def _stream_rngs(sim: SimConfig, role: int) -> list[np.random.Generator]:
     return [seeded_generator(s) for s in child.spawn(sim.stream_count)]
 
 
-def _map_streams(fn: Callable[[int], object], count: int, jobs: int | None) -> list[object]:
-    """Evaluate ``fn`` over stream indices; results come back in stream order."""
-    if jobs is None or jobs > 1:
+def _map_streams(fn: Callable[[int], object], count: int, jobs: int) -> list[object]:
+    """Evaluate ``fn`` over stream indices on ``jobs`` threads, in stream order."""
+    if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, range(count)))
     return [fn(j) for j in range(count)]
@@ -200,7 +200,7 @@ def _binomial_estimate(hits: Sequence[int], sim: SimConfig) -> Estimate:
 
 
 def estimate_sop(
-    sc: ScenarioConfig, r_e: float | Sequence[float], sim: SimConfig, *, jobs: int | None = 1
+    sc: ScenarioConfig, r_e: float | Sequence[float], sim: SimConfig, *, jobs: int = 1
 ) -> Estimate | list[Estimate]:
     """Empirical probability that the eavesdropper's channel beats ``r_e``.
 
@@ -223,7 +223,7 @@ def estimate_sop(
 
 
 def estimate_reliability_outage(
-    sc: ScenarioConfig, r_b: float | Sequence[float], sim: SimConfig, *, jobs: int | None = 1
+    sc: ScenarioConfig, r_b: float | Sequence[float], sim: SimConfig, *, jobs: int = 1
 ) -> Estimate | list[Estimate]:
     """Empirical probability that the legitimate link cannot carry ``r_b``.
 
@@ -238,7 +238,7 @@ def estimate_reliability_outage(
 
 
 def estimate_reliability_outages(
-    cases: Sequence[tuple[ScenarioConfig, float]], sim: SimConfig, *, jobs: int | None = 1
+    cases: Sequence[tuple[ScenarioConfig, float]], sim: SimConfig, *, jobs: int = 1
 ) -> list[Estimate]:
     """Empirical reliability outage of each ``(scenario, r_b)`` case, one
     ``Estimate`` per case, from the draws the cases share (see the module
@@ -351,9 +351,11 @@ def _variance_factors(outage: Estimate, p: float) -> tuple[float, float]:
     return 1.0, n * (outage.ci_halfwidth / 3.0) ** 2
 
 
-def _adaptive_redundancy_table(
-    sc: ScenarioConfig, r_hi: float, n_grid: int = 2048
-) -> tuple[np.ndarray, np.ndarray]:
+# Rows of the adaptive estimator's redundancy table.
+_TABLE_ROWS = 2048
+
+
+def _adaptive_redundancy_table(sc: ScenarioConfig, r_hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Tabulate the unconstrained stationarity curve capacity(r_e).
 
     At the unconstrained adaptive optimum the capacity and the redundancy
@@ -365,13 +367,13 @@ def _adaptive_redundancy_table(
     """
     r_lo = 1e-4
     r_hi = max(r_hi, r_lo + 1.0)
-    rs = np.linspace(r_lo, r_hi, n_grid)
+    rs = np.linspace(r_lo, r_hi, _TABLE_ROWS)
     s, ds = sop_approx(eve_link(sc), rs)
     # Past the first rate where the outage stops falling, no capacity makes
     # the rate stationary.
     flat = np.flatnonzero(ds >= -1e-290)
-    stop = int(flat[0]) if flat.size else n_grid
-    caps = np.full(n_grid, np.inf)
+    stop = int(flat[0]) if flat.size else _TABLE_ROWS
+    caps = np.full(_TABLE_ROWS, np.inf)
     caps[:stop] = rs[:stop] + (1.0 - s[:stop]) / -ds[:stop]
     # np.interp reads the table as increasing in the capacity.
     return np.maximum.accumulate(caps), rs
@@ -395,7 +397,7 @@ def _ceiling_cut(table_c: np.ndarray, table_r: np.ndarray, r_th: float) -> float
 
 
 def estimate_est(
-    sc: ScenarioConfig, s_th: float | Sequence[float], sim: SimConfig, *, jobs: int | None = 1
+    sc: ScenarioConfig, s_th: float | Sequence[float], sim: SimConfig, *, jobs: int = 1
 ) -> Estimate | list[Estimate]:
     """Empirical effective secrecy throughput of the adaptive scheme,
     averaged over the realized capacity.
@@ -415,10 +417,7 @@ def estimate_est(
     the float call's.  A pinned rate pair's throughput, under either
     scheme, is :func:`est_fixed_from_outages` of the outage estimates.
     """
-    ceilings = np.atleast_1d(s_th).tolist()
-    for c in ceilings:
-        if not 0.0 < c <= 1.0:
-            raise ValueError(f"s_th must lie in (0, 1], got {c}")
+    ceilings = [SecrecyConstraint(c).s_th for c in np.atleast_1d(s_th).tolist()]
     eve_rngs = _stream_rngs(sim, _EVE_ROLE)
     bob_rngs = _stream_rngs(sim, _BOB_ROLE)
     sizes = sim.stream_sizes()

@@ -58,7 +58,6 @@ another count, which the command line's fixed-scheme oracle sets to 160.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -218,8 +217,7 @@ def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
     meets raises :class:`ConvergenceError`: 1 - s_th rounds to 1, so r_free
     is not finite, or the outage tops ``s_th`` at the domain's top rate.
     """
-    if not 0.0 < s_th <= 1.0:
-        raise ValueError(f"s_th must lie in (0, 1], got {s_th}")
+    SecrecyConstraint(s_th)  # raises ValueError outside (0, 1]
     if s_th == 1.0:
         return 0.0
     link = eve_link(sc)
@@ -314,34 +312,19 @@ def adaptive_unconstrained_re(sc: ScenarioConfig, c_b: float) -> tuple[float, st
     return adaptive_grid_oracle(sc, c_b, 1.0).rates.r_e, "grid_oracle"
 
 
-def adaptive_optimal(
-    sc: ScenarioConfig, c_b: float, s_th: float | Sequence[float]
-) -> Optimum | list[Optimum]:
+def adaptive_optimal(sc: ScenarioConfig, c_b: float, s_th: float) -> Optimum:
     """Ceiling-aware optimal redundancy rate for realized capacity ``c_b``.
 
     The optimum is the larger of the unconstrained stationary rate and the
-    threshold rate that pins the outage to the ceiling.  When even the
-    threshold rate exceeds the capacity there is no feasible operating point
-    with positive secrecy rate; the report then degenerates to zero
-    throughput at the capacity itself.
-
-    ``s_th`` is one ceiling or a sequence of them: a float gives one
-    ``Optimum``, a sequence a list with one per ceiling, each equal to the
-    float call's.  The unconstrained rate is solved once per call, the
-    threshold rate once per ceiling.
+    threshold rate that pins the outage to the ceiling ``s_th``, both from
+    the memoized solvers, so the ceilings of one scenario and capacity share
+    one unconstrained solve.  Where even the threshold rate exceeds the
+    capacity no operating point has a positive secrecy rate, and the report
+    degenerates to zero throughput at the capacity itself.
     """
-    constraints = [SecrecyConstraint(c) for c in np.atleast_1d(s_th).tolist()]
+    constraint = SecrecyConstraint(s_th)
     re_u, method_u = adaptive_unconstrained_re(sc, c_b)
-    optima = [_adaptive_under(sc, c_b, re_u, method_u, c) for c in constraints]
-    return optima[0] if np.ndim(s_th) == 0 else optima
-
-
-def _adaptive_under(
-    sc: ScenarioConfig, c_b: float, re_u: float, method_u: str, constraint: SecrecyConstraint
-) -> Optimum:
-    """:func:`adaptive_optimal` at one ceiling, given the unconstrained rate
-    ``re_u`` and the method of its path."""
-    re_t = re_threshold(sc, constraint.s_th)
+    re_t = re_threshold(sc, s_th)
     constraint_active = re_t > re_u
     r_e = max(re_u, re_t)
     feasible = r_e <= c_b
@@ -461,8 +444,12 @@ def _throughput_stencil(sc: ScenarioConfig, re: float, rb: float, h: float) -> n
 
 
 # The stencil checks step h u and difference the objective over u, which
-# stays normal on the weakest links.
-def _is_interior_stationary(sc: ScenarioConfig, re: float, rb: float, tol: float = 1e-5) -> bool:
+# stays normal on the weakest links: the stationarity check steps 1e-5 u to a
+# relative gradient tolerance, the Hessian check _HESSIAN_STEP u.
+_STATIONARY_TOL, _HESSIAN_STEP = 1e-5, 1e-4
+
+
+def _is_interior_stationary(sc: ScenarioConfig, re: float, rb: float) -> bool:
     u = _rate_scale(bob_link(sc))
     if not (re > 1e-8 * u and rb > re + 1e-8 * u and rb < _RATE_TOP - 1e-6 * u):
         return False
@@ -470,11 +457,11 @@ def _is_interior_stationary(sc: ScenarioConfig, re: float, rb: float, tol: float
     scale = max(1.0, abs(f[1][1]))
     g_re = (f[2][1] - f[0][1]) / 2e-5
     g_rb = (f[1][2] - f[1][0]) / 2e-5
-    return abs(g_re) <= tol * scale and abs(g_rb) <= tol * scale
+    return abs(g_re) <= _STATIONARY_TOL * scale and abs(g_rb) <= _STATIONARY_TOL * scale
 
 
-def _hessian_negative_definite(sc: ScenarioConfig, re: float, rb: float, h: float = 1e-4) -> bool:
-    u = _rate_scale(bob_link(sc))
+def _hessian_negative_definite(sc: ScenarioConfig, re: float, rb: float) -> bool:
+    u, h = _rate_scale(bob_link(sc)), _HESSIAN_STEP
     f = (_throughput_stencil(sc, re, rb, h * u) / u).tolist()
     f00 = f[1][1]
     a = (f[2][1] - 2.0 * f00 + f[0][1]) / (h * h)
@@ -512,7 +499,8 @@ def fixed_constrained_rb(sc: ScenarioConfig, r_e_fixed: float) -> tuple[float, s
     lo = min(r_e_fixed + 1e-6 * u, _RATE_TOP)
     hi = min(max(r_e_fixed + 25.0 * u, cap + 10.0 * u), _RATE_TOP)
 
-    def bob_factor(rb: float) -> float:
+    def bob_factor(rb):
+        # The throughput factor, on a float or an array of rates.
         return (rb - r_e_fixed) * (1.0 - reliability_outage_approx(bob, n_a, rb)[0])
 
     def resid(rb):
@@ -523,34 +511,20 @@ def fixed_constrained_rb(sc: ScenarioConfig, r_e_fixed: float) -> tuple[float, s
     roots = _scan_roots(resid, xs, resid(np.array(xs)), _RATE_TOL * u, falling_only=True)
     if roots:
         return max(roots, key=bob_factor), "lambert_w"
-    rb = grid_refine_maximize(
-        lambda r: (r - r_e_fixed) * (1.0 - reliability_outage_approx(bob, n_a, r)[0]), (lo, hi)
-    ).rates.r_b
-    return rb, "grid_oracle"
+    return grid_refine_maximize(bob_factor, (lo, hi)).rates.r_b, "grid_oracle"
 
 
-def fixed_optimal(sc: ScenarioConfig, s_th: float | Sequence[float]) -> Optimum | list[Optimum]:
+def fixed_optimal(sc: ScenarioConfig, s_th: float) -> Optimum:
     """Outage-ceiling-aware optimal rate pair for the fixed-rate scheme.
 
-    If the unconstrained redundancy rate already satisfies the ceiling the
-    unconstrained pair stands; otherwise the redundancy rate is pinned to
-    the threshold value and the codeword rate re-optimized around it.
-
-    ``s_th`` is one ceiling or a sequence of them: a float gives one
-    ``Optimum``, a sequence a list with one per ceiling, each equal to the
-    float call's.  The unconstrained pair is solved once per call; the
-    threshold rate, and the codeword rate where the ceiling binds, once per
-    ceiling.
+    If the unconstrained redundancy rate already satisfies the ceiling
+    ``s_th`` the unconstrained pair stands; otherwise the redundancy rate is
+    pinned to the threshold value and the codeword rate re-optimized around
+    it.  The pair and the threshold rate come from the memoized solvers, so
+    the ceilings of one scenario share one unconstrained solve.
     """
+    constraint = SecrecyConstraint(s_th)
     pair = fixed_unconstrained_pair(sc)
-    optima = [_fixed_under(sc, pair, c) for c in np.atleast_1d(s_th).tolist()]
-    return optima[0] if np.ndim(s_th) == 0 else optima
-
-
-def _fixed_under(sc: ScenarioConfig, pair: Optimum, s_th: float) -> Optimum:
-    """:func:`fixed_optimal` at one ceiling, given the unconstrained ``pair``."""
-    if s_th >= 1.0:
-        return pair
     re_t = re_threshold(sc, s_th)
     if pair.rates.r_e >= re_t:
         return pair
@@ -561,7 +535,7 @@ def _fixed_under(sc: ScenarioConfig, pair: Optimum, s_th: float) -> Optimum:
     t = reliability_outage_approx(bob, sc.nodes.n_a, np.clip(rbs, 0.0, _RATE_TOP))[0]
     s = sop_approx(eve_link(sc), re_t)[0]
     # The throughput along r_b, the optimum's at the middle: rb >= re_t.
-    f_rb = est_from_outages(np.maximum(rbs - re_t, 0.0), t, s, SecrecyConstraint(s_th)).est
+    f_rb = est_from_outages(np.maximum(rbs - re_t, 0.0), t, s, constraint).est
     return Optimum(
         rates=RatePair(r_b=rb, r_e=re_t),
         est=float(f_rb[1]),

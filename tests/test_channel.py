@@ -323,6 +323,17 @@ def test_cdf_kernels_are_certain_at_an_infinite_threshold():
         assert pdf[1:].tolist() == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("x", [math.nan, np.array([1.0, math.nan])], ids=["float", "array"])
+def test_cdf_kernels_reject_a_nan_threshold(x):
+    # NaN fails x >= 0 in the exact kernels as it does in the surrogate.
+    with pytest.raises(ValueError, match="requires x >= 0"):
+        gg_cdf(4.0, 2.0, x)
+    with pytest.raises(ValueError, match="requires x >= 0"):
+        ggp_cdf(4.0, 2.0, 1.5, x)
+    with pytest.raises(ValueError, match="requires x >= 0"):
+        ggp_cdf_approx(bob_link(baseline_scenario()).surrogate, x)
+
+
 def test_snr_threshold_domain_errors(baseline):
     # the Monte-Carlo estimators reject a negative rate before drawing
     sim = SimConfig(trials=10, stream_count=1)

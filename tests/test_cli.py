@@ -490,24 +490,28 @@ def test_sweep_ceiling_axis_solves_once_and_asks_each_outage_once(
     tmp_path, monkeypatch, baseline, scheme
 ):
     calls = []
-
-    def counted(module, name):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or real(*a, **k))
-
-    counted(optimize, "fixed_unconstrained_pair")
-    counted(optimize, "adaptive_unconstrained_re")
     for name in ("sop", "reliability_outage", "sop_approx"):
-        counted(secrecy, name)
+        real = getattr(secrecy, name)
+        monkeypatch.setattr(
+            secrecy,
+            name,
+            lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k),
+        )
     code, text = run_cli(tmp_path, "sweep", *CEILING_AXIS, "--scheme", scheme)
     assert code == 0
     # The solvers take their surrogate outages from secrecy's names bound in
     # optimize, so only the CLI's own calls are counted here.
     if scheme == "fixed":
-        want = ["fixed_unconstrained_pair", "reliability_outage", "sop", "sop_approx"]
+        assert sorted(calls) == ["reliability_outage", "sop", "sop_approx"]
     else:
-        want = ["adaptive_unconstrained_re", "sop", "sop_approx"]
-    assert sorted(calls) == want
+        assert sorted(calls) == ["sop", "sop_approx"]
+    # Every ceiling's solver call shares one memoized unconstrained solve.
+    unconstrained = {
+        "fixed": optimize.fixed_unconstrained_pair,
+        "adaptive": optimize.adaptive_unconstrained_re,
+    }
+    assert unconstrained[scheme].cache_info().misses == 1
+    assert optimize.re_threshold.cache_info().misses == len(_ceiling_values())
     monkeypatch.undo()
     assert text == _ceiling_rows_one_by_one(baseline, scheme, _ceiling_values(), 4.0)
 

@@ -609,15 +609,18 @@ def test_fixed_optimal_matches_grid_oracle(baseline):
 
 
 # ---------------------------------------------------------------------------
-# a sequence of ceilings
+# the ceilings of one scenario
 # ---------------------------------------------------------------------------
 
-# Non-binding, binding and s_th = 1 ceilings.  The threshold rate at 0.05
-# lies above Bob's mean-SNR capacity on the baseline (4.71 > 3.73) and at
-# gamma0 1e-3 (9.2e-6 > 4.5e-6), and above c_b = 2 from 0.4 down on the
-# baseline, where the adaptive optimum is infeasible.  At gamma0 1e-3 no
-# ceiling binds the adaptive scheme: its unconstrained r_e tops them all.
+# Non-binding, binding and s_th = 1 ceilings, one of them twice.  The
+# threshold rate at 0.05 lies above Bob's mean-SNR capacity on the baseline
+# (4.71 > 3.73) and at gamma0 1e-3 (9.2e-6 > 4.5e-6), and above c_b = 2 from
+# 0.4 down on the baseline, where the adaptive optimum is infeasible.  At
+# gamma0 1e-3 no ceiling binds the adaptive scheme: its unconstrained r_e
+# tops them all.
 SEQUENCE_CEILINGS = [1.0, 0.9, 0.6, 0.4, 0.2, 0.05, 0.6]
+
+MEMOIZED = ("re_threshold", "adaptive_unconstrained_re", "fixed_unconstrained_pair")
 
 
 @pytest.mark.parametrize(
@@ -626,36 +629,40 @@ SEQUENCE_CEILINGS = [1.0, 0.9, 0.6, 0.4, 0.2, 0.05, 0.6]
     ids=["baseline", "pointing-free", "n4", "gamma0-1e-3", "cn2-1e-30"],
 )
 @pytest.mark.parametrize(
-    "solve",
-    [fixed_optimal, lambda sc, s_th: adaptive_optimal(sc, 2.0, s_th)],
+    "solve, unconstrained",
+    [
+        (fixed_optimal, "fixed_unconstrained_pair"),
+        (lambda sc, s_th: adaptive_optimal(sc, 2.0, s_th), "adaptive_unconstrained_re"),
+    ],
     ids=["fixed", "adaptive"],
 )
-def test_ceiling_sequence_equals_the_float_calls_to_the_bit(overrides, solve):
+def test_ceilings_share_the_memoized_unconstrained_solve(
+    overrides, solve, unconstrained, monkeypatch
+):
     sc = baseline_scenario(**overrides)
-    got = solve(sc, SEQUENCE_CEILINGS)
-    assert isinstance(got, list)
+    got = [solve(sc, s_th) for s_th in SEQUENCE_CEILINGS]
+    assert getattr(optimize, unconstrained).cache_info().misses == 1
+    assert optimize.re_threshold.cache_info().misses == len(set(SEQUENCE_CEILINGS))
+    # The same solves with every memo bypassed.
+    for name in MEMOIZED:
+        monkeypatch.setattr(optimize, name, getattr(optimize, name).__wrapped__)
     want = [solve(sc, s_th) for s_th in SEQUENCE_CEILINGS]
     # repr of a float round-trips, so equal reprs are equal bits
     assert [repr(o) for o in got] == [repr(o) for o in want]
 
 
-def test_ceiling_sequence_solves_the_unconstrained_problem_once(baseline, monkeypatch):
-    calls = []
-    for name in ("fixed_unconstrained_pair", "adaptive_unconstrained_re", "re_threshold"):
-        real = getattr(optimize, name)
-        monkeypatch.setattr(
-            optimize, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
-        )
-    assert len(fixed_optimal(baseline, SEQUENCE_CEILINGS)) == len(SEQUENCE_CEILINGS)
-    assert len(adaptive_optimal(baseline, 4.0, np.array(SEQUENCE_CEILINGS))) == 7
-    assert calls.count("fixed_unconstrained_pair") == 1
-    assert calls.count("adaptive_unconstrained_re") == 1
-    # s_th = 1 short-cuts the fixed solver; the adaptive one asks every ceiling
-    assert calls.count("re_threshold") == 6 + 7
-    assert fixed_optimal(baseline, []) == []
-
-
-MEMOIZED = ("re_threshold", "adaptive_unconstrained_re", "fixed_unconstrained_pair")
+@pytest.mark.parametrize("s_th", [0.0, 1.5, math.nan])
+def test_solvers_and_estimator_reject_a_ceiling_outside_the_unit_interval(baseline, s_th):
+    # Each checks the ceiling through SecrecyConstraint.
+    sim = montecarlo.SimConfig(trials=10, stream_count=1)
+    for solve in (
+        lambda: fixed_optimal(baseline, s_th),
+        lambda: adaptive_optimal(baseline, 4.0, s_th),
+        lambda: re_threshold(baseline, s_th),
+        lambda: montecarlo.estimate_est(baseline, s_th, sim),
+    ):
+        with pytest.raises(ValueError, match="SecrecyConstraint.s_th must lie in"):
+            solve()
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
