@@ -246,9 +246,16 @@ def _scenario_at(sc: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
 
 
 def _outages(outage, sc: ScenarioConfig, rates: list[float]) -> list[float]:
-    """``outage(sc, r)`` at each of ``rates``, from one array call on the distinct ones."""
+    """``outage(sc, r)`` at each of ``rates``, from one array call on the distinct
+    ones, memoized like the links: commands that ask the same outages share it."""
     distinct, index = np.unique(rates, return_inverse=True)
-    return outage(sc, distinct)[index].tolist()
+    values = _distinct_outages(outage, sc, tuple(distinct.tolist()))
+    return [values[i] for i in index.tolist()]
+
+
+@functools.lru_cache(maxsize=256)
+def _distinct_outages(outage, sc: ScenarioConfig, rates: tuple[float, ...]) -> tuple[float, ...]:
+    return tuple(outage(sc, np.array(rates)).tolist())
 
 
 def _mc_columns(

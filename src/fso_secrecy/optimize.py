@@ -8,7 +8,8 @@ points of interest their local multiplier exceeds one.  Each solver
 therefore finds the root of its condition directly:
 
 1. sign-scan plus bisection on the stationarity residual, in array calls:
-   one for the scan, and one per six levels of bisection;
+   one for the scan, and one per six levels of bisection, the last with only
+   the levels the walk still needs;
 2. where the scan finds no sign change, the zooming grid search
    :func:`grid_refine_maximize` of the throughput: through
    :func:`fixed_grid_oracle` or :func:`adaptive_grid_oracle`, or on the
@@ -41,7 +42,9 @@ inside a bracket whose upper end is the pointing-free inversion.
 ceiling or c_b.  Both schemes' families of a figure share the threshold
 rates, and every ceiling of a scenario its unconstrained optima, so a key
 asked for again returns the stored result.  The results are immutable: a
-float, a tuple, a frozen :class:`Optimum`.  The outages stay unmemoized.
+float, a tuple, a frozen :class:`Optimum`.  The outage functions stay
+unmemoized array kernels; the command line memoizes the exact outages of its
+rows.
 
 All solvers evaluate and report on the gamma-surrogate surface they are
 derived on, :func:`fso_secrecy.secrecy.est_from_outages` of the surrogate
@@ -150,14 +153,21 @@ def _bisect_root(g, lo: float, hi: float, g_lo: float, tol: float, iters: int = 
     """Bisected root of the array function ``g`` in [lo, hi], given g(lo).
 
     Each array call evaluates the midpoints, each ``0.5 * (a + b)`` of its
-    cell, of the next ``_BISECT_LEVELS`` halvings; the walk down that tree
-    by sign stops where one call per halving would (width ``tol``, or
-    ``iters`` halvings) and returns the same float.  Only a midpoint of the
-    sign of g(lo) becomes ``lo``, so that sign holds throughout.
+    cell, of the next halvings: ``_BISECT_LEVELS`` of them, fewer where
+    ``iters`` or the halvings still needed to narrow the cell below ``tol``
+    end the walk sooner.  The walk down that tree by sign stops where one
+    call per halving would (width ``tol``, or ``iters`` halvings) and returns
+    the same float.  Only a midpoint of the sign of g(lo) becomes ``lo``, so
+    that sign holds throughout.
     """
     lo_pos = g_lo > 0.0
     while iters > 0 and not hi - lo < tol:
-        depth = min(_BISECT_LEVELS, iters)
+        # k halvings narrow the cell below tol once 2**k > (hi - lo) / tol.  A
+        # quotient past the double range, or a tol of 0, leaves it to iters;
+        # a count one short of the rounded walk costs one more call.
+        ratio = (hi - lo) / tol if tol > 0.0 else math.inf
+        needed = math.frexp(ratio)[1] if math.isfinite(ratio) else iters
+        depth = min(_BISECT_LEVELS, iters, needed)
         # Level order: the children of node k are nodes 2k + 1 and 2k + 2.
         mids, cells = [], [(lo, hi)]
         for _ in range(depth):

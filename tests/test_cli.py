@@ -5,6 +5,7 @@ pointed at a temp file, and parses the emitted JSON/CSV back.
 """
 
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -388,8 +389,9 @@ def test_sweep_two_dimensional_interior_maximum(tmp_path):
 
 def test_sweep_grid_computes_each_outage_once(tmp_path, monkeypatch):
     # the grid's secrecy outage depends only on r_e and its reliability
-    # outage only on r_b: one array call of the 4 distinct rates each,
-    # whatever the row count, on every run
+    # outage only on r_b: the first run makes one array call of the 4
+    # distinct rates each, whatever the row count, and an identical second
+    # run finds both in the outage memo and writes the same bytes
     calls = []
 
     def counted(name, outage):
@@ -405,13 +407,42 @@ def test_sweep_grid_computes_each_outage_once(tmp_path, monkeypatch):
         "sweep", "--axis", "r_e_x_r_b", "--min", "0.5", "--max", "3", "--steps", "4",
         "--scheme", "fixed", "--sth", "1.0",
     ]
-    for name in ("first.csv", "second.csv"):
+    for name, want in (
+        ("first.csv", [("reliability_outage", 4), ("sop", 4)]),
+        ("second.csv", []),
+    ):
         calls.clear()
         code, text = run_cli(tmp_path, *argv, name=name)
         assert code == 0
         assert len(read_rows(text)) == 16
-        assert sorted(calls) == [("reliability_outage", 4), ("sop", 4)]
+        assert sorted(calls) == want
     assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
+
+
+def test_figure_sweeps_ask_each_exact_outage_once(tmp_path, monkeypatch):
+    # The four est_vs_re files of scripts/figure_sweeps.py ask the exact sop
+    # of the baseline link at the same 120 rates: one memo miss and three
+    # hits.  Every key misses once, and each key asked again returns the
+    # bits of an unmemoized call.
+    memo = cli._distinct_outages
+    keys = []
+    monkeypatch.setattr(cli, "_distinct_outages", lambda *a: keys.append(a) or memo(*a))
+    script = SRC.parent / "scripts" / "figure_sweeps.py"
+    spec = importlib.util.spec_from_file_location("figure_sweeps", script)
+    sweeps = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweeps)
+    monkeypatch.setattr(sys, "argv", [str(script), "--outdir", str(tmp_path)])
+    assert sweeps.main() == 0
+    info = memo.cache_info()
+    assert info.misses == len(set(keys))
+    assert info.hits + info.misses == len(keys)
+    rate_axis = [key for key in keys if key[0] is secrecy.sop and len(key[2]) == 120]
+    assert len(rate_axis) == 4 and len(set(rate_axis)) == 1
+    repeated = {key for key in keys if keys.count(key) > 1}
+    assert rate_axis[0] in repeated
+    for key in repeated:
+        got, want = np.array(memo(*key)), np.array(memo.__wrapped__(*key))
+        assert got.tobytes() == want.tobytes(), key[0].__name__
 
 
 def test_sweep_ceiling_axis_monotone(tmp_path):

@@ -866,6 +866,28 @@ def test_batched_bisection_equals_the_scalar_one(solver_scans, sigma_s):
         assert oracles.bisect_root(lambda r: float(g(r)), lo, hi, tol) == root, g.__qualname__
 
 
+@pytest.mark.parametrize("sigma_s", [0.0, 0.5, 2.0])
+def test_batched_bisection_evaluates_only_the_levels_it_walks(solver_scans, sigma_s):
+    # The scalar bisection's halvings h are the levels the walk goes down.
+    # The batched one takes no more array calls than a tree of six levels
+    # per call, ceil(h / 6), and each call evaluates the 2**d - 1 midpoints
+    # of d levels, no more than the min(6, h left) it can still walk.
+    _, cells = solver_scans[sigma_s]
+    for g, lo, hi, g_lo, tol, root in cells:
+        scalar, sizes = [], []
+        oracles.bisect_root(lambda r: scalar.append(r) or float(g(r)), lo, hi, tol)
+        left = len(scalar) - 1  # the first call is g(lo)
+        calls_at_six_levels = -(-left // 6)
+        got = optimize._bisect_root(lambda x: sizes.append(x.size) or g(x), lo, hi, g_lo, tol)
+        assert got == root, g.__qualname__
+        assert len(sizes) <= calls_at_six_levels, g.__qualname__
+        for size in sizes:
+            depth = size.bit_length()
+            assert size == 2**depth - 1 and depth <= min(6, left), g.__qualname__
+            left -= depth
+        assert left == 0, g.__qualname__
+
+
 @pytest.mark.parametrize("falling_only", [False, True])
 def test_scan_roots_bisects_the_cells_of_the_scalar_sign_test(monkeypatch, falling_only):
     # The sign test of a loop over the scan values, NaN included: NaN is not
@@ -903,6 +925,9 @@ def _nan_inside(x):
         (lambda x: 0.123 - x, 0.1, 0.15, 1e-9, 4),  # fewer halvings than a batch
         (lambda x: 0.123 - x, 0.1, 0.15, 1e-9, 13),  # not a multiple of a batch
         (lambda x: 0.123 - x, 0.1, 0.15, 0.0, 200),  # stops after iters halvings
+        (lambda x: 0.123 - x, 0.1, 0.15, 0.0, 13),  # tol 0: iters ends mid-batch
+        (lambda x: 0.123 - x, 0.1, 0.15, 5e-324, 200),  # (hi - lo) / tol overflows
+        (lambda x: 0.123 - x, -1e10, 1e10, 1e-300, 200),  # overflows, wide cell
     ],
 )
 def test_batched_bisection_equals_the_scalar_one_on_edge_cases(g, lo, hi, tol, iters):
