@@ -30,6 +30,13 @@ script runs:
   ``--sth 0.4`` (``opt_oracle_missed_band.json``) the codeword rate passes
   800, and the oracle's 160-node grid, about 5 bits a step, finds no
   positive throughput, so ``oracle.covers`` reads false;
+- closed-form ``optimize`` runs at ``sigma_s`` 0.5 and at ``sigma_s`` 0,
+  three at each: ``--scheme fixed`` (the unconstrained pair), ``--scheme
+  fixed --sth 0.4`` (the constrained codeword rate) and ``--scheme adaptive
+  --cb 6 --sth 1.0`` (the adaptive curvature stencil).  At ``sigma_s`` 0.5
+  the eavesdropper's xi**2 = 6.26 tops the surrogate shape k = 3.73, so the
+  surrogate kernel takes its recurrence branch for the pointing term; at 0
+  there is no pointing term;
 - ``sweep --axis s_th --mc --trials 20000`` over the 20 ceilings of the
   figure sweeps, and ``sweep --axis n --mc --trials 20000 --sth 0.4`` over
   its six array sizes, each for ``--scheme fixed`` and ``--scheme
@@ -89,8 +96,16 @@ EXTRA_MC_RUNS = (
     ("opt_mc_streams100.json", workloads.OPT_MC_STH, "100000", "100"),
 )
 
-# (output name, config, scheme arguments) of the weak-link optimize runs and
-# of the fixed-scheme runs far from the baseline.
+# The solver paths of the optimize runs at sigma_s 0.5 and 0.
+SOLVER_PATHS = (
+    ("pair", ["--scheme", "fixed"]),
+    ("fixed_sth0.4", ["--scheme", "fixed", "--sth", "0.4"]),
+    ("adaptive_cb6", ["--scheme", "adaptive", "--cb", "6", "--sth", "1.0"]),
+)
+
+# (output name, config, scheme arguments) of the weak-link optimize runs, of
+# the fixed-scheme runs far from the baseline, and of each solver path at
+# sigma_s 0.5 and 0.
 CONFIG_RUNS = (
     ("opt_weak_fixed.json", {"gamma0": 0.1}, ["--scheme", "fixed"]),
     ("opt_weak_adaptive.json", {"gamma0": 1e-3}, ["--scheme", "adaptive", "--cb", "4"]),
@@ -108,6 +123,11 @@ CONFIG_RUNS = (
         ["--scheme", "fixed", "--sth", "0.426"],
     ),
     ("opt_oracle_missed_band.json", {"gamma0": 1e250}, ["--scheme", "fixed", "--sth", "0.4"]),
+    *(
+        (f"opt_sigma{tag}_{path}.json", {"sigma_s": sigma_s}, scheme)
+        for tag, sigma_s in (("0.5", 0.5), ("0", 0))
+        for path, scheme in SOLVER_PATHS
+    ),
 )
 
 # (output name, config) of the params runs.

@@ -9,7 +9,9 @@ therefore finds the root of its condition directly:
 
 1. sign-scan plus bisection on the stationarity residual, in array calls:
    one for the scan, and one per six levels of bisection, the last with only
-   the levels the walk still needs;
+   the levels the walk still needs.  Every sign-change cell of a scan is
+   walked in the same calls, so a second root costs no call of its own
+   unless its walk is the deeper; a lone root is returned without ranking;
 2. where the scan finds no sign change, the zooming grid search
    :func:`grid_refine_maximize` of the throughput: through
    :func:`fixed_grid_oracle` or :func:`adaptive_grid_oracle`, or on the
@@ -51,7 +53,10 @@ derived on, :func:`fso_secrecy.secrecy.est_from_outages` of the surrogate
 outages; the exact-kernel value of a returned optimum is
 :func:`fso_secrecy.secrecy.est_fixed` / ``est_adaptive`` at its rates.  Every
 curvature stencil takes its throughput from one ``est_from_outages`` call
-on its outage arrays.  :func:`grid_refine_maximize` is the one grid search:
+on its outage arrays, and the optimum's throughput from its centre.  The
+fixed pair takes the redundancy rates of all its roots in one call, and
+each interior root's stationarity and Hessian stencils in one call per
+outage.  :func:`grid_refine_maximize` is the one grid search:
 the solvers' fallbacks, the command line's oracles and the acceptance gate
 run it on array objectives, one call per zoom level.  Every scan and grid
 has ``GRID_POINTS`` nodes; only the grid search and the fixed oracle take
@@ -149,45 +154,62 @@ def _curves_down(f: np.ndarray, u: float) -> bool:
     return hi - 2.0 * mid + lo < 0.0
 
 
-def _bisect_root(g, lo: float, hi: float, g_lo: float, tol: float, iters: int = 200) -> float:
-    """Bisected root of the array function ``g`` in [lo, hi], given g(lo).
+def _midpoint_tree(lo: float, hi: float, depth: int) -> list[float]:
+    """The midpoints, each ``0.5 * (a + b)`` of its cell, of ``depth``
+    halvings of [lo, hi] in level order: the children of node k are nodes
+    2k + 1 and 2k + 2."""
+    mids, cells = [], [(lo, hi)]
+    for _ in range(depth):
+        below = []
+        for a, b in cells:
+            m = 0.5 * (a + b)
+            mids.append(m)
+            below += [(a, m), (m, b)]
+        cells = below
+    return mids
 
-    Each array call evaluates the midpoints, each ``0.5 * (a + b)`` of its
-    cell, of the next halvings: ``_BISECT_LEVELS`` of them, fewer where
-    ``iters`` or the halvings still needed to narrow the cell below ``tol``
-    end the walk sooner.  The walk down that tree by sign stops where one
-    call per halving would (width ``tol``, or ``iters`` halvings) and returns
-    the same float.  Only a midpoint of the sign of g(lo) becomes ``lo``, so
-    that sign holds throughout.
+
+def _bisect_roots(g, cells, tol: float, iters: int = 200) -> list[float]:
+    """Bisected roots of the array function ``g``, one in each cell
+    (lo, hi, g(lo)) of ``cells``, all walked in the same array calls.
+
+    Each call evaluates, for every cell still open, the :func:`_midpoint_tree`
+    of its next halvings: ``_BISECT_LEVELS`` of them, fewer where ``iters``
+    or the halvings still needed to narrow the cell below ``tol`` end its
+    walk sooner.  So the cells share their calls, and a lone cell is the
+    one-cell case.  Each walk down its tree by sign stops where one call per
+    halving would (width ``tol``, or ``iters`` halvings) and returns the same
+    float.  Only a midpoint of the sign of g(lo) becomes ``lo``, so that sign
+    holds throughout.
     """
-    lo_pos = g_lo > 0.0
-    while iters > 0 and not hi - lo < tol:
-        # k halvings narrow the cell below tol once 2**k > (hi - lo) / tol.  A
-        # quotient past the double range, or a tol of 0, leaves it to iters;
-        # a count one short of the rounded walk costs one more call.
-        ratio = (hi - lo) / tol if tol > 0.0 else math.inf
-        needed = math.frexp(ratio)[1] if math.isfinite(ratio) else iters
-        depth = min(_BISECT_LEVELS, iters, needed)
-        # Level order: the children of node k are nodes 2k + 1 and 2k + 2.
-        mids, cells = [], [(lo, hi)]
-        for _ in range(depth):
-            below = []
-            for a, b in cells:
-                m = 0.5 * (a + b)
-                mids.append(m)
-                below += [(a, m), (m, b)]
-            cells = below
-        pos = g(np.array(mids)) > 0.0
-        k = 0
-        for _ in range(depth):
-            if hi - lo < tol:
-                break
-            if pos[k] == lo_pos:
-                lo, k = mids[k], 2 * k + 2
-            else:
-                hi, k = mids[k], 2 * k + 1
-        iters -= depth
-    return 0.5 * (lo + hi)
+    walks = [[lo, hi, g_lo > 0.0, iters] for lo, hi, g_lo in cells]
+    while True:
+        trees = []  # (walk, depth, midpoints) of each open cell
+        for walk in walks:
+            lo, hi, _, left = walk
+            if left > 0 and not hi - lo < tol:
+                # k halvings narrow the cell below tol once 2**k > (hi - lo) / tol.
+                # A quotient past the double range, or a tol of 0, leaves it to
+                # iters; a count one short of the rounded walk costs one more call.
+                ratio = (hi - lo) / tol if tol > 0.0 else math.inf
+                needed = math.frexp(ratio)[1] if math.isfinite(ratio) else left
+                depth = min(_BISECT_LEVELS, left, needed)
+                trees.append((walk, depth, _midpoint_tree(lo, hi, depth)))
+        if not trees:
+            return [0.5 * (lo + hi) for lo, hi, _, _ in walks]
+        pos = (g(np.array([m for _, _, mids in trees for m in mids])) > 0.0).tolist()
+        for walk, depth, mids in trees:
+            lo, hi, lo_pos, left = walk
+            k = 0
+            for _ in range(depth):
+                if hi - lo < tol:
+                    break
+                if pos[k] == lo_pos:
+                    lo, k = mids[k], 2 * k + 2
+                else:
+                    hi, k = mids[k], 2 * k + 1
+            walk[:] = lo, hi, lo_pos, left - depth
+            pos = pos[len(mids):]
 
 
 def _scan_nodes(lo: float, hi: float, n: int) -> list[float]:
@@ -197,12 +219,12 @@ def _scan_nodes(lo: float, hi: float, n: int) -> list[float]:
 
 
 def _scan_roots(g, xs: list[float], gs, tol: float, falling_only: bool = False) -> list[float]:
-    """Roots of the array function ``g``, bisected to width ``tol``, in the
-    cells of the scan ``xs`` (values ``gs``) where its sign changes; with
-    ``falling_only``, only where it turns from positive to non-positive."""
+    """Roots of the array function ``g``, bisected together to width ``tol``,
+    in the cells of the scan ``xs`` (values ``gs``) where its sign changes;
+    with ``falling_only``, only where it turns from positive to non-positive."""
     pos = gs > 0.0
     crossed = pos[:-1] & (gs[1:] <= 0.0) if falling_only else pos[:-1] != pos[1:]
-    return [_bisect_root(g, xs[i], xs[i + 1], gs[i], tol) for i in np.flatnonzero(crossed)]
+    return _bisect_roots(g, [(xs[i], xs[i + 1], gs[i]) for i in np.flatnonzero(crossed)], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +305,9 @@ def adaptive_unconstrained_re(sc: ScenarioConfig, c_b: float) -> tuple[float, st
     The paper's stationarity condition, solved as a root of the surrogate
     throughput's slope -(1 - s) - (c_b - r) s', with the analytic outage
     slope s': a sign-scan over (0, c_b) in one array call, then bisection,
-    six levels per array call, in each cell where it turns from rising to
-    falling; the root with the largest throughput wins.  If the slope flips
-    neither on the scan nor on a scan of its first cell alone,
+    six levels per array call, of every cell where it turns from rising to
+    falling at once; the root with the largest throughput wins.  If the
+    slope flips neither on the scan nor on a scan of its first cell alone,
     :func:`adaptive_grid_oracle` with no ceiling stands in.
 
     The scan's lower end and the bisection width are multiples of the
@@ -317,8 +339,8 @@ def adaptive_unconstrained_re(sc: ScenarioConfig, c_b: float) -> tuple[float, st
         # the whole rise can sit inside the first cell: scan it alone.
         xs = _scan_nodes(lo, xs[1], GRID_POINTS)
         roots = _scan_roots(slope, xs, slope(np.array(xs)), _RATE_TOL * u_e, falling_only=True)
-    if roots:
-        return max(roots, key=psi), "fixed_point"
+    if roots:  # a lone root is not ranked
+        return (roots[0] if len(roots) == 1 else max(roots, key=psi)), "fixed_point"
     return adaptive_grid_oracle(sc, c_b, 1.0).rates.r_e, "grid_oracle"
 
 
@@ -340,18 +362,16 @@ def adaptive_optimal(sc: ScenarioConfig, c_b: float, s_th: float) -> Optimum:
     feasible = r_e <= c_b
     if not feasible:
         r_e = c_b
-    eve = eve_link(sc)
-    est = est_from_outages(c_b - r_e, 0.0, sop_approx(eve, r_e)[0], constraint).est
-
     # The second-difference stencil must lie strictly inside (0, c_b): at an
     # end point the throughput's edge, not its curvature, decides the sign.
+    # Where it is taken, the optimum's throughput is its middle.
     u = _rate_scale(bob_link(sc))
     h = 1e-4 * u
-    hessian_ok = False
-    if feasible and 0.0 < r_e - h and r_e + h < c_b and est > 0.0 and not constraint_active:
-        rs = np.array([r_e - h, r_e, r_e + h])
-        psi = est_from_outages(c_b - rs, 0.0, sop_approx(eve, rs)[0], constraint).est
-        hessian_ok = _curves_down(psi, u)
+    stencil = feasible and 0.0 < r_e - h and r_e + h < c_b and not constraint_active
+    rs = np.array([r_e - h, r_e, r_e + h]) if stencil else r_e
+    psi = est_from_outages(c_b - rs, 0.0, sop_approx(eve_link(sc), rs)[0], constraint).est
+    est = float(psi[1]) if stencil else psi
+    hessian_ok = stencil and est > 0.0 and _curves_down(psi, u)
     return Optimum(
         rates=RatePair(r_b=c_b, r_e=r_e),
         est=est,
@@ -389,15 +409,16 @@ def fixed_unconstrained_pair(sc: ScenarioConfig) -> Optimum:
     the paper's two updates, with the surrogate outages and their slopes.
     The chained residual g_b(g_e(r_b)) - r_b is sign-scanned in one array
     call per outage and bisected on the same functions, six levels per
-    array call; each root whose pair is an interior stationary point is a
-    candidate.  The scan spans 0.05 u to
-    C_b + 15 u; :func:`fixed_grid_oracle` over it gives the pair when no
-    root is a candidate.
+    array call for all its cells at once; each root whose pair is an
+    interior stationary point is a candidate, with the throughput at the
+    centre of its stencil.  The scan spans 0.05 u to C_b + 15 u;
+    :func:`fixed_grid_oracle` over it gives the pair when no root is a
+    candidate.
     """
     eve, bob, n_a = eve_link(sc), bob_link(sc), sc.nodes.n_a
     cap, u = _cap_seed(bob), _rate_scale(bob)
     hi = min(cap + 15.0 * u, _RATE_TOP)
-    candidates: list[tuple[float, float, float, str]] = []  # (est, re, rb, method)
+    candidates = []  # (est, re, rb, method, the throughput stencil there)
 
     # A quotient overflows where a slope is subnormal or zero, and is 0/0
     # where an outage and its slope both round to their limits; fmax sends
@@ -418,34 +439,33 @@ def fixed_unconstrained_pair(sc: ScenarioConfig) -> Optimum:
         return g_b(g_e(rb)) - rb
 
     xs = _scan_nodes(0.05 * u, hi, GRID_POINTS)
-    for root in _scan_roots(resid, xs, resid(np.array(xs)), _RATE_TOL * u):
-        re_c = float(g_e(root))
-        if _is_interior_stationary(sc, re_c, root):
-            t, s = reliability_outage_approx(bob, n_a, root)[0], sop_approx(eve, re_c)[0]
-            est = est_from_outages(root - re_c, t, s, _UNCONSTRAINED).est
-            candidates.append((est, re_c, root, "fixed_point"))
+    roots = _scan_roots(resid, xs, resid(np.array(xs)), _RATE_TOL * u)
+    for re_c, root in zip(g_e(np.array(roots)).tolist() if roots else [], roots):
+        f = _stationary_stencil(sc, re_c, root)
+        if f is not None:  # its throughput is the stencil's centre
+            candidates.append((float(f[2, 2]), re_c, root, "fixed_point", f))
 
     if not candidates:
         o = fixed_grid_oracle(sc, 1.0, hi)
-        candidates.append((o.est, o.rates.r_e, o.rates.r_b, "grid_oracle"))
+        f = _throughput_stencil(sc, o.rates.r_e, o.rates.r_b, _STENCIL * u)
+        candidates.append((o.est, o.rates.r_e, o.rates.r_b, "grid_oracle", f))
 
-    est, re, rb, method = max(candidates, key=lambda c: c[0])
-    hessian_ok = _hessian_negative_definite(sc, re, rb)
+    est, re, rb, method, f = max(candidates, key=lambda c: c[0])
     return Optimum(
         rates=RatePair(r_b=rb, r_e=re),
         est=est,
         method=method,
-        hessian_ok=hessian_ok,
+        hessian_ok=_is_negative_definite(f, u),
         constraint_active=False,
     )
 
 
-def _throughput_stencil(sc: ScenarioConfig, re: float, rb: float, h: float) -> np.ndarray:
-    """``fixed_unconstrained_pair``'s objective at (re + i h, rb + j h) as
-    [i + 1, j + 1], i, j in (-1, 0, 1); 0 outside 0 <= r_e < r_b.  It is
+def _throughput_stencil(sc: ScenarioConfig, re: float, rb: float, d: np.ndarray) -> np.ndarray:
+    """``fixed_unconstrained_pair``'s objective at (re + d[i], rb + d[j]) as
+    [i, j] for the offsets ``d``; 0 outside 0 <= r_e < r_b.  It is
     separable, so one array call per outage and one ``est_from_outages``
-    call give the nine values."""
-    res, rbs = np.array([re - h, re, re + h])[:, None], np.array([rb - h, rb, rb + h])
+    call give all the values."""
+    res, rbs = re + d[:, None], rb + d
     # Negative rates' cells are 0 whatever they map to; a rate past the top takes its outage.
     s = sop_approx(eve_link(sc), np.clip(res, 0.0, _RATE_TOP))[0]
     t = reliability_outage_approx(bob_link(sc), sc.nodes.n_a, np.clip(rbs, 0.0, _RATE_TOP))[0]
@@ -455,24 +475,33 @@ def _throughput_stencil(sc: ScenarioConfig, re: float, rb: float, h: float) -> n
 
 # The stencil checks step h u and difference the objective over u, which
 # stays normal on the weakest links: the stationarity check steps 1e-5 u to a
-# relative gradient tolerance, the Hessian check _HESSIAN_STEP u.
+# relative gradient tolerance, the Hessian check _HESSIAN_STEP u.  A
+# candidate's stencil holds both, around its centre, at these offsets times u.
 _STATIONARY_TOL, _HESSIAN_STEP = 1e-5, 1e-4
+_STENCIL = np.array([-_HESSIAN_STEP, -1e-5, 0.0, 1e-5, _HESSIAN_STEP])
 
 
-def _is_interior_stationary(sc: ScenarioConfig, re: float, rb: float) -> bool:
+def _stationary_stencil(sc: ScenarioConfig, re: float, rb: float) -> np.ndarray | None:
+    """The throughput on the ``_STENCIL`` at (re, rb), if that pair is an
+    interior stationary point; else None."""
     u = _rate_scale(bob_link(sc))
     if not (re > 1e-8 * u and rb > re + 1e-8 * u and rb < _RATE_TOP - 1e-6 * u):
-        return False
-    f = (_throughput_stencil(sc, re, rb, 1e-5 * u) / u).tolist()
+        return None
+    f = _throughput_stencil(sc, re, rb, _STENCIL * u)
+    return f if _is_stationary(f, u) else None
+
+
+def _is_stationary(f: np.ndarray, u: float) -> bool:
+    f = (f[1:4, 1:4] / u).tolist()
     scale = max(1.0, abs(f[1][1]))
     g_re = (f[2][1] - f[0][1]) / 2e-5
     g_rb = (f[1][2] - f[1][0]) / 2e-5
     return abs(g_re) <= _STATIONARY_TOL * scale and abs(g_rb) <= _STATIONARY_TOL * scale
 
 
-def _hessian_negative_definite(sc: ScenarioConfig, re: float, rb: float) -> bool:
-    u, h = _rate_scale(bob_link(sc)), _HESSIAN_STEP
-    f = (_throughput_stencil(sc, re, rb, h * u) / u).tolist()
+def _is_negative_definite(f: np.ndarray, u: float) -> bool:
+    h = _HESSIAN_STEP
+    f = (f[::2, ::2] / u).tolist()
     f00 = f[1][1]
     a = (f[2][1] - 2.0 * f00 + f[0][1]) / (h * h)
     c = (f[1][2] - 2.0 * f00 + f[1][0]) / (h * h)
@@ -493,10 +522,11 @@ def fixed_constrained_rb(sc: ScenarioConfig, r_e_fixed: float) -> tuple[float, s
     expression that still holds r_b on both sides.  Its unwrapped residual
     (1 - T) - (r_b - r_e) T', with the surrogate reliability outage T and
     its slope, holds for any number of beams n_a.  It is sign-scanned in
-    one array call and bisected, six levels per array call, where it turns
-    from positive to negative; the root with the highest throughput factor
-    (r_b - r_e)(1 - T) wins, and :func:`grid_refine_maximize` of that
-    factor over the scan's interval stands in where the scan finds none.
+    one array call and bisected, six levels per array call, in every cell
+    where it turns from positive to negative at once; the root with the
+    highest throughput factor (r_b - r_e)(1 - T) wins, and
+    :func:`grid_refine_maximize` of that factor over the scan's interval
+    stands in where the scan finds none.
 
     The scan runs upward from 1e-6 u above ``r_e_fixed`` to the higher of
     ``r_e_fixed`` + 25 u and C_b + 10 u, so the rate returned lies above
@@ -519,8 +549,8 @@ def fixed_constrained_rb(sc: ScenarioConfig, r_e_fixed: float) -> tuple[float, s
 
     xs = _scan_nodes(lo, hi, GRID_POINTS)
     roots = _scan_roots(resid, xs, resid(np.array(xs)), _RATE_TOL * u, falling_only=True)
-    if roots:
-        return max(roots, key=bob_factor), "lambert_w"
+    if roots:  # a lone root is not ranked
+        return (roots[0] if len(roots) == 1 else max(roots, key=bob_factor)), "lambert_w"
     return grid_refine_maximize(bob_factor, (lo, hi)).rates.r_b, "grid_oracle"
 
 

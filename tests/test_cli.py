@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fso_secrecy import cli, montecarlo, optimize, secrecy
+from fso_secrecy import channel, cli, montecarlo, optimize, secrecy
 from fso_secrecy.channel import eve_link
 from fso_secrecy.cli import ConfigError, scenario_from_dict
 from fso_secrecy.secrecy import RatePair, SecrecyConstraint
@@ -419,6 +419,16 @@ def test_sweep_grid_computes_each_outage_once(tmp_path, monkeypatch):
     assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
 
 
+def _run_figure_sweeps(tmp_path, monkeypatch):
+    """One ``scripts/figure_sweeps.py`` pass, writing into ``tmp_path``."""
+    script = SRC.parent / "scripts" / "figure_sweeps.py"
+    spec = importlib.util.spec_from_file_location("figure_sweeps", script)
+    sweeps = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweeps)
+    monkeypatch.setattr(sys, "argv", [str(script), "--outdir", str(tmp_path)])
+    assert sweeps.main() == 0
+
+
 def test_figure_sweeps_ask_each_exact_outage_once(tmp_path, monkeypatch):
     # The four est_vs_re files of scripts/figure_sweeps.py ask the exact sop
     # of the baseline link at the same 120 rates: one memo miss and three
@@ -427,12 +437,7 @@ def test_figure_sweeps_ask_each_exact_outage_once(tmp_path, monkeypatch):
     memo = cli._distinct_outages
     keys = []
     monkeypatch.setattr(cli, "_distinct_outages", lambda *a: keys.append(a) or memo(*a))
-    script = SRC.parent / "scripts" / "figure_sweeps.py"
-    spec = importlib.util.spec_from_file_location("figure_sweeps", script)
-    sweeps = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweeps)
-    monkeypatch.setattr(sys, "argv", [str(script), "--outdir", str(tmp_path)])
-    assert sweeps.main() == 0
+    _run_figure_sweeps(tmp_path, monkeypatch)
     info = memo.cache_info()
     assert info.misses == len(set(keys))
     assert info.hits + info.misses == len(keys)
@@ -443,6 +448,31 @@ def test_figure_sweeps_ask_each_exact_outage_once(tmp_path, monkeypatch):
     for key in repeated:
         got, want = np.array(memo(*key)), np.array(memo.__wrapped__(*key))
         assert got.tobytes() == want.tobytes(), key[0].__name__
+
+
+def test_figure_sweeps_stay_within_their_surrogate_call_budget(tmp_path, monkeypatch):
+    # The solvers walk every cell of a scan in the same residual calls, rank
+    # no lone root, and take each candidate's stencils in one call per curve:
+    # a figure pass makes at most 913 surrogate kernel calls (1,189 when each
+    # cell and stencil took calls of its own), and its exact outages stay at
+    # 23 secrecy and 17 reliability array calls.
+    calls = {}
+    for module, name in (
+        (channel, "ggp_cdf_approx"),
+        (secrecy, "sop"),
+        (secrecy, "reliability_outage"),
+    ):
+        kernel = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, _kernel=kernel, _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    _run_figure_sweeps(tmp_path, monkeypatch)
+    assert calls["ggp_cdf_approx"] <= 913
+    assert (calls["sop"], calls["reliability_outage"]) == (23, 17)
 
 
 def test_sweep_ceiling_axis_monotone(tmp_path):

@@ -430,7 +430,7 @@ def test_throughput_stencil_equals_the_pointwise_objective(sigma_s, re, rb, h):
     # a negative r_e and r_e >= r_b cells)
     sc = baseline_scenario(sigma_s=sigma_s)
     unconstrained = SecrecyConstraint(1.0)
-    got = optimize._throughput_stencil(sc, re, rb, h)
+    got = optimize._throughput_stencil(sc, re, rb, np.array([-h, 0.0, h]))
     for i, x in enumerate((re - h, re, re + h)):
         for j, y in enumerate((rb - h, rb, rb + h)):
             want = 0.0
@@ -441,9 +441,11 @@ def test_throughput_stencil_equals_the_pointwise_objective(sigma_s, re, rb, h):
 
 def test_stencil_checks_return_python_bools(baseline):
     o = fixed_unconstrained_pair(baseline)
+    u = optimize._rate_scale(bob_link(baseline))
+    f = optimize._stationary_stencil(baseline, o.rates.r_e, o.rates.r_b)
     checks = (
-        optimize._is_interior_stationary(baseline, o.rates.r_e, o.rates.r_b),
-        optimize._hessian_negative_definite(baseline, o.rates.r_e, o.rates.r_b),
+        optimize._is_stationary(f, u),
+        optimize._is_negative_definite(f, u),
         o.hessian_ok,
     )
     assert checks == (True, True, True)
@@ -458,14 +460,14 @@ def test_fixed_pair_scan_passes_the_saturated_reliability_cell(baseline, monkeyp
     bob, n_a = bob_link(baseline), baseline.nodes.n_a
     assert reliability_outage_approx(bob, n_a, 11.76) == (1.0, 0.0)
     checked = []
-    stationary = optimize._is_interior_stationary
+    stationary = optimize._stationary_stencil
 
     def spy(sc, re, rb):
-        ok = stationary(sc, re, rb)
-        checked.append((re, rb, ok))
-        return ok
+        f = stationary(sc, re, rb)
+        checked.append((re, rb, f is not None))
+        return f
 
-    monkeypatch.setattr(optimize, "_is_interior_stationary", spy)
+    monkeypatch.setattr(optimize, "_stationary_stencil", spy)
     o = fixed_unconstrained_pair(baseline)
     assert [(re, rb) for re, rb, ok in checked if ok] == [(o.rates.r_e, o.rates.r_b)]
     assert any(11.7 < rb < 11.8 and not ok for _, rb, ok in checked)
@@ -821,21 +823,23 @@ def solver_scans():
     Returns {sigma_s: (scans, cells)}, with scans as (g, xs, gs) and cells
     as (g, lo, hi, g_lo, tol, root) of each distinct call.
     """
-    scan, bisect = optimize._scan_roots, optimize._bisect_root
+    scan, bisect = optimize._scan_roots, optimize._bisect_roots
     found = {}
 
     def recorded_scan(g, xs, gs, tol, falling_only=False):
         found[sigma_s][0].setdefault((g.__qualname__, gs.tobytes()), (g, xs, gs))
         return scan(g, xs, gs, tol, falling_only)
 
-    def recorded_bisect(g, lo, hi, g_lo, tol, iters=200):
-        root = bisect(g, lo, hi, g_lo, tol, iters)
-        found[sigma_s][1].setdefault((g.__qualname__, lo, hi, g_lo), (g, lo, hi, g_lo, tol, root))
-        return root
+    def recorded_bisect(g, cells, tol, iters=200):
+        roots = bisect(g, cells, tol, iters)
+        for (lo, hi, g_lo), root in zip(cells, roots):
+            key = (g.__qualname__, lo, hi, g_lo)
+            found[sigma_s][1].setdefault(key, (g, lo, hi, g_lo, tol, root))
+        return roots
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize, "_scan_roots", recorded_scan)
-        mp.setattr(optimize, "_bisect_root", recorded_bisect)
+        mp.setattr(optimize, "_bisect_roots", recorded_bisect)
         for sigma_s in (0.0, 0.5, 2.0):
             found[sigma_s] = ({}, {})
             for n in (1, 2, 4):
@@ -878,14 +882,43 @@ def test_batched_bisection_evaluates_only_the_levels_it_walks(solver_scans, sigm
         oracles.bisect_root(lambda r: scalar.append(r) or float(g(r)), lo, hi, tol)
         left = len(scalar) - 1  # the first call is g(lo)
         calls_at_six_levels = -(-left // 6)
-        got = optimize._bisect_root(lambda x: sizes.append(x.size) or g(x), lo, hi, g_lo, tol)
-        assert got == root, g.__qualname__
+        got = optimize._bisect_roots(lambda x: sizes.append(x.size) or g(x), [(lo, hi, g_lo)], tol)
+        assert got == [root], g.__qualname__
         assert len(sizes) <= calls_at_six_levels, g.__qualname__
         for size in sizes:
             depth = size.bit_length()
             assert size == 2**depth - 1 and depth <= min(6, left), g.__qualname__
             left -= depth
         assert left == 0, g.__qualname__
+
+
+def test_shared_walk_bisects_both_cells_of_the_baseline_pair_scan(baseline, monkeypatch):
+    # The pair's scan crosses at the optimum and in the saturated reliability
+    # cell near r_b = 11.76.  Walked together, each root is the scalar
+    # bisection's, the calls evaluate the midpoints of the two one-cell walks,
+    # and there are no more of them than the deeper cell takes alone.
+    scans, scan = [], optimize._scan_roots
+
+    def recorded_scan(g, xs, gs, tol, falling_only=False):
+        scans.append((g, xs, gs, tol))
+        return scan(g, xs, gs, tol, falling_only)
+
+    monkeypatch.setattr(optimize, "_scan_roots", recorded_scan)
+    fixed_unconstrained_pair(baseline)
+    ((g, xs, gs, tol),) = scans
+    pos = gs > 0.0
+    cells = [(xs[i], xs[i + 1], gs[i]) for i in np.flatnonzero(pos[:-1] != pos[1:])]
+    assert len(cells) == 2 and 11.7 < cells[1][0] < 11.8
+    shared, alone = [], []
+    roots = optimize._bisect_roots(lambda x: shared.append(x.size) or g(x), cells, tol)
+    for (lo, hi, g_lo), root in zip(cells, roots):
+        assert root == oracles.bisect_root(lambda r: float(g(r)), lo, hi, tol)
+        sizes = []
+        got = optimize._bisect_roots(lambda x: sizes.append(x.size) or g(x), [(lo, hi, g_lo)], tol)
+        assert got == [root]
+        alone.append(sizes)
+    assert len(shared) <= max(map(len, alone))
+    assert sum(shared) == sum(map(sum, alone))
 
 
 @pytest.mark.parametrize("falling_only", [False, True])
@@ -896,11 +929,11 @@ def test_scan_roots_bisects_the_cells_of_the_scalar_sign_test(monkeypatch, falli
     gs = np.array([1.0, np.nan, -1.0, 2.0, 0.0, np.nan, 3.0])
     cells = []
 
-    def bisect(g, lo, hi, g_lo, tol, iters=200):
-        cells.append((lo, hi, g_lo))
-        return lo
+    def bisect(g, cells_, tol, iters=200):
+        cells.extend(cells_)
+        return [lo for lo, _, _ in cells_]
 
-    monkeypatch.setattr(optimize, "_bisect_root", bisect)
+    monkeypatch.setattr(optimize, "_bisect_roots", bisect)
     optimize._scan_roots(None, xs, gs, 1e-9, falling_only)
     want = []
     for i in range(1, len(xs)):
@@ -932,8 +965,8 @@ def _nan_inside(x):
 )
 def test_batched_bisection_equals_the_scalar_one_on_edge_cases(g, lo, hi, tol, iters):
     g_lo = g(np.array([lo]))[0]
-    got = optimize._bisect_root(g, lo, hi, g_lo, tol, iters)
-    assert got == oracles.bisect_root(lambda r: float(g(r)), lo, hi, tol, iters)
+    got = optimize._bisect_roots(g, [(lo, hi, g_lo)], tol, iters)
+    assert got == [oracles.bisect_root(lambda r: float(g(r)), lo, hi, tol, iters)]
 
 
 def test_batched_bisection_makes_few_array_calls():
@@ -949,8 +982,8 @@ def test_batched_bisection_makes_few_array_calls():
         scalar.append(x)
         return 0.123 - x
 
-    root = optimize._bisect_root(g, 0.1, 0.15, 0.023, 1e-9)
-    assert root == oracles.bisect_root(g_scalar, 0.1, 0.15, 1e-9)
+    roots = optimize._bisect_roots(g, [(0.1, 0.15, 0.023)], 1e-9)
+    assert roots == [oracles.bisect_root(g_scalar, 0.1, 0.15, 1e-9)]
     assert len(batched) <= 5
     assert len(scalar) >= 26
 
