@@ -30,6 +30,14 @@ script runs:
   ``--sth 0.4`` (``opt_oracle_missed_band.json``) the codeword rate passes
   800, and the oracle's 160-node grid, about 5 bits a step, finds no
   positive throughput, so ``oracle.covers`` reads false;
+- two closed-form ``optimize --scheme adaptive`` runs on the rarer paths
+  of the adaptive solver.  At ``--cb 0.5 --sth 1.0`` on
+  ``opt_adaptive_two_roots.json``'s scenario the slope scan finds two
+  roots, which the surrogate throughput ranks.  At ``--cb 2.98 --sth
+  0.656`` on the scenario of
+  ``test_adaptive_optimal_rescans_the_first_cell_before_the_grid`` the
+  whole rise of the throughput lies in the scan's first cell, so the solver
+  scans that cell alone;
 - closed-form ``optimize`` runs at ``sigma_s`` 0.5 and at ``sigma_s`` 0,
   three at each: ``--scheme fixed`` (the unconstrained pair), ``--scheme
   fixed --sth 0.4`` (the constrained codeword rate) and ``--scheme adaptive
@@ -104,8 +112,9 @@ SOLVER_PATHS = (
 )
 
 # (output name, config, scheme arguments) of the weak-link optimize runs, of
-# the fixed-scheme runs far from the baseline, and of each solver path at
-# sigma_s 0.5 and 0.
+# the fixed-scheme runs far from the baseline, of the adaptive runs that rank
+# two roots and rescan the first cell, and of each solver path at sigma_s 0.5
+# and 0.
 CONFIG_RUNS = (
     ("opt_weak_fixed.json", {"gamma0": 0.1}, ["--scheme", "fixed"]),
     ("opt_weak_adaptive.json", {"gamma0": 1e-3}, ["--scheme", "adaptive", "--cb", "4"]),
@@ -123,6 +132,18 @@ CONFIG_RUNS = (
         ["--scheme", "fixed", "--sth", "0.426"],
     ),
     ("opt_oracle_missed_band.json", {"gamma0": 1e250}, ["--scheme", "fixed", "--sth", "0.4"]),
+    (
+        "opt_adaptive_two_roots.json",
+        {"sigma_s": 0, "n_a": 1, "n_b": 3, "n_e": 4, "cn2": 1.4607508285692493e-15,
+         "d_b": 2902.842563086293, "d_e": 2252.7318414869633, "gamma0": 1424.0941040463003},
+        ["--scheme", "adaptive", "--cb", "0.5", "--sth", "1.0"],
+    ),
+    (
+        "opt_adaptive_rescan.json",
+        {"sigma_s": 0.0, "n_a": 2, "n_b": 3, "n_e": 1, "cn2": 3.18e-16, "d_b": 2206, "d_e": 836,
+         "gamma0": 0.0365},
+        ["--scheme", "adaptive", "--cb", "2.98", "--sth", "0.656"],
+    ),
     *(
         (f"opt_sigma{tag}_{path}.json", {"sigma_s": sigma_s}, scheme)
         for tag, sigma_s in (("0.5", 0.5), ("0", 0))

@@ -13,6 +13,11 @@ Four subcommands, all emitting machine-readable output (JSON or CSV, UTF-8,
               PASS/FAIL/INCONCLUSIVE line per check; deterministic bytes for
               a fixed seed.
 
+Each subcommand takes only the flags it reads: all take ``--config`` and
+``--out``, all but ``params`` ``--trials``, ``--seed``, ``--stream-count``
+and ``--jobs``, ``sweep`` and ``optimize`` ``--scheme``, ``--sth`` and
+``--cb``.  Any other flag is a malformed command line.
+
 Exit codes: 0 success, 1 configuration error (a malformed command line
 included), 2 solver failure, 3 validation failure.
 
@@ -98,6 +103,27 @@ _AXIS_DOMAINS = {
         "must be finite and non-negative on the sigma_s axis",
     ),
 }
+
+
+def _flag_domains(axis: str | None) -> list[tuple]:
+    """(flag, membership test, message) of each checked flag, in the order
+    they are checked; ``--min`` and ``--max``, taken only with an axis, take
+    the axis's domain."""
+    bounds = _AXIS_DOMAINS.get(axis, (None, None))
+    return [
+        ("sth", lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+        # A realized capacity of zero leaves the adaptive optimum undefined.
+        ("cb", lambda v: 0.0 < v < RATE_LIMIT, f"must lie in (0, {RATE_LIMIT:g})"),
+        ("re", *_RATE_DOMAIN),
+        ("rb", *_RATE_DOMAIN),
+        ("min", *bounds),
+        ("max", *bounds),
+        ("trials", lambda v: v >= 1, "must be at least 1"),
+        ("stream-count", lambda v: v >= 1, "must be at least 1"),
+        ("jobs", lambda v: v >= 1, "must be at least 1"),
+        ("seed", lambda v: v >= 0, "must be non-negative"),
+    ]
+
 
 # Halfwidths wider than this carry no evidential weight either way.
 _INCONCLUSIVE_CI = 0.05
@@ -647,22 +673,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    # Each subcommand takes only the flags its handler reads.
+    def io_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON scenario config; defaults apply if omitted")
         p.add_argument("--out", help="output path (default: stdout)")
+
+    def mc_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--trials", type=int, default=1_000_000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--stream-count", type=int, default=16, dest="stream_count")
         p.add_argument("--jobs", type=int, default=1, help="worker threads for simulation")
+
+    def solver_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scheme", choices=("adaptive", "fixed"), default="fixed")
         p.add_argument("--sth", type=float, default=None, help="secrecy-outage ceiling")
         p.add_argument("--cb", type=float, default=4.0, help="realized capacity (adaptive)")
 
-    p_params = sub.add_parser("params", help="derived channel parameters as JSON")
-    common(p_params)
+    io_flags(sub.add_parser("params", help="derived channel parameters as JSON"))
 
     p_sweep = sub.add_parser("sweep", help="throughput sweep as CSV")
-    common(p_sweep)
+    for flags in (io_flags, mc_flags, solver_flags):
+        flags(p_sweep)
     p_sweep.add_argument(
         "--axis",
         choices=("r_e", "r_b", "r_e_x_r_b", "s_th", "n", "sigma_s"),
@@ -676,11 +707,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--mc", action="store_true", help="add Monte-Carlo columns")
 
     p_opt = sub.add_parser("optimize", help="solver run as JSON")
-    common(p_opt)
+    for flags in (io_flags, mc_flags, solver_flags):
+        flags(p_opt)
     p_opt.set_defaults(cb=None)
 
     p_val = sub.add_parser("validate", help="closed-form vs Monte-Carlo report")
-    common(p_val)
+    io_flags(p_val)
+    mc_flags(p_val)
     return parser
 
 
@@ -688,27 +721,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         sc = _load_scenario(args.config)
-        if args.sth is not None and not 0.0 < args.sth <= 1.0:
-            raise ConfigError("sth: must lie in (0, 1]")
-        # A realized capacity of zero leaves the adaptive optimum undefined.
-        if args.cb is not None and not 0.0 < args.cb < RATE_LIMIT:
-            raise ConfigError(f"cb: must lie in (0, {RATE_LIMIT:g})")
-        checks = [("re", _RATE_DOMAIN), ("rb", _RATE_DOMAIN)]
-        axis = getattr(args, "axis", None)
-        if axis in _AXIS_DOMAINS:
-            checks += [("min", _AXIS_DOMAINS[axis]), ("max", _AXIS_DOMAINS[axis])]
-        for name, (inside, domain) in checks:
-            val = getattr(args, name, None)
+        for flag, inside, domain in _flag_domains(getattr(args, "axis", None)):
+            # None: unset, or a flag the subcommand does not take.
+            val = getattr(args, flag.replace("-", "_"), None)
             if val is not None and not inside(val):
-                raise ConfigError(f"{name}: {domain}")
-        if args.trials < 1:
-            raise ConfigError("trials: must be at least 1")
-        if args.stream_count < 1:
-            raise ConfigError("stream-count: must be at least 1")
-        if args.jobs < 1:
-            raise ConfigError("jobs: must be at least 1")
-        if args.seed < 0:
-            raise ConfigError("seed: must be non-negative")
+                raise ConfigError(f"{flag}: {domain}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -50,10 +50,11 @@ rows.
 
 All solvers evaluate and report on the gamma-surrogate surface they are
 derived on, :func:`fso_secrecy.secrecy.est_from_outages` of the surrogate
-outages; the exact-kernel value of a returned optimum is
-:func:`fso_secrecy.secrecy.est_fixed` / ``est_adaptive`` at its rates.  Every
-curvature stencil takes its throughput from one ``est_from_outages`` call
-on its outage arrays, and the optimum's throughput from its centre.  The
+outages, formed in one place per scheme (``_fixed_est``, ``_adaptive_est``)
+from one array call per outage; the exact-kernel value of a returned optimum
+is :func:`fso_secrecy.secrecy.est_fixed` / ``est_adaptive`` at its rates.
+Every curvature stencil is one such call, and the optimum's throughput its
+centre.  The
 fixed pair takes the redundancy rates of all its roots in one call, and
 each interior root's stationarity and Hessian stencils in one call per
 outage.  :func:`grid_refine_maximize` is the one grid search:
@@ -67,7 +68,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import special as _sp
@@ -144,7 +145,8 @@ class Optimum:
 
 
 # ---------------------------------------------------------------------------
-# generic search helpers (deterministic, first-index tie-breaking)
+# generic search helpers (deterministic, first-index tie-breaking), and each
+# scheme's surrogate throughput
 # ---------------------------------------------------------------------------
 
 
@@ -225,6 +227,22 @@ def _scan_roots(g, xs: list[float], gs, tol: float, falling_only: bool = False) 
     pos = gs > 0.0
     crossed = pos[:-1] & (gs[1:] <= 0.0) if falling_only else pos[:-1] != pos[1:]
     return _bisect_roots(g, [(xs[i], xs[i + 1], gs[i]) for i in np.flatnonzero(crossed)], tol)
+
+
+def _fixed_est(eve: LinkParams, bob: LinkParams, n_a: int, r_e, r_b, constraint):
+    """The fixed scheme's surrogate throughput at rates that broadcast (a
+    column of r_e against a row of r_b, say); 0 outside 0 <= r_e < r_b."""
+    # Negative rates' cells are 0 whatever they map to; a rate past the top takes its outage.
+    s = sop_approx(eve, np.clip(r_e, 0.0, _RATE_TOP))[0]
+    t = reliability_outage_approx(bob, n_a, np.clip(r_b, 0.0, _RATE_TOP))[0]
+    est = est_from_outages(r_b - r_e, t, s, constraint).est
+    return np.where((0.0 <= r_e) & (r_e < r_b), est, 0.0)
+
+
+def _adaptive_est(eve: LinkParams, c_b: float, r_e, constraint):
+    """The adaptive scheme's surrogate throughput at capacity ``c_b``, at a
+    rate or an array of rates."""
+    return est_from_outages(c_b - r_e, 0.0, sop_approx(eve, r_e)[0], constraint).est
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +337,8 @@ def adaptive_unconstrained_re(sc: ScenarioConfig, c_b: float) -> tuple[float, st
     eve = eve_link(sc)
     u_e = _rate_scale(eve)
 
-    def psi(r: float) -> float:
-        return est_from_outages(c_b - r, 0.0, sop_approx(eve, r)[0], _UNCONSTRAINED).est
-
     def slope(r):
-        # psi's derivative, on a float or an array of rates.
+        # The throughput's derivative, on a float or an array of rates.
         s, ds = sop_approx(eve, r)
         return -(1.0 - s) - (c_b - r) * ds
 
@@ -340,7 +355,8 @@ def adaptive_unconstrained_re(sc: ScenarioConfig, c_b: float) -> tuple[float, st
         xs = _scan_nodes(lo, xs[1], GRID_POINTS)
         roots = _scan_roots(slope, xs, slope(np.array(xs)), _RATE_TOL * u_e, falling_only=True)
     if roots:  # a lone root is not ranked
-        return (roots[0] if len(roots) == 1 else max(roots, key=psi)), "fixed_point"
+        key = partial(_adaptive_est, eve, c_b, constraint=_UNCONSTRAINED)
+        return (roots[0] if len(roots) == 1 else max(roots, key=key)), "fixed_point"
     return adaptive_grid_oracle(sc, c_b, 1.0).rates.r_e, "grid_oracle"
 
 
@@ -369,7 +385,7 @@ def adaptive_optimal(sc: ScenarioConfig, c_b: float, s_th: float) -> Optimum:
     h = 1e-4 * u
     stencil = feasible and 0.0 < r_e - h and r_e + h < c_b and not constraint_active
     rs = np.array([r_e - h, r_e, r_e + h]) if stencil else r_e
-    psi = est_from_outages(c_b - rs, 0.0, sop_approx(eve_link(sc), rs)[0], constraint).est
+    psi = _adaptive_est(eve_link(sc), c_b, rs, constraint)
     est = float(psi[1]) if stencil else psi
     hessian_ok = stencil and est > 0.0 and _curves_down(psi, u)
     return Optimum(
@@ -447,7 +463,8 @@ def fixed_unconstrained_pair(sc: ScenarioConfig) -> Optimum:
 
     if not candidates:
         o = fixed_grid_oracle(sc, 1.0, hi)
-        f = _throughput_stencil(sc, o.rates.r_e, o.rates.r_b, _STENCIL * u)
+        d = _STENCIL * u
+        f = _fixed_est(eve, bob, n_a, o.rates.r_e + d[:, None], o.rates.r_b + d, _UNCONSTRAINED)
         candidates.append((o.est, o.rates.r_e, o.rates.r_b, "grid_oracle", f))
 
     est, re, rb, method, f = max(candidates, key=lambda c: c[0])
@@ -458,19 +475,6 @@ def fixed_unconstrained_pair(sc: ScenarioConfig) -> Optimum:
         hessian_ok=_is_negative_definite(f, u),
         constraint_active=False,
     )
-
-
-def _throughput_stencil(sc: ScenarioConfig, re: float, rb: float, d: np.ndarray) -> np.ndarray:
-    """``fixed_unconstrained_pair``'s objective at (re + d[i], rb + d[j]) as
-    [i, j] for the offsets ``d``; 0 outside 0 <= r_e < r_b.  It is
-    separable, so one array call per outage and one ``est_from_outages``
-    call give all the values."""
-    res, rbs = re + d[:, None], rb + d
-    # Negative rates' cells are 0 whatever they map to; a rate past the top takes its outage.
-    s = sop_approx(eve_link(sc), np.clip(res, 0.0, _RATE_TOP))[0]
-    t = reliability_outage_approx(bob_link(sc), sc.nodes.n_a, np.clip(rbs, 0.0, _RATE_TOP))[0]
-    est = est_from_outages(rbs - res, t, s, _UNCONSTRAINED).est
-    return np.where((0.0 <= res) & (res < rbs), est, 0.0)
 
 
 # The stencil checks step h u and difference the objective over u, which
@@ -484,10 +488,12 @@ _STENCIL = np.array([-_HESSIAN_STEP, -1e-5, 0.0, 1e-5, _HESSIAN_STEP])
 def _stationary_stencil(sc: ScenarioConfig, re: float, rb: float) -> np.ndarray | None:
     """The throughput on the ``_STENCIL`` at (re, rb), if that pair is an
     interior stationary point; else None."""
-    u = _rate_scale(bob_link(sc))
+    bob = bob_link(sc)
+    u = _rate_scale(bob)
     if not (re > 1e-8 * u and rb > re + 1e-8 * u and rb < _RATE_TOP - 1e-6 * u):
         return None
-    f = _throughput_stencil(sc, re, rb, _STENCIL * u)
+    d = _STENCIL * u
+    f = _fixed_est(eve_link(sc), bob, sc.nodes.n_a, re + d[:, None], rb + d, _UNCONSTRAINED)
     return f if _is_stationary(f, u) else None
 
 
@@ -572,10 +578,8 @@ def fixed_optimal(sc: ScenarioConfig, s_th: float) -> Optimum:
     bob = bob_link(sc)
     u = _rate_scale(bob)
     rbs = np.array([rb - 1e-4 * u, rb, rb + 1e-4 * u])
-    t = reliability_outage_approx(bob, sc.nodes.n_a, np.clip(rbs, 0.0, _RATE_TOP))[0]
-    s = sop_approx(eve_link(sc), re_t)[0]
     # The throughput along r_b, the optimum's at the middle: rb >= re_t.
-    f_rb = est_from_outages(np.maximum(rbs - re_t, 0.0), t, s, constraint).est
+    f_rb = _fixed_est(eve_link(sc), bob, sc.nodes.n_a, re_t, rbs, constraint)
     return Optimum(
         rates=RatePair(r_b=rb, r_e=re_t),
         est=float(f_rb[1]),
@@ -655,13 +659,7 @@ def fixed_grid_oracle(
     broadcasting.
     """
     eve, bob, n_a = eve_link(sc), bob_link(sc), sc.nodes.n_a
-    constraint = SecrecyConstraint(s_th)
-
-    def throughput(r_e, r_b):
-        s = sop_approx(eve, r_e)[0]
-        t = reliability_outage_approx(bob, n_a, r_b)[0]
-        return np.where(r_e < r_b, est_from_outages(r_b - r_e, t, s, constraint).est, 0.0)
-
+    throughput = partial(_fixed_est, eve, bob, n_a, constraint=SecrecyConstraint(s_th))
     hi = min(hi, _RATE_TOP)
     return grid_refine_maximize(throughput, ((0.0, hi), (FIXED_ORACLE_RB_MIN, hi)), grid_points)
 
@@ -673,9 +671,5 @@ def adaptive_grid_oracle(sc: ScenarioConfig, c_b: float, s_th: float) -> Optimum
     SecrecyConstraint(s_th)).est`` of the surrogate outage S over r_e in
     [0, c_b], ``GRID_POINTS`` nodes, one array call per level.
     """
-    eve, constraint = eve_link(sc), SecrecyConstraint(s_th)
-
-    def throughput(r_e):
-        return est_from_outages(c_b - r_e, 0.0, sop_approx(eve, r_e)[0], constraint).est
-
+    throughput = partial(_adaptive_est, eve_link(sc), c_b, constraint=SecrecyConstraint(s_th))
     return grid_refine_maximize(throughput, (0.0, c_b))

@@ -15,10 +15,11 @@ pieces the stack does *not* ship in usable form are built here:
   acceptance criterion 7;
 * ``hyp1f2_reg`` -- the regularized hypergeometric series 1F2, summed
   forward with compensated (Kahan) accumulation and reciprocal-gamma pole
-  handling.  The paper writes its fading CDFs as sums of these series; the
-  package evaluates those CDFs by conditioning instead (see
-  :mod:`fso_secrecy.channel`), and the series serves the tests that check
-  the paper's expansions against that kernel;
+  handling to the fixed relative tolerance ``_REL_TOL`` (1e-12) within
+  ``_MAX_TERMS`` (10,000) terms.  The paper writes its fading CDFs as sums
+  of these series; the package evaluates those CDFs by conditioning instead
+  (see :mod:`fso_secrecy.channel`), and the series serves the tests that
+  check the paper's expansions against that kernel;
 * ``lambert_w`` -- both real branches of the Lambert W function via Halley
   iteration with branch-point seeding.  The package's solvers do not call
   it: they bisect the residual behind the paper's Lambert-W form of the
@@ -29,12 +30,10 @@ pieces the stack does *not* ship in usable form are built here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy import special as _sp
 
 __all__ = [
-    "EvalOptions",
     "ConvergenceError",
     "erf",
     "gamma_upper",
@@ -53,26 +52,10 @@ class ConvergenceError(RuntimeError):
     """A series or iteration hit its cap before meeting its tolerance."""
 
 
-@dataclass(frozen=True)
-class EvalOptions:
-    """Tolerances for iterative evaluations.
-
-    ``rel_tol`` is the relative stopping tolerance of series summation and
-    root polishing; ``max_terms`` caps the number of series terms before the
-    evaluation is declared non-convergent.
-    """
-
-    rel_tol: float = 1e-12
-    max_terms: int = 10_000
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-
-_DEFAULT_OPTS = EvalOptions()
+# The series' relative stopping tolerance, and its cap on terms before it is
+# declared non-convergent.
+_REL_TOL = 1e-12
+_MAX_TERMS = 10_000
 
 
 def erf(x: float) -> float:
@@ -159,16 +142,13 @@ def _is_pole(x: float) -> bool:
     return n <= 0 and abs(x - n) < 1e-9
 
 
-def hyp1f2_reg_cond(
-    a: float, b: float, c: float, z: float, opts: EvalOptions | None = None
-) -> tuple[float, float]:
+def hyp1f2_reg_cond(a: float, b: float, c: float, z: float) -> tuple[float, float]:
     """As :func:`hyp1f2_reg`, but also return the sum of absolute terms.
 
     The second value bounds the rounding noise of the summation: the
     absolute error of the result is roughly machine epsilon times it.  It
-    does not include the truncation error, which ``opts.rel_tol`` sets.
+    does not include the truncation error, which ``_REL_TOL`` sets.
     """
-    opts = opts or _DEFAULT_OPTS
     pole_path = _is_pole(b) or _is_pole(c)
 
     total = 0.0
@@ -181,7 +161,7 @@ def hyp1f2_reg_cond(
         poch_over_fact = 1.0
         zn = 1.0
         seen_nonzero = False
-        for n in range(opts.max_terms):
+        for n in range(_MAX_TERMS):
             term = poch_over_fact * zn * _recip_gamma(b + n) * _recip_gamma(c + n)
             y = term - comp
             t = total + y
@@ -193,7 +173,7 @@ def hyp1f2_reg_cond(
             # must not trip the convergence counter.
             if term != 0.0:
                 seen_nonzero = True
-            if seen_nonzero and abs(term) <= opts.rel_tol * max(abs(total), 1e-300):
+            if seen_nonzero and abs(term) <= _REL_TOL * max(abs(total), 1e-300):
                 small_streak += 1
                 if small_streak >= 3 and n >= 2:
                     return total, abs_total
@@ -202,17 +182,17 @@ def hyp1f2_reg_cond(
             poch_over_fact *= (a + n) / (n + 1.0)
             zn *= z
         raise ConvergenceError(
-            f"hyp1f2_reg({a}, {b}, {c}, {z}) did not converge in {opts.max_terms} terms"
+            f"hyp1f2_reg({a}, {b}, {c}, {z}) did not converge in {_MAX_TERMS} terms"
         )
 
     term = _recip_gamma(b) * _recip_gamma(c)
-    for n in range(opts.max_terms):
+    for n in range(_MAX_TERMS):
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
         abs_total += abs(term)
-        if abs(term) <= opts.rel_tol * max(abs(total), 1e-300):
+        if abs(term) <= _REL_TOL * max(abs(total), 1e-300):
             small_streak += 1
             if small_streak >= 3 and n >= 2:
                 return total, abs_total
@@ -220,23 +200,23 @@ def hyp1f2_reg_cond(
             small_streak = 0
         term *= (a + n) * z / ((n + 1.0) * (b + n) * (c + n))
     raise ConvergenceError(
-        f"hyp1f2_reg({a}, {b}, {c}, {z}) did not converge in {opts.max_terms} terms"
+        f"hyp1f2_reg({a}, {b}, {c}, {z}) did not converge in {_MAX_TERMS} terms"
     )
 
 
-def hyp1f2_reg(a: float, b: float, c: float, z: float, opts: EvalOptions | None = None) -> float:
+def hyp1f2_reg(a: float, b: float, c: float, z: float) -> float:
     """Regularized hypergeometric series 1F2(a; b, c; z) / (gamma(b) gamma(c)).
 
     Forward power series with Kahan-compensated accumulation.  The
     regularized convention is honored at non-positive-integer ``b`` or ``c``:
     reciprocal gamma factors evaluate to exactly zero there, so leading terms
     drop out and the series resumes once the shifted argument leaves the
-    poles.  Raises :class:`ConvergenceError` if ``opts.max_terms`` is reached
+    poles.  Raises :class:`ConvergenceError` if ``_MAX_TERMS`` terms pass
     before the stopping rule fires.  The terms grow until n is about
     ``sqrt(abs(z))``, and the rounding noise of the sum grows with the
     largest of them.
     """
-    return hyp1f2_reg_cond(a, b, c, z, opts)[0]
+    return hyp1f2_reg_cond(a, b, c, z)[0]
 
 
 def lambert_w(branch: str, x: float) -> float:

@@ -4,6 +4,7 @@ Every test drives ``cli.main`` exactly as a shell user would, with ``--out``
 pointed at a temp file, and parses the emitted JSON/CSV back.
 """
 
+import argparse
 import csv
 import importlib.util
 import json
@@ -121,6 +122,57 @@ def test_flag_validation_exits_1(tmp_path, capsys):
     for flag, value in (("--stream-count", "0"), ("--jobs", "0"), ("--jobs", "-2")):
         assert cli.main(["validate", "--trials", "100", flag, value]) == 1
         assert capsys.readouterr().err == f"error: {flag[2:]}: must be at least 1\n"
+
+
+# Each subcommand's flags besides --help, as its handler reads them.
+_SUBCOMMAND_FLAGS = {
+    "params": {"config", "out"},
+    "validate": {"config", "out", "trials", "seed", "stream_count", "jobs"},
+    "optimize": {"config", "out", "trials", "seed", "stream_count", "jobs", "scheme", "sth", "cb"},
+    "sweep": {
+        "config", "out", "trials", "seed", "stream_count", "jobs", "scheme", "sth", "cb",
+        "axis", "min", "max", "steps", "re", "rb", "mc",
+    },
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    (subparsers,) = [
+        action for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    flags = {
+        name: {action.dest for action in parser._actions if action.dest != "help"}
+        for name, parser in subparsers.choices.items()
+    }
+    assert flags == _SUBCOMMAND_FLAGS
+    assert sum(map(len, flags.values())) == 33
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["params", "--trials", "100"],
+        ["params", "--seed", "1"],
+        ["params", "--stream-count", "4"],
+        ["params", "--jobs", "2"],
+        ["params", "--scheme", "adaptive"],
+        ["params", "--sth", "0.2"],
+        ["params", "--cb", "3"],
+        ["validate", "--trials", "100", "--scheme", "adaptive"],
+        ["validate", "--trials", "100", "--sth", "0.2"],
+        ["validate", "--trials", "100", "--cb", "3"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_a_flag_its_subcommand_does_not_read_exits_1(capsys, argv):
+    # These flags were taken and ignored: validate --sth 0.2 printed the
+    # report of validate, whose est_fixed check runs at s_th 1.
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unrecognized arguments")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -1086,6 +1138,20 @@ def test_validate_draws_the_eavesdropper_once(tmp_path, monkeypatch):
     assert code in (0, 3)
     assert "est_fixed r_b=3.4 r_e=1.2558717" in text
     assert calls == [5000] * 4
+
+
+def test_validate_fails_a_closed_form_off_its_monte_carlo_estimate(tmp_path, monkeypatch):
+    # The Monte-Carlo checks' FAIL verdict: each sop line compares a closed
+    # form 0.1 too high with an estimate whose margin is about 0.01.
+    sop = secrecy.sop
+    monkeypatch.setattr(cli.secrecy, "sop", lambda sc, r_e: sop(sc, r_e) + 0.1)
+    code, text = run_cli(tmp_path, "validate", "--trials", "20000", "--seed", "7")
+    lines = text.splitlines()
+    sop_lines = [line for line in lines if line.split()[1] == "sop"]
+    assert [line.split()[0] for line in sop_lines] == ["FAIL"] * 4
+    assert code == 3
+    n_fail = sum(line.startswith("FAIL ") for line in lines)
+    assert lines[-1].startswith(f"result: FAIL (11 checks, {n_fail} failed,")
 
 
 def test_validate_passes_and_is_deterministic(tmp_path):

@@ -430,7 +430,10 @@ def test_throughput_stencil_equals_the_pointwise_objective(sigma_s, re, rb, h):
     # a negative r_e and r_e >= r_b cells)
     sc = baseline_scenario(sigma_s=sigma_s)
     unconstrained = SecrecyConstraint(1.0)
-    got = optimize._throughput_stencil(sc, re, rb, np.array([-h, 0.0, h]))
+    d = np.array([-h, 0.0, h])
+    got = optimize._fixed_est(
+        eve_link(sc), bob_link(sc), sc.nodes.n_a, re + d[:, None], rb + d, unconstrained
+    )
     for i, x in enumerate((re - h, re, re + h)):
         for j, y in enumerate((rb - h, rb, rb + h)):
             want = 0.0
@@ -1116,6 +1119,19 @@ def test_adaptive_unconstrained_re_grid_fallback_reaches_the_polished_est(baseli
     est = _surrogate_est_adaptive(baseline, c_b, r_e, SecrecyConstraint(1.0)).est
     _at_least(est, FALLBACK_ADAPTIVE_EST[c_b])
     assert r_e == pytest.approx(root, rel=1e-7, abs=0)
+
+
+@pytest.mark.parametrize("rates", [[1.0, 2.0], [2.0, 1.0]])
+def test_adaptive_unconstrained_re_ranks_two_roots_by_the_surrogate_throughput(
+    baseline, monkeypatch, rates
+):
+    # Two slope roots at c_b 4, neither the optimum (1.56): the one with the
+    # higher surrogate throughput wins, in either order.  The one natural
+    # two-root case known ranks throughputs of 3.6e-18, rounding noise.
+    monkeypatch.setattr(optimize, "_scan_roots", lambda *args, **kwargs: list(rates))
+    ests = [_surrogate_est_adaptive(baseline, 4.0, r, SecrecyConstraint(1.0)).est for r in rates]
+    assert max(ests) > min(ests) + 0.02
+    assert adaptive_unconstrained_re(baseline, 4.0) == (2.0, "fixed_point")
 
 
 # At gamma0 1e25 Bob's mean capacity C_b is 74.7, far past the baseline's;
