@@ -50,6 +50,12 @@ script runs:
   its six array sizes, each for ``--scheme fixed`` and ``--scheme
   adaptive`` (``--cb 4``) with the same program seed, so the optimum rows
   of both axes, Monte-Carlo column included, are compared byte for byte;
+- closed-form optimum-axis sweeps, whose rows the solvers take as one
+  batch: ``--axis sigma_s --min 0 --max 1 --steps 5`` under both schemes,
+  whose rows mix the surrogate kernel's three branches (no pointing term at
+  0, the recurrence at 0.25 and 0.5, the gamma ratio at 0.75 and 1), and
+  ``--axis n --min 1 --max 6 --steps 6 --sth 1.0 --scheme fixed``, whose
+  rows are unconstrained;
 - the two rate-axis sweeps of the figure sweeps with ``--mc --trials 20000``
   and the same program seed: ``--axis r_e --scheme adaptive --cb 6`` and
   ``--axis r_e_x_r_b --scheme fixed``, whose rows with r_b < r_e carry no
@@ -168,6 +174,18 @@ MC_OPTIMUM_SWEEPS = (
     ("n", ["--axis", "n", "--min", "1", "--max", "6", "--steps", "6", "--sth", "0.4"]),
 )
 
+# (output name, sweep arguments) of the closed-form optimum-axis sweeps.
+BATCH_SWEEPS = (
+    *(
+        (f"sweep_sigma_branches_{scheme[1]}.csv",
+         ["--axis", "sigma_s", "--min", "0", "--max", "1", "--steps", "5", *scheme])
+        for scheme in MC_SWEEP_SCHEMES
+    ),
+    ("sweep_n_unconstrained_fixed.csv",
+     ["--axis", "n", "--min", "1", "--max", "6", "--steps", "6", "--sth", "1.0",
+      "--scheme", "fixed"]),
+)
+
 # (output name, sweep arguments) of the rate-axis Monte-Carlo sweeps, on the
 # axes and ranges of scripts/figure_sweeps.py.
 MC_RATE_SWEEPS = (
@@ -234,6 +252,8 @@ def produce(src: Path, outdir: Path) -> None:
                 (name, ["sweep", *axis, *scheme, "--mc", "--trials", "20000",
                         "--seed", str(PROGRAM_SEED), "--out", str(outdir / name)])
             )
+    for name, axis in BATCH_SWEEPS:
+        ops.append((name, ["sweep", *axis, "--out", str(outdir / name)]))
     for name, axis in MC_RATE_SWEEPS:
         ops.append(
             (name, ["sweep", *axis, "--mc", "--trials", "20000", "--seed", str(PROGRAM_SEED),

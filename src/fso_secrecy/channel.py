@@ -27,6 +27,10 @@ gamma0 * a0 * n_rx and ``LinkParams.surrogate`` the :class:`Surrogate` of
 :func:`gamma_approx`, with the shape and scale, xi**2 and the pointing
 term's log-gamma ratio.  An evaluation from them does only numpy and scipy
 ufunc work, the same sequence on a float as on each element of an array.
+The surrogate kernel also takes the constants of several surrogates of one
+branch at once, each repeated over its elements of the argument
+(:func:`gather_surrogates`), so a batch of links shares one call and every
+element keeps the bits of its own link's call.
 
 The paper's 1F2 expansions of the same CDFs are kept as a test reference
 only.  All records are frozen dataclasses, all functions pure.
@@ -37,7 +41,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special as _sp
@@ -52,6 +57,8 @@ __all__ = [
     "PointingParams",
     "NodeConfig",
     "Surrogate",
+    "GatheredSurrogates",
+    "gather_surrogates",
     "ScenarioConfig",
     "LinkParams",
     "baseline_scenario",
@@ -216,6 +223,42 @@ class Surrogate:
     def __post_init__(self) -> None:
         if not (self.k > 0.0 and self.theta > 0.0):
             raise ValueError("Surrogate shape and scale must be strictly positive")
+
+    @cached_property
+    def log_gamma_k(self) -> float:
+        """ln Gamma(k), the normalization of the gamma density."""
+        return math.lgamma(self.k)
+
+
+class GatheredSurrogates(NamedTuple):
+    """The constants of several :class:`Surrogate` of one kernel branch, each
+    an array with one element per element of the kernel's argument; ``xi2``
+    and ``log_ratio`` are None where no surrogate has a pointing term."""
+
+    k: np.ndarray
+    theta: np.ndarray
+    xi2: np.ndarray | None
+    log_ratio: np.ndarray | None
+    log_gamma_k: np.ndarray
+
+
+def gather_surrogates(surrogates, counts) -> Surrogate | GatheredSurrogates:
+    """The constants of ``surrogates``, each repeated ``counts`` times, for one
+    :func:`ggp_cdf_approx` call on their arguments laid end to end: their
+    common :class:`Surrogate` where they are all equal, else
+    :class:`GatheredSurrogates`.  The surrogates must share the kernel
+    branch: all without a pointing term, or all with a ``log_ratio``; the
+    pointing term's recurrence branch (``log_ratio`` None) takes the float
+    constants of one surrogate."""
+    first = surrogates[0]
+    if all(sur == first for sur in surrogates):
+        return first
+
+    def gathered(name):
+        values = [getattr(sur, name) for sur in surrogates]
+        return None if values[0] is None else np.repeat(values, counts)
+
+    return GatheredSurrogates(*map(gathered, GatheredSurrogates._fields))
 
 
 @dataclass(frozen=True)
@@ -420,9 +463,10 @@ def _pointing_log_ratio(k: float, xi2: float) -> float | None:
     return _log_scaled_gamma_ratio(a, xi2) if a > 0.0 else None
 
 
-def _log_pointing_term(k: float, xi2: float, log_ratio: float | None, t, log_c):
+def _log_pointing_term(k, xi2, log_ratio, t, log_c):
     """ln(t**xi2 Gamma(k - xi2, t) / Gamma(k)) with t = k c, elementwise on
-    arrays, given ``log_ratio`` = :func:`_pointing_log_ratio` (k, xi2).
+    arrays, given ``log_ratio`` = :func:`_pointing_log_ratio` (k, xi2).  The
+    constants are floats, or, where ``log_ratio`` is given, arrays like t.
 
     With a = k - xi2 > 0 it is written as
     c**xi2 Q(a, t) k**xi2 Gamma(a) / Gamma(k): scipy's regularized upper
@@ -556,7 +600,7 @@ def ggp_cdf(alpha: float, beta_agg: float, xi: float, x):
     return _exact_cdf("ggp_cdf", alpha, beta_agg, None if math.isinf(xi) else xi * xi, x)
 
 
-def _surrogate_cdf(sur: Surrogate, t: np.ndarray):
+def _surrogate_cdf(sur: Surrogate | GatheredSurrogates, t: np.ndarray):
     """Gamma-surrogate CDF F(t) on an array of t > 0, and its pointing term.
 
     F(t) = P(k, t) + t**xi2 Gamma(k - xi2, t) / Gamma(k) is the conditional
@@ -573,9 +617,11 @@ def _surrogate_cdf(sur: Surrogate, t: np.ndarray):
     return _clamp_prob(p + second), second
 
 
-def ggp_cdf_approx(sur: Surrogate, x):
+def ggp_cdf_approx(sur: Surrogate | GatheredSurrogates, x):
     """Gamma-surrogate CDF and density of the fading-plus-misalignment
-    product at x >= 0, a float or an array, from the link's constants ``sur``.
+    product at x >= 0, a float or an array, from the link's constants ``sur``,
+    or from one link's constants per element of a 1-D array x
+    (:func:`gather_surrogates`).
 
     An array gives two arrays of its shape; a float gives two numpy floats,
     which divide by zero as array elements do.  Either way every step is a
@@ -587,17 +633,19 @@ def ggp_cdf_approx(sur: Surrogate, x):
     and density.  The density is per unit x, 0 at x = 0 and at x = inf,
     where the CDF is 1.
     """
-    k, theta = sur.k, sur.theta
     xs = np.asarray(x, dtype=float)
     if not (xs >= 0.0).all():
         raise ValueError(f"ggp_cdf_approx requires x >= 0, got {x}")
-    t = np.minimum(xs, _X_CERTAIN * theta) / theta
+    t = np.minimum(xs, _X_CERTAIN * sur.theta) / sur.theta
     cdf, pdf = np.zeros(t.shape), np.zeros(t.shape)
     pos = t > 0.0
     t = t[pos]
+    if isinstance(sur, GatheredSurrogates):
+        sur = GatheredSurrogates(*(c if c is None else c[pos] for c in sur))
     cdf[pos], second = _surrogate_cdf(sur, t)
+    k, theta = sur.k, sur.theta
     if second is None:
-        pdf[pos] = np.exp((k - 1.0) * np.log(t) - t - math.lgamma(k)) / theta
+        pdf[pos] = np.exp((k - 1.0) * np.log(t) - t - sur.log_gamma_k) / theta
     else:
         pdf[pos] = sur.xi2 * second / t / theta
     return cdf[()], pdf[()]

@@ -19,7 +19,9 @@ and ``--jobs``, ``sweep`` and ``optimize`` ``--scheme``, ``--sth`` and
 ``--cb``.  Any other flag is a malformed command line.
 
 Exit codes: 0 success, 1 configuration error (a malformed command line
-included), 2 solver failure, 3 validation failure.
+included), 2 solver failure, 3 validation failure, 141 standard output
+closed by its reader before the command finished writing (the shell's
+status for SIGPIPE), with nothing on stderr.
 
 For the adaptive scheme the closed-form sweep column is conditional on the
 configured realized capacity (``--cb``).  On rate rows the Monte-Carlo column
@@ -36,8 +38,10 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -71,6 +75,7 @@ _EXIT_OK = 0
 _EXIT_CONFIG = 1
 _EXIT_SOLVER = 2
 _EXIT_VALIDATION = 3
+_EXIT_CLOSED_PIPE = 141
 
 _SWEEP_COLUMNS = [
     "axis",
@@ -360,44 +365,53 @@ def _rate_rows(
 
 
 def _optimum_rows(
-    sc: ScenarioConfig,
+    rows: list[tuple[ScenarioConfig, float]],
     scheme: str,
-    ceilings: list[float],
     c_b: float,
     with_mc: bool,
     sim: SimConfig,
     jobs: int,
 ) -> list[tuple[float, str, str, float, float, bool]]:
-    """One row per outage ceiling, from one solver call per ceiling; the
-    ceilings share the memoized unconstrained solve.
+    """One row per (scenario, outage ceiling) of ``rows``, from one batch
+    solve of all of them; the rows of a scenario share its memoized
+    unconstrained solve.
 
-    The exact outages at the optima come from one array call per kind, and
-    the surrogate outage that ``constraint_met`` reads from one array call.
-    The Monte-Carlo column of the adaptive scheme is one capacity-averaged
-    estimate over every ceiling; the fixed scheme's is :func:`_mc_columns`
-    at the optima.
+    Each run of consecutive rows on one scenario takes the exact outages at
+    its optima from one array call per kind, and the surrogate outage that
+    ``constraint_met`` reads from one array call.  Its Monte-Carlo column is,
+    for the adaptive scheme, one capacity-averaged estimate over its
+    ceilings, and for the fixed scheme :func:`_mc_columns` at its optima.
     """
     if scheme == "adaptive":
-        optima = [optimize.adaptive_optimal(sc, c_b, s_th) for s_th in ceilings]
-        rel = [0.0] * len(optima)
+        optima = optimize.adaptive_optima([(sc, c_b, s_th) for sc, s_th in rows])
     else:
-        optima = [optimize.fixed_optimal(sc, s_th) for s_th in ceilings]
-        rel = _outages(secrecy.reliability_outage, sc, [o.rates.r_b for o in optima])
-    r_es = [o.rates.r_e for o in optima]
-    sop_vals = _outages(secrecy.sop, sc, r_es)
-    mc = [("", "")] * len(optima)
-    if with_mc and scheme == "adaptive":
-        estimates = montecarlo.estimate_est(sc, ceilings, sim, jobs=jobs)
-        mc = [(_fmt(e.mean), _fmt(e.ci_halfwidth)) for e in estimates]
-    elif with_mc:
-        mc = _mc_columns(sc, scheme, [o.rates for o in optima], ceilings, sim, jobs)
-    # Solvers contract on the surrogate outage surface; the sop column stays
-    # exact-kernel for diagnostics.
-    s_approx = secrecy.sop_approx(eve_link(sc), np.array(r_es))[0].tolist()
-    return [
-        (o.est, est_mc, ci, s, t, s_a <= s_th + 1e-6 or o.est == 0.0)
-        for o, (est_mc, ci), s, t, s_a, s_th in zip(optima, mc, sop_vals, rel, s_approx, ceilings)
-    ]
+        optima = optimize.fixed_optima(rows)
+    out = []
+    rows_optima = zip(rows, optima)
+    for sc, run in itertools.groupby(rows_optima, key=lambda row_optimum: row_optimum[0][0]):
+        ceilings, run_optima = zip(*((s_th, o) for (_, s_th), o in run))
+        r_es = [o.rates.r_e for o in run_optima]
+        if scheme == "adaptive":
+            rel = [0.0] * len(run_optima)
+        else:
+            rel = _outages(secrecy.reliability_outage, sc, [o.rates.r_b for o in run_optima])
+        sop_vals = _outages(secrecy.sop, sc, r_es)
+        mc = [("", "")] * len(run_optima)
+        if with_mc and scheme == "adaptive":
+            estimates = montecarlo.estimate_est(sc, list(ceilings), sim, jobs=jobs)
+            mc = [(_fmt(e.mean), _fmt(e.ci_halfwidth)) for e in estimates]
+        elif with_mc:
+            mc = _mc_columns(sc, scheme, [o.rates for o in run_optima], list(ceilings), sim, jobs)
+        # Solvers contract on the surrogate outage surface; the sop column
+        # stays exact-kernel for diagnostics.
+        s_approx = secrecy.sop_approx(eve_link(sc), np.array(r_es))[0].tolist()
+        out += [
+            (o.est, est_mc, ci, s, t, s_a <= s_th + 1e-6 or o.est == 0.0)
+            for o, (est_mc, ci), s, t, s_a, s_th in zip(
+                run_optima, mc, sop_vals, rel, s_approx, ceilings
+            )
+        ]
+    return out
 
 
 def cmd_sweep(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
@@ -427,26 +441,31 @@ def cmd_sweep(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         )
 
     if axis in ("s_th", "n", "sigma_s"):
-        # The s_th axis is one group of rows; the n and sigma_s axes change
-        # the scenario, so each row is its own.
-        if axis == "s_th":
-            groups = [(sc, values, values)] if values else []
-        else:
-            groups = ((_scenario_at(sc, axis, v), [v], [s_th]) for v in values)
-        for sc_g, vs, ceilings in groups:
-            rows = _optimum_rows(sc_g, scheme, ceilings, args.cb, args.mc, sim, args.jobs)
-            for v, row in zip(vs, rows):
-                emit(v, None, row)
+        # The s_th axis moves the ceiling; the n and sigma_s axes the
+        # scenario.  All rows are solved as one batch, up to a scenario the
+        # link model rejects: that row's error comes after any earlier row's.
+        rows, rejected = [], None
+        for v in values:
+            try:
+                rows.append((sc, v) if axis == "s_th" else (_scenario_at(sc, axis, v), s_th))
+            except ConfigError as exc:
+                rejected = exc
+                break
+        solved = _optimum_rows(rows, scheme, args.cb, args.mc, sim, args.jobs)
+        if rejected is not None:
+            raise rejected
+        for v, row in zip(values, solved):
+            emit(v, None, row)
         return _EXIT_OK
 
     # Rate axes: (value, value2) and the cell (r_e, r_b, c_b) of each row.
     if axis == "r_e":
-        points = []
-        for v in values:
-            r_b = args.cb if scheme == "adaptive" else args.rb
-            if r_b is None:
-                r_b = optimize.fixed_constrained_rb(sc, v)[0]
-            points.append((v, None, (v, max(r_b, v), args.cb)))
+        r_b = args.cb if scheme == "adaptive" else args.rb
+        if r_b is None:  # each row's codeword rate, solved as one batch
+            r_bs = [rb for rb, _ in optimize.fixed_constrained_rbs([(sc, v) for v in values])]
+        else:
+            r_bs = [r_b] * len(values)
+        points = [(v, None, (v, max(r_b, v), args.cb)) for v, r_b in zip(values, r_bs)]
     elif axis == "r_b":
         r_e = args.re
         if r_e is None:
@@ -739,7 +758,9 @@ def main(argv: list[str] | None = None) -> int:
     handler = handlers[args.command]
     try:
         if not args.out:
-            return handler(sc, args, sys.stdout)
+            code = handler(sc, args, sys.stdout)
+            sys.stdout.flush()  # a reader gone before the end fails here, not at exit
+            return code
         # The file is written only when the command returns, so a run that
         # ends in an error leaves none.
         buf = io.StringIO()
@@ -756,6 +777,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ConvergenceError, ArithmeticError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return _EXIT_SOLVER
+    except BrokenPipeError:
+        # Nothing more can reach the reader; point stdout at devnull so the
+        # interpreter's flush at exit does not fail on the closed pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":

@@ -433,8 +433,7 @@ def estimate_est(
     cap_max = max(float(cap.max()) for cap, _ in drawn if cap.size)
     table_c, table_r = _adaptive_redundancy_table(sc, cap_max)
 
-    def at_ceiling(s_th: float) -> Estimate:
-        r_th = optimize.re_threshold(sc, s_th)
+    def at_ceiling(r_th: float) -> Estimate:
         c_cut = _ceiling_cut(table_c, table_r, r_th)
         thr_th = rate_threshold(r_th, snr_e)
 
@@ -457,5 +456,6 @@ def estimate_est(
         ci = 3.0 * math.sqrt(var / n)
         return Estimate(mean=mean, ci_halfwidth=ci, trials=n)
 
-    estimates = [at_ceiling(c) for c in ceilings]
+    # Every ceiling's threshold rate from one batched solve.
+    estimates = [at_ceiling(r_th) for r_th in optimize.re_thresholds([(sc, c) for c in ceilings])]
     return estimates[0] if np.ndim(s_th) == 0 else estimates

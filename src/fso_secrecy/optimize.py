@@ -39,14 +39,26 @@ inside a bracket whose upper end is the pointing-free inversion.
 
 :func:`re_threshold`, :func:`adaptive_unconstrained_re` and
 :func:`fixed_unconstrained_pair` are memoized per scenario like the links of
-:func:`fso_secrecy.channel.bob_link` and ``eve_link``: each holds a
-``functools.lru_cache`` of 256 entries, keyed on the frozen scenario and the
-ceiling or c_b.  Both schemes' families of a figure share the threshold
-rates, and every ceiling of a scenario its unconstrained optima, so a key
-asked for again returns the stored result.  The results are immutable: a
-float, a tuple, a frozen :class:`Optimum`.  The outage functions stay
-unmemoized array kernels; the command line memoizes the exact outages of its
-rows.
+:func:`fso_secrecy.channel.bob_link` and ``eve_link``: one bounded memo holds
+up to 768 results, keyed on the solve, the frozen scenario and the ceiling or
+c_b.  Both schemes' families of a figure share the threshold rates, and
+every ceiling of a scenario its unconstrained optima, so a key asked for
+again, alone or in a batch, returns the stored result.  The results are
+immutable: a float, a tuple, a frozen :class:`Optimum`.  The outage
+functions stay unmemoized array kernels; the command line memoizes the
+exact outages of its rows.
+
+Every solve is a walk: a generator that yields the surrogate outages it
+needs and takes their values back.  :func:`_drive` runs a batch of walks
+together and answers each round of their requests in one kernel call per
+curve and kernel branch, so each array call advances every open problem of
+a batch, and each problem takes exactly the steps, and gets exactly the
+bits, of its solve alone.  The batch forms :func:`re_thresholds`,
+:func:`adaptive_optima`, :func:`fixed_optima` and
+:func:`fixed_constrained_rbs` take a list of problems (a scenario with a
+ceiling, a capacity or a pinned r_e) and solve only the memo's misses; the
+one-problem functions are their one-element calls.  A batch raises the
+error of its first failing problem, in the order given.
 
 All solvers evaluate and report on the gamma-surrogate surface they are
 derived on, :func:`fso_secrecy.secrecy.est_from_outages` of the surrogate
@@ -56,8 +68,8 @@ is :func:`fso_secrecy.secrecy.est_fixed` / ``est_adaptive`` at its rates.
 Every curvature stencil is one such call, and the optimum's throughput its
 centre.  The
 fixed pair takes the redundancy rates of all its roots in one call, and
-each interior root's stationarity and Hessian stencils in one call per
-outage.  :func:`grid_refine_maximize` is the one grid search:
+the stationarity and Hessian stencils of all its interior roots in one call
+per outage.  :func:`grid_refine_maximize` is the one grid search:
 the solvers' fallbacks, the command line's oracles and the acceptance gate
 run it on array objectives, one call per zoom level.  Every scan and grid
 has ``GRID_POINTS`` nodes; only the grid search and the fixed oracle take
@@ -67,13 +79,20 @@ another count, which the command line's fixed-scheme oracle sets to 160.
 from __future__ import annotations
 
 import math
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special as _sp
 
-from fso_secrecy.channel import LinkParams, ScenarioConfig, bob_link, eve_link
+from fso_secrecy.channel import (
+    LinkParams,
+    ScenarioConfig,
+    bob_link,
+    eve_link,
+    gather_surrogates,
+)
 from fso_secrecy.secrecy import (
     RATE_LIMIT,
     RatePair,
@@ -87,11 +106,15 @@ from fso_secrecy.specfun import ConvergenceError
 __all__ = [
     "Optimum",
     "re_threshold",
+    "re_thresholds",
     "adaptive_unconstrained_re",
     "adaptive_optimal",
+    "adaptive_optima",
     "fixed_unconstrained_pair",
     "fixed_constrained_rb",
+    "fixed_constrained_rbs",
     "fixed_optimal",
+    "fixed_optima",
     "grid_refine_maximize",
     "fixed_grid_oracle",
     "adaptive_grid_oracle",
@@ -145,6 +168,197 @@ class Optimum:
 
 
 # ---------------------------------------------------------------------------
+# walks: each problem's scalar solve, driven together with the others
+# ---------------------------------------------------------------------------
+
+
+def _sop(eve: LinkParams, r):
+    """A walk's step: :func:`sop_approx` (eve, r), the outage and its slope."""
+    (answer,) = yield ((eve, None, r),)
+    return answer
+
+
+def _rel(bob: LinkParams, n_a: int, r):
+    """A walk's step: :func:`reliability_outage_approx` (bob, n_a, r)."""
+    (answer,) = yield ((bob, n_a, r),)
+    return answer
+
+
+def _branch(request) -> tuple:
+    """The call a request (link, n_a, rates) joins: one per curve and kernel
+    branch, and one per surrogate on the pointing term's recurrence branch."""
+    link, n_a, _ = request
+    sur = link.surrogate
+    recurrence = sur.xi2 is not None and sur.log_ratio is None
+    return n_a is None, sur.xi2 is None, sur if recurrence else None
+
+
+class _Links(NamedTuple):
+    """The gain and surrogate constants of several links, gathered per rate."""
+
+    gain: float | np.ndarray
+    surrogate: object
+
+
+def _call(link: LinkParams, n_a: int | None, rates):
+    """The (outage, slope) of one request."""
+    return sop_approx(link, rates) if n_a is None else reliability_outage_approx(link, n_a, rates)
+
+
+def _answer(requests: list) -> list:
+    """The (outage, slope) of each request (link, n_a, rates) of one
+    :func:`_branch`, from one call on their rates laid end to end; a lone
+    request passes its own link and rates, as a call of its own would."""
+    if len(requests) == 1:
+        return [_call(*requests[0])]
+    link, n_a, _ = requests[0]
+    sizes = [r.size if isinstance(r, np.ndarray) else 1 for _, _, r in requests]
+    links = [request[0] for request in requests]
+    if any(other is not link for other in links):
+        gains = [other.gain for other in links]
+        gain = gains[0] if len(set(gains)) == 1 else np.repeat(gains, sizes)
+        link = _Links(gain, gather_surrogates([other.surrogate for other in links], sizes))
+    if n_a is not None and any(request[1] != n_a for request in requests):
+        n_a = np.repeat([request[1] for request in requests], sizes)
+    rates = np.concatenate([np.ravel(r) for _, _, r in requests])
+    value, slope = _call(link, n_a, rates)
+    answers, start = [], 0
+    for (_, _, r), size in zip(requests, sizes):
+        if np.ndim(r):
+            cut = slice(start, start + size)
+            answers.append((value[cut].reshape(np.shape(r)), slope[cut].reshape(np.shape(r))))
+        else:
+            answers.append((value[start], slope[start]))
+        start += size
+    return answers
+
+
+def _drive(walks: list) -> list:
+    """Run the generator ``walks`` together; return what each returns, or the
+    exception it raises.
+
+    A walk yields a tuple of requests (link, n_a, rates): the surrogate
+    secrecy outage of the link at the rates where n_a is None, else its
+    reliability outage with n_a beams.  It is sent back their (outage,
+    slope) pairs, each with the bits of a call of its own.  Each round
+    answers the requests of every open walk in one call per
+    :func:`_branch`, so a walk takes the steps of its scalar solve while the
+    walks of a batch share their calls.  A call that raises is made again
+    per request, and the error goes to each walk whose own request raises.
+    """
+    if len(walks) == 1:  # a lone walk shares no call
+        try:
+            return [_run(walks[0])]
+        except Exception as exc:
+            return [exc]
+    results = [None] * len(walks)
+    asked = {}  # walk index -> the requests it waits on
+
+    def resume(i: int, answer=None) -> None:
+        try:
+            if isinstance(answer, Exception):
+                asked[i] = walks[i].throw(answer)
+            else:
+                asked[i] = walks[i].send(answer)
+        except StopIteration as stop:
+            results[i] = stop.value
+        except Exception as exc:  # the walk's own error, raised for its problem
+            results[i] = exc
+
+    for i in range(len(walks)):
+        resume(i)
+    while asked:
+        waiting, asked = asked, {}
+        answers = {i: [None] * len(requests) for i, requests in waiting.items()}
+        calls = {}
+        for i, requests in waiting.items():
+            for j, request in enumerate(requests):
+                calls.setdefault(_branch(request), []).append((i, j))
+        for members in calls.values():
+            requests = [waiting[i][j] for i, j in members]
+            try:
+                outs = _answer(requests)
+            except Exception:
+                outs = []
+                for request in requests:
+                    try:
+                        outs += _answer([request])
+                    except Exception as exc:
+                        outs.append(exc)
+            for (i, j), out in zip(members, outs):
+                answers[i][j] = out
+        for i, got in answers.items():
+            resume(i, next((a for a in got if isinstance(a, Exception)), tuple(got)))
+    return results
+
+
+def _values(results: list) -> list:
+    """The walks' ``results`` in order, or the first one's error raised."""
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
+def _run(walk):
+    """The result of one walk, driven alone: each request is a call of its
+    own, as in :func:`_drive`, and an error is raised where it arises."""
+    answer = None
+    while True:
+        try:
+            requests = walk.send(answer)
+        except StopIteration as stop:
+            return stop.value
+        answer = tuple(_call(*request) for request in requests)
+
+
+class _Memo:
+    """The solves of :func:`_re_threshold`, :func:`_adaptive_unconstrained_re`
+    and :func:`_fixed_unconstrained_pair`, keyed on (walk, arguments), the
+    least recently used dropped past ``size``; ``hits`` and ``misses`` count
+    each walk's keys by its name."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.store: OrderedDict = OrderedDict()
+        self.hits: Counter = Counter()
+        self.misses: Counter = Counter()
+
+    def clear(self) -> None:
+        self.store.clear()
+        self.hits.clear()
+        self.misses.clear()
+
+    def solve(self, asks: list) -> list:
+        """The result of each (walk, arguments) of ``asks``, in order: a
+        stored one, or one of a :func:`_drive` of the distinct keys not
+        stored, each solved once.  A result is a value or the error its
+        walk raised; an error is not stored."""
+        fresh = {}
+        for ask in asks:
+            known = ask in self.store or ask in fresh
+            (self.hits if known else self.misses)[ask[0].__name__] += 1
+            if not known:
+                fresh[ask] = None
+        for ask, result in zip(fresh, _drive([walk(*key) for walk, key in fresh])):
+            fresh[ask] = result
+            if not isinstance(result, Exception):
+                self.store[ask] = result
+        out = []
+        for ask in asks:
+            if ask in self.store:
+                self.store.move_to_end(ask)
+            out.append(fresh[ask] if ask in fresh else self.store[ask])
+        while len(self.store) > self.size:
+            self.store.popitem(last=False)
+        return out
+
+
+# 256 keys for each of the three memoized walks.
+_MEMO = _Memo(768)
+
+
+# ---------------------------------------------------------------------------
 # generic search helpers (deterministic, first-index tie-breaking), and each
 # scheme's surrogate throughput
 # ---------------------------------------------------------------------------
@@ -171,9 +385,9 @@ def _midpoint_tree(lo: float, hi: float, depth: int) -> list[float]:
     return mids
 
 
-def _bisect_roots(g, cells, tol: float, iters: int = 200) -> list[float]:
-    """Bisected roots of the array function ``g``, one in each cell
-    (lo, hi, g(lo)) of ``cells``, all walked in the same array calls.
+def _bisect_roots(g, cells, tol: float, iters: int = 200):
+    """A walk: the bisected roots of the residual walk ``g``, one in each
+    cell (lo, hi, g(lo)) of ``cells``, all walked in the same array calls.
 
     Each call evaluates, for every cell still open, the :func:`_midpoint_tree`
     of its next halvings: ``_BISECT_LEVELS`` of them, fewer where ``iters``
@@ -199,7 +413,8 @@ def _bisect_roots(g, cells, tol: float, iters: int = 200) -> list[float]:
                 trees.append((walk, depth, _midpoint_tree(lo, hi, depth)))
         if not trees:
             return [0.5 * (lo + hi) for lo, hi, _, _ in walks]
-        pos = (g(np.array([m for _, _, mids in trees for m in mids])) > 0.0).tolist()
+        mids = np.array([m for _, _, mids in trees for m in mids])
+        pos = ((yield from g(mids)) > 0.0).tolist()
         for walk, depth, mids in trees:
             lo, hi, lo_pos, left = walk
             k = 0
@@ -214,35 +429,48 @@ def _bisect_roots(g, cells, tol: float, iters: int = 200) -> list[float]:
             pos = pos[len(mids):]
 
 
-def _scan_nodes(lo: float, hi: float, n: int) -> list[float]:
-    # Python arithmetic, not np.linspace: every residual scan uses these nodes.
+def _scan_nodes(lo: float, hi: float, n: int) -> np.ndarray:
+    # lo + i * step, not np.linspace: every residual scan uses these nodes.
     step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    return lo + np.arange(n) * step
 
 
-def _scan_roots(g, xs: list[float], gs, tol: float, falling_only: bool = False) -> list[float]:
-    """Roots of the array function ``g``, bisected together to width ``tol``,
-    in the cells of the scan ``xs`` (values ``gs``) where its sign changes;
-    with ``falling_only``, only where it turns from positive to non-positive."""
+def _scan_roots(g, xs, gs, tol: float, falling_only: bool = False):
+    """A walk: the roots of the residual walk ``g``, bisected together to
+    width ``tol``, in the cells of the scan ``xs`` (values ``gs``) where its
+    sign changes; with ``falling_only``, only where it turns from positive
+    to non-positive."""
     pos = gs > 0.0
-    crossed = pos[:-1] & (gs[1:] <= 0.0) if falling_only else pos[:-1] != pos[1:]
-    return _bisect_roots(g, [(xs[i], xs[i + 1], gs[i]) for i in np.flatnonzero(crossed)], tol)
+    crossed = np.flatnonzero(pos[:-1] & (gs[1:] <= 0.0) if falling_only else pos[:-1] != pos[1:])
+    xs = np.asarray(xs)
+    cells = list(zip(xs[crossed].tolist(), xs[crossed + 1].tolist(), gs[crossed]))
+    return (yield from _bisect_roots(g, cells, tol))
+
+
+def _first_best(xs: list[float], values) -> float:
+    """The first of ``xs`` whose value is largest, as ``max`` with a key picks it."""
+    values = values.tolist()
+    return xs[max(range(len(xs)), key=values.__getitem__)]
 
 
 def _fixed_est(eve: LinkParams, bob: LinkParams, n_a: int, r_e, r_b, constraint):
-    """The fixed scheme's surrogate throughput at rates that broadcast (a
-    column of r_e against a row of r_b, say); 0 outside 0 <= r_e < r_b."""
+    """A walk: the fixed scheme's surrogate throughput at rates that
+    broadcast (a column of r_e against a row of r_b, say), in one call per
+    outage; 0 outside 0 <= r_e < r_b."""
     # Negative rates' cells are 0 whatever they map to; a rate past the top takes its outage.
-    s = sop_approx(eve, np.clip(r_e, 0.0, _RATE_TOP))[0]
-    t = reliability_outage_approx(bob, n_a, np.clip(r_b, 0.0, _RATE_TOP))[0]
+    (s, _), (t, _) = yield (
+        (eve, None, np.clip(r_e, 0.0, _RATE_TOP)),
+        (bob, n_a, np.clip(r_b, 0.0, _RATE_TOP)),
+    )
     est = est_from_outages(r_b - r_e, t, s, constraint).est
     return np.where((0.0 <= r_e) & (r_e < r_b), est, 0.0)
 
 
 def _adaptive_est(eve: LinkParams, c_b: float, r_e, constraint):
-    """The adaptive scheme's surrogate throughput at capacity ``c_b``, at a
-    rate or an array of rates."""
-    return est_from_outages(c_b - r_e, 0.0, sop_approx(eve, r_e)[0], constraint).est
+    """A walk: the adaptive scheme's surrogate throughput at capacity
+    ``c_b``, at a rate or an array of rates."""
+    s, _ = yield from _sop(eve, r_e)
+    return est_from_outages(c_b - r_e, 0.0, s, constraint).est
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +478,6 @@ def _adaptive_est(eve: LinkParams, c_b: float, r_e, constraint):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
 def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
     """Redundancy rate at which the surrogate secrecy outage equals ``s_th``.
 
@@ -266,7 +493,22 @@ def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
     end, so the outage there never exceeds ``s_th``.  Only a ceiling no rate
     meets raises :class:`ConvergenceError`: 1 - s_th rounds to 1, so r_free
     is not finite, or the outage tops ``s_th`` at the domain's top rate.
+
+    The one-key case of :func:`re_thresholds`.
     """
+    return re_thresholds([(sc, s_th)])[0]
+
+
+def re_thresholds(keys) -> list[float]:
+    """:func:`re_threshold` at each (scenario, ceiling) of ``keys``, in order,
+    from the memo or from one batch of the distinct keys it lacks, whose
+    rtsafe steps share their array calls.  It raises the error of the first
+    key that fails."""
+    return _values(_MEMO.solve([(_re_threshold, (sc, s_th)) for sc, s_th in keys]))
+
+
+def _re_threshold(sc: ScenarioConfig, s_th: float):
+    """The walk of :func:`re_threshold`."""
     SecrecyConstraint(s_th)  # raises ValueError outside (0, 1]
     if s_th == 1.0:
         return 0.0
@@ -278,7 +520,7 @@ def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
         raise floor
     hi = min(math.log1p(t_free * gain) / math.log(2.0), _RATE_TOP)
     while True:
-        s, ds = sop_approx(link, hi)
+        s, ds = yield from _sop(link, hi)
         if s <= s_th:
             break
         if hi == _RATE_TOP:
@@ -301,7 +543,7 @@ def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
             new = 0.5 * (lo + hi)
         before, last = last, abs(new - r)
         r = new
-        s, ds = sop_approx(link, r)
+        s, ds = yield from _sop(link, r)
         if s <= s_th:
             hi = r
         else:
@@ -315,7 +557,6 @@ def re_threshold(sc: ScenarioConfig, s_th: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
 def adaptive_unconstrained_re(sc: ScenarioConfig, c_b: float) -> tuple[float, str]:
     """Throughput-maximizing redundancy rate of the adaptive scheme, no
     ceiling, and the ``Optimum.method`` of its path.
@@ -330,8 +571,14 @@ def adaptive_unconstrained_re(sc: ScenarioConfig, c_b: float) -> tuple[float, st
 
     The scan's lower end and the bisection width are multiples of the
     eavesdropper's rate scale u_e = min(C_e, 1), so a link whose whole rate
-    scale lies below 1e-4 is still scanned where its slope falls.
+    scale lies below 1e-4 is still scanned where its slope falls.  Memoized
+    with the other batched solves, on (scenario, c_b).
     """
+    return _values(_MEMO.solve([(_adaptive_unconstrained_re, (sc, c_b))]))[0]
+
+
+def _adaptive_unconstrained_re(sc: ScenarioConfig, c_b: float):
+    """The walk of :func:`adaptive_unconstrained_re`."""
     if not c_b > 0.0:
         raise ValueError(f"c_b must be positive, got {c_b}")
     eve = eve_link(sc)
@@ -339,7 +586,7 @@ def adaptive_unconstrained_re(sc: ScenarioConfig, c_b: float) -> tuple[float, st
 
     def slope(r):
         # The throughput's derivative, on a float or an array of rates.
-        s, ds = sop_approx(eve, r)
+        s, ds = yield from _sop(eve, r)
         return -(1.0 - s) - (c_b - r) * ds
 
     lo = 1e-4 * min(c_b, u_e)
@@ -348,15 +595,19 @@ def adaptive_unconstrained_re(sc: ScenarioConfig, c_b: float) -> tuple[float, st
     # Slope sign-scan: the throughput vanishes at both ends of (0, c_b), so
     # an interior maximum exists and the slope changes sign across it.
     xs = _scan_nodes(lo, hi, GRID_POINTS)
-    roots = _scan_roots(slope, xs, slope(np.array(xs)), _RATE_TOL * u_e, falling_only=True)
+    gs = yield from slope(xs)
+    roots = yield from _scan_roots(slope, xs, gs, _RATE_TOL * u_e, falling_only=True)
     if not roots:
         # Where the outage is exactly 1 with a zero slope at the first node,
         # the whole rise can sit inside the first cell: scan it alone.
         xs = _scan_nodes(lo, xs[1], GRID_POINTS)
-        roots = _scan_roots(slope, xs, slope(np.array(xs)), _RATE_TOL * u_e, falling_only=True)
-    if roots:  # a lone root is not ranked
-        key = partial(_adaptive_est, eve, c_b, constraint=_UNCONSTRAINED)
-        return (roots[0] if len(roots) == 1 else max(roots, key=key)), "fixed_point"
+        gs = yield from slope(xs)
+        roots = yield from _scan_roots(slope, xs, gs, _RATE_TOL * u_e, falling_only=True)
+    if len(roots) == 1:  # a lone root is not ranked
+        return roots[0], "fixed_point"
+    if roots:
+        ests = yield from _adaptive_est(eve, c_b, np.array(roots), _UNCONSTRAINED)
+        return _first_best(roots, ests), "fixed_point"
     return adaptive_grid_oracle(sc, c_b, 1.0).rates.r_e, "grid_oracle"
 
 
@@ -365,14 +616,34 @@ def adaptive_optimal(sc: ScenarioConfig, c_b: float, s_th: float) -> Optimum:
 
     The optimum is the larger of the unconstrained stationary rate and the
     threshold rate that pins the outage to the ceiling ``s_th``, both from
-    the memoized solvers, so the ceilings of one scenario and capacity share
+    the memoized solves, so the ceilings of one scenario and capacity share
     one unconstrained solve.  Where even the threshold rate exceeds the
     capacity no operating point has a positive secrecy rate, and the report
-    degenerates to zero throughput at the capacity itself.
+    degenerates to zero throughput at the capacity itself.  The one-row
+    case of :func:`adaptive_optima`.
     """
+    return adaptive_optima([(sc, c_b, s_th)])[0]
+
+
+def adaptive_optima(rows) -> list[Optimum]:
+    """:func:`adaptive_optimal` at each (scenario, c_b, ceiling) of ``rows``,
+    in order.  The unconstrained rates and thresholds the memo lacks are
+    solved in one batch, and the rows' stencils in one call; it raises the
+    error of the first row that fails, as a loop of one-row calls would."""
+    solved = _MEMO.solve(
+        [(_adaptive_unconstrained_re, (sc, c_b)) for sc, c_b, _ in rows]
+        + [(_re_threshold, (sc, s_th)) for sc, _, s_th in rows]
+    )
+    walks = map(_adaptive_optimum, rows, solved[: len(rows)], solved[len(rows) :])
+    return _values(_drive(list(walks)))
+
+
+def _adaptive_optimum(row, unconstrained, threshold):
+    """The walk of one row of :func:`adaptive_optima`, from its solved
+    unconstrained rate and threshold (either may be the error it raised)."""
+    sc, c_b, s_th = row
     constraint = SecrecyConstraint(s_th)
-    re_u, method_u = adaptive_unconstrained_re(sc, c_b)
-    re_t = re_threshold(sc, s_th)
+    (re_u, method_u), re_t = _values([unconstrained, threshold])
     constraint_active = re_t > re_u
     r_e = max(re_u, re_t)
     feasible = r_e <= c_b
@@ -385,7 +656,7 @@ def adaptive_optimal(sc: ScenarioConfig, c_b: float, s_th: float) -> Optimum:
     h = 1e-4 * u
     stencil = feasible and 0.0 < r_e - h and r_e + h < c_b and not constraint_active
     rs = np.array([r_e - h, r_e, r_e + h]) if stencil else r_e
-    psi = _adaptive_est(eve_link(sc), c_b, rs, constraint)
+    psi = yield from _adaptive_est(eve_link(sc), c_b, rs, constraint)
     est = float(psi[1]) if stencil else psi
     hessian_ok = stencil and est > 0.0 and _curves_down(psi, u)
     return Optimum(
@@ -416,7 +687,6 @@ def _rate_scale(link: LinkParams) -> float:
     return min(_cap_seed(link), 1.0)
 
 
-@lru_cache(maxsize=256)
 def fixed_unconstrained_pair(sc: ScenarioConfig) -> Optimum:
     """Jointly optimal (codeword, redundancy) rates with no outage ceiling.
 
@@ -429,42 +699,53 @@ def fixed_unconstrained_pair(sc: ScenarioConfig) -> Optimum:
     interior stationary point is a candidate, with the throughput at the
     centre of its stencil.  The scan spans 0.05 u to C_b + 15 u;
     :func:`fixed_grid_oracle` over it gives the pair when no root is a
-    candidate.
+    candidate.  Memoized with the other batched solves, on the scenario.
     """
+    return _values(_MEMO.solve([(_fixed_unconstrained_pair, (sc,))]))[0]
+
+
+def _fixed_unconstrained_pair(sc: ScenarioConfig):
+    """The walk of :func:`fixed_unconstrained_pair`."""
     eve, bob, n_a = eve_link(sc), bob_link(sc), sc.nodes.n_a
     cap, u = _cap_seed(bob), _rate_scale(bob)
     hi = min(cap + 15.0 * u, _RATE_TOP)
-    candidates = []  # (est, re, rb, method, the throughput stencil there)
 
     # A quotient overflows where a slope is subnormal or zero, and is 0/0
     # where an outage and its slope both round to their limits; fmax sends
     # that NaN to the lower clamp, as it does -inf.
     def g_e(rb):
-        t, dt = reliability_outage_approx(bob, n_a, rb)
+        t, dt = yield from _rel(bob, n_a, rb)
         with np.errstate(all="ignore"):
             re = rb - (1.0 - t) / dt
         return np.minimum(np.fmax(re, 1e-12 * u), rb - 1e-12 * u)
 
     def g_b(re):
-        s, ds = sop_approx(eve, re)
+        s, ds = yield from _sop(eve, re)
         with np.errstate(all="ignore"):
             rb = re + (1.0 - s) / -ds
         return np.minimum(np.fmax(rb, re + 1e-12 * u), _RATE_TOP)
 
     def resid(rb):
-        return g_b(g_e(rb)) - rb
+        return (yield from g_b((yield from g_e(rb)))) - rb
 
     xs = _scan_nodes(0.05 * u, hi, GRID_POINTS)
-    roots = _scan_roots(resid, xs, resid(np.array(xs)), _RATE_TOL * u)
-    for re_c, root in zip(g_e(np.array(roots)).tolist() if roots else [], roots):
-        f = _stationary_stencil(sc, re_c, root)
-        if f is not None:  # its throughput is the stencil's centre
-            candidates.append((float(f[2, 2]), re_c, root, "fixed_point", f))
-
+    gs = yield from resid(xs)
+    roots = yield from _scan_roots(resid, xs, gs, _RATE_TOL * u)
+    pairs = list(zip((yield from g_e(np.array(roots))).tolist(), roots)) if roots else []
+    stencils = yield from _stationary_stencils(sc, pairs)
+    # (est, re, rb, method, the throughput stencil there) of each candidate;
+    # its throughput is the stencil's centre
+    candidates = [
+        (float(f[2, 2]), re, rb, "fixed_point", f)
+        for (re, rb), f in zip(pairs, stencils)
+        if f is not None
+    ]
     if not candidates:
         o = fixed_grid_oracle(sc, 1.0, hi)
         d = _STENCIL * u
-        f = _fixed_est(eve, bob, n_a, o.rates.r_e + d[:, None], o.rates.r_b + d, _UNCONSTRAINED)
+        f = yield from _fixed_est(
+            eve, bob, n_a, o.rates.r_e + d[:, None], o.rates.r_b + d, _UNCONSTRAINED
+        )
         candidates.append((o.est, o.rates.r_e, o.rates.r_b, "grid_oracle", f))
 
     est, re, rb, method, f = max(candidates, key=lambda c: c[0])
@@ -485,16 +766,31 @@ _STATIONARY_TOL, _HESSIAN_STEP = 1e-5, 1e-4
 _STENCIL = np.array([-_HESSIAN_STEP, -1e-5, 0.0, 1e-5, _HESSIAN_STEP])
 
 
-def _stationary_stencil(sc: ScenarioConfig, re: float, rb: float) -> np.ndarray | None:
-    """The throughput on the ``_STENCIL`` at (re, rb), if that pair is an
-    interior stationary point; else None."""
+def _stationary_stencils(sc: ScenarioConfig, pairs: list[tuple[float, float]]):
+    """A walk: the throughput on the ``_STENCIL`` at each (re, rb) of
+    ``pairs`` that is an interior stationary point, else None; the
+    interior pairs' stencils take one call per outage."""
     bob = bob_link(sc)
     u = _rate_scale(bob)
-    if not (re > 1e-8 * u and rb > re + 1e-8 * u and rb < _RATE_TOP - 1e-6 * u):
-        return None
-    d = _STENCIL * u
-    f = _fixed_est(eve_link(sc), bob, sc.nodes.n_a, re + d[:, None], rb + d, _UNCONSTRAINED)
-    return f if _is_stationary(f, u) else None
+    inside = [re > 1e-8 * u and rb > re + 1e-8 * u and rb < _RATE_TOP - 1e-6 * u for re, rb in pairs]
+    stencils = iter(())
+    if any(inside):
+        d = _STENCIL * u
+        res, rbs = np.array([pair for pair, ok in zip(pairs, inside) if ok]).T
+        stencils = iter(
+            (
+                yield from _fixed_est(
+                    eve_link(sc),
+                    bob,
+                    sc.nodes.n_a,
+                    (res[:, None] + d)[:, :, None],
+                    (rbs[:, None] + d)[:, None, :],
+                    _UNCONSTRAINED,
+                )
+            )
+        )
+    fs = [next(stencils) if ok else None for ok in inside]
+    return [f if f is not None and _is_stationary(f, u) else None for f in fs]
 
 
 def _is_stationary(f: np.ndarray, u: float) -> bool:
@@ -536,8 +832,21 @@ def fixed_constrained_rb(sc: ScenarioConfig, r_e_fixed: float) -> tuple[float, s
 
     The scan runs upward from 1e-6 u above ``r_e_fixed`` to the higher of
     ``r_e_fixed`` + 25 u and C_b + 10 u, so the rate returned lies above
-    ``r_e_fixed`` wherever a double does below ``RATE_LIMIT``.
+    ``r_e_fixed`` wherever a double does below ``RATE_LIMIT``.  The one-key
+    case of :func:`fixed_constrained_rbs`.
     """
+    return fixed_constrained_rbs([(sc, r_e_fixed)])[0]
+
+
+def fixed_constrained_rbs(keys) -> list[tuple[float, str]]:
+    """:func:`fixed_constrained_rb` at each (scenario, pinned r_e) of
+    ``keys``, in order, solved in one batch; it raises the error of the
+    first key that fails."""
+    return _values(_drive([_fixed_constrained_rb(sc, r_e) for sc, r_e in keys]))
+
+
+def _fixed_constrained_rb(sc: ScenarioConfig, r_e_fixed: float):
+    """The walk of :func:`fixed_constrained_rb`."""
     if r_e_fixed < 0.0:
         raise ValueError(f"r_e_fixed must be non-negative, got {r_e_fixed}")
     bob, n_a = bob_link(sc), sc.nodes.n_a
@@ -547,17 +856,25 @@ def fixed_constrained_rb(sc: ScenarioConfig, r_e_fixed: float) -> tuple[float, s
 
     def bob_factor(rb):
         # The throughput factor, on a float or an array of rates.
-        return (rb - r_e_fixed) * (1.0 - reliability_outage_approx(bob, n_a, rb)[0])
+        t, _ = yield from _rel(bob, n_a, rb)
+        return (rb - r_e_fixed) * (1.0 - t)
 
     def resid(rb):
-        t, dt = reliability_outage_approx(bob, n_a, rb)
+        t, dt = yield from _rel(bob, n_a, rb)
         return (1.0 - t) - (rb - r_e_fixed) * dt
 
     xs = _scan_nodes(lo, hi, GRID_POINTS)
-    roots = _scan_roots(resid, xs, resid(np.array(xs)), _RATE_TOL * u, falling_only=True)
-    if roots:  # a lone root is not ranked
-        return (roots[0] if len(roots) == 1 else max(roots, key=bob_factor)), "lambert_w"
-    return grid_refine_maximize(bob_factor, (lo, hi)).rates.r_b, "grid_oracle"
+    gs = yield from resid(xs)
+    roots = yield from _scan_roots(resid, xs, gs, _RATE_TOL * u, falling_only=True)
+    if len(roots) == 1:  # a lone root is not ranked
+        return roots[0], "lambert_w"
+    if roots:
+        return _first_best(roots, (yield from bob_factor(np.array(roots)))), "lambert_w"
+
+    def factor(rb):
+        return _run(bob_factor(rb))
+
+    return grid_refine_maximize(factor, (lo, hi)).rates.r_b, "grid_oracle"
 
 
 def fixed_optimal(sc: ScenarioConfig, s_th: float) -> Optimum:
@@ -566,20 +883,41 @@ def fixed_optimal(sc: ScenarioConfig, s_th: float) -> Optimum:
     If the unconstrained redundancy rate already satisfies the ceiling
     ``s_th`` the unconstrained pair stands; otherwise the redundancy rate is
     pinned to the threshold value and the codeword rate re-optimized around
-    it.  The pair and the threshold rate come from the memoized solvers, so
-    the ceilings of one scenario share one unconstrained solve.
+    it.  The pair and the threshold rate come from the memoized solves, so
+    the ceilings of one scenario share one unconstrained solve.  The one-row
+    case of :func:`fixed_optima`.
     """
+    return fixed_optima([(sc, s_th)])[0]
+
+
+def fixed_optima(rows) -> list[Optimum]:
+    """:func:`fixed_optimal` at each (scenario, ceiling) of ``rows``, in
+    order.  The pairs and thresholds the memo lacks are solved in one batch,
+    then the binding rows' codeword rates and stencils in another; it raises
+    the error of the first row that fails, as a loop of one-row calls
+    would."""
+    solved = _MEMO.solve(
+        [(_fixed_unconstrained_pair, (sc,)) for sc, _ in rows]
+        + [(_re_threshold, (sc, s_th)) for sc, s_th in rows]
+    )
+    walks = map(_fixed_optimum, rows, solved[: len(rows)], solved[len(rows) :])
+    return _values(_drive(list(walks)))
+
+
+def _fixed_optimum(row, pair, threshold):
+    """The walk of one row of :func:`fixed_optima`, from its solved pair and
+    threshold (either may be the error it raised)."""
+    sc, s_th = row
     constraint = SecrecyConstraint(s_th)
-    pair = fixed_unconstrained_pair(sc)
-    re_t = re_threshold(sc, s_th)
+    pair, re_t = _values([pair, threshold])
     if pair.rates.r_e >= re_t:
         return pair
-    rb, method = fixed_constrained_rb(sc, re_t)
+    rb, method = yield from _fixed_constrained_rb(sc, re_t)
     bob = bob_link(sc)
     u = _rate_scale(bob)
     rbs = np.array([rb - 1e-4 * u, rb, rb + 1e-4 * u])
     # The throughput along r_b, the optimum's at the middle: rb >= re_t.
-    f_rb = _fixed_est(eve_link(sc), bob, sc.nodes.n_a, re_t, rbs, constraint)
+    f_rb = yield from _fixed_est(eve_link(sc), bob, sc.nodes.n_a, re_t, rbs, constraint)
     return Optimum(
         rates=RatePair(r_b=rb, r_e=re_t),
         est=float(f_rb[1]),
@@ -659,7 +997,11 @@ def fixed_grid_oracle(
     broadcasting.
     """
     eve, bob, n_a = eve_link(sc), bob_link(sc), sc.nodes.n_a
-    throughput = partial(_fixed_est, eve, bob, n_a, constraint=SecrecyConstraint(s_th))
+    constraint = SecrecyConstraint(s_th)
+
+    def throughput(r_e, r_b):
+        return _run(_fixed_est(eve, bob, n_a, r_e, r_b, constraint))
+
     hi = min(hi, _RATE_TOP)
     return grid_refine_maximize(throughput, ((0.0, hi), (FIXED_ORACLE_RB_MIN, hi)), grid_points)
 
@@ -671,5 +1013,9 @@ def adaptive_grid_oracle(sc: ScenarioConfig, c_b: float, s_th: float) -> Optimum
     SecrecyConstraint(s_th)).est`` of the surrogate outage S over r_e in
     [0, c_b], ``GRID_POINTS`` nodes, one array call per level.
     """
-    throughput = partial(_adaptive_est, eve_link(sc), c_b, constraint=SecrecyConstraint(s_th))
+    eve, constraint = eve_link(sc), SecrecyConstraint(s_th)
+
+    def throughput(r_e):
+        return _run(_adaptive_est(eve, c_b, r_e, constraint))
+
     return grid_refine_maximize(throughput, (0.0, c_b))

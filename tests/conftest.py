@@ -8,26 +8,22 @@ sys.path.insert(0, os.path.dirname(__file__))
 from fso_secrecy import cli, optimize
 from fso_secrecy.channel import baseline_scenario
 
-# The memoized solvers and the command line's memoized exact outages, bound
+# The solvers' memo and the command line's memoized exact outages, bound
 # before any test patches their names.
-_MEMOIZED_SOLVERS = (
-    optimize.re_threshold,
-    optimize.adaptive_unconstrained_re,
-    optimize.fixed_unconstrained_pair,
-    cli._distinct_outages,
-)
+_SOLVER_MEMO = optimize._MEMO
+_MEMOIZED_OUTAGES = cli._distinct_outages
 
 
 @pytest.fixture(autouse=True)
 def fresh_solver_caches():
     """Each test, and each fixture set up between two tests, solves afresh,
     so a kernel or scan a test patches reaches the memoized solvers and
-    outages."""
-    for solve in _MEMOIZED_SOLVERS:
-        solve.cache_clear()
+    outages; the memo's hit and miss counts start at 0."""
+    _SOLVER_MEMO.clear()
+    _MEMOIZED_OUTAGES.cache_clear()
     yield
-    for solve in _MEMOIZED_SOLVERS:
-        solve.cache_clear()
+    _SOLVER_MEMO.clear()
+    _MEMOIZED_OUTAGES.cache_clear()
 
 
 @pytest.fixture(scope="session")

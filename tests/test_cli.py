@@ -503,11 +503,12 @@ def test_figure_sweeps_ask_each_exact_outage_once(tmp_path, monkeypatch):
 
 
 def test_figure_sweeps_stay_within_their_surrogate_call_budget(tmp_path, monkeypatch):
-    # The solvers walk every cell of a scan in the same residual calls, rank
-    # no lone root, and take each candidate's stencils in one call per curve:
-    # a figure pass makes at most 913 surrogate kernel calls (1,189 when each
-    # cell and stencil took calls of its own), and its exact outages stay at
-    # 23 secrecy and 17 reliability array calls.
+    # Each optimum sweep solves its rows as one batch, whose walks share
+    # every surrogate call of a round, one per curve and kernel branch: a
+    # figure pass makes at most 162 surrogate kernel calls (913 when each row
+    # was solved alone, 1,189 when each cell and stencil also took calls of
+    # its own), and its exact outages stay at 23 secrecy and 17 reliability
+    # array calls.
     calls = {}
     for module, name in (
         (channel, "ggp_cdf_approx"),
@@ -523,7 +524,7 @@ def test_figure_sweeps_stay_within_their_surrogate_call_budget(tmp_path, monkeyp
 
         monkeypatch.setattr(module, name, counted)
     _run_figure_sweeps(tmp_path, monkeypatch)
-    assert calls["ggp_cdf_approx"] <= 913
+    assert calls["ggp_cdf_approx"] <= 162
     assert (calls["sop"], calls["reliability_outage"]) == (23, 17)
 
 
@@ -618,13 +619,13 @@ def test_sweep_ceiling_axis_solves_once_and_asks_each_outage_once(
         assert sorted(calls) == ["reliability_outage", "sop", "sop_approx"]
     else:
         assert sorted(calls) == ["sop", "sop_approx"]
-    # Every ceiling's solver call shares one memoized unconstrained solve.
+    # Every ceiling's row shares one memoized unconstrained solve.
     unconstrained = {
-        "fixed": optimize.fixed_unconstrained_pair,
-        "adaptive": optimize.adaptive_unconstrained_re,
+        "fixed": "_fixed_unconstrained_pair",
+        "adaptive": "_adaptive_unconstrained_re",
     }
-    assert unconstrained[scheme].cache_info().misses == 1
-    assert optimize.re_threshold.cache_info().misses == len(_ceiling_values())
+    assert optimize._MEMO.misses[unconstrained[scheme]] == 1
+    assert optimize._MEMO.misses["_re_threshold"] == len(_ceiling_values())
     monkeypatch.undo()
     assert text == _ceiling_rows_one_by_one(baseline, scheme, _ceiling_values(), 4.0)
 
@@ -1232,6 +1233,25 @@ def test_cli_does_not_import_scipy_integrate():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_command_with_exit_141():
+    # 10,000 CSV rows, far more than a pipe holds, so the command is still
+    # writing when its reader closes the pipe after the header line.
+    argv = ["sweep", "--axis", "r_e_x_r_b", "--min", "0.1", "--max", "6", "--steps", "100"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fso_secrecy.cli", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"axis,value,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_validate_low_power_is_inconclusive_not_failed(tmp_path):

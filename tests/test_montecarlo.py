@@ -631,7 +631,7 @@ def test_adaptive_est_matches_full_interpolation_on_short_streams(baseline, tria
 def test_adaptive_est_matches_full_interpolation_with_r_th_above_every_capacity(
     baseline, monkeypatch
 ):
-    monkeypatch.setattr(optimize, "re_threshold", lambda sc, s_th: 500.0)
+    monkeypatch.setattr(optimize, "re_thresholds", lambda keys: [500.0] * len(keys))
     sim = SimConfig(trials=20_000, seed=3)
     got = _assert_matches_full_interpolation(baseline, 0.4, sim)
     assert got.mean == 0.0

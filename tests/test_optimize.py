@@ -431,8 +431,10 @@ def test_throughput_stencil_equals_the_pointwise_objective(sigma_s, re, rb, h):
     sc = baseline_scenario(sigma_s=sigma_s)
     unconstrained = SecrecyConstraint(1.0)
     d = np.array([-h, 0.0, h])
-    got = optimize._fixed_est(
-        eve_link(sc), bob_link(sc), sc.nodes.n_a, re + d[:, None], rb + d, unconstrained
+    got = optimize._run(
+        optimize._fixed_est(
+            eve_link(sc), bob_link(sc), sc.nodes.n_a, re + d[:, None], rb + d, unconstrained
+        )
     )
     for i, x in enumerate((re - h, re, re + h)):
         for j, y in enumerate((rb - h, rb, rb + h)):
@@ -445,7 +447,7 @@ def test_throughput_stencil_equals_the_pointwise_objective(sigma_s, re, rb, h):
 def test_stencil_checks_return_python_bools(baseline):
     o = fixed_unconstrained_pair(baseline)
     u = optimize._rate_scale(bob_link(baseline))
-    f = optimize._stationary_stencil(baseline, o.rates.r_e, o.rates.r_b)
+    (f,) = optimize._run(optimize._stationary_stencils(baseline, [(o.rates.r_e, o.rates.r_b)]))
     checks = (
         optimize._is_stationary(f, u),
         optimize._is_negative_definite(f, u),
@@ -463,14 +465,14 @@ def test_fixed_pair_scan_passes_the_saturated_reliability_cell(baseline, monkeyp
     bob, n_a = bob_link(baseline), baseline.nodes.n_a
     assert reliability_outage_approx(bob, n_a, 11.76) == (1.0, 0.0)
     checked = []
-    stationary = optimize._stationary_stencil
+    stationary = optimize._stationary_stencils
 
-    def spy(sc, re, rb):
-        f = stationary(sc, re, rb)
-        checked.append((re, rb, f is not None))
-        return f
+    def spy(sc, pairs):
+        fs = yield from stationary(sc, pairs)
+        checked.extend((re, rb, f is not None) for (re, rb), f in zip(pairs, fs))
+        return fs
 
-    monkeypatch.setattr(optimize, "_stationary_stencil", spy)
+    monkeypatch.setattr(optimize, "_stationary_stencils", spy)
     o = fixed_unconstrained_pair(baseline)
     assert [(re, rb) for re, rb, ok in checked if ok] == [(o.rates.r_e, o.rates.r_b)]
     assert any(11.7 < rb < 11.8 and not ok for _, rb, ok in checked)
@@ -625,7 +627,13 @@ def test_fixed_optimal_matches_grid_oracle(baseline):
 # tops them all.
 SEQUENCE_CEILINGS = [1.0, 0.9, 0.6, 0.4, 0.2, 0.05, 0.6]
 
-MEMOIZED = ("re_threshold", "adaptive_unconstrained_re", "fixed_unconstrained_pair")
+# The memoized solvers and the names of their walks, by which the memo
+# counts its hits and misses.
+MEMOIZED = {
+    "re_threshold": "_re_threshold",
+    "adaptive_unconstrained_re": "_adaptive_unconstrained_re",
+    "fixed_unconstrained_pair": "_fixed_unconstrained_pair",
+}
 
 
 @pytest.mark.parametrize(
@@ -641,17 +649,16 @@ MEMOIZED = ("re_threshold", "adaptive_unconstrained_re", "fixed_unconstrained_pa
     ],
     ids=["fixed", "adaptive"],
 )
-def test_ceilings_share_the_memoized_unconstrained_solve(
-    overrides, solve, unconstrained, monkeypatch
-):
+def test_ceilings_share_the_memoized_unconstrained_solve(overrides, solve, unconstrained):
     sc = baseline_scenario(**overrides)
     got = [solve(sc, s_th) for s_th in SEQUENCE_CEILINGS]
-    assert getattr(optimize, unconstrained).cache_info().misses == 1
-    assert optimize.re_threshold.cache_info().misses == len(set(SEQUENCE_CEILINGS))
-    # The same solves with every memo bypassed.
-    for name in MEMOIZED:
-        monkeypatch.setattr(optimize, name, getattr(optimize, name).__wrapped__)
-    want = [solve(sc, s_th) for s_th in SEQUENCE_CEILINGS]
+    assert optimize._MEMO.misses[MEMOIZED[unconstrained]] == 1
+    assert optimize._MEMO.misses["_re_threshold"] == len(set(SEQUENCE_CEILINGS))
+    # The same solves, each from an empty memo.
+    want = []
+    for s_th in SEQUENCE_CEILINGS:
+        optimize._MEMO.clear()
+        want.append(solve(sc, s_th))
     # repr of a float round-trips, so equal reprs are equal bits
     assert [repr(o) for o in got] == [repr(o) for o in want]
 
@@ -674,42 +681,154 @@ def test_solvers_and_estimator_reject_a_ceiling_outside_the_unit_interval(baseli
 def test_memoized_solvers_equal_their_wrapped_functions_to_the_bit(n):
     # The scenarios, ceilings and capacities of the benchmark's optimize_batch
     # workload: a first call (a miss) and a second (a hit) each return what
-    # the undecorated solver does.
+    # the solve's walk does, driven alone past the memo.
     sc = baseline_scenario(n_a=n, n_b=n, n_e=n)
     cases = [(re_threshold, (sc, s_th)) for s_th in (0.2, 0.4, 1.0)]
     cases += [(adaptive_unconstrained_re, (sc, c_b)) for c_b in (2.0, 4.0, 6.0)]
     cases += [(fixed_unconstrained_pair, (sc,))]
     for solve, args in cases:
-        want = repr(solve.__wrapped__(*args))
+        want = repr(optimize._run(getattr(optimize, MEMOIZED[solve.__name__])(*args)))
         # repr of a float round-trips, so equal reprs are equal bits
         assert repr(solve(*args)) == want
         assert repr(solve(*args)) == want
-    for name in MEMOIZED:
-        info = getattr(optimize, name).cache_info()
-        assert info.hits == info.misses > 0
+    for walk in MEMOIZED.values():
+        assert optimize._MEMO.hits[walk] == optimize._MEMO.misses[walk] > 0
+
+
+# The scenarios of the batch tests, one per kernel branch and solver path:
+# no pointing term (sigma_s 0), the pointing term's recurrence branch
+# (sigma_s 0.25 and 0.5, where xi**2 = 25.0 and 6.26 top k = 3.73, each
+# surrogate its own call), its gamma-ratio branch (the baseline, sigma_s 2),
+# weak links (gamma0 1e-3), four apertures, the adaptive slope scan with two
+# roots (at c_b 0.5) and the one whose rise lies in its first cell (at c_b
+# 2.98), as in scripts/compare_outputs.py, and the fixed scheme's
+# codeword-rate grid fallback (at s_th 0.52).
+BATCH_SCENARIOS = [
+    {"sigma_s": 0.0},
+    {"sigma_s": 0.25},
+    {"sigma_s": 0.5},
+    {},
+    {"gamma0": 1e-3},
+    {"n_a": 4, "n_b": 4, "n_e": 4},
+    {"sigma_s": 0.0, "n_a": 1, "n_b": 3, "n_e": 4, "cn2": 1.4607508285692493e-15,
+     "d_b": 2902.842563086293, "d_e": 2252.7318414869633, "gamma0": 1424.0941040463003},
+    {"sigma_s": 0.0, "n_a": 2, "n_b": 3, "n_e": 1, "cn2": 3.18e-16, "d_b": 2206, "d_e": 836,
+     "gamma0": 0.0365},
+    {"sigma_s": 0.0, "n_a": 5, "n_b": 2, "n_e": 6, "cn2": 1.36e-16, "d_b": 2124, "d_e": 2264,
+     "gamma0": 639},
+]
+
+
+def _alone(solve, keys):
+    """repr of ``solve`` at each key, each solved from an empty memo."""
+    reprs = []
+    for key in keys:
+        optimize._MEMO.clear()
+        reprs.append(repr(solve(*key)))
+    return reprs
+
+
+def _kernel_calls(monkeypatch):
+    """A list that gains one entry per surrogate kernel call."""
+    calls, kernel = [], channel.ggp_cdf_approx
+    monkeypatch.setattr(channel, "ggp_cdf_approx", lambda *a: calls.append(1) or kernel(*a))
+    return calls
+
+
+def test_a_batch_equals_its_one_problem_solves_to_the_bit(monkeypatch):
+    # Each problem of a batch walks its own scalar solve, and the batch's
+    # array calls answer every open problem at once: the results keep every
+    # bit of the one-problem calls, with far fewer kernel calls.
+    scs = [baseline_scenario(**doc) for doc in BATCH_SCENARIOS]
+    for sc in scs[1:3]:
+        assert eve_link(sc).surrogate.xi2 > eve_link(sc).surrogate.k
+    thresholds = [(sc, s_th) for sc in scs for s_th in (0.2, 0.4, 0.52, 0.656, 1.0)]
+    capacities = [(sc, c_b) for sc in scs for c_b in (0.5, 2.98, 4.0)]
+    pinned = [(sc, r_e) for sc in scs for r_e in (0.5, 3.0, 100.0)]
+    pinned.append((scs[-1], re_threshold(scs[-1], 0.52)))
+    solves = {
+        "_re_threshold": (re_threshold, thresholds),
+        "_adaptive_unconstrained_re": (adaptive_unconstrained_re, capacities),
+        "_fixed_unconstrained_pair": (fixed_unconstrained_pair, [(sc,) for sc in scs]),
+    }
+    calls = _kernel_calls(monkeypatch)
+    want = {walk: _alone(solve, keys) for walk, (solve, keys) in solves.items()}
+    want_rbs = _alone(fixed_constrained_rb, pinned)
+    alone = len(calls)
+    calls.clear()
+    optimize._MEMO.clear()
+    asks = [(getattr(optimize, walk), key) for walk, (_, keys) in solves.items() for key in keys]
+    got = optimize._values(optimize._MEMO.solve(asks))
+    got_rbs = optimize.fixed_constrained_rbs(pinned)
+    assert [repr(result) for result in got] == [r for walk in solves for r in want[walk]]
+    assert [repr(result) for result in got_rbs] == want_rbs
+    # Every path ran: the grid fallbacks of the adaptive rate, the pair and
+    # the codeword rate, and the roots.
+    methods = {result[1] for result in got if isinstance(result, tuple)}
+    methods |= {result.method for result in got if isinstance(result, Optimum)}
+    methods |= {method for _, method in got_rbs}
+    assert methods == {"fixed_point", "grid_oracle", "lambert_w"}
+    assert 4 * len(calls) < alone  # 137 calls against 661
+
+
+def test_batched_optima_equal_the_one_row_calls_to_the_bit():
+    scs = [baseline_scenario(**doc) for doc in BATCH_SCENARIOS]
+    fixed_rows = [(sc, s_th) for sc in scs for s_th in (0.2, 0.52, 1.0)]
+    adaptive_rows = [(sc, c_b, s_th) for sc in scs for c_b in (0.5, 2.98) for s_th in (0.2, 0.656)]
+    want_fixed = _alone(fixed_optimal, fixed_rows)
+    want_adaptive = _alone(adaptive_optimal, adaptive_rows)
+    optimize._MEMO.clear()
+    assert [repr(o) for o in optimize.fixed_optima(fixed_rows)] == want_fixed
+    assert [repr(o) for o in optimize.adaptive_optima(adaptive_rows)] == want_adaptive
+
+
+def test_a_batch_raises_the_error_of_its_first_failing_row(baseline):
+    # Row 1's ceiling lies below the outage floor, row 2's outside (0, 1]:
+    # row 1's error comes first, as it does in a loop of one-row calls.
+    rows = [(baseline, 0.4), (baseline, 1e-17), (baseline, 0.0)]
+    for solve in (optimize.fixed_optima, optimize.re_thresholds):
+        with pytest.raises(ConvergenceError, match="ceiling 1e-17 is below"):
+            solve(rows)
+    with pytest.raises(ValueError, match="c_b must be positive"):
+        optimize.adaptive_optima([(baseline, 4.0, 0.4), (baseline, -1.0, 1e-17)])
+    assert optimize.fixed_optima(rows[:1]) == [fixed_optimal(baseline, 0.4)]
 
 
 def test_figure_sweeps_solve_each_distinct_key_once(tmp_path, monkeypatch):
     # Both schemes' families in scripts/figure_sweeps.py share thresholds and
-    # unconstrained optima: each memoized solver runs once per distinct
-    # (scenario, ceiling or c_b) key however often the sweeps ask for it.
-    solvers = {name: getattr(optimize, name) for name in MEMOIZED}
-    keys = {name: [] for name in MEMOIZED}
-    for name, solve in solvers.items():
-        monkeypatch.setattr(
-            optimize, name, lambda *a, _solve=solve, _keys=keys[name]: _keys.append(a) or _solve(*a)
-        )
+    # unconstrained optima: each memoized walk runs once per distinct
+    # (scenario, ceiling or c_b) key however often the sweeps ask for it,
+    # alone or in a batch.
+    keys = {walk: [] for walk in MEMOIZED.values()}  # each key asked
+    runs = {walk: [] for walk in MEMOIZED.values()}  # each key solved
+    solve = optimize._MEMO.solve
+
+    def recorded_solve(asks):
+        for walk, key in asks:
+            keys[walk.__name__].append(key)
+        return solve(asks)
+
+    monkeypatch.setattr(optimize._MEMO, "solve", recorded_solve)
+    for walk in MEMOIZED.values():
+
+        def counted(*key, _run=getattr(optimize, walk), _runs=runs[walk]):
+            _runs.append(key)
+            return _run(*key)
+
+        counted.__name__ = walk
+        monkeypatch.setattr(optimize, walk, counted)
     script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "figure_sweeps.py"
     spec = importlib.util.spec_from_file_location("figure_sweeps", script)
     sweeps = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweeps)
     monkeypatch.setattr(sys, "argv", [str(script), "--outdir", str(tmp_path)])
     assert sweeps.main() == 0
-    assert len(keys["re_threshold"]) > len(set(keys["re_threshold"]))
-    for name, solve in solvers.items():
-        info = solve.cache_info()
-        assert info.misses == len(set(keys[name])), name
-        assert info.hits + info.misses == len(keys[name]), name
+    assert len(keys["_re_threshold"]) > len(set(keys["_re_threshold"]))
+    for walk in MEMOIZED.values():
+        assert len(runs[walk]) == len(set(runs[walk])), walk
+        assert set(runs[walk]) == set(keys[walk]), walk
+        assert optimize._MEMO.misses[walk] == len(set(keys[walk])), walk
+        assert optimize._MEMO.hits[walk] + optimize._MEMO.misses[walk] == len(keys[walk]), walk
 
 
 def test_fixed_optimum_scales_with_the_snr_on_weak_links():
@@ -809,10 +928,31 @@ def test_solvers_return_feasible_optima_or_raise(
 
 # The three stationarity residuals the solvers scan, by qualified name.
 RESIDUALS = {
-    "adaptive_unconstrained_re.<locals>.slope",
-    "fixed_unconstrained_pair.<locals>.resid",
-    "fixed_constrained_rb.<locals>.resid",
+    "_adaptive_unconstrained_re.<locals>.slope",
+    "_fixed_unconstrained_pair.<locals>.resid",
+    "_fixed_constrained_rb.<locals>.resid",
 }
+
+
+def _evaluated(walk):
+    """The residual walk ``walk`` as an array function, each call driven alone."""
+
+    def g(x):
+        return optimize._run(walk(x))
+
+    g.__qualname__ = walk.__qualname__
+    return g
+
+
+def _bisect(g, cells, tol, iters=200):
+    """:func:`optimize._bisect_roots` of the array function ``g``, which asks
+    for no outage."""
+
+    def walk(x):
+        return g(x)
+        yield
+
+    return optimize._run(optimize._bisect_roots(walk, cells, tol, iters))
 
 
 @pytest.fixture(scope="module")
@@ -830,14 +970,14 @@ def solver_scans():
     found = {}
 
     def recorded_scan(g, xs, gs, tol, falling_only=False):
-        found[sigma_s][0].setdefault((g.__qualname__, gs.tobytes()), (g, xs, gs))
-        return scan(g, xs, gs, tol, falling_only)
+        found[sigma_s][0].setdefault((g.__qualname__, gs.tobytes()), (_evaluated(g), xs, gs))
+        return (yield from scan(g, xs, gs, tol, falling_only))
 
     def recorded_bisect(g, cells, tol, iters=200):
-        roots = bisect(g, cells, tol, iters)
+        roots = yield from bisect(g, cells, tol, iters)
         for (lo, hi, g_lo), root in zip(cells, roots):
             key = (g.__qualname__, lo, hi, g_lo)
-            found[sigma_s][1].setdefault(key, (g, lo, hi, g_lo, tol, root))
+            found[sigma_s][1].setdefault(key, (_evaluated(g), lo, hi, g_lo, tol, root))
         return roots
 
     with pytest.MonkeyPatch.context() as mp:
@@ -885,7 +1025,7 @@ def test_batched_bisection_evaluates_only_the_levels_it_walks(solver_scans, sigm
         oracles.bisect_root(lambda r: scalar.append(r) or float(g(r)), lo, hi, tol)
         left = len(scalar) - 1  # the first call is g(lo)
         calls_at_six_levels = -(-left // 6)
-        got = optimize._bisect_roots(lambda x: sizes.append(x.size) or g(x), [(lo, hi, g_lo)], tol)
+        got = _bisect(lambda x: sizes.append(x.size) or g(x), [(lo, hi, g_lo)], tol)
         assert got == [root], g.__qualname__
         assert len(sizes) <= calls_at_six_levels, g.__qualname__
         for size in sizes:
@@ -903,8 +1043,8 @@ def test_shared_walk_bisects_both_cells_of_the_baseline_pair_scan(baseline, monk
     scans, scan = [], optimize._scan_roots
 
     def recorded_scan(g, xs, gs, tol, falling_only=False):
-        scans.append((g, xs, gs, tol))
-        return scan(g, xs, gs, tol, falling_only)
+        scans.append((_evaluated(g), xs, gs, tol))
+        return (yield from scan(g, xs, gs, tol, falling_only))
 
     monkeypatch.setattr(optimize, "_scan_roots", recorded_scan)
     fixed_unconstrained_pair(baseline)
@@ -913,11 +1053,11 @@ def test_shared_walk_bisects_both_cells_of_the_baseline_pair_scan(baseline, monk
     cells = [(xs[i], xs[i + 1], gs[i]) for i in np.flatnonzero(pos[:-1] != pos[1:])]
     assert len(cells) == 2 and 11.7 < cells[1][0] < 11.8
     shared, alone = [], []
-    roots = optimize._bisect_roots(lambda x: shared.append(x.size) or g(x), cells, tol)
+    roots = _bisect(lambda x: shared.append(x.size) or g(x), cells, tol)
     for (lo, hi, g_lo), root in zip(cells, roots):
         assert root == oracles.bisect_root(lambda r: float(g(r)), lo, hi, tol)
         sizes = []
-        got = optimize._bisect_roots(lambda x: sizes.append(x.size) or g(x), [(lo, hi, g_lo)], tol)
+        got = _bisect(lambda x: sizes.append(x.size) or g(x), [(lo, hi, g_lo)], tol)
         assert got == [root]
         alone.append(sizes)
     assert len(shared) <= max(map(len, alone))
@@ -935,9 +1075,10 @@ def test_scan_roots_bisects_the_cells_of_the_scalar_sign_test(monkeypatch, falli
     def bisect(g, cells_, tol, iters=200):
         cells.extend(cells_)
         return [lo for lo, _, _ in cells_]
+        yield
 
     monkeypatch.setattr(optimize, "_bisect_roots", bisect)
-    optimize._scan_roots(None, xs, gs, 1e-9, falling_only)
+    optimize._run(optimize._scan_roots(None, xs, gs, 1e-9, falling_only))
     want = []
     for i in range(1, len(xs)):
         prev, g = gs[i - 1], gs[i]
@@ -968,7 +1109,7 @@ def _nan_inside(x):
 )
 def test_batched_bisection_equals_the_scalar_one_on_edge_cases(g, lo, hi, tol, iters):
     g_lo = g(np.array([lo]))[0]
-    got = optimize._bisect_roots(g, [(lo, hi, g_lo)], tol, iters)
+    got = _bisect(g, [(lo, hi, g_lo)], tol, iters)
     assert got == [oracles.bisect_root(lambda r: float(g(r)), lo, hi, tol, iters)]
 
 
@@ -985,7 +1126,7 @@ def test_batched_bisection_makes_few_array_calls():
         scalar.append(x)
         return 0.123 - x
 
-    roots = optimize._bisect_roots(g, [(0.1, 0.15, 0.023)], 1e-9)
+    roots = _bisect(g, [(0.1, 0.15, 0.023)], 1e-9)
     assert roots == [oracles.bisect_root(g_scalar, 0.1, 0.15, 1e-9)]
     assert len(batched) <= 5
     assert len(scalar) >= 26
@@ -1082,8 +1223,18 @@ FALLBACK_PAIR_EST = 0.617109115228448
 FALLBACK_ADAPTIVE_EST = {4.0: 0.9793110664086135, 6.0: 1.9809133460377149}
 
 
-def _no_roots(*args, **kwargs):
-    return []
+def _scan_finding(roots):
+    """A stand-in for the residual scan's walk that finds ``roots`` and asks
+    for no outage."""
+
+    def scan(*args, **kwargs):
+        return list(roots)
+        yield
+
+    return scan
+
+
+_no_roots = _scan_finding([])
 
 
 @pytest.mark.parametrize("r_e", sorted(FALLBACK_RB_FACTOR))
@@ -1100,7 +1251,7 @@ def test_fixed_constrained_rb_grid_fallback_reaches_the_polished_factor(baseline
 def test_fixed_unconstrained_pair_grid_fallback_reaches_the_polished_est(baseline, monkeypatch):
     root = fixed_unconstrained_pair(baseline)
     monkeypatch.setattr(optimize, "_scan_roots", _no_roots)
-    fixed_unconstrained_pair.cache_clear()
+    optimize._MEMO.clear()
     o = fixed_unconstrained_pair(baseline)
     assert o.method == "grid_oracle"
     _at_least(o.est, FALLBACK_PAIR_EST)
@@ -1113,7 +1264,7 @@ def test_fixed_unconstrained_pair_grid_fallback_reaches_the_polished_est(baselin
 def test_adaptive_unconstrained_re_grid_fallback_reaches_the_polished_est(baseline, monkeypatch, c_b):
     root, _ = adaptive_unconstrained_re(baseline, c_b)
     monkeypatch.setattr(optimize, "_scan_roots", _no_roots)
-    adaptive_unconstrained_re.cache_clear()
+    optimize._MEMO.clear()
     r_e, method = adaptive_unconstrained_re(baseline, c_b)
     assert method == "grid_oracle"
     est = _surrogate_est_adaptive(baseline, c_b, r_e, SecrecyConstraint(1.0)).est
@@ -1128,7 +1279,7 @@ def test_adaptive_unconstrained_re_ranks_two_roots_by_the_surrogate_throughput(
     # Two slope roots at c_b 4, neither the optimum (1.56): the one with the
     # higher surrogate throughput wins, in either order.  The one natural
     # two-root case known ranks throughputs of 3.6e-18, rounding noise.
-    monkeypatch.setattr(optimize, "_scan_roots", lambda *args, **kwargs: list(rates))
+    monkeypatch.setattr(optimize, "_scan_roots", _scan_finding(rates))
     ests = [_surrogate_est_adaptive(baseline, 4.0, r, SecrecyConstraint(1.0)).est for r in rates]
     assert max(ests) > min(ests) + 0.02
     assert adaptive_unconstrained_re(baseline, 4.0) == (2.0, "fixed_point")

@@ -64,13 +64,16 @@ def traced_optimize():
 
 def test_the_tracer_sees_the_surrogate_layers_that_run(traced_optimize):
     # Each surrogate computation runs under the one name the tracer lists,
-    # so a traced solve counts its kernel, outage and solver calls.
+    # so a traced solve counts its kernel, outage and solver calls.  The
+    # solvers' batch walks run inside the one-problem solver each command
+    # calls.
     calls = traced_optimize["calls"]
     for name in (
         "channel.ggp_cdf_approx",
         "secrecy.sop_approx",
         "secrecy.reliability_outage_approx",
-        "optimize.fixed_constrained_rb",
+        "optimize.fixed_optimal",
+        "optimize.adaptive_optimal",
     ):
         assert calls[name] > 0, name
 
