@@ -443,7 +443,7 @@ def cmd_sweep(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     if axis in ("s_th", "n", "sigma_s"):
         # The s_th axis moves the ceiling; the n and sigma_s axes the
         # scenario.  All rows are solved as one batch, up to a scenario the
-        # link model rejects: that row's error comes after any earlier row's.
+        # link model rejects: that row's error comes after the rows before it.
         rows, rejected = [], None
         for v in values:
             try:
@@ -451,11 +451,10 @@ def cmd_sweep(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
             except ConfigError as exc:
                 rejected = exc
                 break
-        solved = _optimum_rows(rows, scheme, args.cb, args.mc, sim, args.jobs)
+        for v, row in zip(values, _optimum_rows(rows, scheme, args.cb, args.mc, sim, args.jobs)):
+            emit(v, None, row)
         if rejected is not None:
             raise rejected
-        for v, row in zip(values, solved):
-            emit(v, None, row)
         return _EXIT_OK
 
     # Rate axes: (value, value2) and the cell (r_e, r_b, c_b) of each row.

@@ -219,6 +219,22 @@ def test_sweep_into_undefined_gamma_surrogate_exits_1(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_sweep_prints_the_rows_before_a_rejected_scenario(tmp_path, capsys):
+    # The aperture-count axis solves its rows as one batch, up to the first
+    # scenario the link model rejects (n = 3 at epsilon 0.24): the rows
+    # before it reach stdout, then its one-line error.
+    cfg = tmp_path / "eps.json"
+    cfg.write_text('{"epsilon": 0.24}', encoding="utf-8")
+    axis = ["sweep", "--config", str(cfg), "--axis", "n", "--min", "1", "--sth", "0.4"]
+    assert cli.main([*axis, "--max", "2", "--steps", "2"]) == 0
+    valid = capsys.readouterr().out
+    assert len(valid.splitlines()) == 3
+    assert cli.main([*axis, "--max", "6", "--steps", "6"]) == 1
+    out, err = capsys.readouterr()
+    assert out == valid
+    assert err.startswith("error: gamma surrogate undefined") and err.count("\n") == 1
+
+
 _TINY_GAIN_COMMANDS = (
     ("optimize", "--scheme", "adaptive", "--cb", "4", "--sth", "0.4"),
     ("optimize", "--scheme", "fixed", "--sth", "0.4"),
