@@ -371,7 +371,7 @@ def _optimum_rows(
     with_mc: bool,
     sim: SimConfig,
     jobs: int,
-) -> list[tuple[float, str, str, float, float, bool]]:
+) -> list:
     """One row per (scenario, outage ceiling) of ``rows``, from one batch
     solve of all of them; the rows of a scenario share its memoized
     unconstrained solve.
@@ -381,6 +381,9 @@ def _optimum_rows(
     ``constraint_met`` reads from one array call.  Its Monte-Carlo column is,
     for the adaptive scheme, one capacity-averaged estimate over its
     ceilings, and for the fixed scheme :func:`_mc_columns` at its optima.
+    A run that fails, at its first failing optimum or in its outages, ends
+    the list with that error in place of its rows, so the rows before it
+    come out as they would one run at a time.
     """
     if scheme == "adaptive":
         optima = optimize.adaptive_optima([(sc, c_b, s_th) for sc, s_th in rows])
@@ -390,28 +393,48 @@ def _optimum_rows(
     rows_optima = zip(rows, optima)
     for sc, run in itertools.groupby(rows_optima, key=lambda row_optimum: row_optimum[0][0]):
         ceilings, run_optima = zip(*((s_th, o) for (_, s_th), o in run))
-        r_es = [o.rates.r_e for o in run_optima]
-        if scheme == "adaptive":
-            rel = [0.0] * len(run_optima)
-        else:
-            rel = _outages(secrecy.reliability_outage, sc, [o.rates.r_b for o in run_optima])
-        sop_vals = _outages(secrecy.sop, sc, r_es)
-        mc = [("", "")] * len(run_optima)
-        if with_mc and scheme == "adaptive":
-            estimates = montecarlo.estimate_est(sc, list(ceilings), sim, jobs=jobs)
-            mc = [(_fmt(e.mean), _fmt(e.ci_halfwidth)) for e in estimates]
-        elif with_mc:
-            mc = _mc_columns(sc, scheme, [o.rates for o in run_optima], list(ceilings), sim, jobs)
-        # Solvers contract on the surrogate outage surface; the sop column
-        # stays exact-kernel for diagnostics.
-        s_approx = secrecy.sop_approx(eve_link(sc), np.array(r_es))[0].tolist()
-        out += [
-            (o.est, est_mc, ci, s, t, s_a <= s_th + 1e-6 or o.est == 0.0)
-            for o, (est_mc, ci), s, t, s_a, s_th in zip(
-                run_optima, mc, sop_vals, rel, s_approx, ceilings
-            )
-        ]
+        try:
+            out += _run_rows(sc, scheme, ceilings, run_optima, with_mc, sim, jobs)
+        except Exception as exc:  # raised by the caller once the rows before it are out
+            return out + [exc]
     return out
+
+
+def _run_rows(
+    sc: ScenarioConfig,
+    scheme: str,
+    ceilings: tuple[float, ...],
+    run_optima: tuple,
+    with_mc: bool,
+    sim: SimConfig,
+    jobs: int,
+) -> list[tuple[float, str, str, float, float, bool]]:
+    """The rows of one run of :func:`_optimum_rows`, or its first optimum's
+    error raised."""
+    for o in run_optima:
+        if isinstance(o, Exception):
+            raise o
+    r_es = [o.rates.r_e for o in run_optima]
+    if scheme == "adaptive":
+        rel = [0.0] * len(run_optima)
+    else:
+        rel = _outages(secrecy.reliability_outage, sc, [o.rates.r_b for o in run_optima])
+    sop_vals = _outages(secrecy.sop, sc, r_es)
+    mc = [("", "")] * len(run_optima)
+    if with_mc and scheme == "adaptive":
+        estimates = montecarlo.estimate_est(sc, list(ceilings), sim, jobs=jobs)
+        mc = [(_fmt(e.mean), _fmt(e.ci_halfwidth)) for e in estimates]
+    elif with_mc:
+        mc = _mc_columns(sc, scheme, [o.rates for o in run_optima], list(ceilings), sim, jobs)
+    # Solvers contract on the surrogate outage surface; the sop column stays
+    # exact-kernel for diagnostics.
+    s_approx = secrecy.sop_approx(eve_link(sc), np.array(r_es))[0].tolist()
+    return [
+        (o.est, est_mc, ci, s, t, s_a <= s_th + 1e-6 or o.est == 0.0)
+        for o, (est_mc, ci), s, t, s_a, s_th in zip(
+            run_optima, mc, sop_vals, rel, s_approx, ceilings
+        )
+    ]
 
 
 def cmd_sweep(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
@@ -443,18 +466,20 @@ def cmd_sweep(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     if axis in ("s_th", "n", "sigma_s"):
         # The s_th axis moves the ceiling; the n and sigma_s axes the
         # scenario.  All rows are solved as one batch, up to a scenario the
-        # link model rejects: that row's error comes after the rows before it.
-        rows, rejected = [], None
+        # link model rejects.  The first failing row, rejected or unsolved,
+        # raises its error after the rows before it are written.
+        rows, rejected = [], []
         for v in values:
             try:
                 rows.append((sc, v) if axis == "s_th" else (_scenario_at(sc, axis, v), s_th))
             except ConfigError as exc:
-                rejected = exc
+                rejected = [exc]
                 break
-        for v, row in zip(values, _optimum_rows(rows, scheme, args.cb, args.mc, sim, args.jobs)):
+        outcomes = _optimum_rows(rows, scheme, args.cb, args.mc, sim, args.jobs) + rejected
+        for v, row in zip(values, outcomes):
+            if isinstance(row, Exception):
+                raise row
             emit(v, None, row)
-        if rejected is not None:
-            raise rejected
         return _EXIT_OK
 
     # Rate axes: (value, value2) and the cell (r_e, r_b, c_b) of each row.

@@ -39,26 +39,31 @@ inside a bracket whose upper end is the pointing-free inversion.
 
 :func:`re_threshold`, :func:`adaptive_unconstrained_re` and
 :func:`fixed_unconstrained_pair` are memoized per scenario like the links of
-:func:`fso_secrecy.channel.bob_link` and ``eve_link``: one bounded memo holds
-up to 768 results, keyed on the solve, the frozen scenario and the ceiling or
-c_b.  Both schemes' families of a figure share the threshold rates, and
-every ceiling of a scenario its unconstrained optima, so a key asked for
-again, alone or in a batch, returns the stored result.  The results are
-immutable: a float, a tuple, a frozen :class:`Optimum`.  The outage
-functions stay unmemoized array kernels; the command line memoizes the
-exact outages of its rows.
+:func:`fso_secrecy.channel.bob_link` and ``eve_link``: one memo keeps up to
+256 results of each solve, least recently used out, keyed on the frozen
+scenario and the ceiling or c_b.  Both schemes' families of a figure share
+the threshold rates, and every ceiling of a scenario its unconstrained
+optima, so a key asked for again, alone or in a batch, returns the stored
+result.  The results are immutable: a float, a tuple, a frozen
+:class:`Optimum`.  The outage functions stay unmemoized array kernels; the
+command line memoizes the exact outages of its rows.
 
 Every solve is a walk: a generator that yields the surrogate outages it
 needs and takes their values back.  :func:`_drive` runs a batch of walks
 together and answers each round of their requests in one kernel call per
 curve and kernel branch, so each array call advances every open problem of
 a batch, and each problem takes exactly the steps, and gets exactly the
-bits, of its solve alone.  The batch forms :func:`re_thresholds`,
-:func:`adaptive_optima`, :func:`fixed_optima` and
-:func:`fixed_constrained_rbs` take a list of problems (a scenario with a
-ceiling, a capacity or a pinned r_e) and solve only the memo's misses; the
-one-problem functions are their one-element calls.  A batch raises the
-error of its first failing problem, in the order given.
+bits, of its solve alone; a lone walk is the one-walk batch.  The batch
+forms :func:`re_thresholds`, :func:`adaptive_optima`, :func:`fixed_optima`
+and :func:`fixed_constrained_rbs` take a list of problems (a scenario with
+a ceiling, a capacity or a pinned r_e) and solve only the memo's misses;
+the one-problem functions are their one-element calls.  ``re_thresholds``
+and ``fixed_constrained_rbs`` raise the error of their first failing
+problem, in the order given; the two optima batches put each failing
+row's error in its place, so a caller can report the rows before it.
+Under a binding ceiling, each fixed optimum takes its codeword rate from
+its own :func:`fixed_constrained_rb` call, which is where a per-function
+profile finds that solve.
 
 All solvers evaluate and report on the gamma-surrogate surface they are
 derived on, :func:`fso_secrecy.secrecy.est_from_outages` of the surrogate
@@ -208,7 +213,7 @@ def _call(link: LinkParams, n_a: int | None, rates):
 def _answer(requests: list) -> list:
     """The (outage, slope) of each request (link, n_a, rates) of one
     :func:`_branch`, from one call on their rates laid end to end; a lone
-    request passes its own link and rates, as a call of its own would."""
+    request is that call on its own link and rates."""
     if len(requests) == 1:
         return [_call(*requests[0])]
     link, n_a, _ = requests[0]
@@ -246,11 +251,6 @@ def _drive(walks: list) -> list:
     walks of a batch share their calls.  A call that raises is made again
     per request, and the error goes to each walk whose own request raises.
     """
-    if len(walks) == 1:  # a lone walk shares no call
-        try:
-            return [_run(walks[0])]
-        except Exception as exc:
-            return [exc]
     results = [None] * len(walks)
     asked = {}  # walk index -> the requests it waits on
 
@@ -301,31 +301,25 @@ def _values(results: list) -> list:
 
 
 def _run(walk):
-    """The result of one walk, driven alone: each request is a call of its
-    own, as in :func:`_drive`, and an error is raised where it arises."""
-    answer = None
-    while True:
-        try:
-            requests = walk.send(answer)
-        except StopIteration as stop:
-            return stop.value
-        answer = tuple(_call(*request) for request in requests)
+    """The result of one walk, driven alone, or its error raised."""
+    return _values(_drive([walk]))[0]
 
 
 class _Memo:
     """The solves of :func:`_re_threshold`, :func:`_adaptive_unconstrained_re`
-    and :func:`_fixed_unconstrained_pair`, keyed on (walk, arguments), the
-    least recently used dropped past ``size``; ``hits`` and ``misses`` count
-    each walk's keys by its name."""
+    and :func:`_fixed_unconstrained_pair`, keyed on (walk, arguments); each
+    walk keeps its ``size`` most recently used results, so a long batch of
+    one walk does not push out another's.  ``hits`` and ``misses`` count each
+    walk's keys by its name."""
 
     def __init__(self, size: int) -> None:
         self.size = size
-        self.store: OrderedDict = OrderedDict()
+        self.stores: dict = {}  # walk -> OrderedDict of arguments -> result
         self.hits: Counter = Counter()
         self.misses: Counter = Counter()
 
     def clear(self) -> None:
-        self.store.clear()
+        self.stores.clear()
         self.hits.clear()
         self.misses.clear()
 
@@ -335,27 +329,29 @@ class _Memo:
         stored, each solved once.  A result is a value or the error its
         walk raised; an error is not stored."""
         fresh = {}
-        for ask in asks:
-            known = ask in self.store or ask in fresh
-            (self.hits if known else self.misses)[ask[0].__name__] += 1
+        for walk, key in asks:
+            known = key in self.stores.get(walk, ()) or (walk, key) in fresh
+            (self.hits if known else self.misses)[walk.__name__] += 1
             if not known:
-                fresh[ask] = None
+                fresh[walk, key] = None
         for ask, result in zip(fresh, _drive([walk(*key) for walk, key in fresh])):
             fresh[ask] = result
             if not isinstance(result, Exception):
-                self.store[ask] = result
+                self.stores.setdefault(ask[0], OrderedDict())[ask[1]] = result
         out = []
-        for ask in asks:
-            if ask in self.store:
-                self.store.move_to_end(ask)
-            out.append(fresh[ask] if ask in fresh else self.store[ask])
-        while len(self.store) > self.size:
-            self.store.popitem(last=False)
+        for walk, key in asks:
+            store = self.stores.get(walk, {})
+            if key in store:
+                store.move_to_end(key)
+            out.append(fresh[walk, key] if (walk, key) in fresh else store[key])
+        for store in self.stores.values():
+            while len(store) > self.size:
+                store.popitem(last=False)
         return out
 
 
-# 256 keys for each of the three memoized walks.
-_MEMO = _Memo(768)
+# Up to 256 results of each of the three memoized walks.
+_MEMO = _Memo(256)
 
 
 # ---------------------------------------------------------------------------
@@ -620,22 +616,22 @@ def adaptive_optimal(sc: ScenarioConfig, c_b: float, s_th: float) -> Optimum:
     one unconstrained solve.  Where even the threshold rate exceeds the
     capacity no operating point has a positive secrecy rate, and the report
     degenerates to zero throughput at the capacity itself.  The one-row
-    case of :func:`adaptive_optima`.
+    case of :func:`adaptive_optima`, whose error it raises.
     """
-    return adaptive_optima([(sc, c_b, s_th)])[0]
+    return _values(adaptive_optima([(sc, c_b, s_th)]))[0]
 
 
 def adaptive_optima(rows) -> list[Optimum]:
     """:func:`adaptive_optimal` at each (scenario, c_b, ceiling) of ``rows``,
-    in order.  The unconstrained rates and thresholds the memo lacks are
-    solved in one batch, and the rows' stencils in one call; it raises the
-    error of the first row that fails, as a loop of one-row calls would."""
+    in order, or in a row's place the error its one-row call raises.  The
+    unconstrained rates and thresholds the memo lacks are solved in one
+    batch, and the rows' stencils in one call."""
     solved = _MEMO.solve(
         [(_adaptive_unconstrained_re, (sc, c_b)) for sc, c_b, _ in rows]
         + [(_re_threshold, (sc, s_th)) for sc, _, s_th in rows]
     )
     walks = map(_adaptive_optimum, rows, solved[: len(rows)], solved[len(rows) :])
-    return _values(_drive(list(walks)))
+    return _drive(list(walks))
 
 
 def _adaptive_optimum(row, unconstrained, threshold):
@@ -885,23 +881,23 @@ def fixed_optimal(sc: ScenarioConfig, s_th: float) -> Optimum:
     pinned to the threshold value and the codeword rate re-optimized around
     it.  The pair and the threshold rate come from the memoized solves, so
     the ceilings of one scenario share one unconstrained solve.  The one-row
-    case of :func:`fixed_optima`.
+    case of :func:`fixed_optima`, whose error it raises.
     """
-    return fixed_optima([(sc, s_th)])[0]
+    return _values(fixed_optima([(sc, s_th)]))[0]
 
 
 def fixed_optima(rows) -> list[Optimum]:
     """:func:`fixed_optimal` at each (scenario, ceiling) of ``rows``, in
-    order.  The pairs and thresholds the memo lacks are solved in one batch,
-    then the binding rows' codeword rates and stencils in another; it raises
-    the error of the first row that fails, as a loop of one-row calls
-    would."""
+    order, or in a row's place the error its one-row call raises.  The pairs
+    and thresholds the memo lacks are solved in one batch; each binding row
+    then takes its codeword rate from :func:`fixed_constrained_rb`, and the
+    binding rows' stencils share one call."""
     solved = _MEMO.solve(
         [(_fixed_unconstrained_pair, (sc,)) for sc, _ in rows]
         + [(_re_threshold, (sc, s_th)) for sc, s_th in rows]
     )
     walks = map(_fixed_optimum, rows, solved[: len(rows)], solved[len(rows) :])
-    return _values(_drive(list(walks)))
+    return _drive(list(walks))
 
 
 def _fixed_optimum(row, pair, threshold):
@@ -912,7 +908,7 @@ def _fixed_optimum(row, pair, threshold):
     pair, re_t = _values([pair, threshold])
     if pair.rates.r_e >= re_t:
         return pair
-    rb, method = yield from _fixed_constrained_rb(sc, re_t)
+    rb, method = fixed_constrained_rb(sc, re_t)
     bob = bob_link(sc)
     u = _rate_scale(bob)
     rbs = np.array([rb - 1e-4 * u, rb, rb + 1e-4 * u])

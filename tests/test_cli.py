@@ -21,6 +21,7 @@ from fso_secrecy import channel, cli, montecarlo, optimize, secrecy
 from fso_secrecy.channel import eve_link
 from fso_secrecy.cli import ConfigError, scenario_from_dict
 from fso_secrecy.secrecy import RatePair, SecrecyConstraint
+from fso_secrecy.specfun import ConvergenceError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEADER = "axis,value,value2,est_closed,est_mc,ci,sop,reliability_outage,constraint_met"
@@ -233,6 +234,38 @@ def test_sweep_prints_the_rows_before_a_rejected_scenario(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == valid
     assert err.startswith("error: gamma surrogate undefined") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scheme", ["adaptive", "fixed"])
+@pytest.mark.parametrize(
+    "axis, failing",
+    [("n", lambda sc: sc.nodes.n_a == 3), ("sigma_s", lambda sc: sc.sigma_s == 3.0)],
+)
+def test_sweep_prints_the_rows_before_a_row_the_solver_fails(
+    capsys, monkeypatch, scheme, axis, failing
+):
+    # The optimum axes solve their rows as one batch.  Where a later row's
+    # threshold fails (the third row here), the rows before it still reach
+    # stdout, then its one-line solver error, as when each row was solved
+    # and written in turn.
+    argv = ["sweep", "--axis", axis, "--min", "1", "--scheme", scheme, "--cb", "4", "--sth", "0.4"]
+    assert cli.main([*argv, "--max", "2", "--steps", "2"]) == 0
+    valid = capsys.readouterr().out
+    assert len(valid.splitlines()) == 3
+    threshold = optimize._re_threshold
+
+    def walk(sc, s_th):
+        if failing(sc):
+            raise ConvergenceError("no rate meets the ceiling in this row")
+        return (yield from threshold(sc, s_th))
+
+    walk.__name__ = threshold.__name__
+    monkeypatch.setattr(optimize, "_re_threshold", walk)
+    optimize._MEMO.clear()
+    assert cli.main([*argv, "--max", "4", "--steps", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == valid
+    assert err == "solver error: no rate meets the ceiling in this row\n"
 
 
 _TINY_GAIN_COMMANDS = (
@@ -520,11 +553,12 @@ def test_figure_sweeps_ask_each_exact_outage_once(tmp_path, monkeypatch):
 
 def test_figure_sweeps_stay_within_their_surrogate_call_budget(tmp_path, monkeypatch):
     # Each optimum sweep solves its rows as one batch, whose walks share
-    # every surrogate call of a round, one per curve and kernel branch: a
-    # figure pass makes at most 162 surrogate kernel calls (913 when each row
-    # was solved alone, 1,189 when each cell and stencil also took calls of
-    # its own), and its exact outages stay at 23 secrecy and 17 reliability
-    # array calls.
+    # every surrogate call of a round, one per curve and kernel branch; only
+    # the fixed scheme's binding rows take their codeword rates one call of
+    # fixed_constrained_rb each.  A figure pass makes at most 306 surrogate
+    # kernel calls (913 when each row was solved alone, 1,189 when each cell
+    # and stencil also took calls of its own), and its exact outages stay at
+    # 23 secrecy and 17 reliability array calls.
     calls = {}
     for module, name in (
         (channel, "ggp_cdf_approx"),
@@ -540,7 +574,7 @@ def test_figure_sweeps_stay_within_their_surrogate_call_budget(tmp_path, monkeyp
 
         monkeypatch.setattr(module, name, counted)
     _run_figure_sweeps(tmp_path, monkeypatch)
-    assert calls["ggp_cdf_approx"] <= 162
+    assert calls["ggp_cdf_approx"] <= 306
     assert (calls["sop"], calls["reliability_outage"]) == (23, 17)
 
 

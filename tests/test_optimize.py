@@ -695,6 +695,20 @@ def test_memoized_solvers_equal_their_wrapped_functions_to_the_bit(n):
         assert optimize._MEMO.hits[walk] == optimize._MEMO.misses[walk] > 0
 
 
+def test_each_memoized_walk_keeps_its_own_bound(baseline, monkeypatch):
+    # A batch of more thresholds than the bound drops the least recently
+    # used threshold, not the scenario's unconstrained pair.
+    monkeypatch.setattr(optimize._MEMO, "size", 2)
+    fixed_unconstrained_pair(baseline)
+    optimize.re_thresholds([(baseline, s_th) for s_th in (0.2, 0.3, 0.4)])
+    fixed_unconstrained_pair(baseline)
+    assert optimize._MEMO.hits["_fixed_unconstrained_pair"] == 1
+    re_threshold(baseline, 0.4)
+    re_threshold(baseline, 0.2)
+    assert optimize._MEMO.hits["_re_threshold"] == 1
+    assert optimize._MEMO.misses["_re_threshold"] == 4
+
+
 # The scenarios of the batch tests, one per kernel branch and solver path:
 # no pointing term (sigma_s 0), the pointing term's recurrence branch
 # (sigma_s 0.25 and 0.5, where xi**2 = 25.0 and 6.26 top k = 3.73, each
@@ -784,14 +798,20 @@ def test_batched_optima_equal_the_one_row_calls_to_the_bit():
 
 def test_a_batch_raises_the_error_of_its_first_failing_row(baseline):
     # Row 1's ceiling lies below the outage floor, row 2's outside (0, 1]:
-    # row 1's error comes first, as it does in a loop of one-row calls.
+    # row 1's error comes first, as it does in a loop of one-row calls.  The
+    # optima batches put each row's error in its place instead.
     rows = [(baseline, 0.4), (baseline, 1e-17), (baseline, 0.0)]
-    for solve in (optimize.fixed_optima, optimize.re_thresholds):
-        with pytest.raises(ConvergenceError, match="ceiling 1e-17 is below"):
-            solve(rows)
-    with pytest.raises(ValueError, match="c_b must be positive"):
-        optimize.adaptive_optima([(baseline, 4.0, 0.4), (baseline, -1.0, 1e-17)])
-    assert optimize.fixed_optima(rows[:1]) == [fixed_optimal(baseline, 0.4)]
+    with pytest.raises(ConvergenceError, match="ceiling 1e-17 is below"):
+        optimize.re_thresholds(rows)
+    with pytest.raises(ValueError, match="r_e_fixed must be non-negative"):
+        optimize.fixed_constrained_rbs([(baseline, 0.4), (baseline, -1.0), (baseline, math.nan)])
+    fixed = optimize.fixed_optima(rows)
+    assert fixed[0] == fixed_optimal(baseline, 0.4)
+    assert isinstance(fixed[1], ConvergenceError) and "ceiling 1e-17 is below" in str(fixed[1])
+    assert isinstance(fixed[2], ValueError) and "must lie in" in str(fixed[2])
+    adaptive = optimize.adaptive_optima([(baseline, 4.0, 0.4), (baseline, -1.0, 1e-17)])
+    assert adaptive[0] == adaptive_optimal(baseline, 4.0, 0.4)
+    assert isinstance(adaptive[1], ValueError) and "c_b must be positive" in str(adaptive[1])
 
 
 def test_figure_sweeps_solve_each_distinct_key_once(tmp_path, monkeypatch):

@@ -64,16 +64,13 @@ def traced_optimize():
 
 def test_the_tracer_sees_the_surrogate_layers_that_run(traced_optimize):
     # Each surrogate computation runs under the one name the tracer lists,
-    # so a traced solve counts its kernel, outage and solver calls.  The
-    # solvers' batch walks run inside the one-problem solver each command
-    # calls.
+    # so a traced solve counts its kernel, outage and solver calls.
     calls = traced_optimize["calls"]
     for name in (
         "channel.ggp_cdf_approx",
         "secrecy.sop_approx",
         "secrecy.reliability_outage_approx",
-        "optimize.fixed_optimal",
-        "optimize.adaptive_optimal",
+        "optimize.fixed_constrained_rb",
     ):
         assert calls[name] > 0, name
 
