@@ -56,6 +56,14 @@ script runs:
   0, the recurrence at 0.25 and 0.5, the gamma ratio at 0.75 and 1), and
   ``--axis n --min 1 --max 6 --steps 6 --sth 1.0 --scheme fixed``, whose
   rows are unconstrained;
+- two closed-form fixed-scheme sweeps whose codeword rates the solvers take
+  as one batch: ``--axis s_th --min 0.3 --max 0.7 --steps 9`` on
+  ``opt_grid_fallback_fixed.json``'s scenario, where every ceiling binds
+  and every codeword rate comes from the grid fallback inside the batch,
+  and ``--axis r_e --min 0.5 --max 12 --steps 12`` without ``--rb``, whose
+  rows take their codeword rates from one ``fixed_constrained_rbs`` batch
+  that mixes ``lambert_w`` roots (up to r_e 6.8) and grid fallbacks (from
+  7.8, past Bob's capacity);
 - the two rate-axis sweeps of the figure sweeps with ``--mc --trials 20000``
   and the same program seed: ``--axis r_e --scheme adaptive --cb 6`` and
   ``--axis r_e_x_r_b --scheme fixed``, whose rows with r_b < r_e carry no
@@ -117,6 +125,12 @@ SOLVER_PATHS = (
     ("adaptive_cb6", ["--scheme", "adaptive", "--cb", "6", "--sth", "1.0"]),
 )
 
+# The scenario of test_fixed_optimal_labels_the_constrained_grid_fallback.
+GRID_FALLBACK = {
+    "sigma_s": 0.0, "n_a": 5, "n_b": 2, "n_e": 6, "cn2": 1.36e-16, "d_b": 2124, "d_e": 2264,
+    "gamma0": 639,
+}
+
 # (output name, config, scheme arguments) of the weak-link optimize runs, of
 # the fixed-scheme runs far from the baseline, of the adaptive runs that rank
 # two roots and rescan the first cell, and of each solver path at sigma_s 0.5
@@ -124,12 +138,7 @@ SOLVER_PATHS = (
 CONFIG_RUNS = (
     ("opt_weak_fixed.json", {"gamma0": 0.1}, ["--scheme", "fixed"]),
     ("opt_weak_adaptive.json", {"gamma0": 1e-3}, ["--scheme", "adaptive", "--cb", "4"]),
-    (
-        "opt_grid_fallback_fixed.json",
-        {"sigma_s": 0.0, "n_a": 5, "n_b": 2, "n_e": 6, "cn2": 1.36e-16, "d_b": 2124,
-         "d_e": 2264, "gamma0": 639},
-        ["--scheme", "fixed", "--sth", "0.52"],
-    ),
+    ("opt_grid_fallback_fixed.json", GRID_FALLBACK, ["--scheme", "fixed", "--sth", "0.52"]),
     ("opt_grid_fallback_pair.json", {"gamma0": 1e25}, ["--scheme", "fixed"]),
     (
         "opt_high_rate_ceiling.json",
@@ -174,16 +183,21 @@ MC_OPTIMUM_SWEEPS = (
     ("n", ["--axis", "n", "--min", "1", "--max", "6", "--steps", "6", "--sth", "0.4"]),
 )
 
-# (output name, sweep arguments) of the closed-form optimum-axis sweeps.
+# (output name, config or None for the default scenario, sweep arguments) of
+# the closed-form sweeps whose rows the solvers take as one batch.
 BATCH_SWEEPS = (
     *(
-        (f"sweep_sigma_branches_{scheme[1]}.csv",
+        (f"sweep_sigma_branches_{scheme[1]}.csv", None,
          ["--axis", "sigma_s", "--min", "0", "--max", "1", "--steps", "5", *scheme])
         for scheme in MC_SWEEP_SCHEMES
     ),
-    ("sweep_n_unconstrained_fixed.csv",
+    ("sweep_n_unconstrained_fixed.csv", None,
      ["--axis", "n", "--min", "1", "--max", "6", "--steps", "6", "--sth", "1.0",
       "--scheme", "fixed"]),
+    ("sweep_sth_grid_fallback_fixed.csv", GRID_FALLBACK,
+     ["--axis", "s_th", "--min", "0.3", "--max", "0.7", "--steps", "9", "--scheme", "fixed"]),
+    ("sweep_re_codeword_rates_fixed.csv", None,
+     ["--axis", "r_e", "--min", "0.5", "--max", "12", "--steps", "12", "--scheme", "fixed"]),
 )
 
 # (output name, sweep arguments) of the rate-axis Monte-Carlo sweeps, on the
@@ -252,8 +266,13 @@ def produce(src: Path, outdir: Path) -> None:
                 (name, ["sweep", *axis, *scheme, "--mc", "--trials", "20000",
                         "--seed", str(PROGRAM_SEED), "--out", str(outdir / name)])
             )
-    for name, axis in BATCH_SWEEPS:
-        ops.append((name, ["sweep", *axis, "--out", str(outdir / name)]))
+    for name, doc, axis in BATCH_SWEEPS:
+        config = []
+        if doc is not None:
+            cfg = outdir / f"config_{name}"
+            cfg.write_text(json.dumps(doc), encoding="utf-8")
+            config = ["--config", str(cfg)]
+        ops.append((name, ["sweep", *config, *axis, "--out", str(outdir / name)]))
     for name, axis in MC_RATE_SWEEPS:
         ops.append(
             (name, ["sweep", *axis, "--mc", "--trials", "20000", "--seed", str(PROGRAM_SEED),
@@ -272,6 +291,9 @@ def produce(src: Path, outdir: Path) -> None:
         workloads.config_path(outdir, n).unlink()
     for name, *_ in (*CONFIG_RUNS, *PARAMS_RUNS):
         (outdir / f"config_{name}").unlink()
+    for name, doc, _ in BATCH_SWEEPS:
+        if doc is not None:
+            (outdir / f"config_{name}").unlink()
 
 
 def _flatten(doc, prefix: str = "") -> dict[str, object]:

@@ -35,7 +35,6 @@ closed-form column does not estimate.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import itertools
@@ -199,6 +198,19 @@ def _load_scenario(path: str | None) -> ScenarioConfig:
 def _fmt(x: float) -> str:
     """Locale-proof float rendering; non-finite values read nan, inf and -inf."""
     return format(float(x), ".9g")
+
+
+def _sweep_line(axis: str, value: float, value2: float | None, row: tuple) -> str:
+    """The CSV line of one sweep row (est_closed, est_mc, ci, sop,
+    reliability_outage, constraint_met) in the ``_SWEEP_COLUMNS`` order,
+    each number in the ``%.9g`` of :func:`_fmt`; value2 None is an empty
+    cell, and the Monte-Carlo cells come formatted, or empty."""
+    est_closed, est_mc, ci, sop_val, rel, met = row
+    value2 = "" if value2 is None else _fmt(value2)
+    met = "true" if met else "false"
+    return "%s,%.9g,%s,%.9g,%s,%s,%.9g,%.9g,%s\n" % (
+        axis, value, value2, est_closed, est_mc, ci, sop_val, rel, met
+    )
 
 
 def _jsonable(x):
@@ -377,24 +389,36 @@ def _optimum_rows(
     unconstrained solve.
 
     Each run of consecutive rows on one scenario takes the exact outages at
-    its optima from one array call per kind, and the surrogate outage that
-    ``constraint_met`` reads from one array call.  Its Monte-Carlo column is,
-    for the adaptive scheme, one capacity-averaged estimate over its
-    ceilings, and for the fixed scheme :func:`_mc_columns` at its optima.
-    A run that fails, at its first failing optimum or in its outages, ends
-    the list with that error in place of its rows, so the rows before it
-    come out as they would one run at a time.
+    its optima from one array call per kind.  The surrogate outages that
+    ``constraint_met`` reads, at the optima of every run up to the first
+    failing optimum, are one :func:`optimize._drive` batch: one kernel call
+    per kernel branch.  A run's Monte-Carlo column is, for the adaptive
+    scheme, one capacity-averaged estimate over its ceilings, and for the
+    fixed scheme :func:`_mc_columns` at its optima.  A run that fails, at
+    its first failing optimum or in its outages, ends the list with that
+    error in place of its rows, so the rows before it come out as they
+    would one run at a time.
     """
     if scheme == "adaptive":
         optima = optimize.adaptive_optima([(sc, c_b, s_th) for sc, s_th in rows])
     else:
         optima = optimize.fixed_optima(rows)
+    runs = []  # (scenario, ceilings, optima) of each run
+    for sc, run in itertools.groupby(zip(rows, optima), key=lambda row_optimum: row_optimum[0][0]):
+        runs.append((sc, *zip(*((s_th, o) for (_, s_th), o in run))))
+    solved = itertools.takewhile(
+        lambda run: not any(isinstance(o, Exception) for o in run[2]), runs
+    )
+    reads = optimize._drive(
+        [
+            optimize._sop(eve_link(sc), np.array([o.rates.r_e for o in run_optima]))
+            for sc, _, run_optima in solved
+        ]
+    )
     out = []
-    rows_optima = zip(rows, optima)
-    for sc, run in itertools.groupby(rows_optima, key=lambda row_optimum: row_optimum[0][0]):
-        ceilings, run_optima = zip(*((s_th, o) for (_, s_th), o in run))
+    for (sc, ceilings, run_optima), read in itertools.zip_longest(runs, reads):
         try:
-            out += _run_rows(sc, scheme, ceilings, run_optima, with_mc, sim, jobs)
+            out += _run_rows(sc, scheme, ceilings, run_optima, read, with_mc, sim, jobs)
         except Exception as exc:  # raised by the caller once the rows before it are out
             return out + [exc]
     return out
@@ -405,12 +429,14 @@ def _run_rows(
     scheme: str,
     ceilings: tuple[float, ...],
     run_optima: tuple,
+    read,
     with_mc: bool,
     sim: SimConfig,
     jobs: int,
 ) -> list[tuple[float, str, str, float, float, bool]]:
-    """The rows of one run of :func:`_optimum_rows`, or its first optimum's
-    error raised."""
+    """The rows of one run of :func:`_optimum_rows`, from the (outage, slope)
+    of the surrogate secrecy outage at its optima, ``read``; or its first
+    optimum's error raised, or the error ``read`` holds."""
     for o in run_optima:
         if isinstance(o, Exception):
             raise o
@@ -428,7 +454,9 @@ def _run_rows(
         mc = _mc_columns(sc, scheme, [o.rates for o in run_optima], list(ceilings), sim, jobs)
     # Solvers contract on the surrogate outage surface; the sop column stays
     # exact-kernel for diagnostics.
-    s_approx = secrecy.sop_approx(eve_link(sc), np.array(r_es))[0].tolist()
+    if isinstance(read, Exception):
+        raise read
+    s_approx = read[0].tolist()
     return [
         (o.est, est_mc, ci, s, t, s_a <= s_th + 1e-6 or o.est == 0.0)
         for o, (est_mc, ci), s, t, s_a, s_th in zip(
@@ -440,28 +468,11 @@ def _run_rows(
 def cmd_sweep(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     """Evaluate throughput over the chosen axis and write CSV rows."""
     values = _axis_values(args)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_SWEEP_COLUMNS)
+    out.write(",".join(_SWEEP_COLUMNS) + "\n")
     sim = SimConfig(trials=args.trials, seed=args.seed, stream_count=args.stream_count)
     s_th = args.sth if args.sth is not None else sc.s_th
     scheme = args.scheme
     axis = args.axis
-
-    def emit(value: float, value2: float | None, row: tuple) -> None:
-        est_closed, est_mc, ci, sop_val, rel, met = row
-        writer.writerow(
-            [
-                axis,
-                _fmt(value),
-                "" if value2 is None else _fmt(value2),
-                _fmt(est_closed),
-                est_mc,
-                ci,
-                _fmt(sop_val),
-                _fmt(rel),
-                "true" if met else "false",
-            ]
-        )
 
     if axis in ("s_th", "n", "sigma_s"):
         # The s_th axis moves the ceiling; the n and sigma_s axes the
@@ -479,7 +490,7 @@ def cmd_sweep(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         for v, row in zip(values, outcomes):
             if isinstance(row, Exception):
                 raise row
-            emit(v, None, row)
+            out.write(_sweep_line(axis, v, None, row))
         return _EXIT_OK
 
     # Rate axes: (value, value2) and the cell (r_e, r_b, c_b) of each row.
@@ -501,7 +512,7 @@ def cmd_sweep(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         raise ConfigError(f"axis: unknown axis {axis!r}")
     rows = _rate_rows(sc, scheme, s_th, [cell for _, _, cell in points], args.mc, sim, args.jobs)
     for (v, v2, _), row in zip(points, rows):
-        emit(v, v2, row)
+        out.write(_sweep_line(axis, v, v2, row))
     return _EXIT_OK
 
 

@@ -37,16 +37,17 @@ returned points.  The outage-ceiling inversion :func:`re_threshold` is a
 root of the same secrecy curve: Newton steps on its analytic slope, kept
 inside a bracket whose upper end is the pointing-free inversion.
 
-:func:`re_threshold`, :func:`adaptive_unconstrained_re` and
-:func:`fixed_unconstrained_pair` are memoized per scenario like the links of
-:func:`fso_secrecy.channel.bob_link` and ``eve_link``: one memo keeps up to
-256 results of each solve, least recently used out, keyed on the frozen
-scenario and the ceiling or c_b.  Both schemes' families of a figure share
-the threshold rates, and every ceiling of a scenario its unconstrained
-optima, so a key asked for again, alone or in a batch, returns the stored
-result.  The results are immutable: a float, a tuple, a frozen
-:class:`Optimum`.  The outage functions stay unmemoized array kernels; the
-command line memoizes the exact outages of its rows.
+:func:`re_threshold`, :func:`adaptive_unconstrained_re`,
+:func:`fixed_unconstrained_pair` and :func:`fixed_constrained_rb` are
+memoized per scenario like the links of :func:`fso_secrecy.channel.bob_link`
+and ``eve_link``: one memo keeps up to 256 results of each of the four
+solves, least recently used out, keyed on the frozen scenario and the
+ceiling, c_b or pinned r_e.  Both schemes' families of a figure share the
+threshold rates, and every ceiling of a scenario its unconstrained optima,
+so a key asked for again, alone or in a batch, returns the stored result.
+The results are immutable: a float, a tuple, a frozen :class:`Optimum`.
+The outage functions stay unmemoized array kernels; the command line
+memoizes the exact outages of its rows.
 
 Every solve is a walk: a generator that yields the surrogate outages it
 needs and takes their values back.  :func:`_drive` runs a batch of walks
@@ -61,9 +62,10 @@ the one-problem functions are their one-element calls.  ``re_thresholds``
 and ``fixed_constrained_rbs`` raise the error of their first failing
 problem, in the order given; the two optima batches put each failing
 row's error in its place, so a caller can report the rows before it.
-Under a binding ceiling, each fixed optimum takes its codeword rate from
-its own :func:`fixed_constrained_rb` call, which is where a per-function
-profile finds that solve.
+:func:`fixed_optima` solves the codeword rates of all its rows under a
+binding ceiling in one memoized batch; each row then reads its rate back
+through its own :func:`fixed_constrained_rb` call, so a per-function
+profile still counts that solve by name.
 
 All solvers evaluate and report on the gamma-surrogate surface they are
 derived on, :func:`fso_secrecy.secrecy.est_from_outages` of the surrogate
@@ -306,11 +308,11 @@ def _run(walk):
 
 
 class _Memo:
-    """The solves of :func:`_re_threshold`, :func:`_adaptive_unconstrained_re`
-    and :func:`_fixed_unconstrained_pair`, keyed on (walk, arguments); each
-    walk keeps its ``size`` most recently used results, so a long batch of
-    one walk does not push out another's.  ``hits`` and ``misses`` count each
-    walk's keys by its name."""
+    """The solves of :func:`_re_threshold`, :func:`_adaptive_unconstrained_re`,
+    :func:`_fixed_unconstrained_pair` and :func:`_fixed_constrained_rb`, keyed
+    on (walk, arguments); each walk keeps its ``size`` most recently used
+    results, so a long batch of one walk does not push out another's.
+    ``hits`` and ``misses`` count each walk's keys by its name."""
 
     def __init__(self, size: int) -> None:
         self.size = size
@@ -350,7 +352,7 @@ class _Memo:
         return out
 
 
-# Up to 256 results of each of the three memoized walks.
+# Up to 256 results of each of the four memoized walks.
 _MEMO = _Memo(256)
 
 
@@ -828,7 +830,8 @@ def fixed_constrained_rb(sc: ScenarioConfig, r_e_fixed: float) -> tuple[float, s
 
     The scan runs upward from 1e-6 u above ``r_e_fixed`` to the higher of
     ``r_e_fixed`` + 25 u and C_b + 10 u, so the rate returned lies above
-    ``r_e_fixed`` wherever a double does below ``RATE_LIMIT``.  The one-key
+    ``r_e_fixed`` wherever a double does below ``RATE_LIMIT``.  Memoized
+    with the other batched solves, on (scenario, r_e_fixed); the one-key
     case of :func:`fixed_constrained_rbs`.
     """
     return fixed_constrained_rbs([(sc, r_e_fixed)])[0]
@@ -836,9 +839,9 @@ def fixed_constrained_rb(sc: ScenarioConfig, r_e_fixed: float) -> tuple[float, s
 
 def fixed_constrained_rbs(keys) -> list[tuple[float, str]]:
     """:func:`fixed_constrained_rb` at each (scenario, pinned r_e) of
-    ``keys``, in order, solved in one batch; it raises the error of the
-    first key that fails."""
-    return _values(_drive([_fixed_constrained_rb(sc, r_e) for sc, r_e in keys]))
+    ``keys``, in order, from the memo or from one batch of the distinct keys
+    it lacks; it raises the error of the first key that fails."""
+    return _values(_MEMO.solve([(_fixed_constrained_rb, (sc, r_e)) for sc, r_e in keys]))
 
 
 def _fixed_constrained_rb(sc: ScenarioConfig, r_e_fixed: float):
@@ -889,15 +892,37 @@ def fixed_optimal(sc: ScenarioConfig, s_th: float) -> Optimum:
 def fixed_optima(rows) -> list[Optimum]:
     """:func:`fixed_optimal` at each (scenario, ceiling) of ``rows``, in
     order, or in a row's place the error its one-row call raises.  The pairs
-    and thresholds the memo lacks are solved in one batch; each binding row
-    then takes its codeword rate from :func:`fixed_constrained_rb`, and the
-    binding rows' stencils share one call."""
+    and thresholds the memo lacks are solved in one batch, then the codeword
+    rates of the rows whose ceiling binds in another.  Each binding row
+    reads its rate back through :func:`fixed_constrained_rb`, a memo hit
+    unless its solve raised, and the binding rows' stencils share one call.
+    A longer list is taken in slices of as many rows as the memo keeps
+    results, so no rate is dropped before its row reads it."""
+    rows = list(rows)
+    if len(rows) > _MEMO.size:
+        step = _MEMO.size
+        return [o for k in range(0, len(rows), step) for o in fixed_optima(rows[k : k + step])]
     solved = _MEMO.solve(
         [(_fixed_unconstrained_pair, (sc,)) for sc, _ in rows]
         + [(_re_threshold, (sc, s_th)) for sc, s_th in rows]
     )
-    walks = map(_fixed_optimum, rows, solved[: len(rows)], solved[len(rows) :])
-    return _drive(list(walks))
+    pairs, thresholds = solved[: len(rows)], solved[len(rows) :]
+    _MEMO.solve(
+        [
+            (_fixed_constrained_rb, (sc, re_t))
+            for (sc, _), pair, re_t in zip(rows, pairs, thresholds)
+            if _binds(pair, re_t)
+        ]
+    )
+    return _drive(list(map(_fixed_optimum, rows, pairs, thresholds)))
+
+
+def _binds(pair, re_t) -> bool:
+    """Whether the ceiling of threshold rate ``re_t`` binds the unconstrained
+    ``pair``; False where either is the error its solve raised."""
+    if isinstance(pair, Exception) or isinstance(re_t, Exception):
+        return False
+    return not pair.rates.r_e >= re_t
 
 
 def _fixed_optimum(row, pair, threshold):
@@ -906,7 +931,7 @@ def _fixed_optimum(row, pair, threshold):
     sc, s_th = row
     constraint = SecrecyConstraint(s_th)
     pair, re_t = _values([pair, threshold])
-    if pair.rates.r_e >= re_t:
+    if not _binds(pair, re_t):
         return pair
     rb, method = fixed_constrained_rb(sc, re_t)
     bob = bob_link(sc)

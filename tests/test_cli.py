@@ -7,6 +7,7 @@ pointed at a temp file, and parses the emitted JSON/CSV back.
 import argparse
 import csv
 import importlib.util
+import io
 import json
 import math
 import os
@@ -268,6 +269,38 @@ def test_sweep_prints_the_rows_before_a_row_the_solver_fails(
     assert err == "solver error: no rate meets the ceiling in this row\n"
 
 
+def test_sweep_prints_the_rows_before_a_failing_codeword_rate(capsys, monkeypatch):
+    # The fixed optima solve their binding rows' codeword rates as one
+    # batch; at --sth 0.4 all four rows bind.  Where the third row's solve
+    # fails, it is not stored: the row's own fixed_constrained_rb call solves
+    # it alone and raises the same error, so the rows before it reach
+    # stdout, then the error.
+    argv = ["sweep", "--axis", "n", "--min", "1", "--scheme", "fixed", "--sth", "0.4"]
+    assert cli.main([*argv, "--max", "2", "--steps", "2"]) == 0
+    valid = capsys.readouterr().out
+    assert len(valid.splitlines()) == 3
+    codeword_rate = optimize._fixed_constrained_rb
+    seen = []
+
+    def walk(sc, r_e):
+        seen.append((sc, r_e))
+        if list(dict.fromkeys(seen)).index((sc, r_e)) == 2:
+            raise ConvergenceError("no codeword rate in this row")
+        return (yield from codeword_rate(sc, r_e))
+
+    walk.__name__ = codeword_rate.__name__
+    monkeypatch.setattr(optimize, "_fixed_constrained_rb", walk)
+    optimize._MEMO.clear()
+    assert cli.main([*argv, "--max", "4", "--steps", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == valid
+    assert err == "solver error: no codeword rate in this row\n"
+    # The batch solves each row's key; only the failing one is solved again.
+    keys = list(dict.fromkeys(seen))
+    assert [sc.nodes.n_a for sc, _ in keys] == [1, 2, 3, 4]
+    assert seen == [*keys, keys[2]]
+
+
 _TINY_GAIN_COMMANDS = (
     ("optimize", "--scheme", "adaptive", "--cb", "4", "--sth", "0.4"),
     ("optimize", "--scheme", "fixed", "--sth", "0.4"),
@@ -347,6 +380,44 @@ def test_an_unwritable_out_path_exits_1(tmp_path, capsys):
 def test_fmt_writes_non_finite_values_as_plain_words():
     values = [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf"), 0.1]
     assert [cli._fmt(x) for x in values] == ["nan", "inf", "-inf", "nan", "-inf", "0.1"]
+
+
+def _csv_writer_line(axis, value, value2, row):
+    """A sweep row as csv.writer writes it, each number through cli._fmt."""
+    est_closed, est_mc, ci, sop_val, rel, met = row
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(
+        [
+            axis,
+            cli._fmt(value),
+            "" if value2 is None else cli._fmt(value2),
+            cli._fmt(est_closed),
+            est_mc,
+            ci,
+            cli._fmt(sop_val),
+            cli._fmt(rel),
+            "true" if met else "false",
+        ]
+    )
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "axis, value, value2, row",
+    [
+        ("s_th", 0.05, None, (0.1234567891234, "", "", 1e-300, 0.0, True)),
+        ("n", 3.0, None, (math.nan, "nan", "inf", math.inf, -math.inf, False)),
+        ("sigma_s", np.float64(2.25), None, (np.float64(-0.0), "0.5", "0.001", 5e-324, 1.0, True)),
+        ("r_e", 1e-12, None, (np.float64(math.nan), "", "", np.float32(0.1), np.float64(1e21), False)),
+        ("r_e_x_r_b", 0.1, 6.0, (0.0, "", "", 0.999999999949, np.float64(-math.inf), np.bool_(1))),
+        ("r_e_x_r_b", 5.9, np.float64(math.nan), (123456789012.0, "1e-05", "0", 1, 2, False)),
+    ],
+)
+def test_sweep_line_equals_the_csv_writer_rendering(axis, value, value2, row):
+    # One %-format string per row writes what csv.writer did with a _fmt call
+    # per number: non-finite values, numpy floats, empty Monte-Carlo cells
+    # and an empty value2 included.
+    assert cli._sweep_line(axis, value, value2, row) == _csv_writer_line(axis, value, value2, row)
 
 
 def test_params_pointing_free_sentinel(tmp_path):
@@ -553,12 +624,14 @@ def test_figure_sweeps_ask_each_exact_outage_once(tmp_path, monkeypatch):
 
 def test_figure_sweeps_stay_within_their_surrogate_call_budget(tmp_path, monkeypatch):
     # Each optimum sweep solves its rows as one batch, whose walks share
-    # every surrogate call of a round, one per curve and kernel branch; only
-    # the fixed scheme's binding rows take their codeword rates one call of
-    # fixed_constrained_rb each.  A figure pass makes at most 306 surrogate
-    # kernel calls (913 when each row was solved alone, 1,189 when each cell
-    # and stencil also took calls of its own), and its exact outages stay at
-    # 23 secrecy and 17 reliability array calls.
+    # every surrogate call of a round, one per curve and kernel branch: the
+    # fixed scheme's binding rows solve their codeword rates in one batch
+    # too, and the rows' constraint_met reads join one call per branch.  A
+    # figure pass makes at most 136 surrogate kernel calls (306 when each
+    # binding row solved its codeword rate alone, 913 when each row was
+    # solved alone, 1,189 when each cell and stencil also took calls of its
+    # own), and its exact outages stay at 23 secrecy and 17 reliability array
+    # calls.
     calls = {}
     for module, name in (
         (channel, "ggp_cdf_approx"),
@@ -574,7 +647,7 @@ def test_figure_sweeps_stay_within_their_surrogate_call_budget(tmp_path, monkeyp
 
         monkeypatch.setattr(module, name, counted)
     _run_figure_sweeps(tmp_path, monkeypatch)
-    assert calls["ggp_cdf_approx"] <= 306
+    assert calls["ggp_cdf_approx"] <= 136
     assert (calls["sop"], calls["reliability_outage"]) == (23, 17)
 
 
@@ -664,11 +737,12 @@ def test_sweep_ceiling_axis_solves_once_and_asks_each_outage_once(
     code, text = run_cli(tmp_path, "sweep", *CEILING_AXIS, "--scheme", scheme)
     assert code == 0
     # The solvers take their surrogate outages from secrecy's names bound in
-    # optimize, so only the CLI's own calls are counted here.
+    # optimize, and so does the constraint_met read, which joins their calls
+    # through optimize._drive: only the CLI's own exact calls are counted.
     if scheme == "fixed":
-        assert sorted(calls) == ["reliability_outage", "sop", "sop_approx"]
+        assert sorted(calls) == ["reliability_outage", "sop"]
     else:
-        assert sorted(calls) == ["sop", "sop_approx"]
+        assert calls == ["sop"]
     # Every ceiling's row shares one memoized unconstrained solve.
     unconstrained = {
         "fixed": "_fixed_unconstrained_pair",

@@ -633,6 +633,7 @@ MEMOIZED = {
     "re_threshold": "_re_threshold",
     "adaptive_unconstrained_re": "_adaptive_unconstrained_re",
     "fixed_unconstrained_pair": "_fixed_unconstrained_pair",
+    "fixed_constrained_rb": "_fixed_constrained_rb",
 }
 
 
@@ -680,12 +681,14 @@ def test_solvers_and_estimator_reject_a_ceiling_outside_the_unit_interval(baseli
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_memoized_solvers_equal_their_wrapped_functions_to_the_bit(n):
     # The scenarios, ceilings and capacities of the benchmark's optimize_batch
-    # workload: a first call (a miss) and a second (a hit) each return what
+    # workload, and pinned redundancy rates below, near and far past Bob's
+    # capacity: a first call (a miss) and a second (a hit) each return what
     # the solve's walk does, driven alone past the memo.
     sc = baseline_scenario(n_a=n, n_b=n, n_e=n)
     cases = [(re_threshold, (sc, s_th)) for s_th in (0.2, 0.4, 1.0)]
     cases += [(adaptive_unconstrained_re, (sc, c_b)) for c_b in (2.0, 4.0, 6.0)]
     cases += [(fixed_unconstrained_pair, (sc,))]
+    cases += [(fixed_constrained_rb, (sc, r_e)) for r_e in (0.5, 3.0, 100.0)]
     for solve, args in cases:
         want = repr(optimize._run(getattr(optimize, MEMOIZED[solve.__name__])(*args)))
         # repr of a float round-trips, so equal reprs are equal bits
@@ -794,6 +797,38 @@ def test_batched_optima_equal_the_one_row_calls_to_the_bit():
     optimize._MEMO.clear()
     assert [repr(o) for o in optimize.fixed_optima(fixed_rows)] == want_fixed
     assert [repr(o) for o in optimize.adaptive_optima(adaptive_rows)] == want_adaptive
+
+
+def _figure_ceilings():
+    """The 20 ceilings of the est_vs_sth files of scripts/figure_sweeps.py,
+    by the sweep axis's own arithmetic."""
+    step = (1.0 - 0.05) / 19
+    return [min(0.05 + i * step, 1.0) for i in range(20)]
+
+
+def test_fixed_optima_solve_the_binding_codeword_rates_in_one_memoized_batch(baseline):
+    # Every binding row's codeword rate is solved in one batch, each distinct
+    # key once; each row's own fixed_constrained_rb call then hits the memo,
+    # and each rate keeps the bits of a solve alone from an empty memo.
+    optima = optimize.fixed_optima([(baseline, s_th) for s_th in _figure_ceilings()])
+    binding = [o for o in optima if o.constraint_active]
+    keys = [(baseline, o.rates.r_e) for o in binding]
+    assert 0 < len(binding) < len(optima)
+    assert optimize._MEMO.misses["_fixed_constrained_rb"] == len(set(keys)) == len(keys)
+    assert optimize._MEMO.hits["_fixed_constrained_rb"] == len(binding)
+    got = [repr((o.rates.r_b, o.method)) for o in binding]
+    assert got == _alone(fixed_constrained_rb, keys)
+
+
+def test_fixed_optima_longer_than_the_memo_solve_each_binding_rate_once(baseline, monkeypatch):
+    # A batch of more binding rows than the memo keeps is taken in slices of
+    # the memo's size, so no row's rate is dropped before the row reads it.
+    monkeypatch.setattr(optimize._MEMO, "size", 4)
+    rows = [(baseline, s_th) for s_th in _figure_ceilings()[:10]]
+    got = optimize.fixed_optima(rows)
+    assert all(o.constraint_active for o in got)
+    assert optimize._MEMO.misses["_fixed_constrained_rb"] == len(rows)
+    assert [repr(o) for o in got] == _alone(fixed_optimal, rows)
 
 
 def test_a_batch_raises_the_error_of_its_first_failing_row(baseline):
@@ -1261,6 +1296,7 @@ _no_roots = _scan_finding([])
 def test_fixed_constrained_rb_grid_fallback_reaches_the_polished_factor(baseline, monkeypatch, r_e):
     root, _ = fixed_constrained_rb(baseline, r_e)
     monkeypatch.setattr(optimize, "_scan_roots", _no_roots)
+    optimize._MEMO.clear()
     rb, method = fixed_constrained_rb(baseline, r_e)
     assert method == "grid_oracle"
     t = reliability_outage_approx(bob_link(baseline), baseline.nodes.n_a, rb)[0]
