@@ -408,7 +408,7 @@ def _csv_writer_line(axis, value, value2, row):
         ("s_th", 0.05, None, (0.1234567891234, "", "", 1e-300, 0.0, True)),
         ("n", 3.0, None, (math.nan, "nan", "inf", math.inf, -math.inf, False)),
         ("sigma_s", np.float64(2.25), None, (np.float64(-0.0), "0.5", "0.001", 5e-324, 1.0, True)),
-        ("r_e", 1e-12, None, (np.float64(math.nan), "", "", np.float32(0.1), np.float64(1e21), False)),
+        ("r_e", 1e-12, None, (np.float64("nan"), "", "", np.float32(0.1), np.float64(1e21), False)),
         ("r_e_x_r_b", 0.1, 6.0, (0.0, "", "", 0.999999999949, np.float64(-math.inf), np.bool_(1))),
         ("r_e_x_r_b", 5.9, np.float64(math.nan), (123456789012.0, "1e-05", "0", 1, 2, False)),
     ],
