@@ -533,7 +533,10 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     best point with as many nodes, and takes one array call per outage.
     ``covers`` is false when the solver's rates lie outside the grid's
     domain, or when the grid finds no positive throughput where the solver
-    does; the gap then means nothing.
+    does; the gap then means nothing.  ``gap`` and ``covers`` count a
+    throughput below 1e-12 times the scheme's rate scale as 0: c_b for the
+    adaptive scheme, u = min(C_b, 1) for the fixed one.  The printed ``est``
+    and ``oracle.est`` stay as computed.
     """
     s_th = args.sth if args.sth is not None else sc.s_th
     scheme = args.scheme
@@ -561,17 +564,22 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         oracle = optimize.adaptive_grid_oracle(sc, args.cb, s_th)
         exact = secrecy.est_adaptive(sc, args.cb, opt.rates.r_e, unconstrained)
         in_grid = True  # the grid spans [0, c_b], where every adaptive r_e lies
+        scale = args.cb
     else:
         opt = optimize.fixed_optimal(sc, s_th)
         oracle = optimize.fixed_grid_oracle(sc, s_th, opt.rates.r_b + 3.0, grid_points=160)
         exact = secrecy.est_fixed(sc, opt.rates, unconstrained)
         # r_e <= r_b lies inside the grid; r_b can fall below its first row.
         in_grid = opt.rates.r_b >= optimize.FIXED_ORACLE_RB_MIN
+        scale = optimize._rate_scale(bob_link(sc))
+    # A throughput below 1e-12 of the scheme's rate scale is rounding noise:
+    # the gap and ``covers`` count it as 0.
+    est, oracle_est = (0.0 if x < 1e-12 * scale else x for x in (opt.est, oracle.est))
     # A grid with no positive throughput where the solver found one has
     # missed the feasible band: its gap of 0 proves nothing.
-    covers = in_grid and not oracle.est <= 0.0 < opt.est
+    covers = in_grid and not oracle_est <= 0.0 < est
 
-    gap = 0.0 if oracle.est <= 0.0 else max(0.0, (oracle.est - opt.est) / oracle.est)
+    gap = 0.0 if oracle_est <= 0.0 else max(0.0, (oracle_est - est) / oracle_est)
     doc = {
         "scheme": scheme,
         "s_th": s_th,

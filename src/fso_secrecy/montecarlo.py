@@ -425,7 +425,11 @@ def estimate_est(
     snr_e = sc.nodes.gamma0 * eve_link(sc).pointing.a0
 
     def draw(j: int) -> tuple[np.ndarray, np.ndarray]:
-        cap = np.log2(1.0 + snr_b * sample_bob_irradiance(sc, bob_rngs[j], sizes[j]))
+        # log2(1 + snr_b I), formed in place on the draw I.
+        cap = sample_bob_irradiance(sc, bob_rngs[j], sizes[j])
+        cap *= snr_b
+        cap += 1.0
+        np.log2(cap, out=cap)
         i_e = sample_eve_irradiance(sc, eve_rngs[j], sizes[j])
         return cap, i_e
 
@@ -439,13 +443,22 @@ def estimate_est(
 
         def reduce_one(j: int) -> tuple[float, float]:
             cap, i_e = drawn[j]
-            psi = np.where((r_th <= cap) & (i_e <= thr_th), cap - r_th, 0.0)
+            # cap - r_th where the trial is reliable and secure at r_th, else
+            # +0.0: a masked negative difference times 0 is -0.0, and adding
+            # 0.0 makes it +0.0.  A trial with cap = inf reads NaN here, but
+            # it lies in ``free``, which is overwritten below.
+            psi = cap - r_th
+            with np.errstate(invalid="ignore"):
+                psi *= (r_th <= cap) & (i_e <= thr_th)
+            psi += 0.0
             free = np.flatnonzero(~(cap < c_cut))
             c = cap[free]
             r_e = np.maximum(np.interp(c, table_c, table_r), r_th)
             secure = i_e[free] <= rate_threshold(r_e, snr_e)
             psi[free] = np.where((r_e <= c) & secure, c - r_e, 0.0)
-            return float(psi.sum()), float((psi * psi).sum())
+            total = float(psi.sum())
+            psi *= psi
+            return total, float(psi.sum())
 
         parts = _map_streams(reduce_one, sim.stream_count, jobs)
         n = sim.trials

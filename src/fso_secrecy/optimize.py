@@ -69,18 +69,21 @@ profile still counts that solve by name.
 
 All solvers evaluate and report on the gamma-surrogate surface they are
 derived on, :func:`fso_secrecy.secrecy.est_from_outages` of the surrogate
-outages, formed in one place per scheme (``_fixed_est``, ``_adaptive_est``)
-from one array call per outage; the exact-kernel value of a returned optimum
-is :func:`fso_secrecy.secrecy.est_fixed` / ``est_adaptive`` at its rates.
-Every curvature stencil is one such call, and the optimum's throughput its
-centre.  The
-fixed pair takes the redundancy rates of all its roots in one call, and
-the stationarity and Hessian stencils of all its interior roots in one call
-per outage.  :func:`grid_refine_maximize` is the one grid search:
-the solvers' fallbacks, the command line's oracles and the acceptance gate
-run it on array objectives, one call per zoom level.  Every scan and grid
-has ``GRID_POINTS`` nodes; only the grid search and the fixed oracle take
-another count, which the command line's fixed-scheme oracle sets to 160.
+outages, formed in one place per scheme (``_fixed_throughput``,
+``_adaptive_throughput``); the exact-kernel value of a returned optimum is
+:func:`fso_secrecy.secrecy.est_fixed` / ``est_adaptive`` at its rates.  The
+walks ``_fixed_est`` and ``_adaptive_est`` ask for the outages, one array
+call per outage, and apply that formula.  Every curvature stencil is one
+such walk, and the optimum's throughput its centre.  The fixed pair takes
+the redundancy rates of all its roots in one call, and the stationarity and
+Hessian stencils of all its interior roots in one call per outage.
+:func:`grid_refine_maximize` is the one grid search: the solvers'
+fallbacks, the command line's oracles and the acceptance gate run it on
+plain array objectives that call the outage functions themselves, once per
+outage kind and zoom level, so no grid search drives a walk.  Every scan
+and grid has ``GRID_POINTS`` nodes; only the grid search and the fixed
+oracle take another count, which the command line's fixed-scheme oracle
+sets to 160.
 """
 
 from __future__ import annotations
@@ -302,11 +305,6 @@ def _values(results: list) -> list:
     return results
 
 
-def _run(walk):
-    """The result of one walk, driven alone, or its error raised."""
-    return _values(_drive([walk]))[0]
-
-
 class _Memo:
     """The solves of :func:`_re_threshold`, :func:`_adaptive_unconstrained_re`,
     :func:`_fixed_unconstrained_pair` and :func:`_fixed_constrained_rb`, keyed
@@ -451,24 +449,36 @@ def _first_best(xs: list[float], values) -> float:
     return xs[max(range(len(xs)), key=values.__getitem__)]
 
 
+def _fixed_throughput(r_e, r_b, s, t, constraint):
+    """The fixed scheme's surrogate throughput at rates that broadcast (a
+    column of r_e against a row of r_b, say), from the secrecy outages ``s``
+    at r_e and the reliability outages ``t`` at r_b; 0 outside
+    0 <= r_e < r_b."""
+    est = est_from_outages(r_b - r_e, t, s, constraint).est
+    return np.where((0.0 <= r_e) & (r_e < r_b), est, 0.0)
+
+
 def _fixed_est(eve: LinkParams, bob: LinkParams, n_a: int, r_e, r_b, constraint):
-    """A walk: the fixed scheme's surrogate throughput at rates that
-    broadcast (a column of r_e against a row of r_b, say), in one call per
-    outage; 0 outside 0 <= r_e < r_b."""
+    """A walk: :func:`_fixed_throughput` at r_e and r_b, in one call per
+    outage."""
     # Negative rates' cells are 0 whatever they map to; a rate past the top takes its outage.
     (s, _), (t, _) = yield (
         (eve, None, np.clip(r_e, 0.0, _RATE_TOP)),
         (bob, n_a, np.clip(r_b, 0.0, _RATE_TOP)),
     )
-    est = est_from_outages(r_b - r_e, t, s, constraint).est
-    return np.where((0.0 <= r_e) & (r_e < r_b), est, 0.0)
+    return _fixed_throughput(r_e, r_b, s, t, constraint)
+
+
+def _adaptive_throughput(c_b: float, r_e, s, constraint):
+    """The adaptive scheme's surrogate throughput at capacity ``c_b``, at a
+    rate or an array of rates r_e, from the secrecy outages ``s`` there."""
+    return est_from_outages(c_b - r_e, 0.0, s, constraint).est
 
 
 def _adaptive_est(eve: LinkParams, c_b: float, r_e, constraint):
-    """A walk: the adaptive scheme's surrogate throughput at capacity
-    ``c_b``, at a rate or an array of rates."""
+    """A walk: :func:`_adaptive_throughput` at r_e, in one outage call."""
     s, _ = yield from _sop(eve, r_e)
-    return est_from_outages(c_b - r_e, 0.0, s, constraint).est
+    return _adaptive_throughput(c_b, r_e, s, constraint)
 
 
 # ---------------------------------------------------------------------------
@@ -853,9 +863,8 @@ def _fixed_constrained_rb(sc: ScenarioConfig, r_e_fixed: float):
     lo = min(r_e_fixed + 1e-6 * u, _RATE_TOP)
     hi = min(max(r_e_fixed + 25.0 * u, cap + 10.0 * u), _RATE_TOP)
 
-    def bob_factor(rb):
-        # The throughput factor, on a float or an array of rates.
-        t, _ = yield from _rel(bob, n_a, rb)
+    def factor(rb, t):
+        # The throughput factor, on a float or an array of rates and their outages.
         return (rb - r_e_fixed) * (1.0 - t)
 
     def resid(rb):
@@ -868,12 +877,14 @@ def _fixed_constrained_rb(sc: ScenarioConfig, r_e_fixed: float):
     if len(roots) == 1:  # a lone root is not ranked
         return roots[0], "lambert_w"
     if roots:
-        return _first_best(roots, (yield from bob_factor(np.array(roots)))), "lambert_w"
+        rbs = np.array(roots)
+        t, _ = yield from _rel(bob, n_a, rbs)
+        return _first_best(roots, factor(rbs, t)), "lambert_w"
 
-    def factor(rb):
-        return _run(bob_factor(rb))
+    def grid_factor(rb):
+        return factor(rb, reliability_outage_approx(bob, n_a, rb)[0])
 
-    return grid_refine_maximize(factor, (lo, hi)).rates.r_b, "grid_oracle"
+    return grid_refine_maximize(grid_factor, (lo, hi)).rates.r_b, "grid_oracle"
 
 
 def fixed_optimal(sc: ScenarioConfig, s_th: float) -> Optimum:
@@ -978,25 +989,27 @@ def grid_refine_maximize(objective, bounds, grid_points: int = GRID_POINTS) -> O
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be at least 2, got {grid_points}")
-    box = np.array(bounds if hasattr(bounds[0], "__len__") else [bounds], dtype=float)
-    lo, hi = box[:, 0], box[:, 1]
-    a, b = lo, hi
-    step = first = (hi - lo) / (grid_points - 1)
-    best, x = -math.inf, lo
+    pairs = bounds if hasattr(bounds[0], "__len__") else [bounds]
+    box = spans = [(float(lo), float(hi)) for lo, hi in pairs]
+    step = first = [(hi - lo) / (grid_points - 1) for lo, hi in box]
+    best, x = -math.inf, [lo for lo, _ in box]
     while True:
-        axes = [np.linspace(a_k, b_k, grid_points) for a_k, b_k in zip(a, b)]
+        axes = [np.linspace(a, b, grid_points) for a, b in spans]
         v = np.broadcast_to(objective(*np.ix_(*axes)), (grid_points,) * len(axes))
-        v = np.where(np.isnan(v), -math.inf, v)
-        cell = np.unravel_index(np.argmax(v), v.shape)
-        if v[cell] > best:
-            best, x = float(v[cell]), np.array([ax[i] for ax, i in zip(axes, cell)])
-        a, b = np.maximum(x - step, lo), np.minimum(x + step, hi)
-        zoomed = (b - a) / (grid_points - 1)
-        if (step <= _ZOOM_TOL * first).all() or not (zoomed < step).any():
+        i = np.argmax(v)
+        if np.isnan(v.flat[i]):  # argmax stops at the first NaN: rank without them
+            i = np.argmax(np.where(np.isnan(v), -math.inf, v))
+        if v.flat[i] > best:
+            cell = np.unravel_index(i, v.shape)
+            best, x = float(v.flat[i]), [float(ax[k]) for ax, k in zip(axes, cell)]
+        spans = [(max(x_k - h, lo), min(x_k + h, hi)) for x_k, h, (lo, hi) in zip(x, step, box)]
+        zoomed = [(b - a) / (grid_points - 1) for a, b in spans]
+        done = all(h <= _ZOOM_TOL * h0 for h, h0 in zip(step, first))
+        if done or not any(z < h for z, h in zip(zoomed, step)):
             break
         step = zoomed
     return Optimum(
-        rates=RatePair(r_b=float(x[-1]), r_e=float(x[0])),
+        rates=RatePair(r_b=x[-1], r_e=x[0]),
         est=best,
         method="grid_oracle",
         hessian_ok=False,
@@ -1021,7 +1034,9 @@ def fixed_grid_oracle(
     constraint = SecrecyConstraint(s_th)
 
     def throughput(r_e, r_b):
-        return _run(_fixed_est(eve, bob, n_a, r_e, r_b, constraint))
+        s, _ = sop_approx(eve, r_e)
+        t, _ = reliability_outage_approx(bob, n_a, r_b)
+        return _fixed_throughput(r_e, r_b, s, t, constraint)
 
     hi = min(hi, _RATE_TOP)
     return grid_refine_maximize(throughput, ((0.0, hi), (FIXED_ORACLE_RB_MIN, hi)), grid_points)
@@ -1037,6 +1052,6 @@ def adaptive_grid_oracle(sc: ScenarioConfig, c_b: float, s_th: float) -> Optimum
     eve, constraint = eve_link(sc), SecrecyConstraint(s_th)
 
     def throughput(r_e):
-        return _run(_adaptive_est(eve, c_b, r_e, constraint))
+        return _adaptive_throughput(c_b, r_e, sop_approx(eve, r_e)[0], constraint)
 
     return grid_refine_maximize(throughput, (0.0, c_b))

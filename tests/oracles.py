@@ -17,7 +17,8 @@ and mpmath.  The paper's stationarity forms for the rate solvers (the
 adaptive fixed-point map and the Lambert-W argument) take their link
 parameters from the package's ``channel`` module.  The scalar bisection
 ``bisect_root`` is the reference the solvers' batched bisection must match
-to the bit.
+to the bit, and ``grid_refine_maximize_arrays`` is the zooming grid search
+its float-held form must match node for node.
 
 The per-aperture irradiance samplers draw every turbulence factor on its
 own, as the physical model states it; the package's samplers draw each
@@ -28,7 +29,9 @@ compare the two layouts.
 capacity-averaged adaptive throughput estimate with every trial's redundancy
 rate interpolated, on the package's own draws, table and threshold rate.
 The package interpolates only the trials the threshold floor does not
-decide, and must match it to the bit.
+decide, and must match it to the bit.  ``est_adaptive_cut_select`` is the
+same estimate with the package's ceiling cut, its trials below the cut
+given their throughput by a full-length ``np.where`` select.
 """
 
 from __future__ import annotations
@@ -180,6 +183,32 @@ def bisect_root(g, lo: float, hi: float, tol: float, iters: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
+def grid_refine_maximize_arrays(objective, bounds, grid_points: int, zoom_tol: float):
+    """The package's zooming grid search, transcribed with its box, node
+    step and best point held as numpy arrays, one element per axis: the
+    reference its float-held search must match to the bit, node for node.
+    Returns (r_e, r_b, est) of the best point, both rates the argmax in one
+    dimension."""
+    box = np.array(bounds if hasattr(bounds[0], "__len__") else [bounds], dtype=float)
+    lo, hi = box[:, 0], box[:, 1]
+    a, b = lo, hi
+    step = first = (hi - lo) / (grid_points - 1)
+    best, x = -math.inf, lo
+    while True:
+        axes = [np.linspace(a_k, b_k, grid_points) for a_k, b_k in zip(a, b)]
+        v = np.broadcast_to(objective(*np.ix_(*axes)), (grid_points,) * len(axes))
+        v = np.where(np.isnan(v), -math.inf, v)
+        cell = np.unravel_index(np.argmax(v), v.shape)
+        if v[cell] > best:
+            best, x = float(v[cell]), np.array([ax[i] for ax, i in zip(axes, cell)])
+        a, b = np.maximum(x - step, lo), np.minimum(x + step, hi)
+        zoomed = (b - a) / (grid_points - 1)
+        if (step <= zoom_tol * first).all() or not (zoomed < step).any():
+            break
+        step = zoomed
+    return float(x[0]), float(x[-1]), best
+
+
 def sample_eve_per_aperture(sc, rng: np.random.Generator, size: int) -> np.ndarray:
     """Eavesdropper irradiance with one Gamma(beta, 1/beta) small-scale draw
     per aperture: 1 + n_e gamma variates per trial, times a shared
@@ -207,10 +236,9 @@ def sample_bob_per_aperture(sc, rng: np.random.Generator, size: int) -> np.ndarr
     return np.max(beams, axis=0)
 
 
-def est_adaptive_full_interp(sc, s_th: float, sim, jobs: int | None = 1):
-    """``estimate_est(sc, s_th, sim)`` with the redundancy
-    rate of every trial taken as ``max(np.interp(cap, table_c, table_r),
-    r_th)``, as a straight transcription of the per-realization rule."""
+def _adaptive_draws(sc, sim, jobs):
+    """The package's per-stream draws (capacity, Eve's irradiance), its
+    redundancy table over them, and Eve's SNR scale."""
     eve_rngs = montecarlo._stream_rngs(sim, montecarlo._EVE_ROLE)
     bob_rngs = montecarlo._stream_rngs(sim, montecarlo._BOB_ROLE)
     sizes = sim.stream_sizes()
@@ -222,9 +250,26 @@ def est_adaptive_full_interp(sc, s_th: float, sim, jobs: int | None = 1):
         return cap, montecarlo.sample_eve_irradiance(sc, eve_rngs[j], sizes[j])
 
     drawn = montecarlo._map_streams(draw, sim.stream_count, jobs)
-    r_th = optimize.re_threshold(sc, s_th)
     cap_max = max(float(cap.max()) for cap, _ in drawn if cap.size)
     table_c, table_r = montecarlo._adaptive_redundancy_table(sc, cap_max)
+    return drawn, table_c, table_r, snr_e
+
+
+def _capacity_average(reduce_one, sim, jobs):
+    """The estimate of the per-stream (sum, sum of squares) of ``reduce_one``."""
+    parts = montecarlo._map_streams(reduce_one, sim.stream_count, jobs)
+    n = sim.trials
+    mean = math.fsum(p[0] for p in parts) / n
+    var = max(math.fsum(p[1] for p in parts) / n - mean * mean, 0.0)
+    return montecarlo.Estimate(mean=mean, ci_halfwidth=3.0 * math.sqrt(var / n), trials=n)
+
+
+def est_adaptive_full_interp(sc, s_th: float, sim, jobs: int | None = 1):
+    """``estimate_est(sc, s_th, sim)`` with the redundancy
+    rate of every trial taken as ``max(np.interp(cap, table_c, table_r),
+    r_th)``, as a straight transcription of the per-realization rule."""
+    drawn, table_c, table_r, snr_e = _adaptive_draws(sc, sim, jobs)
+    r_th = optimize.re_threshold(sc, s_th)
 
     def reduce_one(j: int):
         cap, i_e = drawn[j]
@@ -233,11 +278,30 @@ def est_adaptive_full_interp(sc, s_th: float, sim, jobs: int | None = 1):
         psi = np.where((r_e <= cap) & secure, cap - r_e, 0.0)
         return float(psi.sum()), float((psi * psi).sum())
 
-    parts = montecarlo._map_streams(reduce_one, sim.stream_count, jobs)
-    n = sim.trials
-    mean = math.fsum(p[0] for p in parts) / n
-    var = max(math.fsum(p[1] for p in parts) / n - mean * mean, 0.0)
-    return montecarlo.Estimate(mean=mean, ci_halfwidth=3.0 * math.sqrt(var / n), trials=n)
+    return _capacity_average(reduce_one, sim, jobs)
+
+
+def est_adaptive_cut_select(sc, s_th: float, sim, jobs: int | None = 1):
+    """``estimate_est(sc, s_th, sim)`` with every trial first given
+    cap - r_th where it is reliable and secure at the threshold rate r_th,
+    else 0, by one full-length ``np.where`` select; the trials at or above
+    ``montecarlo._ceiling_cut`` then take their interpolated rate."""
+    drawn, table_c, table_r, snr_e = _adaptive_draws(sc, sim, jobs)
+    r_th = optimize.re_threshold(sc, s_th)
+    c_cut = montecarlo._ceiling_cut(table_c, table_r, r_th)
+    thr_th = montecarlo.rate_threshold(r_th, snr_e)
+
+    def reduce_one(j: int):
+        cap, i_e = drawn[j]
+        psi = np.where((r_th <= cap) & (i_e <= thr_th), cap - r_th, 0.0)
+        free = np.flatnonzero(~(cap < c_cut))
+        c = cap[free]
+        r_e = np.maximum(np.interp(c, table_c, table_r), r_th)
+        secure = i_e[free] <= montecarlo.rate_threshold(r_e, snr_e)
+        psi[free] = np.where((r_e <= c) & secure, c - r_e, 0.0)
+        return float(psi.sum()), float((psi * psi).sum())
+
+    return _capacity_average(reduce_one, sim, jobs)
 
 
 def bessel_k_quad(nu: float, x: float) -> float:

@@ -1091,6 +1091,29 @@ def test_optimize_fixed_oracle_reports_it_misses_the_feasible_band(tmp_path):
     assert doc["oracle"] == {"covers": False, "est": 0.0, "gap": 0.0}
 
 
+def test_optimize_oracle_gap_counts_rounding_noise_as_zero(tmp_path):
+    # On this scenario the adaptive throughput at c_b 0.5 is rounding noise:
+    # the solver's reads 3.6e-18 and the oracle's 6.3e-18, a 42 % gap.  Both
+    # lie below 1e-12 c_b, so the gap counts each as 0 and the oracle covers
+    # the optimum; the printed throughputs stay as computed.
+    cfg = tmp_path / "two_roots.json"
+    cfg.write_text(
+        json.dumps(
+            {"sigma_s": 0, "n_a": 1, "n_b": 3, "n_e": 4, "cn2": 1.4607508285692493e-15,
+             "d_b": 2902.842563086293, "d_e": 2252.7318414869633, "gamma0": 1424.0941040463003}
+        ),
+        encoding="utf-8",
+    )
+    code, text = run_cli(
+        tmp_path, "optimize", "--config", str(cfg), "--scheme", "adaptive", "--cb", "0.5",
+        "--sth", "1.0",
+    )
+    assert code == 0
+    doc = json.loads(text)
+    assert 0.0 < doc["est"] < 1.2 * doc["est"] < doc["oracle"]["est"] < 1e-12 * 0.5
+    assert (doc["oracle"]["gap"], doc["oracle"]["covers"]) == (0.0, True)
+
+
 @pytest.mark.parametrize("scheme", ["fixed", "adaptive"])
 def test_optimize_oracle_covers_the_baseline_optimum(tmp_path, scheme):
     code, text = run_cli(tmp_path, "optimize", "--scheme", scheme, "--cb", "4", "--sth", "0.4")

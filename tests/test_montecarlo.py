@@ -665,6 +665,24 @@ def test_adaptive_est_matches_full_interpolation_with_ties_at_the_cut(
     _assert_matches_full_interpolation(baseline, 0.4, sim)
 
 
+@pytest.mark.parametrize(
+    "trials, stream_count", [(200_000, 16), (100_000, 100)], ids=["long-streams", "short-streams"]
+)
+def test_adaptive_est_equals_the_where_select_to_the_bit(trials, stream_count):
+    # Below the cut each trial takes cap - r_th times its mask, plus 0.0: the
+    # bits of a full-length np.where select, a masked negative difference
+    # included.  At s_th 1.0 the threshold rate is 0, so the cut is empty;
+    # 100 streams of 1,000 trials lie under the table's 2,048 rows.
+    sc = baseline_scenario(n_a=2, n_b=2, n_e=2)
+    sim = SimConfig(trials=trials, seed=7, stream_count=stream_count)
+    ceilings = [0.2, 0.4, 1.0]
+    got = estimate_est(sc, ceilings, sim)
+    want = [oracles.est_adaptive_cut_select(sc, s_th, sim) for s_th in ceilings]
+    assert [(e.mean.hex(), e.ci_halfwidth.hex(), e.trials) for e in got] == [
+        (e.mean.hex(), e.ci_halfwidth.hex(), e.trials) for e in want
+    ]
+
+
 def test_est_fixed_from_outages_floors_an_extreme_count_at_the_rule_of_three():
     # A count of 0 or n gives a factor a plug-in variance of 0; its estimate's
     # rule-of-three halfwidth 3/n stands in, and the product of the two

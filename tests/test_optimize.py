@@ -57,6 +57,11 @@ CONSTRAINED_RB_TABLE = {
 }
 
 
+def _run(walk):
+    """The result of one solver walk, driven alone, or its error raised."""
+    return optimize._values(optimize._drive([walk]))[0]
+
+
 def _psi_adaptive(sc, c_b, r):
     return (c_b - r) * (1.0 - sop_approx(eve_link(sc), r)[0])
 
@@ -431,7 +436,7 @@ def test_throughput_stencil_equals_the_pointwise_objective(sigma_s, re, rb, h):
     sc = baseline_scenario(sigma_s=sigma_s)
     unconstrained = SecrecyConstraint(1.0)
     d = np.array([-h, 0.0, h])
-    got = optimize._run(
+    got = _run(
         optimize._fixed_est(
             eve_link(sc), bob_link(sc), sc.nodes.n_a, re + d[:, None], rb + d, unconstrained
         )
@@ -447,7 +452,7 @@ def test_throughput_stencil_equals_the_pointwise_objective(sigma_s, re, rb, h):
 def test_stencil_checks_return_python_bools(baseline):
     o = fixed_unconstrained_pair(baseline)
     u = optimize._rate_scale(bob_link(baseline))
-    (f,) = optimize._run(optimize._stationary_stencils(baseline, [(o.rates.r_e, o.rates.r_b)]))
+    (f,) = _run(optimize._stationary_stencils(baseline, [(o.rates.r_e, o.rates.r_b)]))
     checks = (
         optimize._is_stationary(f, u),
         optimize._is_negative_definite(f, u),
@@ -690,7 +695,7 @@ def test_memoized_solvers_equal_their_wrapped_functions_to_the_bit(n):
     cases += [(fixed_unconstrained_pair, (sc,))]
     cases += [(fixed_constrained_rb, (sc, r_e)) for r_e in (0.5, 3.0, 100.0)]
     for solve, args in cases:
-        want = repr(optimize._run(getattr(optimize, MEMOIZED[solve.__name__])(*args)))
+        want = repr(_run(getattr(optimize, MEMOIZED[solve.__name__])(*args)))
         # repr of a float round-trips, so equal reprs are equal bits
         assert repr(solve(*args)) == want
         assert repr(solve(*args)) == want
@@ -993,7 +998,7 @@ def _evaluated(walk):
     """The residual walk ``walk`` as an array function, each call driven alone."""
 
     def g(x):
-        return optimize._run(walk(x))
+        return _run(walk(x))
 
     g.__qualname__ = walk.__qualname__
     return g
@@ -1007,7 +1012,7 @@ def _bisect(g, cells, tol, iters=200):
         return g(x)
         yield
 
-    return optimize._run(optimize._bisect_roots(walk, cells, tol, iters))
+    return _run(optimize._bisect_roots(walk, cells, tol, iters))
 
 
 @pytest.fixture(scope="module")
@@ -1133,7 +1138,7 @@ def test_scan_roots_bisects_the_cells_of_the_scalar_sign_test(monkeypatch, falli
         yield
 
     monkeypatch.setattr(optimize, "_bisect_roots", bisect)
-    optimize._run(optimize._scan_roots(None, xs, gs, 1e-9, falling_only))
+    _run(optimize._scan_roots(None, xs, gs, 1e-9, falling_only))
     want = []
     for i in range(1, len(xs)):
         prev, g = gs[i - 1], gs[i]
@@ -1478,3 +1483,111 @@ def test_grid_oracle_constant_objective_returns_lower_corner():
     assert o.rates.r_e == 0.25
     o2 = grid_refine_maximize(lambda re_, rb_: 1.0, ((0.5, 2.0), (1.0, 4.0)))
     assert (o2.rates.r_e, o2.rates.r_b) == (0.5, 1.0)
+
+
+# The scenarios and ceilings on which the grid searches are pinned to their
+# walk-driven objectives: each branch of the surrogate kernel (sigma_s 0, the
+# recurrence at 0.5, the gamma ratio at 2), weak links (gamma0 0.1 and 1e-3),
+# the oracle's missed band (gamma0 1e250), and the two grid-fallback
+# scenarios of scripts/compare_outputs.py: the codeword rate's at s_th 0.52
+# and the pair's at gamma0 1e25.
+PINNED_SEARCHES = [
+    ({"sigma_s": 0.0}, 0.4),
+    ({"sigma_s": 0.5}, 0.4),
+    ({"sigma_s": 2.0}, 0.4),
+    ({"gamma0": 0.1}, 0.4),
+    ({"gamma0": 1e-3}, 0.4),
+    ({"gamma0": 1e250}, 0.4),
+    (BATCH_SCENARIOS[-1], 0.52),
+    ({"gamma0": 1e25}, 1.0),
+]
+
+
+def _searched(monkeypatch):
+    """A list that gains (bounds, grid points, result) per grid search."""
+    searches, search = [], optimize.grid_refine_maximize
+
+    def recorded(objective, bounds, grid_points=optimize.GRID_POINTS):
+        searches.append((bounds, grid_points, search(objective, bounds, grid_points)))
+        return searches[-1][2]
+
+    monkeypatch.setattr(optimize, "grid_refine_maximize", recorded)
+    return searches
+
+
+@pytest.mark.parametrize("overrides, s_th", PINNED_SEARCHES)
+def test_grid_searches_equal_their_walk_driven_objectives_to_the_bit(
+    monkeypatch, overrides, s_th
+):
+    # The oracles and the codeword-rate fallback rank plain outage arrays;
+    # each returns the Optimum the same search gives on the walk-driven
+    # objective, as the command line asks for them.
+    sc = baseline_scenario(**overrides)
+    eve, bob, n_a = eve_link(sc), bob_link(sc), sc.nodes.n_a
+    constraint = SecrecyConstraint(s_th)
+    hi = fixed_optimal(sc, s_th).rates.r_b + 3.0
+    r_e = re_threshold(sc, s_th)
+    search = optimize.grid_refine_maximize
+    searches = _searched(monkeypatch)
+    got = [fixed_grid_oracle(sc, s_th, hi, grid_points=160), adaptive_grid_oracle(sc, 4.0, s_th)]
+    monkeypatch.setattr(optimize, "_scan_roots", _no_roots)
+    optimize._MEMO.clear()
+    rb, method = fixed_constrained_rb(sc, r_e)
+    assert len(searches) == 3
+    assert method == "grid_oracle" and rb == searches[-1][2].rates.r_b
+    got.append(searches[-1][2])
+
+    def fixed(re, rb):
+        return _run(optimize._fixed_est(eve, bob, n_a, re, rb, constraint))
+
+    def adaptive(re):
+        return _run(optimize._adaptive_est(eve, 4.0, re, constraint))
+
+    def factor(rb):
+        return (rb - r_e) * (1.0 - _run(optimize._rel(bob, n_a, rb))[0])
+
+    want = [
+        search(objective, bounds, grid_points)
+        for objective, (bounds, grid_points, _) in zip((fixed, adaptive, factor), searches)
+    ]
+    # repr of a float round-trips, so equal reprs are equal bits
+    assert [repr(o) for o in got] == [repr(o) for o in want]
+
+
+def _recording(objective, nodes):
+    """``objective``, appending the nodes of each call to ``nodes``."""
+
+    def recorded(*axes):
+        nodes.append([ax.ravel().tolist() for ax in axes])
+        return objective(*axes)
+
+    return recorded
+
+
+@pytest.mark.parametrize(
+    "objective, bounds",
+    [
+        (lambda x: x, (0.0, 1.0)),
+        (lambda x: -x, (0.25, 3.0)),
+        (lambda x: np.where(x < 0.5, np.nan, x), (0.0, 1.0)),
+        (lambda re, rb: re + rb, ((0.0, 2.0), (1.0, 4.0))),
+        (lambda re, rb: rb - (re - 0.7) ** 2, ((0.0, 2.0), (1.0, 4.0))),
+        (lambda re, rb: np.where(re < rb, re * (4.0 - rb), np.nan), ((0.0, 2.0), (1.0, 4.0))),
+    ],
+    ids=["1d-top", "1d-bottom", "1d-nan", "2d-corner", "2d-one-axis", "2d-nan"],
+)
+@pytest.mark.parametrize("grid_points", [5, 160])
+def test_grid_search_equals_the_array_held_search_where_a_level_clips(
+    objective, bounds, grid_points
+):
+    # Where the best point lies at a bound, x - step or x + step clips to it
+    # at every level; held as floats, the search takes the nodes and returns
+    # the bits of the search held as one array per axis.
+    got_nodes, want_nodes = [], []
+    o = grid_refine_maximize(_recording(objective, got_nodes), bounds, grid_points)
+    want = oracles.grid_refine_maximize_arrays(
+        _recording(objective, want_nodes), bounds, grid_points, optimize._ZOOM_TOL
+    )
+    assert repr((o.rates.r_e, o.rates.r_b, o.est)) == repr(want)
+    assert len(got_nodes) > 2
+    assert got_nodes == want_nodes
