@@ -55,7 +55,10 @@ script runs:
   whose rows mix the surrogate kernel's three branches (no pointing term at
   0, the recurrence at 0.25 and 0.5, the gamma ratio at 0.75 and 1), and
   ``--axis n --min 1 --max 6 --steps 6 --sth 1.0 --scheme fixed``, whose
-  rows are unconstrained;
+  rows are unconstrained, and ``--axis s_th --min 0.01 --max 0.2 --steps 4
+  --scheme adaptive --cb 0.5``, where no rate up to the capacity meets any
+  of the ceilings, so every row sits at r_e = c_b with zero throughput and
+  its ``constraint_met`` comes from the zero-throughput clause;
 - two closed-form fixed-scheme sweeps whose codeword rates the solvers take
   as one batch: ``--axis s_th --min 0.3 --max 0.7 --steps 9`` on
   ``opt_grid_fallback_fixed.json``'s scenario, where every ceiling binds
@@ -194,6 +197,9 @@ BATCH_SWEEPS = (
     ("sweep_n_unconstrained_fixed.csv", None,
      ["--axis", "n", "--min", "1", "--max", "6", "--steps", "6", "--sth", "1.0",
       "--scheme", "fixed"]),
+    ("sweep_sth_infeasible_adaptive.csv", None,
+     ["--axis", "s_th", "--min", "0.01", "--max", "0.2", "--steps", "4",
+      "--scheme", "adaptive", "--cb", "0.5"]),
     ("sweep_sth_grid_fallback_fixed.csv", GRID_FALLBACK,
      ["--axis", "s_th", "--min", "0.3", "--max", "0.7", "--steps", "9", "--scheme", "fixed"]),
     ("sweep_re_codeword_rates_fixed.csv", None,

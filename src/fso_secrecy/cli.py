@@ -389,36 +389,23 @@ def _optimum_rows(
     unconstrained solve.
 
     Each run of consecutive rows on one scenario takes the exact outages at
-    its optima from one array call per kind.  The surrogate outages that
-    ``constraint_met`` reads, at the optima of every run up to the first
-    failing optimum, are one :func:`optimize._drive` batch: one kernel call
-    per kernel branch.  A run's Monte-Carlo column is, for the adaptive
-    scheme, one capacity-averaged estimate over its ceilings, and for the
-    fixed scheme :func:`_mc_columns` at its optima.  A run that fails, at
-    its first failing optimum or in its outages, ends the list with that
-    error in place of its rows, so the rows before it come out as they
-    would one run at a time.
+    its optima from one array call per kind.  ``constraint_met`` reads each
+    optimum's own surrogate outage, ``Optimum.sop``.  A run's Monte-Carlo
+    column is, for the adaptive scheme, one capacity-averaged estimate over
+    its ceilings, and for the fixed scheme :func:`_mc_columns` at its optima.
+    A run that fails, at its first failing optimum or in its outages, ends
+    the list with that error in place of its rows, so the rows before it
+    come out as they would one run at a time.
     """
     if scheme == "adaptive":
         optima = optimize.adaptive_optima([(sc, c_b, s_th) for sc, s_th in rows])
     else:
         optima = optimize.fixed_optima(rows)
-    runs = []  # (scenario, ceilings, optima) of each run
-    for sc, run in itertools.groupby(zip(rows, optima), key=lambda row_optimum: row_optimum[0][0]):
-        runs.append((sc, *zip(*((s_th, o) for (_, s_th), o in run))))
-    solved = itertools.takewhile(
-        lambda run: not any(isinstance(o, Exception) for o in run[2]), runs
-    )
-    reads = optimize._drive(
-        [
-            optimize._sop(eve_link(sc), np.array([o.rates.r_e for o in run_optima]))
-            for sc, _, run_optima in solved
-        ]
-    )
     out = []
-    for (sc, ceilings, run_optima), read in itertools.zip_longest(runs, reads):
+    for sc, run in itertools.groupby(zip(rows, optima), key=lambda row_optimum: row_optimum[0][0]):
+        ceilings, run_optima = zip(*((s_th, o) for (_, s_th), o in run))
         try:
-            out += _run_rows(sc, scheme, ceilings, run_optima, read, with_mc, sim, jobs)
+            out += _run_rows(sc, scheme, ceilings, run_optima, with_mc, sim, jobs)
         except Exception as exc:  # raised by the caller once the rows before it are out
             return out + [exc]
     return out
@@ -429,14 +416,13 @@ def _run_rows(
     scheme: str,
     ceilings: tuple[float, ...],
     run_optima: tuple,
-    read,
     with_mc: bool,
     sim: SimConfig,
     jobs: int,
 ) -> list[tuple[float, str, str, float, float, bool]]:
-    """The rows of one run of :func:`_optimum_rows`, from the (outage, slope)
-    of the surrogate secrecy outage at its optima, ``read``; or its first
-    optimum's error raised, or the error ``read`` holds."""
+    """The rows of one run of :func:`_optimum_rows`, whose ``constraint_met``
+    compares each optimum's own surrogate outage ``Optimum.sop`` with its
+    ceiling; or its first optimum's error raised."""
     for o in run_optima:
         if isinstance(o, Exception):
             raise o
@@ -454,14 +440,9 @@ def _run_rows(
         mc = _mc_columns(sc, scheme, [o.rates for o in run_optima], list(ceilings), sim, jobs)
     # Solvers contract on the surrogate outage surface; the sop column stays
     # exact-kernel for diagnostics.
-    if isinstance(read, Exception):
-        raise read
-    s_approx = read[0].tolist()
     return [
-        (o.est, est_mc, ci, s, t, s_a <= s_th + 1e-6 or o.est == 0.0)
-        for o, (est_mc, ci), s, t, s_a, s_th in zip(
-            run_optima, mc, sop_vals, rel, s_approx, ceilings
-        )
+        (o.est, est_mc, ci, s, t, o.sop <= s_th + 1e-6 or o.est == 0.0)
+        for o, (est_mc, ci), s, t, s_th in zip(run_optima, mc, sop_vals, rel, ceilings)
     ]
 
 
@@ -592,7 +573,7 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         "method": opt.method,
         "hessian_ok": opt.hessian_ok,
         "constraint_active": opt.constraint_active,
-        "sop_at_re": float(secrecy.sop_approx(eve_link(sc), opt.rates.r_e)[0]),
+        "sop_at_re": opt.sop,
         "sop_exact_at_re": exact.sop,
         "oracle": {"est": oracle.est, "gap": gap, "covers": covers},
     }

@@ -73,9 +73,12 @@ outages, formed in one place per scheme (``_fixed_throughput``,
 ``_adaptive_throughput``); the exact-kernel value of a returned optimum is
 :func:`fso_secrecy.secrecy.est_fixed` / ``est_adaptive`` at its rates.  The
 walks ``_fixed_est`` and ``_adaptive_est`` ask for the outages, one array
-call per outage, and apply that formula.  Every curvature stencil is one
-such walk, and the optimum's throughput its centre.  The fixed pair takes
-the redundancy rates of all its roots in one call, and the stationarity and
+call per outage, and apply that formula; ``_fixed_est`` also returns the
+secrecy outages it gated on.  Each optimum's last walk, its curvature
+stencil or its one point, asks for the outages at the optimum: the
+throughput there is its ``est`` and the secrecy outage at its r_e its
+``sop``, so no caller asks for either again.  The fixed pair takes the
+redundancy rates of all its roots in one call, and the stationarity and
 Hessian stencils of all its interior roots in one call per outage.
 :func:`grid_refine_maximize` is the one grid search: the solvers'
 fallbacks, the command line's oracles and the acceptance gate run it on
@@ -167,7 +170,10 @@ class Optimum:
     r_e, the fixed scheme's pair, or the codeword rate of
     :func:`fixed_constrained_rb` under the ceiling.  ``hessian_ok``
     reports the local second-order check where one is performed; it is not
-    an error flag.
+    an error flag.  ``sop`` is the surrogate secrecy outage at ``rates.r_e``
+    that the solve's throughput was gated on, with the bits of a float
+    :func:`~fso_secrecy.secrecy.sop_approx` call there; None for a
+    :func:`grid_refine_maximize` result.
     """
 
     rates: RatePair
@@ -175,6 +181,7 @@ class Optimum:
     method: str
     hessian_ok: bool
     constraint_active: bool
+    sop: float | None
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +467,13 @@ def _fixed_throughput(r_e, r_b, s, t, constraint):
 
 def _fixed_est(eve: LinkParams, bob: LinkParams, n_a: int, r_e, r_b, constraint):
     """A walk: :func:`_fixed_throughput` at r_e and r_b, in one call per
-    outage."""
+    outage, and the secrecy outages at r_e it was gated on."""
     # Negative rates' cells are 0 whatever they map to; a rate past the top takes its outage.
     (s, _), (t, _) = yield (
         (eve, None, np.clip(r_e, 0.0, _RATE_TOP)),
         (bob, n_a, np.clip(r_b, 0.0, _RATE_TOP)),
     )
-    return _fixed_throughput(r_e, r_b, s, t, constraint)
+    return _fixed_throughput(r_e, r_b, s, t, constraint), s
 
 
 def _adaptive_throughput(c_b: float, r_e, s, constraint):
@@ -659,12 +666,13 @@ def _adaptive_optimum(row, unconstrained, threshold):
         r_e = c_b
     # The second-difference stencil must lie strictly inside (0, c_b): at an
     # end point the throughput's edge, not its curvature, decides the sign.
-    # Where it is taken, the optimum's throughput is its middle.
+    # Where it is taken, its middle holds the optimum's throughput and outage.
     u = _rate_scale(bob_link(sc))
     h = 1e-4 * u
     stencil = feasible and 0.0 < r_e - h and r_e + h < c_b and not constraint_active
     rs = np.array([r_e - h, r_e, r_e + h]) if stencil else r_e
-    psi = yield from _adaptive_est(eve_link(sc), c_b, rs, constraint)
+    s, _ = yield from _sop(eve_link(sc), rs)
+    psi = _adaptive_throughput(c_b, rs, s, constraint)
     est = float(psi[1]) if stencil else psi
     hessian_ok = stencil and est > 0.0 and _curves_down(psi, u)
     return Optimum(
@@ -673,6 +681,7 @@ def _adaptive_optimum(row, unconstrained, threshold):
         method="threshold" if constraint_active else method_u,
         hessian_ok=hessian_ok,
         constraint_active=constraint_active,
+        sop=float(s[1] if stencil else s),
     )
 
 
@@ -741,28 +750,29 @@ def _fixed_unconstrained_pair(sc: ScenarioConfig):
     roots = yield from _scan_roots(resid, xs, gs, _RATE_TOL * u)
     pairs = list(zip((yield from g_e(np.array(roots))).tolist(), roots)) if roots else []
     stencils = yield from _stationary_stencils(sc, pairs)
-    # (est, re, rb, method, the throughput stencil there) of each candidate;
-    # its throughput is the stencil's centre
+    # (est, re, rb, method, the throughput stencil there, the secrecy outage
+    # at re) of each candidate; its throughput is the stencil's centre
     candidates = [
-        (float(f[2, 2]), re, rb, "fixed_point", f)
-        for (re, rb), f in zip(pairs, stencils)
-        if f is not None
+        (float(stencil[0][2, 2]), re, rb, "fixed_point", *stencil)
+        for (re, rb), stencil in zip(pairs, stencils)
+        if stencil is not None
     ]
     if not candidates:
         o = fixed_grid_oracle(sc, 1.0, hi)
         d = _STENCIL * u
-        f = yield from _fixed_est(
+        f, s = yield from _fixed_est(
             eve, bob, n_a, o.rates.r_e + d[:, None], o.rates.r_b + d, _UNCONSTRAINED
         )
-        candidates.append((o.est, o.rates.r_e, o.rates.r_b, "grid_oracle", f))
+        candidates.append((o.est, o.rates.r_e, o.rates.r_b, "grid_oracle", f, float(s[2, 0])))
 
-    est, re, rb, method, f = max(candidates, key=lambda c: c[0])
+    est, re, rb, method, f, s = max(candidates, key=lambda c: c[0])
     return Optimum(
         rates=RatePair(r_b=rb, r_e=re),
         est=est,
         method=method,
         hessian_ok=_is_negative_definite(f, u),
         constraint_active=False,
+        sop=s,
     )
 
 
@@ -775,9 +785,10 @@ _STENCIL = np.array([-_HESSIAN_STEP, -1e-5, 0.0, 1e-5, _HESSIAN_STEP])
 
 
 def _stationary_stencils(sc: ScenarioConfig, pairs: list[tuple[float, float]]):
-    """A walk: the throughput on the ``_STENCIL`` at each (re, rb) of
-    ``pairs`` that is an interior stationary point, else None; the
-    interior pairs' stencils take one call per outage."""
+    """A walk: the throughput on the ``_STENCIL`` around each (re, rb) of
+    ``pairs`` that is an interior stationary point, with the secrecy outage
+    at re, else None; the interior pairs' stencils take one call per
+    outage."""
     bob = bob_link(sc)
     u = _rate_scale(bob)
     inside = [re > 1e-8 * u and rb > re + 1e-8 * u and rb < _RATE_TOP - 1e-6 * u for re, rb in pairs]
@@ -785,20 +796,17 @@ def _stationary_stencils(sc: ScenarioConfig, pairs: list[tuple[float, float]]):
     if any(inside):
         d = _STENCIL * u
         res, rbs = np.array([pair for pair, ok in zip(pairs, inside) if ok]).T
-        stencils = iter(
-            (
-                yield from _fixed_est(
-                    eve_link(sc),
-                    bob,
-                    sc.nodes.n_a,
-                    (res[:, None] + d)[:, :, None],
-                    (rbs[:, None] + d)[:, None, :],
-                    _UNCONSTRAINED,
-                )
-            )
+        f, s = yield from _fixed_est(
+            eve_link(sc),
+            bob,
+            sc.nodes.n_a,
+            (res[:, None] + d)[:, :, None],
+            (rbs[:, None] + d)[:, None, :],
+            _UNCONSTRAINED,
         )
-    fs = [next(stencils) if ok else None for ok in inside]
-    return [f if f is not None and _is_stationary(f, u) else None for f in fs]
+        stencils = zip(f, s[:, 2, 0].tolist())
+    found = [next(stencils) if ok else None for ok in inside]
+    return [c if c is not None and _is_stationary(c[0], u) else None for c in found]
 
 
 def _is_stationary(f: np.ndarray, u: float) -> bool:
@@ -949,13 +957,14 @@ def _fixed_optimum(row, pair, threshold):
     u = _rate_scale(bob)
     rbs = np.array([rb - 1e-4 * u, rb, rb + 1e-4 * u])
     # The throughput along r_b, the optimum's at the middle: rb >= re_t.
-    f_rb = yield from _fixed_est(eve_link(sc), bob, sc.nodes.n_a, re_t, rbs, constraint)
+    f_rb, s = yield from _fixed_est(eve_link(sc), bob, sc.nodes.n_a, re_t, rbs, constraint)
     return Optimum(
         rates=RatePair(r_b=rb, r_e=re_t),
         est=float(f_rb[1]),
         method=method,
         hessian_ok=_curves_down(f_rb, u),
         constraint_active=True,
+        sop=float(s),
     )
 
 
@@ -1014,6 +1023,7 @@ def grid_refine_maximize(objective, bounds, grid_points: int = GRID_POINTS) -> O
         method="grid_oracle",
         hessian_ok=False,
         constraint_active=False,
+        sop=None,
     )
 
 

@@ -626,8 +626,9 @@ def test_figure_sweeps_stay_within_their_surrogate_call_budget(tmp_path, monkeyp
     # Each optimum sweep solves its rows as one batch, whose walks share
     # every surrogate call of a round, one per curve and kernel branch: the
     # fixed scheme's binding rows solve their codeword rates in one batch
-    # too, and the rows' constraint_met reads join one call per branch.  A
-    # figure pass makes at most 136 surrogate kernel calls (306 when each
+    # too, and the rows' constraint_met reads the outage each solve gated
+    # on.  A figure pass makes at most 130 surrogate kernel calls (136 when
+    # the constraint_met reads took calls of their own, 306 when each
     # binding row solved its codeword rate alone, 913 when each row was
     # solved alone, 1,189 when each cell and stencil also took calls of its
     # own), and its exact outages stay at 23 secrecy and 17 reliability array
@@ -647,8 +648,28 @@ def test_figure_sweeps_stay_within_their_surrogate_call_budget(tmp_path, monkeyp
 
         monkeypatch.setattr(module, name, counted)
     _run_figure_sweeps(tmp_path, monkeypatch)
-    assert calls["ggp_cdf_approx"] <= 136
+    assert calls["ggp_cdf_approx"] <= 130
     assert (calls["sop"], calls["reliability_outage"]) == (23, 17)
+
+
+def test_figure_sweeps_optima_carry_the_bits_of_their_surrogate_outage(tmp_path, monkeypatch):
+    # Every optimum row of a figure pass reads constraint_met from the
+    # optimum's own surrogate outage, which has the bits of a float call at
+    # its r_e.
+    solved = []
+    for name in ("adaptive_optima", "fixed_optima"):
+        batch = getattr(optimize, name)
+
+        def recorded(rows, _batch=batch):
+            optima = _batch(rows)
+            solved.extend(zip([row[0] for row in rows], optima))
+            return optima
+
+        monkeypatch.setattr(optimize, name, recorded)
+    _run_figure_sweeps(tmp_path, monkeypatch)
+    assert len(solved) == 70  # 20 ceilings, 6 array sizes and 9 sigma_s, per scheme
+    for sc, o in solved:
+        assert o.sop.hex() == secrecy.sop_approx(eve_link(sc), o.rates.r_e)[0].hex()
 
 
 def test_sweep_ceiling_axis_monotone(tmp_path):
@@ -737,8 +758,8 @@ def test_sweep_ceiling_axis_solves_once_and_asks_each_outage_once(
     code, text = run_cli(tmp_path, "sweep", *CEILING_AXIS, "--scheme", scheme)
     assert code == 0
     # The solvers take their surrogate outages from secrecy's names bound in
-    # optimize, and so does the constraint_met read, which joins their calls
-    # through optimize._drive: only the CLI's own exact calls are counted.
+    # optimize, and constraint_met reads the outage each solve gated on:
+    # only the CLI's own exact calls are counted.
     if scheme == "fixed":
         assert sorted(calls) == ["reliability_outage", "sop"]
     else:

@@ -328,6 +328,9 @@ def test_adaptive_optimal_infeasible_capacity(baseline):
     o = adaptive_optimal(baseline, 2.0, 0.2)
     assert o.rates.r_e == 2.0
     assert o.est == 0.0
+    # its outage is the surrogate outage at the capacity, above the ceiling
+    assert o.sop.hex() == sop_approx(eve_link(baseline), 2.0)[0].hex()
+    assert o.sop > 0.2
 
 
 def test_adaptive_optimal_max_rule(baseline):
@@ -436,7 +439,7 @@ def test_throughput_stencil_equals_the_pointwise_objective(sigma_s, re, rb, h):
     sc = baseline_scenario(sigma_s=sigma_s)
     unconstrained = SecrecyConstraint(1.0)
     d = np.array([-h, 0.0, h])
-    got = _run(
+    got, _ = _run(
         optimize._fixed_est(
             eve_link(sc), bob_link(sc), sc.nodes.n_a, re + d[:, None], rb + d, unconstrained
         )
@@ -452,7 +455,7 @@ def test_throughput_stencil_equals_the_pointwise_objective(sigma_s, re, rb, h):
 def test_stencil_checks_return_python_bools(baseline):
     o = fixed_unconstrained_pair(baseline)
     u = optimize._rate_scale(bob_link(baseline))
-    (f,) = _run(optimize._stationary_stencils(baseline, [(o.rates.r_e, o.rates.r_b)]))
+    ((f, _),) = _run(optimize._stationary_stencils(baseline, [(o.rates.r_e, o.rates.r_b)]))
     checks = (
         optimize._is_stationary(f, u),
         optimize._is_negative_definite(f, u),
@@ -1538,7 +1541,7 @@ def test_grid_searches_equal_their_walk_driven_objectives_to_the_bit(
     got.append(searches[-1][2])
 
     def fixed(re, rb):
-        return _run(optimize._fixed_est(eve, bob, n_a, re, rb, constraint))
+        return _run(optimize._fixed_est(eve, bob, n_a, re, rb, constraint))[0]
 
     def adaptive(re):
         return _run(optimize._adaptive_est(eve, 4.0, re, constraint))
@@ -1591,3 +1594,72 @@ def test_grid_search_equals_the_array_held_search_where_a_level_clips(
     assert repr((o.rates.r_e, o.rates.r_b, o.est)) == repr(want)
     assert len(got_nodes) > 2
     assert got_nodes == want_nodes
+
+
+# ---------------------------------------------------------------------------
+# the optimum's own surrogate outage
+# ---------------------------------------------------------------------------
+
+# The scenarios of scripts/compare_outputs.py where the adaptive slope scan
+# finds two roots, and where the adaptive solver rescans the first cell; and
+# the scenario of test_fixed_optimal_labels_the_constrained_grid_fallback.
+TWO_ROOTS = {
+    "sigma_s": 0.0, "n_a": 1, "n_b": 3, "n_e": 4, "cn2": 1.4607508285692493e-15,
+    "d_b": 2902.842563086293, "d_e": 2252.7318414869633, "gamma0": 1424.0941040463003,
+}
+FIRST_CELL = {
+    "sigma_s": 0.0, "n_a": 2, "n_b": 3, "n_e": 1, "cn2": 3.18e-16, "d_b": 2206, "d_e": 836,
+    "gamma0": 0.0365,
+}
+CONSTRAINED_GRID = {
+    "sigma_s": 0.0, "n_a": 5, "n_b": 2, "n_e": 6, "cn2": 1.36e-16, "d_b": 2124, "d_e": 2264,
+    "gamma0": 639,
+}
+
+# (scheme, c_b, s_th, method) of each solver path of the baseline, and
+# whether its scan is made to find no root.
+BASELINE_PATHS = {
+    "adaptive-unconstrained": ("adaptive", 4.0, 1.0, "fixed_point", False),
+    "adaptive-threshold": ("adaptive", 4.0, 0.2, "threshold", False),
+    "adaptive-infeasible": ("adaptive", 0.5, 0.01, "threshold", False),
+    "adaptive-grid-fallback": ("adaptive", 4.0, 1.0, "grid_oracle", True),
+    "fixed-pair": ("fixed", None, 1.0, "fixed_point", False),
+    "fixed-pair-grid-fallback": ("fixed", None, 1.0, "grid_oracle", True),
+    "fixed-lambert-w": ("fixed", None, 0.3, "lambert_w", False),
+}
+
+SOP_PATHS = [
+    *(
+        pytest.param({"sigma_s": sigma_s}, *path, id=f"{name}-sigma{sigma_s}")
+        for name, path in BASELINE_PATHS.items()
+        for sigma_s in (0.0, 0.5, 2.0)
+    ),
+    pytest.param(TWO_ROOTS, "adaptive", 0.5, 1.0, "fixed_point", False, id="adaptive-two-roots"),
+    pytest.param(
+        FIRST_CELL, "adaptive", 2.98, 0.656, "fixed_point", False, id="adaptive-first-cell"
+    ),
+    pytest.param(CONSTRAINED_GRID, "fixed", None, 0.52, "grid_oracle", False, id="fixed-grid-rate"),
+]
+
+
+@pytest.mark.parametrize("overrides, scheme, c_b, s_th, method, forced", SOP_PATHS)
+def test_optimum_carries_the_bits_of_its_surrogate_outage(
+    monkeypatch, overrides, scheme, c_b, s_th, method, forced
+):
+    # Each solver path gates its throughput on the surrogate secrecy outage
+    # at the r_e it returns, and the optimum carries that outage with the
+    # bits of a float call there.
+    sc = baseline_scenario(**overrides)
+    if forced:
+        monkeypatch.setattr(optimize, "_scan_roots", _no_roots)
+    o = adaptive_optimal(sc, c_b, s_th) if scheme == "adaptive" else fixed_optimal(sc, s_th)
+    assert o.method == method
+    if scheme == "adaptive":  # r_e = c_b where no rate up to c_b meets the ceiling
+        assert (o.rates.r_e == c_b) == (re_threshold(sc, s_th) > c_b)
+    assert type(o.sop) is float
+    assert o.sop.hex() == sop_approx(eve_link(sc), o.rates.r_e)[0].hex()
+
+
+def test_grid_search_results_carry_no_surrogate_outage(baseline):
+    assert adaptive_grid_oracle(baseline, 4.0, 1.0).sop is None
+    assert fixed_grid_oracle(baseline, 1.0, 6.0, grid_points=20).sop is None
