@@ -27,10 +27,6 @@ gamma0 * a0 * n_rx and ``LinkParams.surrogate`` the :class:`Surrogate` of
 :func:`gamma_approx`, with the shape and scale, xi**2 and the pointing
 term's log-gamma ratio.  An evaluation from them does only numpy and scipy
 ufunc work, the same sequence on a float as on each element of an array.
-The surrogate kernel also takes the constants of several surrogates of one
-branch at once, each repeated over its elements of the argument
-(:func:`gather_surrogates`), so a batch of links shares one call and every
-element keeps the bits of its own link's call.
 
 The paper's 1F2 expansions of the same CDFs are kept as a test reference
 only.  All records are frozen dataclasses, all functions pure.
@@ -41,8 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import NamedTuple
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
@@ -57,8 +52,6 @@ __all__ = [
     "PointingParams",
     "NodeConfig",
     "Surrogate",
-    "GatheredSurrogates",
-    "gather_surrogates",
     "ScenarioConfig",
     "LinkParams",
     "baseline_scenario",
@@ -223,42 +216,6 @@ class Surrogate:
     def __post_init__(self) -> None:
         if not (self.k > 0.0 and self.theta > 0.0):
             raise ValueError("Surrogate shape and scale must be strictly positive")
-
-    @cached_property
-    def log_gamma_k(self) -> float:
-        """ln Gamma(k), the normalization of the gamma density."""
-        return math.lgamma(self.k)
-
-
-class GatheredSurrogates(NamedTuple):
-    """The constants of several :class:`Surrogate` of one kernel branch, each
-    an array with one element per element of the kernel's argument; ``xi2``
-    and ``log_ratio`` are None where no surrogate has a pointing term."""
-
-    k: np.ndarray
-    theta: np.ndarray
-    xi2: np.ndarray | None
-    log_ratio: np.ndarray | None
-    log_gamma_k: np.ndarray
-
-
-def gather_surrogates(surrogates, counts) -> Surrogate | GatheredSurrogates:
-    """The constants of ``surrogates``, each repeated ``counts`` times, for one
-    :func:`ggp_cdf_approx` call on their arguments laid end to end: their
-    common :class:`Surrogate` where they are all equal, else
-    :class:`GatheredSurrogates`.  The surrogates must share the kernel
-    branch: all without a pointing term, or all with a ``log_ratio``; the
-    pointing term's recurrence branch (``log_ratio`` None) takes the float
-    constants of one surrogate."""
-    first = surrogates[0]
-    if all(sur == first for sur in surrogates):
-        return first
-
-    def gathered(name):
-        values = [getattr(sur, name) for sur in surrogates]
-        return None if values[0] is None else np.repeat(values, counts)
-
-    return GatheredSurrogates(*map(gathered, GatheredSurrogates._fields))
 
 
 @dataclass(frozen=True)
@@ -600,7 +557,7 @@ def ggp_cdf(alpha: float, beta_agg: float, xi: float, x):
     return _exact_cdf("ggp_cdf", alpha, beta_agg, None if math.isinf(xi) else xi * xi, x)
 
 
-def _surrogate_cdf(sur: Surrogate | GatheredSurrogates, t: np.ndarray):
+def _surrogate_cdf(sur: Surrogate, t: np.ndarray):
     """Gamma-surrogate CDF F(t) on an array of t > 0, and its pointing term.
 
     F(t) = P(k, t) + t**xi2 Gamma(k - xi2, t) / Gamma(k) is the conditional
@@ -617,11 +574,9 @@ def _surrogate_cdf(sur: Surrogate | GatheredSurrogates, t: np.ndarray):
     return _clamp_prob(p + second), second
 
 
-def ggp_cdf_approx(sur: Surrogate | GatheredSurrogates, x):
+def ggp_cdf_approx(sur: Surrogate, x):
     """Gamma-surrogate CDF and density of the fading-plus-misalignment
-    product at x >= 0, a float or an array, from the link's constants ``sur``,
-    or from one link's constants per element of a 1-D array x
-    (:func:`gather_surrogates`).
+    product at x >= 0, a float or an array, from the link's constants ``sur``.
 
     An array gives two arrays of its shape; a float gives two numpy floats,
     which divide by zero as array elements do.  Either way every step is a
@@ -640,12 +595,10 @@ def ggp_cdf_approx(sur: Surrogate | GatheredSurrogates, x):
     cdf, pdf = np.zeros(t.shape), np.zeros(t.shape)
     pos = t > 0.0
     t = t[pos]
-    if isinstance(sur, GatheredSurrogates):
-        sur = GatheredSurrogates(*(c if c is None else c[pos] for c in sur))
     cdf[pos], second = _surrogate_cdf(sur, t)
     k, theta = sur.k, sur.theta
     if second is None:
-        pdf[pos] = np.exp((k - 1.0) * np.log(t) - t - sur.log_gamma_k) / theta
+        pdf[pos] = np.exp((k - 1.0) * np.log(t) - t - math.lgamma(k)) / theta
     else:
         pdf[pos] = sur.xi2 * second / t / theta
     return cdf[()], pdf[()]

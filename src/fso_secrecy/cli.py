@@ -552,7 +552,7 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         exact = secrecy.est_fixed(sc, opt.rates, unconstrained)
         # r_e <= r_b lies inside the grid; r_b can fall below its first row.
         in_grid = opt.rates.r_b >= optimize.FIXED_ORACLE_RB_MIN
-        scale = optimize._rate_scale(bob_link(sc))
+        scale = optimize.rate_scale(bob_link(sc))
     # A throughput below 1e-12 of the scheme's rate scale is rounding noise:
     # the gap and ``covers`` count it as 0.
     est, oracle_est = (0.0 if x < 1e-12 * scale else x for x in (opt.est, oracle.est))

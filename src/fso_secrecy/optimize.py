@@ -52,9 +52,9 @@ memoizes the exact outages of its rows.
 Every solve is a walk: a generator that yields the surrogate outages it
 needs and takes their values back.  :func:`_drive` runs a batch of walks
 together and answers each round of their requests in one kernel call per
-curve and kernel branch, so each array call advances every open problem of
-a batch, and each problem takes exactly the steps, and gets exactly the
-bits, of its solve alone; a lone walk is the one-walk batch.  The batch
+curve and link, so each array call advances every open problem of a batch
+on that link, and each problem takes exactly the steps, and gets exactly
+the bits, of its solve alone; a lone walk is the one-walk batch.  The batch
 forms :func:`re_thresholds`, :func:`adaptive_optima`, :func:`fixed_optima`
 and :func:`fixed_constrained_rbs` take a list of problems (a scenario with
 a ceiling, a capacity or a pinned r_e) and solve only the memo's misses;
@@ -94,7 +94,6 @@ from __future__ import annotations
 import math
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import special as _sp
@@ -104,7 +103,6 @@ from fso_secrecy.channel import (
     ScenarioConfig,
     bob_link,
     eve_link,
-    gather_surrogates,
 )
 from fso_secrecy.secrecy import (
     RATE_LIMIT,
@@ -131,6 +129,7 @@ __all__ = [
     "grid_refine_maximize",
     "fixed_grid_oracle",
     "adaptive_grid_oracle",
+    "rate_scale",
 ]
 
 # The top of every rate scan and bracket: the largest rate below RATE_LIMIT.
@@ -202,19 +201,11 @@ def _rel(bob: LinkParams, n_a: int, r):
 
 
 def _branch(request) -> tuple:
-    """The call a request (link, n_a, rates) joins: one per curve and kernel
-    branch, and one per surrogate on the pointing term's recurrence branch."""
+    """The call a request (link, n_a, rates) joins: one per curve and link
+    constants, the only fields the kernel reads, so distinct links with equal
+    constants share a call."""
     link, n_a, _ = request
-    sur = link.surrogate
-    recurrence = sur.xi2 is not None and sur.log_ratio is None
-    return n_a is None, sur.xi2 is None, sur if recurrence else None
-
-
-class _Links(NamedTuple):
-    """The gain and surrogate constants of several links, gathered per rate."""
-
-    gain: float | np.ndarray
-    surrogate: object
+    return n_a, link.gain, link.surrogate
 
 
 def _call(link: LinkParams, n_a: int | None, rates):
@@ -224,19 +215,12 @@ def _call(link: LinkParams, n_a: int | None, rates):
 
 def _answer(requests: list) -> list:
     """The (outage, slope) of each request (link, n_a, rates) of one
-    :func:`_branch`, from one call on their rates laid end to end; a lone
-    request is that call on its own link and rates."""
+    :func:`_branch`, from one call on the first request's link with their
+    rates laid end to end; a lone request is that call on its own rates."""
     if len(requests) == 1:
         return [_call(*requests[0])]
     link, n_a, _ = requests[0]
     sizes = [r.size if isinstance(r, np.ndarray) else 1 for _, _, r in requests]
-    links = [request[0] for request in requests]
-    if any(other is not link for other in links):
-        gains = [other.gain for other in links]
-        gain = gains[0] if len(set(gains)) == 1 else np.repeat(gains, sizes)
-        link = _Links(gain, gather_surrogates([other.surrogate for other in links], sizes))
-    if n_a is not None and any(request[1] != n_a for request in requests):
-        n_a = np.repeat([request[1] for request in requests], sizes)
     rates = np.concatenate([np.ravel(r) for _, _, r in requests])
     value, slope = _call(link, n_a, rates)
     answers, start = [], 0
@@ -258,10 +242,11 @@ def _drive(walks: list) -> list:
     secrecy outage of the link at the rates where n_a is None, else its
     reliability outage with n_a beams.  It is sent back their (outage,
     slope) pairs, each with the bits of a call of its own.  Each round
-    answers the requests of every open walk in one call per
-    :func:`_branch`, so a walk takes the steps of its scalar solve while the
-    walks of a batch share their calls.  A call that raises is made again
-    per request, and the error goes to each walk whose own request raises.
+    answers the requests of every open walk in one call per curve and link
+    (:func:`_branch`), so a walk takes the steps of its scalar solve while
+    the walks of a batch on one link share their calls.  A call that raises
+    is made again per request, and the error goes to each walk whose own
+    request raises.
     """
     results = [None] * len(walks)
     asked = {}  # walk index -> the requests it waits on
@@ -597,7 +582,7 @@ def _adaptive_unconstrained_re(sc: ScenarioConfig, c_b: float):
     if not c_b > 0.0:
         raise ValueError(f"c_b must be positive, got {c_b}")
     eve = eve_link(sc)
-    u_e = _rate_scale(eve)
+    u_e = rate_scale(eve)
 
     def slope(r):
         # The throughput's derivative, on a float or an array of rates.
@@ -644,7 +629,7 @@ def adaptive_optima(rows) -> list[Optimum]:
     """:func:`adaptive_optimal` at each (scenario, c_b, ceiling) of ``rows``,
     in order, or in a row's place the error its one-row call raises.  The
     unconstrained rates and thresholds the memo lacks are solved in one
-    batch, and the rows' stencils in one call."""
+    batch, and the rows' stencils in one call per link."""
     solved = _MEMO.solve(
         [(_adaptive_unconstrained_re, (sc, c_b)) for sc, c_b, _ in rows]
         + [(_re_threshold, (sc, s_th)) for sc, _, s_th in rows]
@@ -667,7 +652,7 @@ def _adaptive_optimum(row, unconstrained, threshold):
     # The second-difference stencil must lie strictly inside (0, c_b): at an
     # end point the throughput's edge, not its curvature, decides the sign.
     # Where it is taken, its middle holds the optimum's throughput and outage.
-    u = _rate_scale(bob_link(sc))
+    u = rate_scale(bob_link(sc))
     h = 1e-4 * u
     stencil = feasible and 0.0 < r_e - h and r_e + h < c_b and not constraint_active
     rs = np.array([r_e - h, r_e, r_e + h]) if stencil else r_e
@@ -698,9 +683,9 @@ def _cap_seed(link: LinkParams) -> float:
     return math.log1p(link.gain * sur.theta * sur.k) / math.log(2.0)
 
 
-def _rate_scale(link: LinkParams) -> float:
-    """The solvers' rate scale on the link, u = min(C, 1) of its
-    :func:`_cap_seed` C."""
+def rate_scale(link: LinkParams) -> float:
+    """The solvers' rate scale on the link, u = min(C, 1) of its capacity C
+    at its mean surrogate SNR (:func:`_cap_seed`), in bpcu."""
     return min(_cap_seed(link), 1.0)
 
 
@@ -724,7 +709,7 @@ def fixed_unconstrained_pair(sc: ScenarioConfig) -> Optimum:
 def _fixed_unconstrained_pair(sc: ScenarioConfig):
     """The walk of :func:`fixed_unconstrained_pair`."""
     eve, bob, n_a = eve_link(sc), bob_link(sc), sc.nodes.n_a
-    cap, u = _cap_seed(bob), _rate_scale(bob)
+    cap, u = _cap_seed(bob), rate_scale(bob)
     hi = min(cap + 15.0 * u, _RATE_TOP)
 
     # A quotient overflows where a slope is subnormal or zero, and is 0/0
@@ -790,7 +775,7 @@ def _stationary_stencils(sc: ScenarioConfig, pairs: list[tuple[float, float]]):
     at re, else None; the interior pairs' stencils take one call per
     outage."""
     bob = bob_link(sc)
-    u = _rate_scale(bob)
+    u = rate_scale(bob)
     inside = [re > 1e-8 * u and rb > re + 1e-8 * u and rb < _RATE_TOP - 1e-6 * u for re, rb in pairs]
     stencils = iter(())
     if any(inside):
@@ -867,7 +852,7 @@ def _fixed_constrained_rb(sc: ScenarioConfig, r_e_fixed: float):
     if r_e_fixed < 0.0:
         raise ValueError(f"r_e_fixed must be non-negative, got {r_e_fixed}")
     bob, n_a = bob_link(sc), sc.nodes.n_a
-    cap, u = _cap_seed(bob), _rate_scale(bob)
+    cap, u = _cap_seed(bob), rate_scale(bob)
     lo = min(r_e_fixed + 1e-6 * u, _RATE_TOP)
     hi = min(max(r_e_fixed + 25.0 * u, cap + 10.0 * u), _RATE_TOP)
 
@@ -914,7 +899,8 @@ def fixed_optima(rows) -> list[Optimum]:
     and thresholds the memo lacks are solved in one batch, then the codeword
     rates of the rows whose ceiling binds in another.  Each binding row
     reads its rate back through :func:`fixed_constrained_rb`, a memo hit
-    unless its solve raised, and the binding rows' stencils share one call.
+    unless its solve raised, and the binding rows' stencils share one call
+    per curve and link.
     A longer list is taken in slices of as many rows as the memo keeps
     results, so no rate is dropped before its row reads it."""
     rows = list(rows)
@@ -954,7 +940,7 @@ def _fixed_optimum(row, pair, threshold):
         return pair
     rb, method = fixed_constrained_rb(sc, re_t)
     bob = bob_link(sc)
-    u = _rate_scale(bob)
+    u = rate_scale(bob)
     rbs = np.array([rb - 1e-4 * u, rb, rb + 1e-4 * u])
     # The throughput along r_b, the optimum's at the middle: rb >= re_t.
     f_rb, s = yield from _fixed_est(eve_link(sc), bob, sc.nodes.n_a, re_t, rbs, constraint)

@@ -28,11 +28,8 @@ rates and return the outage with its analytic slope in the rate, infinite
 where it passes the double range, in one call into the surrogate kernel.
 So a solver looks its link up once, each outage does only the kernel's
 ufunc work, and they are the one place the solvers take the surrogate's
-rate derivatives from.  The link constants broadcast against the rates: a
-batch of links of one kernel branch passes its gains and gathered
-surrogates (:func:`fso_secrecy.channel.gather_surrogates`), and its beam
-counts ``n_a``, with one element per rate of a 1-D array, and each element
-keeps the bits of its own link's call.
+rate derivatives from.  Every call serves one link's float constants, so
+each element of an array call keeps the bits of a float call at its rate.
 """
 
 from __future__ import annotations
@@ -120,8 +117,7 @@ def sop_approx(eve: LinkParams, r_e):
     """Gamma-surrogate secrecy outage on the eavesdropper's link ``eve`` (the
     optimizer surface) and its slope in the rate, at ``r_e``, a float or an
     array of rates, as :func:`fso_secrecy.channel.ggp_cdf_approx` returns
-    its pair.  ``eve`` is read for its ``gain`` and ``surrogate`` only, which
-    may be gathered per rate."""
+    its pair.  ``eve`` is read for its ``gain`` and ``surrogate`` only."""
     r = _rates(r_e)
     cdf, pdf = channel.ggp_cdf_approx(eve.surrogate, rate_threshold(r, eve.gain))
     with np.errstate(over="ignore"):
@@ -149,25 +145,12 @@ def reliability_outage_approx(bob: LinkParams, n_a: int, r_b):
 
     The outage is c1**n_a for the single-beam surrogate CDF c1, so the slope
     is n_a c1**(n_a - 1) times c1's.  ``bob`` is read for its ``gain`` and
-    ``surrogate`` only; they and ``n_a`` may be gathered per rate.
+    ``surrogate`` only.
     """
     r = _rates(r_b)
     c1, pdf = channel.ggp_cdf_approx(bob.surrogate, rate_threshold(r, bob.gain))
     with np.errstate(over="ignore"):
-        return _power(c1, n_a), n_a * _power(c1, n_a - 1) * pdf * _rate_slope(r, bob.gain)
-
-
-def _power(c, n):
-    """c**n for a count n, or for an array of counts like c.  Each distinct
-    count is raised as a Python int, so each element has the bits of a call
-    of its own: numpy squares with a scalar exponent of 2, but not with an
-    array of them."""
-    if np.ndim(n) == 0:
-        return np.power(c, n)
-    out = np.empty_like(c)
-    for m in np.unique(n).tolist():
-        out[n == m] = np.power(c[n == m], m)
-    return out
+        return np.power(c1, n_a), n_a * np.power(c1, n_a - 1) * pdf * _rate_slope(r, bob.gain)
 
 
 def _rates(rate) -> np.ndarray:

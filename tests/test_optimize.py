@@ -454,7 +454,7 @@ def test_throughput_stencil_equals_the_pointwise_objective(sigma_s, re, rb, h):
 
 def test_stencil_checks_return_python_bools(baseline):
     o = fixed_unconstrained_pair(baseline)
-    u = optimize._rate_scale(bob_link(baseline))
+    u = optimize.rate_scale(bob_link(baseline))
     ((f, _),) = _run(optimize._stationary_stencils(baseline, [(o.rates.r_e, o.rates.r_b)]))
     checks = (
         optimize._is_stationary(f, u),
@@ -762,8 +762,8 @@ def _kernel_calls(monkeypatch):
 
 def test_a_batch_equals_its_one_problem_solves_to_the_bit(monkeypatch):
     # Each problem of a batch walks its own scalar solve, and the batch's
-    # array calls answer every open problem at once: the results keep every
-    # bit of the one-problem calls, with far fewer kernel calls.
+    # array calls answer every open problem on a link at once: the results
+    # keep every bit of the one-problem calls, with far fewer kernel calls.
     scs = [baseline_scenario(**doc) for doc in BATCH_SCENARIOS]
     for sc in scs[1:3]:
         assert eve_link(sc).surrogate.xi2 > eve_link(sc).surrogate.k
@@ -793,7 +793,32 @@ def test_a_batch_equals_its_one_problem_solves_to_the_bit(monkeypatch):
     methods |= {result.method for result in got if isinstance(result, Optimum)}
     methods |= {method for _, method in got_rbs}
     assert methods == {"fixed_point", "grid_oracle", "lambert_w"}
-    assert 4 * len(calls) < alone  # 137 calls against 661
+    # 249 calls against 661 (137 while requests on different links shared
+    # gathered calls).
+    assert len(calls) <= 249 and 2 * len(calls) < alone
+
+
+def test_walks_share_a_kernel_call_only_on_equal_link_constants(monkeypatch):
+    # A round's requests share a kernel call where their links carry equal
+    # constants, the only fields the kernel reads.  Bob's links of two
+    # scenarios that differ only in sigma_s are distinct but equal, so they
+    # share one call; the links of n = 1 and n = 2 take one call each.
+    # Every answer keeps the bits of its own reliability_outage_approx call.
+    def hexes(pair):
+        return [[v.hex() for v in np.ravel(x).tolist()] for x in pair]
+
+    sigma_links = [bob_link(baseline_scenario(sigma_s=s)) for s in (2.0, 0.5)]
+    assert sigma_links[0] is not sigma_links[1] and sigma_links[0] == sigma_links[1]
+    n_links = [bob_link(baseline_scenario(n_a=n, n_b=n, n_e=n)) for n in (1, 2)]
+    rates = (3.0, np.array([2.0, 4.0]))
+    calls = _kernel_calls(monkeypatch)
+    for links, n_as, want_calls in ((sigma_links, (2, 2), 1), (n_links, (1, 2), 2)):
+        keys = list(zip(links, n_as, rates))
+        calls.clear()
+        got = optimize._drive([optimize._rel(*key) for key in keys])
+        assert len(calls) == want_calls
+        for answer, key in zip(got, keys):
+            assert hexes(answer) == hexes(secrecy.reliability_outage_approx(*key))
 
 
 def test_batched_optima_equal_the_one_row_calls_to_the_bit():
