@@ -423,7 +423,8 @@ def _pointing_log_ratio(k: float, xi2: float) -> float | None:
 def _log_pointing_term(k, xi2, log_ratio, t, log_c):
     """ln(t**xi2 Gamma(k - xi2, t) / Gamma(k)) with t = k c, elementwise on
     arrays, given ``log_ratio`` = :func:`_pointing_log_ratio` (k, xi2).  The
-    constants are floats, or, where ``log_ratio`` is given, arrays like t.
+    constants k and xi2 are floats and ``log_ratio`` a float or None; t and
+    log_c are arrays.
 
     With a = k - xi2 > 0 it is written as
     c**xi2 Q(a, t) k**xi2 Gamma(a) / Gamma(k): scipy's regularized upper

@@ -42,6 +42,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import replace
 
 import numpy as np
@@ -383,67 +384,44 @@ def _optimum_rows(
     with_mc: bool,
     sim: SimConfig,
     jobs: int,
-) -> list:
-    """One row per (scenario, outage ceiling) of ``rows``, from one batch
-    solve of all of them; the rows of a scenario share its memoized
+) -> Iterator[tuple[float, str, str, float, float, bool]]:
+    """Yield one row per (scenario, outage ceiling) of ``rows``, from one
+    batch solve of all of them; the rows of a scenario share its memoized
     unconstrained solve.
 
     Each run of consecutive rows on one scenario takes the exact outages at
-    its optima from one array call per kind.  ``constraint_met`` reads each
-    optimum's own surrogate outage, ``Optimum.sop``.  A run's Monte-Carlo
-    column is, for the adaptive scheme, one capacity-averaged estimate over
-    its ceilings, and for the fixed scheme :func:`_mc_columns` at its optima.
-    A run that fails, at its first failing optimum or in its outages, ends
-    the list with that error in place of its rows, so the rows before it
-    come out as they would one run at a time.
+    its optima from one array call per kind, and its rows are yielded as
+    soon as its columns are formed.  ``constraint_met`` compares each
+    optimum's own surrogate outage, ``Optimum.sop``, with its ceiling.  A
+    run's Monte-Carlo column is, for the adaptive scheme, one
+    capacity-averaged estimate over its ceilings, and for the fixed scheme
+    :func:`_mc_columns` at its optima.  A run's first failing optimum, or
+    its failing outage call, raises in place of its rows.
     """
     if scheme == "adaptive":
         optima = optimize.adaptive_optima([(sc, c_b, s_th) for sc, s_th in rows])
     else:
         optima = optimize.fixed_optima(rows)
-    out = []
     for sc, run in itertools.groupby(zip(rows, optima), key=lambda row_optimum: row_optimum[0][0]):
         ceilings, run_optima = zip(*((s_th, o) for (_, s_th), o in run))
-        try:
-            out += _run_rows(sc, scheme, ceilings, run_optima, with_mc, sim, jobs)
-        except Exception as exc:  # raised by the caller once the rows before it are out
-            return out + [exc]
-    return out
-
-
-def _run_rows(
-    sc: ScenarioConfig,
-    scheme: str,
-    ceilings: tuple[float, ...],
-    run_optima: tuple,
-    with_mc: bool,
-    sim: SimConfig,
-    jobs: int,
-) -> list[tuple[float, str, str, float, float, bool]]:
-    """The rows of one run of :func:`_optimum_rows`, whose ``constraint_met``
-    compares each optimum's own surrogate outage ``Optimum.sop`` with its
-    ceiling; or its first optimum's error raised."""
-    for o in run_optima:
-        if isinstance(o, Exception):
-            raise o
-    r_es = [o.rates.r_e for o in run_optima]
-    if scheme == "adaptive":
-        rel = [0.0] * len(run_optima)
-    else:
-        rel = _outages(secrecy.reliability_outage, sc, [o.rates.r_b for o in run_optima])
-    sop_vals = _outages(secrecy.sop, sc, r_es)
-    mc = [("", "")] * len(run_optima)
-    if with_mc and scheme == "adaptive":
-        estimates = montecarlo.estimate_est(sc, list(ceilings), sim, jobs=jobs)
-        mc = [(_fmt(e.mean), _fmt(e.ci_halfwidth)) for e in estimates]
-    elif with_mc:
-        mc = _mc_columns(sc, scheme, [o.rates for o in run_optima], list(ceilings), sim, jobs)
-    # Solvers contract on the surrogate outage surface; the sop column stays
-    # exact-kernel for diagnostics.
-    return [
-        (o.est, est_mc, ci, s, t, o.sop <= s_th + 1e-6 or o.est == 0.0)
-        for o, (est_mc, ci), s, t, s_th in zip(run_optima, mc, sop_vals, rel, ceilings)
-    ]
+        for o in run_optima:
+            if isinstance(o, Exception):
+                raise o
+        if scheme == "adaptive":
+            rel = [0.0] * len(run_optima)
+        else:
+            rel = _outages(secrecy.reliability_outage, sc, [o.rates.r_b for o in run_optima])
+        sop_vals = _outages(secrecy.sop, sc, [o.rates.r_e for o in run_optima])
+        mc = [("", "")] * len(run_optima)
+        if with_mc and scheme == "adaptive":
+            estimates = montecarlo.estimate_est(sc, list(ceilings), sim, jobs=jobs)
+            mc = [(_fmt(e.mean), _fmt(e.ci_halfwidth)) for e in estimates]
+        elif with_mc:
+            mc = _mc_columns(sc, scheme, [o.rates for o in run_optima], list(ceilings), sim, jobs)
+        # Solvers contract on the surrogate outage surface; the sop column
+        # stays exact-kernel for diagnostics.
+        for o, (est_mc, ci), s, t, s_th in zip(run_optima, mc, sop_vals, rel, ceilings):
+            yield o.est, est_mc, ci, s, t, o.sop <= s_th + 1e-6 or o.est == 0.0
 
 
 def cmd_sweep(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
@@ -454,46 +432,46 @@ def cmd_sweep(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     s_th = args.sth if args.sth is not None else sc.s_th
     scheme = args.scheme
     axis = args.axis
+    points = [(v, None) for v in values]  # (value, value2) of each row
+    rejected = None
 
     if axis in ("s_th", "n", "sigma_s"):
         # The s_th axis moves the ceiling; the n and sigma_s axes the
         # scenario.  All rows are solved as one batch, up to a scenario the
         # link model rejects.  The first failing row, rejected or unsolved,
         # raises its error after the rows before it are written.
-        rows, rejected = [], []
+        problems = []
         for v in values:
             try:
-                rows.append((sc, v) if axis == "s_th" else (_scenario_at(sc, axis, v), s_th))
+                problems.append((sc, v) if axis == "s_th" else (_scenario_at(sc, axis, v), s_th))
             except ConfigError as exc:
-                rejected = [exc]
+                rejected = exc
                 break
-        outcomes = _optimum_rows(rows, scheme, args.cb, args.mc, sim, args.jobs) + rejected
-        for v, row in zip(values, outcomes):
-            if isinstance(row, Exception):
-                raise row
-            out.write(_sweep_line(axis, v, None, row))
-        return _EXIT_OK
-
-    # Rate axes: (value, value2) and the cell (r_e, r_b, c_b) of each row.
-    if axis == "r_e":
-        r_b = args.cb if scheme == "adaptive" else args.rb
-        if r_b is None:  # each row's codeword rate, solved as one batch
-            r_bs = [rb for rb, _ in optimize.fixed_constrained_rbs([(sc, v) for v in values])]
-        else:
-            r_bs = [r_b] * len(values)
-        points = [(v, None, (v, max(r_b, v), args.cb)) for v, r_b in zip(values, r_bs)]
-    elif axis == "r_b":
-        r_e = args.re
-        if r_e is None:
-            r_e = optimize.re_threshold(sc, s_th)
-        points = [(v, None, (r_e, max(v, r_e), args.cb)) for v in values]
-    elif axis == "r_e_x_r_b":
-        points = [(v_e, v_b, (v_e, v_b, max(args.cb, v_b))) for v_e in values for v_b in values]
+        rows = _optimum_rows(problems, scheme, args.cb, args.mc, sim, args.jobs)
     else:
-        raise ConfigError(f"axis: unknown axis {axis!r}")
-    rows = _rate_rows(sc, scheme, s_th, [cell for _, _, cell in points], args.mc, sim, args.jobs)
-    for (v, v2, _), row in zip(points, rows):
+        # Rate axes: the cell (r_e, r_b, c_b) of each row.
+        if axis == "r_e":
+            r_b = args.cb if scheme == "adaptive" else args.rb
+            if r_b is None:  # each row's codeword rate, solved as one batch
+                r_bs = [rb for rb, _ in optimize.fixed_constrained_rbs([(sc, v) for v in values])]
+            else:
+                r_bs = [r_b] * len(values)
+            cells = [(v, max(r_b, v), args.cb) for v, r_b in zip(values, r_bs)]
+        elif axis == "r_b":
+            r_e = args.re
+            if r_e is None:
+                r_e = optimize.re_threshold(sc, s_th)
+            cells = [(r_e, max(v, r_e), args.cb) for v in values]
+        elif axis == "r_e_x_r_b":
+            points = [(v_e, v_b) for v_e in values for v_b in values]
+            cells = [(v_e, v_b, max(args.cb, v_b)) for v_e, v_b in points]
+        else:
+            raise ConfigError(f"axis: unknown axis {axis!r}")
+        rows = _rate_rows(sc, scheme, s_th, cells, args.mc, sim, args.jobs)
+    for (v, v2), row in zip(points, rows):
         out.write(_sweep_line(axis, v, v2, row))
+    if rejected is not None:
+        raise rejected
     return _EXIT_OK
 
 

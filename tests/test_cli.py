@@ -82,6 +82,28 @@ def test_malformed_config_file_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    ("doc", "argv", "message"),
+    [
+        # no file is written: --config names a path that does not exist
+        (None, ["params"], "error: config: [Errno 2] No such file or directory: '{path}'"),
+        ("{}", ["sweep", "--axis", "r_e", "--min", "0", "--max", "1", "--steps", "-1"],
+         "error: steps: must be non-negative"),
+        ('{"epsilon": -1}', ["params"], "error: ScenarioConfig.epsilon must be non-negative"),
+        ('{"omega_adj": 0}', ["params"],
+         "error: ScenarioConfig.omega_adj must be strictly positive"),
+    ],
+)
+def test_config_and_step_count_errors_exit_1_with_one_line(tmp_path, capsys, doc, argv, message):
+    cfg = tmp_path / "config.json"
+    if doc is not None:
+        cfg.write_text(doc, encoding="utf-8")
+    assert cli.main([*argv, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message.format(path=cfg) + "\n"
+
+
+@pytest.mark.parametrize(
     ("argv", "message"),
     [
         (["sweep", "--axis", "n", "--min", "1", "--max", "2", "--steps", "two"],
@@ -301,6 +323,28 @@ def test_sweep_prints_the_rows_before_a_failing_codeword_rate(capsys, monkeypatc
     assert seen == [*keys, keys[2]]
 
 
+def test_optimum_sweep_writes_each_run_before_the_next_is_drawn(monkeypatch):
+    # Each row of the n axis is a run of its own scenario.  A run's rows are
+    # written once its columns are formed, so each Monte-Carlo estimate is
+    # drawn after the rows before it are out, and a terminal shows each row
+    # as soon as its run is drawn.
+    argv = ["sweep", "--axis", "n", "--min", "1", "--max", "3", "--steps", "3",
+            "--scheme", "adaptive", "--cb", "4", "--sth", "0.4", "--mc", "--trials", "2000"]
+    out = io.StringIO()
+    estimate_est = montecarlo.estimate_est
+    written = []
+
+    def spy(*args, **kwargs):
+        written.append(len(out.getvalue().splitlines()))
+        return estimate_est(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "estimate_est", spy)
+    args = cli._build_parser().parse_args(argv)
+    assert cli.cmd_sweep(channel.baseline_scenario(), args, out) == 0
+    assert written == [1, 2, 3]
+    assert len(out.getvalue().splitlines()) == 4
+
+
 _TINY_GAIN_COMMANDS = (
     ("optimize", "--scheme", "adaptive", "--cb", "4", "--sth", "0.4"),
     ("optimize", "--scheme", "fixed", "--sth", "0.4"),
@@ -436,6 +480,18 @@ def test_params_pointing_free_sentinel(tmp_path):
 def test_sweep_zero_steps_emits_header_only(tmp_path):
     code, text = run_cli(
         tmp_path, "sweep", "--axis", "r_e", "--min", "0", "--max", "4", "--steps", "0"
+    )
+    assert code == 0
+    assert text == HEADER + "\n"
+
+
+def test_sweep_zero_steps_with_monte_carlo_makes_no_draw(tmp_path, monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("a sweep with no rows drew the eavesdropper's channel")
+
+    monkeypatch.setattr(montecarlo, "estimate_sop", draw)
+    code, text = run_cli(
+        tmp_path, "sweep", "--axis", "r_e", "--min", "0", "--max", "4", "--steps", "0", "--mc"
     )
     assert code == 0
     assert text == HEADER + "\n"

@@ -1374,6 +1374,20 @@ def test_adaptive_unconstrained_re_ranks_two_roots_by_the_surrogate_throughput(
     assert adaptive_unconstrained_re(baseline, 4.0) == (2.0, "fixed_point")
 
 
+@pytest.mark.parametrize("rates", [[3.0, 5.0], [5.0, 3.0]])
+def test_fixed_constrained_rb_ranks_two_roots_by_the_throughput_factor(
+    baseline, monkeypatch, rates
+):
+    # Two residual roots at the pinned r_e = 1, neither the codeword-rate
+    # optimum: the one with the larger factor (r_b - r_e)(1 - T), 1.860 at
+    # r_b = 3 against 0.190 at r_b = 5, wins in either order.
+    monkeypatch.setattr(optimize, "_scan_roots", _scan_finding(rates))
+    bob, n_a = bob_link(baseline), baseline.nodes.n_a
+    factors = [(rb - 1.0) * (1.0 - reliability_outage_approx(bob, n_a, rb)[0]) for rb in rates]
+    assert max(factors) > min(factors) + 1.0
+    assert fixed_constrained_rb(baseline, 1.0) == (3.0, "lambert_w")
+
+
 # At gamma0 1e25 Bob's mean capacity C_b is 74.7, far past the baseline's;
 # every rate scan reaches it.  Frozen: the pair's throughput, and the
 # codeword-rate factor (r_b - r_e)(1 - T) at the pinned r_e = 1.
