@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -129,15 +129,14 @@ class GeometryConfig:
     """Static link geometry shared by both receivers."""
 
     wavelength_m: float = 1550e-9
-    link_distance_m: float = 1000.0
     cn2: float = 1.7e-14
     beam_waist_wb: float = 2.5
     aperture_radius_rho: float = 0.1
 
     def __post_init__(self) -> None:
-        for name in ("wavelength_m", "link_distance_m", "cn2", "beam_waist_wb", "aperture_radius_rho"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"GeometryConfig.{name} must be strictly positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0.0:
+                raise ValueError(f"GeometryConfig.{f.name} must be strictly positive")
 
     @property
     def wave_number(self) -> float:
@@ -243,25 +242,6 @@ class ScenarioConfig:
             raise ValueError("ScenarioConfig.omega_adj must be strictly positive")
         if not (self.d_b > 0.0 and self.d_e > 0.0):
             raise ValueError("ScenarioConfig distances must be strictly positive")
-        # The two link gains gamma0 * a0 * n_rx, formed as LinkParams.gain
-        # is.  A subnormal one overflows the rate-to-threshold map of the
-        # surrogate kernels; an infinite one puts every rate in outage.
-        a0 = pointing_params(self.geometry, 0.0).a0
-        low, high = (self.nodes.gamma0 * a0 * n for n in sorted((self.nodes.n_b, self.nodes.n_e)))
-        if low < sys.float_info.min:
-            raise ValueError(
-                f"link gain gamma0 * n_rx * a0 = {low:.3g} is below the smallest "
-                f"normal float {sys.float_info.min:.3g}"
-            )
-        if not math.isfinite(high):
-            raise ValueError(
-                f"link gain gamma0 * n_rx * a0 = {high:.3g} is above the largest "
-                f"float {sys.float_info.max:.3g}"
-            )
-
-
-_GEOMETRY_FIELDS = ("wavelength_m", "link_distance_m", "cn2", "beam_waist_wb", "aperture_radius_rho")
-_NODE_FIELDS = ("n_a", "n_b", "n_e", "gamma0")
 
 
 def baseline_scenario(**overrides) -> ScenarioConfig:
@@ -271,8 +251,10 @@ def baseline_scenario(**overrides) -> ScenarioConfig:
     node layout (``n_a``, ``gamma0``, ...) are accepted directly and routed
     into the nested configs, which keeps sweep loops one-liners.
     """
-    geo_kw = {k: overrides.pop(k) for k in _GEOMETRY_FIELDS if k in overrides}
-    node_kw = {k: overrides.pop(k) for k in _NODE_FIELDS if k in overrides}
+    geo_kw, node_kw = (
+        {f.name: overrides.pop(f.name) for f in fields(cls) if f.name in overrides}
+        for cls in (GeometryConfig, NodeConfig)
+    )
     if geo_kw:
         if "geometry" in overrides:
             raise TypeError("pass either 'geometry' or geometry leaf fields, not both")
@@ -613,12 +595,25 @@ def ggp_cdf_approx(sur: Surrogate, x):
 def _link(scenario: ScenarioConfig, distance_m: float, sigma_s: float, n_rx: int) -> LinkParams:
     turb = turbulence_params(scenario.geometry, distance_m)
     pointing = pointing_params(scenario.geometry, sigma_s)
+    # A subnormal gain overflows the rate-to-threshold map of the surrogate
+    # kernels; an infinite one puts every rate in outage.
+    gain = scenario.nodes.gamma0 * pointing.a0 * n_rx
+    if gain < sys.float_info.min:
+        raise ValueError(
+            f"link gain gamma0 * n_rx * a0 = {gain:.3g} is below the smallest "
+            f"normal float {sys.float_info.min:.3g}"
+        )
+    if not math.isfinite(gain):
+        raise ValueError(
+            f"link gain gamma0 * n_rx * a0 = {gain:.3g} is above the largest "
+            f"float {sys.float_info.max:.3g}"
+        )
     return LinkParams(
         turb=turb,
         pointing=pointing,
         beta_agg=turb.beta_single * n_rx,
         n_rx=n_rx,
-        gain=scenario.nodes.gamma0 * pointing.a0 * n_rx,
+        gain=gain,
         surrogate=gamma_approx(turb, n_rx, scenario.epsilon, scenario.omega_adj, pointing.xi),
     )
 

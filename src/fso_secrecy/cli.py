@@ -43,15 +43,15 @@ import math
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from fso_secrecy import montecarlo, optimize, secrecy
 from fso_secrecy.channel import (
+    GeometryConfig,
+    NodeConfig,
     ScenarioConfig,
-    _GEOMETRY_FIELDS,
-    _NODE_FIELDS,
     baseline_scenario,
     bob_link,
     eve_link,
@@ -139,15 +139,18 @@ class ConfigError(ValueError):
     """A configuration document failed validation; message names the field."""
 
 
-_TOP_FIELDS = ("sigma_s", "s_th", "epsilon", "omega_adj", "d_b", "d_e")
-
-
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Build a scenario from a JSON-shaped dict; unknown fields are errors."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     kwargs: dict = {}
-    nested = {"geometry": _GEOMETRY_FIELDS, "nodes": _NODE_FIELDS}
+    nested = {
+        "geometry": [f.name for f in fields(GeometryConfig)],
+        "nodes": [f.name for f in fields(NodeConfig)],
+    }
+    # The leaf fields of the nested configs are accepted flat as well.
+    flat = [f.name for f in fields(ScenarioConfig) if f.name not in nested]
+    flat += nested["geometry"] + nested["nodes"]
     for key, val in doc.items():
         if key in nested:
             if not isinstance(val, dict):
@@ -158,7 +161,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
                 if not isinstance(subval, (int, float)) or isinstance(subval, bool):
                     raise ConfigError(f"{key}.{sub}: expected a number")
                 kwargs[sub] = subval
-        elif key in _TOP_FIELDS or key in _GEOMETRY_FIELDS or key in _NODE_FIELDS:
+        elif key in flat:
             if not isinstance(val, (int, float)) or isinstance(val, bool):
                 raise ConfigError(f"{key}: expected a number")
             kwargs[key] = val
@@ -739,6 +742,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    handlers = {
+        "params": lambda sc, args, out: cmd_params(sc, out),
+        "sweep": cmd_sweep,
+        "optimize": cmd_optimize,
+        "validate": cmd_validate,
+    }
     try:
         args = _build_parser().parse_args(argv)
         sc = _load_scenario(args.config)
@@ -747,18 +756,7 @@ def main(argv: list[str] | None = None) -> int:
             val = getattr(args, flag.replace("-", "_"), None)
             if val is not None and not inside(val):
                 raise ConfigError(f"{flag}: {domain}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-
-    handlers = {
-        "params": lambda sc, args, out: cmd_params(sc, out),
-        "sweep": cmd_sweep,
-        "optimize": cmd_optimize,
-        "validate": cmd_validate,
-    }
-    handler = handlers[args.command]
-    try:
+        handler = handlers[args.command]
         if not args.out:
             code = handler(sc, args, sys.stdout)
             sys.stdout.flush()  # a reader gone before the end fails here, not at exit
