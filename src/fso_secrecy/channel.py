@@ -156,6 +156,9 @@ class TurbulenceParams:
             raise ValueError("TurbulenceParams fields must be strictly positive")
 
 
+_A0_RANGE = "PointingParams.a0 must lie in (0, 1)"
+
+
 @dataclass(frozen=True)
 class PointingParams:
     """Misalignment statistics of a receiver with jitter spread ``sigma_s``.
@@ -173,7 +176,9 @@ class PointingParams:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.a0 < 1.0:
-            raise ValueError("PointingParams.a0 must lie in (0, 1)")
+            raise ValueError(_A0_RANGE)
+        if not self.omega_e < math.inf:
+            raise ValueError("PointingParams.omega_e must be finite")
         if self.sigma_s < 0.0:
             raise ValueError("PointingParams.sigma_s must be non-negative")
 
@@ -190,8 +195,11 @@ class NodeConfig:
     def __post_init__(self) -> None:
         for name in ("n_a", "n_b", "n_e"):
             v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
-                raise ValueError(f"NodeConfig.{name} must be an integer >= 1")
+            # A count enters float arithmetic, so it must fit a double.
+            if not (isinstance(v, int) and 1 <= v <= sys.float_info.max):
+                raise ValueError(
+                    f"NodeConfig.{name} must be an integer in [1, {sys.float_info.max:.3g}]"
+                )
         if not self.gamma0 > 0.0:
             raise ValueError("NodeConfig.gamma0 must be strictly positive")
 
@@ -288,7 +296,10 @@ def turbulence_params(geom: GeometryConfig, distance_m: float) -> TurbulencePara
     if not distance_m > 0.0:
         raise ValueError(f"distance_m must be positive, got {distance_m}")
     w = geom.wave_number
-    rytov = 1.23 * geom.cn2 * w ** (7.0 / 6.0) * distance_m ** (11.0 / 6.0)
+    try:
+        rytov = 1.23 * geom.cn2 * w ** (7.0 / 6.0) * distance_m ** (11.0 / 6.0)
+    except OverflowError:  # a power past the double range
+        rytov = math.inf
     if rytov > 1e6:
         raise ValueError(f"Rytov variance {rytov:.3g} out of the model's validity range")
     s = rytov ** (12.0 / 5.0)
@@ -310,9 +321,16 @@ def pointing_params(geom: GeometryConfig, sigma_s: float) -> PointingParams:
     nu = math.sqrt(math.pi / 2.0) * geom.aperture_radius_rho / geom.beam_waist_wb
     e = math.erf(nu)
     a0 = e * e
-    omega_e = math.sqrt(
-        math.sqrt(math.pi) * geom.beam_waist_wb**2 * e / (2.0 * nu * math.exp(-nu * nu))
-    )
+    # a0 rounds to 1 from nu of about 6, and exp(-nu**2) to 0 from about 27,
+    # so a0 is checked before omega_e is formed.
+    if not 0.0 < a0 < 1.0:
+        raise ValueError(_A0_RANGE)
+    try:
+        omega_e = math.sqrt(
+            math.sqrt(math.pi) * geom.beam_waist_wb**2 * e / (2.0 * nu * math.exp(-nu * nu))
+        )
+    except OverflowError:  # beam_waist_wb**2 past the double range
+        omega_e = math.inf
     xi = omega_e / (2.0 * sigma_s) if sigma_s > 0.0 else POINTING_FREE_XI
     return PointingParams(nu=nu, a0=a0, omega_e=omega_e, sigma_s=sigma_s, xi=xi)
 
@@ -342,7 +360,8 @@ def gamma_approx(
     if not xi > 0.0:
         raise ValueError(f"gamma_approx requires xi > 0, got {xi}")
     k = 1.0 / bracket
-    xi2 = None if math.isinf(xi) else xi * xi
+    # An xi whose square passes the double range is the pointing-free limit.
+    xi2 = None if math.isinf(xi * xi) else xi * xi
     log_ratio = None if xi2 is None else _pointing_log_ratio(k, xi2)
     return Surrogate(k=k, theta=omega_adj / k, xi2=xi2, log_ratio=log_ratio)
 
@@ -537,7 +556,7 @@ def ggp_cdf(alpha: float, beta_agg: float, xi: float, x):
     at x (a float or an array)."""
     if not xi > 0.0:
         raise ValueError(f"ggp_cdf requires xi > 0, got {xi}")
-    return _exact_cdf("ggp_cdf", alpha, beta_agg, None if math.isinf(xi) else xi * xi, x)
+    return _exact_cdf("ggp_cdf", alpha, beta_agg, None if math.isinf(xi * xi) else xi * xi, x)
 
 
 def _surrogate_cdf(sur: Surrogate, t: np.ndarray):
@@ -583,7 +602,9 @@ def ggp_cdf_approx(sur: Surrogate, x):
     if second is None:
         pdf[pos] = np.exp((k - 1.0) * np.log(t) - t - math.lgamma(k)) / theta
     else:
-        pdf[pos] = sur.xi2 * second / t / theta
+        # Below xi2 = 1 the density diverges at 0, where it reads inf.
+        with np.errstate(over="ignore"):
+            pdf[pos] = sur.xi2 * second / t / theta
     return cdf[()], pdf[()]
 
 

@@ -6,6 +6,7 @@ pointed at a temp file, and parses the emitted JSON/CSV back.
 
 import argparse
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
@@ -390,6 +391,97 @@ def test_smallest_normal_link_gains_run(tmp_path, capsys):
         code, _ = run_cli(tmp_path, *argv, "--config", str(cfg))
         assert code == 0
         assert capsys.readouterr().err == ""
+
+
+def test_a_derived_scenario_past_the_gain_range_exits_1_after_its_rows(tmp_path, capsys):
+    # The n axis and validate build their scenarios with dataclasses.replace;
+    # a gain check in the scenario's constructor raised from there, a
+    # traceback.  Through the link derivation each is a config error.
+    cfg = tmp_path / "gain.json"
+    cfg.write_text('{"gamma0": 1e308}', encoding="utf-8")
+    argv = ["sweep", "--axis", "n", "--min", "1", "--max", "1000", "--steps", "2",
+            "--scheme", "fixed", "--config", str(cfg)]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == HEADER
+    assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [["n", "1"]]
+    assert err == "error: link gain gamma0 * n_rx * a0 = inf is above the largest float 1.8e+308\n"
+
+    # Bob's gain on validate's n = 1 scenario is 6.39e-309.
+    cfg.write_text('{"gamma0": 2e-306, "n_a": 4, "n_b": 4, "n_e": 4}', encoding="utf-8")
+    assert cli.main(["validate", "--trials", "1000", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: link gain gamma0 * n_rx * a0 = 6.39e-309 is below the smallest normal float"
+        " 2.23e-308\n",
+    )
+
+
+_A0_OUT_OF_RANGE = "error: PointingParams.a0 must lie in (0, 1)"
+_RYTOV_OUT_OF_RANGE = "error: Rytov variance inf out of the model's validity range"
+
+
+@pytest.mark.parametrize(
+    ("doc", "message"),
+    [
+        # the link distances are d_b and d_e; this field was read by nothing
+        ('{"link_distance_m": 5000}', "error: link_distance_m: unknown field"),
+        # exp(-nu**2) underflowed to 0 in omega_e: ZeroDivisionError
+        ('{"aperture_radius_rho": 100}', _A0_OUT_OF_RANGE),
+        ('{"beam_waist_wb": 1e-6}', _A0_OUT_OF_RANGE),
+        # beam_waist_wb**2: OverflowError
+        ('{"beam_waist_wb": 1e155, "gamma0": 1e300}',
+         "error: PointingParams.omega_e must be finite"),
+        # a power in the Rytov variance: OverflowError
+        ('{"wavelength_m": 1e-300}', _RYTOV_OUT_OF_RANGE),
+        ('{"d_b": 1e300}', _RYTOV_OUT_OF_RANGE),
+        ('{"d_e": 1e300}', _RYTOV_OUT_OF_RANGE),
+        # "int too large to convert to float"
+        pytest.param('{"n_b": %d}' % 10**400,
+                     "error: NodeConfig.n_b must be an integer in [1, 1.8e+308]", id="n_b=10**400"),
+    ],
+)
+def test_a_config_fault_while_loading_exits_1_with_its_cause(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(doc, encoding="utf-8")
+    for argv in (["params"], ["optimize", "--scheme", "fixed", "--sth", "0.3"]):
+        assert cli.main([*argv, "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", message + "\n")
+
+
+def _schema_cases():
+    """Tiny and huge values of each numeric config field, one document each,
+    then the other documents that once ended in a traceback or a warning."""
+    leaves = [
+        f.name
+        for cls in (channel.GeometryConfig, channel.NodeConfig, channel.ScenarioConfig)
+        for f in dataclasses.fields(cls)
+        if f.name not in ("geometry", "nodes")
+    ]
+    for name in leaves:
+        if name in ("n_a", "n_b", "n_e"):
+            values = {f"10**{k}": str(10**k) for k in (0, 300, 400)}
+        else:
+            values = {v: v for v in ("5e-324", "1e-300", "1e-160", "1e160", "1e300")}
+            values["max"] = repr(sys.float_info.max)
+        for label, v in values.items():
+            yield pytest.param('{"%s": %s}' % (name, v), id=f"{name}={label}")
+    # The surrogate density overflowed to inf with a warning.
+    yield pytest.param('{"sigma_s": 1000}', id="sigma_s=1000")
+    yield pytest.param('{"aperture_radius_rho": 100}', id="aperture_radius_rho=100")
+    yield pytest.param('{"beam_waist_wb": 1e-6}', id="beam_waist_wb=1e-6")
+    yield pytest.param('{"beam_waist_wb": 1e155, "gamma0": 1e300}', id="beam_waist_wb=1e155,gamma0=1e300")
+
+
+@pytest.mark.parametrize("doc", list(_schema_cases()))
+def test_every_config_the_schema_reads_ends_in_a_result_or_one_line(tmp_path, capsys, doc):
+    # Any exception, RuntimeWarning included (pytest turns it into an
+    # error), fails the run.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(doc, encoding="utf-8")
+    for argv in (["params"], ["optimize", "--scheme", "fixed", "--sth", "0.3"]):
+        assert cli.main([*argv, "--config", str(cfg)]) in (0, 1, 2)
+        assert capsys.readouterr().err.count("\n") <= 1
 
 
 # ---------------------------------------------------------------------------
