@@ -259,10 +259,8 @@ def baseline_scenario(**overrides) -> ScenarioConfig:
     node layout (``n_a``, ``gamma0``, ...) are accepted directly and routed
     into the nested configs, which keeps sweep loops one-liners.
     """
-    geo_kw, node_kw = (
-        {f.name: overrides.pop(f.name) for f in fields(cls) if f.name in overrides}
-        for cls in (GeometryConfig, NodeConfig)
-    )
+    geo_kw = {f.name: overrides.pop(f.name) for f in fields(GeometryConfig) if f.name in overrides}
+    node_kw = {f.name: overrides.pop(f.name) for f in fields(NodeConfig) if f.name in overrides}
     if geo_kw:
         if "geometry" in overrides:
             raise TypeError("pass either 'geometry' or geometry leaf fields, not both")

@@ -284,12 +284,11 @@ def _axis_values(args) -> list[float]:
 
 
 def _scenario_at(sc: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
+    """The scenario at ``value`` on the ``n`` or ``sigma_s`` axis, its links derived."""
     if axis == "n":
         n = int(round(value))
         return _derive_links(replace(sc, nodes=replace(sc.nodes, n_a=n, n_b=n, n_e=n)))
-    if axis == "sigma_s":
-        return replace(sc, sigma_s=value)
-    return sc
+    return _derive_links(replace(sc, sigma_s=value))
 
 
 def _outages(outage, sc: ScenarioConfig, rates: list[float]) -> list[float]:

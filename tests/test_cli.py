@@ -417,6 +417,18 @@ def test_a_derived_scenario_past_the_gain_range_exits_1_after_its_rows(tmp_path,
     )
 
 
+def test_a_sigma_s_row_the_link_model_rejects_exits_1_after_the_rows_before_it(capsys):
+    # xi = omega_e / (2 sigma_s) underflows to 0 at sigma_s 1.7e308.  The
+    # sigma_s axis built its scenarios without deriving their links, so the
+    # surrogate's ValueError ended in a traceback.
+    argv = ["sweep", "--axis", "sigma_s", "--min", "1", "--max", "1.7e308", "--steps", "2",
+            "--scheme", "fixed"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [["sigma_s", "1"]]
+    assert err == "error: gamma_approx requires xi > 0, got 0.0\n"
+
+
 _A0_OUT_OF_RANGE = "error: PointingParams.a0 must lie in (0, 1)"
 _RYTOV_OUT_OF_RANGE = "error: Rytov variance inf out of the model's validity range"
 
