@@ -16,7 +16,6 @@ from fso_secrecy.channel import (
     turbulence_params,
 )
 from fso_secrecy.secrecy import (
-    EstReport,
     RatePair,
     SecrecyConstraint,
     est_adaptive,
@@ -38,7 +37,6 @@ __all__ = [
     "gamma_approx",
     "RatePair",
     "SecrecyConstraint",
-    "EstReport",
     "sop",
     "sop_approx",
     "reliability_outage",

@@ -343,9 +343,10 @@ def _rate_rows(
     jobs: int,
 ) -> list[tuple[float, str, str, float, float, bool]]:
     """One row per cell (r_e, r_b, c_b) of a rate axis, from one exact outage
-    call per kind and one ``est_from_outages`` call.  The adaptive scheme has
-    no reliability outage, and no secrecy rate past c_b; r_b < r_e is a zero
-    row, without a Monte-Carlo estimate."""
+    call per kind and one ``est_from_outages`` call; ``constraint_met`` is
+    the row's unrounded exact outage against ``s_th``.  The adaptive scheme
+    has no reliability outage, and no secrecy rate past c_b; r_b < r_e is a
+    zero row, without a Monte-Carlo estimate."""
     s = _outages(secrecy.sop, sc, [r_e for r_e, _, _ in cells])
     if scheme == "fixed":
         t = _outages(secrecy.reliability_outage, sc, [r_b for _, r_b, _ in cells])
@@ -354,7 +355,7 @@ def _rate_rows(
     secrecy_rates = [
         r_b - r_e if scheme == "fixed" else max(c_b - r_e, 0.0) for r_e, r_b, c_b in cells
     ]
-    report = secrecy.est_from_outages(
+    ests = secrecy.est_from_outages(
         np.array(secrecy_rates), np.array(t), np.array(s), SecrecyConstraint(s_th)
     )
     mc_cells = iter(())
@@ -368,14 +369,12 @@ def _rate_rows(
         ]
         mc_cells = iter(_mc_columns(sc, scheme, live, [s_th] * len(live), sim, jobs))
     rows = []
-    for (r_e, r_b, _), s_i, t_i, est, met in zip(
-        cells, s, t, report.est.tolist(), report.constraint_met.tolist()
-    ):
+    for (r_e, r_b, _), s_i, t_i, est in zip(cells, s, t, ests.tolist()):
         if r_b < r_e:
             rows.append((0.0, "", "", s_i, 0.0, False))
             continue
         est_mc, ci = next(mc_cells, ("", ""))
-        rows.append((est, est_mc, ci, s_i, t_i, met))
+        rows.append((est, est_mc, ci, s_i, t_i, s_i <= s_th))
     return rows
 
 
@@ -393,8 +392,8 @@ def _optimum_rows(
 
     Each run of consecutive rows on one scenario takes the exact outages at
     its optima from one array call per kind, and its rows are yielded as
-    soon as its columns are formed.  ``constraint_met`` compares each
-    optimum's own surrogate outage, ``Optimum.sop``, with its ceiling.  A
+    soon as its columns are formed.  ``constraint_met`` compares the exact
+    outage the row prints, unrounded, with its ceiling, as on rate rows.  A
     run's Monte-Carlo column is, for the adaptive scheme, one
     capacity-averaged estimate over its ceilings, and for the fixed scheme
     :func:`_mc_columns` at its optima.  A run's first failing optimum, or
@@ -420,10 +419,8 @@ def _optimum_rows(
             mc = [(_fmt(e.mean), _fmt(e.ci_halfwidth)) for e in estimates]
         elif with_mc:
             mc = _mc_columns(sc, scheme, [o.rates for o in run_optima], list(ceilings), sim, jobs)
-        # Solvers contract on the surrogate outage surface; the sop column
-        # stays exact-kernel for diagnostics.
         for o, (est_mc, ci), s, t, s_th in zip(run_optima, mc, sop_vals, rel, ceilings):
-            yield o.est, est_mc, ci, s, t, o.sop <= s_th + 1e-6 or o.est == 0.0
+            yield o.est, est_mc, ci, s, t, s <= s_th
 
 
 def cmd_sweep(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
@@ -523,13 +520,13 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     if scheme == "adaptive":
         opt = optimize.adaptive_optimal(sc, args.cb, s_th)
         oracle = optimize.adaptive_grid_oracle(sc, args.cb, s_th)
-        exact = secrecy.est_adaptive(sc, args.cb, opt.rates.r_e, unconstrained)
+        exact_est = secrecy.est_adaptive(sc, args.cb, opt.rates.r_e, unconstrained)
         in_grid = True  # the grid spans [0, c_b], where every adaptive r_e lies
         scale = args.cb
     else:
         opt = optimize.fixed_optimal(sc, s_th)
         oracle = optimize.fixed_grid_oracle(sc, s_th, opt.rates.r_b + 3.0, grid_points=160)
-        exact = secrecy.est_fixed(sc, opt.rates, unconstrained)
+        exact_est = secrecy.est_fixed(sc, opt.rates, unconstrained)
         # r_e <= r_b lies inside the grid; r_b can fall below its first row.
         in_grid = opt.rates.r_b >= optimize.FIXED_ORACLE_RB_MIN
         scale = optimize.rate_scale(bob_link(sc))
@@ -549,12 +546,12 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         "est": opt.est,
         # Exact-kernel throughput at the same rates with the gate lifted; the
         # gate itself is contracted on the surrogate surface.
-        "est_exact_kernel": exact.est,
+        "est_exact_kernel": exact_est,
         "method": opt.method,
         "hessian_ok": opt.hessian_ok,
         "constraint_active": opt.constraint_active,
-        "sop_at_re": opt.sop,
-        "sop_exact_at_re": exact.sop,
+        "sop_at_re": float(secrecy.sop_approx(eve_link(sc), opt.rates.r_e)[0]),
+        "sop_exact_at_re": secrecy.sop(sc, opt.rates.r_e),
         "oracle": {"est": oracle.est, "gap": gap, "covers": covers},
     }
     if scheme == "adaptive":
@@ -648,7 +645,7 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     est = montecarlo.est_fixed_from_outages(est_rates, sop_at_est_re, rel_at_est_rb, 1.0)
     check(
         "est_fixed r_b=3.4 r_e=1.2558717",
-        secrecy.est_fixed(sc, est_rates, SecrecyConstraint(1.0)).est,
+        secrecy.est_fixed(sc, est_rates, SecrecyConstraint(1.0)),
         est.mean,
         est.ci_halfwidth,
     )

@@ -73,11 +73,9 @@ outages, formed in one place per scheme (``_fixed_throughput``,
 ``_adaptive_throughput``); the exact-kernel value of a returned optimum is
 :func:`fso_secrecy.secrecy.est_fixed` / ``est_adaptive`` at its rates.  The
 walks ``_fixed_est`` and ``_adaptive_est`` ask for the outages, one array
-call per outage, and apply that formula; ``_fixed_est`` also returns the
-secrecy outages it gated on.  Each optimum's last walk, its curvature
-stencil or its one point, asks for the outages at the optimum: the
-throughput there is its ``est`` and the secrecy outage at its r_e its
-``sop``, so no caller asks for either again.  The fixed pair takes the
+call per outage, and apply that formula.  Each optimum's last walk, its
+curvature stencil or its one point, asks for the outages at the optimum,
+and the throughput there is its ``est``.  The fixed pair takes the
 redundancy rates of all its roots in one call, and the stationarity and
 Hessian stencils of all its interior roots in one call per outage.
 :func:`grid_refine_maximize` is the one grid search: the solvers'
@@ -169,10 +167,7 @@ class Optimum:
     r_e, the fixed scheme's pair, or the codeword rate of
     :func:`fixed_constrained_rb` under the ceiling.  ``hessian_ok``
     reports the local second-order check where one is performed; it is not
-    an error flag.  ``sop`` is the surrogate secrecy outage at ``rates.r_e``
-    that the solve's throughput was gated on, with the bits of a float
-    :func:`~fso_secrecy.secrecy.sop_approx` call there; None for a
-    :func:`grid_refine_maximize` result.
+    an error flag.
     """
 
     rates: RatePair
@@ -180,7 +175,6 @@ class Optimum:
     method: str
     hessian_ok: bool
     constraint_active: bool
-    sop: float | None
 
 
 # ---------------------------------------------------------------------------
@@ -446,25 +440,25 @@ def _fixed_throughput(r_e, r_b, s, t, constraint):
     column of r_e against a row of r_b, say), from the secrecy outages ``s``
     at r_e and the reliability outages ``t`` at r_b; 0 outside
     0 <= r_e < r_b."""
-    est = est_from_outages(r_b - r_e, t, s, constraint).est
+    est = est_from_outages(r_b - r_e, t, s, constraint)
     return np.where((0.0 <= r_e) & (r_e < r_b), est, 0.0)
 
 
 def _fixed_est(eve: LinkParams, bob: LinkParams, n_a: int, r_e, r_b, constraint):
     """A walk: :func:`_fixed_throughput` at r_e and r_b, in one call per
-    outage, and the secrecy outages at r_e it was gated on."""
+    outage."""
     # Negative rates' cells are 0 whatever they map to; a rate past the top takes its outage.
     (s, _), (t, _) = yield (
         (eve, None, np.clip(r_e, 0.0, _RATE_TOP)),
         (bob, n_a, np.clip(r_b, 0.0, _RATE_TOP)),
     )
-    return _fixed_throughput(r_e, r_b, s, t, constraint), s
+    return _fixed_throughput(r_e, r_b, s, t, constraint)
 
 
 def _adaptive_throughput(c_b: float, r_e, s, constraint):
     """The adaptive scheme's surrogate throughput at capacity ``c_b``, at a
     rate or an array of rates r_e, from the secrecy outages ``s`` there."""
-    return est_from_outages(c_b - r_e, 0.0, s, constraint).est
+    return est_from_outages(c_b - r_e, 0.0, s, constraint)
 
 
 def _adaptive_est(eve: LinkParams, c_b: float, r_e, constraint):
@@ -651,7 +645,7 @@ def _adaptive_optimum(row, unconstrained, threshold):
         r_e = c_b
     # The second-difference stencil must lie strictly inside (0, c_b): at an
     # end point the throughput's edge, not its curvature, decides the sign.
-    # Where it is taken, its middle holds the optimum's throughput and outage.
+    # Where it is taken, its middle holds the optimum's throughput.
     u = rate_scale(bob_link(sc))
     h = 1e-4 * u
     stencil = feasible and 0.0 < r_e - h and r_e + h < c_b and not constraint_active
@@ -666,7 +660,6 @@ def _adaptive_optimum(row, unconstrained, threshold):
         method="threshold" if constraint_active else method_u,
         hessian_ok=hessian_ok,
         constraint_active=constraint_active,
-        sop=float(s[1] if stencil else s),
     )
 
 
@@ -735,29 +728,28 @@ def _fixed_unconstrained_pair(sc: ScenarioConfig):
     roots = yield from _scan_roots(resid, xs, gs, _RATE_TOL * u)
     pairs = list(zip((yield from g_e(np.array(roots))).tolist(), roots)) if roots else []
     stencils = yield from _stationary_stencils(sc, pairs)
-    # (est, re, rb, method, the throughput stencil there, the secrecy outage
-    # at re) of each candidate; its throughput is the stencil's centre
+    # (est, re, rb, method, the throughput stencil there) of each candidate;
+    # its throughput is the stencil's centre
     candidates = [
-        (float(stencil[0][2, 2]), re, rb, "fixed_point", *stencil)
-        for (re, rb), stencil in zip(pairs, stencils)
-        if stencil is not None
+        (float(f[2, 2]), re, rb, "fixed_point", f)
+        for (re, rb), f in zip(pairs, stencils)
+        if f is not None
     ]
     if not candidates:
         o = fixed_grid_oracle(sc, 1.0, hi)
         d = _STENCIL * u
-        f, s = yield from _fixed_est(
+        f = yield from _fixed_est(
             eve, bob, n_a, o.rates.r_e + d[:, None], o.rates.r_b + d, _UNCONSTRAINED
         )
-        candidates.append((o.est, o.rates.r_e, o.rates.r_b, "grid_oracle", f, float(s[2, 0])))
+        candidates.append((o.est, o.rates.r_e, o.rates.r_b, "grid_oracle", f))
 
-    est, re, rb, method, f, s = max(candidates, key=lambda c: c[0])
+    est, re, rb, method, f = max(candidates, key=lambda c: c[0])
     return Optimum(
         rates=RatePair(r_b=rb, r_e=re),
         est=est,
         method=method,
         hessian_ok=_is_negative_definite(f, u),
         constraint_active=False,
-        sop=s,
     )
 
 
@@ -771,9 +763,8 @@ _STENCIL = np.array([-_HESSIAN_STEP, -1e-5, 0.0, 1e-5, _HESSIAN_STEP])
 
 def _stationary_stencils(sc: ScenarioConfig, pairs: list[tuple[float, float]]):
     """A walk: the throughput on the ``_STENCIL`` around each (re, rb) of
-    ``pairs`` that is an interior stationary point, with the secrecy outage
-    at re, else None; the interior pairs' stencils take one call per
-    outage."""
+    ``pairs`` that is an interior stationary point, else None; the interior
+    pairs' stencils take one call per outage."""
     bob = bob_link(sc)
     u = rate_scale(bob)
     inside = [re > 1e-8 * u and rb > re + 1e-8 * u and rb < _RATE_TOP - 1e-6 * u for re, rb in pairs]
@@ -781,7 +772,7 @@ def _stationary_stencils(sc: ScenarioConfig, pairs: list[tuple[float, float]]):
     if any(inside):
         d = _STENCIL * u
         res, rbs = np.array([pair for pair, ok in zip(pairs, inside) if ok]).T
-        f, s = yield from _fixed_est(
+        f = yield from _fixed_est(
             eve_link(sc),
             bob,
             sc.nodes.n_a,
@@ -789,9 +780,9 @@ def _stationary_stencils(sc: ScenarioConfig, pairs: list[tuple[float, float]]):
             (rbs[:, None] + d)[:, None, :],
             _UNCONSTRAINED,
         )
-        stencils = zip(f, s[:, 2, 0].tolist())
+        stencils = iter(f)
     found = [next(stencils) if ok else None for ok in inside]
-    return [c if c is not None and _is_stationary(c[0], u) else None for c in found]
+    return [f if f is not None and _is_stationary(f, u) else None for f in found]
 
 
 def _is_stationary(f: np.ndarray, u: float) -> bool:
@@ -943,14 +934,13 @@ def _fixed_optimum(row, pair, threshold):
     u = rate_scale(bob)
     rbs = np.array([rb - 1e-4 * u, rb, rb + 1e-4 * u])
     # The throughput along r_b, the optimum's at the middle: rb >= re_t.
-    f_rb, s = yield from _fixed_est(eve_link(sc), bob, sc.nodes.n_a, re_t, rbs, constraint)
+    f_rb = yield from _fixed_est(eve_link(sc), bob, sc.nodes.n_a, re_t, rbs, constraint)
     return Optimum(
         rates=RatePair(r_b=rb, r_e=re_t),
         est=float(f_rb[1]),
         method=method,
         hessian_ok=_curves_down(f_rb, u),
         constraint_active=True,
-        sop=float(s),
     )
 
 
@@ -1009,7 +999,6 @@ def grid_refine_maximize(objective, bounds, grid_points: int = GRID_POINTS) -> O
         method="grid_oracle",
         hessian_ok=False,
         constraint_active=False,
-        sop=None,
     )
 
 
@@ -1019,7 +1008,7 @@ def fixed_grid_oracle(
     """:func:`grid_refine_maximize` on the fixed-scheme surrogate throughput.
 
     The objective is ``est_from_outages(r_b - r_e, T(r_b), S(r_e),
-    SecrecyConstraint(s_th)).est`` of the surrogate outages T and S where
+    SecrecyConstraint(s_th))`` of the surrogate outages T and S where
     r_e < r_b and zero elsewhere, over r_e in [0, hi] and r_b in
     [``FIXED_ORACLE_RB_MIN``, hi], ``grid_points`` nodes per axis.  The
     throughput is separable, so each level takes one array call per outage,
@@ -1042,7 +1031,7 @@ def adaptive_grid_oracle(sc: ScenarioConfig, c_b: float, s_th: float) -> Optimum
     """:func:`grid_refine_maximize` on the adaptive-scheme surrogate throughput.
 
     The objective is ``est_from_outages(c_b - r_e, 0.0, S(r_e),
-    SecrecyConstraint(s_th)).est`` of the surrogate outage S over r_e in
+    SecrecyConstraint(s_th))`` of the surrogate outage S over r_e in
     [0, c_b], ``GRID_POINTS`` nodes, one array call per level.
     """
     eve, constraint = eve_link(sc), SecrecyConstraint(s_th)

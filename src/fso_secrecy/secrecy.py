@@ -46,7 +46,6 @@ from fso_secrecy.channel import LinkParams, ScenarioConfig, bob_link, eve_link
 __all__ = [
     "RatePair",
     "SecrecyConstraint",
-    "EstReport",
     "sop",
     "sop_approx",
     "reliability_outage",
@@ -90,18 +89,6 @@ class SecrecyConstraint:
     def __post_init__(self) -> None:
         if not 0.0 < self.s_th <= 1.0:
             raise ValueError(f"SecrecyConstraint.s_th must lie in (0, 1], got {self.s_th}")
-
-
-@dataclass(frozen=True)
-class EstReport:
-    """Throughput value with its reliability/secrecy decomposition: floats,
-    or arrays from an array call of :func:`est_from_outages`."""
-
-    est: float
-    reliability_factor: float
-    secrecy_factor: float
-    sop: float
-    constraint_met: bool
 
 
 def sop(scenario: ScenarioConfig, r_e):
@@ -183,26 +170,24 @@ def _rate_slope(rate, gain: float):
 
 def est_adaptive(
     scenario: ScenarioConfig, c_b: float, r_e: float, constraint: SecrecyConstraint
-) -> EstReport:
+) -> float:
     """Throughput of the capacity-tracking scheme at redundancy rate ``r_e``.
 
     Reliability is guaranteed by construction (the codeword rate follows the
-    realized capacity ``c_b``), so the report's reliability factor is one.
+    realized capacity ``c_b``), so its reliability outage is zero.
     """
     if not 0.0 <= r_e <= c_b:
         raise ValueError(f"est_adaptive requires 0 <= r_e <= c_b, got ({c_b}, {r_e})")
     return est_from_outages(c_b - r_e, 0.0, sop(scenario, r_e), constraint)
 
 
-def est_fixed(
-    scenario: ScenarioConfig, rates: RatePair, constraint: SecrecyConstraint
-) -> EstReport:
+def est_fixed(scenario: ScenarioConfig, rates: RatePair, constraint: SecrecyConstraint) -> float:
     """Throughput of the fixed-rate scheme at the given rate pair."""
     t = reliability_outage(scenario, rates.r_b)
     return est_from_outages(rates.secrecy_rate, t, sop(scenario, rates.r_e), constraint)
 
 
-def est_from_outages(secrecy_rate, t, s, constraint: SecrecyConstraint) -> EstReport:
+def est_from_outages(secrecy_rate, t, s, constraint: SecrecyConstraint):
     """Throughput secrecy_rate (1 - t)(1 - s) of a reliability outage ``t``
     and a secrecy outage ``s``, gated to zero where ``s`` tops the ceiling or
     is NaN.
@@ -212,17 +197,8 @@ def est_from_outages(secrecy_rate, t, s, constraint: SecrecyConstraint) -> EstRe
     oracles form the surrogate throughput with it from the surrogate
     outages.  The three values are floats or arrays that broadcast, such as
     a column of secrecy outages against a row of reliability outages.
-    Floats give a report of floats; arrays give arrays, the throughput of
-    the broadcast shape, each element equal to the float call's to the bit.
+    Floats give a float; arrays give an array of the broadcast shape, each
+    element equal to the float call's to the bit.
     """
-    met = s <= constraint.s_th
-    reliability_factor = 1.0 - t
-    secrecy_factor = 1.0 - s
-    est = np.where(met, secrecy_rate * reliability_factor * secrecy_factor, 0.0)
-    return EstReport(
-        est=est if est.ndim else float(est),
-        reliability_factor=reliability_factor,
-        secrecy_factor=secrecy_factor,
-        sop=s,
-        constraint_met=met,
-    )
+    est = np.where(s <= constraint.s_th, secrecy_rate * (1.0 - t) * (1.0 - s), 0.0)
+    return est if est.ndim else float(est)

@@ -94,7 +94,7 @@ def test_criterion_4_solver_vs_oracle(baseline):
             oracle = optimize.grid_refine_maximize(
                 lambda r: secrecy.est_from_outages(
                     c_b - r, 0.0, secrecy.sop_approx(eve, r)[0], constraint
-                ).est,
+                ),
                 (0.0, c_b),
             )
             if oracle.est > 0.0:
@@ -116,7 +116,7 @@ def test_criterion_4_solver_vs_oracle(baseline):
             # a column of r_e against a row of r_b: one outage call per axis
             t = secrecy.reliability_outage_approx(bob, n_a, r_b)[0]
             s = secrecy.sop_approx(eve, r_e)[0]
-            est = secrecy.est_from_outages(r_b - r_e, t, s, constraint).est
+            est = secrecy.est_from_outages(r_b - r_e, t, s, constraint)
             return np.where(r_e < r_b, est, 0.0)
 
         hi = opt.rates.r_b + 3.0

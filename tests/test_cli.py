@@ -624,7 +624,7 @@ def test_sweep_fixed_scheme_pinned_codeword_rate(tmp_path, baseline):
     for row in rows:
         r_e = float(row["value"])
         want = secrecy.est_fixed(baseline, RatePair(3.4, r_e), SecrecyConstraint(1.0))
-        assert float(row["est_closed"]) == pytest.approx(want.est, rel=1e-8)
+        assert float(row["est_closed"]) == pytest.approx(want, rel=1e-8)
         assert float(row["sop"]) == pytest.approx(secrecy.sop(baseline, r_e), rel=1e-8)
         assert row["est_mc"] == "" and row["ci"] == ""
         assert row["constraint_met"] == "true"
@@ -813,27 +813,62 @@ def test_figure_sweeps_stay_within_their_surrogate_call_budget(tmp_path, monkeyp
     assert (calls["sop"], calls["reliability_outage"]) == (23, 17)
 
 
-def test_figure_sweeps_optima_carry_the_bits_of_their_surrogate_outage(tmp_path, monkeypatch):
-    # Every optimum row of a figure pass reads constraint_met from the
-    # optimum's own surrogate outage, which has the bits of a float call at
-    # its r_e.
+def _recorded_optima(monkeypatch):
+    """A list that gains (scenario, ceiling, optimum) per row of each
+    optimum batch solved."""
     solved = []
     for name in ("adaptive_optima", "fixed_optima"):
         batch = getattr(optimize, name)
 
         def recorded(rows, _batch=batch):
             optima = _batch(rows)
-            solved.extend(zip([row[0] for row in rows], optima))
+            solved.extend((row[0], row[-1], o) for row, o in zip(rows, optima))
             return optima
 
         monkeypatch.setattr(optimize, name, recorded)
+    return solved
+
+
+def _assert_rows_meet_by_the_unrounded_exact_outage(rows, solved):
+    # The row prints the exact outage at its optimum's r_e (at %.9g), and
+    # constraint_met compares that outage, unrounded, with the row's ceiling.
+    assert len(rows) == len(solved)
+    for row, (sc, s_th, o) in zip(rows, solved):
+        s = secrecy.sop(sc, o.rates.r_e)
+        assert row["sop"] == cli._fmt(s)
+        assert row["est_closed"] == cli._fmt(o.est)
+        assert row["constraint_met"] == ("true" if s <= s_th else "false")
+
+
+def test_figure_sweeps_optimum_rows_meet_their_ceiling_by_the_exact_outage(
+    tmp_path, monkeypatch
+):
+    solved = _recorded_optima(monkeypatch)
     _run_figure_sweeps(tmp_path, monkeypatch)
     assert len(solved) == 70  # 20 ceilings, 6 array sizes and 9 sigma_s, per scheme
-    for sc, o in solved:
-        assert o.sop.hex() == secrecy.sop_approx(eve_link(sc), o.rates.r_e)[0].hex()
+    # the files in the order the figure pass solves them
+    names = [f"est_vs_{axis}_{k}.csv" for k in ("adaptive", "fixed") for axis in ("sth", "n", "sigma")]
+    rows = [row for name in names for row in read_rows((tmp_path / name).read_text())]
+    _assert_rows_meet_by_the_unrounded_exact_outage(rows, solved)
+    # the optimum rows that break their ceiling say so
+    assert sum(row["constraint_met"] == "false" for row in rows) == 55
 
 
-def test_sweep_ceiling_axis_monotone(tmp_path):
+def test_infeasible_ceiling_sweep_rows_read_unmet(tmp_path, monkeypatch):
+    # No rate up to c_b = 0.5 meets any ceiling from 0.01 to 0.2: every row
+    # sits at r_e = c_b with zero throughput, and its outage, 0.785, breaks
+    # its ceiling.
+    solved = _recorded_optima(monkeypatch)
+    argv = ["--axis", "s_th", "--min", "0.01", "--max", "0.2", "--steps", "4"]
+    code, text = run_cli(tmp_path, "sweep", *argv, "--scheme", "adaptive", "--cb", "0.5")
+    assert code == 0
+    rows = read_rows(text)
+    _assert_rows_meet_by_the_unrounded_exact_outage(rows, solved)
+    assert [(o.rates.r_e, o.est) for _, _, o in solved] == [(0.5, 0.0)] * 4
+    assert [row["constraint_met"] for row in rows] == ["false"] * 4
+
+
+def test_sweep_ceiling_axis_monotone(tmp_path, baseline):
     code, text = run_cli(
         tmp_path,
         "sweep",
@@ -852,7 +887,12 @@ def test_sweep_ceiling_axis_monotone(tmp_path):
     rows = read_rows(text)
     ests = [float(row["est_closed"]) for row in rows]
     assert all(hi >= lo - 1e-12 for lo, hi in zip(ests, ests[1:]))
-    assert all(row["constraint_met"] == "true" for row in rows)
+    # the axis's own arithmetic, so each ceiling is the sweep's float
+    ceilings = [min(0.1 + i * (0.9 / 6), 1.0) for i in range(7)]
+    for row, s_th in zip(rows, ceilings):
+        s = secrecy.sop(baseline, optimize.fixed_optimal(baseline, s_th).rates.r_e)
+        assert row["constraint_met"] == ("true" if s <= s_th else "false")
+    assert rows[-1]["constraint_met"] == "true"
 
 
 def _pinned_monte_carlo(sc, scheme, rates, s_th, sim):
@@ -886,8 +926,9 @@ def _ceiling_rows_one_by_one(sc, scheme, ceilings, c_b, sim=None):
             else:
                 est = _pinned_monte_carlo(sc, scheme, opt.rates, s_th, sim)
             est_mc, ci = cli._fmt(est.mean), cli._fmt(est.ci_halfwidth)
-        met = secrecy.sop_approx(eve_link(sc), opt.rates.r_e)[0] <= s_th + 1e-6 or opt.est == 0.0
-        cells = [opt.est, est_mc, ci, secrecy.sop(sc, opt.rates.r_e), rel]
+        s = secrecy.sop(sc, opt.rates.r_e)
+        met = s <= s_th
+        cells = [opt.est, est_mc, ci, s, rel]
         cells = [c if isinstance(c, str) else cli._fmt(c) for c in cells]
         lines.append(",".join(["s_th", cli._fmt(s_th), "", *cells, "true" if met else "false"]))
     return "\n".join(lines) + "\n"
@@ -919,7 +960,7 @@ def test_sweep_ceiling_axis_solves_once_and_asks_each_outage_once(
     code, text = run_cli(tmp_path, "sweep", *CEILING_AXIS, "--scheme", scheme)
     assert code == 0
     # The solvers take their surrogate outages from secrecy's names bound in
-    # optimize, and constraint_met reads the outage each solve gated on:
+    # optimize, and constraint_met reads the exact outage the row prints:
     # only the CLI's own exact calls are counted.
     if scheme == "fixed":
         assert sorted(calls) == ["reliability_outage", "sop"]
@@ -979,13 +1020,13 @@ def _rate_rows_one_by_one(sc, scheme, axis, values, c_b, s_th, sim):
         if not r_b < r_e:
             if scheme == "fixed":
                 t, rates = secrecy.reliability_outage(sc, r_b), RatePair(r_b=r_b, r_e=r_e)
-                report = secrecy.est_from_outages(r_b - r_e, t, s, constraint)
+                est = secrecy.est_from_outages(r_b - r_e, t, s, constraint)
             else:
                 t, rates = 0.0, RatePair(r_b=max(r_e, c_b), r_e=r_e)
-                report = secrecy.est_from_outages(max(c_b - r_e, 0.0), t, s, constraint)
-            est = _pinned_monte_carlo(sc, scheme, rates, s_th, sim)
-            est_mc, ci = cli._fmt(est.mean), cli._fmt(est.ci_halfwidth)
-            cells = [report.est, est_mc, ci, report.sop, t, report.constraint_met]
+                est = secrecy.est_from_outages(max(c_b - r_e, 0.0), t, s, constraint)
+            mc = _pinned_monte_carlo(sc, scheme, rates, s_th, sim)
+            est_mc, ci = cli._fmt(mc.mean), cli._fmt(mc.ci_halfwidth)
+            cells = [est, est_mc, ci, s, t, s <= s_th]
         met = "true" if cells.pop() else "false"
         cells = [c if isinstance(c, str) else cli._fmt(c) for c in cells]
         lines.append(",".join([axis, cli._fmt(value), value2, *cells, met]))
@@ -1171,7 +1212,7 @@ def test_optimize_fixed_unconstrained(tmp_path, baseline):
     assert doc["constraint_active"] is False
     assert doc["oracle"]["gap"] <= 0.02
     pair = RatePair(doc["rates"]["r_b"], doc["rates"]["r_e"])
-    want = secrecy.est_fixed(baseline, pair, SecrecyConstraint(1.0)).est
+    want = secrecy.est_fixed(baseline, pair, SecrecyConstraint(1.0))
     assert doc["est_exact_kernel"] == pytest.approx(want, rel=1e-12, abs=0)
 
 

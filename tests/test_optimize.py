@@ -87,7 +87,7 @@ def _adaptive_objective(sc, c_b, constraint):
     """The adaptive surrogate throughput on an array of r_e, as
     grid_refine_maximize takes it."""
     eve = eve_link(sc)
-    return lambda r: est_from_outages(c_b - r, 0.0, sop_approx(eve, r)[0], constraint).est
+    return lambda r: est_from_outages(c_b - r, 0.0, sop_approx(eve, r)[0], constraint)
 
 
 def _fixed_objective(sc, constraint):
@@ -98,7 +98,7 @@ def _fixed_objective(sc, constraint):
     def objective(r_e, r_b):
         s = sop_approx(eve, r_e)[0]
         t = reliability_outage_approx(bob, n_a, r_b)[0]
-        return np.where(r_e < r_b, est_from_outages(r_b - r_e, t, s, constraint).est, 0.0)
+        return np.where(r_e < r_b, est_from_outages(r_b - r_e, t, s, constraint), 0.0)
 
     return objective
 
@@ -328,9 +328,8 @@ def test_adaptive_optimal_infeasible_capacity(baseline):
     o = adaptive_optimal(baseline, 2.0, 0.2)
     assert o.rates.r_e == 2.0
     assert o.est == 0.0
-    # its outage is the surrogate outage at the capacity, above the ceiling
-    assert o.sop.hex() == sop_approx(eve_link(baseline), 2.0)[0].hex()
-    assert o.sop > 0.2
+    # the surrogate outage at the capacity is above the ceiling
+    assert sop_approx(eve_link(baseline), o.rates.r_e)[0] > 0.2
 
 
 def test_adaptive_optimal_max_rule(baseline):
@@ -354,8 +353,8 @@ def test_adaptive_optimal_respects_ceiling(baseline):
 def test_adaptive_optimal_est_self_consistent(baseline):
     for c_b, s_th in ((4.0, 1.0), (4.0, 0.2), (6.0, 0.4), (2.0, 0.2)):
         o = adaptive_optimal(baseline, c_b, s_th)
-        rep = _surrogate_est_adaptive(baseline, c_b, o.rates.r_e, SecrecyConstraint(s_th))
-        assert o.est == pytest.approx(rep.est, abs=1e-9)
+        est = _surrogate_est_adaptive(baseline, c_b, o.rates.r_e, SecrecyConstraint(s_th))
+        assert o.est == pytest.approx(est, abs=1e-9)
 
 
 def test_adaptive_optimal_matches_grid_oracle(baseline):
@@ -439,7 +438,7 @@ def test_throughput_stencil_equals_the_pointwise_objective(sigma_s, re, rb, h):
     sc = baseline_scenario(sigma_s=sigma_s)
     unconstrained = SecrecyConstraint(1.0)
     d = np.array([-h, 0.0, h])
-    got, _ = _run(
+    got = _run(
         optimize._fixed_est(
             eve_link(sc), bob_link(sc), sc.nodes.n_a, re + d[:, None], rb + d, unconstrained
         )
@@ -448,14 +447,14 @@ def test_throughput_stencil_equals_the_pointwise_objective(sigma_s, re, rb, h):
         for j, y in enumerate((rb - h, rb, rb + h)):
             want = 0.0
             if 0.0 <= x < y:
-                want = _surrogate_est_fixed(sc, RatePair(r_b=y, r_e=x), unconstrained).est
+                want = _surrogate_est_fixed(sc, RatePair(r_b=y, r_e=x), unconstrained)
             assert got[i][j].hex() == want.hex(), (i, j)
 
 
 def test_stencil_checks_return_python_bools(baseline):
     o = fixed_unconstrained_pair(baseline)
     u = optimize.rate_scale(bob_link(baseline))
-    ((f, _),) = _run(optimize._stationary_stencils(baseline, [(o.rates.r_e, o.rates.r_b)]))
+    (f,) = _run(optimize._stationary_stencils(baseline, [(o.rates.r_e, o.rates.r_b)]))
     checks = (
         optimize._is_stationary(f, u),
         optimize._is_negative_definite(f, u),
@@ -588,8 +587,8 @@ def test_fixed_optimal_labels_the_constrained_grid_fallback():
 def test_fixed_optimal_est_self_consistent(baseline):
     for s_th in (1.0, 0.5, 0.3, 0.1):
         o = fixed_optimal(baseline, s_th)
-        rep = _surrogate_est_fixed(baseline, o.rates, SecrecyConstraint(s_th))
-        assert o.est == pytest.approx(rep.est, abs=1e-9)
+        est = _surrogate_est_fixed(baseline, o.rates, SecrecyConstraint(s_th))
+        assert o.est == pytest.approx(est, abs=1e-9)
 
 
 @pytest.mark.parametrize("overrides", [{}, {"n_a": 3, "n_b": 3, "n_e": 3}, {"sigma_s": 0.5}])
@@ -600,7 +599,7 @@ def test_constrained_fixed_optimum_takes_the_float_calls_throughput(overrides):
     for s_th in (0.5, 0.3, 0.1):
         o = fixed_optimal(sc, s_th)
         assert o.constraint_active
-        assert o.est == _surrogate_est_fixed(sc, o.rates, SecrecyConstraint(s_th)).est
+        assert o.est == _surrogate_est_fixed(sc, o.rates, SecrecyConstraint(s_th))
 
 
 def test_fixed_optimal_respects_ceiling(baseline):
@@ -1344,7 +1343,7 @@ def test_fixed_unconstrained_pair_grid_fallback_reaches_the_polished_est(baselin
     o = fixed_unconstrained_pair(baseline)
     assert o.method == "grid_oracle"
     _at_least(o.est, FALLBACK_PAIR_EST)
-    assert o.est == _surrogate_est_fixed(baseline, o.rates, SecrecyConstraint(1.0)).est
+    assert o.est == _surrogate_est_fixed(baseline, o.rates, SecrecyConstraint(1.0))
     assert o.rates.r_e == pytest.approx(root.rates.r_e, rel=1e-6, abs=0)
     assert o.rates.r_b == pytest.approx(root.rates.r_b, rel=1e-6, abs=0)
 
@@ -1356,7 +1355,7 @@ def test_adaptive_unconstrained_re_grid_fallback_reaches_the_polished_est(baseli
     optimize._MEMO.clear()
     r_e, method = adaptive_unconstrained_re(baseline, c_b)
     assert method == "grid_oracle"
-    est = _surrogate_est_adaptive(baseline, c_b, r_e, SecrecyConstraint(1.0)).est
+    est = _surrogate_est_adaptive(baseline, c_b, r_e, SecrecyConstraint(1.0))
     _at_least(est, FALLBACK_ADAPTIVE_EST[c_b])
     assert r_e == pytest.approx(root, rel=1e-7, abs=0)
 
@@ -1369,7 +1368,7 @@ def test_adaptive_unconstrained_re_ranks_two_roots_by_the_surrogate_throughput(
     # higher surrogate throughput wins, in either order.  The one natural
     # two-root case known ranks throughputs of 3.6e-18, rounding noise.
     monkeypatch.setattr(optimize, "_scan_roots", _scan_finding(rates))
-    ests = [_surrogate_est_adaptive(baseline, 4.0, r, SecrecyConstraint(1.0)).est for r in rates]
+    ests = [_surrogate_est_adaptive(baseline, 4.0, r, SecrecyConstraint(1.0)) for r in rates]
     assert max(ests) > min(ests) + 0.02
     assert adaptive_unconstrained_re(baseline, 4.0) == (2.0, "fixed_point")
 
@@ -1580,7 +1579,7 @@ def test_grid_searches_equal_their_walk_driven_objectives_to_the_bit(
     got.append(searches[-1][2])
 
     def fixed(re, rb):
-        return _run(optimize._fixed_est(eve, bob, n_a, re, rb, constraint))[0]
+        return _run(optimize._fixed_est(eve, bob, n_a, re, rb, constraint))
 
     def adaptive(re):
         return _run(optimize._adaptive_est(eve, 4.0, re, constraint))
@@ -1636,7 +1635,7 @@ def test_grid_search_equals_the_array_held_search_where_a_level_clips(
 
 
 # ---------------------------------------------------------------------------
-# the optimum's own surrogate outage
+# the optimum's own surrogate throughput
 # ---------------------------------------------------------------------------
 
 # The scenarios of scripts/compare_outputs.py where the adaptive slope scan
@@ -1667,7 +1666,7 @@ BASELINE_PATHS = {
     "fixed-lambert-w": ("fixed", None, 0.3, "lambert_w", False),
 }
 
-SOP_PATHS = [
+OPTIMUM_PATHS = [
     *(
         pytest.param({"sigma_s": sigma_s}, *path, id=f"{name}-sigma{sigma_s}")
         for name, path in BASELINE_PATHS.items()
@@ -1681,24 +1680,24 @@ SOP_PATHS = [
 ]
 
 
-@pytest.mark.parametrize("overrides, scheme, c_b, s_th, method, forced", SOP_PATHS)
-def test_optimum_carries_the_bits_of_its_surrogate_outage(
+@pytest.mark.parametrize("overrides, scheme, c_b, s_th, method, forced", OPTIMUM_PATHS)
+def test_optimum_carries_the_bits_of_its_surrogate_throughput(
     monkeypatch, overrides, scheme, c_b, s_th, method, forced
 ):
-    # Each solver path gates its throughput on the surrogate secrecy outage
-    # at the r_e it returns, and the optimum carries that outage with the
-    # bits of a float call there.
+    # Each solver path reports the surrogate throughput at the rates it
+    # returns, gated at its ceiling, with the bits of float calls there.
     sc = baseline_scenario(**overrides)
     if forced:
         monkeypatch.setattr(optimize, "_scan_roots", _no_roots)
-    o = adaptive_optimal(sc, c_b, s_th) if scheme == "adaptive" else fixed_optimal(sc, s_th)
-    assert o.method == method
-    if scheme == "adaptive":  # r_e = c_b where no rate up to c_b meets the ceiling
+    constraint = SecrecyConstraint(s_th)
+    if scheme == "adaptive":
+        o = adaptive_optimal(sc, c_b, s_th)
+        # r_e = c_b where no rate up to c_b meets the ceiling
         assert (o.rates.r_e == c_b) == (re_threshold(sc, s_th) > c_b)
-    assert type(o.sop) is float
-    assert o.sop.hex() == sop_approx(eve_link(sc), o.rates.r_e)[0].hex()
-
-
-def test_grid_search_results_carry_no_surrogate_outage(baseline):
-    assert adaptive_grid_oracle(baseline, 4.0, 1.0).sop is None
-    assert fixed_grid_oracle(baseline, 1.0, 6.0, grid_points=20).sop is None
+        want = _surrogate_est_adaptive(sc, c_b, o.rates.r_e, constraint)
+    else:
+        o = fixed_optimal(sc, s_th)
+        want = _surrogate_est_fixed(sc, o.rates, constraint)
+    assert o.method == method
+    assert type(o.est) is float
+    assert o.est.hex() == want.hex()

@@ -17,11 +17,11 @@ import oracles
 from fso_secrecy import channel, montecarlo, secrecy
 from fso_secrecy.channel import baseline_scenario, bob_link, eve_link
 from fso_secrecy.secrecy import (
-    EstReport,
     RatePair,
     SecrecyConstraint,
     est_adaptive,
     est_fixed,
+    est_from_outages,
     reliability_outage,
     reliability_outage_approx,
     sop,
@@ -438,16 +438,15 @@ def test_outages_at_an_infinite_threshold():
 
 
 def test_est_adaptive_zero_secrecy_rate(baseline):
-    rep = est_adaptive(baseline, 4.0, 4.0, UNCONSTRAINED)
-    assert rep.est == 0.0
-    assert rep.reliability_factor == 1.0
+    assert est_adaptive(baseline, 4.0, 4.0, UNCONSTRAINED) == 0.0
 
 
 def test_est_adaptive_unconstrained_never_gates(baseline):
     for r_e in np.linspace(0.0, 4.0, 30):
-        rep = est_adaptive(baseline, 4.0, float(r_e), UNCONSTRAINED)
-        assert rep.constraint_met
-        assert rep.est == pytest.approx((4.0 - r_e) * rep.secrecy_factor, rel=1e-15, abs=0)
+        s = sop(baseline, float(r_e))
+        assert s <= UNCONSTRAINED.s_th
+        est = est_adaptive(baseline, 4.0, float(r_e), UNCONSTRAINED)
+        assert est == pytest.approx((4.0 - r_e) * (1.0 - s), rel=1e-15, abs=0)
 
 
 def test_est_adaptive_argument_errors(baseline):
@@ -459,7 +458,7 @@ def test_est_adaptive_argument_errors(baseline):
 
 def test_est_adaptive_single_interior_maximum(baseline):
     grid = np.linspace(0.0, 4.0, 200)
-    vals = [est_adaptive(baseline, 4.0, float(r), UNCONSTRAINED).est for r in grid]
+    vals = [est_adaptive(baseline, 4.0, float(r), UNCONSTRAINED) for r in grid]
     k = int(np.argmax(vals))
     assert 0 < k < len(grid) - 1
     assert all(vals[i + 1] > vals[i] - 1e-12 for i in range(k))
@@ -470,17 +469,12 @@ def test_est_adaptive_gating(baseline):
     constraint = SecrecyConstraint(0.4)
     s_lo = sop(baseline, 2.6)
     assert s_lo > 0.4
-    gated = est_adaptive(baseline, 4.0, 2.6, constraint)
-    assert gated.est == 0.0
-    assert not gated.constraint_met
-    assert gated.sop == pytest.approx(s_lo, rel=1e-15, abs=0)
-    assert gated.secrecy_factor == pytest.approx(1.0 - s_lo, rel=1e-15, abs=0)
+    assert est_adaptive(baseline, 4.0, 2.6, constraint) == 0.0
 
     s_hi = sop(baseline, 3.2)
     assert s_hi < 0.4
     open_ = est_adaptive(baseline, 4.0, 3.2, constraint)
-    assert open_.constraint_met
-    assert open_.est == pytest.approx((4.0 - 3.2) * (1.0 - s_hi), rel=1e-14, abs=0)
+    assert open_ == pytest.approx((4.0 - 3.2) * (1.0 - s_hi), rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -489,31 +483,32 @@ def test_est_adaptive_gating(baseline):
 
 
 def test_est_fixed_reference_point(baseline):
-    rep = est_fixed(baseline, RatePair(3.4, 1.2558717), UNCONSTRAINED)
-    assert rep.est == pytest.approx(0.6139374525791358, rel=1e-10)
-    assert rep.reliability_factor == pytest.approx(0.8303853022697556, rel=1e-10)
-    assert rep.secrecy_factor == pytest.approx(0.3448209985714641, rel=1e-10)
-    assert rep.est == pytest.approx(
-        (3.4 - 1.2558717) * rep.reliability_factor * rep.secrecy_factor, rel=1e-15, abs=0
+    est = est_fixed(baseline, RatePair(3.4, 1.2558717), UNCONSTRAINED)
+    reliability_factor = 1.0 - reliability_outage(baseline, 3.4)
+    secrecy_factor = 1.0 - sop(baseline, 1.2558717)
+    assert est == pytest.approx(0.6139374525791358, rel=1e-10)
+    assert reliability_factor == pytest.approx(0.8303853022697556, rel=1e-10)
+    assert secrecy_factor == pytest.approx(0.3448209985714641, rel=1e-10)
+    assert est == pytest.approx(
+        (3.4 - 1.2558717) * reliability_factor * secrecy_factor, rel=1e-15, abs=0
     )
 
 
 def test_est_fixed_diagonal_is_zero(baseline):
     for r in (0.5, 1.5, 3.0):
-        assert est_fixed(baseline, RatePair(r, r), UNCONSTRAINED).est == 0.0
+        assert est_fixed(baseline, RatePair(r, r), UNCONSTRAINED) == 0.0
 
 
 def test_est_fixed_collapses_at_large_codeword_rate(baseline):
-    rep = est_fixed(baseline, RatePair(25.0, 1.0), UNCONSTRAINED)
-    assert rep.est <= 1e-6
-    assert rep.reliability_factor <= 1e-6
+    assert est_fixed(baseline, RatePair(25.0, 1.0), UNCONSTRAINED) <= 1e-6
+    assert 1.0 - reliability_outage(baseline, 25.0) <= 1e-6
 
 
 def test_est_fixed_never_negative(baseline):
     for r_b in np.linspace(0.2, 6.0, 15):
         for frac in (0.0, 0.3, 0.8, 1.0):
-            rep = est_fixed(baseline, RatePair(float(r_b), float(r_b) * frac), UNCONSTRAINED)
-            assert rep.est >= 0.0
+            rates = RatePair(float(r_b), float(r_b) * frac)
+            assert est_fixed(baseline, rates, UNCONSTRAINED) >= 0.0
 
 
 def test_est_fixed_gating(baseline):
@@ -521,21 +516,26 @@ def test_est_fixed_gating(baseline):
     rates = RatePair(3.0, 1.0)
     s = sop(baseline, 1.0)
     assert s > 0.3
-    rep = est_fixed(baseline, rates, constraint)
-    assert rep.est == 0.0
-    assert not rep.constraint_met
-    # the decomposition is still reported for diagnostics
-    assert rep.sop == pytest.approx(s, rel=1e-15, abs=0)
-    assert rep.reliability_factor == pytest.approx(
-        1.0 - reliability_outage(baseline, 3.0), rel=1e-14, abs=0
+    assert est_fixed(baseline, rates, constraint) == 0.0
+    # the ceiling alone gates: lifted, the same rates carry the full product
+    assert est_fixed(baseline, rates, UNCONSTRAINED) == pytest.approx(
+        2.0 * (1.0 - reliability_outage(baseline, 3.0)) * (1.0 - s), rel=1e-14, abs=0
     )
 
 
-def test_est_report_is_immutable(baseline):
-    rep = est_fixed(baseline, RatePair(3.0, 1.0), UNCONSTRAINED)
-    assert isinstance(rep, EstReport)
-    with pytest.raises(Exception):
-        rep.est = 1.0
+def test_throughputs_are_floats_or_arrays_of_the_broadcast_shape(baseline):
+    assert type(est_fixed(baseline, RatePair(3.0, 1.0), UNCONSTRAINED)) is float
+    assert type(est_adaptive(baseline, 4.0, 1.0, UNCONSTRAINED)) is float
+    assert type(est_from_outages(2.0, 0.1, 0.3, UNCONSTRAINED)) is float
+    s = np.array([[0.1], [0.5], [np.nan]])
+    t = np.array([0.0, 0.2])
+    est = est_from_outages(2.0, t, s, SecrecyConstraint(0.4))
+    assert est.shape == (3, 2)
+    assert est.tolist() == [
+        [est_from_outages(2.0, float(t_j), float(s_i), SecrecyConstraint(0.4)) for t_j in t]
+        for s_i in s[:, 0]
+    ]
+    assert est[1:].tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +553,6 @@ def test_adaptive_dominates_fixed_per_realization(baseline):
     rng = np.random.default_rng(np.random.Philox(7))
     caps = np.log2(1.0 + scale * montecarlo.sample_bob_irradiance(baseline, rng, 4000))
     for c_b in caps:
-        lhs = est_adaptive(baseline, float(c_b), min(re_star, float(c_b)), UNCONSTRAINED).est
+        lhs = est_adaptive(baseline, float(c_b), min(re_star, float(c_b)), UNCONSTRAINED)
         rhs = (rb_star - re_star) * secrecy_factor if c_b >= rb_star else 0.0
         assert lhs >= rhs - 1e-9
