@@ -58,7 +58,8 @@ script runs:
   rows are unconstrained, and ``--axis s_th --min 0.01 --max 0.2 --steps 4
   --scheme adaptive --cb 0.5``, where no rate up to the capacity meets any
   of the ceilings, so every row sits at r_e = c_b with zero throughput and
-  its ``constraint_met`` comes from the zero-throughput clause;
+  its ``constraint_met`` reads false: the exact outage there tops the
+  ceiling;
 - two closed-form fixed-scheme sweeps whose codeword rates the solvers take
   as one batch: ``--axis s_th --min 0.3 --max 0.7 --steps 9`` on
   ``opt_grid_fallback_fixed.json``'s scenario, where every ceiling binds
@@ -85,19 +86,22 @@ The exit code of every CLI run is compared too (``exit_codes.json``), so a
 side shows as a differing field instead of stopping the comparison; a run
 that exits 2 writes no output file.  It prints every file and field
 that differs between the trees, with the relative difference
-|new - old| / max(|old|, |new|) of each numeric one, then a summary line:
-how many files differ, how many of those are Monte-Carlo outputs
-(``opt_mc*.json``, ``sweep_mc*.csv``, ``validate*.txt``) and how many
-closed-form ones, the largest relative difference among the solver fields
-(``rates``, ``est`` and ``sop_at_re`` of the ``optimize`` outputs), and the
-largest among their ``oracle.est`` fields.  If nothing differs it
-prints ``identical``.  It exits 1 if anything differs.  Standard library
-only.
+|new - old| / max(|old|, |new|) of each numeric one, then two summary
+lines.  The first says how many files differ, how many of those are
+Monte-Carlo outputs (``opt_mc*.json``, ``sweep_mc*.csv``, ``validate*.txt``)
+and how many closed-form ones, the largest relative difference among the
+solver fields (``rates``, ``est`` and ``sop_at_re`` of the ``optimize``
+outputs), and the largest among their ``oracle.est`` fields.  The second
+counts the differing fields by name: a JSON key, a CSV column, or ``line``
+for a text file, most first (``moved fields: constraint_met 105``).  If
+nothing differs it prints ``identical``.  It exits 1 if anything differs.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import fnmatch
 import json
@@ -379,15 +383,27 @@ def _summary_group(key: str) -> str | None:
     return None
 
 
+def _field_name(key: str) -> str:
+    """The name a differing field is counted by: a JSON key as it is, the
+    column of a CSV ``row N column``, ``line`` for a text ``line N``."""
+    if key.startswith("row "):
+        return key.split(" ", 2)[2]
+    if key.startswith("line "):
+        return "line"
+    return key
+
+
 def compare(
     parent_dir: Path, change_dir: Path
-) -> tuple[list[str], set[str], dict[str, float]]:
+) -> tuple[list[str], set[str], dict[str, float], collections.Counter]:
     """One line per differing file or field, the names of the files that
-    differ, and the largest relative difference of each summary group
-    (``solver``, ``oracle``) that has a differing field."""
+    differ, the largest relative difference of each summary group
+    (``solver``, ``oracle``) that has a differing field, and the count of
+    differing fields by :func:`_field_name`."""
     diffs: list[str] = []
     files: set[str] = set()
     largest: dict[str, float] = {}
+    moved: collections.Counter = collections.Counter()
     names = sorted({p.name for p in parent_dir.iterdir()} | {p.name for p in change_dir.iterdir()})
     for name in names:
         a, b = parent_dir / name, change_dir / name
@@ -401,6 +417,7 @@ def compare(
         ra, rb = _records(a), _records(b)
         fields = [k for k in ra if ra[k] != rb.get(k, "<missing>")]
         fields += [k for k in rb if k not in ra]
+        moved.update(map(_field_name, fields))
         for key in fields:
             old, new = ra.get(key, "<missing>"), rb.get(key, "<missing>")
             rel = relative_diff(old, new)
@@ -412,7 +429,7 @@ def compare(
                 largest[group] = max(largest.get(group, rel), rel)
         if not fields:
             diffs.append(f"{name}: bytes differ, fields equal")
-    return diffs, files, largest
+    return diffs, files, largest, moved
 
 
 def main() -> int:
@@ -430,7 +447,7 @@ def main() -> int:
             produce(src.resolve(), outdir)
             dirs.append(outdir)
         count = len(list(dirs[0].iterdir()))
-        diffs, files, largest = compare(*dirs)
+        diffs, files, largest, moved = compare(*dirs)
     for line in diffs:
         print(line)
     if not diffs:
@@ -446,6 +463,7 @@ def main() -> int:
         f" largest relative diff in solver fields "
         f"(rates, est, sop_at_re): {solver}; in oracle.est: {oracle}"
     )
+    print("moved fields: " + ", ".join(f"{name} {n}" for name, n in moved.most_common()))
     return 1
 
 

@@ -330,6 +330,8 @@ def pointing_params(geom: GeometryConfig, sigma_s: float) -> PointingParams:
     except OverflowError:  # beam_waist_wb**2 past the double range
         omega_e = math.inf
     xi = omega_e / (2.0 * sigma_s) if sigma_s > 0.0 else POINTING_FREE_XI
+    if xi == 0.0:
+        raise ValueError(f"sigma_s must leave omega_e / (2 sigma_s) above 0, got {sigma_s}")
     return PointingParams(nu=nu, a0=a0, omega_e=omega_e, sigma_s=sigma_s, xi=xi)
 
 

@@ -23,6 +23,13 @@ included), 2 solver failure, 3 validation failure, 141 standard output
 closed by its reader before the command finished writing (the shell's
 status for SIGPIPE), with nothing on stderr.
 
+Every sweep row's ``constraint_met`` is its exact secrecy outage, the one
+its ``sop`` column prints, against its ceiling, compared unrounded: the
+column prints ``%.9g``, so a row can print 0.2 at ceiling 0.2 and read
+false.  An optimum row's outage is taken at the solver's r_e, which meets
+the ceiling on the surrogate, so a binding optimum can read false.  A rate
+row with r_b < r_e carries no code and reads false.
+
 For the adaptive scheme the closed-form sweep column is conditional on the
 configured realized capacity (``--cb``).  On rate rows the Monte-Carlo column
 estimates that same pinned-capacity value, ``montecarlo.est_fixed_from_outages``
@@ -494,7 +501,9 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     does; the gap then means nothing.  ``gap`` and ``covers`` count a
     throughput below 1e-12 times the scheme's rate scale as 0: c_b for the
     adaptive scheme, u = min(C_b, 1) for the fixed one.  The printed ``est``
-    and ``oracle.est`` stay as computed.
+    and ``oracle.est`` stay as computed.  ``sop_at_re`` and
+    ``sop_exact_at_re`` are the surrogate and the exact secrecy outage at
+    the optimum's r_e, one float call each.
     """
     s_th = args.sth if args.sth is not None else sc.s_th
     scheme = args.scheme

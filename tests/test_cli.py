@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from fso_secrecy import channel, cli, montecarlo, optimize, secrecy
-from fso_secrecy.channel import eve_link
 from fso_secrecy.cli import ConfigError, scenario_from_dict
 from fso_secrecy.secrecy import RatePair, SecrecyConstraint
 from fso_secrecy.specfun import ConvergenceError
@@ -418,15 +417,16 @@ def test_a_derived_scenario_past_the_gain_range_exits_1_after_its_rows(tmp_path,
 
 
 def test_a_sigma_s_row_the_link_model_rejects_exits_1_after_the_rows_before_it(capsys):
-    # xi = omega_e / (2 sigma_s) underflows to 0 at sigma_s 1.7e308.  The
-    # sigma_s axis built its scenarios without deriving their links, so the
-    # surrogate's ValueError ended in a traceback.
+    # xi = omega_e / (2 sigma_s) underflows to 0 at sigma_s 1.7e308, which
+    # pointing_params rejects by the field's name.  The sigma_s axis built
+    # its scenarios without deriving their links, so the surrogate's
+    # ValueError ended in a traceback.
     argv = ["sweep", "--axis", "sigma_s", "--min", "1", "--max", "1.7e308", "--steps", "2",
             "--scheme", "fixed"]
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [["sigma_s", "1"]]
-    assert err == "error: gamma_approx requires xi > 0, got 0.0\n"
+    assert err == "error: sigma_s must leave omega_e / (2 sigma_s) above 0, got 1.7e+308\n"
 
 
 _A0_OUT_OF_RANGE = "error: PointingParams.a0 must lie in (0, 1)"
@@ -448,6 +448,10 @@ _RYTOV_OUT_OF_RANGE = "error: Rytov variance inf out of the model's validity ran
         ('{"wavelength_m": 1e-300}', _RYTOV_OUT_OF_RANGE),
         ('{"d_b": 1e300}', _RYTOV_OUT_OF_RANGE),
         ('{"d_e": 1e300}', _RYTOV_OUT_OF_RANGE),
+        # xi = omega_e / (2 sigma_s) underflows to 0
+        ('{"sigma_s": 1.7976931348623157e308}',
+         "error: sigma_s must leave omega_e / (2 sigma_s) above 0, got 1.7976931348623157e+308"),
+        ('{"sigma_s": Infinity}', "error: sigma_s must leave omega_e / (2 sigma_s) above 0, got inf"),
         # "int too large to convert to float"
         pytest.param('{"n_b": %d}' % 10**400,
                      "error: NodeConfig.n_b must be an integer in [1, 1.8e+308]", id="n_b=10**400"),
