@@ -451,7 +451,8 @@ _RYTOV_OUT_OF_RANGE = "error: Rytov variance inf out of the model's validity ran
         # xi = omega_e / (2 sigma_s) underflows to 0
         ('{"sigma_s": 1.7976931348623157e308}',
          "error: sigma_s must leave omega_e / (2 sigma_s) above 0, got 1.7976931348623157e+308"),
-        ('{"sigma_s": Infinity}', "error: sigma_s must leave omega_e / (2 sigma_s) above 0, got inf"),
+        ('{"sigma_s": Infinity}',
+         "error: sigma_s must leave omega_e / (2 sigma_s) above 0, got inf"),
         # "int too large to convert to float"
         pytest.param('{"n_b": %d}' % 10**400,
                      "error: NodeConfig.n_b must be an integer in [1, 1.8e+308]", id="n_b=10**400"),
@@ -851,7 +852,9 @@ def test_figure_sweeps_optimum_rows_meet_their_ceiling_by_the_exact_outage(
     _run_figure_sweeps(tmp_path, monkeypatch)
     assert len(solved) == 70  # 20 ceilings, 6 array sizes and 9 sigma_s, per scheme
     # the files in the order the figure pass solves them
-    names = [f"est_vs_{axis}_{k}.csv" for k in ("adaptive", "fixed") for axis in ("sth", "n", "sigma")]
+    names = [
+        f"est_vs_{axis}_{k}.csv" for k in ("adaptive", "fixed") for axis in ("sth", "n", "sigma")
+    ]
     rows = [row for name in names for row in read_rows((tmp_path / name).read_text())]
     _assert_rows_meet_by_the_unrounded_exact_outage(rows, solved)
     # the optimum rows that break their ceiling say so
