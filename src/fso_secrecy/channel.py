@@ -3,23 +3,26 @@
 Maps link geometry (wavelength, distance, refractive-index structure
 constant, beam and aperture sizes) to the shape parameters of the
 turbulence fading model, folds in the misalignment statistics of the
-eavesdropper's receiver, and evaluates the three CDF kernels everything else
-is built on:
+eavesdropper's receiver, and evaluates the three kernels everything else is
+built on, each a CDF with its density:
 
 * ``gg_cdf`` -- unit-mean turbulence fading (product of two gamma factors),
-  aggregated over receive apertures, at one threshold or an array of them;
+  aggregated over receive apertures;
 * ``ggp_cdf`` -- the same fading multiplied by the random collected-power
-  fraction of a misaligned receiver, likewise;
+  fraction of a misaligned receiver;
 * ``ggp_cdf_approx`` -- the gamma-surrogate approximation of ``ggp_cdf``
-  used by the rate optimizers, with its density, at one threshold or an
-  array of them, from a link's :class:`Surrogate`.
+  used by the rate optimizers, from a link's :class:`Surrogate`.
 
-The exact kernels condition on the gamma factor of larger shape: given
-that factor, the other gamma factor and the collected-power fraction
-integrate in closed form, and the expectation over the factor is a
-trapezoid rule in its logarithm on one numpy array of nodes, against which
-an array of thresholds broadcasts.  The surrogate is that closed form with
-the factor fixed at one, on the same log-domain pointing term.
+All three pass through one boundary, which takes a threshold x >= 0, a float
+or an array, reads an infinite one as certain (CDF 1, density 0) and
+returns the (cdf, pdf) pair, two numpy floats or two arrays.  The exact
+kernels condition on the gamma factor of larger shape: given that factor,
+the other gamma factor and the collected-power fraction integrate in closed
+form, and the expectation over the factor is a trapezoid rule in its
+logarithm on one numpy array of nodes, against which an array of
+thresholds broadcasts.  The surrogate is that closed form with the factor
+fixed at one.  The density comes from the same pass, through the same
+conditional term.
 
 The surrogate's constants live in the link: when :func:`bob_link` or
 :func:`eve_link` derive a link, ``LinkParams.gain`` takes the SNR gain
@@ -362,8 +365,7 @@ def gamma_approx(
     k = 1.0 / bracket
     # An xi whose square passes the double range is the pointing-free limit.
     xi2 = None if math.isinf(xi * xi) else xi * xi
-    log_ratio = None if xi2 is None else _pointing_log_ratio(k, xi2)
-    return Surrogate(k=k, theta=omega_adj / k, xi2=xi2, log_ratio=log_ratio)
+    return Surrogate(k=k, theta=omega_adj / k, xi2=xi2, log_ratio=_pointing_log_ratio(k, xi2))
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +416,13 @@ def _log_scaled_gamma_ratio(a: float, m: float) -> float:
     )
 
 
-def _pointing_log_ratio(k: float, xi2: float) -> float | None:
+def _pointing_log_ratio(k: float, xi2: float | None) -> float | None:
     """The constant ln(k**xi2 Gamma(a) / Gamma(k)) of :func:`_log_pointing_term`
-    where a = k - xi2 > 0; None where a <= 0, which takes no such term."""
-    a = k - xi2
-    return _log_scaled_gamma_ratio(a, xi2) if a > 0.0 else None
+    where a = k - xi2 > 0; None where a <= 0, which takes no such term, and
+    without pointing loss (``xi2`` None)."""
+    if xi2 is not None and k - xi2 > 0.0:
+        return _log_scaled_gamma_ratio(k - xi2, xi2)
+    return None
 
 
 def _log_pointing_term(k, xi2, log_ratio, t, log_c):
@@ -496,116 +500,141 @@ def _log_upper_gamma_cf(a: float, t: np.ndarray) -> np.ndarray:
     )
 
 
-def _conditioned_cdf(alpha: float, beta_agg: float, xi2: float | None, x: np.ndarray) -> np.ndarray:
-    """P(X Y V <= x) on an array of x > 0, conditioning on the larger-shape factor.
+def _conditional_term(k: float, xi2: float | None, log_ratio: float | None, t, log_c, log_w=0.0):
+    """The conditional CDF G(t) = P(k, t) + t**xi2 Gamma(k - xi2, t) / Gamma(k)
+    on an array of t = k c, and its second term, each times the weight
+    e**log_w; without pointing loss (``xi2`` None) G is P(k, t) and the
+    second term None.
+
+    It is the term :func:`_conditioned_cdf` mixes over the fading factor,
+    with c = x / X and a log weight per node, and the gamma surrogate's CDF
+    at the factor one, with the default weight one.  The second term comes
+    from :func:`_log_pointing_term` in the log domain, weight included, so
+    no factor overflows for any shape up to ``_SHAPE_CAP``.  It also gives
+    the density: the gamma densities of the two terms' derivatives cancel,
+    so t G'(t) is xi2 times the second term, and without pointing loss
+    t G'(t) is t times the gamma density of :func:`_log_gamma_density`.
+    """
+    p = np.exp(log_w) * _sp.gammainc(k, t)
+    if xi2 is None:
+        return p, None
+    second = np.exp(log_w + _log_pointing_term(k, xi2, log_ratio, t, log_c))
+    return p + second, second
+
+
+def _log_gamma_density(k: float, t, log_t):
+    """ln of the Gamma(k, 1) density at t, (k - 1) ln t - t - ln Gamma(k),
+    given ``log_t`` = ln t.
+
+    Near its peak, t = k - 1, the terms cancel to about -ln(2 pi k) / 2,
+    and each carries a rounding error of its own size, so the relative
+    error of the density grows with k.  Against mpmath near the peak it was
+    2.4e-15 at k = 4, 6e-14 at 1e2, 1.5e-11 at 1e4, 3.7e-7 at 1e8 and 3.8e-3
+    at the shape cap 1e12.  The CDFs do not take this form.
+    """
+    return (k - 1.0) * log_t - t - math.lgamma(k)
+
+
+def _conditioned_cdf(alpha: float, beta_agg: float, xi2: float | None, x: np.ndarray):
+    """P(X Y V <= x) and its density on an array of x > 0, conditioning on
+    the larger-shape factor.
 
     X ~ Gamma(m, 1/m) is the factor of larger shape and Y ~ Gamma(k, 1/k) the
     other one; the product is symmetric in the two.  V is the collected-power
     fraction, with density xi2 v**(xi2 - 1) on (0, 1], or 1 when ``xi2`` is
     None.  Given X, with t = k x / X, the rest integrates in closed form
     (gamma-gamma as a gamma mixture, Al-Habash, Andrews & Phillips 2001;
-    pointing loss, Farid & Hranilovic 2007):
+    pointing loss, Farid & Hranilovic 2007): it is the conditional term
+    G(t) of :func:`_conditional_term`.  The expectation over u = ln X is a
+    trapezoid rule on :func:`_trapezoid_nodes`; the integrand is smooth and
+    falls off on both sides, so the rule converges geometrically in the
+    step.  Dividing by the sum of the weights removes the gamma
+    normalization of X.  The weights enter in the log domain, so no factor
+    overflows for any shape up to ``_SHAPE_CAP``.
 
-        P(Y V <= x / X) = P(k, t) + t**xi2 Gamma(k - xi2, t) / Gamma(k),
-
-    without the second term when there is no pointing loss.  The expectation
-    over u = ln X is a trapezoid rule on :func:`_trapezoid_nodes`; the
-    integrand is smooth and falls off on both sides, so the rule converges
-    geometrically in the step.  Dividing by the sum of the weights removes
-    the gamma normalization of X.  The weights and the pointing term are
-    formed from their logarithms, so no factor overflows for any shape up to
-    ``_SHAPE_CAP``.  The nodes depend on the shapes only, so x broadcasts
-    against them, and each element has the bits of a one-element call.
+    The density comes from the same pass: x times it is the mixture of
+    t G'(t), which is xi2 times the second term, or, without pointing loss,
+    t times the gamma density.  The nodes depend on the shapes only, so x
+    broadcasts against them, and each element has the bits of a
+    one-element call.
     """
+    if not (alpha > 0.0 and beta_agg > 0.0):
+        raise ValueError("gamma-gamma shape parameters must be strictly positive")
     m, k = (alpha, beta_agg) if alpha >= beta_agg else (beta_agg, alpha)
     u = _trapezoid_nodes(m)
     log_w = -m * (np.expm1(u) - u)
-    w = np.exp(log_w)
+    w_sum = np.exp(log_w).sum()
     log_c = np.log(x)[..., None] - u
     # Past t = e**700, P(k, t) is 1 and the second term 0 in double precision.
-    t = np.exp(np.minimum(math.log(k) + log_c, 700.0))
-    mass = w * _sp.gammainc(k, t)
-    if xi2 is not None:
-        log_ratio = _pointing_log_ratio(k, xi2)
-        mass += np.exp(log_w + _log_pointing_term(k, xi2, log_ratio, t, log_c))
-    return mass.sum(axis=-1) / w.sum()
+    log_t = np.minimum(math.log(k) + log_c, 700.0)
+    t = np.exp(log_t)
+    cdf, second = _conditional_term(k, xi2, _pointing_log_ratio(k, xi2), t, log_c, log_w)
+    x_pdf = t * np.exp(log_w + _log_gamma_density(k, t, log_t)) if xi2 is None else xi2 * second
+    return cdf.sum(axis=-1) / w_sum, x_pdf.sum(axis=-1) / w_sum / x
 
 
-def _exact_cdf(name: str, alpha: float, beta_agg: float, xi2: float | None, x):
-    """:func:`_conditioned_cdf` clamped to [0, 1], 0 at x = 0 and 1 at x = inf,
-    for x >= 0 a float or an array: a float takes a one-element array's code
-    and returns a float."""
-    if not (alpha > 0.0 and beta_agg > 0.0):
-        raise ValueError(f"{name} shape parameters must be strictly positive")
-    xs = np.asarray(x, dtype=float)
-    if not (xs >= 0.0).all():
-        raise ValueError(f"{name} requires x >= 0, got {x}")
-    p = np.zeros(xs.shape)
-    live = xs != 0.0
-    p[live] = _clamp_prob(_conditioned_cdf(alpha, beta_agg, xi2, np.minimum(xs[live], _X_CERTAIN)))
-    return float(p) if p.ndim == 0 else p
+def _kernel(name: str, x, scale: float, terms):
+    """The boundary every CDF kernel passes through: its CDF and density at
+    x >= 0, a float or an array, from ``terms``, which gives the CDF and the
+    density in t on an array of t = x / scale > 0.
 
-
-def gg_cdf(alpha: float, beta_agg: float, x):
-    """CDF of the unit-mean aggregated turbulence fading at x (a float or an array)."""
-    return _exact_cdf("gg_cdf", alpha, beta_agg, None, x)
-
-
-def ggp_cdf(alpha: float, beta_agg: float, xi: float, x):
-    """CDF of turbulence fading scaled by the random collected-power fraction,
-    at x (a float or an array)."""
-    if not xi > 0.0:
-        raise ValueError(f"ggp_cdf requires xi > 0, got {xi}")
-    return _exact_cdf("ggp_cdf", alpha, beta_agg, None if math.isinf(xi * xi) else xi * xi, x)
-
-
-def _surrogate_cdf(sur: Surrogate, t: np.ndarray):
-    """Gamma-surrogate CDF F(t) on an array of t > 0, and its pointing term.
-
-    F(t) = P(k, t) + t**xi2 Gamma(k - xi2, t) / Gamma(k) is the conditional
-    term of :func:`_conditioned_cdf` with the fading factor fixed at one.
-    The second term comes from :func:`_log_pointing_term` in the log
-    domain, so no factor overflows for any shape up to ``_SHAPE_CAP``; it is
-    returned as well, or None without pointing loss.
-    """
-    k, xi2 = sur.k, sur.xi2
-    p = _sp.gammainc(k, t)
-    if xi2 is None:
-        return _clamp_prob(p), None
-    second = np.exp(_log_pointing_term(k, xi2, sur.log_ratio, t, np.log(t / k)))
-    return _clamp_prob(p + second), second
-
-
-def ggp_cdf_approx(sur: Surrogate, x):
-    """Gamma-surrogate CDF and density of the fading-plus-misalignment
-    product at x >= 0, a float or an array, from the link's constants ``sur``.
+    x is clamped at ``_X_CERTAIN`` times ``scale``, so an infinite x reads
+    as certain, CDF 1 and density 0; where t is 0 both are 0.  The CDF is
+    clamped to [0, 1] and the density divided by ``scale``, per unit x.
+    Below xi2 = 1 the density diverges at 0, where it reads inf: overflow
+    is ignored while it is formed, and every CDF term is at most 1.
 
     An array gives two arrays of its shape; a float gives two numpy floats,
     which divide by zero as array elements do.  Either way every step is a
     numpy ufunc or IEEE arithmetic on an array, so a float call returns the
-    bits of the matching element of an array call.  With t = x / theta the
-    density in t is (xi2 / t) times the pointing term of
-    :func:`_surrogate_cdf`: the gamma densities of the two terms'
-    derivatives cancel.  Without pointing loss these are the plain gamma CDF
-    and density.  The density is per unit x, 0 at x = 0 and at x = inf,
-    where the CDF is 1.
+    bits of the matching element of an array call.
     """
     xs = np.asarray(x, dtype=float)
     if not (xs >= 0.0).all():
-        raise ValueError(f"ggp_cdf_approx requires x >= 0, got {x}")
-    t = np.minimum(xs, _X_CERTAIN * sur.theta) / sur.theta
+        raise ValueError(f"{name} requires x >= 0, got {x}")
+    t = np.minimum(xs, _X_CERTAIN * scale) / scale
     cdf, pdf = np.zeros(t.shape), np.zeros(t.shape)
     pos = t > 0.0
-    t = t[pos]
-    cdf[pos], second = _surrogate_cdf(sur, t)
-    k, theta = sur.k, sur.theta
-    if second is None:
-        pdf[pos] = np.exp((k - 1.0) * np.log(t) - t - math.lgamma(k)) / theta
-    else:
-        # Below xi2 = 1 the density diverges at 0, where it reads inf.
-        with np.errstate(over="ignore"):
-            pdf[pos] = sur.xi2 * second / t / theta
+    with np.errstate(over="ignore"):
+        c, d = terms(t[pos])
+        pdf[pos] = d / scale
+    cdf[pos] = _clamp_prob(c)
     return cdf[()], pdf[()]
+
+
+def gg_cdf(alpha: float, beta_agg: float, x):
+    """CDF and density of the unit-mean aggregated turbulence fading at x
+    (a float or an array), as :func:`_kernel` returns them."""
+    return _kernel("gg_cdf", x, 1.0, lambda t: _conditioned_cdf(alpha, beta_agg, None, t))
+
+
+def ggp_cdf(alpha: float, beta_agg: float, xi: float, x):
+    """CDF and density of turbulence fading scaled by the random
+    collected-power fraction, at x (a float or an array), as
+    :func:`_kernel` returns them."""
+    if not xi > 0.0:
+        raise ValueError(f"ggp_cdf requires xi > 0, got {xi}")
+    xi2 = None if math.isinf(xi * xi) else xi * xi
+    return _kernel("ggp_cdf", x, 1.0, lambda t: _conditioned_cdf(alpha, beta_agg, xi2, t))
+
+
+def ggp_cdf_approx(sur: Surrogate, x):
+    """Gamma-surrogate CDF and density of the fading-plus-misalignment
+    product at x >= 0, a float or an array, from the link's constants
+    ``sur``, as :func:`_kernel` returns them.
+
+    With t = x / theta the CDF is the conditional term of
+    :func:`_conditional_term` with the fading factor fixed at one, and the
+    density in t is its t G'(t) over t: (xi2 / t) times the second term,
+    or without pointing loss the plain gamma density.
+    """
+    k, xi2 = sur.k, sur.xi2
+
+    def terms(t):
+        cdf, second = _conditional_term(k, xi2, sur.log_ratio, t, np.log(t / k))
+        return cdf, np.exp(_log_gamma_density(k, t, np.log(t))) if xi2 is None else xi2 * second / t
+
+    return _kernel("ggp_cdf_approx", x, sur.theta, terms)
 
 
 # ---------------------------------------------------------------------------

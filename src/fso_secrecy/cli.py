@@ -299,8 +299,9 @@ def _scenario_at(sc: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
 
 
 def _outages(outage, sc: ScenarioConfig, rates: list[float]) -> list[float]:
-    """``outage(sc, r)`` at each of ``rates``, from one array call on the distinct
-    ones, memoized like the links: commands that ask the same outages share it."""
+    """The value of ``outage(sc, r)``, an exact outage's (value, slope) pair, at
+    each of ``rates``, from one array call on the distinct ones, memoized like
+    the links: commands that ask the same outages share it."""
     distinct, index = np.unique(rates, return_inverse=True)
     values = _distinct_outages(outage, sc, tuple(distinct.tolist()))
     return [values[i] for i in index.tolist()]
@@ -308,7 +309,7 @@ def _outages(outage, sc: ScenarioConfig, rates: list[float]) -> list[float]:
 
 @functools.lru_cache(maxsize=256)
 def _distinct_outages(outage, sc: ScenarioConfig, rates: tuple[float, ...]) -> tuple[float, ...]:
-    return tuple(outage(sc, np.array(rates)).tolist())
+    return tuple(outage(sc, np.array(rates))[0].tolist())
 
 
 def _mc_columns(
@@ -560,7 +561,7 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         "hessian_ok": opt.hessian_ok,
         "constraint_active": opt.constraint_active,
         "sop_at_re": float(secrecy.sop_approx(eve_link(sc), opt.rates.r_e)[0]),
-        "sop_exact_at_re": secrecy.sop(sc, opt.rates.r_e),
+        "sop_exact_at_re": float(secrecy.sop(sc, opt.rates.r_e)[0]),
         "oracle": {"est": oracle.est, "gap": gap, "covers": covers},
     }
     if scheme == "adaptive":
@@ -617,7 +618,7 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         sc, sop_rates + (est_rates.r_e,), sim, jobs=jobs
     )
     for r_e, est in zip(sop_rates, sop_ests):
-        check(f"sop r_e={_fmt(r_e)}", secrecy.sop(sc, r_e), est.mean, est.ci_halfwidth)
+        check(f"sop r_e={_fmt(r_e)}", secrecy.sop(sc, r_e)[0], est.mean, est.ci_halfwidth)
 
     # One Bob draw serves the three reliability checks and the est_fixed check.
     rel_ns = (1, 2, 4)
@@ -628,7 +629,7 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     for n, sc_n, est in zip(rel_ns, rel_scs, rel_ests):
         check(
             f"reliability_outage n={n} r_b=3",
-            secrecy.reliability_outage(sc_n, 3.0),
+            secrecy.reliability_outage(sc_n, 3.0)[0],
             est.mean,
             est.ci_halfwidth,
         )
@@ -637,8 +638,8 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     sc_2 = replace(sc, nodes=replace(sc.nodes, n_a=2, n_b=1))
     check_analytic(
         "selection_squares_outage",
-        secrecy.reliability_outage(sc_2, 2.5),
-        secrecy.reliability_outage(sc_1, 2.5) ** 2,
+        secrecy.reliability_outage(sc_2, 2.5)[0],
+        secrecy.reliability_outage(sc_1, 2.5)[0] ** 2,
         1e-10,
     )
 
@@ -647,7 +648,7 @@ def cmd_validate(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     for sig in (1.0, 2.0, 3.0):
         sc_s = _scenario_at(sc, "sigma_s", sig)
         s_approx = secrecy.sop_approx(eve_link(sc_s), gap_rates)[0]
-        gaps = np.abs(s_approx - secrecy.sop(sc_s, gap_rates))
+        gaps = np.abs(s_approx - secrecy.sop(sc_s, gap_rates)[0])
         gap_worst = max(gap_worst, *gaps.tolist())
     check_analytic("surrogate_outage_gap_max", gap_worst, 0.0, 0.02)
 

@@ -12,24 +12,24 @@ gamma-surrogate approximation that the rate optimizers are derived on.
 :func:`est_adaptive` and :func:`est_fixed` are the exact throughputs; the
 surrogate throughput is :func:`est_from_outages` of the surrogate outages.
 
-The exact ``sop`` and ``reliability_outage`` take a scenario and a float
-or an array of rates, one kernel call per array, each element equal to the
-float call to the bit.  Nothing is stored between calls: a caller asks once
-for its distinct rates, and :func:`est_from_outages` turns the outages into
-throughput.  Every rate meets a kernel through :func:`rate_threshold`, and
-every outage rejects a rate outside [0, ``RATE_LIMIT``), where 2**rate
-overflows.
+All four outages return the same pair, the outage and its analytic slope in
+the rate, infinite where it passes the double range, from one kernel call:
+the secrecy outages as 1 - F and the reliability outages as c1**n_a of the
+kernel's (CDF, density) pair, each with its slope.  They take a float or an
+array of rates; a float gives two numpy floats with the bits of the
+matching elements of an array call.  Every rate meets a kernel through
+:func:`rate_threshold`, and every outage rejects a rate outside
+[0, ``RATE_LIMIT``), where 2**rate overflows.
 
-The surrogate outages take the link itself, with the constants it carries
+The exact ``sop`` and ``reliability_outage`` take a scenario.  Nothing is
+stored between calls: a caller asks once for its distinct rates, and
+:func:`est_from_outages` turns the outages into throughput.  The surrogate
+outages take the link itself, with the constants it carries
 (``LinkParams.gain`` and ``LinkParams.surrogate``, computed once by
 ``bob_link`` and ``eve_link``): ``sop_approx(eve, r_e)`` and
-``reliability_outage_approx(bob, n_a, r_b)`` take a float or an array of
-rates and return the outage with its analytic slope in the rate, infinite
-where it passes the double range, in one call into the surrogate kernel.
-So a solver looks its link up once, each outage does only the kernel's
-ufunc work, and they are the one place the solvers take the surrogate's
-rate derivatives from.  Every call serves one link's float constants, so
-each element of an array call keeps the bits of a float call at its rate.
+``reliability_outage_approx(bob, n_a, r_b)``.  So a solver looks its link up
+once, each outage does only the kernel's ufunc work, and they are the one
+place the solvers take the surrogate's rate derivatives from.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -92,52 +93,61 @@ class SecrecyConstraint:
 
 
 def sop(scenario: ScenarioConfig, r_e):
-    """Secrecy outage probability: chance the eavesdropper's capacity tops
-    ``r_e``, a float or an array of rates."""
+    """Secrecy outage probability, the chance the eavesdropper's capacity
+    tops ``r_e``, a float or an array of rates, and its slope in the rate."""
     link = eve_link(scenario)
-    thr = rate_threshold(_rates(r_e), link.gain)
     # xi is POINTING_FREE_XI at sigma_s = 0, where ggp_cdf is gg_cdf.
-    return 1.0 - channel.ggp_cdf(link.turb.alpha, link.beta_agg, link.pointing.xi, thr)
+    kernel = partial(channel.ggp_cdf, link.turb.alpha, link.beta_agg, link.pointing.xi)
+    return _complement(kernel, link.gain, r_e)
 
 
 def sop_approx(eve: LinkParams, r_e):
     """Gamma-surrogate secrecy outage on the eavesdropper's link ``eve`` (the
     optimizer surface) and its slope in the rate, at ``r_e``, a float or an
-    array of rates, as :func:`fso_secrecy.channel.ggp_cdf_approx` returns
-    its pair.  ``eve`` is read for its ``gain`` and ``surrogate`` only."""
-    r = _rates(r_e)
-    cdf, pdf = channel.ggp_cdf_approx(eve.surrogate, rate_threshold(r, eve.gain))
-    with np.errstate(over="ignore"):
-        return 1.0 - cdf, -pdf * _rate_slope(r, eve.gain)
+    array of rates.  ``eve`` is read for its ``gain`` and ``surrogate``
+    only."""
+    return _complement(partial(channel.ggp_cdf_approx, eve.surrogate), eve.gain, r_e)
 
 
 def reliability_outage(scenario: ScenarioConfig, r_b):
     """Probability the selected-beam combined link cannot carry ``r_b``, a
-    float or an array of rates.
+    float or an array of rates, and its slope in the rate.
 
     Transmit selection over ``n_a`` independent beams raises the
     single-beam outage to the ``n_a``-th power.
     """
     link = bob_link(scenario)
-    thr = rate_threshold(_rates(r_b), link.gain)
-    t = np.power(channel.gg_cdf(link.turb.alpha, link.beta_agg, thr), scenario.nodes.n_a)
-    return t if np.ndim(r_b) else float(t)
+    kernel = partial(channel.gg_cdf, link.turb.alpha, link.beta_agg)
+    return _selection(kernel, link.gain, scenario.nodes.n_a, r_b)
 
 
 def reliability_outage_approx(bob: LinkParams, n_a: int, r_b):
     """Gamma-surrogate reliability outage on the legitimate link ``bob`` with
     ``n_a`` transmit beams (the optimizer surface) and its slope in the
-    rate, at ``r_b``, a float or an array of rates, as
-    :func:`fso_secrecy.channel.ggp_cdf_approx` returns its pair.
-
-    The outage is c1**n_a for the single-beam surrogate CDF c1, so the slope
-    is n_a c1**(n_a - 1) times c1's.  ``bob`` is read for its ``gain`` and
-    ``surrogate`` only.
+    rate, at ``r_b``, a float or an array of rates.  ``bob`` is read for its
+    ``gain`` and ``surrogate`` only.
     """
-    r = _rates(r_b)
-    c1, pdf = channel.ggp_cdf_approx(bob.surrogate, rate_threshold(r, bob.gain))
+    return _selection(partial(channel.ggp_cdf_approx, bob.surrogate), bob.gain, n_a, r_b)
+
+
+def _complement(kernel, gain: float, rate):
+    """1 - F and its slope in the rate, for the (F, f) pair that ``kernel``
+    returns at the thresholds of ``rate`` on a link of SNR gain ``gain``."""
+    r = _rates(rate)
+    cdf, pdf = kernel(rate_threshold(r, gain))
     with np.errstate(over="ignore"):
-        return np.power(c1, n_a), n_a * np.power(c1, n_a - 1) * pdf * _rate_slope(r, bob.gain)
+        return 1.0 - cdf, -pdf * _rate_slope(r, gain)
+
+
+def _selection(kernel, gain: float, n_a: int, rate):
+    """c1**n_a, the outage of selection over ``n_a`` beams, and its slope in
+    the rate, n_a c1**(n_a - 1) times c1's, for the (c1, f) pair that
+    ``kernel`` returns at the thresholds of ``rate`` on a link of SNR gain
+    ``gain``."""
+    r = _rates(rate)
+    c1, pdf = kernel(rate_threshold(r, gain))
+    with np.errstate(over="ignore"):
+        return np.power(c1, n_a), n_a * np.power(c1, n_a - 1) * pdf * _rate_slope(r, gain)
 
 
 def _rates(rate) -> np.ndarray:
@@ -178,13 +188,13 @@ def est_adaptive(
     """
     if not 0.0 <= r_e <= c_b:
         raise ValueError(f"est_adaptive requires 0 <= r_e <= c_b, got ({c_b}, {r_e})")
-    return est_from_outages(c_b - r_e, 0.0, sop(scenario, r_e), constraint)
+    return est_from_outages(c_b - r_e, 0.0, sop(scenario, r_e)[0], constraint)
 
 
 def est_fixed(scenario: ScenarioConfig, rates: RatePair, constraint: SecrecyConstraint) -> float:
     """Throughput of the fixed-rate scheme at the given rate pair."""
-    t = reliability_outage(scenario, rates.r_b)
-    return est_from_outages(rates.secrecy_rate, t, sop(scenario, rates.r_e), constraint)
+    t = reliability_outage(scenario, rates.r_b)[0]
+    return est_from_outages(rates.secrecy_rate, t, sop(scenario, rates.r_e)[0], constraint)
 
 
 def est_from_outages(secrecy_rate, t, s, constraint: SecrecyConstraint):

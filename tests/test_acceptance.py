@@ -33,7 +33,7 @@ def test_criterion_1_sop_oracle_equivalence(baseline):
         t0 = time.perf_counter()
         est = montecarlo.estimate_sop(baseline, r_e, sim, jobs=4)
         elapsed = time.perf_counter() - t0
-        diff = abs(secrecy.sop(baseline, r_e) - est.mean)
+        diff = abs(secrecy.sop(baseline, r_e)[0] - est.mean)
         margin = est.ci_halfwidth + 1e-4
         worst = max(worst, diff / margin)
         ok = ok and diff <= margin and elapsed <= 60.0
@@ -51,14 +51,16 @@ def test_criterion_2_reliability_oracle_equivalence():
     for n in (1, 2, 4):
         sc = baseline_scenario(n_a=n, n_b=n)
         est = montecarlo.estimate_reliability_outage(sc, 3.0, sim, jobs=4)
-        diff = abs(secrecy.reliability_outage(sc, 3.0) - est.mean)
+        diff = abs(secrecy.reliability_outage(sc, 3.0)[0] - est.mean)
         margin = est.ci_halfwidth + 1e-4
         worst = max(worst, diff / margin)
         ok = ok and diff <= margin
     # exact selection law, analytically
     one = baseline_scenario(n_a=1, n_b=1)
     two = baseline_scenario(n_a=2, n_b=1)
-    law = abs(secrecy.reliability_outage(two, 2.5) - secrecy.reliability_outage(one, 2.5) ** 2)
+    law = abs(
+        secrecy.reliability_outage(two, 2.5)[0] - secrecy.reliability_outage(one, 2.5)[0] ** 2
+    )
     ok = ok and law <= 1e-10
     _verdict(
         "criterion 2 (reliability outage vs simulation + selection law)",
@@ -72,7 +74,7 @@ def test_criterion_3_surrogate_outage_gap():
     for sigma_s in (1.0, 2.0, 3.0):
         sc = baseline_scenario(sigma_s=sigma_s)
         for r_e in np.linspace(0.1, 6.0, 60):
-            gap = abs(secrecy.sop_approx(eve_link(sc), float(r_e))[0] - secrecy.sop(sc, float(r_e)))
+            gap = abs(secrecy.sop_approx(eve_link(sc), float(r_e))[0] - secrecy.sop(sc, float(r_e))[0])
             worst = max(worst, gap)
     _verdict(
         "criterion 3 (gamma-surrogate outage gap <= 0.02)",
@@ -273,8 +275,8 @@ def test_criterion_7_special_function_suite(baseline):
     )
     channel.reset_clamp_events()
     for kernel in (
-        lambda x: channel.gg_cdf(a, b1, x),
-        lambda x: channel.ggp_cdf(a, bagg, xi, x),
+        lambda x: channel.gg_cdf(a, b1, x)[0],
+        lambda x: channel.ggp_cdf(a, bagg, xi, x)[0],
         lambda x: channel.ggp_cdf_approx(ga, x)[0],
     ):
         vals = [kernel(float(x)) for x in np.linspace(0.0, 6.0, 200)]

@@ -251,10 +251,10 @@ def test_paper_expansions_match_the_kernel(baseline):
     a, b_single, b, xi = le.turb.alpha, le.turb.beta_single, le.beta_agg, le.pointing.xi
     for bx, x in ((b_single, 0.2), (b_single, 0.5), (b, 0.27613255287933103)):
         assert a * bx * x < 20.0
-        assert oracles.gg_cdf_series(a, bx, x) == pytest.approx(gg_cdf(a, bx, x), rel=1e-6), x
+        assert oracles.gg_cdf_series(a, bx, x) == pytest.approx(gg_cdf(a, bx, x)[0], rel=1e-6), x
     for x in (0.05, 0.1, 0.2):
         assert a * b * x < 20.0
-        assert oracles.ggp_cdf_series(a, b, xi, x) == pytest.approx(ggp_cdf(a, b, xi, x), rel=1e-6), x
+        assert oracles.ggp_cdf_series(a, b, xi, x) == pytest.approx(ggp_cdf(a, b, xi, x)[0], rel=1e-6), x
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +309,12 @@ def test_cdf_kernels_are_certain_at_an_infinite_threshold():
         assert rate_threshold(1023.9, link.gain) == math.inf
         assert rate_threshold(np.array([1000.0, 1023.9]), link.gain)[1] == math.inf
         xi = link.pointing.xi if link is eve_link(sc) else channel.POINTING_FREE_XI
-        assert ggp_cdf(link.turb.alpha, link.beta_agg, xi, math.inf) == 1.0
-        assert gg_cdf(link.turb.alpha, link.beta_agg, math.inf) == 1.0
+        assert ggp_cdf(link.turb.alpha, link.beta_agg, xi, math.inf) == (1.0, 0.0)
+        assert gg_cdf(link.turb.alpha, link.beta_agg, math.inf) == (1.0, 0.0)
         xs = np.array([0.0, 1.0, math.inf])
-        assert gg_cdf(link.turb.alpha, link.beta_agg, xs)[[0, 2]].tolist() == [0.0, 1.0]
+        cdf, pdf = gg_cdf(link.turb.alpha, link.beta_agg, xs)
+        assert cdf[[0, 2]].tolist() == [0.0, 1.0]
+        assert pdf[[0, 2]].tolist() == [0.0, 0.0]
         assert ggp_cdf_approx(link.surrogate, math.inf) == (1.0, 0.0)
         # x / theta overflows from a finite x too where theta is below 1
         assert link.surrogate.theta < 1.0
@@ -359,8 +361,23 @@ def test_gg_pdf_matches_cdf_derivative(baseline):
     t = eve_link(baseline).turb
     h = 1e-5
     for x in (0.3, 0.8, 1.5, 2.5):
-        num = (gg_cdf(t.alpha, t.beta_single, x + h) - gg_cdf(t.alpha, t.beta_single, x - h)) / (2 * h)
+        num = (gg_cdf(t.alpha, t.beta_single, x + h)[0] - gg_cdf(t.alpha, t.beta_single, x - h)[0]) / (2 * h)
         assert num == pytest.approx(oracles.gg_pdf(t.alpha, t.beta_single, x), abs=1e-5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+@pytest.mark.parametrize("cn2", [1.7e-14, 1e-13])
+def test_gg_cdf_density_matches_the_bessel_k_density(cn2, n):
+    # The exact kernel's density, from its conditioning pass, against the
+    # paper's closed form.  Over shapes 3.0 to 33 the largest relative gap
+    # seen was 3.1e-14; the kernel's gamma density holds 1e-13 up to shape
+    # 1e2 and loses accuracy beyond it (see channel._log_gamma_density).
+    t = eve_link(baseline_scenario(cn2=cn2, n_e=n)).turb
+    a, b = t.alpha, t.beta_single * n
+    xs = np.geomspace(0.01, 8.0, 60)
+    want = np.array([oracles.gg_pdf(a, b, float(x)) for x in xs])
+    _, pdf = gg_cdf(a, b, xs)
+    np.testing.assert_allclose(pdf, want, rtol=1e-12, atol=0)
 
 
 def test_gg_pdf_domain_error():
@@ -384,18 +401,18 @@ def test_gg_cdf_frozen_values(baseline):
         2.0: 0.9316888004064876,
     }
     for x, want in table.items():
-        assert gg_cdf(t.alpha, t.beta_single, x) == pytest.approx(want, rel=1e-10)
+        assert gg_cdf(t.alpha, t.beta_single, x)[0] == pytest.approx(want, rel=1e-10)
 
 
 def test_gg_cdf_boundaries(baseline):
     t = eve_link(baseline).turb
-    assert gg_cdf(t.alpha, t.beta_single, 0.0) == 0.0
-    assert gg_cdf(t.alpha, t.beta_single, 50.0) >= 1.0 - 1e-6
+    assert gg_cdf(t.alpha, t.beta_single, 0.0)[0] == 0.0
+    assert gg_cdf(t.alpha, t.beta_single, 50.0)[0] >= 1.0 - 1e-6
 
 
 def test_gg_cdf_matches_conditioning_quadrature(baseline):
     t = eve_link(baseline).turb
-    got = gg_cdf(t.alpha, t.beta_single, 1.0)
+    got = gg_cdf(t.alpha, t.beta_single, 1.0)[0]
     want = oracles.gg_cdf_conditioning(t.alpha, t.beta_single, 1.0)
     assert got == pytest.approx(want, abs=1e-7)
 
@@ -407,13 +424,13 @@ def test_gg_cdf_quadrature_switch_consistency(baseline):
     for x in (1.4, 5.0):
         z = t.alpha * t.beta_single * x
         want = oracles.gg_cdf_conditioning(t.alpha, t.beta_single, x)
-        assert gg_cdf(t.alpha, t.beta_single, x) == pytest.approx(want, abs=1e-7), z
+        assert gg_cdf(t.alpha, t.beta_single, x)[0] == pytest.approx(want, abs=1e-7), z
 
 
 def test_gg_cdf_integer_difference_nudge():
     # alpha - beta exactly integer is a pole of the paper's csc expansion;
     # the conditioning kernel has no pole there
-    got = gg_cdf(6.0, 4.0, 1.0)
+    got = gg_cdf(6.0, 4.0, 1.0)[0]
     want = oracles.gg_cdf_conditioning(6.0, 4.0, 1.0)
     assert got == pytest.approx(want, abs=5e-5)
 
@@ -422,7 +439,7 @@ def test_gg_cdf_monotone_and_bounded(baseline):
     t = eve_link(baseline).turb
     channel.reset_clamp_events()
     xs = np.linspace(0.0, 6.0, 200)
-    vals = [gg_cdf(t.alpha, t.beta_single, float(x)) for x in xs]
+    vals = [gg_cdf(t.alpha, t.beta_single, float(x))[0] for x in xs]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     assert channel.clamp_event_count() == 0
@@ -454,13 +471,13 @@ def test_ggp_cdf_frozen_values(baseline):
         2.0: 0.9968301865197231,
     }
     for x, want in table.items():
-        assert ggp_cdf(a, b, xi, x) == pytest.approx(want, rel=1e-10)
+        assert ggp_cdf(a, b, xi, x)[0] == pytest.approx(want, rel=1e-10)
 
 
 def test_ggp_cdf_boundaries(baseline):
     le = eve_link(baseline)
-    assert ggp_cdf(le.turb.alpha, le.beta_agg, le.pointing.xi, 0.0) == 0.0
-    assert ggp_cdf(le.turb.alpha, le.beta_agg, le.pointing.xi, 50.0) >= 1.0 - 1e-6
+    assert ggp_cdf(le.turb.alpha, le.beta_agg, le.pointing.xi, 0.0)[0] == 0.0
+    assert ggp_cdf(le.turb.alpha, le.beta_agg, le.pointing.xi, 50.0)[0] >= 1.0 - 1e-6
 
 
 def test_ggp_cdf_pointing_free_degeneration(baseline):
@@ -473,8 +490,8 @@ def test_ggp_cdf_pointing_free_degeneration(baseline):
 def test_ggp_cdf_matches_mixture_quadrature(baseline):
     le = eve_link(baseline)
     a, b, xi = le.turb.alpha, le.beta_agg, le.pointing.xi
-    got = ggp_cdf(a, b, xi, 0.5)
-    want = oracles.ggp_cdf_mixture(a, b, xi, 0.5, gg_cdf)
+    got = ggp_cdf(a, b, xi, 0.5)[0]
+    want = oracles.ggp_cdf_mixture(a, b, xi, 0.5, lambda *args: gg_cdf(*args)[0])
     assert got == pytest.approx(want, abs=1e-6)
 
 
@@ -484,7 +501,7 @@ def test_ggp_cdf_dominates_turbulence_only(baseline):
     le = eve_link(baseline)
     a, b, xi = le.turb.alpha, le.beta_agg, le.pointing.xi
     for x in np.linspace(0.05, 3.0, 50):
-        assert ggp_cdf(a, b, xi, float(x)) >= gg_cdf(a, b, float(x))
+        assert ggp_cdf(a, b, xi, float(x))[0] >= gg_cdf(a, b, float(x))[0]
 
 
 def test_ggp_cdf_monotone_and_bounded(baseline):
@@ -492,7 +509,7 @@ def test_ggp_cdf_monotone_and_bounded(baseline):
     a, b, xi = le.turb.alpha, le.beta_agg, le.pointing.xi
     channel.reset_clamp_events()
     xs = np.linspace(0.0, 6.0, 200)
-    vals = [ggp_cdf(a, b, xi, float(x)) for x in xs]
+    vals = [ggp_cdf(a, b, xi, float(x))[0] for x in xs]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(hi >= lo - 1e-12 for lo, hi in zip(vals, vals[1:]))
     assert channel.clamp_event_count() == 0
@@ -529,7 +546,7 @@ def test_conditioning_kernel_matches_mpmath_oracle(cn2, sigma_s, n):
     a, b, xi = _eve_shapes(cn2, sigma_s, n)
     x = 1.01 * 100.0 / (a * b)
     want = oracles.mp_ggp_cdf_conditioning(a, b, xi, x)
-    got = gg_cdf(a, b, x) if math.isinf(xi) else ggp_cdf(a, b, xi, x)
+    got = gg_cdf(a, b, x)[0] if math.isinf(xi) else ggp_cdf(a, b, xi, x)[0]
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
@@ -540,7 +557,7 @@ def test_conditioning_kernel_narrow_jitter(sigma_s):
     a, b, xi = _eve_shapes(1.7e-14, sigma_s, 2)
     for x in (0.05, 3.0):
         want = oracles.mp_ggp_cdf_conditioning(a, b, xi, x)
-        assert channel._conditioned_cdf(a, b, xi * xi, x) == pytest.approx(want, rel=1e-12, abs=0)
+        assert channel._conditioned_cdf(a, b, xi * xi, x)[0] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_conditioning_kernel_takes_inputs_the_series_cannot_evaluate():
@@ -549,10 +566,10 @@ def test_conditioning_kernel_takes_inputs_the_series_cannot_evaluate():
     a, b, xi = _eve_shapes(1e-15, 2.0, 2)
     for x in (0.5, 1.0):
         want = oracles.mp_ggp_cdf_conditioning(a, b, xi, x)
-        assert 0.0 <= ggp_cdf(a, b, xi, x) <= 1.0
-        assert ggp_cdf(a, b, xi, x) == pytest.approx(want, rel=1e-12, abs=0)
+        assert 0.0 <= ggp_cdf(a, b, xi, x)[0] <= 1.0
+        assert ggp_cdf(a, b, xi, x)[0] == pytest.approx(want, rel=1e-12, abs=0)
         want = oracles.mp_ggp_cdf_conditioning(a, b / 2, math.inf, x)
-        assert gg_cdf(a, b / 2, x) == pytest.approx(want, rel=1e-12, abs=0)
+        assert gg_cdf(a, b / 2, x)[0] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_series_products_past_the_double_range_take_the_kernel():
@@ -567,7 +584,7 @@ def test_series_products_past_the_double_range_take_the_kernel():
     x = rate_threshold(1.0011347829612158, le.gain)
     assert a * b * x < 100.0
     want = oracles.mp_ggp_cdf_conditioning(a, b, xi, x)
-    assert ggp_cdf(a, b, xi, x) == pytest.approx(want, rel=1e-12, abs=0)
+    assert ggp_cdf(a, b, xi, x)[0] == pytest.approx(want, rel=1e-12, abs=0)
 
     sc = baseline_scenario(cn2=7.917620229666677e-15, sigma_s=0.09874657550041502, n_e=5,
                            d_e=604.8434970567932)
@@ -575,7 +592,7 @@ def test_series_products_past_the_double_range_take_the_kernel():
     a, b, xi = le.turb.alpha, le.beta_agg, le.pointing.xi
     x = rate_threshold(0.7908362607525738, le.gain)
     assert a * b * x < 100.0
-    assert 0.0 < ggp_cdf(a, b, xi, x) < 1e-40
+    assert 0.0 < ggp_cdf(a, b, xi, x)[0] < 1e-40
 
 
 def test_conditioning_kernel_at_the_shape_cap():
@@ -585,12 +602,12 @@ def test_conditioning_kernel_at_the_shape_cap():
     xi2 = 0.391
     channel.reset_clamp_events()
     for x in (1e-30, 0.5, 0.9):
-        assert ggp_cdf(cap, 2 * cap, math.sqrt(xi2), x) == pytest.approx(x**xi2, rel=1e-5, abs=0)
-    assert gg_cdf(cap, 2 * cap, 0.5) == 0.0
-    assert gg_cdf(cap, 2 * cap, 1.0) == pytest.approx(0.5, abs=1e-6)
-    assert gg_cdf(cap, 2 * cap, 1.5) == 1.0
+        assert ggp_cdf(cap, 2 * cap, math.sqrt(xi2), x)[0] == pytest.approx(x**xi2, rel=1e-5, abs=0)
+    assert gg_cdf(cap, 2 * cap, 0.5)[0] == 0.0
+    assert gg_cdf(cap, 2 * cap, 1.0)[0] == pytest.approx(0.5, abs=1e-6)
+    assert gg_cdf(cap, 2 * cap, 1.5)[0] == 1.0
     for x in np.linspace(0.99999, 1.00001, 21):
-        for p in (gg_cdf(cap, 2 * cap, float(x)), ggp_cdf(cap, 2 * cap, 0.6, float(x))):
+        for p in (gg_cdf(cap, 2 * cap, float(x))[0], ggp_cdf(cap, 2 * cap, 0.6, float(x))[0]):
             assert 0.0 <= p <= 1.0
     assert channel.clamp_event_count() == 0
 
@@ -606,7 +623,7 @@ def test_gg_cdf_matches_oracle_at_z_18_8():
     # paper's 1F2 series is off by 8.6e-8 relative from truncating its sums.
     a, b, x = 6.126110647376661, 11.10675349686988, 0.27613255287933103
     want = oracles.mp_ggp_cdf_conditioning(a, b, math.inf, x)
-    assert gg_cdf(a, b, x) == pytest.approx(want, rel=1e-12, abs=0)
+    assert gg_cdf(a, b, x)[0] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +673,7 @@ def test_ggp_cdf_approx_within_two_percent_of_exact(baseline):
     le = eve_link(baseline)
     a, b, xi = le.turb.alpha, le.beta_agg, le.pointing.xi
     for x in np.linspace(0.02, 3.0, 60):
-        gap = abs(ggp_cdf_approx(le.surrogate, float(x))[0] - ggp_cdf(a, b, xi, float(x)))
+        gap = abs(ggp_cdf_approx(le.surrogate, float(x))[0] - ggp_cdf(a, b, xi, float(x))[0])
         assert gap <= 0.02
 
 
@@ -710,8 +727,8 @@ def test_cdf_kernels_match_sampled_quantiles(baseline):
     frac = rng.random(n) ** (1.0 / (xi * xi))
     surrogate = rng.gamma(ga.k, ga.theta, n) * frac
     cases = [
-        (turb, lambda x: gg_cdf(a, b, x)),
-        (turb * frac, lambda x: ggp_cdf(a, b, xi, x)),
+        (turb, lambda x: gg_cdf(a, b, x)[0]),
+        (turb * frac, lambda x: ggp_cdf(a, b, xi, x)[0]),
         (surrogate, lambda x: ggp_cdf_approx(ga, x)[0]),
     ]
     for draws, cdf in cases:

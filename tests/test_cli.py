@@ -630,7 +630,7 @@ def test_sweep_fixed_scheme_pinned_codeword_rate(tmp_path, baseline):
         r_e = float(row["value"])
         want = secrecy.est_fixed(baseline, RatePair(3.4, r_e), SecrecyConstraint(1.0))
         assert float(row["est_closed"]) == pytest.approx(want, rel=1e-8)
-        assert float(row["sop"]) == pytest.approx(secrecy.sop(baseline, r_e), rel=1e-8)
+        assert float(row["sop"]) == pytest.approx(secrecy.sop(baseline, r_e)[0], rel=1e-8)
         assert row["est_mc"] == "" and row["ci"] == ""
         assert row["constraint_met"] == "true"
         # locale-proof: every numeric field round-trips through float()
@@ -687,7 +687,7 @@ def test_sweep_adaptive_rate_rows_past_the_capacity(tmp_path, baseline):
     assert [row["value"] for row in rows] == ["1", "2", "3", "4"]
     for row in rows:
         r_e = float(row["value"])
-        s = secrecy.sop(baseline, r_e)
+        s = secrecy.sop(baseline, r_e)[0]
         assert row["sop"] == cli._fmt(s)
         assert row["constraint_met"] == ("true" if s <= 0.4 else "false")
         if r_e >= 2.0:
@@ -839,7 +839,7 @@ def _assert_rows_meet_by_the_unrounded_exact_outage(rows, solved):
     # constraint_met compares that outage, unrounded, with the row's ceiling.
     assert len(rows) == len(solved)
     for row, (sc, s_th, o) in zip(rows, solved):
-        s = secrecy.sop(sc, o.rates.r_e)
+        s = secrecy.sop(sc, o.rates.r_e)[0]
         assert row["sop"] == cli._fmt(s)
         assert row["est_closed"] == cli._fmt(o.est)
         assert row["constraint_met"] == ("true" if s <= s_th else "false")
@@ -897,7 +897,7 @@ def test_sweep_ceiling_axis_monotone(tmp_path, baseline):
     # the axis's own arithmetic, so each ceiling is the sweep's float
     ceilings = [min(0.1 + i * (0.9 / 6), 1.0) for i in range(7)]
     for row, s_th in zip(rows, ceilings):
-        s = secrecy.sop(baseline, optimize.fixed_optimal(baseline, s_th).rates.r_e)
+        s = secrecy.sop(baseline, optimize.fixed_optimal(baseline, s_th).rates.r_e)[0]
         assert row["constraint_met"] == ("true" if s <= s_th else "false")
     assert rows[-1]["constraint_met"] == "true"
 
@@ -925,7 +925,7 @@ def _ceiling_rows_one_by_one(sc, scheme, ceilings, c_b, sim=None):
             rel = 0.0
         else:
             opt = optimize.fixed_optimal(sc, s_th)
-            rel = secrecy.reliability_outage(sc, opt.rates.r_b)
+            rel = secrecy.reliability_outage(sc, opt.rates.r_b)[0]
         est_mc = ci = ""
         if sim is not None:
             if scheme == "adaptive":
@@ -933,7 +933,7 @@ def _ceiling_rows_one_by_one(sc, scheme, ceilings, c_b, sim=None):
             else:
                 est = _pinned_monte_carlo(sc, scheme, opt.rates, s_th, sim)
             est_mc, ci = cli._fmt(est.mean), cli._fmt(est.ci_halfwidth)
-        s = secrecy.sop(sc, opt.rates.r_e)
+        s = secrecy.sop(sc, opt.rates.r_e)[0]
         met = s <= s_th
         cells = [opt.est, est_mc, ci, s, rel]
         cells = [c if isinstance(c, str) else cli._fmt(c) for c in cells]
@@ -1022,11 +1022,11 @@ def _rate_rows_one_by_one(sc, scheme, axis, values, c_b, s_th, sim):
     constraint = SecrecyConstraint(s_th)
     lines = [HEADER]
     for value, value2, r_e, r_b in points:
-        s = secrecy.sop(sc, r_e)
+        s = secrecy.sop(sc, r_e)[0]
         cells = [0.0, "", "", s, 0.0, False]
         if not r_b < r_e:
             if scheme == "fixed":
-                t, rates = secrecy.reliability_outage(sc, r_b), RatePair(r_b=r_b, r_e=r_e)
+                t, rates = secrecy.reliability_outage(sc, r_b)[0], RatePair(r_b=r_b, r_e=r_e)
                 est = secrecy.est_from_outages(r_b - r_e, t, s, constraint)
             else:
                 t, rates = 0.0, RatePair(r_b=max(r_e, c_b), r_e=r_e)
@@ -1522,7 +1522,12 @@ def test_validate_fails_a_closed_form_off_its_monte_carlo_estimate(tmp_path, mon
     # The Monte-Carlo checks' FAIL verdict: each sop line compares a closed
     # form 0.1 too high with an estimate whose margin is about 0.01.
     sop = secrecy.sop
-    monkeypatch.setattr(cli.secrecy, "sop", lambda sc, r_e: sop(sc, r_e) + 0.1)
+
+    def raised_sop(sc, r_e):
+        s, slope = sop(sc, r_e)
+        return s + 0.1, slope
+
+    monkeypatch.setattr(cli.secrecy, "sop", raised_sop)
     code, text = run_cli(tmp_path, "validate", "--trials", "20000", "--seed", "7")
     lines = text.splitlines()
     sop_lines = [line for line in lines if line.split()[1] == "sop"]

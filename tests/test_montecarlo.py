@@ -178,7 +178,7 @@ def test_eve_sampler_matches_combined_cdf(baseline):
     draws = sample_eve_irradiance(baseline, _rng(1017), n) / baseline.nodes.n_e
     for q in np.linspace(0.05, 0.95, 20):
         x = float(np.quantile(draws, q))
-        f = channel.ggp_cdf(le.turb.alpha, le.beta_agg, le.pointing.xi, x)
+        f = channel.ggp_cdf(le.turb.alpha, le.beta_agg, le.pointing.xi, x)[0]
         emp = float(np.mean(draws <= x))
         assert abs(f - emp) <= 3.0 * math.sqrt(f * (1.0 - f) / n) + 1e-4
 
@@ -190,7 +190,7 @@ def test_bob_sampler_matches_turbulence_cdf():
     draws = sample_bob_irradiance(sc, _rng(19), n) / sc.nodes.n_b
     for q in np.linspace(0.05, 0.95, 20):
         x = float(np.quantile(draws, q))
-        f = channel.gg_cdf(lb.turb.alpha, lb.beta_agg, x)
+        f = channel.gg_cdf(lb.turb.alpha, lb.beta_agg, x)[0]
         emp = float(np.mean(draws <= x))
         assert abs(f - emp) <= 3.0 * math.sqrt(f * (1.0 - f) / n) + 1e-4
 
@@ -203,7 +203,7 @@ def test_bob_sampler_selection_squares_cdf():
     assert np.all(draws > 0.0)
     for q in np.linspace(0.05, 0.95, 20):
         x = float(np.quantile(draws, q))
-        f = channel.gg_cdf(lb.turb.alpha, lb.beta_agg, x) ** 2
+        f = channel.gg_cdf(lb.turb.alpha, lb.beta_agg, x)[0] ** 2
         emp = float(np.mean(draws <= x))
         assert abs(f - emp) <= 3.0 * math.sqrt(f * (1.0 - f) / n) + 1e-4
 
@@ -272,7 +272,7 @@ def test_estimate_sop_matches_closed_form(baseline):
     sim = SimConfig(trials=200_000, seed=3)
     for r_e in (1.0, 2.0, 4.0):
         e = estimate_sop(baseline, r_e, sim)
-        assert abs(e.mean - secrecy.sop(baseline, r_e)) <= e.ci_halfwidth + 1e-4
+        assert abs(e.mean - secrecy.sop(baseline, r_e)[0]) <= e.ci_halfwidth + 1e-4
 
 
 def test_estimate_sop_random_scenarios():
@@ -285,7 +285,7 @@ def test_estimate_sop_random_scenarios():
         )
         r_e = float(rnd.uniform(0.3, 3.0))
         e = estimate_sop(sc, r_e, SimConfig(trials=100_000, seed=int(rnd.integers(1 << 30))))
-        assert abs(e.mean - secrecy.sop(sc, r_e)) <= e.ci_halfwidth + 1e-4
+        assert abs(e.mean - secrecy.sop(sc, r_e)[0]) <= e.ci_halfwidth + 1e-4
 
 
 def test_ci_halfwidth_scales_with_trials(baseline):
@@ -298,7 +298,7 @@ def test_estimate_reliability_outage(baseline):
     assert estimate_reliability_outage(baseline, 0.0, SimConfig(trials=5_000)).mean == 0.0
     sim = SimConfig(trials=200_000, seed=13)
     e = estimate_reliability_outage(baseline, 3.0, sim)
-    assert abs(e.mean - secrecy.reliability_outage(baseline, 3.0)) <= e.ci_halfwidth + 1e-4
+    assert abs(e.mean - secrecy.reliability_outage(baseline, 3.0)[0]) <= e.ci_halfwidth + 1e-4
 
 
 @pytest.mark.parametrize("n_a", [2, 4])
@@ -309,7 +309,7 @@ def test_thinned_reliability_outage_matches_selected_beam_draws(n_a, n_b, r_b):
     # independent generator counts the same event.  The per-beam outage
     # is 0.41 (n_b = 1) and 0.46 (n_b = 2), so every beam decides trials.
     sc = baseline_scenario(n_a=n_a, n_b=n_b)
-    per_beam = secrecy.reliability_outage(sc, r_b) ** (1.0 / n_a)
+    per_beam = secrecy.reliability_outage(sc, r_b)[0] ** (1.0 / n_a)
     assert 0.3 <= per_beam <= 0.6
     n = 200_000
     thinned = estimate_reliability_outage(sc, r_b, SimConfig(trials=n, seed=83))
@@ -575,7 +575,7 @@ def test_estimate_est_adaptive_pinned_rate_mode_gates_at_the_ceiling(baseline):
     # S(0.5) is about 0.79: above a 0.4 ceiling the point delivers nothing,
     # in the closed form and in the estimate; it is not floored at r_th.
     sim = SimConfig(trials=100_000, seed=41)
-    assert secrecy.sop(baseline, 0.5) > 0.4
+    assert secrecy.sop(baseline, 0.5)[0] > 0.4
     assert secrecy.est_adaptive(baseline, 6.0, 0.5, secrecy.SecrecyConstraint(0.4)) == 0.0
     e = _pinned_est(baseline, RatePair(6.0, 0.5), "adaptive", 0.4, sim)
     assert (e.mean, e.ci_halfwidth) == (0.0, 0.0)

@@ -68,17 +68,17 @@ def test_sop_frozen_values(baseline):
         4.0: 0.15685256187788732,
     }
     for r_e, want in table.items():
-        assert sop(baseline, r_e) == pytest.approx(want, rel=1e-10)
+        assert sop(baseline, r_e)[0] == pytest.approx(want, rel=1e-10)
 
 
 def test_sop_boundaries(baseline):
-    assert sop(baseline, 0.0) == 1.0
-    assert sop(baseline, 20.0) <= 1e-6
+    assert sop(baseline, 0.0)[0] == 1.0
+    assert sop(baseline, 20.0)[0] <= 1e-6
 
 
 def test_sop_strictly_decreasing(baseline):
     grid = np.linspace(0.0, 6.0, 200)
-    vals = [sop(baseline, float(r)) for r in grid]
+    vals = [sop(baseline, float(r))[0] for r in grid]
     assert all(hi < lo + 1e-12 for lo, hi in zip(vals, vals[1:]))
 
 
@@ -86,8 +86,8 @@ def test_sop_pointing_free_uses_turbulence_kernel(pointing_free):
     # with no beam wander the outage reduces to the turbulence-only tail
     link = channel.eve_link(pointing_free)
     thr = secrecy.rate_threshold(1.5, link.gain)
-    want = 1.0 - channel.gg_cdf(link.turb.alpha, link.beta_agg, thr)
-    assert sop(pointing_free, 1.5) == pytest.approx(want, rel=1e-15, abs=0)
+    want = 1.0 - channel.gg_cdf(link.turb.alpha, link.beta_agg, thr)[0]
+    assert sop(pointing_free, 1.5)[0] == pytest.approx(want, rel=1e-15, abs=0)
 
 
 def test_sop_approx_boundaries_and_monotone(baseline):
@@ -104,7 +104,8 @@ def test_sop_approx_frozen_values(baseline):
 
 def test_sop_approx_within_two_percent(baseline):
     for r_e in np.linspace(0.1, 6.0, 40):
-        assert abs(sop_approx(eve_link(baseline), float(r_e))[0] - sop(baseline, float(r_e))) <= 0.02
+        gap = sop_approx(eve_link(baseline), float(r_e))[0] - sop(baseline, float(r_e))[0]
+        assert abs(gap) <= 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +117,11 @@ def test_reliability_outage_frozen_values():
     table = {1: 0.23803262174987164, 2: 0.00037513622873844565, 4: 3.2195968712111515e-14}
     for n, want in table.items():
         scn = baseline_scenario(n_a=n, n_b=n)
-        assert reliability_outage(scn, 3.0) == pytest.approx(want, rel=1e-10, abs=0)
+        assert reliability_outage(scn, 3.0)[0] == pytest.approx(want, rel=1e-10, abs=0)
 
 
 def test_reliability_outage_boundary(baseline):
-    assert reliability_outage(baseline, 0.0) == 0.0
+    assert reliability_outage(baseline, 0.0)[0] == 0.0
     assert reliability_outage_approx(bob_link(baseline), baseline.nodes.n_a, 0.0)[0] == 0.0
 
 
@@ -129,15 +130,15 @@ def test_selection_squares_single_beam_outage():
     one = baseline_scenario(n_a=1, n_b=1)
     two = baseline_scenario(n_a=2, n_b=1)
     for r_b in (1.5, 2.5, 3.5):
-        p1 = reliability_outage(one, r_b)
-        assert abs(reliability_outage(two, r_b) - p1 * p1) <= 1e-10
+        p1 = reliability_outage(one, r_b)[0]
+        assert abs(reliability_outage(two, r_b)[0] - p1 * p1) <= 1e-10
         q1 = reliability_outage_approx(bob_link(one), one.nodes.n_a, r_b)[0]
         assert abs(reliability_outage_approx(bob_link(two), two.nodes.n_a, r_b)[0] - q1 * q1) <= 1e-10
 
 
 def test_reliability_outage_strictly_increasing(baseline):
     grid = np.linspace(0.0, 6.0, 200)
-    vals = [reliability_outage(baseline, float(r)) for r in grid]
+    vals = [reliability_outage(baseline, float(r))[0] for r in grid]
     assert all(hi > lo - 1e-12 for lo, hi in zip(vals, vals[1:]))
     assert vals[-1] > vals[1] > 0.0 or vals[1] == 0.0
 
@@ -160,8 +161,8 @@ def test_exact_outages_are_probabilities(log_cn2, sigma_s, n_e, n_b, d_e, d_b, r
     sc = baseline_scenario(
         cn2=10.0**log_cn2, sigma_s=sigma_s, n_e=n_e, n_b=n_b, d_e=d_e, d_b=d_b
     )
-    s, s_up = sop(sc, rate), sop(sc, rate + dr)
-    q, q_up = reliability_outage(sc, rate), reliability_outage(sc, rate + dr)
+    s, s_up = sop(sc, rate)[0], sop(sc, rate + dr)[0]
+    q, q_up = reliability_outage(sc, rate)[0], reliability_outage(sc, rate + dr)[0]
     assert 0.0 <= s <= 1.0
     assert 0.0 <= q <= 1.0
     assert s_up <= s + 1e-15
@@ -173,7 +174,7 @@ def test_reliability_outage_approx_tracks_exact(baseline):
     # it only has to be close enough to steer the optimizer
     for r_b in (2.0, 3.0, 4.0):
         t = reliability_outage_approx(bob_link(baseline), baseline.nodes.n_a, r_b)[0]
-        gap = abs(t - reliability_outage(baseline, r_b))
+        gap = abs(t - reliability_outage(baseline, r_b)[0])
         assert gap <= 0.05
 
 
@@ -186,13 +187,21 @@ def test_reliability_outage_approx_tracks_exact(baseline):
 SURROGATE_SIGMAS = [0.0, 0.5, 2.0]
 
 
-def _assert_float_calls_equal_array_elements(eve, bob, n_a, rates):
-    """Each float call of a surrogate outage returns two numpy floats with the
-    bits of the matching elements of one array call: outage and slope."""
-    arrays = sop_approx(eve, np.array(rates)), reliability_outage_approx(bob, n_a, np.array(rates))
+def _assert_float_calls_equal_array_elements(sc, rates):
+    """Each float call of an outage of ``sc``, exact or surrogate, returns two
+    numpy floats with the bits of the matching elements of one array call:
+    outage and slope."""
+    eve, bob, n_a = eve_link(sc), bob_link(sc), sc.nodes.n_a
+    outages = (
+        lambda r: sop(sc, r),
+        lambda r: reliability_outage(sc, r),
+        lambda r: sop_approx(eve, r),
+        lambda r: reliability_outage_approx(bob, n_a, r),
+    )
+    arrays = [outage(np.array(rates)) for outage in outages]
     for i, r in enumerate(rates):
-        floats = sop_approx(eve, float(r)), reliability_outage_approx(bob, n_a, float(r))
-        for got, want in zip(floats, arrays):
+        for outage, want in zip(outages, arrays):
+            got = outage(float(r))
             assert all(type(v) is np.float64 for v in got)
             assert [v.hex() for v in got] == [float(w[i]).hex() for w in want], r
 
@@ -201,7 +210,7 @@ def _assert_float_calls_equal_array_elements(eve, bob, n_a, rates):
 def test_surrogate_outage_arrays_equal_scalar_calls_to_the_bit(sigma_s):
     sc = baseline_scenario(sigma_s=sigma_s)
     rates = np.concatenate([[0.0], np.linspace(1e-4, 8.0, 240)])
-    _assert_float_calls_equal_array_elements(eve_link(sc), bob_link(sc), sc.nodes.n_a, rates)
+    _assert_float_calls_equal_array_elements(sc, rates)
 
 
 # sigma_s 0.3 puts xi**2 = 17.4 past k_ap - 10 at every n, so the pointing
@@ -212,7 +221,7 @@ def test_surrogate_outage_arrays_equal_scalar_calls_to_the_bit(sigma_s):
 def test_bound_surrogate_kernel_equals_the_curve_elements_to_the_bit(sigma_s, n):
     sc = baseline_scenario(sigma_s=sigma_s, n_a=n, n_b=n, n_e=n)
     rates = [0.0, 1e-17, 1e-3, 0.3, 1.0, 2.5, 4.0, 8.0, 20.0]
-    _assert_float_calls_equal_array_elements(eve_link(sc), bob_link(sc), n, rates)
+    _assert_float_calls_equal_array_elements(sc, rates)
 
 
 def test_bound_surrogate_kernel_equals_the_curve_where_the_slope_overflows():
@@ -221,7 +230,7 @@ def test_bound_surrogate_kernel_equals_the_curve_where_the_slope_overflows():
     sc = baseline_scenario(gamma0=1e-300)
     rates = [0.0, 1e-320, 1e-310, 1e-300, 1e-17, 1.0]
     assert sop_approx(eve_link(sc), np.array(rates))[1][1] == -math.inf
-    _assert_float_calls_equal_array_elements(eve_link(sc), bob_link(sc), sc.nodes.n_a, rates)
+    _assert_float_calls_equal_array_elements(sc, rates)
 
 
 def test_clamp_counter_counts_a_scalar_call_as_a_one_element_array():
@@ -238,31 +247,65 @@ def test_clamp_counter_counts_a_scalar_call_as_a_one_element_array():
     channel.reset_clamp_events()
 
 
+# The exact and the surrogate curve of each outage, as functions of a
+# scenario and rates.  The gamma densities in their slopes take shapes below
+# 10 here, where the log-domain form keeps about 1e-15 relative accuracy
+# (see channel._log_gamma_density); the tolerances hold in that range.
+SOP_CURVES = {"sop": sop, "sop_approx": lambda sc, r: sop_approx(eve_link(sc), r)}
+RELIABILITY_CURVES = {
+    "reliability_outage": reliability_outage,
+    "reliability_outage_approx": lambda sc, r: reliability_outage_approx(
+        bob_link(sc), sc.nodes.n_a, r
+    ),
+}
+
+
+@pytest.mark.parametrize("curve", SOP_CURVES.values(), ids=SOP_CURVES.keys())
 @pytest.mark.parametrize("sigma_s", SURROGATE_SIGMAS)
-def test_sop_approx_slope_matches_central_differences(sigma_s):
+def test_sop_slopes_match_central_differences(sigma_s, curve):
     sc = baseline_scenario(sigma_s=sigma_s, n_e=2)
     rates = np.linspace(0.2, 6.0, 30)
     h = 1e-5
-    eve = eve_link(sc)
-    _, slope = sop_approx(eve, rates)
-    diff = (sop_approx(eve, rates + h)[0] - sop_approx(eve, rates - h)[0]) / (2.0 * h)
+    _, slope = curve(sc, rates)
+    diff = (curve(sc, rates + h)[0] - curve(sc, rates - h)[0]) / (2.0 * h)
     assert np.allclose(slope, diff, rtol=1e-6, atol=1e-9)
     assert np.all(slope < 0.0)
 
 
+@pytest.mark.parametrize("curve", RELIABILITY_CURVES.values(), ids=RELIABILITY_CURVES.keys())
 @pytest.mark.parametrize("n_a", [1, 2, 4])
 @pytest.mark.parametrize("sigma_s", SURROGATE_SIGMAS)
-def test_reliability_outage_approx_slope_matches_central_differences(sigma_s, n_a):
+def test_reliability_outage_slopes_match_central_differences(sigma_s, n_a, curve):
     sc = baseline_scenario(sigma_s=sigma_s, n_a=n_a)
     rates = np.linspace(0.2, 6.0, 30)
     h = 1e-5
-    _, slope = reliability_outage_approx(bob_link(sc), sc.nodes.n_a, rates)
-    diff = (
-        reliability_outage_approx(bob_link(sc), sc.nodes.n_a, rates + h)[0]
-        - reliability_outage_approx(bob_link(sc), sc.nodes.n_a, rates - h)[0]
-    ) / (2.0 * h)
+    _, slope = curve(sc, rates)
+    diff = (curve(sc, rates + h)[0] - curve(sc, rates - h)[0]) / (2.0 * h)
     assert np.allclose(slope, diff, rtol=1e-6, atol=1e-9)
     assert np.all(slope > 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+@pytest.mark.parametrize("sigma_s", [0.0, 0.5, 2.0])
+def test_exact_slopes_match_richardson_differences(sigma_s, n):
+    # The 4-point difference at h = 1e-4 has a truncation error of order
+    # h**4; where |slope| > 1e-3 the largest relative gap over this grid was
+    # 1.07e-9.  The exact kernels' gamma density takes shapes 5.5 to 6.1.
+    sc = baseline_scenario(sigma_s=sigma_s, n_a=n, n_b=n, n_e=n)
+    rates = np.linspace(0.2, 7.0, 200)
+    h = 1e-4
+    for outage in (sop, reliability_outage):
+
+        def value(r):
+            return outage(sc, r)[0]
+
+        near = value(rates + h) - value(rates - h)
+        far = value(rates + 2 * h) - value(rates - 2 * h)
+        diff = (8.0 * near - far) / (12.0 * h)
+        _, slope = outage(sc, rates)
+        steep = np.abs(slope) > 1e-3
+        assert steep.sum() >= 40
+        np.testing.assert_allclose(slope[steep], diff[steep], rtol=2e-9, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -286,7 +329,7 @@ def test_sop_approx_at_vanishing_turbulence(cn2, table):
         assert got == pytest.approx(want, abs=1e-6)
         assert got == pytest.approx(mixture, abs=1e-6)
         # the surrogate gap to the exact outage is about 0.004 to 0.008
-        assert abs(got - sop(sc, r_e)) <= 0.01
+        assert abs(got - sop(sc, r_e)[0]) <= 0.01
 
 
 @given(
@@ -355,12 +398,9 @@ EXACT_RATES = [0.0, 1e-12, 0.3, 1.0, 2.0, 3.5, 6.0]
 def test_exact_outage_arrays_equal_scalar_calls_to_the_bit(overrides):
     sc = baseline_scenario(**overrides)
     rates = np.array(EXACT_RATES)
-    s, t = sop(sc, rates), reliability_outage(sc, rates)
-    assert s.shape == t.shape == rates.shape
-    for i, r in enumerate(EXACT_RATES):
-        assert type(sop(sc, r)) is float and type(reliability_outage(sc, r)) is float
-        assert sop(sc, r).hex() == float(s[i]).hex()
-        assert reliability_outage(sc, r).hex() == float(t[i]).hex()
+    for outage in (sop, reliability_outage):
+        assert all(v.shape == rates.shape for v in outage(sc, rates))
+    _assert_float_calls_equal_array_elements(sc, EXACT_RATES)
 
 
 @pytest.mark.parametrize(
@@ -411,8 +451,8 @@ def test_outages_take_the_largest_rate_of_the_domain(baseline):
     # The last double below 1024 keeps 2**rate finite: the outages are 0 and 1.
     r = math.nextafter(1024.0, 0.0)
     eve, bob = eve_link(baseline), bob_link(baseline)
-    assert sop(baseline, r) == sop_approx(eve, r)[0] == 0.0
-    assert reliability_outage(baseline, r) == reliability_outage_approx(bob, 2, r)[0] == 1.0
+    assert sop(baseline, r)[0] == sop_approx(eve, r)[0] == 0.0
+    assert reliability_outage(baseline, r)[0] == reliability_outage_approx(bob, 2, r)[0] == 1.0
     assert sop_approx(eve, np.array([r]))[0].tolist() == [0.0]
     assert reliability_outage_approx(bob, 2, np.array([r]))[0].tolist() == [1.0]
     assert montecarlo.estimate_sop(baseline, r, montecarlo.SimConfig(trials=1000)).count == 0
@@ -424,10 +464,12 @@ def test_outages_at_an_infinite_threshold():
     # The outages are 0 and 1 and the slopes 0, not NaN, with no warning.
     sc = baseline_scenario(gamma0=0.1)
     eve, bob, r = eve_link(sc), bob_link(sc), 1023.9
-    assert sop(sc, r) == sop_approx(eve, r)[0] == 0.0
-    assert reliability_outage(sc, r) == reliability_outage_approx(bob, 2, r)[0] == 1.0
+    assert sop(sc, r)[0] == sop_approx(eve, r)[0] == 0.0
+    assert reliability_outage(sc, r)[0] == reliability_outage_approx(bob, 2, r)[0] == 1.0
+    assert sop(sc, r)[1] == reliability_outage(sc, r)[1] == 0.0
     assert sop_approx(eve, r)[1] == reliability_outage_approx(bob, 2, r)[1] == 0.0
     rates = np.array([1.0, r])
+    assert sop(sc, rates)[1][1] == reliability_outage(sc, rates)[1][1] == 0.0
     assert sop_approx(eve, rates)[1][1] == 0.0
     assert reliability_outage_approx(bob, 2, rates)[1][1] == 0.0
 
@@ -443,7 +485,7 @@ def test_est_adaptive_zero_secrecy_rate(baseline):
 
 def test_est_adaptive_unconstrained_never_gates(baseline):
     for r_e in np.linspace(0.0, 4.0, 30):
-        s = sop(baseline, float(r_e))
+        s = sop(baseline, float(r_e))[0]
         assert s <= UNCONSTRAINED.s_th
         est = est_adaptive(baseline, 4.0, float(r_e), UNCONSTRAINED)
         assert est == pytest.approx((4.0 - r_e) * (1.0 - s), rel=1e-15, abs=0)
@@ -467,11 +509,11 @@ def test_est_adaptive_single_interior_maximum(baseline):
 
 def test_est_adaptive_gating(baseline):
     constraint = SecrecyConstraint(0.4)
-    s_lo = sop(baseline, 2.6)
+    s_lo = sop(baseline, 2.6)[0]
     assert s_lo > 0.4
     assert est_adaptive(baseline, 4.0, 2.6, constraint) == 0.0
 
-    s_hi = sop(baseline, 3.2)
+    s_hi = sop(baseline, 3.2)[0]
     assert s_hi < 0.4
     open_ = est_adaptive(baseline, 4.0, 3.2, constraint)
     assert open_ == pytest.approx((4.0 - 3.2) * (1.0 - s_hi), rel=1e-14, abs=0)
@@ -484,8 +526,8 @@ def test_est_adaptive_gating(baseline):
 
 def test_est_fixed_reference_point(baseline):
     est = est_fixed(baseline, RatePair(3.4, 1.2558717), UNCONSTRAINED)
-    reliability_factor = 1.0 - reliability_outage(baseline, 3.4)
-    secrecy_factor = 1.0 - sop(baseline, 1.2558717)
+    reliability_factor = 1.0 - reliability_outage(baseline, 3.4)[0]
+    secrecy_factor = 1.0 - sop(baseline, 1.2558717)[0]
     assert est == pytest.approx(0.6139374525791358, rel=1e-10)
     assert reliability_factor == pytest.approx(0.8303853022697556, rel=1e-10)
     assert secrecy_factor == pytest.approx(0.3448209985714641, rel=1e-10)
@@ -501,7 +543,7 @@ def test_est_fixed_diagonal_is_zero(baseline):
 
 def test_est_fixed_collapses_at_large_codeword_rate(baseline):
     assert est_fixed(baseline, RatePair(25.0, 1.0), UNCONSTRAINED) <= 1e-6
-    assert 1.0 - reliability_outage(baseline, 25.0) <= 1e-6
+    assert 1.0 - reliability_outage(baseline, 25.0)[0] <= 1e-6
 
 
 def test_est_fixed_never_negative(baseline):
@@ -514,12 +556,12 @@ def test_est_fixed_never_negative(baseline):
 def test_est_fixed_gating(baseline):
     constraint = SecrecyConstraint(0.3)
     rates = RatePair(3.0, 1.0)
-    s = sop(baseline, 1.0)
+    s = sop(baseline, 1.0)[0]
     assert s > 0.3
     assert est_fixed(baseline, rates, constraint) == 0.0
     # the ceiling alone gates: lifted, the same rates carry the full product
     assert est_fixed(baseline, rates, UNCONSTRAINED) == pytest.approx(
-        2.0 * (1.0 - reliability_outage(baseline, 3.0)) * (1.0 - s), rel=1e-14, abs=0
+        2.0 * (1.0 - reliability_outage(baseline, 3.0)[0]) * (1.0 - s), rel=1e-14, abs=0
     )
 
 
@@ -548,7 +590,7 @@ def test_adaptive_dominates_fixed_per_realization(baseline):
     # scheme's redundancy rate already delivers at least the fixed scheme's
     # conditional throughput; the adaptive optimum can only do better.
     re_star, rb_star = 1.2558717, 3.3999996
-    secrecy_factor = 1.0 - sop(baseline, re_star)
+    secrecy_factor = 1.0 - sop(baseline, re_star)[0]
     scale = baseline.nodes.gamma0 * channel.bob_link(baseline).pointing.a0
     rng = np.random.default_rng(np.random.Philox(7))
     caps = np.log2(1.0 + scale * montecarlo.sample_bob_irradiance(baseline, rng, 4000))

@@ -28,9 +28,9 @@ def test_every_traced_layer_function_resolves_to_a_callable():
 
 
 # Loads the tracer by path, installs it over the package, counts the calls of
-# the private surrogate kernel channel._surrogate_cdf by a patch, and runs two
+# the private kernel boundary channel._kernel by a patch, and runs two
 # closed-form optimize commands, one per scheme; prints the call count of
-# every layer and the kernel's.
+# every layer and the boundary's.
 _TRACED_OPTIMIZE = """
 import importlib.util, json, os, sys
 from fso_secrecy import channel, cli
@@ -39,13 +39,13 @@ tracer = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer)
 t = tracer.Tracer()
 t.install()
-kernel, kernel_calls = channel._surrogate_cdf, []
-channel._surrogate_cdf = lambda *a: kernel_calls.append(1) or kernel(*a)
+kernel, kernel_calls = channel._kernel, []
+channel._kernel = lambda *a: kernel_calls.append(1) or kernel(*a)
 fixed = ["--scheme", "fixed", "--sth", "0.2"]
 adaptive = ["--scheme", "adaptive", "--cb", "4", "--sth", "0.4"]
 for argv in (fixed, adaptive):
     assert cli.main(["optimize", *argv, "--out", os.devnull]) == 0
-print(json.dumps({"calls": t.calls, "surrogate_cdf": len(kernel_calls)}))
+print(json.dumps({"calls": t.calls, "kernel": len(kernel_calls)}))
 """
 
 
@@ -75,9 +75,10 @@ def test_the_tracer_sees_the_surrogate_layers_that_run(traced_optimize):
         assert calls[name] > 0, name
 
 
-def test_the_tracer_counts_every_surrogate_kernel_call(traced_optimize):
-    # The solvers' array calls, scans and grids included, reach the surrogate
-    # kernel only through the traced channel.ggp_cdf_approx.
-    kernel_calls = traced_optimize["surrogate_cdf"]
-    assert kernel_calls > 0
-    assert traced_optimize["calls"]["channel.ggp_cdf_approx"] == kernel_calls
+def test_the_tracer_counts_every_kernel_call(traced_optimize):
+    # Every kernel evaluation, exact or surrogate, the solvers' array calls,
+    # scans and grids included, passes the boundary under a traced name.
+    calls = traced_optimize["calls"]
+    kernels = ("channel.gg_cdf", "channel.ggp_cdf", "channel.ggp_cdf_approx")
+    assert all(calls[name] > 0 for name in kernels)
+    assert traced_optimize["kernel"] == sum(calls[name] for name in kernels)
