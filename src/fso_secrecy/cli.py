@@ -777,7 +777,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             raise ConfigError(f"out: {exc}") from exc
         return code
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except (ConvergenceError, ArithmeticError) as exc:

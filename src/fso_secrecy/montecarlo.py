@@ -42,11 +42,29 @@ the same gamma variates about 30 % faster.  Per-stream partial results are
 reduced in stream order with compensated summation, so a run is
 bit-identical for a fixed ``(seed, stream_count, trials)`` triple no matter
 how many worker threads evaluate the streams.
+
+Buffers: each estimator call allocates its working arrays once, one scratch
+set per worker thread (the caller's own at ``jobs`` 1), and every stream
+draws into slices of them.  A scratch row holds the longest stream,
+ceil(trials / stream_count) entries: 62,500 at the default 1e6 trials on 16
+streams, 0.5 MB as floats.  A thread's set is 2 float rows and 1 bool row
+in :func:`estimate_sop` (about 1.06 MB at that default), 4 and 1 in
+:func:`estimate_reliability_outages` (2.06 MB; its thinned beams draw into
+prefixes of two of them), and 2 and 2 in :func:`estimate_est` (1.13 MB),
+which also draws every stream's capacities and eavesdropper irradiances
+into its slice of two trial-length arrays that all threads share (16 MB),
+read again for each ceiling.  The samplers take the rows to fill as
+``work`` and draw with ``standard_gamma(..., out=)``, ``random(out=)`` and
+in-place operations: the same variates and operations in the same order as
+on fresh arrays, so the same bits.  A trial count whose buffers numpy
+cannot allocate raises a ``MemoryError`` that names ``trials``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -122,12 +140,49 @@ def _stream_rngs(sim: SimConfig, role: int) -> list[np.random.Generator]:
     return [seeded_generator(s) for s in child.spawn(sim.stream_count)]
 
 
-def _map_streams(fn: Callable[[int], object], count: int, jobs: int) -> list[object]:
-    """Evaluate ``fn`` over stream indices on ``jobs`` threads, in stream order."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(j) for j in range(count)]
+def _buffer(shape: int | tuple[int, ...], dtype: type = float) -> np.ndarray:
+    """``np.empty(shape, dtype)`` for an estimator's draws.  The trial count
+    sets the shape, so a shape numpy cannot allocate (``MemoryError``) or
+    cannot even form (``ValueError``) raises a ``MemoryError`` that names
+    ``trials``."""
+    try:
+        return np.empty(shape, dtype)
+    except (MemoryError, ValueError) as exc:
+        raise MemoryError(f"trials: too many to hold in memory ({exc})") from exc
+
+
+class _Workers:
+    """Per-stream work on ``jobs`` threads, results in stream order.
+
+    Each thread, the caller's own at ``jobs`` 1, works in one scratch set
+    of its own, made on its first stream and kept for every later map:
+    ``rows`` float rows and ``masks`` bool rows, ``size`` long each.
+    """
+
+    def __init__(self, jobs: int, size: int, rows: int, masks: int) -> None:
+        self._size, self._rows, self._masks = size, rows, masks
+        self._local = threading.local()
+        self._pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
+
+    def __enter__(self) -> _Workers:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def _run(self, fn: Callable, j: int) -> object:
+        local = self._local
+        if not hasattr(local, "scratch"):
+            size = self._size
+            local.scratch = _buffer((self._rows, size)), _buffer((self._masks, size), bool)
+        return fn(j, *local.scratch)
+
+    def map(self, fn: Callable[[int, np.ndarray, np.ndarray], object], count: int) -> list:
+        """``fn(j, rows, masks)`` for each stream index ``j < count``."""
+        if self._pool is None:
+            return [self._run(fn, j) for j in range(count)]
+        return list(self._pool.map(lambda j: self._run(fn, j), range(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +190,20 @@ def _map_streams(fn: Callable[[int], object], count: int, jobs: int) -> list[obj
 # ---------------------------------------------------------------------------
 
 
-def sample_eve_irradiance(sc: ScenarioConfig, rng: np.random.Generator, size: int) -> np.ndarray:
+def _rows(work: Sequence[np.ndarray] | None, count: int, size: int) -> list[np.ndarray]:
+    """The first ``size`` entries of each of ``work``'s first ``count`` rows,
+    or ``count`` fresh arrays when ``work`` is None."""
+    if work is None:
+        return [np.empty(size) for _ in range(count)]
+    return [work[i][:size] for i in range(count)]
+
+
+def sample_eve_irradiance(
+    sc: ScenarioConfig,
+    rng: np.random.Generator,
+    size: int,
+    work: Sequence[np.ndarray] | None = None,
+) -> np.ndarray:
     """Eavesdropper irradiance draws: collection loss x shared large-scale
     turbulence x aggregated small-scale turbulence.
 
@@ -143,41 +211,68 @@ def sample_eve_irradiance(sc: ScenarioConfig, rng: np.random.Generator, size: in
     apertures sit inside one coherence cell), one Gamma(n_e * beta) draw for
     the sum of the n_e small-scale factors and, with beam wander only, one
     uniform for the quantile transform of the collection loss on (0, 1].
+
+    ``work``, when given, is two float rows (a 2-D array, or a sequence of
+    1-D arrays) of at least ``size`` entries: the draws are formed in the
+    first ``size`` of row 0, which is returned, and row 1 is overwritten.
     """
     link = eve_link(sc)
     alpha = link.turb.alpha
     beta1 = link.turb.beta_single
-    x = rng.standard_gamma(alpha, size)
-    x *= rng.standard_gamma(sc.nodes.n_e * beta1, size)
+    x, tmp = _rows(work, 2, size)
+    rng.standard_gamma(alpha, size, out=x)
+    x *= rng.standard_gamma(sc.nodes.n_e * beta1, size, out=tmp)
     if sc.sigma_s != 0.0:
         xi = link.pointing.xi
-        x *= rng.random(size) ** (1.0 / (xi * xi))
+        rng.random(size, out=tmp)
+        tmp **= 1.0 / (xi * xi)
+        x *= tmp
     x /= alpha * beta1
     return x
 
 
-def _sample_beam(link: LinkParams, n_b: int, rng: np.random.Generator, size: int) -> np.ndarray:
+def _sample_beam(
+    link: LinkParams,
+    n_b: int,
+    rng: np.random.Generator,
+    size: int,
+    work: Sequence[np.ndarray] | None = None,
+) -> np.ndarray:
     """One transmit beam's irradiance draws at the legitimate receiver.
 
     Per trial: one Gamma(alpha) large-scale draw, shared by the receiver's
     apertures, and one Gamma(n_b * beta) draw for the sum of their
-    small-scale factors.  No beam-wander loss on the aligned link.
+    small-scale factors.  No beam-wander loss on the aligned link.  ``work``
+    is two rows, as in :func:`sample_eve_irradiance`.
     """
     alpha = link.turb.alpha
     beta1 = link.turb.beta_single
-    x = rng.standard_gamma(alpha, size)
-    x *= rng.standard_gamma(n_b * beta1, size)
+    x, tmp = _rows(work, 2, size)
+    rng.standard_gamma(alpha, size, out=x)
+    x *= rng.standard_gamma(n_b * beta1, size, out=tmp)
     x /= alpha * beta1
     return x
 
 
-def sample_bob_irradiance(sc: ScenarioConfig, rng: np.random.Generator, size: int) -> np.ndarray:
+def sample_bob_irradiance(
+    sc: ScenarioConfig,
+    rng: np.random.Generator,
+    size: int,
+    work: Sequence[np.ndarray] | None = None,
+) -> np.ndarray:
     """Legitimate-receiver irradiance draws under transmit selection: the
-    strongest of ``n_a`` independent beams, each drawn as in ``_sample_beam``."""
+    strongest of ``n_a`` independent beams, each drawn as in ``_sample_beam``.
+
+    ``work`` is as in :func:`sample_eve_irradiance`, with a third row when
+    ``n_a`` > 1: the draws are returned in row 0, and beams 2..n_a are drawn
+    in rows 1 and 2.
+    """
     link = bob_link(sc)
-    best = _sample_beam(link, sc.nodes.n_b, rng, size)
-    for _ in range(sc.nodes.n_a - 1):
-        np.maximum(best, _sample_beam(link, sc.nodes.n_b, rng, size), out=best)
+    n_a = sc.nodes.n_a
+    rows = _rows(work, 3 if n_a > 1 else 2, size)
+    best = _sample_beam(link, sc.nodes.n_b, rng, size, rows)
+    for _ in range(n_a - 1):
+        np.maximum(best, _sample_beam(link, sc.nodes.n_b, rng, size, rows[1:]), out=best)
     return best
 
 
@@ -213,11 +308,13 @@ def estimate_sop(
     sizes = sim.stream_sizes()
     thrs = rate_threshold(rates, sc.nodes.gamma0 * eve_link(sc).pointing.a0).tolist()
 
-    def one(j: int) -> list[int]:
-        draws = sample_eve_irradiance(sc, rngs[j], sizes[j])
-        return [int(np.count_nonzero(draws > thr)) for thr in thrs]
+    def one(j: int, rows: np.ndarray, masks: np.ndarray) -> list[int]:
+        draws = sample_eve_irradiance(sc, rngs[j], sizes[j], rows)
+        above = masks[0][: sizes[j]]
+        return [int(np.count_nonzero(np.greater(draws, thr, out=above))) for thr in thrs]
 
-    parts = _map_streams(one, sim.stream_count, jobs)
+    with _Workers(jobs, sizes[0], rows=2, masks=1) as workers:
+        parts = workers.map(one, sim.stream_count)
     estimates = [_binomial_estimate(hits, sim) for hits in zip(*parts)]
     return estimates[0] if np.ndim(r_e) == 0 else estimates
 
@@ -271,30 +368,36 @@ def estimate_reliability_outages(
     rngs = _stream_rngs(sim, _BOB_ROLE)
     sizes = sim.stream_sizes()
 
-    def one(j: int) -> list[int]:
+    def one(j: int, rows: np.ndarray, masks: np.ndarray) -> list[int]:
         rng = rngs[j]
         bits = rng.bit_generator
+        size = sizes[j]
+        large, first, quotient = rows[0][:size], rows[1][:size], rows[2][:size]
+        inside = masks[0]
         start = bits.state
         left_of = {}
         for alpha, shapes in tree.items():
             bits.state = start
-            large = rng.standard_gamma(alpha, sizes[j])
+            rng.standard_gamma(alpha, size, out=large)
             after_large = bits.state
             for shape, group in shapes.items():
                 bits.state = after_large
-                first = large * rng.standard_gamma(shape, sizes[j])
+                rng.standard_gamma(shape, size, out=first)
+                first *= large
                 after_first = bits.state
                 for key in group:
                     _, beta1, n_b, n_a, thr = key
                     bits.state = after_first
-                    left = int(np.count_nonzero(first / (alpha * beta1) <= thr))
+                    np.divide(first, alpha * beta1, out=quotient)
+                    left = int(np.count_nonzero(np.less_equal(quotient, thr, out=inside[:size])))
                     for _ in range(n_a - 1):
-                        beam = _sample_beam(links[key], n_b, rng, left)
-                        left = int(np.count_nonzero(beam <= thr))
+                        beam = _sample_beam(links[key], n_b, rng, left, rows[2:])
+                        left = int(np.count_nonzero(np.less_equal(beam, thr, out=inside[:left])))
                     left_of[key] = left
         return [left_of[key] for key in keys]
 
-    parts = _map_streams(one, sim.stream_count, jobs)
+    with _Workers(jobs, sizes[0], rows=4, masks=1) as workers:
+        parts = workers.map(one, sim.stream_count)
     return [_binomial_estimate(hits, sim) for hits in zip(*parts)]
 
 
@@ -424,43 +527,48 @@ def estimate_est(
     snr_b = sc.nodes.gamma0 * bob_link(sc).pointing.a0
     snr_e = sc.nodes.gamma0 * eve_link(sc).pointing.a0
 
-    def draw(j: int) -> tuple[np.ndarray, np.ndarray]:
-        # log2(1 + snr_b I), formed in place on the draw I.
-        cap = sample_bob_irradiance(sc, bob_rngs[j], sizes[j])
-        cap *= snr_b
-        cap += 1.0
-        np.log2(cap, out=cap)
-        i_e = sample_eve_irradiance(sc, eve_rngs[j], sizes[j])
-        return cap, i_e
+    # Stream j's trials are entries bounds[j]:bounds[j + 1] of both draws.
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    cap = _buffer(sim.trials)
+    i_e = _buffer(sim.trials)
 
-    drawn = _map_streams(draw, sim.stream_count, jobs)
-    cap_max = max(float(cap.max()) for cap, _ in drawn if cap.size)
-    table_c, table_r = _adaptive_redundancy_table(sc, cap_max)
+    def draw(j: int, rows: np.ndarray, masks: np.ndarray) -> None:
+        lo, hi = bounds[j], bounds[j + 1]
+        # log2(1 + snr_b I), formed in place on the draw I.
+        cap_j = sample_bob_irradiance(sc, bob_rngs[j], sizes[j], (cap[lo:hi], rows[0], rows[1]))
+        cap_j *= snr_b
+        cap_j += 1.0
+        np.log2(cap_j, out=cap_j)
+        sample_eve_irradiance(sc, eve_rngs[j], sizes[j], (i_e[lo:hi], rows[0]))
 
     def at_ceiling(r_th: float) -> Estimate:
         c_cut = _ceiling_cut(table_c, table_r, r_th)
         thr_th = rate_threshold(r_th, snr_e)
 
-        def reduce_one(j: int) -> tuple[float, float]:
-            cap, i_e = drawn[j]
+        def reduce_one(j: int, rows: np.ndarray, masks: np.ndarray) -> tuple[float, float]:
+            lo, hi = bounds[j], bounds[j + 1]
+            cap_j, i_e_j = cap[lo:hi], i_e[lo:hi]
+            kept, secure_th = masks[0][: hi - lo], masks[1][: hi - lo]
             # cap - r_th where the trial is reliable and secure at r_th, else
             # +0.0: a masked negative difference times 0 is -0.0, and adding
             # 0.0 makes it +0.0.  A trial with cap = inf reads NaN here, but
             # it lies in ``free``, which is overwritten below.
-            psi = cap - r_th
+            psi = np.subtract(cap_j, r_th, out=rows[0][: hi - lo])
+            np.less_equal(r_th, cap_j, out=kept)
+            kept &= np.less_equal(i_e_j, thr_th, out=secure_th)
             with np.errstate(invalid="ignore"):
-                psi *= (r_th <= cap) & (i_e <= thr_th)
+                psi *= kept
             psi += 0.0
-            free = np.flatnonzero(~(cap < c_cut))
-            c = cap[free]
+            free = np.flatnonzero(np.invert(np.less(cap_j, c_cut, out=kept), out=kept))
+            c = cap_j[free]
             r_e = np.maximum(np.interp(c, table_c, table_r), r_th)
-            secure = i_e[free] <= rate_threshold(r_e, snr_e)
+            secure = i_e_j[free] <= rate_threshold(r_e, snr_e)
             psi[free] = np.where((r_e <= c) & secure, c - r_e, 0.0)
             total = float(psi.sum())
             psi *= psi
             return total, float(psi.sum())
 
-        parts = _map_streams(reduce_one, sim.stream_count, jobs)
+        parts = workers.map(reduce_one, sim.stream_count)
         n = sim.trials
         total = math.fsum(p[0] for p in parts)
         total_sq = math.fsum(p[1] for p in parts)
@@ -469,6 +577,10 @@ def estimate_est(
         ci = 3.0 * math.sqrt(var / n)
         return Estimate(mean=mean, ci_halfwidth=ci, trials=n)
 
-    # Every ceiling's threshold rate from one batched solve.
-    estimates = [at_ceiling(r_th) for r_th in optimize.re_thresholds([(sc, c) for c in ceilings])]
+    with _Workers(jobs, sizes[0], rows=2, masks=2) as workers:
+        workers.map(draw, sim.stream_count)
+        table_c, table_r = _adaptive_redundancy_table(sc, float(cap.max()))
+        # Every ceiling's threshold rate from one batched solve.
+        r_ths = optimize.re_thresholds([(sc, c) for c in ceilings])
+        estimates = [at_ceiling(r_th) for r_th in r_ths]
     return estimates[0] if np.ndim(s_th) == 0 else estimates

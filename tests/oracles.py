@@ -236,63 +236,60 @@ def sample_bob_per_aperture(sc, rng: np.random.Generator, size: int) -> np.ndarr
     return np.max(beams, axis=0)
 
 
-def _adaptive_draws(sc, sim, jobs):
-    """The package's per-stream draws (capacity, Eve's irradiance), its
-    redundancy table over them, and Eve's SNR scale."""
+def _adaptive_draws(sc, sim):
+    """The package's per-stream draws (capacity, Eve's irradiance), each
+    stream on fresh sampler arrays, its redundancy table over them, and
+    Eve's SNR scale."""
     eve_rngs = montecarlo._stream_rngs(sim, montecarlo._EVE_ROLE)
     bob_rngs = montecarlo._stream_rngs(sim, montecarlo._BOB_ROLE)
-    sizes = sim.stream_sizes()
     snr_b = sc.nodes.gamma0 * channel.bob_link(sc).pointing.a0
     snr_e = sc.nodes.gamma0 * channel.eve_link(sc).pointing.a0
-
-    def draw(j: int):
-        cap = np.log2(1.0 + snr_b * montecarlo.sample_bob_irradiance(sc, bob_rngs[j], sizes[j]))
-        return cap, montecarlo.sample_eve_irradiance(sc, eve_rngs[j], sizes[j])
-
-    drawn = montecarlo._map_streams(draw, sim.stream_count, jobs)
+    drawn = []
+    for bob_rng, eve_rng, size in zip(bob_rngs, eve_rngs, sim.stream_sizes()):
+        cap = np.log2(1.0 + snr_b * montecarlo.sample_bob_irradiance(sc, bob_rng, size))
+        drawn.append((cap, montecarlo.sample_eve_irradiance(sc, eve_rng, size)))
     cap_max = max(float(cap.max()) for cap, _ in drawn if cap.size)
     table_c, table_r = montecarlo._adaptive_redundancy_table(sc, cap_max)
     return drawn, table_c, table_r, snr_e
 
 
-def _capacity_average(reduce_one, sim, jobs):
-    """The estimate of the per-stream (sum, sum of squares) of ``reduce_one``."""
-    parts = montecarlo._map_streams(reduce_one, sim.stream_count, jobs)
+def _capacity_average(reduce_one, drawn, sim):
+    """The estimate of the per-stream (sum, sum of squares) of
+    ``reduce_one(cap, i_e)`` over the streams ``drawn``, in stream order."""
+    parts = [reduce_one(cap, i_e) for cap, i_e in drawn]
     n = sim.trials
     mean = math.fsum(p[0] for p in parts) / n
     var = max(math.fsum(p[1] for p in parts) / n - mean * mean, 0.0)
     return montecarlo.Estimate(mean=mean, ci_halfwidth=3.0 * math.sqrt(var / n), trials=n)
 
 
-def est_adaptive_full_interp(sc, s_th: float, sim, jobs: int | None = 1):
+def est_adaptive_full_interp(sc, s_th: float, sim):
     """``estimate_est(sc, s_th, sim)`` with the redundancy
     rate of every trial taken as ``max(np.interp(cap, table_c, table_r),
     r_th)``, as a straight transcription of the per-realization rule."""
-    drawn, table_c, table_r, snr_e = _adaptive_draws(sc, sim, jobs)
+    drawn, table_c, table_r, snr_e = _adaptive_draws(sc, sim)
     r_th = optimize.re_threshold(sc, s_th)
 
-    def reduce_one(j: int):
-        cap, i_e = drawn[j]
+    def reduce_one(cap, i_e):
         r_e = np.maximum(np.interp(cap, table_c, table_r), r_th)
         secure = i_e <= (np.exp2(r_e) - 1.0) / snr_e
         psi = np.where((r_e <= cap) & secure, cap - r_e, 0.0)
         return float(psi.sum()), float((psi * psi).sum())
 
-    return _capacity_average(reduce_one, sim, jobs)
+    return _capacity_average(reduce_one, drawn, sim)
 
 
-def est_adaptive_cut_select(sc, s_th: float, sim, jobs: int | None = 1):
+def est_adaptive_cut_select(sc, s_th: float, sim):
     """``estimate_est(sc, s_th, sim)`` with every trial first given
     cap - r_th where it is reliable and secure at the threshold rate r_th,
     else 0, by one full-length ``np.where`` select; the trials at or above
     ``montecarlo._ceiling_cut`` then take their interpolated rate."""
-    drawn, table_c, table_r, snr_e = _adaptive_draws(sc, sim, jobs)
+    drawn, table_c, table_r, snr_e = _adaptive_draws(sc, sim)
     r_th = optimize.re_threshold(sc, s_th)
     c_cut = montecarlo._ceiling_cut(table_c, table_r, r_th)
     thr_th = montecarlo.rate_threshold(r_th, snr_e)
 
-    def reduce_one(j: int):
-        cap, i_e = drawn[j]
+    def reduce_one(cap, i_e):
         psi = np.where((r_th <= cap) & (i_e <= thr_th), cap - r_th, 0.0)
         free = np.flatnonzero(~(cap < c_cut))
         c = cap[free]
@@ -301,7 +298,7 @@ def est_adaptive_cut_select(sc, s_th: float, sim, jobs: int | None = 1):
         psi[free] = np.where((r_e <= c) & secure, c - r_e, 0.0)
         return float(psi.sum()), float((psi * psi).sum())
 
-    return _capacity_average(reduce_one, sim, jobs)
+    return _capacity_average(reduce_one, drawn, sim)
 
 
 def bessel_k_quad(nu: float, x: float) -> float:

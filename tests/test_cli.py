@@ -148,6 +148,39 @@ def test_flag_validation_exits_1(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {flag[2:]}: must be at least 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate"],
+        ["validate", "--jobs", "2"],
+        ["optimize", "--scheme", "adaptive"],
+        ["sweep", "--axis", "r_e", "--min", "1", "--max", "2", "--steps", "2", "--mc"],
+    ],
+)
+def test_trials_past_numpy_array_sizes_exit_1_with_one_line(tmp_path, capsys, argv):
+    # 1e20 trials: numpy refuses the estimator's buffers before allocating
+    # anything ("array is too big" or "Maximum allowed dimension exceeded").
+    code, _ = run_cli(tmp_path, *argv, "--trials", str(10**20))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trials: too many to hold in memory (")
+    assert err.count("\n") == 1
+
+
+def test_trials_whose_buffers_fail_to_allocate_exit_1_with_one_line(tmp_path, capsys, monkeypatch):
+    # The failure a count too large for the host's memory meets, without
+    # asking the host for that memory.
+    def refuse(shape, dtype=float):
+        raise MemoryError(f"Unable to allocate 4.55 TiB for an array with shape {shape}")
+
+    monkeypatch.setattr(montecarlo.np, "empty", refuse)
+    code, _ = run_cli(tmp_path, "validate", "--trials", "20000")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trials: too many to hold in memory (Unable to allocate 4.55 TiB")
+    assert err.count("\n") == 1
+
+
 # Each subcommand's flags besides --help, as its handler reads them.
 _SUBCOMMAND_FLAGS = {
     "params": {"config", "out"},

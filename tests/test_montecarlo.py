@@ -6,6 +6,7 @@ Sample sizes are kept at 1e5-2e5 so the whole module stays fast; the full
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -120,6 +121,115 @@ def test_seed_changes_results(baseline):
     base = estimate_sop(baseline, 2.0, SimConfig(trials=50_000, seed=0))
     other = estimate_sop(baseline, 2.0, SimConfig(trials=50_000, seed=1))
     assert base.mean != other.mean
+
+
+# ---------------------------------------------------------------------------
+# scratch buffers
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [baseline_scenario(), baseline_scenario(sigma_s=0.0), baseline_scenario(n_a=3, n_b=2)],
+    ids=["beam-wander", "pointing-free", "three-beams"],
+)
+def test_samplers_draw_the_same_bits_into_a_caller_buffer(sc):
+    work = np.full((3, 1_500), np.nan)
+    for sampler in (sample_eve_irradiance, sample_bob_irradiance):
+        fresh = sampler(sc, _rng(5), 1_000)
+        into = sampler(sc, _rng(5), 1_000, work)
+        assert into.base is work and np.shares_memory(into, work[0, :1_000])
+        assert into.tobytes() == fresh.tobytes()
+    # rows given as a sequence of arrays: the draws land in the first
+    into = sample_eve_irradiance(sc, _rng(5), 1_000, (work[2], work[1]))
+    assert np.shares_memory(into, work[2, :1_000])
+    assert into.tobytes() == sample_eve_irradiance(sc, _rng(5), 1_000).tobytes()
+
+
+def _record_work(monkeypatch):
+    """Wrap the two samplers and the beam sampler the thinned estimator
+    calls; each call appends (name, the rows of the ``work`` it was given)."""
+    seen = []
+    for name in ("sample_eve_irradiance", "sample_bob_irradiance", "_sample_beam"):
+        real = getattr(montecarlo, name)
+
+        def wrapped(*args, _real=real, _name=name):
+            seen.append((_name, list(args[-1])))
+            return _real(*args)
+
+        monkeypatch.setattr(montecarlo, name, wrapped)
+    return seen
+
+
+def _bases(rows):
+    return {id(r.base) for r in rows}
+
+
+@pytest.mark.parametrize("jobs, most", [(1, 1), (2, 2)])
+def test_streams_draw_into_one_scratch_set_per_thread(monkeypatch, jobs, most):
+    # 16 streams: at --jobs 1 every stream draws into the one scratch set,
+    # and with two threads into at most two.
+    seen = _record_work(monkeypatch)
+    sc = baseline_scenario(n_a=3, n_b=2, n_e=2)
+    sim = SimConfig(trials=16_000, seed=5, stream_count=16)
+
+    def calls(name):
+        return [work for n, work in seen if n == name]
+
+    def assert_shared(works):
+        assert len(_bases(r for work in works for r in work)) <= most
+        if jobs == 1:
+            for position in zip(*works):
+                assert all(np.shares_memory(r, position[0]) for r in position)
+
+    estimate_sop(sc, [1.0, 2.0], sim, jobs=jobs)
+    works = calls("sample_eve_irradiance")
+    assert len(works) == 16
+    assert_shared(works)
+
+    # beams 2 and 3 are drawn for the trials still in outage: thinned slices
+    seen.clear()
+    estimate_reliability_outage(sc, 3.4, sim, jobs=jobs)
+    works = calls("_sample_beam")
+    assert len(works) == 2 * 16
+    assert_shared(works)
+
+    # the draws themselves land in two trial-length arrays, one stream's
+    # slice after another; only the samplers' other rows are scratch
+    seen.clear()
+    estimate_est(sc, [0.2, 0.4], sim, jobs=jobs)
+    for name in ("sample_bob_irradiance", "sample_eve_irradiance"):
+        works = calls(name)
+        assert len(works) == 16
+        assert_shared([work[1:] for work in works])
+        drawn = [work[0] for work in works]
+        assert len(_bases(drawn)) == 1 and drawn[0].base.size == sim.trials
+        assert sum(r.size for r in drawn) == sim.trials
+        assert not any(np.shares_memory(a, b) for a, b in zip(drawn, drawn[1:]))
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 8])
+def test_uneven_streams_give_equal_estimates_on_any_thread_count(jobs):
+    # 20,003 trials on 7 streams: streams of 2,858 and 2,857 trials share
+    # one scratch set per thread, the thinned beams slices of it.  A switch
+    # interval of 1 us interleaves the threads as often as it can, so a
+    # scratch row two streams in flight shared would move a count.
+    sim = SimConfig(trials=20_003, seed=17, stream_count=7)
+    sc = baseline_scenario(n_a=3, n_b=2, n_e=2)
+    cases = [(sc, 3.4), (baseline_scenario(n_a=4, n_b=1), 2.5), (baseline_scenario(), 0.0)]
+    runs = (
+        lambda j: estimate_sop(sc, [0.5, 1.0, 2.0], sim, jobs=j),
+        lambda j: montecarlo.estimate_reliability_outages(cases, sim, jobs=j),
+        lambda j: estimate_est(sc, [0.2, 0.4, 1.0], sim, jobs=j),
+    )
+    serial = [run(1) for run in runs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = [run(jobs) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +432,15 @@ def test_thinned_reliability_outage_matches_selected_beam_draws(n_a, n_b, r_b):
 
 class _CountingRng:
     """A generator that adds the size of every ``standard_gamma`` call to a
-    shared tally and passes everything else through."""
+    shared tally and passes everything else through, ``out`` included."""
 
     def __init__(self, rng, tally):
         self._rng = rng
         self._tally = tally
 
-    def standard_gamma(self, shape, size):
+    def standard_gamma(self, shape, size, out=None):
         self._tally[0] += size
-        return self._rng.standard_gamma(shape, size)
+        return self._rng.standard_gamma(shape, size, out=out)
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
@@ -588,7 +698,7 @@ def test_estimate_est_adaptive_pinned_rate_mode_gates_at_the_ceiling(baseline):
 
 def _assert_matches_full_interpolation(sc, s_th, sim, jobs=1):
     got = estimate_est(sc, s_th, sim, jobs=jobs)
-    want = oracles.est_adaptive_full_interp(sc, s_th, sim, jobs=jobs)
+    want = oracles.est_adaptive_full_interp(sc, s_th, sim)
     assert (got.mean, got.ci_halfwidth, got.trials) == (want.mean, want.ci_halfwidth, want.trials)
     return got
 
