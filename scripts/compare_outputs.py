@@ -10,10 +10,12 @@ script runs:
 - the 37 ``optimize`` commands of the benchmark's ``optimize_batch``
   workload, as listed by ``bench/workloads.py``, with the program seed of
   the benchmark's pass 7 at seed 7 (7007) for the MC-averaged run;
-- three more MC-averaged adaptive ``optimize`` runs on the same scenario and
+- four more MC-averaged adaptive ``optimize`` runs on the same scenario and
   seed: at ``--sth 0.2``, at ``--sth 1.0`` (threshold rate 0, so the
-  estimator's ceiling cut is empty), and at ``--sth 0.4`` with 100 streams
-  of 1,000 trials, shorter than the 2,048-row redundancy table;
+  estimator's ceiling cut is empty), at ``--sth 0.4`` with 100 streams
+  of 1,000 trials, shorter than the 2,048-row redundancy table, and at
+  ``--sth 0.4`` with 40 trials on 100 streams at ``--jobs 2``, where 60
+  streams hold no trial;
 - two closed-form ``optimize`` runs on weak links, whose rates lie far
   below 1 bpcu: ``--scheme fixed`` at gamma0 0.1 and ``--scheme adaptive
   --cb 4`` at gamma0 1e-3;
@@ -79,7 +81,9 @@ script runs:
 - ``validate --trials 1000000 --seed 7`` at ``--jobs 1`` and ``--jobs 4``;
 - ``validate --trials 1000003 --stream-count 7 --seed 7`` at ``--jobs 1``
   and ``--jobs 4``, whose streams are of uneven size (142,858 and 142,857
-  trials).
+  trials);
+- ``validate --trials 50 --stream-count 64 --seed 7``, where 14 streams
+  hold no trial.
 
 The exit code of every CLI run is compared too (``exit_codes.json``), so a
 ``validate`` check that fails (exit 3) or a solver error (exit 2) on one
@@ -118,11 +122,13 @@ import workloads  # noqa: E402
 
 PROGRAM_SEED = workloads.pass_seed(7, 7)
 
-# (output name, ceiling, trials, stream count) of the extra MC-averaged runs.
+# (output name, ceiling, trials, stream count, jobs) of the extra MC-averaged
+# runs.
 EXTRA_MC_RUNS = (
-    ("opt_mc_sth0.2.json", "0.2", workloads.MC_TRIALS, "16"),
-    ("opt_mc_sth1.0.json", "1.0", workloads.MC_TRIALS, "16"),
-    ("opt_mc_streams100.json", workloads.OPT_MC_STH, "100000", "100"),
+    ("opt_mc_sth0.2.json", "0.2", workloads.MC_TRIALS, "16", "1"),
+    ("opt_mc_sth1.0.json", "1.0", workloads.MC_TRIALS, "16", "1"),
+    ("opt_mc_streams100.json", workloads.OPT_MC_STH, "100000", "100", "1"),
+    ("opt_mc_streams_past_trials.json", workloads.OPT_MC_STH, "40", "100", "2"),
 )
 
 # The solver paths of the optimize runs at sigma_s 0.5 and 0.
@@ -221,9 +227,14 @@ MC_RATE_SWEEPS = (
       "--scheme", "fixed"]),
 )
 
-# (output name tag, trials, stream count) of the validate runs; 1,000,003
-# trials over 7 streams gives streams of uneven size.
-VALIDATE_RUNS = (("", "1000000", "16"), ("_streams7", "1000003", "7"))
+# (output name tag, trials, stream count, jobs of each run) of the validate
+# runs; 1,000,003 trials over 7 streams gives streams of uneven size, and 50
+# trials over 64 streams leaves 14 streams empty.
+VALIDATE_RUNS = (
+    ("", "1000000", "16", ("1", "4")),
+    ("_streams7", "1000003", "7", ("1", "4")),
+    ("_streams64", "50", "64", ("1",)),
+)
 
 # Runs (output name, CLI argv) pairs in one interpreter, as the benchmark
 # does, and writes each exit code to the file sys.argv[2].  Exits 2 (a solver
@@ -255,11 +266,11 @@ def produce(src: Path, outdir: Path) -> None:
     workloads.write_configs(outdir)
     ops = workloads.optimize_ops(outdir, PROGRAM_SEED)
     mc_config = str(workloads.config_path(outdir, workloads.OPT_MC_N))
-    for name, sth, trials, streams in EXTRA_MC_RUNS:
+    for name, sth, trials, streams, jobs in EXTRA_MC_RUNS:
         ops.append(
             (name, ["optimize", "--config", mc_config, "--scheme", "adaptive", "--sth", sth,
                     "--trials", trials, "--stream-count", streams, "--seed", str(PROGRAM_SEED),
-                    "--jobs", "1", "--out", str(outdir / name)])
+                    "--jobs", jobs, "--out", str(outdir / name)])
         )
     for name, doc, scheme in CONFIG_RUNS:
         cfg = outdir / f"config_{name}"
@@ -288,8 +299,8 @@ def produce(src: Path, outdir: Path) -> None:
             (name, ["sweep", *axis, "--mc", "--trials", "20000", "--seed", str(PROGRAM_SEED),
                     "--out", str(outdir / name)])
         )
-    for tag, trials, streams in VALIDATE_RUNS:
-        for jobs in ("1", "4"):
+    for tag, trials, streams, jobs_runs in VALIDATE_RUNS:
+        for jobs in jobs_runs:
             name = f"validate{tag}_jobs{jobs}.txt"
             ops.append(
                 (name, ["validate", "--trials", trials, "--stream-count", streams, "--seed", "7",

@@ -41,7 +41,11 @@ than the counter-based Philox: the streams never jump ahead, and SFC64 gives
 the same gamma variates about 30 % faster.  Per-stream partial results are
 reduced in stream order with compensated summation, so a run is
 bit-identical for a fixed ``(seed, stream_count, trials)`` triple no matter
-how many worker threads evaluate the streams.
+how many worker threads evaluate the streams.  Streams past the trial count
+hold no trial and are not spawned: child ``j`` has the same spawn key
+however many are spawned, so every stream that holds trials keeps its
+generator, and a stream count above the trial count gives the bits of a
+stream count equal to it.
 
 Buffers: each estimator call allocates its working arrays once, one scratch
 set per worker thread (the caller's own at ``jobs`` 1), and every stream
@@ -110,9 +114,11 @@ class SimConfig:
             raise ValueError("seed must be non-negative")
 
     def stream_sizes(self) -> list[int]:
-        """Trials handled by each stream under the ``t mod stream_count`` split."""
+        """Trials handled by each stream under the ``t mod stream_count``
+        split, for the first min(stream_count, trials) streams: the rest
+        hold no trial."""
         base, extra = divmod(self.trials, self.stream_count)
-        return [base + (1 if j < extra else 0) for j in range(self.stream_count)]
+        return [base + (1 if j < extra else 0) for j in range(min(self.stream_count, self.trials))]
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,7 @@ def seeded_generator(seed: np.random.SeedSequence) -> np.random.Generator:
 def _stream_rngs(sim: SimConfig, role: int) -> list[np.random.Generator]:
     root = np.random.SeedSequence(sim.seed)
     child = root.spawn(2)[role]
-    return [seeded_generator(s) for s in child.spawn(sim.stream_count)]
+    return [seeded_generator(s) for s in child.spawn(len(sim.stream_sizes()))]
 
 
 def _buffer(shape: int | tuple[int, ...], dtype: type = float) -> np.ndarray:
@@ -314,7 +320,7 @@ def estimate_sop(
         return [int(np.count_nonzero(np.greater(draws, thr, out=above))) for thr in thrs]
 
     with _Workers(jobs, sizes[0], rows=2, masks=1) as workers:
-        parts = workers.map(one, sim.stream_count)
+        parts = workers.map(one, len(sizes))
     estimates = [_binomial_estimate(hits, sim) for hits in zip(*parts)]
     return estimates[0] if np.ndim(r_e) == 0 else estimates
 
@@ -397,7 +403,7 @@ def estimate_reliability_outages(
         return [left_of[key] for key in keys]
 
     with _Workers(jobs, sizes[0], rows=4, masks=1) as workers:
-        parts = workers.map(one, sim.stream_count)
+        parts = workers.map(one, len(sizes))
     return [_binomial_estimate(hits, sim) for hits in zip(*parts)]
 
 
@@ -568,7 +574,7 @@ def estimate_est(
             psi *= psi
             return total, float(psi.sum())
 
-        parts = workers.map(reduce_one, sim.stream_count)
+        parts = workers.map(reduce_one, len(sizes))
         n = sim.trials
         total = math.fsum(p[0] for p in parts)
         total_sq = math.fsum(p[1] for p in parts)
@@ -578,7 +584,7 @@ def estimate_est(
         return Estimate(mean=mean, ci_halfwidth=ci, trials=n)
 
     with _Workers(jobs, sizes[0], rows=2, masks=2) as workers:
-        workers.map(draw, sim.stream_count)
+        workers.map(draw, len(sizes))
         table_c, table_r = _adaptive_redundancy_table(sc, float(cap.max()))
         # Every ceiling's threshold rate from one batched solve.
         r_ths = optimize.re_thresholds([(sc, c) for c in ceilings])

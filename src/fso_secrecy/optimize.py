@@ -63,9 +63,8 @@ and ``fixed_constrained_rbs`` raise the error of their first failing
 problem, in the order given; the two optima batches put each failing
 row's error in its place, so a caller can report the rows before it.
 :func:`fixed_optima` solves the codeword rates of all its rows under a
-binding ceiling in one memoized batch; each row then reads its rate back
-through its own :func:`fixed_constrained_rb` call, so a per-function
-profile still counts that solve by name.
+binding ceiling in one memoized batch and hands each row the result of its
+own key, so a failing codeword-rate solve is made once.
 
 All solvers evaluate and report on the gamma-surrogate surface they are
 derived on, :func:`fso_secrecy.secrecy.est_from_outages` of the surrogate
@@ -888,29 +887,20 @@ def fixed_optima(rows) -> list[Optimum]:
     """:func:`fixed_optimal` at each (scenario, ceiling) of ``rows``, in
     order, or in a row's place the error its one-row call raises.  The pairs
     and thresholds the memo lacks are solved in one batch, then the codeword
-    rates of the rows whose ceiling binds in another.  Each binding row
-    reads its rate back through :func:`fixed_constrained_rb`, a memo hit
-    unless its solve raised, and the binding rows' stencils share one call
-    per curve and link.
-    A longer list is taken in slices of as many rows as the memo keeps
-    results, so no rate is dropped before its row reads it."""
+    rates of the rows whose ceiling binds in another, each row handed the
+    result of its own key, and the binding rows' stencils share one call
+    per curve and link."""
     rows = list(rows)
-    if len(rows) > _MEMO.size:
-        step = _MEMO.size
-        return [o for k in range(0, len(rows), step) for o in fixed_optima(rows[k : k + step])]
     solved = _MEMO.solve(
         [(_fixed_unconstrained_pair, (sc,)) for sc, _ in rows]
         + [(_re_threshold, (sc, s_th)) for sc, s_th in rows]
     )
     pairs, thresholds = solved[: len(rows)], solved[len(rows) :]
-    _MEMO.solve(
-        [
-            (_fixed_constrained_rb, (sc, re_t))
-            for (sc, _), pair, re_t in zip(rows, pairs, thresholds)
-            if _binds(pair, re_t)
-        ]
-    )
-    return _drive(list(map(_fixed_optimum, rows, pairs, thresholds)))
+    binds = list(map(_binds, pairs, thresholds))
+    keys = [(sc, re_t) for (sc, _), re_t, bound in zip(rows, thresholds, binds) if bound]
+    solved_rbs = iter(_MEMO.solve([(_fixed_constrained_rb, key) for key in keys]))
+    codeword_rates = [next(solved_rbs) if bound else None for bound in binds]
+    return _drive(list(map(_fixed_optimum, rows, pairs, thresholds, codeword_rates)))
 
 
 def _binds(pair, re_t) -> bool:
@@ -921,15 +911,16 @@ def _binds(pair, re_t) -> bool:
     return not pair.rates.r_e >= re_t
 
 
-def _fixed_optimum(row, pair, threshold):
-    """The walk of one row of :func:`fixed_optima`, from its solved pair and
-    threshold (either may be the error it raised)."""
+def _fixed_optimum(row, pair, threshold, codeword_rate):
+    """The walk of one row of :func:`fixed_optima`, from its solved pair,
+    threshold and, where the ceiling binds, codeword rate, None elsewhere
+    (each may be the error it raised)."""
     sc, s_th = row
     constraint = SecrecyConstraint(s_th)
     pair, re_t = _values([pair, threshold])
-    if not _binds(pair, re_t):
+    if codeword_rate is None:
         return pair
-    rb, method = fixed_constrained_rb(sc, re_t)
+    ((rb, method),) = _values([codeword_rate])
     bob = bob_link(sc)
     u = rate_scale(bob)
     rbs = np.array([rb - 1e-4 * u, rb, rb + 1e-4 * u])

@@ -327,9 +327,8 @@ def test_sweep_prints_the_rows_before_a_row_the_solver_fails(
 def test_sweep_prints_the_rows_before_a_failing_codeword_rate(capsys, monkeypatch):
     # The fixed optima solve their binding rows' codeword rates as one
     # batch; at --sth 0.4 all four rows bind.  Where the third row's solve
-    # fails, it is not stored: the row's own fixed_constrained_rb call solves
-    # it alone and raises the same error, so the rows before it reach
-    # stdout, then the error.
+    # fails, the batch hands that row its error, which the row raises, so
+    # the rows before it reach stdout, then the error.
     argv = ["sweep", "--axis", "n", "--min", "1", "--scheme", "fixed", "--sth", "0.4"]
     assert cli.main([*argv, "--max", "2", "--steps", "2"]) == 0
     valid = capsys.readouterr().out
@@ -350,10 +349,10 @@ def test_sweep_prints_the_rows_before_a_failing_codeword_rate(capsys, monkeypatc
     out, err = capsys.readouterr()
     assert out == valid
     assert err == "solver error: no codeword rate in this row\n"
-    # The batch solves each row's key; only the failing one is solved again.
+    # The batch solves each row's key once, the failing one included.
     keys = list(dict.fromkeys(seen))
     assert [sc.nodes.n_a for sc, _ in keys] == [1, 2, 3, 4]
-    assert seen == [*keys, keys[2]]
+    assert seen == keys
 
 
 def test_optimum_sweep_writes_each_run_before_the_next_is_drawn(monkeypatch):
@@ -1674,6 +1673,22 @@ def test_validate_low_power_is_inconclusive_not_failed(tmp_path):
     assert code == 0
     assert "FAIL" not in text
     assert "INCONCLUSIVE" in text
+
+
+def test_validate_with_more_streams_than_trials_reports_as_many_streams_as_trials(tmp_path):
+    # Only the first 100 of the 1e20 streams hold a trial, and only they are
+    # spawned: the report is the one of 100 streams but for its header.
+    code, text = run_cli(
+        tmp_path, "validate", "--trials", "100", "--stream-count", str(10**20), name="huge.txt"
+    )
+    assert code == 0
+    code_100, text_100 = run_cli(
+        tmp_path, "validate", "--trials", "100", "--stream-count", "100", name="equal.txt"
+    )
+    assert code_100 == 0
+    lines, lines_100 = text.splitlines(), text_100.splitlines()
+    assert lines[1] == f"trials=100 seed=0 streams={10**20} generator=SFC64"
+    assert lines[0] == lines_100[0] and lines[2:] == lines_100[2:]
 
 
 @pytest.mark.parametrize(

@@ -58,6 +58,8 @@ def test_sim_config_validation():
     sim = SimConfig(trials=10, stream_count=4)
     assert sim.stream_sizes() == [3, 3, 2, 2]
     assert sum(SimConfig(trials=1_000_003, stream_count=16).stream_sizes()) == 1_000_003
+    # Streams past the trial count hold no trial and are not listed.
+    assert SimConfig(trials=3, stream_count=1_000).stream_sizes() == [1, 1, 1]
     with pytest.raises(ValueError):
         SimConfig(trials=0)
     with pytest.raises(ValueError):
@@ -115,6 +117,55 @@ def test_stream_generators_are_sfc64_seeded_by_spawned_children(role):
     for rng, child in zip(rngs, children):
         assert type(rng.bit_generator) is np.random.SFC64
         np.testing.assert_equal(rng.bit_generator.state, np.random.SFC64(child).state)
+
+
+@pytest.mark.parametrize("role", [montecarlo._EVE_ROLE, montecarlo._BOB_ROLE])
+def test_only_the_streams_that_hold_trials_are_spawned(role):
+    # Spawning all 1e20 streams would overflow the spawn.  Child j's key
+    # does not depend on how many children are spawned, so the streams that
+    # hold trials keep their generators.
+    sim = SimConfig(trials=3, seed=12345, stream_count=10**20)
+    rngs = montecarlo._stream_rngs(sim, role)
+    children = np.random.SeedSequence(sim.seed).spawn(2)[role].spawn(5)
+    assert len(rngs) == sim.trials
+    for rng, child in zip(rngs, children):
+        np.testing.assert_equal(rng.bit_generator.state, np.random.SFC64(child).state)
+
+
+def test_estimators_make_at_most_one_generator_per_trial_and_role(baseline, monkeypatch):
+    made = []
+    generator = montecarlo.seeded_generator
+    monkeypatch.setattr(
+        montecarlo, "seeded_generator", lambda seed: made.append(seed) or generator(seed)
+    )
+    sim = SimConfig(trials=30, seed=3, stream_count=10_000)
+    estimate_sop(baseline, 2.0, sim)
+    assert len(made) == sim.trials
+    made.clear()
+    estimate_reliability_outage(baseline, 3.4, sim)
+    assert len(made) == sim.trials
+    made.clear()
+    estimate_est(baseline, 0.4, sim)
+    assert len(made) == 2 * sim.trials
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_streams_past_the_trial_count_leave_every_estimate_unchanged(baseline, jobs):
+    # Streams past the trial count hold no trial, so a run with more streams
+    # than trials gives the estimates, field for field, of a run with as many
+    # streams as trials.
+    cases = [(baseline, 3.0), (baseline_scenario(n_a=3, n_b=2), 3.4)]
+    estimates = []
+    for stream_count in (200, 201, 10_000):
+        sim = SimConfig(trials=200, seed=11, stream_count=stream_count)
+        estimates.append(
+            (
+                estimate_sop(baseline, [0.5, 2.0, 4.0], sim, jobs=jobs),
+                montecarlo.estimate_reliability_outages(cases, sim, jobs=jobs),
+                estimate_est(baseline, [0.2, 0.4, 1.0], sim, jobs=jobs),
+            )
+        )
+    assert estimates[1] == estimates[0] and estimates[2] == estimates[0]
 
 
 def test_seed_changes_results(baseline):

@@ -840,21 +840,22 @@ def _figure_ceilings():
 
 def test_fixed_optima_solve_the_binding_codeword_rates_in_one_memoized_batch(baseline):
     # Every binding row's codeword rate is solved in one batch, each distinct
-    # key once; each row's own fixed_constrained_rb call then hits the memo,
-    # and each rate keeps the bits of a solve alone from an empty memo.
+    # key once, and handed to its row without another memo lookup; each rate
+    # keeps the bits of a solve alone from an empty memo.
     optima = optimize.fixed_optima([(baseline, s_th) for s_th in _figure_ceilings()])
     binding = [o for o in optima if o.constraint_active]
     keys = [(baseline, o.rates.r_e) for o in binding]
     assert 0 < len(binding) < len(optima)
     assert optimize._MEMO.misses["_fixed_constrained_rb"] == len(set(keys)) == len(keys)
-    assert optimize._MEMO.hits["_fixed_constrained_rb"] == len(binding)
+    assert optimize._MEMO.hits["_fixed_constrained_rb"] == 0
     got = [repr((o.rates.r_b, o.method)) for o in binding]
     assert got == _alone(fixed_constrained_rb, keys)
 
 
 def test_fixed_optima_longer_than_the_memo_solve_each_binding_rate_once(baseline, monkeypatch):
-    # A batch of more binding rows than the memo keeps is taken in slices of
-    # the memo's size, so no row's rate is dropped before the row reads it.
+    # A batch of more binding rows than the memo keeps is taken whole, with
+    # no slicing: each row is handed its rate from the batch, so the memo's
+    # size drops no rate a row needs.
     monkeypatch.setattr(optimize._MEMO, "size", 4)
     rows = [(baseline, s_th) for s_th in _figure_ceilings()[:10]]
     got = optimize.fixed_optima(rows)

@@ -70,7 +70,8 @@ def test_the_tracer_sees_the_surrogate_layers_that_run(traced_optimize):
         "channel.ggp_cdf_approx",
         "secrecy.sop_approx",
         "secrecy.reliability_outage_approx",
-        "optimize.fixed_constrained_rb",
+        "optimize.fixed_optimal",
+        "optimize.adaptive_optimal",
     ):
         assert calls[name] > 0, name
 
