@@ -52,6 +52,9 @@ script runs:
   its six array sizes, each for ``--scheme fixed`` and ``--scheme
   adaptive`` (``--cb 4``) with the same program seed, so the optimum rows
   of both axes, Monte-Carlo column included, are compared byte for byte;
+- the adaptive ``s_th`` sweep once more at ``--trials 20003 --stream-count
+  7 --jobs 3``, whose 20 ceilings are reduced per stream on three threads
+  over streams of uneven size (2,858 and 2,857 trials);
 - closed-form optimum-axis sweeps, whose rows the solvers take as one
   batch: ``--axis sigma_s --min 0 --max 1 --steps 5`` under both schemes,
   whose rows mix the surrogate kernel's three branches (no pointing term at
@@ -196,6 +199,14 @@ MC_OPTIMUM_SWEEPS = (
     ("n", ["--axis", "n", "--min", "1", "--max", "6", "--steps", "6", "--sth", "0.4"]),
 )
 
+# (output name, sweep arguments) of the threaded Monte-Carlo sweep on uneven
+# streams.
+MC_THREADED_SWEEP = (
+    "sweep_mc_sth_adaptive_streams7_jobs3.csv",
+    [*MC_OPTIMUM_SWEEPS[0][1], *MC_SWEEP_SCHEMES[1], "--mc", "--trials", "20003",
+     "--stream-count", "7", "--jobs", "3"],
+)
+
 # (output name, config or None for the default scenario, sweep arguments) of
 # the closed-form sweeps whose rows the solvers take as one batch.
 BATCH_SWEEPS = (
@@ -287,6 +298,8 @@ def produce(src: Path, outdir: Path) -> None:
                 (name, ["sweep", *axis, *scheme, "--mc", "--trials", "20000",
                         "--seed", str(PROGRAM_SEED), "--out", str(outdir / name)])
             )
+    name, argv = MC_THREADED_SWEEP
+    ops.append((name, ["sweep", *argv, "--seed", str(PROGRAM_SEED), "--out", str(outdir / name)]))
     for name, doc, axis in BATCH_SWEEPS:
         config = []
         if doc is not None:

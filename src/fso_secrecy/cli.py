@@ -502,9 +502,11 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
     does; the gap then means nothing.  ``gap`` and ``covers`` count a
     throughput below 1e-12 times the scheme's rate scale as 0: c_b for the
     adaptive scheme, u = min(C_b, 1) for the fixed one.  The printed ``est``
-    and ``oracle.est`` stay as computed.  ``sop_at_re`` and
-    ``sop_exact_at_re`` are the surrogate and the exact secrecy outage at
-    the optimum's r_e, one float call each.
+    and ``oracle.est`` stay as computed.  ``sop_at_re`` is the surrogate
+    secrecy outage at the optimum's r_e, from one float call.
+    ``sop_exact_at_re`` is the exact one, and ``est_exact_kernel`` the
+    throughput of the exact outages at the optimum's rates, gate lifted;
+    each exact outage is read once, through :func:`_outages`.
     """
     s_th = args.sth if args.sth is not None else sc.s_th
     scheme = args.scheme
@@ -526,20 +528,20 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         out.write("\n")
         return _EXIT_OK
 
-    unconstrained = SecrecyConstraint(1.0)
     if scheme == "adaptive":
         opt = optimize.adaptive_optimal(sc, args.cb, s_th)
         oracle = optimize.adaptive_grid_oracle(sc, args.cb, s_th)
-        exact_est = secrecy.est_adaptive(sc, args.cb, opt.rates.r_e, unconstrained)
+        t = 0.0  # the codeword rate tracks the capacity
         in_grid = True  # the grid spans [0, c_b], where every adaptive r_e lies
         scale = args.cb
     else:
         opt = optimize.fixed_optimal(sc, s_th)
         oracle = optimize.fixed_grid_oracle(sc, s_th, opt.rates.r_b + 3.0, grid_points=160)
-        exact_est = secrecy.est_fixed(sc, opt.rates, unconstrained)
+        [t] = _outages(secrecy.reliability_outage, sc, [opt.rates.r_b])
         # r_e <= r_b lies inside the grid; r_b can fall below its first row.
         in_grid = opt.rates.r_b >= optimize.FIXED_ORACLE_RB_MIN
         scale = optimize.rate_scale(bob_link(sc))
+    [s] = _outages(secrecy.sop, sc, [opt.rates.r_e])
     # A throughput below 1e-12 of the scheme's rate scale is rounding noise:
     # the gap and ``covers`` count it as 0.
     est, oracle_est = (0.0 if x < 1e-12 * scale else x for x in (opt.est, oracle.est))
@@ -556,12 +558,14 @@ def cmd_optimize(sc: ScenarioConfig, args, out: io.TextIOBase) -> int:
         "est": opt.est,
         # Exact-kernel throughput at the same rates with the gate lifted; the
         # gate itself is contracted on the surrogate surface.
-        "est_exact_kernel": exact_est,
+        "est_exact_kernel": secrecy.est_from_outages(
+            opt.rates.secrecy_rate, t, s, SecrecyConstraint(1.0)
+        ),
         "method": opt.method,
         "hessian_ok": opt.hessian_ok,
         "constraint_active": opt.constraint_active,
         "sop_at_re": float(secrecy.sop_approx(eve_link(sc), opt.rates.r_e)[0]),
-        "sop_exact_at_re": float(secrecy.sop(sc, opt.rates.r_e)[0]),
+        "sop_exact_at_re": s,
         "oracle": {"est": oracle.est, "gap": gap, "covers": covers},
     }
     if scheme == "adaptive":

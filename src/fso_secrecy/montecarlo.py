@@ -54,14 +54,15 @@ ceil(trials / stream_count) entries: 62,500 at the default 1e6 trials on 16
 streams, 0.5 MB as floats.  A thread's set is 2 float rows and 1 bool row
 in :func:`estimate_sop` (about 1.06 MB at that default), 4 and 1 in
 :func:`estimate_reliability_outages` (2.06 MB; its thinned beams draw into
-prefixes of two of them), and 2 and 2 in :func:`estimate_est` (1.13 MB),
-which also draws every stream's capacities and eavesdropper irradiances
-into its slice of two trial-length arrays that all threads share (16 MB),
-read again for each ceiling.  The samplers take the rows to fill as
-``work`` and draw with ``standard_gamma(..., out=)``, ``random(out=)`` and
-in-place operations: the same variates and operations in the same order as
-on fresh arrays, so the same bits.  A trial count whose buffers numpy
-cannot allocate raises a ``MemoryError`` that names ``trials``.
+prefixes of two of them), and 3 and 2 in :func:`estimate_est` (1.63 MB).
+:func:`estimate_est` also holds one trial-length array that all threads
+share, every stream's capacities in its slice of it (8 MB at 1e6 trials);
+it draws the eavesdropper in the pass that reduces the ceilings, into the
+thread's scratch.  The samplers take the rows to fill as ``work`` and draw
+with ``standard_gamma(..., out=)``, ``random(out=)`` and in-place
+operations: the same variates and operations in the same order as on fresh
+arrays, so the same bits.  A trial count whose buffers numpy cannot
+allocate raises a ``MemoryError`` that names ``trials``.
 """
 
 from __future__ import annotations
@@ -525,6 +526,13 @@ def estimate_est(
     and a sequence gives back one ``Estimate`` per ceiling, each equal to
     the float call's.  A pinned rate pair's throughput, under either
     scheme, is :func:`est_fixed_from_outages` of the outage estimates.
+
+    Two passes over the streams.  The first draws every stream's
+    capacities into its slice of one trial-length array, whose maximum
+    sizes the redundancy table.  The second draws each stream's
+    eavesdropper irradiances into its thread's scratch and reduces every
+    ceiling from them and the stream's capacities; each stream has its own
+    eavesdropper generator, so drawing it there gives the same variates.
     """
     ceilings = [SecrecyConstraint(c).s_th for c in np.atleast_1d(s_th).tolist()]
     eve_rngs = _stream_rngs(sim, _EVE_ROLE)
@@ -533,10 +541,9 @@ def estimate_est(
     snr_b = sc.nodes.gamma0 * bob_link(sc).pointing.a0
     snr_e = sc.nodes.gamma0 * eve_link(sc).pointing.a0
 
-    # Stream j's trials are entries bounds[j]:bounds[j + 1] of both draws.
+    # Stream j's capacities are entries bounds[j]:bounds[j + 1] of cap.
     bounds = list(itertools.accumulate(sizes, initial=0))
     cap = _buffer(sim.trials)
-    i_e = _buffer(sim.trials)
 
     def draw(j: int, rows: np.ndarray, masks: np.ndarray) -> None:
         lo, hi = bounds[j], bounds[j + 1]
@@ -545,21 +552,19 @@ def estimate_est(
         cap_j *= snr_b
         cap_j += 1.0
         np.log2(cap_j, out=cap_j)
-        sample_eve_irradiance(sc, eve_rngs[j], sizes[j], (i_e[lo:hi], rows[0]))
 
-    def at_ceiling(r_th: float) -> Estimate:
-        c_cut = _ceiling_cut(table_c, table_r, r_th)
-        thr_th = rate_threshold(r_th, snr_e)
-
-        def reduce_one(j: int, rows: np.ndarray, masks: np.ndarray) -> tuple[float, float]:
-            lo, hi = bounds[j], bounds[j + 1]
-            cap_j, i_e_j = cap[lo:hi], i_e[lo:hi]
-            kept, secure_th = masks[0][: hi - lo], masks[1][: hi - lo]
+    def reduce_one(j: int, rows: np.ndarray, masks: np.ndarray) -> list[tuple[float, float]]:
+        size = sizes[j]
+        cap_j = cap[bounds[j] : bounds[j + 1]]
+        i_e_j = sample_eve_irradiance(sc, eve_rngs[j], size, rows)
+        kept, secure_th = masks[0][:size], masks[1][:size]
+        sums = []
+        for r_th, c_cut, thr_th in cuts:
             # cap - r_th where the trial is reliable and secure at r_th, else
             # +0.0: a masked negative difference times 0 is -0.0, and adding
             # 0.0 makes it +0.0.  A trial with cap = inf reads NaN here, but
             # it lies in ``free``, which is overwritten below.
-            psi = np.subtract(cap_j, r_th, out=rows[0][: hi - lo])
+            psi = np.subtract(cap_j, r_th, out=rows[2][:size])
             np.less_equal(r_th, cap_j, out=kept)
             kept &= np.less_equal(i_e_j, thr_th, out=secure_th)
             with np.errstate(invalid="ignore"):
@@ -572,21 +577,22 @@ def estimate_est(
             psi[free] = np.where((r_e <= c) & secure, c - r_e, 0.0)
             total = float(psi.sum())
             psi *= psi
-            return total, float(psi.sum())
+            sums.append((total, float(psi.sum())))
+        return sums
 
-        parts = workers.map(reduce_one, len(sizes))
-        n = sim.trials
-        total = math.fsum(p[0] for p in parts)
-        total_sq = math.fsum(p[1] for p in parts)
-        mean = total / n
-        var = max(total_sq / n - mean * mean, 0.0)
-        ci = 3.0 * math.sqrt(var / n)
-        return Estimate(mean=mean, ci_halfwidth=ci, trials=n)
-
-    with _Workers(jobs, sizes[0], rows=2, masks=2) as workers:
+    with _Workers(jobs, sizes[0], rows=3, masks=2) as workers:
         workers.map(draw, len(sizes))
         table_c, table_r = _adaptive_redundancy_table(sc, float(cap.max()))
         # Every ceiling's threshold rate from one batched solve.
-        r_ths = optimize.re_thresholds([(sc, c) for c in ceilings])
-        estimates = [at_ceiling(r_th) for r_th in r_ths]
+        cuts = [
+            (r_th, _ceiling_cut(table_c, table_r, r_th), rate_threshold(r_th, snr_e))
+            for r_th in optimize.re_thresholds([(sc, c) for c in ceilings])
+        ]
+        parts = workers.map(reduce_one, len(sizes))
+    n = sim.trials
+    estimates = []
+    for sums in zip(*parts):  # one ceiling's sums, in stream order
+        mean = math.fsum(p[0] for p in sums) / n
+        var = max(math.fsum(p[1] for p in sums) / n - mean * mean, 0.0)
+        estimates.append(Estimate(mean=mean, ci_halfwidth=3.0 * math.sqrt(var / n), trials=n))
     return estimates[0] if np.ndim(s_th) == 0 else estimates

@@ -133,10 +133,10 @@ def reliability_outage_approx(bob: LinkParams, n_a: int, r_b):
 def _complement(kernel, gain: float, rate):
     """1 - F and its slope in the rate, for the (F, f) pair that ``kernel``
     returns at the thresholds of ``rate`` on a link of SNR gain ``gain``."""
-    r = _rates(rate)
-    cdf, pdf = kernel(rate_threshold(r, gain))
+    x, dx = _threshold_and_slope(_rates(rate), gain)
+    cdf, pdf = kernel(x)
     with np.errstate(over="ignore"):
-        return 1.0 - cdf, -pdf * _rate_slope(r, gain)
+        return 1.0 - cdf, -pdf * dx
 
 
 def _selection(kernel, gain: float, n_a: int, rate):
@@ -144,10 +144,10 @@ def _selection(kernel, gain: float, n_a: int, rate):
     the rate, n_a c1**(n_a - 1) times c1's, for the (c1, f) pair that
     ``kernel`` returns at the thresholds of ``rate`` on a link of SNR gain
     ``gain``."""
-    r = _rates(rate)
-    c1, pdf = kernel(rate_threshold(r, gain))
+    x, dx = _threshold_and_slope(_rates(rate), gain)
+    c1, pdf = kernel(x)
     with np.errstate(over="ignore"):
-        return np.power(c1, n_a), n_a * np.power(c1, n_a - 1) * pdf * _rate_slope(r, gain)
+        return np.power(c1, n_a), n_a * np.power(c1, n_a - 1) * pdf * dx
 
 
 def _rates(rate) -> np.ndarray:
@@ -170,12 +170,15 @@ def rate_threshold(rate, gain: float):
         return np.expm1(rate * _LN2) / gain
 
 
-def _rate_slope(rate, gain: float):
-    """Slope of :func:`rate_threshold` in the rate, 2**rate ln 2 / gain, with
-    2**rate formed as the threshold's own expm1 plus one.  It is capped at
-    the largest double: it passes that only where the threshold is inf, and
-    the density it multiplies there is 0, as their product must stay."""
-    return np.minimum((np.expm1(rate * _LN2) + 1.0) * (_LN2 / gain), sys.float_info.max)
+def _threshold_and_slope(rate, gain: float):
+    """:func:`rate_threshold` and its slope in the rate, 2**rate ln 2 / gain,
+    from one expm1: 2**rate is the threshold's own expm1 plus one.  The
+    slope is capped at the largest double: it passes that only where the
+    threshold is inf, and the density it multiplies there is 0, as their
+    product must stay."""
+    with np.errstate(over="ignore"):
+        m = np.expm1(rate * _LN2)
+        return m / gain, np.minimum((m + 1.0) * (_LN2 / gain), sys.float_info.max)
 
 
 def est_adaptive(

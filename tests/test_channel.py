@@ -30,7 +30,7 @@ from fso_secrecy.channel import (
     turbulence_params,
 )
 from fso_secrecy.montecarlo import SimConfig, estimate_reliability_outage, estimate_sop
-from fso_secrecy.secrecy import _rate_slope, rate_threshold
+from fso_secrecy.secrecy import _threshold_and_slope, rate_threshold
 
 # ---------------------------------------------------------------------------
 # derived parameters of the default scenario
@@ -267,7 +267,8 @@ def test_snr_threshold_examples(baseline):
     assert rate_threshold(0.0, 1e4 * p.a0) == 0.0
 
     gain = 1e4 * 2 * p.a0
-    v, dv = rate_threshold(1.0, gain), _rate_slope(1.0, gain)
+    v, dv = _threshold_and_slope(1.0, gain)
+    assert v.hex() == float(rate_threshold(1.0, gain)).hex()
     assert v == pytest.approx(1.0 / gain, rel=1e-15, abs=0)
     assert v == pytest.approx(0.015651, abs=5e-6)
     assert dv == pytest.approx(2.0 * math.log(2.0) / gain, rel=1e-15, abs=0)
@@ -277,10 +278,10 @@ def test_snr_threshold_examples(baseline):
 
     # an array maps to the bits of its elements' float calls
     rates = np.array([0.0, 1e-12, 0.5, 6.0])
-    xs, dxs = rate_threshold(rates, gain), _rate_slope(rates, gain)
+    xs, dxs = _threshold_and_slope(rates, gain)
     for r, x, dx in zip(rates.tolist(), xs.tolist(), dxs.tolist()):
         assert x.hex() == float(rate_threshold(r, gain)).hex()
-        assert dx.hex() == float(_rate_slope(r, gain)).hex()
+        assert dx.hex() == float(_threshold_and_slope(r, gain)[1]).hex()
 
     # each link's gain carries its own aperture count
     sc = baseline_scenario(n_b=1, n_e=4)

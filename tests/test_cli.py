@@ -1278,6 +1278,39 @@ def test_optimize_adaptive_pinned_capacity(tmp_path, baseline):
     assert doc["sop_at_re"] <= 0.4 + 1e-6
 
 
+@pytest.mark.parametrize("scheme", ["fixed", "adaptive"])
+def test_optimize_reads_each_exact_outage_once(tmp_path, baseline, monkeypatch, scheme):
+    # est_exact_kernel and sop_exact_at_re read the exact outages through the
+    # memo of exact outages: one exact call per outage kind, and none when
+    # the same run is made again (two sop calls a run when the exact
+    # throughput asked its own).
+    cli._distinct_outages.cache_clear()
+    calls = []
+    for name in ("sop", "reliability_outage"):
+        real = getattr(secrecy, name)
+        monkeypatch.setattr(
+            secrecy, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
+        )
+    argv = ["optimize", "--scheme", scheme, "--sth", "0.4"]
+    if scheme == "adaptive":
+        argv += ["--cb", "4"]
+    code, text = run_cli(tmp_path, *argv)
+    assert code == 0
+    assert sorted(calls) == (["sop"] if scheme == "adaptive" else ["reliability_outage", "sop"])
+    calls.clear()
+    assert run_cli(tmp_path, *argv, name="again.txt") == (0, text)
+    assert calls == []
+
+    doc = json.loads(text)
+    pair = RatePair(doc["rates"]["r_b"], doc["rates"]["r_e"])
+    if scheme == "adaptive":
+        want = secrecy.est_adaptive(baseline, 4.0, pair.r_e, SecrecyConstraint(1.0))
+    else:
+        want = secrecy.est_fixed(baseline, pair, SecrecyConstraint(1.0))
+    assert doc["est_exact_kernel"] == want
+    assert doc["sop_exact_at_re"] == secrecy.sop(baseline, pair.r_e)[0]
+
+
 def test_optimize_adaptive_weak_eavesdropper_link(tmp_path, capsys):
     # At gamma0 1e-3 the eavesdropper's whole rate scale u_e = min(C_e, 1)
     # (8.9e-6 here) lies below 1e-4: the slope scan starts at 1e-4 u_e, so it

@@ -245,18 +245,20 @@ def test_streams_draw_into_one_scratch_set_per_thread(monkeypatch, jobs, most):
     assert len(works) == 2 * 16
     assert_shared(works)
 
-    # the draws themselves land in two trial-length arrays, one stream's
-    # slice after another; only the samplers' other rows are scratch
+    # Bob's capacities land in one trial-length array, one stream's slice
+    # after another, and only the sampler's other rows are scratch; Eve is
+    # drawn in the pass that reduces the ceilings, into the thread's scratch
     seen.clear()
     estimate_est(sc, [0.2, 0.4], sim, jobs=jobs)
-    for name in ("sample_bob_irradiance", "sample_eve_irradiance"):
-        works = calls(name)
-        assert len(works) == 16
-        assert_shared([work[1:] for work in works])
-        drawn = [work[0] for work in works]
-        assert len(_bases(drawn)) == 1 and drawn[0].base.size == sim.trials
-        assert sum(r.size for r in drawn) == sim.trials
-        assert not any(np.shares_memory(a, b) for a, b in zip(drawn, drawn[1:]))
+    bob, eve = calls("sample_bob_irradiance"), calls("sample_eve_irradiance")
+    assert len(bob) == len(eve) == 16
+    assert_shared([work[1:] for work in bob])
+    assert_shared(eve)
+    drawn = [work[0] for work in bob]
+    assert len(_bases(drawn)) == 1 and drawn[0].base.size == sim.trials
+    assert sum(r.size for r in drawn) == sim.trials
+    assert not any(np.shares_memory(a, b) for a, b in zip(drawn, drawn[1:]))
+    assert not any(np.shares_memory(r, drawn[0].base) for work in eve for r in work)
 
 
 @pytest.mark.parametrize("jobs", [2, 3, 8])
@@ -694,6 +696,29 @@ def test_capacity_averaged_estimate_draws_once_over_ceilings(baseline, monkeypat
     ] * 4
     with pytest.raises(ValueError):
         estimate_est(baseline, [0.4, 0.0], sim)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_capacity_averaged_estimate_holds_one_trial_length_array_in_two_maps(
+    baseline, monkeypatch, jobs
+):
+    # Bob's capacities are the one trial-length array, and one map over the
+    # streams draws Eve and reduces all five ceilings (two such arrays and
+    # six maps when Eve was drawn beside Bob and each ceiling had a map).
+    shapes, maps = [], []
+    buffer, workers_map = montecarlo._buffer, montecarlo._Workers.map
+    monkeypatch.setattr(
+        montecarlo, "_buffer", lambda shape, *a: shapes.append(shape) or buffer(shape, *a)
+    )
+    monkeypatch.setattr(
+        montecarlo._Workers,
+        "map",
+        lambda self, fn, count: maps.append(count) or workers_map(self, fn, count),
+    )
+    sim = SimConfig(trials=4_000, seed=3, stream_count=4)
+    assert len(estimate_est(baseline, [1.0, 0.6, 0.4, 0.2, 0.05], sim, jobs=jobs)) == 5
+    assert shapes.count(sim.trials) == 1
+    assert maps == [4, 4]
 
 
 def test_estimate_est_fixed_matches_closed_form(baseline):
